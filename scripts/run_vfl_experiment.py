@@ -21,7 +21,8 @@ def main() -> int:
     parser.add_argument("--key-bits", type=int, default=512)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--trees", type=int, default=10)
-    parser.add_argument("--tuning", choices=("none", "aggregated_bo"), default="none")
+    # aggregated_bo would hand the labels to the exploration institute
+    parser.add_argument("--tuning", choices=("none",), default="none")
     parser.add_argument("--bo-budget", type=int, default=12)
     args = parser.parse_args()
 

@@ -17,6 +17,7 @@ import numpy as np
 from .data import default_synth_config, load_csv, synth_generate, write_csv, SynthConfig
 from .experiment import (
     SCENARIO_HFL,
+    ConfigError,
     ExperimentConfig,
     load_config,
     load_districts,
@@ -234,6 +235,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_tune(args) -> int:
     config = _override_config(load_config(args.config), args)
+    if args.mode == "aggregated" and config.scenario != SCENARIO_HFL:
+        raise ConfigError(
+            "aggregated tuning needs labels at every party; the vertical "
+            "scenario keeps them at the label owner"
+        )
     districts = load_districts(config)
     joined = join_datasets(districts)
     plan = split_train_valid_test(joined, k=config.k_folds, seed=config.seed)

@@ -78,6 +78,12 @@ class ExperimentConfig:
                 "federated training cannot use direct tuning: it would need "
                 "pooled data; use aggregated_bo"
             )
+        if (self.scenario == SCENARIO_VFL and self.tuning == "aggregated_bo"
+                and "federated" in self.regimes):
+            raise ConfigError(
+                "vertical federated training cannot use aggregated_bo: per-party "
+                "tuning would hand the labels to every feature owner"
+            )
         if self.secagg_mode not in (SECAGG_PAILLIER, SECAGG_MASK_ONLY):
             raise ConfigError(f"unknown secure-aggregation mode {self.secagg_mode!r}")
 

@@ -282,7 +282,16 @@ def find_best_split(hist: GradHistogram, params: GbtParams) -> SplitCandidate | 
     at or above min_child_weight in hessian mass.  Candidates within
     GAIN_TIE_REL_TOL of the maximum count as tied; ties go to the lowest
     feature id, then the lowest bin index.
+
+    A gain must also clear min_split_gain by GAIN_TIE_REL_TOL relative to
+    the parent's score term: a node whose samples share one g/h ratio has
+    zero gain for every partition, and at reg_lambda=0 float or fixed-point
+    noise would otherwise pick a split at random.
     """
+    G_node, H_node, _ = hist.totals()
+    parent_term = float(_gain_term(soft_threshold(G_node, params.reg_alpha), H_node,
+                                   params.reg_lambda))
+    min_gain = params.min_split_gain + GAIN_TIE_REL_TOL * (1.0 + parent_term)
     per_feature = []
     best_gain = -math.inf
     for f in range(hist.n_features):
@@ -304,7 +313,7 @@ def find_best_split(hist: GradHistogram, params: GbtParams) -> SplitCandidate | 
             - params.gamma
         )
         ok = (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
-        ok &= gains > params.min_split_gain
+        ok &= gains > min_gain
         per_feature.append((gains, ok, gl, hl, cl, gr, hr, cr))
         if ok.any():
             best_gain = max(best_gain, float(gains[ok].max()))

@@ -3,10 +3,13 @@
 Clients hold identically-featured datasets; a server aggregates their
 per-node gradient histograms and drives the split decisions.  Labels, raw
 feature values, and per-client gradient sums never leave a client: each
-histogram slot is fixed-point encoded, blinded with pairwise-cancelling
-masks, and (in ``paillier+mask`` mode) Paillier-encrypted under the server
-key, so the server learns only the masked per-client values and, after
-summing, the exact global aggregate once the masks cancel.
+histogram slot is fixed-point encoded and blinded with pairwise-cancelling
+masks, so the server learns only the masked per-client values and, after
+summing, the exact global aggregate once the masks cancel.  In
+``mask-only`` mode every slot is its own residue mod 2^64.  In
+``paillier+mask`` mode the slots are packed side by side into plaintexts
+just below the server's Paillier modulus (:class:`PackedLayout`, after
+SecureBoost+), and each plaintext is masked once and encrypted once.
 
 Wire protocol per boosting round (tree t, depth d):
 
@@ -50,6 +53,7 @@ from .gbt import (
 )
 from .paillier import (
     Ciphertext,
+    EncodingError,
     FixedPointCodec,
     PrivateKey,
     PublicKey,
@@ -203,14 +207,76 @@ def sibling_by_subtraction(parent, child):
 
 
 # ---------------------------------------------------------------------------
+# Packed plaintexts (paillier+mask)
+
+
+@dataclass(frozen=True)
+class PackedLayout:
+    """Fixed-width slots side by side in one Paillier plaintext.
+
+    A client puts ``quantize(x) + offset`` in each slot, which is positive
+    and below ``2 * offset`` while ``|quantize(x)| < offset``.  ``offset`` is
+    sized by the largest client's sample count, which bounds any per-client
+    sum of logistic gradients (``|g| < 1``, ``h <= 1/4``), and ``width``
+    leaves room for the sum of ``n_clients`` such slots.  ``slots`` of them
+    fit below ``2**(n.bit_length() - 1) <= n``, so the aggregate of packed
+    plaintexts never wraps mod ``n`` and no slot carries into the next.
+    """
+
+    offset: int
+    width: int
+    slots: int
+    n_clients: int
+
+    def pack(self, values: list[int]) -> list[int]:
+        """Quantized values -> plaintexts of up to ``slots`` slots each."""
+        for v in values:
+            if not -self.offset < v < self.offset:
+                raise EncodingError(
+                    f"slot value {v} reaches the packing offset 2^{self.offset.bit_length() - 1}"
+                )
+        out = []
+        for start in range(0, len(values), self.slots):
+            plain = 0
+            for v in reversed(values[start:start + self.slots]):
+                plain = (plain << self.width) | (v + self.offset)
+            out.append(plain)
+        return out
+
+    def unpack(self, totals: list[int], n_values: int) -> list[int]:
+        """Decrypted aggregates of ``n_clients`` packings -> the summed values."""
+        bias, mask = self.n_clients * self.offset, (1 << self.width) - 1
+        out = []
+        for i, total in enumerate(totals):
+            used = min(self.slots, n_values - i * self.slots)
+            if total >> (self.width * used):
+                raise ProtocolError(
+                    f"packed aggregate {i} has bits above its {used} slots: "
+                    "a submission was tampered with or counted twice"
+                )
+            out += [((total >> (self.width * j)) & mask) - bias for j in range(used)]
+        return out
+
+
+def packed_layout(roster: "HflRoster", codec: FixedPointCodec, n: int) -> PackedLayout:
+    """The slot layout every party derives from the roster and the key."""
+    offset_bits = codec.scale_bits + max(roster.sample_counts).bit_length()
+    n_clients = len(roster.client_ids)
+    width = offset_bits + 1 + (n_clients - 1).bit_length()  # + ceil(log2(n_clients))
+    slots = (n.bit_length() - 1) // width
+    if slots < 1:
+        raise EncodingError(
+            f"a {n.bit_length()}-bit key fits no {width}-bit slot for this roster"
+        )
+    return PackedLayout(offset=1 << offset_bits, width=width, slots=slots, n_clients=n_clients)
+
+
+# ---------------------------------------------------------------------------
 # Masking and encryption of one histogram
 
 
-def _pairwise_mask(
-    roster: HflRoster, client_id: str, nonce: str, node: int, feature: int, bin_index: int,
-    tag: str, modulus: int,
-) -> int:
-    """Sum of this client's pairwise mask shares for one slot.
+def _pairwise_mask(roster: HflRoster, client_id: str, modulus: int, domain: str, *label) -> int:
+    """Sum of this client's pairwise mask shares for one labelled value.
 
     The (i, j) pair draws one value from their shared seed; the
     lexicographically smaller id adds it and the larger subtracts it, so the
@@ -222,7 +288,7 @@ def _pairwise_mask(
         if other == client_id:
             continue
         seed = roster.pair_seed(client_id, other)
-        r = derive_uniform_int(modulus, "slotmask", seed, nonce, node, feature, bin_index, tag)
+        r = derive_uniform_int(modulus, domain, seed, *label)
         if client_id < other:
             total = (total + r) % modulus
         else:
@@ -235,7 +301,9 @@ class MaskedEncHistogram:
     client_id: str
     node_id: int
     mode: str
-    enc_g: list  # Ciphertext (paillier) or int residues (mask-only), flat F*B
+    # paillier+mask: one Ciphertext per packed plaintext of the flat F*B
+    # values; mask-only: one int residue per slot
+    enc_g: list
     enc_h: list
     counts: np.ndarray  # int64 (n_features, n_bins), in clear
     n_features: int
@@ -252,22 +320,29 @@ def mask_histogram(
     pk: PublicKey | None,
     enc_rng: random.Random | None,
 ) -> MaskedEncHistogram:
-    """Fixed-point encode, blind with pairwise masks, then encrypt each slot."""
+    """Fixed-point encode and blind with pairwise masks; under Paillier,
+    pack the slots, then mask and encrypt each packed plaintext."""
     paillier = roster.secagg_mode == SECAGG_PAILLIER
     if paillier and pk is None:
         raise ProtocolError("paillier+mask mode needs the server public key")
-    modulus = pk.n if paillier else MASK_ONLY_MODULUS
     F, B = hist.n_features, hist.n_bins
     enc_g, enc_h = [], []
-    for f in range(F):
-        for b in range(B):
-            for tag, value, out in (("g", hist.g[f, b], enc_g), ("h", hist.h[f, b], enc_h)):
-                m = codec.encode(float(value), modulus)
-                m = (m + _pairwise_mask(roster, client_id, nonce, node_id, f, b, tag, modulus)) % modulus
-                if paillier:
-                    out.append(encrypt(pk, m, rng=enc_rng))
-                else:
-                    out.append(m)
+    if paillier:
+        layout = packed_layout(roster, codec, pk.n)
+        for tag, values, out in (("g", hist.g, enc_g), ("h", hist.h, enc_h)):
+            plains = layout.pack([codec.quantize(float(v)) for v in values.flat])
+            for i, plain in enumerate(plains):
+                mask = _pairwise_mask(roster, client_id, pk.n, "packmask", nonce, node_id, tag, i)
+                out.append(encrypt(pk, (plain + mask) % pk.n, rng=enc_rng))
+    else:
+        modulus = MASK_ONLY_MODULUS
+        for f in range(F):
+            for b in range(B):
+                for tag, value, out in (("g", hist.g[f, b], enc_g), ("h", hist.h[f, b], enc_h)):
+                    m = codec.encode(float(value), modulus)
+                    mask = _pairwise_mask(roster, client_id, modulus, "slotmask",
+                                          nonce, node_id, f, b, tag)
+                    out.append((m + mask) % modulus)
     return MaskedEncHistogram(
         client_id=client_id,
         node_id=node_id,
@@ -296,21 +371,26 @@ def server_aggregate(
         raise ProtocolError(f"submissions mix node ids {sorted(nodes)}")
     any_sub = next(iter(submissions.values()))
     F, B = any_sub.n_features, any_sub.n_bins
-    paillier = roster.secagg_mode == SECAGG_PAILLIER
-    modulus = pk.n if paillier else MASK_ONLY_MODULUS
     out = IntHistogram.zeros(F, B)
     ordered = [submissions[c] for c in sorted(submissions)]
-    for f in range(F):
-        for b in range(B):
-            flat = f * B + b
-            for tag, enc_attr, target in (("g", "enc_g", out.g), ("h", "enc_h", out.h)):
-                slots = [getattr(s, enc_attr)[flat] for s in ordered]
-                if paillier:
-                    total = decrypt(sk, pk, aggregate(pk, slots))
-                else:
-                    total = sum(slots) % modulus
-                target[f, b] = codec.decode_int(total, modulus)
-            out.counts[f, b] = sum(int(s.counts[f, b]) for s in ordered)
+    if roster.secagg_mode == SECAGG_PAILLIER:
+        layout = packed_layout(roster, codec, pk.n)
+        n_plain = -(-F * B // layout.slots)
+        for enc_attr, target in (("enc_g", out.g), ("enc_h", out.h)):
+            columns = [getattr(s, enc_attr) for s in ordered]
+            if any(len(c) != n_plain for c in columns):
+                raise ProtocolError(f"{enc_attr}: expected {n_plain} packed plaintexts per client")
+            totals = [decrypt(sk, pk, aggregate(pk, list(cts))) for cts in zip(*columns)]
+            target[:] = np.array(layout.unpack(totals, F * B), dtype=object).reshape(F, B)
+    else:
+        modulus = MASK_ONLY_MODULUS
+        for f in range(F):
+            for b in range(B):
+                flat = f * B + b
+                for enc_attr, target in (("enc_g", out.g), ("enc_h", out.h)):
+                    total = sum(getattr(s, enc_attr)[flat] for s in ordered) % modulus
+                    target[f, b] = codec.decode_int(total, modulus)
+    out.counts[:] = sum(s.counts for s in ordered)
     return out
 
 
@@ -389,9 +469,14 @@ class HflServer:
         self.codec = codec
         self.pk: PublicKey | None = None
         self.sk: PrivateKey | None = None
+        # every check runs before the first message is sent
         if roster.secagg_mode == SECAGG_PAILLIER:
             self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("hfl-key", seed))
-            self.codec.check_capacity(self.pk.n, max_magnitude=1.0)
+            # the layout bounds each slot by the roster's sample counts
+            packed_layout(roster, codec, self.pk.n)
+        else:
+            codec.check_capacity(MASK_ONLY_MODULUS, max_magnitude=1.0,
+                                 terms=sum(roster.sample_counts))
         self.binning: Binning | None = None
 
     def merge_binning(self, ranges: list[tuple[np.ndarray, np.ndarray]]) -> Binning:

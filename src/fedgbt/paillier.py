@@ -2,8 +2,9 @@
 
 Multiplying two ciphertexts modulo n^2 adds their plaintexts modulo n, which
 is the only homomorphic operation the protocols in this package need: parties
-encrypt per-slot (or per-sample) gradient statistics, an aggregator multiplies
-the ciphertexts, and the key holder decrypts the sum.
+encrypt packed histogram slots (horizontal) or per-sample gradients
+(vertical), an aggregator multiplies the ciphertexts, and the key holder
+decrypts the sum.
 
 Plaintexts are residues in [0, n).  Real-valued statistics are embedded
 through :class:`FixedPointCodec`, which scales by ``2**scale_bits`` and maps
@@ -95,10 +96,23 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """Decryption key: Carmichael value ``lam`` and its companion ``mu``."""
+    """Decryption key: Carmichael value ``lam`` and its companion ``mu``,
+    plus the primes and the per-prime constants that decryption uses.
+
+    Decryption works modulo ``p**2`` and ``q**2`` separately (Paillier,
+    EUROCRYPT 1999, section 7): ``hp = L_p(g^(p-1) mod p^2)^-1 mod p``,
+    likewise ``hq``, and ``q_inv = q^-1 mod p`` recombines the halves.
+    """
 
     lam: int
     mu: int
+    p: int
+    q: int
+    p_squared: int
+    q_squared: int
+    hp: int
+    hq: int
+    q_inv: int
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,14 @@ class Ciphertext:
 
 def _l_function(u: int, n: int) -> int:
     return (u - 1) // n
+
+
+def _crt_constant(g: int, prime: int, prime_squared: int) -> int:
+    """``L_p(g^(p-1) mod p^2)^-1 mod p``: the per-prime analogue of ``mu``."""
+    denom = _l_function(_powmod(g, prime - 1, prime_squared), prime) % prime
+    if math.gcd(denom, prime) != 1:
+        raise KeyGenerationError("g admits no CRT constant; choose another generator")
+    return _invert(denom, prime)
 
 
 def _generate_prime(bits: int, rng: random.Random, max_tries: int = 100_000) -> int:
@@ -136,7 +158,13 @@ def keypair_from_primes(p: int, q: int, g: int | None = None) -> tuple[PublicKey
     if math.gcd(denom, n) != 1:
         raise KeyGenerationError("g admits no mu; choose another generator")
     mu = _invert(denom, n)
-    return PublicKey(n=n, g=g, n_squared=n_squared), PrivateKey(lam=lam, mu=mu)
+    p_squared, q_squared = p * p, q * q
+    sk = PrivateKey(
+        lam=lam, mu=mu, p=p, q=q, p_squared=p_squared, q_squared=q_squared,
+        hp=_crt_constant(g, p, p_squared), hq=_crt_constant(g, q, q_squared),
+        q_inv=_invert(q, p),
+    )
+    return PublicKey(n=n, g=g, n_squared=n_squared), sk
 
 
 def keygen(
@@ -203,11 +231,18 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
 
 
 def decrypt(sk: PrivateKey, pk: PublicKey, c: Ciphertext) -> int:
-    """Recover the plaintext: ``L(c^lam mod n^2) * mu mod n``."""
+    """Recover the plaintext ``L(c^lam mod n^2) * mu mod n``.
+
+    Computed by the Chinese remainder theorem: ``m mod p`` and ``m mod q``
+    each take one half-size exponentiation, and Garner's formula joins them.
+    """
     if not 0 <= c.value < pk.n_squared:
         raise EncodingError("ciphertext outside [0, n^2)")
-    u = _powmod(c.value, sk.lam, pk.n_squared)
-    return (_l_function(u, pk.n) * sk.mu) % pk.n
+    if c.value == 1:
+        return 0
+    mp = _l_function(_powmod(c.value % sk.p_squared, sk.p - 1, sk.p_squared), sk.p) * sk.hp % sk.p
+    mq = _l_function(_powmod(c.value % sk.q_squared, sk.q - 1, sk.q_squared), sk.q) * sk.hq % sk.q
+    return mq + (mp - mq) * sk.q_inv % sk.p * sk.q
 
 
 def aggregate(pk: PublicKey, cs: list[Ciphertext]) -> Ciphertext:
@@ -238,14 +273,21 @@ class FixedPointCodec:
     def scale(self) -> int:
         return 1 << self.scale_bits
 
-    def check_capacity(self, n: int, max_magnitude: float) -> None:
-        if 2 * self.max_terms * max_magnitude * self.scale >= n:
+    def check_capacity(self, n: int, max_magnitude: float, terms: int | None = None) -> None:
+        """Raise unless ``terms`` summands (default ``max_terms``) of magnitude
+        at most ``max_magnitude`` stay decodable modulo ``n``."""
+        terms = self.max_terms if terms is None else terms
+        if 2 * terms * max_magnitude * self.scale >= n:
             raise EncodingError(
-                "modulus too small for the configured term count and magnitude"
+                f"modulus too small for {terms} terms of magnitude {max_magnitude}"
             )
 
+    def quantize(self, x: float) -> int:
+        """``x`` scaled by 2**scale_bits and rounded to the nearest integer."""
+        return round(x * self.scale)
+
     def encode(self, x: float, n: int) -> int:
-        scaled = round(x * self.scale)
+        scaled = self.quantize(x)
         if 2 * abs(scaled) >= n:
             raise EncodingError(f"magnitude of {x} overflows the plaintext range")
         return scaled % n

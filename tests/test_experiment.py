@@ -158,6 +158,14 @@ def test_vfl_scenario_runs_end_to_end():
         assert abs(f_rep.auc - c_rep.auc) <= 0.005
 
 
+def test_vfl_federated_with_aggregated_tuning_is_rejected():
+    # per-party tuning would give every feature owner the label vector
+    with pytest.raises(ConfigError, match="labels"):
+        ExperimentConfig(scenario=SCENARIO_VFL, tuning="aggregated_bo")
+    ExperimentConfig(scenario=SCENARIO_VFL, regimes=("centralized",), tuning="aggregated_bo")
+    ExperimentConfig(tuning="aggregated_bo")
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="other")
@@ -324,3 +332,21 @@ def test_cli_tune_writes_fold_table(tmp_path):
     tuned = json.loads((out / "tuned.json").read_text())
     assert len(tuned) == 2
     assert all(t["provenance"] == "aggregated" for t in tuned)
+
+
+def test_cli_tune_aggregated_rejects_the_vertical_scenario(tmp_path, capsys):
+    doc = {
+        "scenario": "vfl_case_two",
+        "regimes": ["centralized"],
+        "params": {"n_estimators": 2, "max_depth": 2, "max_bin": 8},
+        "data": {"synth": {"seed": 9}},
+        "k_folds": 2,
+        "bo_budget": 6,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "tuned"
+    assert cli_main(["tune", "--config", str(cfg), "--mode", "aggregated",
+                     "--out", str(out)]) == 2
+    assert "label" in capsys.readouterr().err
+    assert not out.exists()

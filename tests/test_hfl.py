@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedgbt.data import PartyDataset, join_datasets
 from fedgbt.gbt import (
@@ -18,16 +19,19 @@ from fedgbt.hfl import (
     SECAGG_MASK_ONLY,
     SECAGG_PAILLIER,
     IntHistogram,
+    MaskedEncHistogram,
     ProtocolError,
     establish_global_binning,
     hfl_train,
     make_roster,
     mask_histogram,
+    packed_layout,
     server_aggregate,
     sibling_by_subtraction,
 )
-from fedgbt.paillier import FixedPointCodec, keygen
+from fedgbt.paillier import Ciphertext, EncodingError, FixedPointCodec, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
+from fedgbt.transport import MessageBus
 
 
 def make_party(X, y, party="p"):
@@ -149,14 +153,18 @@ def test_single_submission_is_blinded(mask_fixture):
     hist = GradHistogram.zeros(1, 100)
     hist.g[0] = values
     sub = mask_histogram(hist, "c0", roster, "n2", 0, codec, pk, random.Random(4))
-    # decrypting a single client's slots must NOT reveal its true values
-    from fedgbt.paillier import decrypt
-
+    layout = packed_layout(roster, codec, pk.n)
+    true_slots = [codec.quantize(float(v)) + layout.offset for v in values]
+    packed = layout.pack([codec.quantize(float(v)) for v in values])
+    assert len(sub.enc_g) == len(packed) == -(-100 // layout.slots)
+    # decrypting a single client's plaintexts must NOT reveal its true values
     differing = 0
-    for i, v in enumerate(values):
-        plain = decrypt(sk, pk, sub.enc_g[i])
-        if plain != codec.encode(float(v), pk.n):
-            differing += 1
+    for i, cipher in enumerate(sub.enc_g):
+        plain = decrypt(sk, pk, cipher)
+        assert plain != packed[i]
+        for j, true in enumerate(true_slots[i * layout.slots:(i + 1) * layout.slots]):
+            slot = (plain >> (layout.width * j)) & ((1 << layout.width) - 1)
+            differing += slot != true
     assert differing >= 99
 
 
@@ -192,6 +200,88 @@ def test_aggregate_missing_client_aborts(mask_fixture):
     s0 = mask_histogram(_hist_from_values([0.1]), "c0", roster, "n4", 0, codec, pk, random.Random(7))
     with pytest.raises(ProtocolError, match="timeout"):
         server_aggregate({"c0": s0}, roster, codec, pk, sk)
+
+
+# ---------------------------------------------------------------------------
+# packed plaintexts (paillier+mask)
+
+
+def test_packed_layout_at_hfl_paillier_shape():
+    # 200 training rows over 3 clients under a 512-bit key
+    roster = make_roster(["c0", "c1", "c2"], [67, 67, 66])
+    layout = packed_layout(roster, FixedPointCodec(), (1 << 511) + 1)
+    assert (layout.offset, layout.width, layout.slots) == (2**47, 50, 10)
+
+
+@pytest.fixture(scope="module")
+def key_256():
+    return keygen(key_bits=256, rng_seed=60)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_clients=st.integers(2, 8), data=st.data())
+def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, data):
+    pk, sk = key_256
+    codec = FixedPointCodec()
+    # the largest sample count for which one slot still fits the key
+    top_bits = pk.n.bit_length() - 1 - codec.scale_bits - 1 - (n_clients - 1).bit_length()
+    count_bits = data.draw(st.sampled_from([1, 24, top_bits]) | st.integers(1, top_bits))
+    counts = [(1 << count_bits) - 1] * n_clients
+    ids = [f"c{i}" for i in range(n_clients)]
+    roster = make_roster(ids, counts, master_seed=count_bits)
+    near_one = st.sampled_from([-0.999, 0.999]) | st.floats(-0.999, 0.999)
+    expect_g, expect_h, subs = [0, 0, 0], [0, 0, 0], {}
+    for cid, count in zip(ids, counts):
+        hist = GradHistogram.zeros(1, 3)
+        hist.g[0] = [count * data.draw(near_one) for _ in range(3)]
+        hist.h[0] = [count * data.draw(st.floats(0.0, 0.25)) for _ in range(3)]
+        expect_g = [e + codec.quantize(float(v)) for e, v in zip(expect_g, hist.g[0])]
+        expect_h = [e + codec.quantize(float(v)) for e, v in zip(expect_h, hist.h[0])]
+        subs[cid] = mask_histogram(hist, cid, roster, "x", 0, codec, pk, random.Random(cid))
+    total = server_aggregate(subs, roster, codec, pk, sk)
+    assert list(total.g[0]) == expect_g
+    assert list(total.h[0]) == expect_h
+
+
+def test_slot_value_reaching_the_offset_raises(mask_fixture):
+    roster, pk, sk, codec = mask_fixture
+    layout = packed_layout(roster, codec, pk.n)
+    edge = layout.offset / codec.scale
+    for value in (edge, -edge):
+        with pytest.raises(EncodingError, match="offset"):
+            mask_histogram(_hist_from_values([0.0, value]), "c0", roster, "n5", 0, codec, pk,
+                           random.Random(8))
+    assert len(layout.pack([layout.offset - 1, 1 - layout.offset])) == 1
+
+
+def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixture):
+    roster, pk, sk, codec = mask_fixture
+    s0 = mask_histogram(_hist_from_values([0.1, -0.2]), "c0", roster, "n6", 0, codec, pk,
+                        random.Random(9))
+    s1 = mask_histogram(_hist_from_values([0.3, 0.4]), "c1", roster, "n6", 0, codec, pk,
+                        random.Random(10))
+    twin = MaskedEncHistogram(**{**vars(s0), "client_id": "c1"})
+    with pytest.raises(ProtocolError, match="bits above"):
+        server_aggregate({"c0": s0, "c1": twin}, roster, codec, pk, sk)
+    flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [Ciphertext(s1.enc_h[0].value ^ 4)]})
+    with pytest.raises(ProtocolError, match="bits above"):
+        server_aggregate({"c0": s0, "c1": flipped}, roster, codec, pk, sk)
+
+
+@pytest.mark.parametrize("secagg, counts, key_bits, match", [
+    (SECAGG_PAILLIER, [10, 10], 40, "fits no"),  # 46-bit slots under a 40-bit key
+    (SECAGG_PAILLIER, [2**250, 1], 256, "fits no"),
+    (SECAGG_MASK_ONLY, [2**22, 2**22], 512, "8388608 terms"),  # 2^23 samples wrap 2^64
+])
+def test_capacity_checks_abort_before_any_message(secagg, counts, key_bits, match):
+    X, y = synth_classification(20, 2, seed=3)
+    parties = random_split_parties(X, y, 2, seed=4)
+    roster = make_roster(list(parties), counts, secagg_mode=secagg)
+    bus = MessageBus()
+    with pytest.raises(EncodingError, match=match):
+        hfl_train(roster, parties, GbtParams(n_estimators=1), seed=0, bus=bus,
+                  key_bits=key_bits)
+    assert bus.transcript == []
 
 
 def test_sibling_subtraction_on_integer_histograms():
@@ -319,9 +409,12 @@ def test_transcript_has_no_sensitive_values():
     # tree-1 margins are continuous, so those sums are generic reals that
     # cannot collide with legitimate payload values (weights, thresholds)
     from fedgbt.gbt import predict_margin
-    from fedgbt.paillier import int_to_hex
+    from fedgbt.paillier import hex_to_int, int_to_hex
 
     binning = establish_global_binning(list(parties.values()), 8)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()])
+    key = next(e for e in bus.transcript if e.msg_type == "KEY_BROADCAST")
+    layout = packed_layout(roster, codec, hex_to_int(key.payload["n"]))
     forbidden_hex = set()
     forbidden_floats = set()
     for party in parties.values():
@@ -340,6 +433,10 @@ def test_transcript_has_no_sensitive_values():
                     encoded = codec.encode(value, 2**64)
                     if encoded and len(int_to_hex(encoded)) >= 10:
                         forbidden_hex.add(int_to_hex(encoded))
+            # the unmasked packed plaintexts this client would encrypt
+            for values in (hist.g, hist.h):
+                for plain in layout.pack([codec.quantize(float(v)) for v in values.flat]):
+                    forbidden_hex.add(int_to_hex(plain))
     assert forbidden_floats, "corpus should contain generic per-client sums"
     corpus = SensitiveCorpus(
         label_vectors={p.party_id: p.labels.tolist() for p in parties.values()},
@@ -384,3 +481,22 @@ def test_hfl_missing_dataset_aborts():
     X, y = synth_classification(10, 2, seed=1)
     with pytest.raises(ProtocolError):
         hfl_train(roster, {"c0": make_party(X, y, "c0")}, GbtParams(n_estimators=1), seed=0)
+
+
+@pytest.mark.parametrize("secagg", [SECAGG_MASK_ONLY, SECAGG_PAILLIER])
+def test_one_ratio_node_is_a_leaf_at_lambda_zero(secagg):
+    # every sample has label 1 and the same margin, so all share one g/h
+    # ratio and every partition gains exactly zero: only rounding noise
+    # is left to choose from, and it must not pick a split
+    X, _ = synth_classification(40, 3, seed=5)
+    y = np.ones(40, dtype=int)
+    params = GbtParams(n_estimators=1, max_depth=2, max_bin=8, reg_lambda=0.0,
+                       min_child_weight=0.0, base_score_logit=0.3)
+    parties = random_split_parties(X, y, 2, seed=6)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         secagg_mode=secagg)
+    fed, _ = hfl_train(roster, parties, params, key_bits=256)
+    binning = establish_global_binning(list(parties.values()), params.max_bin)
+    pooled = train_centralized(join_datasets(list(parties.values()), "union"), params,
+                               binning=binning)
+    assert [len(t.nodes) for t in fed.trees] == [len(t.nodes) for t in pooled.trees] == [1]

@@ -67,6 +67,27 @@ def test_decrypt_identity_ciphertext_is_zero():
     assert decrypt(sk, pk, Ciphertext(1)) == 0
 
 
+def _textbook_decrypt(sk, pk, c):
+    return (pow(c, sk.lam, pk.n_squared) - 1) // pk.n * sk.mu % pk.n
+
+
+def test_crt_decrypt_matches_textbook_formula_on_every_toy_ciphertext():
+    pk, sk = toy_keypair()
+    units = [c for c in range(1, pk.n_squared) if math.gcd(c, pk.n) == 1]
+    assert [decrypt(sk, pk, Ciphertext(c)) for c in units] == [
+        _textbook_decrypt(sk, pk, c) for c in units
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_crt_decrypt_matches_textbook_formula(keypair_512, seed):
+    pk, sk = keypair_512
+    assert sk.p * sk.q == pk.n
+    c = random.Random(seed).randrange(1, pk.n_squared)
+    assert decrypt(sk, pk, Ciphertext(c)) == _textbook_decrypt(sk, pk, c)
+
+
 def test_zero_roundtrip_any_keypair(keypair_512):
     pk, sk = keypair_512
     assert decrypt(sk, pk, encrypt(pk, 0, rng=random.Random(1))) == 0
