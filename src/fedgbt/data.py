@@ -15,7 +15,6 @@ and the geological block to the other.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -399,12 +398,6 @@ def _write_csv_stream(dataset: PartyDataset, fh) -> None:
         if dataset.labels is not None:
             row.append(str(int(dataset.labels[i])))
         writer.writerow(row)
-
-
-def dataset_to_csv(dataset: PartyDataset) -> str:
-    buf = io.StringIO()
-    _write_csv_stream(dataset, buf)
-    return buf.getvalue()
 
 
 def load_csv(path: str, schema: tuple[str, ...] = ALL_FEATURES, party_id: str | None = None) -> PartyDataset:

@@ -14,7 +14,10 @@ Conventions fixed across every training path:
 * split candidates are scanned feature-ascending then bin-ascending, and a
   candidate replaces the incumbent only on strictly larger gain, so ties
   resolve to the lowest feature id, then the lowest bin;
-* boosting updates margins by ``learning_rate * leaf_weight`` per tree.
+* boosting updates margins by ``learning_rate * leaf_weight`` per tree;
+* histograms, split search and routing are vectorized over features, bins,
+  rows and trees, yet every float result equals a per-feature, per-row
+  loop's: histogram cells accumulate sample by sample, margins tree by tree.
 """
 
 from __future__ import annotations
@@ -70,12 +73,6 @@ class GbtParams:
         return GbtParams(**merged)
 
 
-@dataclass(frozen=True)
-class GradPair:
-    g: float
-    h: float
-
-
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
@@ -89,11 +86,6 @@ def logistic_gradients(y, margin):
     p = np.clip(sigmoid(margin), 1e-15, 1 - 1e-15)
     y = np.asarray(y, dtype=np.float64)
     return p - y, p * (1.0 - p)
-
-
-def logistic_gradient_pair(y: int, margin: float) -> GradPair:
-    g, h = logistic_gradients(np.array([y]), np.array([margin]))
-    return GradPair(float(g[0]), float(h[0]))
 
 
 def logistic_loss(y, margin) -> float:
@@ -207,19 +199,24 @@ def build_histogram(
     sample_idx: np.ndarray,
     n_bins: int,
 ) -> GradHistogram:
-    """Accumulate (G, H, count) per feature and bin over the given samples."""
+    """Accumulate (G, H, count) per feature and bin over the given samples.
+
+    One offset ``bincount`` per statistic covers every feature: cell
+    ``f * n_bins + b`` takes the samples in order, so each sum equals the
+    per-feature accumulation bit for bit.
+    """
     n_features = binned.shape[1]
-    hist = GradHistogram.zeros(n_features, n_bins)
     idx = np.asarray(sample_idx, dtype=np.int64)
-    if idx.size == 0:
-        return hist
-    gs, hs = g[idx], h[idx]
-    for f in range(n_features):
-        bins = binned[idx, f]
-        hist.g[f] = np.bincount(bins, weights=gs, minlength=n_bins)
-        hist.h[f] = np.bincount(bins, weights=hs, minlength=n_bins)
-        hist.counts[f] = np.bincount(bins, minlength=n_bins)
-    return hist
+    # binned[idx] is a copy, so the offsets go in place without a second buffer
+    cells = binned[idx].astype(np.intp, copy=False)
+    cells += np.arange(n_features) * n_bins
+    cells = cells.ravel()
+    size, shape = n_features * n_bins, (n_features, n_bins)
+    return GradHistogram(
+        g=np.bincount(cells, weights=np.repeat(g[idx], n_features), minlength=size).reshape(shape),
+        h=np.bincount(cells, weights=np.repeat(h[idx], n_features), minlength=size).reshape(shape),
+        counts=np.bincount(cells, minlength=size).reshape(shape),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +231,9 @@ def soft_threshold(g, alpha: float):
 
 
 def _gain_term(G, H, reg_lambda: float):
+    """G^2 / (H + reg_lambda) where the denominator is positive, else 0."""
     den = np.asarray(H, dtype=np.float64) + reg_lambda
-    G = np.asarray(G, dtype=np.float64)
-    out = np.zeros_like(den)
-    ok = den > 0
-    out[ok] = G[ok] ** 2 / den[ok]
-    return out
-
-
-def split_gain(G_L: float, H_L: float, G_R: float, H_R: float, reg_lambda: float, gamma: float) -> float:
-    """Objective reduction of partitioning (G_L+G_R, H_L+H_R) into the two sides."""
-    terms = _gain_term(
-        np.array([G_L, G_R, G_L + G_R]), np.array([H_L, H_R, H_L + H_R]), reg_lambda
-    )
-    return 0.5 * float(terms[0] + terms[1] - terms[2]) - gamma
+    return np.divide(np.square(G), den, out=np.zeros(den.shape), where=den > 0)
 
 
 def leaf_weight(G: float, H: float, reg_lambda: float) -> float:
@@ -292,46 +278,39 @@ def find_best_split(hist: GradHistogram, params: GbtParams) -> SplitCandidate | 
     parent_term = float(_gain_term(soft_threshold(G_node, params.reg_alpha), H_node,
                                    params.reg_lambda))
     min_gain = params.min_split_gain + GAIN_TIE_REL_TOL * (1.0 + parent_term)
-    per_feature = []
-    best_gain = -math.inf
-    for f in range(hist.n_features):
-        gl = np.cumsum(hist.g[f])[:-1]
-        hl = np.cumsum(hist.h[f])[:-1]
-        cl = np.cumsum(hist.counts[f])[:-1]
-        G, H, C = hist.g[f].sum(), hist.h[f].sum(), hist.counts[f].sum()
-        gr, hr, cr = G - gl, H - hl, C - cl
-        gl_s = soft_threshold(gl, params.reg_alpha)
-        gr_s = soft_threshold(gr, params.reg_alpha)
-        g_tot_s = soft_threshold(G, params.reg_alpha)
-        gains = (
-            0.5
-            * (
-                _gain_term(gl_s, hl, params.reg_lambda)
-                + _gain_term(gr_s, hr, params.reg_lambda)
-                - _gain_term(np.full_like(gl, g_tot_s), np.full_like(hl, H), params.reg_lambda)
-            )
-            - params.gamma
+    # (n_features, n_bins - 1) grids: the left side takes bins 0..b
+    gl = np.cumsum(hist.g, axis=1)[:, :-1]
+    hl = np.cumsum(hist.h, axis=1)[:, :-1]
+    cl = np.cumsum(hist.counts, axis=1)[:, :-1]
+    G = hist.g.sum(axis=1, keepdims=True)
+    H = hist.h.sum(axis=1, keepdims=True)
+    gr, hr, cr = G - gl, H - hl, hist.counts.sum(axis=1, keepdims=True) - cl
+    alpha, lam = params.reg_alpha, params.reg_lambda
+    gains = (
+        0.5
+        * (
+            _gain_term(soft_threshold(gl, alpha), hl, lam)
+            + _gain_term(soft_threshold(gr, alpha), hr, lam)
+            - _gain_term(soft_threshold(G, alpha), H, lam)
         )
-        ok = (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
-        ok &= gains > min_gain
-        per_feature.append((gains, ok, gl, hl, cl, gr, hr, cr))
-        if ok.any():
-            best_gain = max(best_gain, float(gains[ok].max()))
+        - params.gamma
+    )
+    ok = (hl >= params.min_child_weight) & (hr >= params.min_child_weight) & (gains > min_gain)
+    if not ok.any():
+        return None
+    best_gain = float(gains[ok].max())
     if not math.isfinite(best_gain):
         return None
     cutoff = best_gain - GAIN_TIE_REL_TOL * (1.0 + abs(best_gain))
-    for f, (gains, ok, gl, hl, cl, gr, hr, cr) in enumerate(per_feature):
-        hit = np.flatnonzero(ok & (gains >= cutoff))
-        if hit.size:
-            b = int(hit[0])
-            return SplitCandidate(
-                feature=f,
-                bin_index=b,
-                gain=float(gains[b]),
-                left=(float(gl[b]), float(hl[b]), int(cl[b])),
-                right=(float(gr[b]), float(hr[b]), int(cr[b])),
-            )
-    return None
+    # row-major order: the lowest feature first, then the lowest bin
+    f, b = divmod(int(np.flatnonzero(ok & (gains >= cutoff))[0]), gains.shape[1])
+    return SplitCandidate(
+        feature=f,
+        bin_index=b,
+        gain=float(gains[f, b]),
+        left=(float(gl[f, b]), float(hl[f, b]), int(cl[f, b])),
+        right=(float(gr[f, b]), float(hr[f, b]), int(cr[f, b])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +335,6 @@ class TreeNode:
 class Tree:
     nodes: list[TreeNode] = field(default_factory=list)
 
-    def root(self) -> TreeNode:
-        return self.nodes[0]
-
     def depth(self) -> int:
         def walk(node_id: int) -> int:
             node = self.nodes[node_id]
@@ -369,58 +345,107 @@ class Tree:
         return walk(0) if self.nodes else 0
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledTrees:
+    """Trees as flat node arrays.  Node ``i`` sends a row left when its
+    ``feature[i]`` value is at most ``threshold[i]`` (raw rows) or
+    ``bin_index[i]`` (binned rows); a leaf points at itself on both sides.
+    ``table`` holds the nodes as tuples for the single-row walker, and rows
+    must carry ``width`` features (infinite when a split has no raw
+    threshold, as a vertical model's foreign splits do)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    bin_index: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
+    roots: np.ndarray
+    depth: int
+    width: float
+    table: list  # (feature, threshold, bin_index, left, right, weight) per node
+
+
+def compile_trees(trees: list[Tree]) -> CompiledTrees:
+    """Flatten trees whose node ids are their list positions."""
+    table, roots = [], []
+    for tree in trees:
+        roots.append(base := len(table))
+        table += [(0, 0.0, 0, base + i, base + i, n.weight) if n.is_leaf else
+                  (n.feature, n.threshold, n.bin_index, base + n.left, base + n.right, 0.0)
+                  for i, n in enumerate(tree.nodes)]
+    types = (np.int64, np.float64, np.int64, np.int64, np.int64, np.float64)
+    columns = [np.array(c, dtype=d) for c, d in zip(list(zip(*table)) or [()] * 6, types)]
+    return CompiledTrees(
+        *columns, roots=np.array(roots, dtype=np.int64),
+        depth=max((t.depth() for t in trees), default=0),
+        width=max((n.feature + 1 if n.feature >= 0 and not math.isnan(n.threshold) else math.inf
+                   for t in trees for n in t.nodes if not n.is_leaf), default=0),
+        table=table,
+    )
+
+
+def _route(compiled: CompiledTrees, X: np.ndarray, cuts: np.ndarray,
+           roots: np.ndarray) -> np.ndarray:
+    """Leaf node per (row, tree); each step moves every row down every tree."""
+    n, n_features = X.shape
+    flat = X.ravel()
+    row_start = (np.arange(n, dtype=np.int64) * n_features)[:, None]
+    node = np.tile(roots, (n, 1))
+    for _ in range(compiled.depth):
+        go_left = flat[row_start + compiled.feature[node]] <= cuts[node]
+        node = np.where(go_left, compiled.left[node], compiled.right[node])
+    return node
+
+
 @dataclass
 class BoostedEnsemble:
+    """A boosted model.  Trees must not change once they are in an
+    ensemble: the first prediction compiles them into :class:`CompiledTrees`,
+    which every later prediction reuses."""
+
     trees: list[Tree]
     params: GbtParams
     base_score_logit: float
     feature_names: tuple[str, ...] | None = None
+    _compiled: CompiledTrees | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
+    def compiled(self, n_features: int) -> CompiledTrees:
+        """The compiled trees, once rows of ``n_features`` features are
+        known to carry every feature a split reads."""
+        if self._compiled is None:
+            self._compiled = compile_trees(self.trees)
+        if n_features < self._compiled.width:
+            node = next(n for t in self.trees for n in t.nodes if not n.is_leaf and not (
+                0 <= n.feature < n_features and not math.isnan(n.threshold)))
+            raise TrainingError(f"node {node.node_id} references feature {node.feature}, "
+                                "which this row does not carry")
+        return self._compiled
+
 
 def tree_leaf_weights_binned(tree: Tree, binned: np.ndarray) -> np.ndarray:
     """Leaf weight per row, routing by bin index (training-time evaluation)."""
-    out = np.empty(binned.shape[0])
-    for i in range(binned.shape[0]):
-        node = tree.nodes[0]
-        while not node.is_leaf:
-            if binned[i, node.feature] <= node.bin_index:
-                node = tree.nodes[node.left]
-            else:
-                node = tree.nodes[node.right]
-        out[i] = node.weight
-    return out
-
-
-def _tree_leaf_weights_raw(tree: Tree, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        node = tree.nodes[0]
-        while not node.is_leaf:
-            if node.feature < 0 or node.feature >= X.shape[1] or math.isnan(node.threshold):
-                raise TrainingError(
-                    f"node {node.node_id} references feature {node.feature}, "
-                    "which this row does not carry"
-                )
-            if X[i, node.feature] <= node.threshold:
-                node = tree.nodes[node.left]
-            else:
-                node = tree.nodes[node.right]
-        out[i] = node.weight
-    return out
+    compiled = compile_trees([tree])
+    return compiled.weight[_route(compiled, binned, compiled.bin_index, compiled.roots)[:, 0]]
 
 
 def predict_margin(model: BoostedEnsemble, X: np.ndarray, n_trees: int | None = None) -> np.ndarray:
-    """Accumulated margin: base score plus learning_rate-scaled leaf weights."""
+    """Accumulated margin: base score plus learning_rate-scaled leaf weights.
+
+    The first ``n_trees`` trees (all by default) are summed left to right,
+    as ``margins += learning_rate * weights`` tree by tree would.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    margins = np.full(X.shape[0], model.base_score_logit, dtype=np.float64)
-    use = model.trees if n_trees is None else model.trees[:n_trees]
-    for tree in use:
-        margins += model.params.learning_rate * _tree_leaf_weights_raw(tree, X)
-    return margins
+    compiled = model.compiled(X.shape[1])
+    leaves = _route(compiled, X, compiled.threshold, compiled.roots[:n_trees])
+    terms = np.empty((X.shape[0], leaves.shape[1] + 1))
+    terms[:, 0] = model.base_score_logit
+    terms[:, 1:] = model.params.learning_rate * compiled.weight[leaves]
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def predict_proba(model: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
@@ -428,8 +453,22 @@ def predict_proba(model: BoostedEnsemble, X: np.ndarray) -> np.ndarray:
 
 
 def predict(model: BoostedEnsemble, x: np.ndarray) -> tuple[float, float, int]:
-    """(margin, probability, label at 0.5) for a single feature row."""
-    margin = float(predict_margin(model, np.atleast_2d(x))[0])
+    """(margin, probability, label at 0.5) for a single feature row.
+
+    A plain Python walk over the compiled nodes: for one row it beats the
+    router's fixed numpy cost, and its float operations are the same, so
+    the margin equals ``predict_margin``'s.
+    """
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    compiled = model.compiled(X.shape[1])
+    table, row = compiled.table, X[0].tolist()
+    margin, rate = float(model.base_score_logit), model.params.learning_rate
+    for node in compiled.roots.tolist():
+        feature, threshold, _, left, right, weight = table[node]
+        while left != node:
+            node = left if row[feature] <= threshold else right
+            feature, threshold, _, left, right, weight = table[node]
+        margin += rate * weight
     prob = float(sigmoid(margin))
     return margin, prob, int(prob >= 0.5)
 
@@ -470,14 +509,14 @@ def _grow_tree(
     while frontier:
         node_id, samples, depth = frontier.pop(0)
         node = tree.nodes[node_id]
-        G, H = float(g[samples].sum()), float(h[samples].sum())
-        if depth >= params.max_depth or samples.size < 2:
-            _finalize_leaf(node, G, H, params)
-            continue
-        hist = build_histogram(binned, g, h, samples, binning.n_bins)
-        best = find_best_split(hist, params)
+        best = None
+        if depth < params.max_depth and samples.size >= 2:
+            best = find_best_split(build_histogram(binned, g, h, samples, binning.n_bins), params)
         if best is None or best.left[2] == 0 or best.right[2] == 0:
-            _finalize_leaf(node, G, H, params)
+            G, H = float(g[samples].sum()), float(h[samples].sum())
+            node.is_leaf = True
+            node.weight = leaf_weight(float(soft_threshold(G, params.reg_alpha)), H,
+                                      params.reg_lambda)
             continue
         left_mask = binned[samples, best.feature] <= best.bin_index
         left_id, right_id = len(tree.nodes), len(tree.nodes) + 1
@@ -491,11 +530,6 @@ def _grow_tree(
         frontier.append((left_id, samples[left_mask], depth + 1))
         frontier.append((right_id, samples[~left_mask], depth + 1))
     return tree
-
-
-def _finalize_leaf(node: TreeNode, G: float, H: float, params: GbtParams) -> None:
-    node.is_leaf = True
-    node.weight = leaf_weight(float(soft_threshold(G, params.reg_alpha)), H, params.reg_lambda)
 
 
 def train_centralized(
@@ -538,7 +572,7 @@ def train_centralized(
 MODEL_FORMAT_VERSION = 1
 
 
-def _node_to_dict(node: TreeNode) -> dict:
+def node_to_dict(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"id": node.node_id, "leaf": True, "weight": node.weight}
     out = {
@@ -565,7 +599,7 @@ def model_to_dict(model: BoostedEnsemble) -> dict:
         "learning_rate": model.params.learning_rate,
         "params": asdict(model.params),
         "feature_names": list(model.feature_names) if model.feature_names else None,
-        "trees": [{"nodes": [_node_to_dict(n) for n in t.nodes]} for t in model.trees],
+        "trees": [{"nodes": [node_to_dict(n) for n in t.nodes]} for t in model.trees],
     }
 
 
@@ -573,36 +607,29 @@ def model_to_json(model: BoostedEnsemble) -> str:
     return json.dumps(model_to_dict(model), indent=2, sort_keys=True)
 
 
+def tree_from_dicts(docs: list[dict]) -> Tree:
+    """A tree from its node documents (any order; ids are positions)."""
+    nodes = []
+    for nd in docs:
+        if nd["leaf"]:
+            nodes.append(TreeNode(node_id=nd["id"], is_leaf=True, weight=nd["weight"]))
+        else:
+            nodes.append(TreeNode(
+                node_id=nd["id"], is_leaf=False, feature=nd["feature"], bin_index=nd["bin"],
+                threshold=nd.get("threshold", math.nan), owner=nd.get("owner", ""),
+                record_id=nd.get("record", -1), left=nd["left"], right=nd["right"],
+            ))
+    nodes.sort(key=lambda n: n.node_id)
+    return Tree(nodes=nodes)
+
+
 def model_from_dict(doc: dict) -> BoostedEnsemble:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise TrainingError(f"unsupported model format: {doc.get('format_version')!r}")
-    params = GbtParams(**doc["params"])
-    trees = []
-    for tdoc in doc["trees"]:
-        nodes = []
-        for nd in tdoc["nodes"]:
-            if nd["leaf"]:
-                nodes.append(TreeNode(node_id=nd["id"], is_leaf=True, weight=nd["weight"]))
-            else:
-                nodes.append(
-                    TreeNode(
-                        node_id=nd["id"],
-                        is_leaf=False,
-                        feature=nd["feature"],
-                        bin_index=nd["bin"],
-                        threshold=nd.get("threshold", math.nan),
-                        owner=nd.get("owner", ""),
-                        record_id=nd.get("record", -1),
-                        left=nd["left"],
-                        right=nd["right"],
-                    )
-                )
-        nodes.sort(key=lambda n: n.node_id)
-        trees.append(Tree(nodes=nodes))
     names = doc.get("feature_names")
     return BoostedEnsemble(
-        trees=trees,
-        params=params,
+        trees=[tree_from_dicts(tdoc["nodes"]) for tdoc in doc["trees"]],
+        params=GbtParams(**doc["params"]),
         base_score_logit=doc["base_score_logit"],
         feature_names=tuple(names) if names else None,
     )

@@ -29,7 +29,7 @@ Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,10 @@ from .gbt import (
     leaf_weight,
     initial_margins,
     logistic_gradients,
+    model_to_dict,
+    node_to_dict,
     soft_threshold,
+    tree_from_dicts,
     tree_leaf_weights_binned,
     tree_row_sample,
 )
@@ -77,14 +80,13 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class HflRoster:
-    """Participants of one sample-partitioned federation."""
+class HflMembership:
+    """What the server knows of a federation: the clients, their sample
+    counts and the secure-aggregation mode, and no pairwise mask seed."""
 
     client_ids: tuple[str, ...]
     sample_counts: tuple[int, ...]
-    server_id: str = "server"
     secagg_mode: str = SECAGG_PAILLIER
-    pair_seeds: dict = field(default_factory=dict)  # {(id_i, id_j) sorted: seed}
 
     def __post_init__(self):
         if len(self.client_ids) < 1:
@@ -95,6 +97,18 @@ class HflRoster:
             raise ProtocolError("sample counts must be positive")
         if self.secagg_mode not in (SECAGG_PAILLIER, SECAGG_MASK_ONLY):
             raise ProtocolError(f"unknown secure-aggregation mode {self.secagg_mode!r}")
+
+
+@dataclass(frozen=True)
+class HflRoster(HflMembership):
+    """Participants of one sample-partitioned federation, with the pairwise
+    mask seeds that only the clients may hold."""
+
+    server_id: str = "server"
+    pair_seeds: dict = field(default_factory=dict)  # {(id_i, id_j) sorted: seed}
+
+    def __post_init__(self):
+        super().__post_init__()
         for i, a in enumerate(self.client_ids):
             for b in self.client_ids[i + 1 :]:
                 if tuple(sorted((a, b))) not in self.pair_seeds:
@@ -102,6 +116,10 @@ class HflRoster:
 
     def pair_seed(self, a: str, b: str) -> int:
         return self.pair_seeds[tuple(sorted((a, b)))]
+
+    def membership(self) -> HflMembership:
+        """The roster without its mask seeds: all the server is given."""
+        return HflMembership(self.client_ids, self.sample_counts, self.secagg_mode)
 
 
 def make_roster(
@@ -187,18 +205,13 @@ class IntHistogram:
     def prefix_totals(self, feature: int, bin_index: int) -> tuple[int, int, int]:
         """(G, H, count) of samples in bins 0..bin_index of one feature."""
         sl = slice(0, bin_index + 1)
-        return (
-            int(self.g[feature, sl].sum()),
-            int(self.h[feature, sl].sum()),
-            int(self.counts[feature, sl].sum()),
-        )
+        return tuple(int(a[feature, sl].sum()) for a in (self.g, self.h, self.counts))
 
     def decode(self, codec: FixedPointCodec) -> GradHistogram:
-        scale = codec.scale
-        to_float = np.vectorize(lambda v: v / scale, otypes=[np.float64])
-        return GradHistogram(
-            g=to_float(self.g), h=to_float(self.h), counts=self.counts.copy()
-        )
+        # object arrays divide element by element as exact Python ints
+        return GradHistogram(g=(self.g / codec.scale).astype(np.float64),
+                             h=(self.h / codec.scale).astype(np.float64),
+                             counts=self.counts.copy())
 
 
 def sibling_by_subtraction(parent, child):
@@ -258,10 +271,10 @@ class PackedLayout:
         return out
 
 
-def packed_layout(roster: "HflRoster", codec: FixedPointCodec, n: int) -> PackedLayout:
-    """The slot layout every party derives from the roster and the key."""
-    offset_bits = codec.scale_bits + max(roster.sample_counts).bit_length()
-    n_clients = len(roster.client_ids)
+def packed_layout(members: HflMembership, codec: FixedPointCodec, n: int) -> PackedLayout:
+    """The slot layout every party derives from the membership and the key."""
+    offset_bits = codec.scale_bits + max(members.sample_counts).bit_length()
+    n_clients = len(members.client_ids)
     width = offset_bits + 1 + (n_clients - 1).bit_length()  # + ceil(log2(n_clients))
     slots = (n.bit_length() - 1) // width
     if slots < 1:
@@ -357,13 +370,13 @@ def mask_histogram(
 
 def server_aggregate(
     submissions: dict[str, MaskedEncHistogram],
-    roster: HflRoster,
+    members: HflMembership,
     codec: FixedPointCodec,
     pk: PublicKey | None,
     sk: PrivateKey | None,
 ) -> IntHistogram:
     """Combine per-client submissions into the exact global integer histogram."""
-    missing = set(roster.client_ids) - set(submissions)
+    missing = set(members.client_ids) - set(submissions)
     if missing:
         raise ProtocolError(f"round timeout: no histogram from {sorted(missing)}")
     nodes = {s.node_id for s in submissions.values()}
@@ -373,8 +386,8 @@ def server_aggregate(
     F, B = any_sub.n_features, any_sub.n_bins
     out = IntHistogram.zeros(F, B)
     ordered = [submissions[c] for c in sorted(submissions)]
-    if roster.secagg_mode == SECAGG_PAILLIER:
-        layout = packed_layout(roster, codec, pk.n)
+    if members.secagg_mode == SECAGG_PAILLIER:
+        layout = packed_layout(members, codec, pk.n)
         n_plain = -(-F * B // layout.slots)
         for enc_attr, target in (("enc_g", out.g), ("enc_h", out.h)):
             columns = [getattr(s, enc_attr) for s in ordered]
@@ -410,6 +423,10 @@ class HflClient:
         self.codec = codec
         self.seed = seed
         self.client_index = roster.client_ids.index(client_id)
+        # Obfuscators r from a seeded Mersenne Twister make transcripts repeat
+        # byte for byte, and let whoever knows the run seed predict every r and
+        # strip the encryption without the key.  A deployment must draw r from
+        # the ``secrets`` module.
         self.enc_rng = random.Random(derive_seed("enc", seed, client_id))
         self.pk: PublicKey | None = None
         self.binning: Binning | None = None
@@ -462,21 +479,21 @@ class HflClient:
 
 
 class HflServer:
-    def __init__(self, roster: HflRoster, params: GbtParams, codec: FixedPointCodec,
+    def __init__(self, members: HflMembership, params: GbtParams, codec: FixedPointCodec,
                  seed: int, key_bits: int = 512):
-        self.roster = roster
+        self.members = members
         self.params = params
         self.codec = codec
         self.pk: PublicKey | None = None
         self.sk: PrivateKey | None = None
         # every check runs before the first message is sent
-        if roster.secagg_mode == SECAGG_PAILLIER:
+        if members.secagg_mode == SECAGG_PAILLIER:
             self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("hfl-key", seed))
-            # the layout bounds each slot by the roster's sample counts
-            packed_layout(roster, codec, self.pk.n)
+            # the layout bounds each slot by the clients' sample counts
+            packed_layout(members, codec, self.pk.n)
         else:
             codec.check_capacity(MASK_ONLY_MODULUS, max_magnitude=1.0,
-                                 terms=sum(roster.sample_counts))
+                                 terms=sum(members.sample_counts))
         self.binning: Binning | None = None
 
     def merge_binning(self, ranges: list[tuple[np.ndarray, np.ndarray]]) -> Binning:
@@ -485,12 +502,11 @@ class HflServer:
         return self.binning
 
     def aggregate_submissions(self, submissions: dict[str, MaskedEncHistogram]) -> IntHistogram:
-        return server_aggregate(submissions, self.roster, self.codec, self.pk, self.sk)
+        return server_aggregate(submissions, self.members, self.codec, self.pk, self.sk)
 
     def decide_node(self, hist_int: IntHistogram):
-        """(SplitCandidate | None, decoded histogram) for one node."""
-        decoded = hist_int.decode(self.codec)
-        return find_best_split(decoded, self.params), decoded
+        """The best split of one node, or None."""
+        return find_best_split(hist_int.decode(self.codec), self.params)
 
     def leaf_weight_from_totals(self, g_int: int, h_int: int) -> float:
         G = g_int / self.codec.scale
@@ -568,7 +584,7 @@ def hfl_train(
     if len(schemas) != 1:
         raise ProtocolError("protocol abort: clients expose mismatched schemas")
 
-    server = HflServer(roster, params, codec, seed, key_bits)
+    server = HflServer(roster.membership(), params, codec, seed, key_bits)
     clients = {
         cid: HflClient(cid, datasets[cid], roster, params, codec, seed)
         for cid in roster.client_ids
@@ -660,7 +676,7 @@ def hfl_train(
                 can_split = depth < params.max_depth and count >= 2 and node_id in node_hist
                 best = None
                 if can_split:
-                    best, _ = server.decide_node(node_hist[node_id])
+                    best = server.decide_node(node_hist[node_id])
                 if best is None:
                     node.is_leaf = True
                     node.weight = server.leaf_weight_from_totals(g_int, h_int)
@@ -774,12 +790,13 @@ def hfl_train(
 
         # deliver the finished tree so clients can update their margins
         round_id += 1
-        tree_doc = [_node_doc(n) for n in tree.nodes]
+        # the per-tree document names no owner: every split is the server's
+        tree_doc = [node_to_dict(replace(n, owner="")) for n in tree.nodes]
         for cid in roster.client_ids:
             bus.send(sid, cid, "MODEL_DELIVERY", round_id, {"tree_index": t, "tree": tree_doc})
         for cid, client in clients.items():
             env = bus.recv(cid, "MODEL_DELIVERY")
-            client.finish_tree(_tree_from_doc(env.payload["tree"]))
+            client.finish_tree(tree_from_dicts(env.payload["tree"]))
         trees.append(tree)
 
     ensemble = BoostedEnsemble(
@@ -788,8 +805,6 @@ def hfl_train(
         base_score_logit=params.base_score_logit,
         feature_names=datasets[roster.client_ids[0]].feature_names,
     )
-    from .gbt import model_to_dict
-
     round_id += 1
     model_doc = model_to_dict(ensemble)
     for cid in roster.client_ids:
@@ -797,32 +812,3 @@ def hfl_train(
     for cid in roster.client_ids:
         bus.recv(cid, "MODEL_DELIVERY")
     return ensemble, bus
-
-
-def _node_doc(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"id": node.node_id, "leaf": True, "weight": node.weight}
-    return {
-        "id": node.node_id,
-        "leaf": False,
-        "feature": node.feature,
-        "bin": node.bin_index,
-        "threshold": node.threshold,
-        "left": node.left,
-        "right": node.right,
-    }
-
-
-def _tree_from_doc(doc: list[dict]) -> Tree:
-    nodes = []
-    for nd in doc:
-        if nd["leaf"]:
-            nodes.append(TreeNode(node_id=nd["id"], is_leaf=True, weight=nd["weight"]))
-        else:
-            nodes.append(TreeNode(
-                node_id=nd["id"], is_leaf=False, feature=nd["feature"],
-                bin_index=nd["bin"], threshold=nd["threshold"],
-                left=nd["left"], right=nd["right"],
-            ))
-    nodes.sort(key=lambda n: n.node_id)
-    return Tree(nodes=nodes)

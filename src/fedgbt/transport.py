@@ -23,10 +23,6 @@ def encode_payload(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def decode_payload(raw: bytes) -> dict:
-    return json.loads(raw.decode())
-
-
 @dataclass(frozen=True)
 class Envelope:
     sender: str
@@ -118,9 +114,6 @@ class MessageBus:
         if missing:
             raise TransportError(f"round timeout: no {msg_type} from {sorted(missing)}")
         return {s: got[s] for s in sorted(got)}
-
-    def pending(self, recipient: str) -> int:
-        return len(self._inboxes[recipient])
 
     def bytes_by_sender(self) -> dict[str, int]:
         out: dict[str, int] = defaultdict(int)

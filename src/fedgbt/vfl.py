@@ -228,7 +228,10 @@ class ActiveParty:
         self.codec = codec
         self.seed = seed
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
-        self.codec.check_capacity(self.pk.n, max_magnitude=1.0)
+        # a bin sums at most every sample's |g| < 1
+        self.codec.check_capacity(self.pk.n, max_magnitude=1.0, terms=dataset.n_samples)
+        # seeded, so every r is predictable from the run seed: see
+        # HflClient.enc_rng; a deployment must draw r from ``secrets``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))
         self.binning: Binning = compute_binning(dataset.features, params.max_bin)
         self.binned: np.ndarray = self.binning.bin_matrix(dataset.features)
@@ -250,15 +253,11 @@ class ActiveParty:
 
     def decrypt_histogram(self, enc_g: list[Ciphertext], enc_h: list[Ciphertext],
                           counts: np.ndarray) -> GradHistogram:
-        F, B = counts.shape
-        hist = GradHistogram.zeros(F, B)
-        for f in range(F):
-            for b in range(B):
-                flat = f * B + b
-                hist.g[f, b] = self.codec.decode(decrypt(self.sk, self.pk, enc_g[flat]), self.pk.n)
-                hist.h[f, b] = self.codec.decode(decrypt(self.sk, self.pk, enc_h[flat]), self.pk.n)
-        hist.counts = counts.astype(np.int64)
-        return hist
+        def plain(cts):
+            values = [self.codec.decode(decrypt(self.sk, self.pk, c), self.pk.n) for c in cts]
+            return np.array(values, dtype=np.float64).reshape(counts.shape)
+
+        return GradHistogram(g=plain(enc_g), h=plain(enc_h), counts=counts.astype(np.int64))
 
     def own_histogram(self, positions: np.ndarray) -> GradHistogram:
         from .gbt import build_histogram
@@ -280,10 +279,6 @@ class VflTrained:
     ensemble: BoostedEnsemble
     active: ActiveParty
     passives: dict[str, PassiveParty]
-
-    def lookup(self, tree_index: int, node_id: int) -> tuple[str, int]:
-        node = self.ensemble.trees[tree_index].nodes[node_id]
-        return node.owner, node.record_id
 
 
 def vfl_train(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from fedgbt.gbt import (
     build_histogram,
     compute_binning,
     compute_bins,
+    GAIN_TIE_REL_TOL,
+    SplitCandidate,
     find_best_split,
     leaf_weight,
-    logistic_gradient_pair,
     logistic_gradients,
     logistic_loss,
     model_from_json,
@@ -27,8 +29,8 @@ from fedgbt.gbt import (
     predict,
     predict_margin,
     soft_threshold,
-    split_gain,
     train_centralized,
+    tree_leaf_weights_binned,
 )
 
 
@@ -41,6 +43,110 @@ def make_dataset(X, y=None, party="p"):
         feature_names=tuple(f"f{i}" for i in range(X.shape[1])),
         labels=None if y is None else np.asarray(y),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: per-feature and per-row loops that the
+# vectorized core must match bit for bit.
+
+
+@dataclass(frozen=True)
+class GradPair:
+    g: float
+    h: float
+
+
+def logistic_gradient_pair(y: int, margin: float) -> GradPair:
+    g, h = logistic_gradients(np.array([y]), np.array([margin]))
+    return GradPair(float(g[0]), float(h[0]))
+
+
+def reference_gain_term(G, H, reg_lambda):
+    den = np.asarray(H, dtype=np.float64) + reg_lambda
+    G = np.asarray(G, dtype=np.float64)
+    out = np.zeros_like(den)
+    ok = den > 0
+    out[ok] = G[ok] ** 2 / den[ok]
+    return out
+
+
+def split_gain(G_L, H_L, G_R, H_R, reg_lambda, gamma):
+    """Objective reduction of partitioning (G_L+G_R, H_L+H_R) into the two sides."""
+    terms = reference_gain_term(
+        np.array([G_L, G_R, G_L + G_R]), np.array([H_L, H_R, H_L + H_R]), reg_lambda
+    )
+    return 0.5 * float(terms[0] + terms[1] - terms[2]) - gamma
+
+
+def reference_histogram(binned, g, h, sample_idx, n_bins):
+    F = binned.shape[1]
+    hist = GradHistogram.zeros(F, n_bins)
+    idx = np.asarray(sample_idx, dtype=np.int64)
+    if idx.size == 0:
+        return hist
+    for f in range(F):
+        bins = binned[idx, f]
+        hist.g[f] = np.bincount(bins, weights=g[idx], minlength=n_bins)
+        hist.h[f] = np.bincount(bins, weights=h[idx], minlength=n_bins)
+        hist.counts[f] = np.bincount(bins, minlength=n_bins)
+    return hist
+
+
+def reference_best_split(hist, params):
+    """The per-feature scan, with the same tie rule and noise cutoff."""
+    G_node, H_node, _ = hist.totals()
+    parent_term = float(reference_gain_term(soft_threshold(G_node, params.reg_alpha), H_node,
+                                            params.reg_lambda))
+    min_gain = params.min_split_gain + GAIN_TIE_REL_TOL * (1.0 + parent_term)
+    per_feature = []
+    best_gain = -math.inf
+    for f in range(hist.n_features):
+        gl = np.cumsum(hist.g[f])[:-1]
+        hl = np.cumsum(hist.h[f])[:-1]
+        cl = np.cumsum(hist.counts[f])[:-1]
+        G, H, C = hist.g[f].sum(), hist.h[f].sum(), hist.counts[f].sum()
+        gr, hr, cr = G - gl, H - hl, C - cl
+        lam = params.reg_lambda
+        gains = 0.5 * (
+            reference_gain_term(soft_threshold(gl, params.reg_alpha), hl, lam)
+            + reference_gain_term(soft_threshold(gr, params.reg_alpha), hr, lam)
+            - reference_gain_term(np.full_like(gl, soft_threshold(G, params.reg_alpha)),
+                                  np.full_like(hl, H), lam)
+        ) - params.gamma
+        ok = (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+        ok &= gains > min_gain
+        per_feature.append((gains, ok, gl, hl, cl, gr, hr, cr))
+        if ok.any():
+            best_gain = max(best_gain, float(gains[ok].max()))
+    if not math.isfinite(best_gain):
+        return None
+    cutoff = best_gain - GAIN_TIE_REL_TOL * (1.0 + abs(best_gain))
+    for f, (gains, ok, gl, hl, cl, gr, hr, cr) in enumerate(per_feature):
+        hit = np.flatnonzero(ok & (gains >= cutoff))
+        if hit.size:
+            b = int(hit[0])
+            return SplitCandidate(f, b, float(gains[b]), (float(gl[b]), float(hl[b]), int(cl[b])),
+                                  (float(gr[b]), float(hr[b]), int(cr[b])))
+    return None
+
+
+def reference_leaf_weights(tree, rows, binned=False):
+    """Leaf weight per row from a TreeNode walk on raw or binned rows."""
+    out = []
+    for row in rows:
+        node = tree.nodes[0]
+        while not node.is_leaf:
+            cut = node.bin_index if binned else node.threshold
+            node = tree.nodes[node.left if row[node.feature] <= cut else node.right]
+        out.append(node.weight)
+    return np.array(out)
+
+
+def reference_margin(model, X, n_trees=None):
+    margins = np.full(X.shape[0], model.base_score_logit, dtype=np.float64)
+    for tree in model.trees[:n_trees]:
+        margins += model.params.learning_rate * reference_leaf_weights(tree, X)
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +528,120 @@ def test_model_json_roundtrip():
     restored = model_from_json(model_to_json(model))
     assert model_to_json(restored) == model_to_json(model)
     np.testing.assert_allclose(predict_margin(restored, X), predict_margin(model, X))
+
+
+# ---------------------------------------------------------------------------
+# the vectorized core equals the per-feature and per-row references
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_build_histogram_equals_per_feature_bincount(seed):
+    rng = np.random.default_rng(seed)
+    n, F, B = int(rng.integers(1, 60)), int(rng.integers(1, 7)), int(rng.integers(2, 40))
+    binned = rng.integers(0, B, size=(n, F))
+    # magnitudes spread over many orders, so a different summation order shows
+    g = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    h = rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    idx = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+    ours = build_histogram(binned, g, h, idx, B)
+    ref = reference_histogram(binned, g, h, idx, B)
+    assert np.array_equal(ours.g, ref.g)
+    assert np.array_equal(ours.h, ref.h)
+    assert np.array_equal(ours.counts, ref.counts)
+    assert ours.counts.dtype == np.int64
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "shifted", "coarse"]),
+       st.booleans(), st.booleans())
+def test_find_best_split_equals_per_feature_scan(seed, twin, one_ratio, edge_weight):
+    rng = np.random.default_rng(seed)
+    n, F, B = int(rng.integers(2, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 10))
+    binned = rng.integers(0, B, size=(n, F))
+    k = int(rng.integers(1, F))
+    if twin == "shifted":
+        # feature k splits the samples as feature 0 does, one bin lower: an
+        # exact gain tie that the lower feature must win over the lower bin
+        binned[:, 0] = rng.integers(1, B, size=n)
+        binned[:, k] = binned[:, 0] - 1
+    elif twin == "coarse":
+        # feature k repeats some of feature 0's partitions with sums formed
+        # in another order: ties up to rounding, which the lower feature wins
+        binned[:, k] = binned[:, 0] // 2
+    params = GbtParams(
+        reg_lambda=float(rng.choice([0.0, 0.5, 1.0])),
+        reg_alpha=float(rng.choice([0.0, 0.05, 0.3])),
+        gamma=float(rng.choice([0.0, 0.1])),
+        min_split_gain=float(rng.choice([0.0, 0.01])),
+        min_child_weight=float(rng.choice([0.0, 0.1, 0.3])),
+    )
+    if one_ratio:
+        # every sample shares one g/h ratio: at lambda=0 every partition has
+        # zero gain, and only rounding noise is left
+        h = rng.uniform(0.01, 0.25, size=n)
+        g = float(rng.uniform(-4, 4)) * h
+        params = params.replace(reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, min_split_gain=0.0)
+    else:
+        g, h = logistic_gradients(rng.integers(0, 2, size=n), rng.normal(size=n))
+    hist = build_histogram(binned, g, h, np.arange(n), B)
+    if edge_weight:
+        # a left hessian sum exactly at min_child_weight must still qualify
+        prefix = np.cumsum(hist.h, axis=1)[:, :-1]
+        params = params.replace(min_child_weight=float(rng.choice(prefix.ravel())))
+    assert find_best_split(hist, params) == reference_best_split(hist, params)
+
+
+def _random_model(seed):
+    rng = np.random.default_rng(seed)
+    n, F = int(rng.integers(20, 80)), int(rng.integers(1, 5))
+    X = rng.normal(size=(n, F))
+    y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(int)
+    params = GbtParams(
+        n_estimators=int(rng.integers(1, 6)), max_depth=int(rng.integers(0, 5)),
+        max_bin=int(rng.integers(2, 12)), reg_lambda=float(rng.choice([0.0, 1.0])),
+        min_child_weight=float(rng.choice([0.0, 1.0])), subsample=float(rng.choice([0.7, 1.0])),
+        base_score_logit=float(rng.normal()),
+    )
+    binning = compute_binning(X, params.max_bin)
+    model = train_centralized(make_dataset(X, y), params, seed=seed % 1000, binning=binning)
+    X_test = rng.normal(size=(30, F))
+    # values exactly at a threshold must go left on every path
+    X_test[:5] = binning.boundaries[:, int(rng.integers(0, params.max_bin - 1))]
+    return model, binning, X, X_test
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_predict_equals_row_walks_bit_for_bit(seed):
+    model, binning, X, X_test = _random_model(seed)
+    batch = predict_margin(model, X_test)
+    assert np.array_equal(batch, reference_margin(model, X_test))
+    assert [predict(model, row)[0] for row in X_test] == batch.tolist()
+    for k in range(model.n_trees + 1):
+        assert np.array_equal(predict_margin(model, X_test, n_trees=k),
+                              reference_margin(model, X_test, n_trees=k))
+    binned = binning.bin_matrix(X)
+    for tree in model.trees:
+        assert np.array_equal(tree_leaf_weights_binned(tree, binned),
+                              reference_leaf_weights(tree, binned, binned=True))
+
+
+def test_missing_feature_raises_on_both_entry_points():
+    leaves = [TreeNode(node_id=1, is_leaf=True, weight=1.0),
+              TreeNode(node_id=2, is_leaf=True, weight=2.0)]
+    wide = TreeNode(node_id=0, is_leaf=False, feature=2, bin_index=0, threshold=1.0,
+                    left=1, right=2)
+    # a vertical model's foreign split: the threshold stays at its owner
+    foreign = TreeNode(node_id=0, is_leaf=False, feature=0, bin_index=0, left=1, right=2)
+    for root, ok_width in ((wide, 3), (foreign, None)):
+        model = BoostedEnsemble(trees=[Tree(nodes=[root, *leaves])], params=GbtParams(),
+                                base_score_logit=0.0)
+        with pytest.raises(TrainingError, match="node 0"):
+            predict_margin(model, np.zeros((4, 2)))
+        with pytest.raises(TrainingError, match="node 0"):
+            predict(model, np.zeros(2))
+        if ok_width is not None:
+            # the check is per row width, not a verdict cached on the model
+            assert predict(model, np.zeros(ok_width))[0] == predict_margin(
+                model, np.zeros((1, ok_width)))[0]

@@ -500,3 +500,50 @@ def test_one_ratio_node_is_a_leaf_at_lambda_zero(secagg):
     pooled = train_centralized(join_datasets(list(parties.values()), "union"), params,
                                binning=binning)
     assert [len(t.nodes) for t in fed.trees] == [len(t.nodes) for t in pooled.trees] == [1]
+
+
+def _reachable(obj, seen=None):
+    """Every object reachable from obj through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    elif isinstance(obj, np.ndarray):
+        children = obj.ravel().tolist()
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = list(vars(obj).values())
+    else:
+        children = []
+    for child in children:
+        yield from _reachable(child, seen)
+
+
+@pytest.mark.parametrize("secagg", [SECAGG_PAILLIER, SECAGG_MASK_ONLY])
+def test_server_holds_no_pairwise_mask_seed(monkeypatch, secagg):
+    from fedgbt import hfl
+
+    servers = []
+
+    class Recording(hfl.HflServer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            servers.append(self)
+
+    monkeypatch.setattr(hfl, "HflServer", Recording)
+    X, y = synth_classification(30, 2, seed=8)
+    parties = random_split_parties(X, y, 3, seed=9)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=7, secagg_mode=secagg)
+    hfl_train(roster, parties, GbtParams(n_estimators=1, max_depth=2, max_bin=4),
+              seed=7, key_bits=256)
+    (server,) = servers
+    seeds = set(roster.pair_seeds.values())
+    assert len(seeds) == 3
+    reachable = list(_reachable(server))
+    assert not any(isinstance(v, hfl.HflRoster) for v in reachable)
+    assert not seeds & {v for v in reachable if isinstance(v, int)}

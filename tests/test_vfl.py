@@ -9,12 +9,14 @@ from fedgbt.gbt import (
     GbtParams,
     build_histogram,
     logistic_gradients,
+    model_to_json,
     predict_proba,
     train_centralized,
 )
 from fedgbt.hfl import ProtocolError
 from fedgbt.paillier import FixedPointCodec, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
+from fedgbt.transport import MessageBus
 from fedgbt.vfl import (
     ActiveParty,
     PassiveParty,
@@ -336,3 +338,28 @@ def test_fresh_keypair_randomizes_ciphertexts_across_runs():
     g1 = next(e for e in bus1.transcript if e.msg_type == "GRADIENT_BROADCAST")
     g2 = next(e for e in bus2.transcript if e.msg_type == "GRADIENT_BROADCAST")
     assert g1.payload["enc_g"] != g2.payload["enc_g"]
+
+
+@pytest.mark.parametrize("primes, fits", [
+    # a 53-bit modulus holds 40 summands of 2^40-scaled |g| < 1, not 10^6 of them
+    ((67108879, 75497489), True),
+    ((4194319, 4718617), False),  # a 45-bit modulus does not hold 40
+])
+def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
+    from fedgbt import vfl
+    from fedgbt.paillier import EncodingError, keypair_from_primes
+
+    datasets, X, y = vertical_fixture(40, 2, 2, seed=21)
+    roster = make_vfl_roster("active", datasets)
+    params = small_params(n_estimators=1, max_depth=2)
+    reference, _ = vfl_train(roster, datasets, params, seed=3, key_bits=256)
+    key = keypair_from_primes(*primes)
+    monkeypatch.setattr(vfl, "keygen", lambda key_bits, rng_seed: key)
+    bus = MessageBus()
+    if fits:
+        trained, _ = vfl_train(roster, datasets, params, seed=3, bus=bus)
+        assert model_to_json(trained.ensemble) == model_to_json(reference.ensemble)
+    else:
+        with pytest.raises(EncodingError, match="40 terms"):
+            vfl_train(roster, datasets, params, seed=3, bus=bus)
+        assert bus.transcript == []
