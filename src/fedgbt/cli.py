@@ -11,27 +11,36 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-import numpy as np
-
-from .data import default_synth_config, load_csv, synth_generate, write_csv, SynthConfig
+from .data import (
+    SynthConfig,
+    default_synth_config,
+    join_datasets,
+    load_csv,
+    split_train_valid_test,
+    synth_generate,
+    write_csv,
+)
 from .experiment import (
-    SCENARIO_HFL,
-    ConfigError,
+    LABEL_PARTY,
+    SCENARIO_VFL,
     ExperimentConfig,
     load_config,
     load_districts,
+    party_sets,
     run_experiment,
+    train_regime,
+    tune_regime,
 )
-from .gbt import model_from_json, model_to_json, predict_proba, train_centralized
-from .hfl import SECAGG_MASK_ONLY, SECAGG_PAILLIER, hfl_train, make_roster
-from .hpo import default_search_space, tune_objective
+from .gbt import model_from_json, model_to_json, predict_proba
+from .hfl import SECAGG_MASK_ONLY, SECAGG_PAILLIER
+from .hpo import default_search_space
 from .metrics import evaluate_scores
 from .paillier import int_to_hex, keygen
 from .scanner import scan_structure
 from .transport import read_transcript, write_transcript
-from .data import join_datasets, split_train_valid_test, vertical_partition
-from .vfl import make_vfl_roster, vfl_train
+from .vfl import VflTrained
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,8 +101,6 @@ def _build_parser() -> _Parser:
 
 
 def _override_config(config: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -181,49 +188,14 @@ def _cmd_train(args) -> int:
     config = _override_config(load_config(args.config), args)
     districts = load_districts(config)
     os.makedirs(args.out, exist_ok=True)
-    seed = config.seed
-
-    if config.scenario == SCENARIO_HFL:
-        if args.regime == "separate":
-            party = args.party or districts[0].party_id
-            data = next(d for d in districts if d.party_id == party)
-            model = train_centralized(data, config.params, seed=seed)
-        elif args.regime == "centralized":
-            model = train_centralized(join_datasets(districts), config.params, seed=seed)
-        else:
-            roster = make_roster(
-                [d.party_id for d in districts], [d.n_samples for d in districts],
-                master_seed=seed, secagg_mode=config.secagg_mode,
-            )
-            model, bus = hfl_train(roster, {d.party_id: d for d in districts},
-                                   config.params, seed=seed, key_bits=config.key_bits)
-            write_transcript(bus, os.path.join(args.out, "transcript.log"))
-    else:
-        joined = join_datasets(districts)
-        parts = vertical_partition(joined)
-        if args.regime == "separate":
-            party = args.party or "oil_company"
-            block = parts[party]
-            from .data import PartyDataset
-
-            data = PartyDataset(party, block.sample_ids, block.features,
-                                block.feature_names, joined.labels)
-            model = train_centralized(data, config.params, seed=seed)
-        elif args.regime == "centralized":
-            roster = make_vfl_roster("oil_company", parts)
-            from .vfl import joined_matrix
-            from .data import PartyDataset
-
-            data = PartyDataset("joined", joined.sample_ids,
-                                joined_matrix(roster, parts), roster.feature_names,
-                                joined.labels)
-            model = train_centralized(data, config.params, seed=seed)
-        else:
-            roster = make_vfl_roster("oil_company", parts)
-            trained, bus = vfl_train(roster, parts, config.params, seed=seed,
-                                     key_bits=config.key_bits)
-            write_transcript(bus, os.path.join(args.out, "transcript.log"))
-            model = trained.ensemble
+    rows = join_datasets(districts)
+    sets = party_sets(config.scenario, districts, rows)
+    party = args.party or (LABEL_PARTY if config.scenario == SCENARIO_VFL else next(iter(sets)))
+    model, bus = train_regime(config, args.regime, rows, sets, config.params, config.seed, party)
+    if bus is not None:
+        write_transcript(bus, os.path.join(args.out, "transcript.log"))
+    if isinstance(model, VflTrained):
+        model = model.ensemble
 
     path = os.path.join(args.out, "model.json")
     with open(path, "w") as fh:
@@ -233,42 +205,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
+# ``fedgbt tune --mode``: the regime whose tuning step it runs, and how
+_TUNE_MODES = {
+    "separate": ("separate", "direct_bo"),
+    "centralized": ("centralized", "direct_bo"),
+    "aggregated": ("federated", "aggregated_bo"),
+}
+
+
 def _cmd_tune(args) -> int:
-    config = _override_config(load_config(args.config), args)
-    if args.mode == "aggregated" and config.scenario != SCENARIO_HFL:
-        raise ConfigError(
-            "aggregated tuning needs labels at every party; the vertical "
-            "scenario keeps them at the label owner"
-        )
+    regime, tuning = _TUNE_MODES[args.mode]
+    # the config's own checks reject what compare would reject, such as
+    # per-party tuning in the vertical scenario
+    config = replace(_override_config(load_config(args.config), args),
+                     regimes=(regime,), tuning=tuning)
     districts = load_districts(config)
     joined = join_datasets(districts)
     plan = split_train_valid_test(joined, k=config.k_folds, seed=config.seed)
     space = default_search_space()
-    mode = {"separate": "separate", "centralized": "centralized",
-            "aggregated": "federated-aggregated"}[args.mode]
     columns = []
     for fold in plan.folds:
         train = joined.subset(fold.full_train_idx)
-        if config.scenario == SCENARIO_HFL:
-            sets = [
-                train.subset(np.flatnonzero(np.isin(train.sample_ids, d.sample_ids)), d.party_id)
-                for d in districts
-            ]
-        else:
-            parts = vertical_partition(train)
-            from .data import PartyDataset
-
-            sets = [
-                PartyDataset(p, parts[p].sample_ids, parts[p].features,
-                             parts[p].feature_names, train.labels)
-                for p in sorted(parts)
-            ]
-        if mode == "separate":
-            party = args.party or sets[0].party_id
-            sets = [s for s in sets if s.party_id == party]
-        tuned = tune_objective(mode, sets, base=config.params, space=space,
-                               seed=config.seed + fold.fold_id, budget=config.bo_budget)
-        columns.append(tuned)
+        sets = party_sets(config.scenario, districts, train)
+        columns.append(tune_regime(config, regime, train, sets, config.seed + fold.fold_id,
+                                   args.party or next(iter(sets))))
 
     os.makedirs(args.out, exist_ok=True)
     tsv = os.path.join(args.out, "tuned.tsv")

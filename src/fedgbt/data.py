@@ -467,17 +467,6 @@ def join_datasets(datasets: list[PartyDataset], party_id: str = "joined") -> Par
     )
 
 
-def horizontal_partition(datasets: list[PartyDataset]) -> list[PartyDataset]:
-    """Validate sample-partitioned inputs: identical schemas, disjoint ids."""
-    schemas = {d.feature_names for d in datasets}
-    if len(schemas) != 1:
-        raise DataError("horizontal parties must share an identical feature schema")
-    all_ids = np.concatenate([d.sample_ids for d in datasets])
-    if len(np.unique(all_ids)) != len(all_ids):
-        raise DataError("horizontal parties must hold disjoint samples")
-    return list(datasets)
-
-
 def vertical_partition(
     dataset: PartyDataset,
     feature_split: dict[str, tuple[str, ...]] | None = None,
@@ -516,30 +505,6 @@ def vertical_partition(
             labels=dataset.labels.copy() if party == label_party and dataset.labels is not None else None,
         )
     return parts
-
-
-def rejoin_vertical(parts: dict[str, PartyDataset], feature_order: tuple[str, ...]) -> PartyDataset:
-    """Inverse of :func:`vertical_partition` given the original column order."""
-    base_ids = None
-    labels = None
-    columns = {}
-    for part in parts.values():
-        if base_ids is None:
-            base_ids = part.sample_ids
-        elif not np.array_equal(base_ids, part.sample_ids):
-            raise DataError("vertical parts are not sample-aligned")
-        if part.labels is not None:
-            labels = part.labels
-        for j, name in enumerate(part.feature_names):
-            columns[name] = part.features[:, j]
-    X = np.column_stack([columns[name] for name in feature_order])
-    return PartyDataset(
-        party_id="joined",
-        sample_ids=base_ids,
-        features=X,
-        feature_names=feature_order,
-        labels=labels,
-    )
 
 
 # ---------------------------------------------------------------------------

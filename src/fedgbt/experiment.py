@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -31,15 +31,22 @@ from .data import (
 )
 from .gbt import GbtParams, model_to_dict, model_to_json, predict_proba, train_centralized
 from .hfl import SECAGG_MASK_ONLY, SECAGG_PAILLIER, hfl_train, make_roster
-from .hpo import SearchSpace, default_search_space, params_from_vector, tune_objective
+from .hpo import (
+    SearchSpace,
+    TunedParams,
+    default_search_space,
+    params_from_vector,
+    tune_objective,
+)
 from .metrics import MetricReport, average_reports, evaluate_scores, privacy_cost
 from .transport import MessageBus, write_transcript
-from .vfl import make_vfl_roster, vfl_predict, vfl_train
+from .vfl import VflTrained, joined_matrix, make_vfl_roster, vfl_predict, vfl_train
 
 SCENARIO_HFL = "hfl_case_one"
 SCENARIO_VFL = "vfl_case_two"
 REGIMES = ("separate", "federated", "centralized")
 TUNING_MODES = ("none", "direct_bo", "aggregated_bo")
+LABEL_PARTY = "oil_company"  # the vertical scenario's label owner and active party
 
 HEADLINE_METRICS = ("auc", "accuracy", "f1")
 
@@ -185,24 +192,83 @@ def _hash_fold_plan(plan) -> str:
     return _hash_json(doc)
 
 
-def _party_rows(joined: PartyDataset, district: PartyDataset) -> np.ndarray:
-    return np.flatnonzero(np.isin(joined.sample_ids, district.sample_ids))
+# ---------------------------------------------------------------------------
+# Regimes: what each party and the pool hold, how each regime tunes and
+# trains.  ``run_experiment`` runs them per fold; ``fedgbt train`` and
+# ``fedgbt tune`` run them on the whole data.
 
 
-def _tune_params_for(regime: str, config: ExperimentConfig, train_sets: list[PartyDataset],
-                     fold_seed: int) -> GbtParams:
-    if config.tuning == "none":
-        return config.params
-    space = config.tuning_space or default_search_space()
-    if regime == "separate":
-        mode = "separate"
-    elif regime == "centralized":
-        mode = "centralized" if config.tuning == "direct_bo" else "federated-aggregated"
+def party_sets(scenario: str, districts: list[PartyDataset],
+               rows: PartyDataset) -> dict[str, PartyDataset]:
+    """Each party's labeled share of ``rows``, keyed in sorted party order.
+
+    Horizontal: a district's rows.  Vertical: the party's feature block of
+    every row, with the labels: what the party trains or tunes on alone.
+    """
+    if scenario == SCENARIO_HFL:
+        sets = {
+            d.party_id: rows.subset(np.flatnonzero(np.isin(rows.sample_ids, d.sample_ids)),
+                                    d.party_id)
+            for d in districts
+        }
     else:
-        mode = "federated-aggregated"
-    tuned = tune_objective(mode, train_sets, base=config.params, space=space,
-                           seed=fold_seed, budget=config.bo_budget)
-    return params_from_vector(config.params, tuned.vector)
+        sets = {p: replace(block, labels=rows.labels)
+                for p, block in vertical_partition(rows).items()}
+    return dict(sorted(sets.items()))
+
+
+def pooled_set(scenario: str, rows: PartyDataset) -> PartyDataset:
+    """The open-share pool of ``rows``: vertical blocks join in roster order."""
+    if scenario == SCENARIO_HFL:
+        return rows
+    parts = vertical_partition(rows)
+    roster = make_vfl_roster(LABEL_PARTY, parts)
+    return PartyDataset("joined", rows.sample_ids, joined_matrix(roster, parts),
+                        roster.feature_names, rows.labels)
+
+
+def tune_regime(config: ExperimentConfig, regime: str, rows: PartyDataset,
+                sets: dict[str, PartyDataset], seed: int, party: str | None = None) -> TunedParams:
+    """Search hyperparameters on the data ``regime`` may see under ``config.tuning``.
+
+    A separate party tunes on its own set, and centralized training under
+    ``direct_bo`` on the pool.  Federated training, and centralized training
+    under ``aggregated_bo``, tune on each party's set alone and average the
+    optima by sample count.
+    """
+    if regime == "separate":
+        mode, data = "separate", [sets[party]]
+    elif regime == "centralized" and config.tuning == "direct_bo":
+        mode, data = "centralized", [pooled_set(config.scenario, rows)]
+    else:
+        mode, data = "federated-aggregated", list(sets.values())
+    return tune_objective(mode, data, base=config.params,
+                          space=config.tuning_space or default_search_space(),
+                          seed=seed, budget=config.bo_budget)
+
+
+def train_regime(config: ExperimentConfig, regime: str, rows: PartyDataset,
+                 sets: dict[str, PartyDataset], params: GbtParams, seed: int,
+                 party: str | None = None):
+    """Train ``regime`` on ``rows``; returns (model, bus or None).
+
+    Separate trains on one party's set and centralized on the pool.
+    Federated runs the horizontal protocol over the district sets, with the
+    clients in sorted order and pairwise mask seeds derived from ``seed``,
+    or the vertical protocol over the feature blocks, with the labels at
+    ``LABEL_PARTY``; its model is a :class:`VflTrained`.
+    """
+    if regime == "separate":
+        return train_centralized(sets[party], params, seed=seed), None
+    if regime == "centralized":
+        return train_centralized(pooled_set(config.scenario, rows), params, seed=seed), None
+    if config.scenario == SCENARIO_HFL:
+        roster = make_roster(list(sets), [d.n_samples for d in sets.values()],
+                             master_seed=seed, secagg_mode=config.secagg_mode)
+        return hfl_train(roster, sets, params, seed=seed, key_bits=config.key_bits)
+    parts = vertical_partition(rows)
+    return vfl_train(make_vfl_roster(LABEL_PARTY, parts), parts, params, seed=seed,
+                     key_bits=config.key_bits)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> ExperimentReport:
@@ -214,32 +280,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     results: dict[str, RegimeResult] = {}
     saved_transcript: MessageBus | None = None
 
-    def get(tag: str) -> RegimeResult:
-        if tag not in results:
-            results[tag] = RegimeResult(tag=tag)
-        return results[tag]
-
     for fold in plan.folds:
         train = joined.subset(fold.full_train_idx, "train")
         test = joined.subset(fold.test_idx, "test")
         fold_seed = config.seed + 101 * fold.fold_id
+        sets = party_sets(config.scenario, districts, train)
+        runs = [("separate", p) for p in sets if "separate" in config.regimes]
+        runs += [(r, None) for r in ("centralized", "federated") if r in config.regimes]
 
-        if config.scenario == SCENARIO_HFL:
-            party_train = {
-                d.party_id: train.subset(_party_rows(train, d), d.party_id)
-                for d in districts
-            }
-            runs = _hfl_fold_runs(config, party_train, train, test, fold_seed)
-        else:
-            runs = _vfl_fold_runs(config, train, test, fold_seed)
-
-        for tag, runner in runs:
-            result = get(tag)
+        for regime, party in runs:
+            tag = f"separate:{party}" if party else regime
+            result = results.setdefault(tag, RegimeResult(tag=tag))
             if result.error:
                 continue
             started = time.perf_counter()
             try:
-                scores, model_hash, bus = runner()
+                scores, model_hash, bus = _fold_run(config, regime, train, test, sets,
+                                                    fold_seed, party)
             except Exception as exc:  # keep other regimes alive, record the failure
                 result.error = f"fold {fold.fold_id}: {type(exc).__name__}: {exc}"
                 continue
@@ -290,97 +347,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     return report
 
 
-def _hfl_fold_runs(config, party_train, train, test, fold_seed):
-    runs = []
-    if "separate" in config.regimes:
-        for pid, pdata in sorted(party_train.items()):
-            def run_separate(pdata=pdata):
-                params = _tune_params_for("separate", config, [pdata], fold_seed)
-                model = train_centralized(pdata, params, seed=fold_seed)
-                return predict_proba(model, test.features), _model_hash(model), None
-
-            runs.append((f"separate:{pid}", run_separate))
-    if "centralized" in config.regimes:
-        def run_centralized():
-            params = _tune_params_for(
-                "centralized", config, [p for _, p in sorted(party_train.items())], fold_seed
-            )
-            model = train_centralized(train, params, seed=fold_seed)
-            return predict_proba(model, test.features), _model_hash(model), None
-
-        runs.append(("centralized", run_centralized))
-    if "federated" in config.regimes:
-        def run_federated():
-            params = _tune_params_for(
-                "federated", config, [p for _, p in sorted(party_train.items())], fold_seed
-            )
-            roster = make_roster(
-                sorted(party_train), [party_train[p].n_samples for p in sorted(party_train)],
-                master_seed=fold_seed, secagg_mode=config.secagg_mode,
-            )
-            model, bus = hfl_train(roster, party_train, params, seed=fold_seed,
-                                   key_bits=config.key_bits)
-            return predict_proba(model, test.features), _model_hash(model), bus
-
-        runs.append(("federated", run_federated))
-    return runs
-
-
-def _vfl_fold_runs(config, train, test, fold_seed):
-    train_parts = vertical_partition(train)
-    test_parts = vertical_partition(test)
-    label_party = "oil_company"
-    runs = []
-    if "separate" in config.regimes:
-        for pid in sorted(train_parts):
-            part = train_parts[pid]
-            labeled = PartyDataset(pid, part.sample_ids, part.features,
-                                   part.feature_names, train.labels)
-            test_block = test_parts[pid]
-
-            def run_separate(labeled=labeled, test_block=test_block):
-                params = _tune_params_for("separate", config, [labeled], fold_seed)
-                model = train_centralized(labeled, params, seed=fold_seed)
-                return predict_proba(model, test_block.features), _model_hash(model), None
-
-            runs.append((f"separate:{pid}", run_separate))
-    if "centralized" in config.regimes:
-        def run_centralized():
-            sets = [
-                PartyDataset(p, train_parts[p].sample_ids, train_parts[p].features,
-                             train_parts[p].feature_names, train.labels)
-                for p in sorted(train_parts)
-            ]
-            params = _tune_params_for("centralized", config, sets, fold_seed)
-            # the pooled model trains on the joined matrix in roster order
-            roster = make_vfl_roster(label_party, train_parts)
-            from .vfl import joined_matrix
-
-            joined_train = PartyDataset("joined", train.sample_ids,
-                                        joined_matrix(roster, train_parts),
-                                        roster.feature_names, train.labels)
-            model = train_centralized(joined_train, params, seed=fold_seed)
-            test_roster_parts = {p: test_parts[p] for p in roster.party_ids}
-            X_test = joined_matrix(roster, test_roster_parts)
-            return predict_proba(model, X_test), _model_hash(model), None
-
-        runs.append(("centralized", run_centralized))
-    if "federated" in config.regimes:
-        def run_federated():
-            sets = [
-                PartyDataset(p, train_parts[p].sample_ids, train_parts[p].features,
-                             train_parts[p].feature_names, train.labels)
-                for p in sorted(train_parts)
-            ]
-            params = _tune_params_for("federated", config, sets, fold_seed)
-            roster = make_vfl_roster(label_party, train_parts)
-            trained, bus = vfl_train(roster, train_parts, params, seed=fold_seed,
-                                     key_bits=config.key_bits)
-            scores, bus = vfl_predict(trained, test_parts, bus=bus)
-            return scores, _hash_json(model_to_dict(trained.ensemble)), bus
-
-        runs.append(("federated", run_federated))
-    return runs
+def _fold_run(config, regime, train, test, sets, seed, party):
+    """Tune, train and score one regime on one fold: (test scores, model hash, bus)."""
+    params = config.params
+    if config.tuning != "none":
+        tuned = tune_regime(config, regime, train, sets, seed, party)
+        params = params_from_vector(params, tuned.vector)
+    model, bus = train_regime(config, regime, train, sets, params, seed, party)
+    if isinstance(model, VflTrained):
+        scores, bus = vfl_predict(model, vertical_partition(test), bus=bus)
+        return scores, _hash_json(model_to_dict(model.ensemble)), bus
+    if config.scenario == SCENARIO_HFL:
+        X = test.features
+    elif party:
+        X = vertical_partition(test)[party].features
+    else:
+        X = pooled_set(config.scenario, test).features
+    return predict_proba(model, X), _model_hash(model), bus
 
 
 def _model_hash(model) -> str:

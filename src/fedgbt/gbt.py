@@ -88,12 +88,6 @@ def logistic_gradients(y, margin):
     return p - y, p * (1.0 - p)
 
 
-def logistic_loss(y, margin) -> float:
-    p = np.clip(sigmoid(margin), 1e-15, 1 - 1e-15)
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
-
-
 # ---------------------------------------------------------------------------
 # Binning
 
@@ -162,14 +156,6 @@ class GradHistogram:
     h: np.ndarray
     counts: np.ndarray  # int64
 
-    @staticmethod
-    def zeros(n_features: int, n_bins: int) -> "GradHistogram":
-        return GradHistogram(
-            g=np.zeros((n_features, n_bins)),
-            h=np.zeros((n_features, n_bins)),
-            counts=np.zeros((n_features, n_bins), dtype=np.int64),
-        )
-
     @property
     def n_features(self) -> int:
         return self.g.shape[0]
@@ -181,15 +167,6 @@ class GradHistogram:
     def totals(self) -> tuple[float, float, int]:
         """Node-level (G, H, count); every feature row sums to the same totals."""
         return float(self.g[0].sum()), float(self.h[0].sum()), int(self.counts[0].sum())
-
-    def add(self, other: "GradHistogram") -> "GradHistogram":
-        return GradHistogram(self.g + other.g, self.h + other.h, self.counts + other.counts)
-
-    def subtract(self, other: "GradHistogram") -> "GradHistogram":
-        counts = self.counts - other.counts
-        if (counts < 0).any():
-            raise TrainingError("histogram subtraction produced a negative count")
-        return GradHistogram(self.g - other.g, self.h - other.h, counts)
 
 
 def build_histogram(

@@ -73,6 +73,7 @@ from .transport import MessageBus
 SECAGG_PAILLIER = "paillier+mask"
 SECAGG_MASK_ONLY = "mask-only"
 MASK_ONLY_MODULUS = 1 << 64
+SERVER_ID = "server"
 
 
 class ProtocolError(RuntimeError):
@@ -104,7 +105,6 @@ class HflRoster(HflMembership):
     """Participants of one sample-partitioned federation, with the pairwise
     mask seeds that only the clients may hold."""
 
-    server_id: str = "server"
     pair_seeds: dict = field(default_factory=dict)  # {(id_i, id_j) sorted: seed}
 
     def __post_init__(self):
@@ -127,7 +127,6 @@ def make_roster(
     sample_counts: list[int],
     master_seed: int = 0,
     secagg_mode: str = SECAGG_PAILLIER,
-    server_id: str = "server",
 ) -> HflRoster:
     pair_seeds = {}
     ordered = list(client_ids)
@@ -138,7 +137,6 @@ def make_roster(
     return HflRoster(
         client_ids=tuple(ordered),
         sample_counts=tuple(sample_counts),
-        server_id=server_id,
         secagg_mode=secagg_mode,
         pair_seeds=pair_seeds,
     )
@@ -212,11 +210,6 @@ class IntHistogram:
         return GradHistogram(g=(self.g / codec.scale).astype(np.float64),
                              h=(self.h / codec.scale).astype(np.float64),
                              counts=self.counts.copy())
-
-
-def sibling_by_subtraction(parent, child):
-    """Derive the complement-child histogram as parent minus child."""
-    return parent.subtract(child)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +560,6 @@ def hfl_train(
     seed: int = 0,
     bus: MessageBus | None = None,
     key_bits: int = 512,
-    codec: FixedPointCodec | None = None,
 ) -> tuple[BoostedEnsemble, MessageBus]:
     """Run the full multi-round protocol in process; returns the global model.
 
@@ -576,7 +568,7 @@ def hfl_train(
     leaf weights agree to fixed-point resolution.
     """
     bus = bus or MessageBus()
-    codec = codec or FixedPointCodec()
+    codec = FixedPointCodec()
     missing = set(roster.client_ids) - set(datasets)
     if missing:
         raise ProtocolError(f"datasets missing for {sorted(missing)}")
@@ -589,7 +581,7 @@ def hfl_train(
         cid: HflClient(cid, datasets[cid], roster, params, codec, seed)
         for cid in roster.client_ids
     }
-    sid = roster.server_id
+    sid = SERVER_ID
     round_id = 0
 
     # --- setup: key distribution
@@ -779,9 +771,7 @@ def hfl_train(
                                 "the parent prefix counts"
                             )
                         node_hist[s["left"]] = left_hist
-                        node_hist[s["right"]] = sibling_by_subtraction(
-                            node_hist[s["parent"]], left_hist
-                        )
+                        node_hist[s["right"]] = node_hist[s["parent"]].subtract(left_hist)
                         node_totals[s["left"]] = left_hist.totals()
                         node_totals[s["right"]] = node_hist[s["right"]].totals()
 

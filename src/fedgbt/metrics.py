@@ -1,4 +1,4 @@
-"""Binary-classification metrics, ROC/AUC, k-fold evaluation, privacy cost.
+"""Binary-classification metrics, ROC/AUC, privacy cost.
 
 Two false-positive-rate variants are exposed: ``fpr_standard`` is
 FP/(FP+TN); ``fpr_paper`` is FP/(FP+FN), a nonstandard denominator kept so
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data import PartyDataset, split_train_valid_test
 
 
 class MetricError(ValueError):
@@ -142,39 +140,6 @@ def average_reports(reports: list[MetricReport], model_tag: str = "") -> MetricR
         model_tag=model_tag or reports[0].model_tag,
     )
     return avg
-
-
-@dataclass(frozen=True)
-class KfoldResult:
-    averaged: MetricReport
-    per_fold: tuple[MetricReport, ...]
-
-
-def kfold_evaluate(
-    model_factory,
-    dataset: PartyDataset,
-    k: int = 5,
-    seed: int = 0,
-    model_tag: str = "",
-) -> KfoldResult:
-    """Rotate stratified folds: fit on the training portion, score the test fold.
-
-    ``model_factory(train_dataset, fold_id)`` must return an object with a
-    ``score(features) -> probabilities`` callable.
-    """
-    if k < 2:
-        raise MetricError("k must be >= 2 so each rotation holds out test data")
-    plan = split_train_valid_test(dataset, k=k, seed=seed)
-    per_fold = []
-    for fold in plan.folds:
-        train = dataset.subset(fold.full_train_idx)
-        test = dataset.subset(fold.test_idx)
-        model = model_factory(train, fold.fold_id)
-        scores = model.score(test.features)
-        per_fold.append(
-            evaluate_scores(test.labels, scores, fold_id=fold.fold_id, model_tag=model_tag)
-        )
-    return KfoldResult(averaged=average_reports(per_fold, model_tag), per_fold=tuple(per_fold))
 
 
 @dataclass(frozen=True)

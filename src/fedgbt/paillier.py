@@ -261,22 +261,19 @@ class FixedPointCodec:
     """Signed fixed-point embedding of reals into the plaintext ring.
 
     ``encode`` scales by 2**scale_bits and wraps negatives into the upper
-    half of [0, n); ``decode`` inverts.  Sums of at most ``max_terms``
-    encodings stay decodable as long as
-    ``2 * max_terms * max_magnitude * 2**scale_bits < n``.
+    half of [0, n); ``decode`` inverts.  Sums of ``terms`` encodings stay
+    decodable as long as ``2 * terms * max_magnitude * 2**scale_bits < n``.
     """
 
     scale_bits: int = 40
-    max_terms: int = 1_000_000
 
     @property
     def scale(self) -> int:
         return 1 << self.scale_bits
 
-    def check_capacity(self, n: int, max_magnitude: float, terms: int | None = None) -> None:
-        """Raise unless ``terms`` summands (default ``max_terms``) of magnitude
-        at most ``max_magnitude`` stay decodable modulo ``n``."""
-        terms = self.max_terms if terms is None else terms
+    def check_capacity(self, n: int, max_magnitude: float, terms: int) -> None:
+        """Raise unless ``terms`` summands of magnitude at most
+        ``max_magnitude`` stay decodable modulo ``n``."""
         if 2 * terms * max_magnitude * self.scale >= n:
             raise EncodingError(
                 f"modulus too small for {terms} terms of magnitude {max_magnitude}"

@@ -127,19 +127,6 @@ class MessageBus:
             out[env.sender] += 1
         return dict(out)
 
-    def total_bytes(self) -> int:
-        return sum(env.byte_len for env in self.transcript)
-
-
-def transport_run(parties: dict[str, object], script) -> tuple[object, MessageBus]:
-    """Run a protocol script over a fresh bus; returns (result, bus).
-
-    ``script(bus, parties)`` does the actual work; the bus keeps the full
-    transcript for privacy scanning and byte accounting.
-    """
-    bus = MessageBus()
-    result = script(bus, parties)
-    return result, bus
 
 
 def write_transcript(bus: MessageBus, path: str) -> None:

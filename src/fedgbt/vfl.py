@@ -54,6 +54,10 @@ from .paillier import (
 from .seeding import derive_seed
 from .transport import MessageBus
 
+# inference rounds count on from here, past any training round, so a bus
+# shared with training keeps its round ids increasing
+INFER_ROUND_START = 10_000
+
 
 @dataclass(frozen=True)
 class VflRoster:
@@ -134,6 +138,14 @@ class SplitRecord:
     bin_index: int
     threshold: float
 
+    @staticmethod
+    def at(binning: Binning, record_id: int, feature_local: int, bin_index: int) -> "SplitRecord":
+        """The record of a split at an interior boundary of the owner's binning."""
+        if not 0 <= bin_index < binning.n_bins - 1:
+            raise ProtocolError(f"split bin {bin_index} outside the boundary range")
+        return SplitRecord(record_id, feature_local, bin_index,
+                           binning.threshold(feature_local, bin_index))
+
 
 class PassiveParty:
     """Feature owner without labels; sees only gradient ciphertexts."""
@@ -178,16 +190,9 @@ class PassiveParty:
         return enc_g, enc_h, counts
 
     def store_record(self, record_id: int, feature_local: int, bin_index: int) -> SplitRecord:
-        if not 0 <= bin_index < self.n_bins - 1:
-            raise ProtocolError(f"split bin {bin_index} outside the boundary range")
-        record = SplitRecord(
-            record_id=record_id,
-            feature_local=feature_local,
-            bin_index=bin_index,
-            threshold=self.binning.threshold(feature_local, bin_index),
-        )
-        self.records[record_id] = record
-        return record
+        self.records[record_id] = SplitRecord.at(self.binning, record_id, feature_local,
+                                                 bin_index)
+        return self.records[record_id]
 
     def resolve_partition(self, record_id: int, sample_ids: list[int]) -> list[int]:
         """Sample ids from the given space that fall left of the stored split."""
@@ -288,12 +293,10 @@ def vfl_train(
     seed: int = 0,
     bus: MessageBus | None = None,
     key_bits: int = 512,
-    codec: FixedPointCodec | None = None,
 ) -> tuple[VflTrained, MessageBus]:
     bus = bus or MessageBus()
-    codec = codec or FixedPointCodec()
-    active = ActiveParty(roster.active_id, datasets[roster.active_id], params, codec,
-                         seed, key_bits)
+    active = ActiveParty(roster.active_id, datasets[roster.active_id], params,
+                         FixedPointCodec(), seed, key_bits)
     passives = {
         pid: PassiveParty(pid, datasets[pid], params.max_bin) for pid in roster.passive_ids
     }
@@ -389,13 +392,9 @@ def vfl_train(
                 record_id = next_record
                 next_record += 1
                 if owner == aid:
-                    record = SplitRecord(
-                        record_id=record_id,
-                        feature_local=local_feature,
-                        bin_index=best.bin_index,
-                        threshold=active.binning.threshold(local_feature, best.bin_index),
-                    )
-                    active.records[record_id] = record
+                    record = active.records[record_id] = SplitRecord.at(
+                        active.binning, record_id, local_feature, best.bin_index)
+                    node.threshold = record.threshold
                     left_mask = active.binned[positions, local_feature] <= best.bin_index
                     left_positions = positions[left_mask]
                 else:
@@ -411,15 +410,8 @@ def vfl_train(
                     passives[owner].store_record(
                         record_id, env.payload["feature_local"], env.payload["bin"]
                     )
-                    round_id += 1
-                    left_ids = passives[owner].resolve_partition(record_id, sample_ids)
-                    bus.send(owner, aid, "PARTITION_REPLY", round_id, {
-                        "tree": t, "node": node_id, "sample_ids": left_ids,
-                    })
-                    reply = bus.recv(aid, "PARTITION_REPLY")
-                    left_positions = np.array(
-                        sorted(active.pos_of_id[s] for s in reply.payload["sample_ids"]),
-                        dtype=np.int64,
+                    left_positions, round_id = _partition_leg(
+                        bus, active, passives[owner], record_id, sample_ids, t, node_id, round_id
                     )
                 right_positions = np.setdiff1d(positions, left_positions)
 
@@ -433,8 +425,6 @@ def vfl_train(
                 # private to the owner
                 node.feature = best.feature
                 node.bin_index = best.bin_index
-                if owner == aid:
-                    node.threshold = active.binning.threshold(local_feature, best.bin_index)
                 tree.nodes.append(TreeNode(node_id=left_id, is_leaf=False))
                 tree.nodes.append(TreeNode(node_id=right_id, is_leaf=False))
                 node_positions[left_id] = left_positions
@@ -469,6 +459,22 @@ def vfl_train(
     return trained, bus
 
 
+def _partition_leg(bus: MessageBus, active: ActiveParty, owner: PassiveParty, record_id: int,
+                   sample_ids: list[int], tree_index: int, node_id: int,
+                   round_id: int) -> tuple[np.ndarray, int]:
+    """The owner of a foreign split replies with the ids of ``sample_ids``
+    that go left; returns their sorted positions at the active party and the
+    last round id."""
+    round_id += 1
+    left_ids = owner.resolve_partition(record_id, sample_ids)
+    bus.send(owner.party_id, active.party_id, "PARTITION_REPLY", round_id, {
+        "tree": tree_index, "node": node_id, "sample_ids": left_ids,
+    })
+    reply = bus.recv(active.party_id, "PARTITION_REPLY")
+    left = sorted(active.pos_of_id[s] for s in reply.payload["sample_ids"])
+    return np.array(left, dtype=np.int64), round_id
+
+
 def _route_all_rows(tree: Tree, active: ActiveParty, passives: dict[str, PassiveParty],
                     roster: VflRoster, bus: MessageBus, tree_index: int,
                     round_id: int, out: np.ndarray) -> int:
@@ -493,18 +499,9 @@ def _route_all_rows(tree: Tree, active: ActiveParty, passives: dict[str, Passive
                 "tree": tree_index, "node": node_id, "sample_ids": sample_ids,
             })
             env = bus.recv(node.owner, "SAMPLE_SPACE")
-            left_ids = passives[node.owner].resolve_partition(
-                node.record_id, env.payload["sample_ids"]
-            )
-            round_id += 1
-            bus.send(node.owner, aid, "PARTITION_REPLY", round_id, {
-                "tree": tree_index, "node": node_id, "sample_ids": left_ids,
-            })
-            reply = bus.recv(aid, "PARTITION_REPLY")
-            left = np.array(
-                sorted(active.pos_of_id[s] for s in reply.payload["sample_ids"]),
-                dtype=np.int64,
-            )
+            left, round_id = _partition_leg(bus, active, passives[node.owner], node.record_id,
+                                            env.payload["sample_ids"], tree_index, node_id,
+                                            round_id)
         stack.append((node.left, left))
         stack.append((node.right, np.setdiff1d(positions, left)))
     return round_id
@@ -514,7 +511,6 @@ def vfl_predict(
     trained: VflTrained,
     parts: dict[str, PartyDataset],
     bus: MessageBus | None = None,
-    round_start: int = 10_000,
 ) -> tuple[np.ndarray, MessageBus]:
     """Federated inference over vertically-split feature rows.
 
@@ -534,7 +530,7 @@ def vfl_predict(
 
     X_active = parts[aid].features
     margins = np.full(len(sample_ids), trained.ensemble.base_score_logit)
-    round_id = round_start
+    round_id = INFER_ROUND_START
     query = 0
     for i, sid in enumerate(sample_ids):
         for tree in trained.ensemble.trees:

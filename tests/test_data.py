@@ -10,10 +10,8 @@ from fedgbt.data import (
     PartyDataset,
     SynthConfig,
     default_synth_config,
-    horizontal_partition,
     join_datasets,
     load_csv,
-    rejoin_vertical,
     split_train_valid_test,
     synth_generate,
     vertical_partition,
@@ -111,11 +109,15 @@ def test_csv_unknown_column_and_empty(tmp_path):
         load_csv(str(empty))
 
 
-def test_horizontal_partition_totals(default_pair):
-    parts = horizontal_partition(list(default_pair))
-    assert sum(p.n_samples for p in parts) == 284
-    with pytest.raises(DataError):
-        horizontal_partition([default_pair[0], default_pair[0]])
+def rejoin_vertical(parts, feature_order):
+    """Oracle inverse of ``vertical_partition`` given the original column order."""
+    ids = next(iter(parts.values())).sample_ids
+    assert all(np.array_equal(p.sample_ids, ids) for p in parts.values())
+    labels = next(p.labels for p in parts.values() if p.labels is not None)
+    columns = {name: p.features[:, j] for p in parts.values()
+               for j, name in enumerate(p.feature_names)}
+    X = np.column_stack([columns[name] for name in feature_order])
+    return PartyDataset("joined", ids, X, feature_order, labels)
 
 
 def test_vertical_partition_default_split_and_rejoin(default_pair):

@@ -350,3 +350,96 @@ def test_cli_tune_aggregated_rejects_the_vertical_scenario(tmp_path, capsys):
                      "--out", str(out)]) == 2
     assert "label" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _write_csv_config(tmp_path, scenario, seed=5):
+    """A config over two small synthetic districts written as CSV files."""
+    from fedgbt.data import synth_generate, write_csv
+
+    csv = {}
+    for district in synth_generate(small_synth(seed)):
+        csv[district.party_id] = str(tmp_path / f"district_{district.party_id}.csv")
+        write_csv(district, csv[district.party_id])
+    doc = {
+        "scenario": scenario,
+        "params": {"n_estimators": 2, "max_depth": 2, "max_bin": 8, "reg_lambda": 1.0},
+        "data": {"csv": csv},
+        "k_folds": 2,
+        "seed": seed,
+        "key_bits": 256,
+        "bo_budget": 4,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    return str(tmp_path / "cfg.json"), csv, GbtParams(**doc["params"]), seed
+
+
+@pytest.mark.parametrize("scenario,command,mode", [
+    ("vfl_case_two", "train", "separate"),
+    ("vfl_case_two", "train", "centralized"),
+    ("vfl_case_two", "train", "federated"),
+    ("hfl_case_one", "train", "separate"),
+    ("vfl_case_two", "tune", "separate"),
+    ("vfl_case_two", "tune", "centralized"),
+])
+def test_cli_train_and_tune_match_direct_calls(tmp_path, scenario, command, mode):
+    from fedgbt.data import (
+        PartyDataset,
+        join_datasets,
+        load_csv,
+        split_train_valid_test,
+        vertical_partition,
+    )
+    from fedgbt.gbt import model_to_json, train_centralized
+    from fedgbt.hpo import default_search_space, tune_objective
+    from fedgbt.transport import write_transcript
+    from fedgbt.vfl import joined_matrix, make_vfl_roster, vfl_train
+
+    config, csv, params, seed = _write_csv_config(tmp_path, scenario)
+    out = tmp_path / "out"
+    flag = "--regime" if command == "train" else "--mode"
+    argv = [command, "--config", config, flag, mode, "--out", str(out)]
+    if scenario == "hfl_case_one":
+        argv += ["--party", "B"]
+    assert cli_main(argv) == 0
+
+    districts = [load_csv(csv[name], party_id=name) for name in sorted(csv)]
+    joined = join_datasets(districts)
+
+    def labeled_blocks(rows):
+        return {p: PartyDataset(p, b.sample_ids, b.features, b.feature_names, rows.labels)
+                for p, b in vertical_partition(rows).items()}
+
+    def pooled(rows):
+        parts = vertical_partition(rows)
+        roster = make_vfl_roster("oil_company", parts)
+        return PartyDataset("joined", rows.sample_ids, joined_matrix(roster, parts),
+                            roster.feature_names, rows.labels)
+
+    if command == "train":
+        if scenario == "hfl_case_one":
+            model = train_centralized(districts[1], params, seed=seed)
+        elif mode == "separate":
+            model = train_centralized(labeled_blocks(joined)["oil_company"], params, seed=seed)
+        elif mode == "centralized":
+            model = train_centralized(pooled(joined), params, seed=seed)
+        else:
+            parts = vertical_partition(joined)
+            trained, bus = vfl_train(make_vfl_roster("oil_company", parts), parts, params,
+                                     seed=seed, key_bits=256)
+            model = trained.ensemble
+            write_transcript(bus, str(tmp_path / "expected.log"))
+            assert (out / "transcript.log").read_bytes() == (tmp_path / "expected.log").read_bytes()
+        assert (out / "model.json").read_text() == model_to_json(model) + "\n"
+        return
+
+    plan = split_train_valid_test(joined, k=2, seed=seed)
+    tuned = json.loads((out / "tuned.json").read_text())
+    assert len(tuned) == len(plan.folds)
+    for fold, row in zip(plan.folds, tuned):
+        train = joined.subset(fold.full_train_idx)
+        data = ([labeled_blocks(train)["exploration_institute"]] if mode == "separate"
+                else [pooled(train)])
+        expected = tune_objective(mode, data, base=params, space=default_search_space(),
+                                  seed=seed + fold.fold_id, budget=4)
+        assert (row["raw"], row["rounded"], row["score"]) == (
+            expected.raw_vector, expected.vector, expected.score)

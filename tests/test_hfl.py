@@ -27,11 +27,15 @@ from fedgbt.hfl import (
     mask_histogram,
     packed_layout,
     server_aggregate,
-    sibling_by_subtraction,
 )
 from fedgbt.paillier import Ciphertext, EncodingError, FixedPointCodec, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import MessageBus
+
+
+def zero_histogram(n_features, n_bins):
+    shape = (n_features, n_bins)
+    return GradHistogram(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64))
 
 
 def make_party(X, y, party="p"):
@@ -115,7 +119,7 @@ def mask_fixture():
 
 
 def _hist_from_values(values):
-    hist = GradHistogram.zeros(1, len(values))
+    hist = zero_histogram(1, len(values))
     hist.g[0] = values
     hist.h[0] = np.abs(values) / 4
     hist.counts[0] = 1
@@ -126,7 +130,7 @@ def test_masks_cancel_for_zero_histograms(mask_fixture):
     roster, pk, sk, codec = mask_fixture
     subs = {}
     for cid in roster.client_ids:
-        hist = GradHistogram.zeros(2, 3)
+        hist = zero_histogram(2, 3)
         subs[cid] = mask_histogram(hist, cid, roster, "n0", 0, codec, pk, random.Random(1))
     total = server_aggregate(subs, roster, codec, pk, sk)
     assert all(v == 0 for v in total.g.flatten())
@@ -150,7 +154,7 @@ def test_masked_aggregate_recovers_signed_slot_totals(mask_fixture):
 def test_single_submission_is_blinded(mask_fixture):
     roster, pk, sk, codec = mask_fixture
     values = np.linspace(-0.4, 0.4, 100)
-    hist = GradHistogram.zeros(1, 100)
+    hist = zero_histogram(1, 100)
     hist.g[0] = values
     sub = mask_histogram(hist, "c0", roster, "n2", 0, codec, pk, random.Random(4))
     layout = packed_layout(roster, codec, pk.n)
@@ -232,7 +236,7 @@ def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, data):
     near_one = st.sampled_from([-0.999, 0.999]) | st.floats(-0.999, 0.999)
     expect_g, expect_h, subs = [0, 0, 0], [0, 0, 0], {}
     for cid, count in zip(ids, counts):
-        hist = GradHistogram.zeros(1, 3)
+        hist = zero_histogram(1, 3)
         hist.g[0] = [count * data.draw(near_one) for _ in range(3)]
         hist.h[0] = [count * data.draw(st.floats(0.0, 0.25)) for _ in range(3)]
         expect_g = [e + codec.quantize(float(v)) for e, v in zip(expect_g, hist.g[0])]
@@ -295,17 +299,17 @@ def test_sibling_subtraction_on_integer_histograms():
             parent.g[f, b], child.g[f, b] = p, c
             parent.h[f, b], child.h[f, b] = p + 1, c
             parent.counts[f, b], child.counts[f, b] = 5, 2
-    sib = sibling_by_subtraction(parent, child)
+    sib = parent.subtract(child)
     assert (sib.g == parent.g - child.g).all()
     assert (sib.counts == 3).all()
     # child == parent -> zero histogram; empty child -> parent unchanged
-    zero = sibling_by_subtraction(parent, parent)
+    zero = parent.subtract(parent)
     assert all(v == 0 for v in zero.g.flatten()) and (zero.counts == 0).all()
     empty = IntHistogram.zeros(2, 4)
-    same = sibling_by_subtraction(parent, empty)
+    same = parent.subtract(empty)
     assert (same.g == parent.g).all()
     with pytest.raises(ProtocolError):
-        sibling_by_subtraction(child, parent)
+        child.subtract(parent)
 
 
 def test_sibling_subtraction_matches_direct_build():
@@ -316,12 +320,18 @@ def test_sibling_subtraction_matches_direct_build():
     h = rng.integers(1, 2**20, size=n) / 2**22
     subset = np.sort(rng.choice(n, size=4, replace=False))
     complement = np.setdiff1d(np.arange(n), subset)
-    parent = build_histogram(binned, g, h, np.arange(n), B)
-    child = build_histogram(binned, g, h, subset, B)
-    direct = build_histogram(binned, g, h, complement, B)
-    derived = parent.subtract(child)
-    np.testing.assert_array_equal(derived.g, direct.g)
-    np.testing.assert_array_equal(derived.counts, direct.counts)
+    codec = FixedPointCodec()
+
+    def fixed_point(rows):
+        hist = build_histogram(binned, g, h, rows, B)
+        ints = [np.array([codec.quantize(float(v)) for v in a.flat], dtype=object).reshape(F, B)
+                for a in (hist.g, hist.h)]
+        return IntHistogram(*ints, hist.counts)
+
+    derived = fixed_point(np.arange(n)).subtract(fixed_point(subset))
+    direct = fixed_point(complement)
+    for name in ("g", "h", "counts"):
+        assert (getattr(derived, name) == getattr(direct, name)).all()
 
 
 # ---------------------------------------------------------------------------

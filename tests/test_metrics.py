@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedgbt.data import PartyDataset
 from fedgbt.metrics import (
     ConfusionMatrix,
     MetricError,
@@ -10,7 +9,6 @@ from fedgbt.metrics import (
     average_reports,
     confusion,
     evaluate_scores,
-    kfold_evaluate,
     metrics_from_confusion,
     privacy_cost,
 )
@@ -146,64 +144,14 @@ def test_privacy_cost_published_comparison_values():
         privacy_cost("other", "auc", 1, 1)
 
 
-class ConstantModel:
-    def __init__(self, value):
-        self.value = value
-
-    def score(self, X):
-        return np.full(X.shape[0], self.value)
-
-
-def _toy_dataset(n=60, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, 2))
-    y = (X[:, 0] > 0).astype(int)
-    return PartyDataset(
-        party_id="t",
-        sample_ids=np.arange(n),
-        features=X,
-        feature_names=("a", "b"),
-        labels=y,
-    )
-
-
-def test_kfold_constant_model_matches_majority_rate():
-    data = _toy_dataset(80, seed=1)
-    majority = max(data.labels.mean(), 1 - data.labels.mean())
-
-    def factory(train, fold_id):
-        return ConstantModel(1.0 if train.labels.mean() >= 0.5 else 0.0)
-
-    result = kfold_evaluate(factory, data, k=5, seed=3)
-    expected = majority if data.labels.mean() >= 0.5 else majority
-    assert result.averaged.accuracy == pytest.approx(expected, abs=0.05)
-    lo = min(r.accuracy for r in result.per_fold)
-    hi = max(r.accuracy for r in result.per_fold)
-    assert lo - 1e-12 <= result.averaged.accuracy <= hi + 1e-12
-
-
-def test_kfold_rejects_k1_and_is_seed_stable():
-    data = _toy_dataset(40, seed=2)
-    with pytest.raises(MetricError):
-        kfold_evaluate(lambda t, f: ConstantModel(1.0), data, k=1)
-
-    def factory(train, fold_id):
-        return ConstantModel(float(train.labels.mean()))
-
-    r1 = kfold_evaluate(factory, data, k=4, seed=11)
-    r2 = kfold_evaluate(factory, data, k=4, seed=11)
-    assert [r.accuracy for r in r1.per_fold] == [r.accuracy for r in r2.per_fold]
-
-
 def test_average_reports_is_arithmetic_mean():
-    data = _toy_dataset(50, seed=4)
-
-    def factory(train, fold_id):
-        return ConstantModel(float(train.labels.mean()))
-
-    result = kfold_evaluate(factory, data, k=5, seed=0)
-    assert result.averaged.auc == pytest.approx(
-        np.mean([r.auc for r in result.per_fold]), abs=1e-12
-    )
+    rng = np.random.default_rng(4)
+    labels = (rng.normal(size=50) > 0).astype(int)
+    per_fold = [evaluate_scores(labels, rng.uniform(size=50), fold_id=i) for i in range(5)]
+    averaged = average_reports(per_fold)
+    for metric in ("auc", "accuracy", "f1", "fpr_paper"):
+        assert getattr(averaged, metric) == pytest.approx(
+            np.mean([getattr(r, metric) for r in per_fold]), abs=1e-12
+        )
     with pytest.raises(MetricError):
         average_reports([])

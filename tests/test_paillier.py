@@ -195,7 +195,7 @@ def test_encrypted_signed_sum(keypair_512):
 @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=20))
 def test_signed_multiset_sum_within_bound(keypair_512, xs):
     pk, sk = keypair_512
-    codec = FixedPointCodec(max_terms=32)
+    codec = FixedPointCodec()
     rng = random.Random(len(xs))
     cs = [encrypt(pk, codec.encode(x, pk.n), rng=rng) for x in xs]
     total = codec.decode(decrypt(sk, pk, aggregate(pk, cs)), pk.n)
@@ -204,9 +204,9 @@ def test_signed_multiset_sum_within_bound(keypair_512, xs):
 
 def test_codec_capacity_check(keypair_512):
     pk, _ = keypair_512
-    FixedPointCodec(max_terms=10**6).check_capacity(pk.n, 1.0)
+    FixedPointCodec().check_capacity(pk.n, 1.0, terms=10**6)
     with pytest.raises(EncodingError):
-        FixedPointCodec(max_terms=10**6).check_capacity(2**60, 1.0)
+        FixedPointCodec().check_capacity(2**60, 1.0, terms=10**6)
 
 
 def test_hex_serialization_roundtrip(keypair_512):

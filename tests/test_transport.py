@@ -6,20 +6,21 @@ from fedgbt.transport import (
     TransportError,
     encode_payload,
     read_transcript,
-    transport_run,
     write_transcript,
 )
 
 
-def ping_pong(bus, parties):
+def ping_pong():
+    """One PING and its PONG over a fresh bus; returns (echoed text, bus)."""
+    bus = MessageBus()
     bus.send("alice", "bob", "PING", round_id=1, payload={"text": "hello"})
     msg = bus.recv("bob", "PING")
     bus.send("bob", "alice", "PONG", round_id=1, payload={"text": msg.payload["text"]})
-    return bus.recv("alice", "PONG").payload["text"]
+    return bus.recv("alice", "PONG").payload["text"], bus
 
 
 def test_ping_pong_transcript():
-    result, bus = transport_run({"alice": None, "bob": None}, ping_pong)
+    result, bus = ping_pong()
     assert result == "hello"
     assert len(bus.transcript) == 2
     assert [e.msg_type for e in bus.transcript] == ["PING", "PONG"]
@@ -27,9 +28,9 @@ def test_ping_pong_transcript():
 
 
 def test_byte_accounting_matches_serialized_sizes():
-    _, bus = transport_run({}, ping_pong)
+    _, bus = ping_pong()
     expected = sum(len(encode_payload(e.payload)) for e in bus.transcript)
-    assert bus.total_bytes() == expected
+    assert sum(e.byte_len for e in bus.transcript) == expected
     per_sender = bus.bytes_by_sender()
     assert per_sender["alice"] == len(encode_payload({"text": "hello"}))
     assert sum(per_sender.values()) == expected
@@ -61,7 +62,7 @@ def test_recv_from_each_detects_missing_sender():
 
 
 def test_transcript_file_roundtrip(tmp_path):
-    _, bus = transport_run({}, ping_pong)
+    _, bus = ping_pong()
     path = tmp_path / "t.log"
     write_transcript(bus, str(path))
     restored = read_transcript(str(path))
@@ -70,10 +71,10 @@ def test_transcript_file_roundtrip(tmp_path):
 
 
 def test_transcript_completeness():
-    _, bus = transport_run({}, ping_pong)
+    _, bus = ping_pong()
     assert len(bus.transcript) == len(set(id(e) for e in bus.transcript))
     # every send appears exactly once: replaying the same script doubles it
-    _, bus2 = transport_run({}, ping_pong)
+    _, bus2 = ping_pong()
     assert len(bus2.transcript) == len(bus.transcript)
 
 
