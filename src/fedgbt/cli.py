@@ -23,9 +23,9 @@ from .data import (
     write_csv,
 )
 from .experiment import (
-    LABEL_PARTY,
-    SCENARIO_VFL,
     ExperimentConfig,
+    default_party,
+    fold_seed,
     load_config,
     load_districts,
     party_sets,
@@ -190,7 +190,7 @@ def _cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = join_datasets(districts)
     sets = party_sets(config.scenario, districts, rows)
-    party = args.party or (LABEL_PARTY if config.scenario == SCENARIO_VFL else next(iter(sets)))
+    party = args.party or default_party(config.scenario, sets)
     model, bus = train_regime(config, args.regime, rows, sets, config.params, config.seed, party)
     if bus is not None:
         write_transcript(bus, os.path.join(args.out, "transcript.log"))
@@ -227,8 +227,8 @@ def _cmd_tune(args) -> int:
     for fold in plan.folds:
         train = joined.subset(fold.full_train_idx)
         sets = party_sets(config.scenario, districts, train)
-        columns.append(tune_regime(config, regime, train, sets, config.seed + fold.fold_id,
-                                   args.party or next(iter(sets))))
+        columns.append(tune_regime(config, regime, train, sets, fold_seed(config, fold.fold_id),
+                                   args.party or default_party(config.scenario, sets)))
 
     os.makedirs(args.out, exist_ok=True)
     tsv = os.path.join(args.out, "tuned.tsv")

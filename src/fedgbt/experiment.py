@@ -217,6 +217,17 @@ def party_sets(scenario: str, districts: list[PartyDataset],
     return dict(sorted(sets.items()))
 
 
+def default_party(scenario: str, sets: dict[str, PartyDataset]) -> str:
+    """The party that trains or tunes alone when none is named: the label
+    owner in the vertical scenario, the first in sorted order otherwise."""
+    return LABEL_PARTY if scenario == SCENARIO_VFL else next(iter(sets))
+
+
+def fold_seed(config: ExperimentConfig, fold_id: int) -> int:
+    """The seed with which every regime tunes and trains fold ``fold_id``."""
+    return config.seed + 101 * fold_id
+
+
 def pooled_set(scenario: str, rows: PartyDataset) -> PartyDataset:
     """The open-share pool of ``rows``: vertical blocks join in roster order."""
     if scenario == SCENARIO_HFL:
@@ -283,7 +294,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     for fold in plan.folds:
         train = joined.subset(fold.full_train_idx, "train")
         test = joined.subset(fold.test_idx, "test")
-        fold_seed = config.seed + 101 * fold.fold_id
+        seed = fold_seed(config, fold.fold_id)
         sets = party_sets(config.scenario, districts, train)
         runs = [("separate", p) for p in sets if "separate" in config.regimes]
         runs += [(r, None) for r in ("centralized", "federated") if r in config.regimes]
@@ -296,7 +307,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
             started = time.perf_counter()
             try:
                 scores, model_hash, bus = _fold_run(config, regime, train, test, sets,
-                                                    fold_seed, party)
+                                                    seed, party)
             except Exception as exc:  # keep other regimes alive, record the failure
                 result.error = f"fold {fold.fold_id}: {type(exc).__name__}: {exc}"
                 continue

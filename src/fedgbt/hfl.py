@@ -416,10 +416,10 @@ class HflClient:
         self.codec = codec
         self.seed = seed
         self.client_index = roster.client_ids.index(client_id)
-        # Obfuscators r from a seeded Mersenne Twister make transcripts repeat
-        # byte for byte, and let whoever knows the run seed predict every r and
-        # strip the encryption without the key.  A deployment must draw r from
-        # the ``secrets`` module.
+        # Obfuscator exponents from a seeded Mersenne Twister make transcripts
+        # repeat byte for byte, and let whoever knows the run seed recompute
+        # every obfuscator and strip the encryption without the key.  A
+        # deployment must encrypt with ``rng=None`` (the system CSPRNG).
         self.enc_rng = random.Random(derive_seed("enc", seed, client_id))
         self.pk: PublicKey | None = None
         self.binning: Binning | None = None

@@ -10,6 +10,12 @@ Plaintexts are residues in [0, n).  Real-valued statistics are embedded
 through :class:`FixedPointCodec`, which scales by ``2**scale_bits`` and maps
 negatives into the upper half of the residue ring.
 
+Encryption draws its obfuscator from a fixed public base, in the manner of
+Damgård, Jurik and Nielsen (2010): ``r^n`` becomes ``h_s^a`` with a
+full-length exponent ``a``, and each public key precomputes the powers of
+``h_s`` once, so an encryption costs about a hundred modular multiplications
+instead of one full-size exponentiation.
+
 All structures are immutable and safe to share between concurrently running
 parties.  When ``rng`` / ``rng_seed`` arguments are supplied, key generation
 and encryption randomness are fully deterministic, which the protocol tests
@@ -18,9 +24,11 @@ rely on for reproducible transcripts.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
     import gmpy2
@@ -75,6 +83,30 @@ class EncodingError(ValueError):
     """Value outside the admissible plaintext or fixed-point range."""
 
 
+# Exponent bits per row of the fixed-base table: a row holds 2^6 powers, and
+# an encryption multiplies one entry per row.
+OBFUSCATOR_WINDOW_BITS = 6
+# The obfuscator exponent has n.bit_length() + 128 bits, so ``a`` reduced
+# modulo the order of h (below n) is within 2^-128 of uniform.
+OBFUSCATOR_SLACK_BITS = 128
+
+
+def _obfuscator_base(n: int) -> int:
+    """The public base ``h = -x^2 mod n``, with ``x`` a unit hashed from ``n``.
+
+    Anyone holding the public key derives the same ``h``, so it needs no
+    place on the wire.
+    """
+    width = (n.bit_length() + 7) // 8
+    counter = 0
+    while True:
+        seed = b"fedgbt-djn-base" + counter.to_bytes(4, "big") + n.to_bytes(width, "big")
+        x = int.from_bytes(hashlib.shake_256(seed).digest(width + 16), "big") % n
+        if 1 < x < n - 1 and math.gcd(x, n) == 1:
+            return -x * x % n
+        counter += 1
+
+
 @dataclass(frozen=True)
 class PublicKey:
     """Encryption key ``(n, g)`` with the modulus square cached."""
@@ -92,6 +124,41 @@ class PublicKey:
     @property
     def key_bits(self) -> int:
         return self.n.bit_length()
+
+    @property
+    def obfuscator_bits(self) -> int:
+        """Bit length of the exponent ``a`` that :func:`encrypt` draws."""
+        return self.n.bit_length() + OBFUSCATOR_SLACK_BITS
+
+    @cached_property
+    def obfuscator_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``i`` holds ``h_s^(d * 2^(6i)) mod n^2`` for every 6-bit digit
+        ``d``, with ``h_s = h^n mod n^2``.
+
+        Built on first use, once per key object: about 107 rows of 64 powers
+        at a 512-bit key.
+        """
+        step = _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
+        rows = []
+        for _ in range(-(-self.obfuscator_bits // OBFUSCATOR_WINDOW_BITS)):
+            row = [1, step]
+            for _ in range(2, 1 << OBFUSCATOR_WINDOW_BITS):
+                row.append(row[-1] * step % self.n_squared)
+            rows.append(tuple(row))
+            step = row[-1] * step % self.n_squared
+        return tuple(rows)
+
+    def obfuscator(self, a: int) -> int:
+        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``, one table
+        entry per nonzero 6-bit digit of ``a``."""
+        mask = (1 << OBFUSCATOR_WINDOW_BITS) - 1
+        acc = 1
+        for row in self.obfuscator_table:
+            digit = a & mask
+            if digit:
+                acc = acc * row[digit] % self.n_squared
+            a >>= OBFUSCATOR_WINDOW_BITS
+        return acc
 
 
 @dataclass(frozen=True)
@@ -206,28 +273,34 @@ def keygen(
     raise KeyGenerationError("failed to assemble a valid keypair")
 
 
-def sample_obfuscator(pk: PublicKey, rng: random.Random) -> int:
-    """Draw r in (0, n) with gcd(r, n) = 1, resampling on the (negligible) failure."""
-    while True:
-        r = rng.randrange(1, pk.n)
-        if math.gcd(r, pk.n) == 1:
-            return r
-
-
 def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | None = None) -> Ciphertext:
-    """Encrypt plaintext ``m`` in [0, n) as ``g^m * r^n mod n^2``."""
+    """Encrypt plaintext ``m`` in [0, n) as ``g^m * r^n mod n^2``.
+
+    Without ``r``, the obfuscator is ``h_s^a = (h^a)^n`` with ``a`` drawn
+    from ``rng`` (the system CSPRNG when None), computed from the key's
+    fixed-base table; that is ``r = h^a mod n``.  Security rests on the
+    decisional composite residuosity assumption, as for textbook Paillier,
+    with ``r`` statistically close to uniform over the subgroup generated
+    by ``h`` (Damgård-Jurik-Nielsen 2010).  The exponent is full length;
+    their short-exponent variant would add a further assumption and is not
+    used.  An explicit ``r``, a unit modulo ``n``, gives the textbook
+    ``r^n``.
+    """
     if not 0 <= m < pk.n:
         raise EncodingError(f"plaintext {m} outside [0, n)")
     if r is None:
-        r = sample_obfuscator(pk, rng if rng is not None else random.SystemRandom())
-    elif not (0 < r < pk.n) or math.gcd(r, pk.n) != 1:
-        r = sample_obfuscator(pk, rng if rng is not None else random.SystemRandom())
+        a = (rng if rng is not None else random.SystemRandom()).getrandbits(pk.obfuscator_bits)
+        r_n = pk.obfuscator(a)
+    elif 0 < r < pk.n and math.gcd(r, pk.n) == 1:
+        r_n = _powmod(r, pk.n, pk.n_squared)
+    else:
+        raise EncodingError("obfuscator r is not a unit modulo n")
     if pk.g == pk.n + 1:
         # (n+1)^m = 1 + m*n (mod n^2), saving one exponentiation.
         g_m = (1 + m * pk.n) % pk.n_squared
     else:
         g_m = _powmod(pk.g, m, pk.n_squared)
-    return Ciphertext((g_m * _powmod(r, pk.n, pk.n_squared)) % pk.n_squared)
+    return Ciphertext(g_m * r_n % pk.n_squared)
 
 
 def decrypt(sk: PrivateKey, pk: PublicKey, c: Ciphertext) -> int:

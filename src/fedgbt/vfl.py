@@ -235,8 +235,8 @@ class ActiveParty:
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
         # a bin sums at most every sample's |g| < 1
         self.codec.check_capacity(self.pk.n, max_magnitude=1.0, terms=dataset.n_samples)
-        # seeded, so every r is predictable from the run seed: see
-        # HflClient.enc_rng; a deployment must draw r from ``secrets``
+        # seeded, so every obfuscator is predictable from the run seed: see
+        # HflClient.enc_rng; a deployment must encrypt with ``rng=None``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))
         self.binning: Binning = compute_binning(dataset.features, params.max_bin)
         self.binned: np.ndarray = self.binning.bin_matrix(dataset.features)

@@ -437,9 +437,77 @@ def test_cli_train_and_tune_match_direct_calls(tmp_path, scenario, command, mode
     assert len(tuned) == len(plan.folds)
     for fold, row in zip(plan.folds, tuned):
         train = joined.subset(fold.full_train_idx)
-        data = ([labeled_blocks(train)["exploration_institute"]] if mode == "separate"
+        data = ([labeled_blocks(train)["oil_company"]] if mode == "separate"
                 else [pooled(train)])
         expected = tune_objective(mode, data, base=params, space=default_search_space(),
-                                  seed=seed + fold.fold_id, budget=4)
+                                  seed=seed + 101 * fold.fold_id, budget=4)
         assert (row["raw"], row["rounded"], row["score"]) == (
             expected.raw_vector, expected.vector, expected.score)
+
+
+def test_cli_tune_centralized_searches_each_fold_at_the_compare_seed(tmp_path):
+    from dataclasses import replace
+
+    from fedgbt.data import join_datasets, split_train_valid_test
+    from fedgbt.experiment import (
+        fold_seed,
+        load_config,
+        load_districts,
+        party_sets,
+        tune_regime,
+    )
+
+    config_path, _, _, _ = _write_csv_config(tmp_path, "hfl_case_one", seed=6)
+    out = tmp_path / "out"
+    assert cli_main(["tune", "--config", config_path, "--mode", "centralized",
+                     "--out", str(out)]) == 0
+
+    config = replace(load_config(config_path), regimes=("centralized",), tuning="direct_bo")
+    districts = load_districts(config)
+    joined = join_datasets(districts)
+    plan = split_train_valid_test(joined, k=config.k_folds, seed=config.seed)
+    tuned = json.loads((out / "tuned.json").read_text())
+    assert len(tuned) == len(plan.folds) == 2
+    for fold, row in zip(plan.folds, tuned):
+        assert fold_seed(config, fold.fold_id) == config.seed + 101 * fold.fold_id
+        train = joined.subset(fold.full_train_idx)
+        expected = tune_regime(config, "centralized", train,
+                               party_sets(config.scenario, districts, train),
+                               fold_seed(config, fold.fold_id))
+        assert (row["raw"], row["rounded"], row["score"]) == (
+            expected.raw_vector, expected.vector, expected.score)
+
+
+@pytest.mark.parametrize("scenario,party", [("vfl_case_two", "oil_company"),
+                                            ("hfl_case_one", "A")])
+def test_cli_train_and_tune_default_to_the_same_party(tmp_path, scenario, party):
+    from dataclasses import replace
+
+    from fedgbt.data import join_datasets, split_train_valid_test
+    from fedgbt.experiment import (
+        fold_seed,
+        load_config,
+        load_districts,
+        party_sets,
+        tune_regime,
+    )
+    from fedgbt.gbt import model_to_json, train_centralized
+
+    config_path, _, params, seed = _write_csv_config(tmp_path, scenario)
+    assert cli_main(["train", "--config", config_path, "--regime", "separate",
+                     "--out", str(tmp_path / "trained")]) == 0
+    assert cli_main(["tune", "--config", config_path, "--mode", "separate",
+                     "--out", str(tmp_path / "tuned")]) == 0
+
+    config = replace(load_config(config_path), regimes=("separate",), tuning="direct_bo")
+    districts = load_districts(config)
+    joined = join_datasets(districts)
+    model = train_centralized(party_sets(scenario, districts, joined)[party], params, seed=seed)
+    assert (tmp_path / "trained" / "model.json").read_text() == model_to_json(model) + "\n"
+
+    fold = split_train_valid_test(joined, k=config.k_folds, seed=seed).folds[0]
+    train = joined.subset(fold.full_train_idx)
+    expected = tune_regime(config, "separate", train, party_sets(scenario, districts, train),
+                           fold_seed(config, fold.fold_id), party)
+    row = json.loads((tmp_path / "tuned" / "tuned.json").read_text())[0]
+    assert (row["raw"], row["score"]) == (expected.raw_vector, expected.score)

@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fedgbt import paillier
 from fedgbt.paillier import (
+    OBFUSCATOR_WINDOW_BITS,
     Ciphertext,
     EncodingError,
     FixedPointCodec,
+    PublicKey,
     aggregate,
     decrypt,
     encrypt,
@@ -121,6 +124,96 @@ def test_encrypt_out_of_range_raises(keypair_512):
         encrypt(pk, pk.n, r=3)
     with pytest.raises(EncodingError):
         encrypt(pk, -1, r=3)
+
+
+def test_encrypt_rejects_an_explicit_r_that_is_not_a_unit():
+    pk, _ = toy_keypair()
+    for r in (0, 3, 5, 15, 16, -2):
+        with pytest.raises(EncodingError):
+            encrypt(pk, 4, r=r)
+
+
+def _h_s(pk):
+    return pow(paillier._obfuscator_base(pk.n), pk.n, pk.n_squared)
+
+
+_EXPONENT_BITS = 512 + 128
+_single_window = st.builds(lambda d, i: d << (OBFUSCATOR_WINDOW_BITS * i),
+                           st.integers(1, 2**OBFUSCATOR_WINDOW_BITS - 1),
+                           st.integers(0, _EXPONENT_BITS // OBFUSCATOR_WINDOW_BITS),
+                           ).filter(lambda a: a < 2**_EXPONENT_BITS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(min_value=0, max_value=2**_EXPONENT_BITS - 1), _single_window))
+@example(0)
+@example(2**_EXPONENT_BITS - 1)
+@example(1)
+@example(2**OBFUSCATOR_WINDOW_BITS - 1)
+@example(37 << (5 * OBFUSCATOR_WINDOW_BITS))
+@example(2**(_EXPONENT_BITS - 1))
+def test_fixed_base_table_power_matches_pow(keypair_512, a):
+    pk, _ = keypair_512
+    assert pk.obfuscator_bits == _EXPONENT_BITS
+    assert pk.obfuscator(a) == pow(_h_s(pk), a, pk.n_squared)
+
+
+class _RecordingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def getrandbits(self, k):
+        self.drawn.append(k)
+        return super().getrandbits(k)
+
+
+def test_encrypt_draws_a_full_length_exponent_for_r_in_the_base_subgroup(keypair_512):
+    pk, sk = keypair_512
+    rng = _RecordingRandom(7)
+    c = encrypt(pk, 41, rng=rng)
+    assert rng.drawn == [pk.n.bit_length() + 128]
+    a = random.Random(7).getrandbits(pk.n.bit_length() + 128)
+    r = pow(paillier._obfuscator_base(pk.n), a, pk.n)
+    assert c.value == encrypt(pk, 41, r=r).value
+    assert decrypt(sk, pk, c) == 41
+
+
+@pytest.mark.parametrize("key_bits", [16, 128, 512])
+def test_obfuscator_base_is_a_public_unit(key_bits):
+    pk, _ = keygen(key_bits=key_bits, rng_seed=key_bits)
+    h = paillier._obfuscator_base(pk.n)
+    assert 1 < h < pk.n - 1
+    assert math.gcd(h, pk.n) == 1
+    assert paillier._obfuscator_base(pk.n) == h
+    assert pk.obfuscator_table[0][1] == _h_s(pk)
+
+
+def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
+    n = keypair_512[0].n
+    builds = []
+    real = paillier._obfuscator_base
+    monkeypatch.setattr(paillier, "_obfuscator_base", lambda m: builds.append(m) or real(m))
+    first = PublicKey(n=n, g=n + 1, n_squared=n * n)
+    second = PublicKey(n=n, g=n + 1, n_squared=n * n)
+    rng = random.Random(3)
+    encrypt(first, 1, rng=rng)
+    encrypt(first, 2, rng=rng)
+    assert builds == [n]
+    encrypt(second, 3, rng=rng)
+    assert builds == [n, n]
+    assert first.obfuscator_table is not second.obfuscator_table
+    assert first.obfuscator_table == second.obfuscator_table
+    assert len(first.obfuscator_table) == -(-(n.bit_length() + 128) // OBFUSCATOR_WINDOW_BITS)
+
+
+@pytest.mark.parametrize("random_g", [False, True])
+def test_system_randomness_roundtrips(random_g):
+    pk, sk = keygen(key_bits=128, rng_seed=11, random_g=random_g)
+    for m in (0, 1, 12345, pk.n - 1):
+        c1, c2 = encrypt(pk, m), encrypt(pk, m)
+        assert c1.value != c2.value
+        assert decrypt(sk, pk, c1) == decrypt(sk, pk, c2) == m
 
 
 def test_aggregate_pair_and_identities(keypair_512):
