@@ -179,7 +179,7 @@ def establish_global_binning(datasets: list[PartyDataset], n_bins: int) -> Binni
 class IntHistogram:
     """Fixed-point-scaled integer sums; arithmetic on these is exact."""
 
-    g: np.ndarray  # object dtype, python ints
+    g: np.ndarray  # object dtype, python ints (HFL); int64 (VFL, |sum| < 2^63)
     h: np.ndarray
     counts: np.ndarray  # int64
 

@@ -107,6 +107,33 @@ def _obfuscator_base(n: int) -> int:
         counter += 1
 
 
+def _window_table(base: int, mod: int, bits: int) -> tuple[tuple[int, ...], ...]:
+    """Row ``i`` holds ``base^(d * 2^(6i)) mod mod`` for every 6-bit digit
+    ``d``, enough rows for exponents below ``2^bits``."""
+    step = base % mod
+    rows = []
+    for _ in range(-(-bits // OBFUSCATOR_WINDOW_BITS)):
+        row = [1, step]
+        for _ in range(2, 1 << OBFUSCATOR_WINDOW_BITS):
+            row.append(row[-1] * step % mod)
+        rows.append(tuple(row))
+        step = row[-1] * step % mod
+    return tuple(rows)
+
+
+def _window_power(table: tuple[tuple[int, ...], ...], a: int, mod: int) -> int:
+    """``base^a mod mod`` from a :func:`_window_table`, one multiplication per
+    nonzero 6-bit digit of ``a``."""
+    mask = (1 << OBFUSCATOR_WINDOW_BITS) - 1
+    acc = 1
+    for row in table:
+        digit = a & mask
+        if digit:
+            acc = acc * row[digit] % mod
+        a >>= OBFUSCATOR_WINDOW_BITS
+    return acc
+
+
 @dataclass(frozen=True)
 class PublicKey:
     """Encryption key ``(n, g)`` with the modulus square cached."""
@@ -138,27 +165,13 @@ class PublicKey:
         Built on first use, once per key object: about 107 rows of 64 powers
         at a 512-bit key.
         """
-        step = _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
-        rows = []
-        for _ in range(-(-self.obfuscator_bits // OBFUSCATOR_WINDOW_BITS)):
-            row = [1, step]
-            for _ in range(2, 1 << OBFUSCATOR_WINDOW_BITS):
-                row.append(row[-1] * step % self.n_squared)
-            rows.append(tuple(row))
-            step = row[-1] * step % self.n_squared
-        return tuple(rows)
+        h_s = _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
+        return _window_table(h_s, self.n_squared, self.obfuscator_bits)
 
     def obfuscator(self, a: int) -> int:
         """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``, one table
         entry per nonzero 6-bit digit of ``a``."""
-        mask = (1 << OBFUSCATOR_WINDOW_BITS) - 1
-        acc = 1
-        for row in self.obfuscator_table:
-            digit = a & mask
-            if digit:
-                acc = acc * row[digit] % self.n_squared
-            a >>= OBFUSCATOR_WINDOW_BITS
-        return acc
+        return _window_power(self.obfuscator_table, a, self.n_squared)
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,35 @@ class PrivateKey:
     hp: int
     hq: int
     q_inv: int
+
+    @cached_property
+    def obfuscator_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Fixed-base tables of ``h_s`` modulo ``p^2`` and modulo ``q^2``.
+
+        ``h_s = h^n`` is a ``p``-th power modulo ``p^2``, so its order there
+        divides ``p - 1``: an exponent reduced modulo ``p - 1`` needs rows
+        for ``p.bit_length()`` bits only, about 43 at a 512-bit key, and each
+        product is half as wide as one modulo ``n^2``.  Likewise for ``q``.
+        Built on first use, once per key object.
+        """
+        n = self.p * self.q
+        h = _obfuscator_base(n)
+        return tuple(_window_table(_powmod(h, n, prime_squared), prime_squared, prime.bit_length())
+                     for prime, prime_squared in ((self.p, self.p_squared),
+                                                  (self.q, self.q_squared)))
+
+    @cached_property
+    def q_squared_inv(self) -> int:
+        """``(q^2)^-1 mod p^2``, which joins the two halves of an obfuscator."""
+        return _invert(self.q_squared, self.p_squared)
+
+    def obfuscator(self, a: int) -> int:
+        """``h_s^a mod n^2``, the value :meth:`PublicKey.obfuscator` gives,
+        from the per-prime tables joined by the Chinese remainder theorem."""
+        table_p, table_q = self.obfuscator_tables
+        xp = _window_power(table_p, a % (self.p - 1), self.p_squared)
+        xq = _window_power(table_q, a % (self.q - 1), self.q_squared)
+        return xq + (xp - xq) * self.q_squared_inv % self.p_squared * self.q_squared
 
 
 @dataclass(frozen=True)
@@ -273,7 +315,8 @@ def keygen(
     raise KeyGenerationError("failed to assemble a valid keypair")
 
 
-def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | None = None) -> Ciphertext:
+def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | None = None,
+            sk: PrivateKey | None = None) -> Ciphertext:
     """Encrypt plaintext ``m`` in [0, n) as ``g^m * r^n mod n^2``.
 
     Without ``r``, the obfuscator is ``h_s^a = (h^a)^n`` with ``a`` drawn
@@ -285,12 +328,18 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
     their short-exponent variant would add a further assumption and is not
     used.  An explicit ``r``, a unit modulo ``n``, gives the textbook
     ``r^n``.
+
+    The key holder may pass its own ``sk``: ``h_s^a`` then comes from the
+    per-prime tables (:meth:`PrivateKey.obfuscator`), about three times
+    faster, and the same ``rng`` state gives the same ciphertext.
     """
     if not 0 <= m < pk.n:
         raise EncodingError(f"plaintext {m} outside [0, n)")
+    if sk is not None and sk.p * sk.q != pk.n:
+        raise ValueError("private key does not belong to the public key")
     if r is None:
         a = (rng if rng is not None else random.SystemRandom()).getrandbits(pk.obfuscator_bits)
-        r_n = pk.obfuscator(a)
+        r_n = (sk if sk is not None else pk).obfuscator(a)
     elif 0 < r < pk.n and math.gcd(r, pk.n) == 1:
         r_n = _powmod(r, pk.n, pk.n_squared)
     else:
@@ -303,17 +352,29 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
     return Ciphertext(g_m * r_n % pk.n_squared)
 
 
-def decrypt(sk: PrivateKey, pk: PublicKey, c: Ciphertext) -> int:
+def decrypt(sk: PrivateKey, pk: PublicKey, c: Ciphertext, bound: int | None = None) -> int:
     """Recover the plaintext ``L(c^lam mod n^2) * mu mod n``.
 
     Computed by the Chinese remainder theorem: ``m mod p`` and ``m mod q``
     each take one half-size exponentiation, and Garner's formula joins them.
+
+    With a magnitude ``bound`` (``2 * bound < p``), the plaintext is read as
+    a signed value ``v`` with ``|v| <= bound``.  Such a ``v`` is fixed by
+    ``v mod p`` alone, so one exponentiation modulo ``p^2`` suffices; a
+    result outside ``[-bound, bound]`` raises :class:`EncodingError`.
     """
     if not 0 <= c.value < pk.n_squared:
         raise EncodingError("ciphertext outside [0, n^2)")
+    if bound is not None and not 0 <= 2 * bound < sk.p:
+        raise EncodingError(f"bound {bound} is not below p/2")
     if c.value == 1:
         return 0
     mp = _l_function(_powmod(c.value % sk.p_squared, sk.p - 1, sk.p_squared), sk.p) * sk.hp % sk.p
+    if bound is not None:
+        signed = mp - sk.p if mp > sk.p // 2 else mp
+        if abs(signed) > bound:
+            raise EncodingError(f"decrypted value outside [-{bound}, {bound}]")
+        return signed
     mq = _l_function(_powmod(c.value % sk.q_squared, sk.q - 1, sk.q_squared), sk.q) * sk.hq % sk.q
     return mq + (mp - mq) * sk.q_inv % sk.p * sk.q
 

@@ -10,6 +10,15 @@ parties, and records only (owning party, record id) for foreign nodes — the
 winning threshold value stays at its owner, which also resolves sample
 partitions and answers left/right queries at inference time.
 
+The active party holds the primes and works in them.  It encrypts with its
+private key's per-prime tables, and decrypts each bin sum modulo ``p``
+alone: a sum of ``c`` encoded gradients has magnitude at most
+``c * 2**scale_bits``, far below ``p / 2``, and a sum outside that bound is
+rejected as tampered.  Passive parties aggregate the root and then only the
+smaller child of each split whose children may still split; the active party
+keeps every node's decrypted sums as int64 integers and derives the larger
+child as parent minus smaller, exactly.
+
 Wire protocol: ``GRADIENT_BROADCAST``, ``SAMPLE_SPACE``,
 ``ENC_HISTOGRAM_SUBMIT``, ``SPLIT_NOTICE``, ``PARTITION_REPLY`` during
 training; ``INFER_QUERY`` / ``INFER_REPLY`` during prediction.
@@ -39,9 +48,10 @@ from .gbt import (
     soft_threshold,
     tree_row_sample,
 )
-from .hfl import ProtocolError
+from .hfl import IntHistogram, ProtocolError
 from .paillier import (
     Ciphertext,
+    EncodingError,
     FixedPointCodec,
     PublicKey,
     aggregate,
@@ -169,24 +179,31 @@ class PassiveParty:
         self.enc_h = dict(zip(sample_ids, enc_h))
 
     def bin_aggregate(self, sample_ids: list[int]) -> tuple[list, list, np.ndarray]:
-        """Homomorphic per-(feature, bin) sums over the given sample space."""
+        """Homomorphic per-(feature, bin) sums over the given sample space.
+
+        Per feature, one stable argsort of the samples' cells groups each
+        bin's samples in sample-space order, and one ``aggregate`` call
+        multiplies a bin's ciphertexts.
+        """
         unknown = [s for s in sample_ids if s not in self.pos_of_id]
         if unknown:
             raise ProtocolError(f"{self.party_id} received unknown sample ids {unknown[:3]}")
         F, B = self.dataset.n_features, self.n_bins
-        buckets_g: list[list[Ciphertext]] = [[] for _ in range(F * B)]
-        buckets_h: list[list[Ciphertext]] = [[] for _ in range(F * B)]
+        cg = [self.enc_g[s] for s in sample_ids]
+        ch = [self.enc_h[s] for s in sample_ids]
+        cells = self.binned[[self.pos_of_id[s] for s in sample_ids]]
         counts = np.zeros((F, B), dtype=np.int64)
-        for sid in sample_ids:
-            pos = self.pos_of_id[sid]
-            cg, ch = self.enc_g[sid], self.enc_h[sid]
-            for f in range(F):
-                b = self.binned[pos, f]
-                buckets_g[f * B + b].append(cg)
-                buckets_h[f * B + b].append(ch)
-                counts[f, b] += 1
-        enc_g = [aggregate(self.pk, bucket) for bucket in buckets_g]
-        enc_h = [aggregate(self.pk, bucket) for bucket in buckets_h]
+        enc_g: list[Ciphertext] = []
+        enc_h: list[Ciphertext] = []
+        for f in range(F):
+            order = np.argsort(cells[:, f], kind="stable")
+            counts[f] = np.bincount(cells[:, f], minlength=B)
+            start = 0
+            for stop in np.cumsum(counts[f]).tolist():
+                members = order[start:stop].tolist()
+                enc_g.append(aggregate(self.pk, [cg[i] for i in members]))
+                enc_h.append(aggregate(self.pk, [ch[i] for i in members]))
+                start = stop
         return enc_g, enc_h, counts
 
     def store_record(self, record_id: int, feature_local: int, bin_index: int) -> SplitRecord:
@@ -199,12 +216,9 @@ class PassiveParty:
         if record_id not in self.records:
             raise ProtocolError(f"{self.party_id} has no record {record_id}")
         rec = self.records[record_id]
-        out = []
-        for sid in sample_ids:
-            pos = self.pos_of_id[sid]
-            if self.binned[pos, rec.feature_local] <= rec.bin_index:
-                out.append(sid)
-        return out
+        positions = np.array([self.pos_of_id[s] for s in sample_ids], dtype=np.int64)
+        left = self.binned[positions, rec.feature_local] <= rec.bin_index
+        return np.asarray(sample_ids, dtype=np.int64)[left].tolist()
 
     def load_inference_rows(self, sample_ids: np.ndarray, rows: np.ndarray) -> None:
         for sid, row in zip(sample_ids, rows):
@@ -233,8 +247,10 @@ class ActiveParty:
         self.codec = codec
         self.seed = seed
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
-        # a bin sums at most every sample's |g| < 1
-        self.codec.check_capacity(self.pk.n, max_magnitude=1.0, terms=dataset.n_samples)
+        # a bin sums at most every sample's |g| < 1, and is decrypted modulo
+        # p alone into an int64: both must hold every such sum
+        self.codec.check_capacity(min(self.sk.p, self.sk.q, 2**64), max_magnitude=1.0,
+                                  terms=dataset.n_samples)
         # seeded, so every obfuscator is predictable from the run seed: see
         # HflClient.enc_rng; a deployment must encrypt with ``rng=None``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))
@@ -245,24 +261,65 @@ class ActiveParty:
         self.h = np.zeros(dataset.n_samples)
         self.records: dict[int, SplitRecord] = {}
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
+        # node id -> passive party -> its bin sums, for the tree in progress
+        self.passive_hists: dict[int, dict[str, IntHistogram]] = {}
 
     def encrypt_gradients(self, positions: np.ndarray) -> tuple[list[int], list[Ciphertext], list[Ciphertext]]:
         ids, enc_g, enc_h = [], [], []
         for pos in positions:
             ids.append(int(self.dataset.sample_ids[pos]))
             enc_g.append(encrypt(self.pk, self.codec.encode(float(self.g[pos]), self.pk.n),
-                                 rng=self.enc_rng))
+                                 rng=self.enc_rng, sk=self.sk))
             enc_h.append(encrypt(self.pk, self.codec.encode(float(self.h[pos]), self.pk.n),
-                                 rng=self.enc_rng))
+                                 rng=self.enc_rng, sk=self.sk))
         return ids, enc_g, enc_h
 
     def decrypt_histogram(self, enc_g: list[Ciphertext], enc_h: list[Ciphertext],
-                          counts: np.ndarray) -> GradHistogram:
-        def plain(cts):
-            values = [self.codec.decode(decrypt(self.sk, self.pk, c), self.pk.n) for c in cts]
-            return np.array(values, dtype=np.float64).reshape(counts.shape)
+                          counts: np.ndarray, n_samples: int, where: str) -> IntHistogram:
+        """One passive party's bin sums over a sample space of ``n_samples``,
+        as exact integers scaled by ``2**scale_bits``.
 
-        return GradHistogram(g=plain(enc_g), h=plain(enc_h), counts=counts.astype(np.int64))
+        A bin of ``c`` samples sums ``c`` values of magnitude at most
+        ``2**scale_bits``, so each ciphertext is decrypted modulo ``p`` alone
+        with that bound.  A sum outside it, an empty bin whose ciphertext is
+        not the identity, or counts that do not add up to the sample space
+        raise :class:`ProtocolError` naming ``where`` (sender, tree, node).
+        """
+        if len(enc_g) != counts.size or len(enc_h) != counts.size:
+            raise ProtocolError(f"{where}: {len(enc_g)} and {len(enc_h)} ciphertexts "
+                                f"for {counts.size} bins")
+        if (counts < 0).any() or (counts.sum(axis=1) != n_samples).any():
+            raise ProtocolError(f"{where}: bin counts are negative or do not add up to "
+                                f"{n_samples} samples")
+        bounds = [int(c) << self.codec.scale_bits for c in counts.flat]
+
+        def plain(cts):
+            values = []
+            for c, bound in zip(cts, bounds):
+                if bound == 0 and c.value != 1:
+                    raise ProtocolError(f"{where}: an empty bin's ciphertext is not the identity")
+                try:
+                    values.append(decrypt(self.sk, self.pk, c, bound=bound))
+                except EncodingError as exc:
+                    raise ProtocolError(f"{where}: {exc}") from None
+            return np.array(values, dtype=np.int64).reshape(counts.shape)
+
+        return IntHistogram(g=plain(enc_g), h=plain(enc_h), counts=counts.astype(np.int64))
+
+    def sibling_histogram(self, parent: IntHistogram, child: IntHistogram,
+                          where: str) -> IntHistogram:
+        """The other child's bin sums: ``parent`` minus ``child``, exact in
+        integers.  Raises :class:`ProtocolError` naming ``where`` when a
+        count goes negative or a sum leaves ``±count * 2**scale_bits``."""
+        try:
+            sibling = parent.subtract(child)
+        except ProtocolError as exc:
+            raise ProtocolError(f"{where}: {exc}") from None
+        bound = sibling.counts << self.codec.scale_bits
+        if (np.abs(sibling.g) > bound).any() or (np.abs(sibling.h) > bound).any():
+            raise ProtocolError(f"{where}: a bin sum derived by subtraction exceeds "
+                                f"its count times 2^{self.codec.scale_bits}")
+        return sibling
 
     def own_histogram(self, positions: np.ndarray) -> GradHistogram:
         from .gbt import build_histogram
@@ -332,6 +389,9 @@ def vfl_train(
         tree = Tree()
         tree.nodes.append(TreeNode(node_id=0, is_leaf=False))
         node_positions: dict[int, np.ndarray] = {0: rows}
+        active.passive_hists = {}
+        if params.max_depth > 0 and rows.size >= 2:
+            round_id = _exchange_histograms(bus, active, passives, t, 0, rows, round_id)
         level: list[tuple[int, np.ndarray]] = [(0, rows)]
         depth = 0
         while level:
@@ -343,39 +403,10 @@ def vfl_train(
                     node.weight = active.leaf_weight_for(positions)
                     continue
 
-                sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
-                round_id += 1
-                for pid in roster.passive_ids:
-                    bus.send(aid, pid, "SAMPLE_SPACE", round_id, {
-                        "tree": t, "node": node_id, "sample_ids": sample_ids,
-                    })
-                round_id += 1
-                party_hists: dict[str, GradHistogram] = {
-                    aid: active.own_histogram(positions)
-                }
-                for pid, passive in sorted(passives.items()):
-                    env = bus.recv(pid, "SAMPLE_SPACE")
-                    eg, eh, counts = passive.bin_aggregate(env.payload["sample_ids"])
-                    bus.send(pid, aid, "ENC_HISTOGRAM_SUBMIT", round_id, {
-                        "tree": t,
-                        "node": node_id,
-                        "enc_g": [int_to_hex(c.value) for c in eg],
-                        "enc_h": [int_to_hex(c.value) for c in eh],
-                        "counts": counts.flatten().tolist(),
-                    })
-                if roster.passive_ids:
-                    envs = bus.recv_from_each(aid, list(roster.passive_ids), "ENC_HISTOGRAM_SUBMIT")
-                    for pid in roster.passive_ids:
-                        payload = envs[pid].payload
-                        F = datasets[pid].n_features
-                        counts = np.array(payload["counts"], dtype=np.int64).reshape(F, params.max_bin)
-                        party_hists[pid] = active.decrypt_histogram(
-                            [Ciphertext(hex_to_int(v)) for v in payload["enc_g"]],
-                            [Ciphertext(hex_to_int(v)) for v in payload["enc_h"]],
-                            counts,
-                        )
-
                 # assemble the global histogram in roster feature order
+                party_hists = {pid: hist.decode(active.codec)
+                               for pid, hist in active.passive_hists[node_id].items()}
+                party_hists[aid] = active.own_histogram(positions)
                 global_hist = GradHistogram(
                     g=np.vstack([party_hists[p].g for p in roster.party_ids]),
                     h=np.vstack([party_hists[p].h for p in roster.party_ids]),
@@ -410,6 +441,7 @@ def vfl_train(
                     passives[owner].store_record(
                         record_id, env.payload["feature_local"], env.payload["bin"]
                     )
+                    sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
                     left_positions, round_id = _partition_leg(
                         bus, active, passives[owner], record_id, sample_ids, t, node_id, round_id
                     )
@@ -431,6 +463,22 @@ def vfl_train(
                 node_positions[right_id] = right_positions
                 next_level.append((left_id, left_positions))
                 next_level.append((right_id, right_positions))
+                # while either child may still split, the passive parties
+                # aggregate the smaller one; the larger is parent minus smaller
+                if depth + 1 < params.max_depth and max(left_positions.size,
+                                                         right_positions.size) >= 2:
+                    small_id, large_id = ((left_id, right_id)
+                                          if left_positions.size <= right_positions.size
+                                          else (right_id, left_id))
+                    round_id = _exchange_histograms(bus, active, passives, t, small_id,
+                                                    node_positions[small_id], round_id)
+                    parent_hists = active.passive_hists[node_id]
+                    active.passive_hists[large_id] = {
+                        pid: active.sibling_histogram(
+                            parent_hists[pid], hist,
+                            f"{pid}'s histogram for tree {t}, node {large_id}")
+                        for pid, hist in active.passive_hists[small_id].items()
+                    }
             level = next_level
             depth += 1
 
@@ -457,6 +505,49 @@ def vfl_train(
     )
     trained = VflTrained(roster=roster, ensemble=ensemble, active=active, passives=passives)
     return trained, bus
+
+
+def _exchange_histograms(bus: MessageBus, active: ActiveParty,
+                         passives: dict[str, PassiveParty], tree_index: int, node_id: int,
+                         positions: np.ndarray, round_id: int) -> int:
+    """Every passive party aggregates the node's sample space under
+    encryption, and the active party decrypts the sums into
+    ``active.passive_hists[node_id]``; returns the last round id."""
+    aid = active.party_id
+    sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
+    round_id += 1
+    for pid in passives:
+        bus.send(aid, pid, "SAMPLE_SPACE", round_id, {
+            "tree": tree_index, "node": node_id, "sample_ids": sample_ids,
+        })
+    round_id += 1
+    for pid, passive in passives.items():
+        env = bus.recv(pid, "SAMPLE_SPACE")
+        eg, eh, counts = passive.bin_aggregate(env.payload["sample_ids"])
+        bus.send(pid, aid, "ENC_HISTOGRAM_SUBMIT", round_id, {
+            "tree": tree_index,
+            "node": node_id,
+            "enc_g": [int_to_hex(c.value) for c in eg],
+            "enc_h": [int_to_hex(c.value) for c in eh],
+            "counts": counts.flatten().tolist(),
+        })
+    envs = bus.recv_from_each(aid, list(passives), "ENC_HISTOGRAM_SUBMIT")
+    hists = {}
+    for pid, passive in passives.items():
+        payload = envs[pid].payload
+        where = f"{pid}'s histogram for tree {tree_index}, node {node_id}"
+        if (payload["tree"], payload["node"]) != (tree_index, node_id):
+            raise ProtocolError(f"{where}: the reply names tree {payload['tree']}, "
+                                f"node {payload['node']}")
+        counts = np.array(payload["counts"], dtype=np.int64).reshape(
+            passive.dataset.n_features, active.params.max_bin)
+        hists[pid] = active.decrypt_histogram(
+            [Ciphertext(hex_to_int(v)) for v in payload["enc_g"]],
+            [Ciphertext(hex_to_int(v)) for v in payload["enc_h"]],
+            counts, positions.size, where,
+        )
+    active.passive_hists[node_id] = hists
+    return round_id
 
 
 def _partition_leg(bus: MessageBus, active: ActiveParty, owner: PassiveParty, record_id: int,

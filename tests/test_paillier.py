@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -307,3 +308,95 @@ def test_hex_serialization_roundtrip(keypair_512):
     text = int_to_hex(pk.n)
     assert text == text.lower()
     assert hex_to_int(text) == pk.n
+
+
+@pytest.fixture(scope="session")
+def keypairs_by_size():
+    return {bits: keygen(key_bits=bits, rng_seed=100 + bits) for bits in (128, 256, 512)}
+
+
+def _signed_full_decrypt(sk, pk, c):
+    m = decrypt(sk, pk, c)
+    return m - pk.n if m > pk.n // 2 else m
+
+
+_ONE = 2**64  # bound and value are drawn as fractions of _ONE
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([128, 256, 512]), st.integers(min_value=0, max_value=_ONE),
+       st.integers(min_value=-_ONE, max_value=_ONE))
+@example(128, _ONE, 0)
+@example(256, _ONE, _ONE)
+@example(512, _ONE, -_ONE)
+@example(512, 0, 0)
+def test_bounded_decrypt_equals_signed_full_decrypt(keypairs_by_size, key_bits, bound_share,
+                                                     value_share):
+    pk, sk = keypairs_by_size[key_bits]
+    bound = (sk.p - 1) // 2 * bound_share // _ONE  # 2 * bound < p
+    v = bound * value_share // _ONE  # in [-bound, bound]
+    c = encrypt(pk, v % pk.n, rng=random.Random(value_share))
+    assert decrypt(sk, pk, c, bound=bound) == _signed_full_decrypt(sk, pk, c) == v
+    assert decrypt(sk, pk, Ciphertext(1), bound=bound) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([128, 256, 512]), st.integers(min_value=0, max_value=2**40),
+       st.integers(min_value=1, max_value=2**30), st.booleans())
+def test_bounded_decrypt_rejects_a_value_beyond_the_bound(keypairs_by_size, key_bits, bound,
+                                                          excess, negative):
+    pk, sk = keypairs_by_size[key_bits]
+    v = (bound + excess) * (-1 if negative else 1)
+    c = encrypt(pk, v % pk.n, rng=random.Random(excess))
+    with pytest.raises(EncodingError):
+        decrypt(sk, pk, c, bound=bound)
+
+
+def test_bounded_decrypt_rejects_a_bound_of_half_p_or_more(keypairs_by_size):
+    pk, sk = keypairs_by_size[128]
+    c = encrypt(pk, 3, rng=random.Random(0))
+    assert decrypt(sk, pk, c, bound=(sk.p - 1) // 2) == 3
+    for bound in ((sk.p + 1) // 2, -1):
+        with pytest.raises(EncodingError):
+            decrypt(sk, pk, c, bound=bound)
+
+
+@pytest.fixture(scope="session")
+def keypairs_by_g():
+    return {(bits, random_g): keygen(key_bits=bits, rng_seed=7 * bits, random_g=random_g)
+            for bits in (128, 256, 512) for random_g in (False, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([128, 256, 512]), st.booleans(), st.integers(min_value=0),
+       st.integers(min_value=0, max_value=2**32))
+@example(128, False, 0, 0)
+@example(512, True, 0, 1)
+def test_key_holder_encryption_equals_public_encryption(keypairs_by_g, key_bits, random_g, m,
+                                                        seed):
+    pk, sk = keypairs_by_g[key_bits, random_g]
+    assert (pk.g == pk.n + 1) != random_g
+    m %= pk.n
+    public = encrypt(pk, m, rng=random.Random(seed))
+    held = encrypt(pk, m, rng=random.Random(seed), sk=sk)
+    assert held.value == public.value
+    assert decrypt(sk, pk, held) == m
+
+
+def test_private_key_obfuscator_equals_the_public_table(keypair_512, monkeypatch):
+    pk, held = keypair_512
+    sk = dataclasses.replace(held)  # a fresh object, with no tables built yet
+    builds = []
+    real = paillier._obfuscator_base
+    monkeypatch.setattr(paillier, "_obfuscator_base", lambda m: builds.append(m) or real(m))
+    for a in (0, 1, sk.p - 1, sk.q - 1, (sk.p - 1) * (sk.q - 1), 2**pk.obfuscator_bits - 1):
+        assert sk.obfuscator(a) == pk.obfuscator(a)
+    assert builds == [pk.n]  # both per-prime tables, once, on first use
+    assert len(sk.obfuscator_tables[0]) == -(-sk.p.bit_length() // OBFUSCATOR_WINDOW_BITS)
+
+
+def test_key_holder_encryption_rejects_a_foreign_private_key(keypair_512):
+    pk, _ = keypair_512
+    _, other = keygen(key_bits=512, rng_seed=43)
+    with pytest.raises(ValueError):
+        encrypt(pk, 1, rng=random.Random(0), sk=other)

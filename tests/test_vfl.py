@@ -13,8 +13,8 @@ from fedgbt.gbt import (
     predict_proba,
     train_centralized,
 )
-from fedgbt.hfl import ProtocolError
-from fedgbt.paillier import FixedPointCodec, decrypt, keygen
+from fedgbt.hfl import IntHistogram, ProtocolError
+from fedgbt.paillier import Ciphertext, FixedPointCodec, aggregate, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import MessageBus
 from fedgbt.vfl import (
@@ -145,7 +145,7 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     passive.receive_gradients(sids, enc_g, enc_h)
     subset = sids[: 12]
     eg, eh, counts = passive.bin_aggregate(subset)
-    decoded = active.decrypt_histogram(eg, eh, counts)
+    decoded = active.decrypt_histogram(eg, eh, counts, 12, "passive0").decode(active.codec)
     plain = build_histogram(
         passive.binned, active.g, active.h, np.arange(12), params.max_bin
     )
@@ -155,6 +155,32 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     # empty bins decrypt to zero through the identity ciphertext
     empty_bins = decoded.counts == 0
     assert (decoded.g[empty_bins] == 0).all()
+
+
+def test_bin_aggregate_equals_the_per_sample_loop():
+    datasets, X, y = vertical_fixture(30, 1, 4, seed=18)
+    params = small_params()
+    active = ActiveParty("active", datasets["active"], params, FixedPointCodec(),
+                         seed=4, key_bits=256)
+    passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
+    passive.pk = active.pk
+    active.g, active.h = logistic_gradients(y, np.zeros(30))
+    passive.receive_gradients(*active.encrypt_gradients(np.arange(30)))
+    ids = [int(s) for s in datasets["passive0"].sample_ids]
+    for space in (ids, ids[::-1][:17], ids[5:6], []):
+        # reference: append each sample's ciphertexts to its bins in order
+        F, B = passive.dataset.n_features, passive.n_bins
+        buckets_g = [[] for _ in range(F * B)]
+        buckets_h = [[] for _ in range(F * B)]
+        for sid in space:
+            for f in range(F):
+                b = passive.binned[passive.pos_of_id[sid], f]
+                buckets_g[f * B + b].append(passive.enc_g[sid])
+                buckets_h[f * B + b].append(passive.enc_h[sid])
+        eg, eh, counts = passive.bin_aggregate(space)
+        assert [c.value for c in eg] == [aggregate(passive.pk, b).value for b in buckets_g]
+        assert [c.value for c in eh] == [aggregate(passive.pk, b).value for b in buckets_h]
+        assert counts.flatten().tolist() == [len(b) for b in buckets_g]
 
 
 def test_passive_rejects_unknown_sample_ids():
@@ -341,9 +367,11 @@ def test_fresh_keypair_randomizes_ciphertexts_across_runs():
 
 
 @pytest.mark.parametrize("primes, fits", [
-    # a 53-bit modulus holds 40 summands of 2^40-scaled |g| < 1, not 10^6 of them
-    ((67108879, 75497489), True),
+    # 48-bit primes hold 40 summands of 2^40-scaled |g| < 1, not 10^6 of them
+    ((141836999983123, 175921860444259), True),
     ((4194319, 4718617), False),  # a 45-bit modulus does not hold 40
+    # a 61-bit modulus would, but histograms are decrypted modulo p alone
+    ((1073741827, 1342177283), False),
 ])
 def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
     from fedgbt import vfl
@@ -363,3 +391,141 @@ def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
         with pytest.raises(EncodingError, match="40 terms"):
             vfl_train(roster, datasets, params, seed=3, bus=bus)
         assert bus.transcript == []
+
+
+# ---------------------------------------------------------------------------
+# sibling subtraction and tamper detection
+
+
+def _route_training_rows(trained, tree):
+    """(node id -> positions, node id -> depth) of every training row."""
+    roster, active = trained.roster, trained.active
+    positions = {0: np.arange(active.dataset.n_samples)}
+    depth = {0: 0}
+    for node in tree.nodes:  # parents come before their children
+        if node.is_leaf:
+            continue
+        owner = node.owner
+        binned = active.binned if owner == roster.active_id else trained.passives[owner].binned
+        local = roster.to_local(owner, node.feature)
+        rows = positions[node.node_id]
+        go_left = binned[rows, local] <= node.bin_index
+        positions[node.left], positions[node.right] = rows[go_left], rows[~go_left]
+        depth[node.left] = depth[node.right] = depth[node.node_id] + 1
+    return positions, depth
+
+
+def test_subtracted_histograms_equal_direct_aggregation_and_decryption():
+    datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
+    roster = make_vfl_roster("active", datasets)
+    params = small_params(n_estimators=2, max_depth=3)
+    trained, bus = vfl_train(roster, datasets, params, seed=11, key_bits=256)
+    active = trained.active
+    scale_bits = active.codec.scale_bits
+
+    # one exchange per root and per sibling pair that needs histograms; the
+    # exchanged child is the smaller one
+    for t, tree in enumerate(trained.ensemble.trees):
+        positions, depth = _route_training_rows(trained, tree)
+        pairs = [n for n in tree.nodes if not n.is_leaf and depth[n.node_id] + 1 < params.max_depth
+                 and max(positions[n.left].size, positions[n.right].size) >= 2]
+        exchanged = sorted(
+            n.left if positions[n.left].size <= positions[n.right].size else n.right
+            for n in pairs)
+        assert pairs, "the run must exercise subtraction"
+        for pid in roster.passive_ids:
+            submits = [e.payload["node"] for e in bus.transcript
+                       if e.msg_type == "ENC_HISTOGRAM_SUBMIT" and e.sender == pid
+                       and e.payload["tree"] == t]
+            assert sorted(submits) == [0, *exchanged]
+
+    # every internal node of the last tree: what the active party holds is,
+    # exactly, a direct aggregation of the node's sample space, decrypted
+    positions, _ = _route_training_rows(trained, trained.ensemble.trees[-1])
+    internal = [n.node_id for n in trained.ensemble.trees[-1].nodes if not n.is_leaf]
+    for node_id in internal:
+        ids = [int(active.dataset.sample_ids[p]) for p in positions[node_id]]
+        for pid, passive in trained.passives.items():
+            eg, eh, counts = passive.bin_aggregate(ids)
+            bounds = [int(c) << scale_bits for c in counts.flat]
+            held = active.passive_hists[node_id][pid]
+            for cts, ints in ((eg, held.g), (eh, held.h)):
+                direct = [decrypt(active.sk, active.pk, c, bound=b) for c, b in zip(cts, bounds)]
+                assert ints.flatten().tolist() == direct
+            np.testing.assert_array_equal(held.counts, counts)
+
+
+class _FlipOneCiphertext(MessageBus):
+    """Flips the low bit of one g ciphertext, in an empty or a nonempty
+    bin, in the first ENC_HISTOGRAM_SUBMIT that has such a bin."""
+
+    def __init__(self, empty_bin: bool):
+        super().__init__()
+        self.empty_bin = empty_bin
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
+            bins = [i for i, c in enumerate(payload["counts"]) if (c == 0) == self.empty_bin]
+            if bins:
+                enc_g = list(payload["enc_g"])
+                enc_g[bins[0]] = format(int(enc_g[bins[0]], 16) ^ 1, "x")
+                payload = {**payload, "enc_g": enc_g}
+                self.tampered = (sender, payload["tree"], payload["node"])
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+@pytest.mark.parametrize("empty_bin", [False, True])
+def test_a_flipped_histogram_ciphertext_is_detected(empty_bin):
+    datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
+    roster = make_vfl_roster("active", datasets)
+    bus = _FlipOneCiphertext(empty_bin)
+    with pytest.raises(ProtocolError) as raised:
+        vfl_train(roster, datasets, small_params(), seed=11, bus=bus, key_bits=256)
+    sender, tree, node = bus.tampered
+    assert f"{sender}'s histogram for tree {tree}, node {node}" in str(raised.value)
+    assert ("identity" in str(raised.value)) == empty_bin
+
+
+def test_sibling_subtraction_rejects_impossible_children():
+    datasets, _, _ = vertical_fixture(10, 1, 1, seed=20)
+    active = ActiveParty("active", datasets["active"], small_params(), FixedPointCodec(),
+                         seed=1, key_bits=256)
+    scale = active.codec.scale
+
+    def hist(g, h, counts):
+        return IntHistogram(np.array([g], dtype=np.int64), np.array([h], dtype=np.int64),
+                            np.array([counts], dtype=np.int64))
+
+    parent = hist([3 * scale, -scale], [scale, scale // 4], [4, 1])
+    sibling = active.sibling_histogram(parent, hist([scale, -scale], [0, scale // 4], [1, 1]),
+                                       "p's histogram for tree 2, node 5")
+    assert sibling.g.tolist() == [[2 * scale, 0]]
+    assert sibling.counts.tolist() == [[3, 0]]
+    for child in (hist([0, 0], [0, 0], [0, 2]),  # a negative count
+                  hist([-scale, 0], [0, 0], [1, 0]),  # 4 * scale over 3 samples
+                  hist([0, -1], [0, 0], [1, 1])):  # a nonzero sum over no samples
+        with pytest.raises(ProtocolError, match="p's histogram for tree 2, node 5"):
+            active.sibling_histogram(parent, child, "p's histogram for tree 2, node 5")
+
+
+def test_histogram_decryption_rejects_counts_that_miss_the_sample_space():
+    datasets, X, y = vertical_fixture(12, 1, 2, seed=22)
+    params = small_params()
+    active = ActiveParty("active", datasets["active"], params, FixedPointCodec(),
+                         seed=2, key_bits=256)
+    passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
+    passive.pk = active.pk
+    active.g, active.h = logistic_gradients(y, np.zeros(12))
+    passive.receive_gradients(*active.encrypt_gradients(np.arange(12)))
+    eg, eh, counts = passive.bin_aggregate([int(s) for s in datasets["passive0"].sample_ids])
+    active.decrypt_histogram(eg, eh, counts, 12, "passive0")
+    with pytest.raises(ProtocolError, match="do not add up"):
+        active.decrypt_histogram(eg, eh, counts, 11, "passive0")
+    with pytest.raises(ProtocolError, match="ciphertexts"):
+        active.decrypt_histogram(eg[:-1], eh, counts, 12, "passive0")
+    forged = counts.copy()
+    forged[0, forged[0].argmax()] += 2**30  # the row still sums to 12
+    forged[0, forged[0].argmin()] -= 2**30
+    with pytest.raises(ProtocolError, match="negative"):
+        active.decrypt_histogram(eg, eh, forged, 12, "passive0")
