@@ -4,7 +4,9 @@ This is the shared mathematical core: the centralized trainer here and the
 federated trainers in :mod:`fedgbt.hfl` / :mod:`fedgbt.vfl` all reduce to the
 same per-bin gradient sums, the same split-gain scan, and the same leaf
 weights, which is what makes the federated-versus-centralized equivalence
-checks meaningful.
+checks meaningful.  All three grow their trees with :func:`grow_tree`, and
+differ only in where a node's histogram comes from and how a level's
+samples are partitioned.
 
 Conventions fixed across every training path:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -472,41 +475,66 @@ def initial_margins(
     return margins
 
 
-def _grow_tree(
-    binned: np.ndarray,
-    binning: Binning,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
+def leaf_value(G: float, H: float, params: GbtParams) -> float:
+    """The weight of a leaf whose samples sum to gradient G and hessian H."""
+    return leaf_weight(float(soft_threshold(G, params.reg_alpha)), H, params.reg_lambda)
+
+
+def grow_tree(
     params: GbtParams,
+    histogram: Callable[[int], GradHistogram | None],
+    totals: Callable[[int], tuple[float, float]],
+    finish_level: Callable[[Tree, int, list[int]], None],
 ) -> Tree:
-    tree = Tree()
-    tree.nodes.append(TreeNode(node_id=0, is_leaf=False))
-    frontier: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
-    while frontier:
-        node_id, samples, depth = frontier.pop(0)
-        node = tree.nodes[node_id]
-        best = None
-        if depth < params.max_depth and samples.size >= 2:
-            best = find_best_split(build_histogram(binned, g, h, samples, binning.n_bins), params)
-        if best is None or best.left[2] == 0 or best.right[2] == 0:
-            G, H = float(g[samples].sum()), float(h[samples].sum())
-            node.is_leaf = True
-            node.weight = leaf_weight(float(soft_threshold(G, params.reg_alpha)), H,
-                                      params.reg_lambda)
-            continue
-        left_mask = binned[samples, best.feature] <= best.bin_index
-        left_id, right_id = len(tree.nodes), len(tree.nodes) + 1
-        node.is_leaf = False
-        node.feature = best.feature
-        node.bin_index = best.bin_index
-        node.threshold = binning.threshold(best.feature, best.bin_index)
-        node.left, node.right = left_id, right_id
-        tree.nodes.append(TreeNode(node_id=left_id, is_leaf=False))
-        tree.nodes.append(TreeNode(node_id=right_id, is_leaf=False))
-        frontier.append((left_id, samples[left_mask], depth + 1))
-        frontier.append((right_id, samples[~left_mask], depth + 1))
+    """Grow one tree level by level: the one grower of every trainer.
+
+    Below ``max_depth`` a node takes the best split of ``histogram(node_id)``
+    (None when the node cannot split) unless it leaves a child empty; else it
+    is a leaf weighted from ``totals(node_id)``.  Children are numbered in
+    level order.  ``finish_level(tree, depth, level)`` then does a trainer's
+    own work on the decided level: partitions, thresholds, child histograms.
+    """
+    tree = Tree(nodes=[TreeNode(node_id=0, is_leaf=False)])
+    level, depth = [0], 0
+    while level:
+        next_level = []
+        for node_id in level:
+            node = tree.nodes[node_id]
+            hist = histogram(node_id) if depth < params.max_depth else None
+            best = None if hist is None else find_best_split(hist, params)
+            if best is None or best.left[2] == 0 or best.right[2] == 0:
+                node.is_leaf = True
+                node.weight = leaf_value(*totals(node_id), params)
+                continue
+            node.feature, node.bin_index = best.feature, best.bin_index
+            node.left, node.right = len(tree.nodes), len(tree.nodes) + 1
+            tree.nodes += [TreeNode(node_id=node.left, is_leaf=False),
+                           TreeNode(node_id=node.right, is_leaf=False)]
+            next_level += [node.left, node.right]
+        finish_level(tree, depth, level)
+        level, depth = next_level, depth + 1
     return tree
+
+
+def _grow_pooled(binned: np.ndarray, binning: Binning, g: np.ndarray, h: np.ndarray,
+                 rows: np.ndarray, params: GbtParams) -> Tree:
+    samples = {0: rows}
+
+    def histogram(node_id):
+        rows = samples[node_id]
+        return build_histogram(binned, g, h, rows, binning.n_bins) if rows.size >= 2 else None
+
+    def totals(node_id):
+        return float(g[samples[node_id]].sum()), float(h[samples[node_id]].sum())
+
+    def finish_level(tree, depth, level):
+        for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
+            rows = samples.pop(node.node_id)
+            left = binned[rows, node.feature] <= node.bin_index
+            samples[node.left], samples[node.right] = rows[left], rows[~left]
+            node.threshold = binning.threshold(node.feature, node.bin_index)
+
+    return grow_tree(params, histogram, totals, finish_level)
 
 
 def train_centralized(
@@ -532,7 +560,7 @@ def train_centralized(
     for t in range(params.n_estimators):
         rows = tree_row_sample(data.n_samples, params.subsample, seed, t)
         g, h = logistic_gradients(y, margins)
-        tree = _grow_tree(binned, binning, g, h, rows, params)
+        tree = _grow_pooled(binned, binning, g, h, rows, params)
         trees.append(tree)
         margins += params.learning_rate * tree_leaf_weights_binned(tree, binned)
     return BoostedEnsemble(

@@ -11,6 +11,7 @@ summing, the exact global aggregate once the masks cancel.  In
 just below the server's Paillier modulus (:class:`PackedLayout`, after
 SecureBoost+), and each plaintext is masked once and encrypted once.
 
+The server grows each tree with the shared :func:`fedgbt.gbt.grow_tree`.
 Wire protocol per boosting round (tree t, depth d):
 
 * ``SPLIT_BROADCAST``    server -> clients: leaf/split decision per node,
@@ -18,12 +19,18 @@ Wire protocol per boosting round (tree t, depth d):
 * ``PARTITION_REPORT``   clients -> server: local left/right counts for each
   split node (consistency check against histogram-derived counts);
 * ``HISTOGRAM_SUBMIT``   clients -> server: masked, encrypted left-child
-  histograms (the sibling is derived by exact integer subtraction);
+  histograms (the sibling is derived by exact integer subtraction); the
+  server accepts exactly one per client for each node it asked for;
 * ``MODEL_DELIVERY``     server -> clients: the finished tree, then the full
   ensemble at the end.
 
 Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
 (per-feature ranges, sanctioned metadata) and ``BINNING_BROADCAST``.
+
+Clients act only on the messages they receive: each partitions its samples
+by the splits in its own copy of ``SPLIT_BROADCAST`` and submits exactly the
+children that copy asks for, so a tampered broadcast shows up as a partition
+mismatch or an unrequested submission.
 """
 
 from __future__ import annotations
@@ -40,16 +47,14 @@ from .gbt import (
     GbtParams,
     GradHistogram,
     Tree,
-    TreeNode,
     binning_from_ranges,
     build_histogram,
-    find_best_split,
-    leaf_weight,
+    find_best_split,  # not called here; perfbench/tracing.py patches it by this name
+    grow_tree,
     initial_margins,
     logistic_gradients,
     model_to_dict,
     node_to_dict,
-    soft_threshold,
     tree_from_dicts,
     tree_leaf_weights_binned,
     tree_row_sample,
@@ -445,26 +450,33 @@ class HflClient:
         self.g, self.h = logistic_gradients(self.dataset.labels, self.margins)
         self.node_samples = {0: rows}
 
-    def histogram_for_node(self, node_id: int) -> GradHistogram:
-        samples = self.node_samples[node_id]
-        return build_histogram(self.binned, self.g, self.h, samples, self.binning.n_bins)
-
-    def masked_submission(self, tree_index: int, node_id: int) -> MaskedEncHistogram:
+    def masked_submission(self, tree_index: int, node_id: int) -> dict:
+        """The ``HISTOGRAM_SUBMIT`` payload of one node: its histogram over
+        this client's samples, masked and, under Paillier, encrypted."""
         # the run seed enters the nonce so two protocol instances never
         # reuse a pad value even under the same roster
         nonce = f"s{self.seed}:t{tree_index}"
-        return mask_histogram(
-            self.histogram_for_node(node_id), self.client_id, self.roster, nonce,
-            node_id, self.codec, self.pk, self.enc_rng,
-        )
+        hist = build_histogram(self.binned, self.g, self.h, self.node_samples[node_id],
+                               self.binning.n_bins)
+        sub = mask_histogram(hist, self.client_id, self.roster, nonce, node_id, self.codec,
+                             self.pk, self.enc_rng)
+        return _submission_payload(sub, tree_index)
 
-    def apply_split(self, node_id: int, feature: int, bin_index: int,
-                    left_id: int, right_id: int) -> tuple[int, int]:
-        samples = self.node_samples.pop(node_id)
-        mask = self.binned[samples, feature] <= bin_index
-        self.node_samples[left_id] = samples[mask]
-        self.node_samples[right_id] = samples[~mask]
-        return int(mask.sum()), int((~mask).sum())
+    def apply_decisions(self, decisions: list[dict]) -> tuple[list[dict], list[int]]:
+        """Partition this client's samples as a ``SPLIT_BROADCAST`` says;
+        returns the ``PARTITION_REPORT`` counts and the children whose
+        histograms the broadcast asks for."""
+        counts, wanted = [], []
+        for d in decisions:
+            if d["action"] != "split":
+                continue
+            samples = self.node_samples.pop(d["node"])
+            left = self.binned[samples, d["feature"]] <= d["bin"]
+            self.node_samples.update({d["left"]: samples[left], d["right"]: samples[~left]})
+            counts.append({"node": d["node"], "left": int(left.sum()), "right": int((~left).sum())})
+            if d["submit_left"]:
+                wanted.append(d["left"])
+        return counts, wanted
 
     def finish_tree(self, tree: Tree) -> None:
         self.margins += self.params.learning_rate * tree_leaf_weights_binned(tree, self.binned)
@@ -488,23 +500,100 @@ class HflServer:
             codec.check_capacity(MASK_ONLY_MODULUS, max_magnitude=1.0,
                                  terms=sum(members.sample_counts))
         self.binning: Binning | None = None
+        # the tree in progress: each node's aggregate histogram and its
+        # (G, H, count) as fixed-point integers
+        self.node_hist: dict[int, IntHistogram] = {}
+        self.node_totals: dict[int, tuple[int, int, int]] = {}
 
     def merge_binning(self, ranges: list[tuple[np.ndarray, np.ndarray]]) -> Binning:
         lows, highs = merge_feature_ranges([r[0] for r in ranges], [r[1] for r in ranges])
         self.binning = binning_from_ranges(lows, highs, self.params.max_bin)
         return self.binning
 
-    def aggregate_submissions(self, submissions: dict[str, MaskedEncHistogram]) -> IntHistogram:
-        return server_aggregate(submissions, self.members, self.codec, self.pk, self.sk)
+    def receive_histograms(self, tree_index: int, nodes: list[int],
+                           envelopes: list) -> dict[int, IntHistogram]:
+        """Aggregate one ``HISTOGRAM_SUBMIT`` per client for each requested
+        node.  Any other submission raises :class:`ProtocolError` naming its
+        sender, tree and node."""
+        subs: dict[int, dict[str, MaskedEncHistogram]] = {node_id: {} for node_id in nodes}
+        for env in envelopes:
+            tree, node = env.payload["tree"], env.payload["node"]
+            if (env.sender not in self.members.client_ids or tree != tree_index
+                    or node not in subs or env.sender in subs[node]):
+                raise ProtocolError(
+                    f"HISTOGRAM_SUBMIT from {env.sender} for tree {tree}, node {node}: the "
+                    f"server asked each client once for tree {tree_index}, nodes {nodes}")
+            subs[node][env.sender] = _submission_from_payload(
+                env.payload, env.sender, len(self.binning.boundaries), self.binning.n_bins)
+        return {node_id: server_aggregate(s, self.members, self.codec, self.pk, self.sk)
+                for node_id, s in subs.items()}
 
-    def decide_node(self, hist_int: IntHistogram):
-        """The best split of one node, or None."""
-        return find_best_split(hist_int.decode(self.codec), self.params)
+    def start_tree(self, tree_index: int, envelopes: list) -> None:
+        self.node_hist = self.receive_histograms(tree_index, [0], envelopes)
+        self.node_totals = {0: self.node_hist[0].totals()}
 
-    def leaf_weight_from_totals(self, g_int: int, h_int: int) -> float:
-        G = g_int / self.codec.scale
-        H = h_int / self.codec.scale
-        return leaf_weight(float(soft_threshold(G, self.params.reg_alpha)), H, self.params.reg_lambda)
+    def histogram(self, node_id: int) -> GradHistogram | None:
+        """The node's aggregate histogram, or None below two samples."""
+        splittable = self.node_totals[node_id][2] >= 2
+        return self.node_hist[node_id].decode(self.codec) if splittable else None
+
+    def totals(self, node_id: int) -> tuple[float, float]:
+        g_int, h_int, _ = self.node_totals[node_id]
+        return g_int / self.codec.scale, h_int / self.codec.scale
+
+    def decisions(self, tree: Tree, depth: int, level: list[int]) -> list[dict]:
+        """The ``SPLIT_BROADCAST`` of a grown level.  A split's children take
+        their totals from the parent's prefix sums; the left one is asked for
+        a histogram while either may still split."""
+        out = []
+        for node in (tree.nodes[i] for i in level):
+            if node.is_leaf:
+                out.append({"node": node.node_id, "action": "leaf", "weight": node.weight})
+                continue
+            node.threshold = self.binning.threshold(node.feature, node.bin_index)
+            node.owner = SERVER_ID
+            left = self.node_hist[node.node_id].prefix_totals(node.feature, node.bin_index)
+            right = tuple(a - b for a, b in zip(self.node_totals[node.node_id], left))
+            self.node_totals[node.left], self.node_totals[node.right] = left, right
+            out.append({
+                "node": node.node_id,
+                "action": "split",
+                "feature": node.feature,
+                "bin": node.bin_index,
+                "threshold": node.threshold,
+                "left": node.left,
+                "right": node.right,
+                "submit_left": depth + 1 < self.params.max_depth and max(left[2], right[2]) >= 2,
+            })
+        return out
+
+    def check_partition(self, reports: dict, splits: list[dict]) -> None:
+        """The clients' left counts must add up to each split's left child."""
+        for s in splits:
+            left_sum = sum({c["node"]: c["left"] for c in env.payload["counts"]}[s["node"]]
+                           for env in reports.values())
+            if left_sum != self.node_totals[s["left"]][2]:
+                raise ProtocolError(
+                    f"partition mismatch at node {s['node']}: clients report "
+                    f"{left_sum} left samples, histogram says {self.node_totals[s['left']][2]}"
+                )
+
+    def add_children(self, tree_index: int, splits: list[dict], envelopes: list) -> None:
+        """Aggregate the requested left children; each right child is its
+        parent minus its sibling, exactly."""
+        wanted = [s for s in splits if s["submit_left"]]
+        got = self.receive_histograms(tree_index, [s["left"] for s in wanted], envelopes)
+        for s in wanted:
+            left = got[s["left"]]
+            # counts are rounding-free, so they must agree exactly;
+            # g/h re-encode per node and may differ by codec units
+            if left.totals()[2] != self.node_totals[s["left"]][2]:
+                raise ProtocolError(
+                    f"child histogram for node {s['left']} disagrees with the parent prefix counts"
+                )
+            right = self.node_hist[s["node"]].subtract(left)
+            for node_id, hist in ((s["left"], left), (s["right"], right)):
+                self.node_hist[node_id], self.node_totals[node_id] = hist, hist.totals()
 
 
 # ---------------------------------------------------------------------------
@@ -629,154 +718,49 @@ def hfl_train(
             Binning(np.array(env.payload["boundaries"]), env.payload["n_bins"])
         )
 
-    n_features = datasets[roster.client_ids[0]].n_features
     trees: list[Tree] = []
 
     for t in range(params.n_estimators):
-        for client in clients.values():
-            client.start_tree(t)
-
-        tree = Tree()
-        tree.nodes.append(TreeNode(node_id=0, is_leaf=False))
-        # per-node bookkeeping at the server
-        node_hist: dict[int, IntHistogram] = {}
-        node_totals: dict[int, tuple[int, int, int]] = {}
-
-        # root histograms
         round_id += 1
         for cid, client in clients.items():
-            sub = client.masked_submission(t, 0)
-            bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, _submission_payload(sub, t))
-        envs = bus.recv_from_each(sid, list(roster.client_ids), "HISTOGRAM_SUBMIT")
-        subs = {
-            c: _submission_from_payload(envs[c].payload, c, n_features, binning.n_bins)
-            for c in envs
-        }
-        node_hist[0] = server.aggregate_submissions(subs)
-        node_totals[0] = node_hist[0].totals()
+            client.start_tree(t)
+            bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, client.masked_submission(t, 0))
+        server.start_tree(t, [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in clients])
 
-        level: list[int] = [0]
-        depth = 0
-        while level:
-            decisions = []
-            splits: list[dict] = []
-            next_level: list[int] = []
-            submit_nodes: list[int] = []
-            for node_id in level:
-                g_int, h_int, count = node_totals[node_id]
-                node = tree.nodes[node_id]
-                can_split = depth < params.max_depth and count >= 2 and node_id in node_hist
-                best = None
-                if can_split:
-                    best = server.decide_node(node_hist[node_id])
-                if best is None:
-                    node.is_leaf = True
-                    node.weight = server.leaf_weight_from_totals(g_int, h_int)
-                    decisions.append({"node": node_id, "action": "leaf", "weight": node.weight})
-                    continue
-                left_id, right_id = len(tree.nodes), len(tree.nodes) + 1
-                node.is_leaf = False
-                node.feature = best.feature
-                node.bin_index = best.bin_index
-                node.threshold = binning.threshold(best.feature, best.bin_index)
-                node.owner = sid
-                node.left, node.right = left_id, right_id
-                tree.nodes.append(TreeNode(node_id=left_id, is_leaf=False))
-                tree.nodes.append(TreeNode(node_id=right_id, is_leaf=False))
-                left_tot = node_hist[node_id].prefix_totals(best.feature, best.bin_index)
-                right_tot = tuple(a - b for a, b in zip(node_totals[node_id], left_tot))
-                node_totals[left_id] = left_tot
-                node_totals[right_id] = right_tot
-                next_level += [left_id, right_id]
-                # the left child histogram is submitted only if some child
-                # might still split; the right child comes by subtraction
-                need_hist = depth + 1 < params.max_depth and (
-                    left_tot[2] >= 2 or right_tot[2] >= 2
-                )
-                if need_hist:
-                    submit_nodes.append(left_id)
-                splits.append({
-                    "node": node_id,
-                    "feature": best.feature,
-                    "bin": best.bin_index,
-                    "left": left_id,
-                    "right": right_id,
-                    "parent": node_id,
-                })
-                decisions.append({
-                    "node": node_id,
-                    "action": "split",
-                    "feature": best.feature,
-                    "bin": best.bin_index,
-                    "threshold": node.threshold,
-                    "left": left_id,
-                    "right": right_id,
-                    "submit_left": need_hist,
-                })
-
+        def finish_level(tree: Tree, depth: int, level: list[int]) -> None:
+            nonlocal round_id
+            decisions = server.decisions(tree, depth, level)
+            splits = [d for d in decisions if d["action"] == "split"]
             round_id += 1
             for cid in roster.client_ids:
                 bus.send(sid, cid, "SPLIT_BROADCAST", round_id, {
                     "tree": t, "depth": depth, "decisions": decisions,
                 })
-            for cid, client in clients.items():
-                bus.recv(cid, "SPLIT_BROADCAST")
-
             if splits:
-                # clients partition and report counts; then submit the
-                # requested child histograms
                 round_id += 1
-                local_counts: dict[str, dict[int, tuple[int, int]]] = {}
-                for cid, client in clients.items():
-                    counts_payload = []
-                    for s in splits:
-                        l, r = client.apply_split(s["node"], s["feature"], s["bin"], s["left"], s["right"])
-                        counts_payload.append({"node": s["node"], "left": l, "right": r})
+            wanted = {}
+            for cid, client in clients.items():
+                env = bus.recv(cid, "SPLIT_BROADCAST")
+                counts, wanted[cid] = client.apply_decisions(env.payload["decisions"])
+                if counts:
                     bus.send(cid, sid, "PARTITION_REPORT", round_id, {
-                        "tree": t, "depth": depth, "counts": counts_payload,
+                        "tree": t, "depth": depth, "counts": counts,
                     })
-                reports = bus.recv_from_each(sid, list(roster.client_ids), "PARTITION_REPORT")
-                for s in splits:
-                    left_sum = sum(
-                        next(c["left"] for c in reports[cid].payload["counts"] if c["node"] == s["node"])
-                        for cid in roster.client_ids
-                    )
-                    if left_sum != node_totals[s["left"]][2]:
-                        raise ProtocolError(
-                            f"partition mismatch at node {s['node']}: clients report "
-                            f"{left_sum} left samples, histogram says {node_totals[s['left']][2]}"
-                        )
+            if not splits:
+                return
+            reports = bus.recv_from_each(sid, list(roster.client_ids), "PARTITION_REPORT")
+            server.check_partition(reports, splits)
+            n_wanted = sum(s["submit_left"] for s in splits)
+            if n_wanted:
+                round_id += 1
+                for cid, client in clients.items():
+                    for node_id in wanted[cid]:
+                        bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id,
+                                 client.masked_submission(t, node_id))
+                envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in range(n_wanted * len(clients))]
+                server.add_children(t, splits, envs)
 
-                if submit_nodes:
-                    round_id += 1
-                    for cid, client in clients.items():
-                        for nid in submit_nodes:
-                            sub = client.masked_submission(t, nid)
-                            bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id,
-                                     _submission_payload(sub, t))
-                    per_node: dict[int, dict[str, MaskedEncHistogram]] = {nid: {} for nid in submit_nodes}
-                    for _ in range(len(submit_nodes) * len(roster.client_ids)):
-                        env = bus.recv(sid, "HISTOGRAM_SUBMIT")
-                        sub = _submission_from_payload(env.payload, env.sender, n_features, binning.n_bins)
-                        per_node[sub.node_id][env.sender] = sub
-                    for s in splits:
-                        if s["left"] not in per_node:
-                            continue
-                        left_hist = server.aggregate_submissions(per_node[s["left"]])
-                        # counts are rounding-free, so they must agree exactly;
-                        # g/h re-encode per node and may differ by codec units
-                        if left_hist.totals()[2] != node_totals[s["left"]][2]:
-                            raise ProtocolError(
-                                f"child histogram for node {s['left']} disagrees with "
-                                "the parent prefix counts"
-                            )
-                        node_hist[s["left"]] = left_hist
-                        node_hist[s["right"]] = node_hist[s["parent"]].subtract(left_hist)
-                        node_totals[s["left"]] = left_hist.totals()
-                        node_totals[s["right"]] = node_hist[s["right"]].totals()
-
-            level = next_level
-            depth += 1
+        tree = grow_tree(params, server.histogram, server.totals, finish_level)
 
         # deliver the finished tree so clients can update their margins
         round_id += 1

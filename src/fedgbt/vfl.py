@@ -17,7 +17,8 @@ alone: a sum of ``c`` encoded gradients has magnitude at most
 rejected as tampered.  Passive parties aggregate the root and then only the
 smaller child of each split whose children may still split; the active party
 keeps every node's decrypted sums as int64 integers and derives the larger
-child as parent minus smaller, exactly.
+child as parent minus smaller, exactly.  It grows each tree with the shared
+:func:`fedgbt.gbt.grow_tree`.
 
 Wire protocol: ``GRADIENT_BROADCAST``, ``SAMPLE_SPACE``,
 ``ENC_HISTOGRAM_SUBMIT``, ``SPLIT_NOTICE``, ``PARTITION_REPLY`` during
@@ -38,14 +39,12 @@ from .gbt import (
     GbtParams,
     GradHistogram,
     Tree,
-    TreeNode,
     compute_binning,
-    find_best_split,
+    find_best_split,  # not called here; perfbench/tracing.py patches it by this name
+    grow_tree,
     initial_margins,
-    leaf_weight,
     logistic_gradients,
     sigmoid,
-    soft_threshold,
     tree_row_sample,
 )
 from .hfl import IntHistogram, ProtocolError
@@ -188,6 +187,10 @@ class PassiveParty:
         unknown = [s for s in sample_ids if s not in self.pos_of_id]
         if unknown:
             raise ProtocolError(f"{self.party_id} received unknown sample ids {unknown[:3]}")
+        unsent = [s for s in sample_ids if s not in self.enc_g]
+        if unsent:
+            raise ProtocolError(f"{self.party_id} received sample ids {unsent[:3]} that this "
+                                "tree's GRADIENT_BROADCAST did not carry")
         F, B = self.dataset.n_features, self.n_bins
         cg = [self.enc_g[s] for s in sample_ids]
         ch = [self.enc_h[s] for s in sample_ids]
@@ -326,12 +329,6 @@ class ActiveParty:
 
         return build_histogram(self.binned, self.g, self.h, positions, self.params.max_bin)
 
-    def leaf_weight_for(self, positions: np.ndarray) -> float:
-        G = float(self.g[positions].sum())
-        H = float(self.h[positions].sum())
-        return leaf_weight(float(soft_threshold(G, self.params.reg_alpha)), H,
-                           self.params.reg_lambda)
-
 
 @dataclass
 class VflTrained:
@@ -386,101 +383,75 @@ def vfl_train(
                 [Ciphertext(hex_to_int(v)) for v in h_map.values()],
             )
 
-        tree = Tree()
-        tree.nodes.append(TreeNode(node_id=0, is_leaf=False))
         node_positions: dict[int, np.ndarray] = {0: rows}
         active.passive_hists = {}
         if params.max_depth > 0 and rows.size >= 2:
             round_id = _exchange_histograms(bus, active, passives, t, 0, rows, round_id)
-        level: list[tuple[int, np.ndarray]] = [(0, rows)]
-        depth = 0
-        while level:
-            next_level: list[tuple[int, np.ndarray]] = []
-            for node_id, positions in level:
-                node = tree.nodes[node_id]
-                if depth >= params.max_depth or positions.size < 2:
-                    node.is_leaf = True
-                    node.weight = active.leaf_weight_for(positions)
-                    continue
 
-                # assemble the global histogram in roster feature order
-                party_hists = {pid: hist.decode(active.codec)
-                               for pid, hist in active.passive_hists[node_id].items()}
-                party_hists[aid] = active.own_histogram(positions)
-                global_hist = GradHistogram(
-                    g=np.vstack([party_hists[p].g for p in roster.party_ids]),
-                    h=np.vstack([party_hists[p].h for p in roster.party_ids]),
-                    counts=np.vstack([party_hists[p].counts for p in roster.party_ids]),
-                )
-                best = find_best_split(global_hist, params)
-                if best is None:
-                    node.is_leaf = True
-                    node.weight = active.leaf_weight_for(positions)
-                    continue
+        def histogram(node_id: int) -> GradHistogram | None:
+            positions = node_positions[node_id]
+            if positions.size < 2:
+                return None
+            # every party's bin sums, in roster feature order
+            parts = {pid: hist.decode(active.codec)
+                     for pid, hist in active.passive_hists[node_id].items()}
+            parts[aid] = active.own_histogram(positions)
+            return GradHistogram(*(np.vstack([getattr(parts[p], a) for p in roster.party_ids])
+                                   for a in ("g", "h", "counts")))
 
-                owner = roster.owner_of(best.feature)
-                local_feature = roster.to_local(owner, best.feature)
-                record_id = next_record
+        def totals(node_id: int) -> tuple[float, float]:
+            positions = node_positions[node_id]
+            return float(active.g[positions].sum()), float(active.h[positions].sum())
+
+        def finish_level(tree: Tree, depth: int, level: list[int]) -> None:
+            nonlocal round_id, next_record
+            for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
+                positions = node_positions[node.node_id]
+                owner = roster.owner_of(node.feature)
+                local_feature = roster.to_local(owner, node.feature)
+                # the skeleton keeps the winning feature and bin, which the
+                # active party's argmax already knows; only a foreign
+                # threshold value stays private to its owner
+                node.owner, node.record_id = owner, next_record
                 next_record += 1
                 if owner == aid:
-                    record = active.records[record_id] = SplitRecord.at(
-                        active.binning, record_id, local_feature, best.bin_index)
+                    record = active.records[node.record_id] = SplitRecord.at(
+                        active.binning, node.record_id, local_feature, node.bin_index)
                     node.threshold = record.threshold
-                    left_mask = active.binned[positions, local_feature] <= best.bin_index
-                    left_positions = positions[left_mask]
+                    left = positions[active.binned[positions, local_feature] <= node.bin_index]
                 else:
                     round_id += 1
                     bus.send(aid, owner, "SPLIT_NOTICE", round_id, {
                         "tree": t,
-                        "node": node_id,
-                        "record": record_id,
+                        "node": node.node_id,
+                        "record": node.record_id,
                         "feature_local": local_feature,
-                        "bin": best.bin_index,
+                        "bin": node.bin_index,
                     })
                     env = bus.recv(owner, "SPLIT_NOTICE")
                     passives[owner].store_record(
-                        record_id, env.payload["feature_local"], env.payload["bin"]
+                        node.record_id, env.payload["feature_local"], env.payload["bin"]
                     )
                     sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
-                    left_positions, round_id = _partition_leg(
-                        bus, active, passives[owner], record_id, sample_ids, t, node_id, round_id
-                    )
-                right_positions = np.setdiff1d(positions, left_positions)
-
-                left_id, right_id = len(tree.nodes), len(tree.nodes) + 1
-                node.is_leaf = False
-                node.owner = owner
-                node.record_id = record_id
-                node.left, node.right = left_id, right_id
-                # the active party ran the argmax, so the winning feature and
-                # bin position are known to it; only the threshold value is
-                # private to the owner
-                node.feature = best.feature
-                node.bin_index = best.bin_index
-                tree.nodes.append(TreeNode(node_id=left_id, is_leaf=False))
-                tree.nodes.append(TreeNode(node_id=right_id, is_leaf=False))
-                node_positions[left_id] = left_positions
-                node_positions[right_id] = right_positions
-                next_level.append((left_id, left_positions))
-                next_level.append((right_id, right_positions))
+                    left, round_id = _partition_leg(bus, active, passives[owner], node.record_id,
+                                                    sample_ids, t, node.node_id, round_id)
+                right = np.setdiff1d(positions, left)
+                node_positions[node.left], node_positions[node.right] = left, right
                 # while either child may still split, the passive parties
                 # aggregate the smaller one; the larger is parent minus smaller
-                if depth + 1 < params.max_depth and max(left_positions.size,
-                                                         right_positions.size) >= 2:
-                    small_id, large_id = ((left_id, right_id)
-                                          if left_positions.size <= right_positions.size
-                                          else (right_id, left_id))
-                    round_id = _exchange_histograms(bus, active, passives, t, small_id,
-                                                    node_positions[small_id], round_id)
-                    parent_hists = active.passive_hists[node_id]
-                    active.passive_hists[large_id] = {
+                if depth + 1 < params.max_depth and max(left.size, right.size) >= 2:
+                    small, large = ((node.left, node.right) if left.size <= right.size
+                                    else (node.right, node.left))
+                    round_id = _exchange_histograms(bus, active, passives, t, small,
+                                                    node_positions[small], round_id)
+                    active.passive_hists[large] = {
                         pid: active.sibling_histogram(
-                            parent_hists[pid], hist,
-                            f"{pid}'s histogram for tree {t}, node {large_id}")
-                        for pid, hist in active.passive_hists[small_id].items()
+                            active.passive_hists[node.node_id][pid], hist,
+                            f"{pid}'s histogram for tree {t}, node {large}")
+                        for pid, hist in active.passive_hists[small].items()
                     }
-            level = next_level
-            depth += 1
+
+        tree = grow_tree(params, histogram, totals, finish_level)
 
         # margin update: with subsample=1 the training partitions already
         # route every row; otherwise route the full row set, querying the

@@ -21,6 +21,8 @@ from fedgbt.gbt import (
     GAIN_TIE_REL_TOL,
     SplitCandidate,
     find_best_split,
+    grow_tree,
+    leaf_value,
     leaf_weight,
     logistic_gradients,
     model_from_json,
@@ -431,6 +433,60 @@ def test_single_leaf_training_forced_structure():
         g, h = logistic_gradients(y, margins)
         assert tree.nodes[0].weight == pytest.approx(-g.sum() / (h.sum() + 1.0))
         margins += params.learning_rate * tree.nodes[0].weight
+
+
+def _scripted_growth(hists, max_depth):
+    """Grow a tree whose node histograms come from ``hists`` (node id ->
+    histogram or None); returns the tree and the callbacks' call log."""
+    params = GbtParams(max_depth=max_depth)
+    log = {"histogram": [], "levels": []}
+
+    def histogram(node_id):
+        log["histogram"].append(node_id)
+        return hists[node_id]
+
+    def totals(node_id):
+        return float(node_id) - 2.5, 1.0 + node_id
+
+    def finish_level(tree, depth, level):
+        # the level is decided: every split already has both children
+        for node in (tree.nodes[i] for i in level):
+            assert node.is_leaf or node.right < len(tree.nodes)
+        log["levels"].append((depth, list(level)))
+
+    return grow_tree(params, histogram, totals, finish_level), params, log
+
+
+def _one_feature(g, h, counts):
+    return GradHistogram(np.array([g], dtype=float), np.array([h], dtype=float),
+                         np.array([counts], dtype=np.int64))
+
+
+def test_grow_tree_root_without_histogram_is_one_leaf():
+    tree, params, log = _scripted_growth({0: None}, max_depth=3)
+    (root,) = tree.nodes
+    assert root.is_leaf and root.weight == leaf_value(-2.5, 1.0, params)
+    assert log == {"histogram": [0], "levels": [(0, [0])]}
+
+
+def test_grow_tree_policy_with_stub_callbacks():
+    split = _one_feature([-2.0, 2.0], [2.0, 2.0], [2, 2])
+    # a best split whose left child holds no sample must become a leaf
+    empty_left = _one_feature([-2.0, 2.0], [2.0, 2.0], [0, 4])
+    assert find_best_split(empty_left, GbtParams()).left[2] == 0
+    hists = {0: split, 1: split, 2: empty_left, 3: None, 4: split}
+    tree, params, log = _scripted_growth(hists, max_depth=3)
+    # level order: node 1's children come before node 4's
+    assert [(n.node_id, n.left, n.right) for n in tree.nodes if not n.is_leaf] == [
+        (0, 1, 2), (1, 3, 4), (4, 5, 6)]
+    assert [n.node_id for n in tree.nodes] == list(range(7))
+    assert all((n.feature, n.bin_index) == (0, 0) for n in tree.nodes if not n.is_leaf)
+    leaves = [n for n in tree.nodes if n.is_leaf]
+    assert [n.node_id for n in leaves] == [2, 3, 5, 6]
+    assert all(n.weight == leaf_value(n.node_id - 2.5, 1.0 + n.node_id, params) for n in leaves)
+    # nodes 5 and 6 sit at max_depth: no histogram is asked for them
+    assert log["histogram"] == [0, 1, 2, 3, 4]
+    assert log["levels"] == [(0, [0]), (1, [1, 2]), (2, [3, 4]), (3, [5, 6])]
 
 
 def test_training_deterministic():

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -374,6 +375,18 @@ def test_federated_equals_centralized_paillier():
     _equivalence_check(n=50, F=3, n_clients=2, seed=23, secagg=SECAGG_PAILLIER)
 
 
+@pytest.mark.parametrize("secagg", [SECAGG_MASK_ONLY, SECAGG_PAILLIER])
+@pytest.mark.parametrize("change", [{"max_depth": 0}, {"min_child_weight": 1e6}])
+def test_root_leaf_trees_equal_centralized(secagg, change):
+    params = GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0).replace(**change)
+    model, central, bus, _, _ = _equivalence_check(n=40, F=3, n_clients=2, seed=29,
+                                                   secagg=secagg, key_bits=256, params=params)
+    assert [len(t.nodes) for t in model.trees] == [len(t.nodes) for t in central.trees] == [1, 1]
+    # only the root histograms go up, and no client ever partitions
+    assert sum(e.msg_type == "HISTOGRAM_SUBMIT" for e in bus.transcript) == 2 * 2
+    assert not any(e.msg_type == "PARTITION_REPORT" for e in bus.transcript)
+
+
 def test_single_client_roster_matches_centralized():
     X, y = synth_classification(40, 3, seed=2)
     party = make_party(X, y, "solo")
@@ -510,6 +523,59 @@ def test_one_ratio_node_is_a_leaf_at_lambda_zero(secagg):
     pooled = train_centralized(join_datasets(list(parties.values()), "union"), params,
                                binning=binning)
     assert [len(t.nodes) for t in fed.trees] == [len(t.nodes) for t in pooled.trees] == [1]
+
+
+class _TamperOnce(MessageBus):
+    """Rewrites the first ``msg_type`` message that ``pick(recipient,
+    payload)`` selects with ``change(payload)``, on a copy, and records the
+    sender and the payload as sent."""
+
+    def __init__(self, msg_type, pick, change):
+        super().__init__()
+        self.msg_type, self.pick, self.change = msg_type, pick, change
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if self.tampered is None and msg_type == self.msg_type and self.pick(recipient, payload):
+            payload = copy.deepcopy(payload)
+            self.change(payload)
+            self.tampered = (sender, payload)
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+def _train_with(bus):
+    X, y = synth_classification(60, 3, seed=17)
+    parties = random_split_parties(X, y, 2, seed=18)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=2, secagg_mode=SECAGG_MASK_ONLY)
+    params = GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0)
+    return hfl_train(roster, parties, params, seed=2, bus=bus)
+
+
+def test_clients_partition_by_the_broadcast_they_receive():
+    def move_first_split(payload):
+        split = next(d for d in payload["decisions"] if d["action"] == "split")
+        split["bin"] = 7  # every sample of this client goes left
+
+    bus = _TamperOnce("SPLIT_BROADCAST",
+                      lambda to, p: to == "c1" and any(d["action"] == "split"
+                                                       for d in p["decisions"]),
+                      move_first_split)
+    with pytest.raises(ProtocolError, match="partition mismatch"):
+        _train_with(bus)
+    assert bus.tampered is not None
+
+
+@pytest.mark.parametrize("field, value", [("tree", 1), ("node", 101)])
+def test_a_submission_the_server_did_not_ask_for_is_rejected(field, value):
+    # a child submission of tree 0 names another tree, or a node never requested
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", lambda to, p: p["tree"] == 0 and p["node"] != 0,
+                      lambda p: p.update({field: value}))
+    with pytest.raises(ProtocolError) as raised:
+        _train_with(bus)
+    sender, payload = bus.tampered
+    assert (f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, "
+            f"node {payload['node']}") in str(raised.value)
 
 
 def _reachable(obj, seen=None):

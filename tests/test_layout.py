@@ -2,6 +2,9 @@
 the tests: something in ``src/``, ``scripts/`` or ``perfbench/`` references
 it by name, attribute, import alias or identifier string (``getattr`` and
 patch tables).  References from inside a definition's own body do not count.
+
+Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
+searches splits or weighs leaves.
 """
 
 import ast
@@ -58,3 +61,20 @@ def _unreferenced():
 def test_no_src_definition_is_reached_only_from_tests():
     dead = _unreferenced()
     assert not dead, "no caller outside the tests: " + ", ".join(dead)
+
+
+GROWER_CALLS = {"TreeNode", "find_best_split", "leaf_weight", "leaf_value"}
+
+
+def test_only_gbt_grows_trees():
+    # calls only: hfl and vfl keep find_best_split importable for perfbench
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "gbt.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in GROWER_CALLS:
+                    found.append(f"{path.name}:{node.lineno} {name}(...)")
+    assert not found, "trees grow only in gbt.grow_tree: " + ", ".join(found)

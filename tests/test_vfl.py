@@ -190,6 +190,20 @@ def test_passive_rejects_unknown_sample_ids():
         passive.bin_aggregate([9999])
 
 
+def test_passive_rejects_ids_outside_the_gradient_broadcast():
+    datasets, _, y = vertical_fixture(12, 1, 2, seed=23)
+    active = ActiveParty("active", datasets["active"], small_params(), FixedPointCodec(),
+                         seed=3, key_bits=256)
+    passive = PassiveParty("passive0", datasets["passive0"], 8)
+    passive.pk = active.pk
+    active.g, active.h = logistic_gradients(y, np.zeros(12))
+    passive.receive_gradients(*active.encrypt_gradients(np.arange(6)))
+    ids = [int(s) for s in datasets["passive0"].sample_ids]
+    passive.bin_aggregate(ids[:6])
+    with pytest.raises(ProtocolError, match=r"passive0 received sample ids \[106, 107, 108\]"):
+        passive.bin_aggregate(ids)
+
+
 def test_partition_resolution_matches_plaintext_filter():
     datasets, _, _ = vertical_fixture(30, 1, 2, seed=8)
     passive = PassiveParty("passive0", datasets["passive0"], 8)
@@ -243,6 +257,22 @@ def test_vfl_training_matches_centralized_structure_and_predictions():
     probs, _ = vfl_predict(trained, parts)
     central_probs = predict_proba(central, X)
     np.testing.assert_allclose(probs, central_probs, atol=1e-6)
+
+
+@pytest.mark.parametrize("change", [{"max_depth": 0}, {"min_child_weight": 1e6}])
+def test_root_leaf_trees_equal_centralized(change):
+    datasets, X, y = vertical_fixture(30, 2, 2, seed=24)
+    params = small_params(**change)
+    roster, joined, central = centralized_counterpart(datasets, params, seed=4)
+    trained, bus = vfl_train(roster, datasets, params, seed=4, key_bits=256)
+    trees = trained.ensemble.trees
+    assert [len(t.nodes) for t in trees] == [len(t.nodes) for t in central.trees] == [1, 1]
+    for ft, ct in zip(trees, central.trees):
+        assert ft.nodes[0].weight == pytest.approx(ct.nodes[0].weight, abs=1e-6)
+    # the root's histograms are exchanged only while it may split
+    exchanged = sum(e.msg_type == "ENC_HISTOGRAM_SUBMIT" for e in bus.transcript)
+    assert exchanged == (0 if params.max_depth == 0 else 2)
+    assert not any(e.msg_type == "SPLIT_NOTICE" for e in bus.transcript)
 
 
 def test_vfl_split_ownership_follows_the_informative_party():
