@@ -13,13 +13,15 @@ Conventions fixed across every training path:
 * equal-width binning over each feature's [min, max]; a sample with value x
   lands in the bin counting thresholds strictly below x, so x goes left at a
   split exactly when x <= threshold;
-* split candidates are scanned feature-ascending then bin-ascending, and a
-  candidate replaces the incumbent only on strictly larger gain, so ties
-  resolve to the lowest feature id, then the lowest bin;
+* g and h are quantized once per sample per tree (:func:`quantize`), and
+  every histogram is an int64 sum of them, exact in any order: every trainer
+  holds the same integers, and sibling subtraction is exact;
+* split search reads the integer prefix sums as floats once, so equal sums
+  give equal gains, and a tie goes to the lowest feature id, then bin;
 * boosting updates margins by ``learning_rate * leaf_weight`` per tree;
 * histograms, split search and routing are vectorized over features, bins,
-  rows and trees, yet every float result equals a per-feature, per-row
-  loop's: histogram cells accumulate sample by sample, margins tree by tree.
+  rows and trees, yet every result equals a per-feature, per-row loop's:
+  margins accumulate tree by tree.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .data import PartyDataset
+from .paillier import EncodingError
 
 
 class TrainingError(ValueError):
@@ -148,16 +151,41 @@ def binning_from_ranges(lows: np.ndarray, highs: np.ndarray, n_bins: int) -> Bin
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point gradients
+
+# g and h travel and sum as integers scaled by 2**GRAD_SCALE_BITS
+GRAD_SCALE_BITS = 40
+GRAD_SCALE = 1 << GRAD_SCALE_BITS
+
+
+def quantize(x) -> np.ndarray:
+    """``x * 2**GRAD_SCALE_BITS`` rounded half to even, as int64; a value
+    whose image leaves int64 raises :class:`EncodingError`."""
+    scaled = np.rint(np.asarray(x, dtype=np.float64) * GRAD_SCALE)
+    if not (np.abs(scaled) < 2.0**63).all():
+        raise EncodingError("a gradient's fixed-point image leaves int64")
+    return scaled.astype(np.int64)
+
+
+def check_capacity(modulus: int, terms: int) -> None:
+    """Raise unless sums of ``terms`` quantized values of magnitude at most
+    1 (every logistic g and h) stay below ``modulus / 2``, so they read back
+    signed from their residues without a wrap."""
+    if (2 * terms) << GRAD_SCALE_BITS >= modulus:
+        raise EncodingError(f"modulus too small for {terms} terms of magnitude 1")
+
+
+# ---------------------------------------------------------------------------
 # Gradient histograms
 
 
 @dataclass
 class GradHistogram:
-    """Per-feature, per-bin sums of g and h plus sample counts."""
+    """Per-feature, per-bin int64 sums of quantized g and h plus sample counts."""
 
     g: np.ndarray  # (n_features, n_bins)
     h: np.ndarray
-    counts: np.ndarray  # int64
+    counts: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -167,9 +195,13 @@ class GradHistogram:
     def n_bins(self) -> int:
         return self.g.shape[1]
 
-    def totals(self) -> tuple[float, float, int]:
+    def totals(self) -> tuple[int, int, int]:
         """Node-level (G, H, count); every feature row sums to the same totals."""
-        return float(self.g[0].sum()), float(self.h[0].sum()), int(self.counts[0].sum())
+        return int(self.g[0].sum()), int(self.h[0].sum()), int(self.counts[0].sum())
+
+    def subtract(self, other: "GradHistogram") -> "GradHistogram":
+        """The sibling's sums: this parent's minus one child's, exactly."""
+        return GradHistogram(self.g - other.g, self.h - other.h, self.counts - other.counts)
 
 
 def build_histogram(
@@ -181,9 +213,9 @@ def build_histogram(
 ) -> GradHistogram:
     """Accumulate (G, H, count) per feature and bin over the given samples.
 
-    One offset ``bincount`` per statistic covers every feature: cell
-    ``f * n_bins + b`` takes the samples in order, so each sum equals the
-    per-feature accumulation bit for bit.
+    ``g`` and ``h`` are quantized (int64).  One offset ``np.add.at`` per
+    statistic covers every feature, cell ``f * n_bins + b``; integer sums
+    are exact in any order.
     """
     n_features = binned.shape[1]
     idx = np.asarray(sample_idx, dtype=np.int64)
@@ -192,11 +224,11 @@ def build_histogram(
     cells += np.arange(n_features) * n_bins
     cells = cells.ravel()
     size, shape = n_features * n_bins, (n_features, n_bins)
-    return GradHistogram(
-        g=np.bincount(cells, weights=np.repeat(g[idx], n_features), minlength=size).reshape(shape),
-        h=np.bincount(cells, weights=np.repeat(h[idx], n_features), minlength=size).reshape(shape),
-        counts=np.bincount(cells, minlength=size).reshape(shape),
-    )
+    sums = [np.zeros(size, dtype=np.int64) for _ in range(2)]
+    for out, values in zip(sums, (g, h)):
+        np.add.at(out, cells, np.repeat(values[idx], n_features))
+    counts = np.bincount(cells, minlength=size)
+    return GradHistogram(*(a.reshape(shape) for a in (*sums, counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,50 +260,43 @@ class SplitCandidate:
     feature: int
     bin_index: int
     gain: float
-    left: tuple[float, float, int]  # (G, H, count)
-    right: tuple[float, float, int]
+    left: tuple[int, int, int]  # quantized (G, H) and count
+    right: tuple[int, int, int]
 
 
-# Candidates whose gains differ by less than this relative tolerance count
-# as tied.  Distinct features often induce the exact same partition of a
-# node, and the per-path float/fixed-point noise on such twins is far below
-# this bound while genuinely different partitions sit far above it; snapping
-# keeps the lowest-feature/lowest-bin rule stable across the centralized and
-# federated arithmetic.
-GAIN_TIE_REL_TOL = 1e-9
+# A gain must clear min_split_gain by this much relative to the parent's
+# score term.  A node whose samples share one g/h ratio has zero gain for
+# every partition, and at reg_lambda=0 float rounding in the gain formula
+# would otherwise pick a split at random.
+GAIN_NOISE_REL_TOL = 1e-9
 
 
 def find_best_split(hist: GradHistogram, params: GbtParams) -> SplitCandidate | None:
     """Scan every feature and interior bin boundary for the highest gain.
 
-    Returns None when no candidate clears min_split_gain with both children
-    at or above min_child_weight in hessian mass.  Candidates within
-    GAIN_TIE_REL_TOL of the maximum count as tied; ties go to the lowest
-    feature id, then the lowest bin index.
-
-    A gain must also clear min_split_gain by GAIN_TIE_REL_TOL relative to
-    the parent's score term: a node whose samples share one g/h ratio has
-    zero gain for every partition, and at reg_lambda=0 float or fixed-point
-    noise would otherwise pick a split at random.
+    Returns None when no candidate clears min_split_gain (plus the
+    GAIN_NOISE_REL_TOL margin) with both children at or above
+    min_child_weight in hessian mass.  The integer prefix sums become floats
+    once, so equal sums give bit-identical gains, and a tie goes to the
+    lowest feature id, then the lowest bin index.
     """
-    G_node, H_node, _ = hist.totals()
-    parent_term = float(_gain_term(soft_threshold(G_node, params.reg_alpha), H_node,
-                                   params.reg_lambda))
-    min_gain = params.min_split_gain + GAIN_TIE_REL_TOL * (1.0 + parent_term)
-    # (n_features, n_bins - 1) grids: the left side takes bins 0..b
-    gl = np.cumsum(hist.g, axis=1)[:, :-1]
-    hl = np.cumsum(hist.h, axis=1)[:, :-1]
-    cl = np.cumsum(hist.counts, axis=1)[:, :-1]
-    G = hist.g.sum(axis=1, keepdims=True)
-    H = hist.h.sum(axis=1, keepdims=True)
-    gr, hr, cr = G - gl, H - hl, hist.counts.sum(axis=1, keepdims=True) - cl
+    G_node, H_node, n_node = hist.totals()
     alpha, lam = params.reg_alpha, params.reg_lambda
+    parent_term = float(_gain_term(soft_threshold(G_node / GRAD_SCALE, alpha),
+                                   H_node / GRAD_SCALE, lam))
+    min_gain = params.min_split_gain + GAIN_NOISE_REL_TOL * (1.0 + parent_term)
+    # (3, n_features, n_bins - 1) integer grids of (G, H, count): the left
+    # side takes bins 0..b, the right side the rest of the node
+    left = np.cumsum(np.stack([hist.g, hist.h, hist.counts]), axis=2)[:, :, :-1]
+    right = np.array([G_node, H_node, n_node]).reshape(3, 1, 1) - left
+    gl, hl = left[:2] / GRAD_SCALE
+    gr, hr = right[:2] / GRAD_SCALE
     gains = (
         0.5
         * (
             _gain_term(soft_threshold(gl, alpha), hl, lam)
             + _gain_term(soft_threshold(gr, alpha), hr, lam)
-            - _gain_term(soft_threshold(G, alpha), H, lam)
+            - parent_term
         )
         - params.gamma
     )
@@ -281,15 +306,14 @@ def find_best_split(hist: GradHistogram, params: GbtParams) -> SplitCandidate | 
     best_gain = float(gains[ok].max())
     if not math.isfinite(best_gain):
         return None
-    cutoff = best_gain - GAIN_TIE_REL_TOL * (1.0 + abs(best_gain))
     # row-major order: the lowest feature first, then the lowest bin
-    f, b = divmod(int(np.flatnonzero(ok & (gains >= cutoff))[0]), gains.shape[1])
+    f, b = divmod(int(np.flatnonzero(ok & (gains == best_gain))[0]), gains.shape[1])
     return SplitCandidate(
         feature=f,
         bin_index=b,
-        gain=float(gains[f, b]),
-        left=(float(gl[f, b]), float(hl[f, b]), int(cl[f, b])),
-        right=(float(gr[f, b]), float(hr[f, b]), int(cr[f, b])),
+        gain=best_gain,
+        left=tuple(int(v) for v in left[:, f, b]),
+        right=tuple(int(v) for v in right[:, f, b]),
     )
 
 
@@ -475,24 +499,26 @@ def initial_margins(
     return margins
 
 
-def leaf_value(G: float, H: float, params: GbtParams) -> float:
-    """The weight of a leaf whose samples sum to gradient G and hessian H."""
+def leaf_value(G: int, H: int, params: GbtParams) -> float:
+    """The weight of a leaf whose samples' quantized g and h sum to G and H."""
+    G, H = G / GRAD_SCALE, H / GRAD_SCALE
     return leaf_weight(float(soft_threshold(G, params.reg_alpha)), H, params.reg_lambda)
 
 
 def grow_tree(
     params: GbtParams,
     histogram: Callable[[int], GradHistogram | None],
-    totals: Callable[[int], tuple[float, float]],
+    totals: Callable[[int], tuple[int, int]],
     finish_level: Callable[[Tree, int, list[int]], None],
 ) -> Tree:
     """Grow one tree level by level: the one grower of every trainer.
 
     Below ``max_depth`` a node takes the best split of ``histogram(node_id)``
     (None when the node cannot split) unless it leaves a child empty; else it
-    is a leaf weighted from ``totals(node_id)``.  Children are numbered in
-    level order.  ``finish_level(tree, depth, level)`` then does a trainer's
-    own work on the decided level: partitions, thresholds, child histograms.
+    is a leaf weighted from ``totals(node_id)``, the node's quantized (G, H).
+    Children are numbered in level order.  ``finish_level(tree, depth,
+    level)`` then does a trainer's own work on the decided level:
+    partitions, thresholds, child histograms.
     """
     tree = Tree(nodes=[TreeNode(node_id=0, is_leaf=False)])
     level, depth = [0], 0
@@ -525,7 +551,7 @@ def _grow_pooled(binned: np.ndarray, binning: Binning, g: np.ndarray, h: np.ndar
         return build_histogram(binned, g, h, rows, binning.n_bins) if rows.size >= 2 else None
 
     def totals(node_id):
-        return float(g[samples[node_id]].sum()), float(h[samples[node_id]].sum())
+        return int(g[samples[node_id]].sum()), int(h[samples[node_id]].sum())
 
     def finish_level(tree, depth, level):
         for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
@@ -555,11 +581,12 @@ def train_centralized(
     X, y = data.features, data.labels
     binning = binning or compute_binning(X, params.max_bin)
     binned = binning.bin_matrix(X)
+    check_capacity(1 << 64, data.n_samples)  # every histogram sum fits int64
     margins = initial_margins(data.n_samples, params, seed)
     trees: list[Tree] = []
     for t in range(params.n_estimators):
         rows = tree_row_sample(data.n_samples, params.subsample, seed, t)
-        g, h = logistic_gradients(y, margins)
+        g, h = map(quantize, logistic_gradients(y, margins))
         tree = _grow_pooled(binned, binning, g, h, rows, params)
         trees.append(tree)
         margins += params.learning_rate * tree_leaf_weights_binned(tree, binned)

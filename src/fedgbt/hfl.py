@@ -3,10 +3,11 @@
 Clients hold identically-featured datasets; a server aggregates their
 per-node gradient histograms and drives the split decisions.  Labels, raw
 feature values, and per-client gradient sums never leave a client: each
-histogram slot is fixed-point encoded and blinded with pairwise-cancelling
-masks, so the server learns only the masked per-client values and, after
-summing, the exact global aggregate once the masks cancel.  In
-``mask-only`` mode every slot is its own residue mod 2^64.  In
+client sums its quantized gradients into int64 histograms
+(:mod:`fedgbt.gbt`) and blinds each slot with pairwise-cancelling masks, so
+the server learns only the masked per-client values and, after summing, the
+exact global aggregate once the masks cancel.  In ``mask-only`` mode every
+slot is its own residue mod 2^64, which is an int64 read as uint64.  In
 ``paillier+mask`` mode the slots are packed side by side into plaintexts
 just below the server's Paillier modulus (:class:`PackedLayout`, after
 SecureBoost+), and each plaintext is masked once and encrypted once.
@@ -42,6 +43,7 @@ import numpy as np
 
 from .data import PartyDataset
 from .gbt import (
+    GRAD_SCALE_BITS,
     Binning,
     BoostedEnsemble,
     GbtParams,
@@ -49,12 +51,14 @@ from .gbt import (
     Tree,
     binning_from_ranges,
     build_histogram,
+    check_capacity,
     find_best_split,  # not called here; perfbench/tracing.py patches it by this name
     grow_tree,
     initial_margins,
     logistic_gradients,
     model_to_dict,
     node_to_dict,
+    quantize,
     tree_from_dicts,
     tree_leaf_weights_binned,
     tree_row_sample,
@@ -62,7 +66,6 @@ from .gbt import (
 from .paillier import (
     Ciphertext,
     EncodingError,
-    FixedPointCodec,
     PrivateKey,
     PublicKey,
     aggregate,
@@ -177,47 +180,6 @@ def establish_global_binning(datasets: list[PartyDataset], n_bins: int) -> Binni
 
 
 # ---------------------------------------------------------------------------
-# Integer-domain histograms (exact aggregation and subtraction)
-
-
-@dataclass
-class IntHistogram:
-    """Fixed-point-scaled integer sums; arithmetic on these is exact."""
-
-    g: np.ndarray  # object dtype, python ints (HFL); int64 (VFL, |sum| < 2^63)
-    h: np.ndarray
-    counts: np.ndarray  # int64
-
-    @staticmethod
-    def zeros(n_features: int, n_bins: int) -> "IntHistogram":
-        return IntHistogram(
-            g=np.full((n_features, n_bins), 0, dtype=object),
-            h=np.full((n_features, n_bins), 0, dtype=object),
-            counts=np.zeros((n_features, n_bins), dtype=np.int64),
-        )
-
-    def subtract(self, other: "IntHistogram") -> "IntHistogram":
-        counts = self.counts - other.counts
-        if (counts < 0).any():
-            raise ProtocolError("sibling subtraction produced a negative count")
-        return IntHistogram(self.g - other.g, self.h - other.h, counts)
-
-    def totals(self) -> tuple[int, int, int]:
-        return int(self.g[0].sum()), int(self.h[0].sum()), int(self.counts[0].sum())
-
-    def prefix_totals(self, feature: int, bin_index: int) -> tuple[int, int, int]:
-        """(G, H, count) of samples in bins 0..bin_index of one feature."""
-        sl = slice(0, bin_index + 1)
-        return tuple(int(a[feature, sl].sum()) for a in (self.g, self.h, self.counts))
-
-    def decode(self, codec: FixedPointCodec) -> GradHistogram:
-        # object arrays divide element by element as exact Python ints
-        return GradHistogram(g=(self.g / codec.scale).astype(np.float64),
-                             h=(self.h / codec.scale).astype(np.float64),
-                             counts=self.counts.copy())
-
-
-# ---------------------------------------------------------------------------
 # Packed plaintexts (paillier+mask)
 
 
@@ -225,8 +187,8 @@ class IntHistogram:
 class PackedLayout:
     """Fixed-width slots side by side in one Paillier plaintext.
 
-    A client puts ``quantize(x) + offset`` in each slot, which is positive
-    and below ``2 * offset`` while ``|quantize(x)| < offset``.  ``offset`` is
+    A client puts ``v + offset`` in each slot, ``v`` a quantized sum, which
+    is positive and below ``2 * offset`` while ``|v| < offset``.  ``offset`` is
     sized by the largest client's sample count, which bounds any per-client
     sum of logistic gradients (``|g| < 1``, ``h <= 1/4``), and ``width``
     leaves room for the sum of ``n_clients`` such slots.  ``slots`` of them
@@ -269,9 +231,9 @@ class PackedLayout:
         return out
 
 
-def packed_layout(members: HflMembership, codec: FixedPointCodec, n: int) -> PackedLayout:
+def packed_layout(members: HflMembership, n: int) -> PackedLayout:
     """The slot layout every party derives from the membership and the key."""
-    offset_bits = codec.scale_bits + max(members.sample_counts).bit_length()
+    offset_bits = GRAD_SCALE_BITS + max(members.sample_counts).bit_length()
     n_clients = len(members.client_ids)
     width = offset_bits + 1 + (n_clients - 1).bit_length()  # + ceil(log2(n_clients))
     slots = (n.bit_length() - 1) // width
@@ -310,70 +272,71 @@ def _pairwise_mask(roster: HflRoster, client_id: str, modulus: int, domain: str,
 @dataclass
 class MaskedEncHistogram:
     client_id: str
+    tree: int
     node_id: int
     mode: str
-    # paillier+mask: one Ciphertext per packed plaintext of the flat F*B
-    # values; mask-only: one int residue per slot
-    enc_g: list
-    enc_h: list
+    # paillier+mask: one ciphertext value per packed plaintext of the flat
+    # F*B slots; mask-only: one residue mod 2^64 per slot
+    enc_g: list[int]
+    enc_h: list[int]
     counts: np.ndarray  # int64 (n_features, n_bins), in clear
-    n_features: int
-    n_bins: int
 
 
 def mask_histogram(
     hist: GradHistogram,
     client_id: str,
     roster: HflRoster,
-    nonce: str,
+    seed: int,
+    tree_index: int,
     node_id: int,
-    codec: FixedPointCodec,
     pk: PublicKey | None,
     enc_rng: random.Random | None,
 ) -> MaskedEncHistogram:
-    """Fixed-point encode and blind with pairwise masks; under Paillier,
-    pack the slots, then mask and encrypt each packed plaintext."""
+    """Blind a histogram's slots with pairwise masks; under Paillier, pack
+    the slots, then mask and encrypt each packed plaintext."""
     paillier = roster.secagg_mode == SECAGG_PAILLIER
     if paillier and pk is None:
         raise ProtocolError("paillier+mask mode needs the server public key")
-    F, B = hist.n_features, hist.n_bins
+    # the run seed enters the nonce so two protocol instances never reuse a
+    # pad value even under the same roster
+    nonce = f"s{seed}:t{tree_index}"
+    layout = packed_layout(roster, pk.n) if paillier else None
     enc_g, enc_h = [], []
-    if paillier:
-        layout = packed_layout(roster, codec, pk.n)
-        for tag, values, out in (("g", hist.g, enc_g), ("h", hist.h, enc_h)):
-            plains = layout.pack([codec.quantize(float(v)) for v in values.flat])
-            for i, plain in enumerate(plains):
+    for tag, values, out in (("g", hist.g, enc_g), ("h", hist.h, enc_h)):
+        if paillier:
+            for i, plain in enumerate(layout.pack(values.ravel().tolist())):
                 mask = _pairwise_mask(roster, client_id, pk.n, "packmask", nonce, node_id, tag, i)
-                out.append(encrypt(pk, (plain + mask) % pk.n, rng=enc_rng))
-    else:
-        modulus = MASK_ONLY_MODULUS
-        for f in range(F):
-            for b in range(B):
-                for tag, value, out in (("g", hist.g[f, b], enc_g), ("h", hist.h[f, b], enc_h)):
-                    m = codec.encode(float(value), modulus)
-                    mask = _pairwise_mask(roster, client_id, modulus, "slotmask",
-                                          nonce, node_id, f, b, tag)
-                    out.append((m + mask) % modulus)
+                out.append(encrypt(pk, (plain + mask) % pk.n, rng=enc_rng).value)
+        else:
+            masks = [_pairwise_mask(roster, client_id, MASK_ONLY_MODULUS, "slotmask",
+                                    nonce, node_id, f, b, tag)
+                     for f in range(hist.n_features) for b in range(hist.n_bins)]
+            # uint64 addition wraps mod 2^64
+            out += (values.ravel().view(np.uint64) + np.array(masks, dtype=np.uint64)).tolist()
     return MaskedEncHistogram(
         client_id=client_id,
+        tree=tree_index,
         node_id=node_id,
         mode=roster.secagg_mode,
         enc_g=enc_g,
         enc_h=enc_h,
         counts=hist.counts.copy(),
-        n_features=F,
-        n_bins=B,
     )
 
 
 def server_aggregate(
     submissions: dict[str, MaskedEncHistogram],
     members: HflMembership,
-    codec: FixedPointCodec,
     pk: PublicKey | None,
     sk: PrivateKey | None,
-) -> IntHistogram:
-    """Combine per-client submissions into the exact global integer histogram."""
+) -> GradHistogram:
+    """Combine per-client submissions into the exact global histogram.
+
+    Each submission must carry, per stream, one value for each of the
+    ``F * B`` slots (mask-only, each a residue in ``[0, 2^64)``) or one
+    ciphertext per packed plaintext (Paillier); any other raises
+    :class:`ProtocolError` naming its sender, tree and node.
+    """
     missing = set(members.client_ids) - set(submissions)
     if missing:
         raise ProtocolError(f"round timeout: no histogram from {sorted(missing)}")
@@ -381,28 +344,32 @@ def server_aggregate(
     if len(nodes) != 1:
         raise ProtocolError(f"submissions mix node ids {sorted(nodes)}")
     any_sub = next(iter(submissions.values()))
-    F, B = any_sub.n_features, any_sub.n_bins
-    out = IntHistogram.zeros(F, B)
+    F, B = any_sub.counts.shape
     ordered = [submissions[c] for c in sorted(submissions)]
-    if members.secagg_mode == SECAGG_PAILLIER:
-        layout = packed_layout(members, codec, pk.n)
-        n_plain = -(-F * B // layout.slots)
-        for enc_attr, target in (("enc_g", out.g), ("enc_h", out.h)):
-            columns = [getattr(s, enc_attr) for s in ordered]
-            if any(len(c) != n_plain for c in columns):
-                raise ProtocolError(f"{enc_attr}: expected {n_plain} packed plaintexts per client")
-            totals = [decrypt(sk, pk, aggregate(pk, list(cts))) for cts in zip(*columns)]
-            target[:] = np.array(layout.unpack(totals, F * B), dtype=object).reshape(F, B)
-    else:
-        modulus = MASK_ONLY_MODULUS
-        for f in range(F):
-            for b in range(B):
-                flat = f * B + b
-                for enc_attr, target in (("enc_g", out.g), ("enc_h", out.h)):
-                    total = sum(getattr(s, enc_attr)[flat] for s in ordered) % modulus
-                    target[f, b] = codec.decode_int(total, modulus)
-    out.counts[:] = sum(s.counts for s in ordered)
-    return out
+    paillier = members.secagg_mode == SECAGG_PAILLIER
+    layout = packed_layout(members, pk.n) if paillier else None
+    per_stream = -(-F * B // layout.slots) if paillier else F * B  # plaintexts or slots
+    for s in ordered:
+        where = f"HISTOGRAM_SUBMIT from {s.client_id} for tree {s.tree}, node {s.node_id}"
+        for enc_attr in ("enc_g", "enc_h"):
+            values = getattr(s, enc_attr)
+            if len(values) != per_stream:
+                raise ProtocolError(f"{where}: {len(values)} {enc_attr} values, "
+                                    f"expected {per_stream}")
+            if not paillier and not 0 <= min(values) <= max(values) < MASK_ONLY_MODULUS:
+                raise ProtocolError(f"{where}: an {enc_attr} residue outside [0, 2^64)")
+    sums = []
+    for enc_attr in ("enc_g", "enc_h"):
+        columns = [getattr(s, enc_attr) for s in ordered]
+        if paillier:
+            totals = [decrypt(sk, pk, aggregate(pk, [Ciphertext(c) for c in cts]))
+                      for cts in zip(*columns)]
+            flat = np.array(layout.unpack(totals, F * B), dtype=np.int64)
+        else:
+            # the residues' sum mod 2^64, read as int64, is the signed total
+            flat = np.array(columns, dtype=np.uint64).sum(axis=0, dtype=np.uint64).view(np.int64)
+        sums.append(flat.reshape(F, B))
+    return GradHistogram(*sums, counts=sum(s.counts for s in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +378,13 @@ def server_aggregate(
 
 class HflClient:
     def __init__(self, client_id: str, dataset: PartyDataset, roster: HflRoster,
-                 params: GbtParams, codec: FixedPointCodec, seed: int):
+                 params: GbtParams, seed: int):
         if dataset.labels is None:
             raise ProtocolError(f"client {client_id} has no labels")
         self.client_id = client_id
         self.dataset = dataset
         self.roster = roster
         self.params = params
-        self.codec = codec
         self.seed = seed
         self.client_index = roster.client_ids.index(client_id)
         # Obfuscator exponents from a seeded Mersenne Twister make transcripts
@@ -431,8 +397,9 @@ class HflClient:
         self.binned: np.ndarray | None = None
         self.margins = initial_margins(dataset.n_samples, params, seed,
                                        stream=(self.client_index,))
-        self.g = np.zeros(dataset.n_samples)
-        self.h = np.zeros(dataset.n_samples)
+        # this tree's quantized gradients
+        self.g = np.zeros(dataset.n_samples, dtype=np.int64)
+        self.h = np.zeros(dataset.n_samples, dtype=np.int64)
         self.node_samples: dict[int, np.ndarray] = {}
 
     def feature_ranges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -447,20 +414,17 @@ class HflClient:
             self.dataset.n_samples, self.params.subsample, self.seed, tree_index,
             stream=(self.client_index,),
         )
-        self.g, self.h = logistic_gradients(self.dataset.labels, self.margins)
+        self.g, self.h = map(quantize, logistic_gradients(self.dataset.labels, self.margins))
         self.node_samples = {0: rows}
 
     def masked_submission(self, tree_index: int, node_id: int) -> dict:
         """The ``HISTOGRAM_SUBMIT`` payload of one node: its histogram over
         this client's samples, masked and, under Paillier, encrypted."""
-        # the run seed enters the nonce so two protocol instances never
-        # reuse a pad value even under the same roster
-        nonce = f"s{self.seed}:t{tree_index}"
         hist = build_histogram(self.binned, self.g, self.h, self.node_samples[node_id],
                                self.binning.n_bins)
-        sub = mask_histogram(hist, self.client_id, self.roster, nonce, node_id, self.codec,
+        sub = mask_histogram(hist, self.client_id, self.roster, self.seed, tree_index, node_id,
                              self.pk, self.enc_rng)
-        return _submission_payload(sub, tree_index)
+        return _submission_payload(sub)
 
     def apply_decisions(self, decisions: list[dict]) -> tuple[list[dict], list[int]]:
         """Partition this client's samples as a ``SPLIT_BROADCAST`` says;
@@ -470,6 +434,9 @@ class HflClient:
         for d in decisions:
             if d["action"] != "split":
                 continue
+            if d["node"] not in self.node_samples:
+                raise ProtocolError(f"SPLIT_BROADCAST to {self.client_id} splits node "
+                                    f"{d['node']}, for which it holds no samples")
             samples = self.node_samples.pop(d["node"])
             left = self.binned[samples, d["feature"]] <= d["bin"]
             self.node_samples.update({d["left"]: samples[left], d["right"]: samples[~left]})
@@ -484,25 +451,23 @@ class HflClient:
 
 
 class HflServer:
-    def __init__(self, members: HflMembership, params: GbtParams, codec: FixedPointCodec,
-                 seed: int, key_bits: int = 512):
+    def __init__(self, members: HflMembership, params: GbtParams, seed: int,
+                 key_bits: int = 512):
         self.members = members
         self.params = params
-        self.codec = codec
         self.pk: PublicKey | None = None
         self.sk: PrivateKey | None = None
         # every check runs before the first message is sent
         if members.secagg_mode == SECAGG_PAILLIER:
             self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("hfl-key", seed))
             # the layout bounds each slot by the clients' sample counts
-            packed_layout(members, codec, self.pk.n)
-        else:
-            codec.check_capacity(MASK_ONLY_MODULUS, max_magnitude=1.0,
-                                 terms=sum(members.sample_counts))
+            packed_layout(members, self.pk.n)
+        # every client's and the aggregate's sums fit int64
+        check_capacity(MASK_ONLY_MODULUS, sum(members.sample_counts))
         self.binning: Binning | None = None
         # the tree in progress: each node's aggregate histogram and its
-        # (G, H, count) as fixed-point integers
-        self.node_hist: dict[int, IntHistogram] = {}
+        # quantized (G, H) and count
+        self.node_hist: dict[int, GradHistogram] = {}
         self.node_totals: dict[int, tuple[int, int, int]] = {}
 
     def merge_binning(self, ranges: list[tuple[np.ndarray, np.ndarray]]) -> Binning:
@@ -511,7 +476,7 @@ class HflServer:
         return self.binning
 
     def receive_histograms(self, tree_index: int, nodes: list[int],
-                           envelopes: list) -> dict[int, IntHistogram]:
+                           envelopes: list) -> dict[int, GradHistogram]:
         """Aggregate one ``HISTOGRAM_SUBMIT`` per client for each requested
         node.  Any other submission raises :class:`ProtocolError` naming its
         sender, tree and node."""
@@ -525,7 +490,7 @@ class HflServer:
                     f"server asked each client once for tree {tree_index}, nodes {nodes}")
             subs[node][env.sender] = _submission_from_payload(
                 env.payload, env.sender, len(self.binning.boundaries), self.binning.n_bins)
-        return {node_id: server_aggregate(s, self.members, self.codec, self.pk, self.sk)
+        return {node_id: server_aggregate(s, self.members, self.pk, self.sk)
                 for node_id, s in subs.items()}
 
     def start_tree(self, tree_index: int, envelopes: list) -> None:
@@ -534,12 +499,10 @@ class HflServer:
 
     def histogram(self, node_id: int) -> GradHistogram | None:
         """The node's aggregate histogram, or None below two samples."""
-        splittable = self.node_totals[node_id][2] >= 2
-        return self.node_hist[node_id].decode(self.codec) if splittable else None
+        return self.node_hist[node_id] if self.node_totals[node_id][2] >= 2 else None
 
-    def totals(self, node_id: int) -> tuple[float, float]:
-        g_int, h_int, _ = self.node_totals[node_id]
-        return g_int / self.codec.scale, h_int / self.codec.scale
+    def totals(self, node_id: int) -> tuple[int, int]:
+        return self.node_totals[node_id][:2]
 
     def decisions(self, tree: Tree, depth: int, level: list[int]) -> list[dict]:
         """The ``SPLIT_BROADCAST`` of a grown level.  A split's children take
@@ -552,7 +515,8 @@ class HflServer:
                 continue
             node.threshold = self.binning.threshold(node.feature, node.bin_index)
             node.owner = SERVER_ID
-            left = self.node_hist[node.node_id].prefix_totals(node.feature, node.bin_index)
+            hist, upto = self.node_hist[node.node_id], node.bin_index + 1
+            left = tuple(int(a[node.feature, :upto].sum()) for a in (hist.g, hist.h, hist.counts))
             right = tuple(a - b for a, b in zip(self.node_totals[node.node_id], left))
             self.node_totals[node.left], self.node_totals[node.right] = left, right
             out.append({
@@ -568,7 +532,14 @@ class HflServer:
         return out
 
     def check_partition(self, reports: dict, splits: list[dict]) -> None:
-        """The clients' left counts must add up to each split's left child."""
+        """Each client reports every split node, and the clients' left counts
+        add up to each split's left child."""
+        nodes = sorted(s["node"] for s in splits)
+        for sender, env in reports.items():
+            reported = sorted(c["node"] for c in env.payload["counts"])
+            if reported != nodes:
+                raise ProtocolError(f"PARTITION_REPORT from {sender} reports nodes {reported}, "
+                                    f"not the split nodes {nodes}")
         for s in splits:
             left_sum = sum({c["node"]: c["left"] for c in env.payload["counts"]}[s["node"]]
                            for env in reports.values())
@@ -585,13 +556,14 @@ class HflServer:
         got = self.receive_histograms(tree_index, [s["left"] for s in wanted], envelopes)
         for s in wanted:
             left = got[s["left"]]
-            # counts are rounding-free, so they must agree exactly;
-            # g/h re-encode per node and may differ by codec units
-            if left.totals()[2] != self.node_totals[s["left"]][2]:
+            if left.totals() != self.node_totals[s["left"]]:
                 raise ProtocolError(
-                    f"child histogram for node {s['left']} disagrees with the parent prefix counts"
+                    f"child histogram for node {s['left']} disagrees with the parent prefix sums"
                 )
             right = self.node_hist[s["node"]].subtract(left)
+            if (right.counts < 0).any():
+                raise ProtocolError(f"sibling subtraction for node {s['right']} produced a "
+                                    "negative count")
             for node_id, hist in ((s["left"], left), (s["right"], right)):
                 self.node_hist[node_id], self.node_totals[node_id] = hist, hist.totals()
 
@@ -600,41 +572,27 @@ class HflServer:
 # Wire encoding of submissions
 
 
-def _submission_payload(sub: MaskedEncHistogram, tree_index: int) -> dict:
-    if sub.mode == SECAGG_PAILLIER:
-        enc_g = [int_to_hex(c.value) for c in sub.enc_g]
-        enc_h = [int_to_hex(c.value) for c in sub.enc_h]
-    else:
-        enc_g = [int_to_hex(v) for v in sub.enc_g]
-        enc_h = [int_to_hex(v) for v in sub.enc_h]
+def _submission_payload(sub: MaskedEncHistogram) -> dict:
     return {
-        "tree": tree_index,
+        "tree": sub.tree,
         "node": sub.node_id,
         "mode": sub.mode,
-        "enc_g": enc_g,
-        "enc_h": enc_h,
+        "enc_g": [int_to_hex(v) for v in sub.enc_g],
+        "enc_h": [int_to_hex(v) for v in sub.enc_h],
         "counts": sub.counts.flatten().tolist(),
     }
 
 
-def _submission_from_payload(payload: dict, sender: str, n_features: int, n_bins: int) -> MaskedEncHistogram:
-    mode = payload["mode"]
-    if mode == SECAGG_PAILLIER:
-        enc_g = [Ciphertext(hex_to_int(t)) for t in payload["enc_g"]]
-        enc_h = [Ciphertext(hex_to_int(t)) for t in payload["enc_h"]]
-    else:
-        enc_g = [hex_to_int(t) for t in payload["enc_g"]]
-        enc_h = [hex_to_int(t) for t in payload["enc_h"]]
-    counts = np.array(payload["counts"], dtype=np.int64).reshape(n_features, n_bins)
+def _submission_from_payload(payload: dict, sender: str, n_features: int,
+                             n_bins: int) -> MaskedEncHistogram:
     return MaskedEncHistogram(
         client_id=sender,
+        tree=payload["tree"],
         node_id=payload["node"],
-        mode=mode,
-        enc_g=enc_g,
-        enc_h=enc_h,
-        counts=counts,
-        n_features=n_features,
-        n_bins=n_bins,
+        mode=payload["mode"],
+        enc_g=[hex_to_int(t) for t in payload["enc_g"]],
+        enc_h=[hex_to_int(t) for t in payload["enc_h"]],
+        counts=np.array(payload["counts"], dtype=np.int64).reshape(n_features, n_bins),
     )
 
 
@@ -652,12 +610,11 @@ def hfl_train(
 ) -> tuple[BoostedEnsemble, MessageBus]:
     """Run the full multi-round protocol in process; returns the global model.
 
-    With ``subsample=1`` the result is structurally identical to centralized
-    training on the union of the client datasets under the same binning;
-    leaf weights agree to fixed-point resolution.
+    With ``subsample=1`` the result is the model that centralized training
+    on the union of the client datasets builds under the same binning: the
+    same splits, and leaf weights equal.
     """
     bus = bus or MessageBus()
-    codec = FixedPointCodec()
     missing = set(roster.client_ids) - set(datasets)
     if missing:
         raise ProtocolError(f"datasets missing for {sorted(missing)}")
@@ -665,9 +622,9 @@ def hfl_train(
     if len(schemas) != 1:
         raise ProtocolError("protocol abort: clients expose mismatched schemas")
 
-    server = HflServer(roster.membership(), params, codec, seed, key_bits)
+    server = HflServer(roster.membership(), params, seed, key_bits)
     clients = {
-        cid: HflClient(cid, datasets[cid], roster, params, codec, seed)
+        cid: HflClient(cid, datasets[cid], roster, params, seed)
         for cid in roster.client_ids
     }
     sid = SERVER_ID

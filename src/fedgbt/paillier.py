@@ -1,4 +1,4 @@
-"""Additively homomorphic Paillier cryptosystem with a signed fixed-point codec.
+"""Additively homomorphic Paillier cryptosystem.
 
 Multiplying two ciphertexts modulo n^2 adds their plaintexts modulo n, which
 is the only homomorphic operation the protocols in this package need: parties
@@ -6,9 +6,9 @@ encrypt packed histogram slots (horizontal) or per-sample gradients
 (vertical), an aggregator multiplies the ciphertexts, and the key holder
 decrypts the sum.
 
-Plaintexts are residues in [0, n).  Real-valued statistics are embedded
-through :class:`FixedPointCodec`, which scales by ``2**scale_bits`` and maps
-negatives into the upper half of the residue ring.
+Plaintexts are residues in [0, n).  The protocols encrypt integers only:
+quantized gradients (:func:`fedgbt.gbt.quantize`) go in as their residues
+modulo n, and a signed sum comes back through ``decrypt``'s ``bound``.
 
 Encryption draws its obfuscator from a fixed public base, in the manner of
 Damgård, Jurik and Nielsen (2010): ``r^n`` becomes ``h_s^a`` with a
@@ -388,51 +388,6 @@ def aggregate(pk: PublicKey, cs: list[Ciphertext]) -> Ciphertext:
     for c in cs:
         acc = (acc * c.value) % pk.n_squared
     return Ciphertext(acc)
-
-
-@dataclass(frozen=True)
-class FixedPointCodec:
-    """Signed fixed-point embedding of reals into the plaintext ring.
-
-    ``encode`` scales by 2**scale_bits and wraps negatives into the upper
-    half of [0, n); ``decode`` inverts.  Sums of ``terms`` encodings stay
-    decodable as long as ``2 * terms * max_magnitude * 2**scale_bits < n``.
-    """
-
-    scale_bits: int = 40
-
-    @property
-    def scale(self) -> int:
-        return 1 << self.scale_bits
-
-    def check_capacity(self, n: int, max_magnitude: float, terms: int) -> None:
-        """Raise unless ``terms`` summands of magnitude at most
-        ``max_magnitude`` stay decodable modulo ``n``."""
-        if 2 * terms * max_magnitude * self.scale >= n:
-            raise EncodingError(
-                f"modulus too small for {terms} terms of magnitude {max_magnitude}"
-            )
-
-    def quantize(self, x: float) -> int:
-        """``x`` scaled by 2**scale_bits and rounded to the nearest integer."""
-        return round(x * self.scale)
-
-    def encode(self, x: float, n: int) -> int:
-        scaled = self.quantize(x)
-        if 2 * abs(scaled) >= n:
-            raise EncodingError(f"magnitude of {x} overflows the plaintext range")
-        return scaled % n
-
-    def decode(self, m: int, n: int) -> float:
-        if m > n // 2:
-            m -= n
-        return m / self.scale
-
-    def decode_int(self, m: int, n: int) -> int:
-        """Signed integer (still scaled by 2**scale_bits) without float rounding."""
-        if m > n // 2:
-            m -= n
-        return m
 
 
 def int_to_hex(value: int) -> str:

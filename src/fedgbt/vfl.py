@@ -10,15 +10,16 @@ parties, and records only (owning party, record id) for foreign nodes — the
 winning threshold value stays at its owner, which also resolves sample
 partitions and answers left/right queries at inference time.
 
-The active party holds the primes and works in them.  It encrypts with its
-private key's per-prime tables, and decrypts each bin sum modulo ``p``
-alone: a sum of ``c`` encoded gradients has magnitude at most
-``c * 2**scale_bits``, far below ``p / 2``, and a sum outside that bound is
-rejected as tampered.  Passive parties aggregate the root and then only the
-smaller child of each split whose children may still split; the active party
-keeps every node's decrypted sums as int64 integers and derives the larger
-child as parent minus smaller, exactly.  It grows each tree with the shared
-:func:`fedgbt.gbt.grow_tree`.
+The active party holds the primes and works in them.  It encrypts each
+sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
+key's per-prime tables, and decrypts each bin sum modulo ``p`` alone: a sum
+of ``c`` quantized gradients has magnitude at most ``c * 2**40``, far below
+``p / 2``, and a sum outside that bound is rejected as tampered.  Passive
+parties aggregate the root and then only the smaller child of each split
+whose children may still split; the active party keeps every node's
+decrypted sums as int64 histograms, the pooled trainer's integers, and
+derives the larger child as parent minus smaller, exactly.  It grows each
+tree with the shared :func:`fedgbt.gbt.grow_tree`.
 
 Wire protocol: ``GRADIENT_BROADCAST``, ``SAMPLE_SPACE``,
 ``ENC_HISTOGRAM_SUBMIT``, ``SPLIT_NOTICE``, ``PARTITION_REPLY`` during
@@ -34,24 +35,26 @@ import numpy as np
 
 from .data import PartyDataset
 from .gbt import (
+    GRAD_SCALE_BITS,
     Binning,
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
     Tree,
+    check_capacity,
     compute_binning,
     find_best_split,  # not called here; perfbench/tracing.py patches it by this name
     grow_tree,
     initial_margins,
     logistic_gradients,
+    quantize,
     sigmoid,
     tree_row_sample,
 )
-from .hfl import IntHistogram, ProtocolError
+from .hfl import ProtocolError
 from .paillier import (
     Ciphertext,
     EncodingError,
-    FixedPointCodec,
     PublicKey,
     aggregate,
     decrypt,
@@ -240,50 +243,48 @@ class PassiveParty:
 class ActiveParty:
     """Label owner, Paillier key holder, and training driver."""
 
-    def __init__(self, party_id: str, dataset: PartyDataset, params: GbtParams,
-                 codec: FixedPointCodec, seed: int, key_bits: int = 512):
+    def __init__(self, party_id: str, dataset: PartyDataset, params: GbtParams, seed: int,
+                 key_bits: int = 512):
         if dataset.labels is None:
             raise ProtocolError("active party needs labels")
         self.party_id = party_id
         self.dataset = dataset
         self.params = params
-        self.codec = codec
         self.seed = seed
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
         # a bin sums at most every sample's |g| < 1, and is decrypted modulo
         # p alone into an int64: both must hold every such sum
-        self.codec.check_capacity(min(self.sk.p, self.sk.q, 2**64), max_magnitude=1.0,
-                                  terms=dataset.n_samples)
+        check_capacity(min(self.sk.p, self.sk.q, 2**64), dataset.n_samples)
         # seeded, so every obfuscator is predictable from the run seed: see
         # HflClient.enc_rng; a deployment must encrypt with ``rng=None``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))
         self.binning: Binning = compute_binning(dataset.features, params.max_bin)
         self.binned: np.ndarray = self.binning.bin_matrix(dataset.features)
         self.margins = initial_margins(dataset.n_samples, params, seed)
-        self.g = np.zeros(dataset.n_samples)
-        self.h = np.zeros(dataset.n_samples)
+        # this tree's quantized gradients
+        self.g = np.zeros(dataset.n_samples, dtype=np.int64)
+        self.h = np.zeros(dataset.n_samples, dtype=np.int64)
         self.records: dict[int, SplitRecord] = {}
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
         # node id -> passive party -> its bin sums, for the tree in progress
-        self.passive_hists: dict[int, dict[str, IntHistogram]] = {}
+        self.passive_hists: dict[int, dict[str, GradHistogram]] = {}
 
     def encrypt_gradients(self, positions: np.ndarray) -> tuple[list[int], list[Ciphertext], list[Ciphertext]]:
         ids, enc_g, enc_h = [], [], []
+        n = self.pk.n
         for pos in positions:
             ids.append(int(self.dataset.sample_ids[pos]))
-            enc_g.append(encrypt(self.pk, self.codec.encode(float(self.g[pos]), self.pk.n),
-                                 rng=self.enc_rng, sk=self.sk))
-            enc_h.append(encrypt(self.pk, self.codec.encode(float(self.h[pos]), self.pk.n),
-                                 rng=self.enc_rng, sk=self.sk))
+            enc_g.append(encrypt(self.pk, int(self.g[pos]) % n, rng=self.enc_rng, sk=self.sk))
+            enc_h.append(encrypt(self.pk, int(self.h[pos]) % n, rng=self.enc_rng, sk=self.sk))
         return ids, enc_g, enc_h
 
     def decrypt_histogram(self, enc_g: list[Ciphertext], enc_h: list[Ciphertext],
-                          counts: np.ndarray, n_samples: int, where: str) -> IntHistogram:
+                          counts: np.ndarray, n_samples: int, where: str) -> GradHistogram:
         """One passive party's bin sums over a sample space of ``n_samples``,
-        as exact integers scaled by ``2**scale_bits``.
+        as exact quantized integers.
 
         A bin of ``c`` samples sums ``c`` values of magnitude at most
-        ``2**scale_bits``, so each ciphertext is decrypted modulo ``p`` alone
+        ``2**GRAD_SCALE_BITS``, so each ciphertext is decrypted modulo ``p`` alone
         with that bound.  A sum outside it, an empty bin whose ciphertext is
         not the identity, or counts that do not add up to the sample space
         raise :class:`ProtocolError` naming ``where`` (sender, tree, node).
@@ -294,7 +295,7 @@ class ActiveParty:
         if (counts < 0).any() or (counts.sum(axis=1) != n_samples).any():
             raise ProtocolError(f"{where}: bin counts are negative or do not add up to "
                                 f"{n_samples} samples")
-        bounds = [int(c) << self.codec.scale_bits for c in counts.flat]
+        bounds = [int(c) << GRAD_SCALE_BITS for c in counts.flat]
 
         def plain(cts):
             values = []
@@ -307,21 +308,20 @@ class ActiveParty:
                     raise ProtocolError(f"{where}: {exc}") from None
             return np.array(values, dtype=np.int64).reshape(counts.shape)
 
-        return IntHistogram(g=plain(enc_g), h=plain(enc_h), counts=counts.astype(np.int64))
+        return GradHistogram(g=plain(enc_g), h=plain(enc_h), counts=counts.astype(np.int64))
 
-    def sibling_histogram(self, parent: IntHistogram, child: IntHistogram,
-                          where: str) -> IntHistogram:
+    def sibling_histogram(self, parent: GradHistogram, child: GradHistogram,
+                          where: str) -> GradHistogram:
         """The other child's bin sums: ``parent`` minus ``child``, exact in
         integers.  Raises :class:`ProtocolError` naming ``where`` when a
-        count goes negative or a sum leaves ``±count * 2**scale_bits``."""
-        try:
-            sibling = parent.subtract(child)
-        except ProtocolError as exc:
-            raise ProtocolError(f"{where}: {exc}") from None
-        bound = sibling.counts << self.codec.scale_bits
+        count goes negative or a sum leaves ``±count * 2**GRAD_SCALE_BITS``."""
+        sibling = parent.subtract(child)
+        if (sibling.counts < 0).any():
+            raise ProtocolError(f"{where}: sibling subtraction produced a negative count")
+        bound = sibling.counts << GRAD_SCALE_BITS
         if (np.abs(sibling.g) > bound).any() or (np.abs(sibling.h) > bound).any():
             raise ProtocolError(f"{where}: a bin sum derived by subtraction exceeds "
-                                f"its count times 2^{self.codec.scale_bits}")
+                                f"its count times 2^{GRAD_SCALE_BITS}")
         return sibling
 
     def own_histogram(self, positions: np.ndarray) -> GradHistogram:
@@ -349,8 +349,7 @@ def vfl_train(
     key_bits: int = 512,
 ) -> tuple[VflTrained, MessageBus]:
     bus = bus or MessageBus()
-    active = ActiveParty(roster.active_id, datasets[roster.active_id], params,
-                         FixedPointCodec(), seed, key_bits)
+    active = ActiveParty(roster.active_id, datasets[roster.active_id], params, seed, key_bits)
     passives = {
         pid: PassiveParty(pid, datasets[pid], params.max_bin) for pid in roster.passive_ids
     }
@@ -361,7 +360,8 @@ def vfl_train(
 
     for t in range(params.n_estimators):
         rows = tree_row_sample(active.dataset.n_samples, params.subsample, seed, t)
-        active.g, active.h = logistic_gradients(active.dataset.labels, active.margins)
+        active.g, active.h = map(quantize, logistic_gradients(active.dataset.labels,
+                                                              active.margins))
 
         round_id += 1
         ids, enc_g, enc_h = active.encrypt_gradients(rows)
@@ -393,15 +393,13 @@ def vfl_train(
             if positions.size < 2:
                 return None
             # every party's bin sums, in roster feature order
-            parts = {pid: hist.decode(active.codec)
-                     for pid, hist in active.passive_hists[node_id].items()}
-            parts[aid] = active.own_histogram(positions)
+            parts = {**active.passive_hists[node_id], aid: active.own_histogram(positions)}
             return GradHistogram(*(np.vstack([getattr(parts[p], a) for p in roster.party_ids])
                                    for a in ("g", "h", "counts")))
 
-        def totals(node_id: int) -> tuple[float, float]:
+        def totals(node_id: int) -> tuple[int, int]:
             positions = node_positions[node_id]
-            return float(active.g[positions].sum()), float(active.h[positions].sum())
+            return int(active.g[positions].sum()), int(active.h[positions].sum())
 
         def finish_level(tree: Tree, depth: int, level: list[int]) -> None:
             nonlocal round_id, next_record

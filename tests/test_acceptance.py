@@ -17,11 +17,13 @@ import pytest
 from fedgbt.cli import main as cli_main
 from fedgbt.data import PartyDataset, default_synth_config, join_datasets, split_train_valid_test, synth_generate
 from fedgbt.gbt import (
+    GRAD_SCALE_BITS,
     GbtParams,
     build_histogram,
     find_best_split,
     logistic_gradients,
     predict_proba,
+    quantize,
     train_centralized,
 )
 from fedgbt.hfl import (
@@ -42,7 +44,7 @@ from fedgbt.hpo import (
     gp_fit,
 )
 from fedgbt.metrics import auc_roc, evaluate_scores, privacy_cost
-from fedgbt.paillier import FixedPointCodec, aggregate, decrypt, encrypt, keygen
+from fedgbt.paillier import aggregate, decrypt, encrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.vfl import make_vfl_roster, vfl_predict, vfl_train
 
@@ -88,14 +90,15 @@ def split_horizontal(X, y, n_parties, seed):
     return parties
 
 
-def assert_same_structure(fed_model, central_model, weight_tol=1e-6):
+def assert_same_structure(fed_model, central_model):
+    """Node for node: the same kind, the same (feature, bin), equal weights."""
     assert len(fed_model.trees) == len(central_model.trees)
     for ft, ct in zip(fed_model.trees, central_model.trees):
         assert len(ft.nodes) == len(ct.nodes)
         for fn, cn in zip(ft.nodes, ct.nodes):
             assert fn.is_leaf == cn.is_leaf
             if fn.is_leaf:
-                assert fn.weight == pytest.approx(cn.weight, abs=weight_tol)
+                assert fn.weight == cn.weight
             else:
                 assert (fn.feature, fn.bin_index) == (cn.feature, cn.bin_index)
 
@@ -116,11 +119,11 @@ def test_criterion_01_paillier_correctness():
             m2 = rng.randrange(0, pk.n // 4)
             total = aggregate(pk, [encrypt(pk, m1, rng=rng), encrypt(pk, m2, rng=rng)])
             assert decrypt(sk, pk, total) == m1 + m2
-        codec = FixedPointCodec()
         for trial in range(50):
             xs = [rng.uniform(-1, 1) for _ in range(rng.randrange(2, 40))]
-            cs = [encrypt(pk, codec.encode(x, pk.n), rng=rng) for x in xs]
-            decoded = codec.decode(decrypt(sk, pk, aggregate(pk, cs)), pk.n)
+            cs = [encrypt(pk, int(quantize(x)) % pk.n, rng=rng) for x in xs]
+            total = decrypt(sk, pk, aggregate(pk, cs), bound=len(xs) << GRAD_SCALE_BITS)
+            decoded = total / 2**GRAD_SCALE_BITS
             assert abs(decoded - sum(xs)) <= 2 * len(xs) * 2**-40
         assert time.perf_counter() - started <= 60.0
 
@@ -195,7 +198,7 @@ def test_criterion_03_vfl_equals_centralized():
             assert_same_structure(trained.ensemble, central)
             fed_scores, _ = vfl_predict(trained, test_parts)
             cen_scores = predict_proba(central, joined.subset(test_idx).features)
-            np.testing.assert_allclose(fed_scores, cen_scores, atol=1e-6)
+            np.testing.assert_array_equal(fed_scores, cen_scores)
             fed_auc = auc_roc(joined.labels[test_idx], fed_scores)
             cen_auc = auc_roc(joined.labels[test_idx], cen_scores)
             assert abs(fed_auc - cen_auc) <= 0.005
@@ -211,7 +214,7 @@ def test_criterion_04_split_search_matches_exhaustive_enumeration():
             binned = rng.integers(0, B, size=(n, F))
             y = rng.integers(0, 2, size=n)
             margins = rng.normal(scale=0.5, size=n)
-            g, h = logistic_gradients(y, margins)
+            g, h = map(quantize, logistic_gradients(y, margins))
             hist = build_histogram(binned, g, h, np.arange(n), B)
             params = GbtParams(
                 min_child_weight=float(rng.choice([0.0, 0.1, 0.3])),
@@ -346,11 +349,11 @@ def test_criterion_10_transcripts_carry_no_sensitive_values():
                 from fedgbt.gbt import predict_margin
 
                 margins = predict_margin(model, party.features, n_trees=1)
-                g, h = logistic_gradients(party.labels, margins)
+                g, h = map(quantize, logistic_gradients(party.labels, margins))
                 hist = build_histogram(binning.bin_matrix(party.features), g, h,
                                        np.arange(party.n_samples), params.max_bin)
                 for value in hist.g.flatten():
-                    value = float(value)
+                    value = int(value) / 2**GRAD_SCALE_BITS
                     if value and value != round(value * 4) / 4:
                         forbidden.add(value)
             corpus = SensitiveCorpus(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedgbt.data import PartyDataset
 from fedgbt.gbt import (
+    GRAD_SCALE_BITS,
     Binning,
     BoostedEnsemble,
     GbtParams,
@@ -16,9 +17,10 @@ from fedgbt.gbt import (
     TrainingError,
     DegenerateNodeError,
     build_histogram,
+    check_capacity,
     compute_binning,
     compute_bins,
-    GAIN_TIE_REL_TOL,
+    GAIN_NOISE_REL_TOL,
     SplitCandidate,
     find_best_split,
     grow_tree,
@@ -29,11 +31,15 @@ from fedgbt.gbt import (
     model_to_json,
     predict,
     predict_margin,
+    quantize,
     sigmoid,
     soft_threshold,
     train_centralized,
     tree_leaf_weights_binned,
 )
+from fedgbt.paillier import EncodingError
+
+SCALE = 2**GRAD_SCALE_BITS
 
 
 def make_dataset(X, y=None, party="p"):
@@ -72,7 +78,7 @@ def logistic_loss(y, margin) -> float:
 
 def zero_histogram(n_features, n_bins):
     shape = (n_features, n_bins)
-    return GradHistogram(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64))
+    return GradHistogram(*(np.zeros(shape, dtype=np.int64) for _ in range(3)))
 
 
 def reference_gain_term(G, H, reg_lambda):
@@ -93,33 +99,31 @@ def split_gain(G_L, H_L, G_R, H_R, reg_lambda, gamma):
 
 
 def reference_histogram(binned, g, h, sample_idx, n_bins):
+    """Python-int sums, feature by feature and sample by sample."""
     F = binned.shape[1]
-    hist = zero_histogram(F, n_bins)
-    idx = np.asarray(sample_idx, dtype=np.int64)
-    if idx.size == 0:
-        return hist
-    for f in range(F):
-        bins = binned[idx, f]
-        hist.g[f] = np.bincount(bins, weights=g[idx], minlength=n_bins)
-        hist.h[f] = np.bincount(bins, weights=h[idx], minlength=n_bins)
-        hist.counts[f] = np.bincount(bins, minlength=n_bins)
-    return hist
+    sums = [[[0] * n_bins for _ in range(F)] for _ in range(3)]
+    for i in sample_idx:
+        for f in range(F):
+            b = int(binned[i, f])
+            for stat, value in zip(sums, (int(g[i]), int(h[i]), 1)):
+                stat[f][b] += value
+    return GradHistogram(*(np.array(stat, dtype=np.int64).reshape(F, n_bins) for stat in sums))
 
 
 def reference_best_split(hist, params):
-    """The per-feature scan, with the same tie rule and noise cutoff."""
+    """The per-feature scan, with the same exact-tie rule and noise cutoff."""
     G_node, H_node, _ = hist.totals()
-    parent_term = float(reference_gain_term(soft_threshold(G_node, params.reg_alpha), H_node,
-                                            params.reg_lambda))
-    min_gain = params.min_split_gain + GAIN_TIE_REL_TOL * (1.0 + parent_term)
+    parent_term = float(reference_gain_term(soft_threshold(G_node / SCALE, params.reg_alpha),
+                                            H_node / SCALE, params.reg_lambda))
+    min_gain = params.min_split_gain + GAIN_NOISE_REL_TOL * (1.0 + parent_term)
     per_feature = []
     best_gain = -math.inf
     for f in range(hist.n_features):
-        gl = np.cumsum(hist.g[f])[:-1]
-        hl = np.cumsum(hist.h[f])[:-1]
-        cl = np.cumsum(hist.counts[f])[:-1]
-        G, H, C = hist.g[f].sum(), hist.h[f].sum(), hist.counts[f].sum()
-        gr, hr, cr = G - gl, H - hl, C - cl
+        ints = [np.cumsum(a[f])[:-1] for a in (hist.g, hist.h, hist.counts)]
+        totals = [a[f].sum() for a in (hist.g, hist.h, hist.counts)]
+        ints += [total - prefix for total, prefix in zip(totals, ints)]
+        gl, hl, _, gr, hr, _ = (a / SCALE for a in ints)
+        G, H = totals[0] / SCALE, totals[1] / SCALE
         lam = params.reg_lambda
         gains = 0.5 * (
             reference_gain_term(soft_threshold(gl, params.reg_alpha), hl, lam)
@@ -129,18 +133,17 @@ def reference_best_split(hist, params):
         ) - params.gamma
         ok = (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
         ok &= gains > min_gain
-        per_feature.append((gains, ok, gl, hl, cl, gr, hr, cr))
+        per_feature.append((gains, ok, ints))
         if ok.any():
             best_gain = max(best_gain, float(gains[ok].max()))
     if not math.isfinite(best_gain):
         return None
-    cutoff = best_gain - GAIN_TIE_REL_TOL * (1.0 + abs(best_gain))
-    for f, (gains, ok, gl, hl, cl, gr, hr, cr) in enumerate(per_feature):
-        hit = np.flatnonzero(ok & (gains >= cutoff))
+    for f, (gains, ok, ints) in enumerate(per_feature):
+        hit = np.flatnonzero(ok & (gains == best_gain))
         if hit.size:
             b = int(hit[0])
-            return SplitCandidate(f, b, float(gains[b]), (float(gl[b]), float(hl[b]), int(cl[b])),
-                                  (float(gr[b]), float(hr[b]), int(cr[b])))
+            left, right = (tuple(int(a[b]) for a in side) for side in (ints[:3], ints[3:]))
+            return SplitCandidate(f, b, float(gains[b]), left, right)
     return None
 
 
@@ -191,6 +194,70 @@ def test_logistic_gradient_ranges(y, margin):
 
 
 # ---------------------------------------------------------------------------
+# fixed-point gradients
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+def test_quantize_roundtrip_within_resolution(x):
+    q = quantize(x)
+    assert q.dtype == np.int64
+    assert abs(int(q) / SCALE - x) <= 2**-(GRAD_SCALE_BITS + 1)
+
+
+def test_quantize_exact_dyadic_negative():
+    q = int(quantize(-0.5))
+    assert q == -(2**39)
+    assert q / SCALE == -0.5
+    # a negative sits in the upper half of any residue ring it enters
+    for n in (2**64, (1 << 511) + 1):
+        assert q % n == n - 2**39
+
+
+def test_quantize_zero_and_overflow():
+    assert int(quantize(0.0)) == 0
+    assert quantize([0.0, -0.0]).tolist() == [0, 0]
+    # the largest double below 2^23 lands just inside int64
+    assert int(quantize(2.0**23 - 2.0**-30)) == 2**63 - 2**10
+    for bad in (2.0**23, -(2.0**23), float(2**511), math.nan, math.inf):
+        with pytest.raises(EncodingError):
+            quantize([0.5, bad])
+
+
+def test_check_capacity_on_both_sides_of_its_boundary():
+    # 2 * terms * 2^40 must stay below the modulus
+    check_capacity(2**64, 2**23 - 1)
+    with pytest.raises(EncodingError, match="8388608 terms"):
+        check_capacity(2**64, 2**23)
+    check_capacity((2 * 40 << 40) + 1, 40)
+    with pytest.raises(EncodingError, match="40 terms"):
+        check_capacity(2 * 40 << 40, 40)
+    check_capacity(2**511, 10**6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 20_000]) | st.integers(1, 60),
+       st.booleans())
+def test_build_histogram_exact_at_quantized_extremes(seed, n, one_sign):
+    # |g| <= 1 and h <= 1/4 quantize to at most 2^40 and 2^38; 20,000 of
+    # them sum past 2^53, where float accumulation would round
+    rng = np.random.default_rng(seed)
+    F, B = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    binned = rng.integers(0, B, size=(n, F))
+    extremes = rng.random(n) < 0.5
+    g = np.where(extremes, SCALE, rng.integers(-SCALE, SCALE + 1, size=n))
+    if not one_sign:
+        g = np.where(rng.random(n) < 0.5, -g, g)
+    h = np.where(extremes, SCALE >> 2, rng.integers(0, (SCALE >> 2) + 1, size=n))
+    idx = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+    ours = build_histogram(binned, g, h, idx, B)
+    ref = reference_histogram(binned, g, h, idx, B)
+    for name in ("g", "h", "counts"):
+        assert getattr(ours, name).tolist() == getattr(ref, name).tolist()
+    assert ours.totals() == (sum(int(g[i]) for i in idx), sum(int(h[i]) for i in idx), len(idx))
+
+
+# ---------------------------------------------------------------------------
 # binning
 
 
@@ -219,13 +286,13 @@ def test_value_equal_to_threshold_goes_left():
 
 def test_histogram_empty_and_single_sample():
     binned = np.array([[3], [1]])
-    g = np.array([-0.5, 0.1])
-    h = np.array([0.25, 0.2])
+    g = quantize([-0.5, 0.1])
+    h = quantize([0.25, 0.2])
     empty = build_histogram(binned, g, h, np.array([], dtype=int), 4)
     assert empty.counts.sum() == 0 and empty.g.sum() == 0
     one = build_histogram(binned, g, h, np.array([0]), 4)
     assert one.counts[0, 3] == 1
-    assert one.g[0, 3] == pytest.approx(-0.5)
+    assert one.g[0, 3] == -(2**39)
     assert one.counts.sum() == 1
 
 
@@ -233,27 +300,27 @@ def test_histogram_matches_naive_accumulation():
     rng = np.random.default_rng(0)
     n, F, B = 40, 3, 6
     binned = rng.integers(0, B, size=(n, F))
-    g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
+    g, h = quantize(rng.normal(size=n)), quantize(rng.uniform(0.01, 0.25, size=n))
     idx = rng.choice(n, size=25, replace=False)
     hist = build_histogram(binned, g, h, idx, B)
+    assert hist.g.dtype == hist.h.dtype == hist.counts.dtype == np.int64
     for f in range(F):
         for b in range(B):
             members = [i for i in idx if binned[i, f] == b]
-            assert hist.g[f, b] == pytest.approx(sum(g[i] for i in members))
-            assert hist.h[f, b] == pytest.approx(sum(h[i] for i in members))
+            assert hist.g[f, b] == sum(int(g[i]) for i in members)
+            assert hist.h[f, b] == sum(int(h[i]) for i in members)
             assert hist.counts[f, b] == len(members)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_histogram_additivity_and_subtraction_exact_on_dyadic(seed):
-    # gradients on a dyadic grid make float sums exact, mirroring the
-    # fixed-point integer arithmetic used on the wire
+    # integer histograms add and subtract exactly, whatever the gradients
     rng = np.random.default_rng(seed)
     n, F, B = 30, 2, 5
     binned = rng.integers(0, B, size=(n, F))
-    g = rng.integers(-2**20, 2**20, size=n) / 2**20
-    h = rng.integers(0, 2**20, size=n) / 2**22
+    g = quantize(rng.integers(-2**20, 2**20, size=n) / 2**20)
+    h = quantize(rng.integers(0, 2**20, size=n) / 2**22)
     split = rng.integers(1, n - 1)
     perm = rng.permutation(n)
     a_idx, b_idx = np.sort(perm[:split]), np.sort(perm[split:])
@@ -264,6 +331,7 @@ def test_histogram_additivity_and_subtraction_exact_on_dyadic(seed):
         a, b, whole = (getattr(x, name) for x in (hist_a, hist_b, parent))
         assert (a + b == whole).all()
         assert (whole - a == b).all()
+        assert (getattr(parent.subtract(hist_a), name) == b).all()
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +393,11 @@ def test_gain_equals_objective_decomposition():
 def brute_force_best_split(hist: GradHistogram, params: GbtParams):
     """Independent oracle: enumerate every (feature, boundary) candidate.
 
-    Prefix sums accumulate left-to-right and the right side is total minus
-    left, matching the trained code's float association so that exact gain
-    ties compare bit-identically.  The tie rule is the shared one: the
-    first candidate (feature asc, bin asc) within the relative tolerance of
-    the maximum wins.
+    Prefix sums accumulate left to right in Python ints and become floats
+    once, as in the trained code, so equal sums give bit-identical gains.
+    The tie rule is the shared one: of the candidates with the maximum gain,
+    the first (feature asc, bin asc) wins.
     """
-    from fedgbt.gbt import GAIN_TIE_REL_TOL
 
     def shrink(v):
         if params.reg_alpha == 0:
@@ -344,26 +410,23 @@ def brute_force_best_split(hist: GradHistogram, params: GbtParams):
 
     candidates = []
     for f in range(hist.n_features):
-        total_g = float(hist.g[f].sum())
-        total_h = float(hist.h[f].sum())
-        gl = hl = 0.0
+        total_g, total_h = int(hist.g[f].sum()), int(hist.h[f].sum())
+        gl_int = hl_int = 0
         for b in range(hist.n_bins - 1):
-            gl += float(hist.g[f, b])
-            hl += float(hist.h[f, b])
-            gr, hr = total_g - gl, total_h - hl
+            gl_int += int(hist.g[f, b])
+            hl_int += int(hist.h[f, b])
+            gl, hl, gr, hr, G, H = (v / SCALE for v in (
+                gl_int, hl_int, total_g - gl_int, total_h - hl_int, total_g, total_h))
             if hl < params.min_child_weight or hr < params.min_child_weight:
                 continue
-            gain = 0.5 * (
-                term(shrink(gl), hl) + term(shrink(gr), hr)
-                - term(shrink(total_g), total_h)
-            ) - params.gamma
+            gain = 0.5 * (term(shrink(gl), hl) + term(shrink(gr), hr) - term(shrink(G), H)
+                          ) - params.gamma
             if gain > params.min_split_gain:
                 candidates.append((gain, f, b))
     if not candidates:
         return None
     best_gain = max(c[0] for c in candidates)
-    cutoff = best_gain - GAIN_TIE_REL_TOL * (1.0 + abs(best_gain))
-    return next(c for c in candidates if c[0] >= cutoff)
+    return next(c for c in candidates if c[0] == best_gain)
 
 
 def test_find_best_split_separable_toy():
@@ -372,7 +435,7 @@ def test_find_best_split_separable_toy():
     y = np.array([0, 0, 1, 1])
     binning = compute_binning(X, 4)
     binned = binning.bin_matrix(X)
-    g, h = logistic_gradients(y, np.zeros(4))
+    g, h = map(quantize, logistic_gradients(y, np.zeros(4)))
     hist = build_histogram(binned, g, h, np.arange(4), 4)
     params = GbtParams(min_child_weight=0.0, reg_lambda=1.0)
     best = find_best_split(hist, params)
@@ -385,7 +448,7 @@ def test_find_best_split_separable_toy():
 
 def test_find_best_split_pure_node_returns_none():
     hist = zero_histogram(2, 4)
-    hist.h += 0.01
+    hist.h += quantize(0.01)
     hist.counts += 1
     assert find_best_split(hist, GbtParams(min_child_weight=0.0)) is None
 
@@ -400,7 +463,7 @@ def test_find_best_split_matches_brute_force(seed):
     binned = rng.integers(0, B, size=(n, F))
     y = rng.integers(0, 2, size=n)
     margins = rng.normal(scale=0.5, size=n)
-    g, h = logistic_gradients(y, margins)
+    g, h = map(quantize, logistic_gradients(y, margins))
     hist = build_histogram(binned, g, h, np.arange(n), B)
     params = GbtParams(
         min_child_weight=float(rng.choice([0.0, 0.1, 0.3])),
@@ -446,7 +509,7 @@ def _scripted_growth(hists, max_depth):
         return hists[node_id]
 
     def totals(node_id):
-        return float(node_id) - 2.5, 1.0 + node_id
+        return _stub_totals(node_id)
 
     def finish_level(tree, depth, level):
         # the level is decided: every split already has both children
@@ -457,15 +520,19 @@ def _scripted_growth(hists, max_depth):
     return grow_tree(params, histogram, totals, finish_level), params, log
 
 
+def _stub_totals(node_id):
+    """Quantized (G, H) of node_id - 2.5 and node_id + 1."""
+    return (2 * node_id - 5) << (GRAD_SCALE_BITS - 1), (node_id + 1) << GRAD_SCALE_BITS
+
+
 def _one_feature(g, h, counts):
-    return GradHistogram(np.array([g], dtype=float), np.array([h], dtype=float),
-                         np.array([counts], dtype=np.int64))
+    return GradHistogram(quantize([g]), quantize([h]), np.array([counts], dtype=np.int64))
 
 
 def test_grow_tree_root_without_histogram_is_one_leaf():
     tree, params, log = _scripted_growth({0: None}, max_depth=3)
     (root,) = tree.nodes
-    assert root.is_leaf and root.weight == leaf_value(-2.5, 1.0, params)
+    assert root.is_leaf and root.weight == leaf_value(-(5 << 39), 1 << 40, params) == 2.5
     assert log == {"histogram": [0], "levels": [(0, [0])]}
 
 
@@ -483,7 +550,7 @@ def test_grow_tree_policy_with_stub_callbacks():
     assert all((n.feature, n.bin_index) == (0, 0) for n in tree.nodes if not n.is_leaf)
     leaves = [n for n in tree.nodes if n.is_leaf]
     assert [n.node_id for n in leaves] == [2, 3, 5, 6]
-    assert all(n.weight == leaf_value(n.node_id - 2.5, 1.0 + n.node_id, params) for n in leaves)
+    assert all(n.weight == leaf_value(*_stub_totals(n.node_id), params) for n in leaves)
     # nodes 5 and 6 sit at max_depth: no histogram is asked for them
     assert log["histogram"] == [0, 1, 2, 3, 4]
     assert log["levels"] == [(0, [0]), (1, [1, 2]), (2, [3, 4]), (3, [5, 6])]
@@ -596,9 +663,10 @@ def test_build_histogram_equals_per_feature_bincount(seed):
     rng = np.random.default_rng(seed)
     n, F, B = int(rng.integers(1, 60)), int(rng.integers(1, 7)), int(rng.integers(2, 40))
     binned = rng.integers(0, B, size=(n, F))
-    # magnitudes spread over many orders, so a different summation order shows
-    g = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
-    h = rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    # magnitudes spread over many orders, where float sums would depend on
+    # the summation order
+    g = quantize(rng.normal(size=n) * 10.0 ** rng.uniform(-8, 6, size=n))
+    h = quantize(rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-8, 6, size=n))
     idx = rng.permutation(n)[: int(rng.integers(0, n + 1))]
     ours = build_histogram(binned, g, h, idx, B)
     ref = reference_histogram(binned, g, h, idx, B)
@@ -623,7 +691,8 @@ def test_find_best_split_equals_per_feature_scan(seed, twin, one_ratio, edge_wei
         binned[:, k] = binned[:, 0] - 1
     elif twin == "coarse":
         # feature k repeats some of feature 0's partitions with sums formed
-        # in another order: ties up to rounding, which the lower feature wins
+        # in another order: the integer sums agree, so the gains tie exactly
+        # and the lower feature wins
         binned[:, k] = binned[:, 0] // 2
     params = GbtParams(
         reg_lambda=float(rng.choice([0.0, 0.5, 1.0])),
@@ -635,16 +704,16 @@ def test_find_best_split_equals_per_feature_scan(seed, twin, one_ratio, edge_wei
     if one_ratio:
         # every sample shares one g/h ratio: at lambda=0 every partition has
         # zero gain, and only rounding noise is left
-        h = rng.uniform(0.01, 0.25, size=n)
-        g = float(rng.uniform(-4, 4)) * h
+        h = quantize(rng.uniform(0.01, 0.25, size=n))
+        g = int(rng.integers(-4, 5)) * h
         params = params.replace(reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, min_split_gain=0.0)
     else:
-        g, h = logistic_gradients(rng.integers(0, 2, size=n), rng.normal(size=n))
+        g, h = map(quantize, logistic_gradients(rng.integers(0, 2, size=n), rng.normal(size=n)))
     hist = build_histogram(binned, g, h, np.arange(n), B)
     if edge_weight:
         # a left hessian sum exactly at min_child_weight must still qualify
         prefix = np.cumsum(hist.h, axis=1)[:, :-1]
-        params = params.replace(min_child_weight=float(rng.choice(prefix.ravel())))
+        params = params.replace(min_child_weight=int(rng.choice(prefix.ravel())) / SCALE)
     assert find_best_split(hist, params) == reference_best_split(hist, params)
 
 

@@ -8,18 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from fedgbt.data import PartyDataset, join_datasets
 from fedgbt.gbt import (
+    GRAD_SCALE_BITS,
     GbtParams,
     GradHistogram,
     build_histogram,
     compute_binning,
     logistic_gradients,
     model_to_json,
+    quantize,
     train_centralized,
 )
 from fedgbt.hfl import (
     SECAGG_MASK_ONLY,
     SECAGG_PAILLIER,
-    IntHistogram,
     MaskedEncHistogram,
     ProtocolError,
     establish_global_binning,
@@ -29,14 +30,14 @@ from fedgbt.hfl import (
     packed_layout,
     server_aggregate,
 )
-from fedgbt.paillier import Ciphertext, EncodingError, FixedPointCodec, decrypt, keygen
+from fedgbt.paillier import Ciphertext, EncodingError, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import MessageBus
 
 
 def zero_histogram(n_features, n_bins):
     shape = (n_features, n_bins)
-    return GradHistogram(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64))
+    return GradHistogram(*(np.zeros(shape, dtype=np.int64) for _ in range(3)))
 
 
 def make_party(X, y, party="p"):
@@ -115,57 +116,57 @@ def test_global_binning_schema_mismatch_aborts():
 def mask_fixture():
     roster = make_roster(["c0", "c1"], [4, 4], master_seed=5)
     pk, sk = keygen(key_bits=512, rng_seed=50)
-    codec = FixedPointCodec()
-    return roster, pk, sk, codec
+    return roster, pk, sk
 
 
 def _hist_from_values(values):
     hist = zero_histogram(1, len(values))
-    hist.g[0] = values
-    hist.h[0] = np.abs(values) / 4
+    hist.g[0] = quantize(values)
+    hist.h[0] = quantize(np.abs(values) / 4)
     hist.counts[0] = 1
     return hist
 
 
 def test_masks_cancel_for_zero_histograms(mask_fixture):
-    roster, pk, sk, codec = mask_fixture
+    roster, pk, sk = mask_fixture
     subs = {}
     for cid in roster.client_ids:
         hist = zero_histogram(2, 3)
-        subs[cid] = mask_histogram(hist, cid, roster, "n0", 0, codec, pk, random.Random(1))
-    total = server_aggregate(subs, roster, codec, pk, sk)
+        subs[cid] = mask_histogram(hist, cid, roster, 5, 0, 0, pk, random.Random(1))
+    total = server_aggregate(subs, roster, pk, sk)
     assert all(v == 0 for v in total.g.flatten())
     assert all(v == 0 for v in total.h.flatten())
 
 
 def test_masked_aggregate_recovers_signed_slot_totals(mask_fixture):
-    roster, pk, sk, codec = mask_fixture
+    roster, pk, sk = mask_fixture
     h0 = _hist_from_values([0.25, 0.0])
     h1 = _hist_from_values([-0.75, 0.125])
     subs = {
-        "c0": mask_histogram(h0, "c0", roster, "n1", 0, codec, pk, random.Random(2)),
-        "c1": mask_histogram(h1, "c1", roster, "n1", 0, codec, pk, random.Random(3)),
+        "c0": mask_histogram(h0, "c0", roster, 5, 1, 0, pk, random.Random(2)),
+        "c1": mask_histogram(h1, "c1", roster, 5, 1, 0, pk, random.Random(3)),
     }
-    total = server_aggregate(subs, roster, codec, pk, sk).decode(codec)
-    assert total.g[0, 0] == pytest.approx(-0.5, abs=2 * 2**-40)
-    assert total.g[0, 1] == pytest.approx(0.125, abs=2 * 2**-40)
+    total = server_aggregate(subs, roster, pk, sk)
+    assert total.g.dtype == np.int64
+    assert total.g[0, 0] == quantize(-0.5) and total.g[0, 0] / 2**GRAD_SCALE_BITS == -0.5
+    assert total.g[0, 1] == quantize(0.125) and total.g[0, 1] / 2**GRAD_SCALE_BITS == 0.125
     assert total.counts[0, 0] == 2
 
 
 def test_single_submission_is_blinded(mask_fixture):
-    roster, pk, sk, codec = mask_fixture
+    roster, pk, sk = mask_fixture
     values = np.linspace(-0.4, 0.4, 100)
     hist = zero_histogram(1, 100)
-    hist.g[0] = values
-    sub = mask_histogram(hist, "c0", roster, "n2", 0, codec, pk, random.Random(4))
-    layout = packed_layout(roster, codec, pk.n)
-    true_slots = [codec.quantize(float(v)) + layout.offset for v in values]
-    packed = layout.pack([codec.quantize(float(v)) for v in values])
+    hist.g[0] = quantize(values)
+    sub = mask_histogram(hist, "c0", roster, 5, 2, 0, pk, random.Random(4))
+    layout = packed_layout(roster, pk.n)
+    true_slots = [v + layout.offset for v in hist.g[0].tolist()]
+    packed = layout.pack(hist.g[0].tolist())
     assert len(sub.enc_g) == len(packed) == -(-100 // layout.slots)
     # decrypting a single client's plaintexts must NOT reveal its true values
     differing = 0
     for i, cipher in enumerate(sub.enc_g):
-        plain = decrypt(sk, pk, cipher)
+        plain = decrypt(sk, pk, Ciphertext(cipher))
         assert plain != packed[i]
         for j, true in enumerate(true_slots[i * layout.slots:(i + 1) * layout.slots]):
             slot = (plain >> (layout.width * j)) & ((1 << layout.width) - 1)
@@ -175,36 +176,64 @@ def test_single_submission_is_blinded(mask_fixture):
 
 def test_mask_only_mode_roundtrip():
     roster = make_roster(["c0", "c1", "c2"], [2, 2, 2], master_seed=9, secagg_mode=SECAGG_MASK_ONLY)
-    codec = FixedPointCodec()
     hists = {
         "c0": _hist_from_values([0.5, -0.25]),
         "c1": _hist_from_values([0.125, -0.125]),
         "c2": _hist_from_values([-1.0, 1.0]),
     }
     subs = {
-        cid: mask_histogram(h, cid, roster, "r", 3, codec, None, None)
+        cid: mask_histogram(h, cid, roster, 9, 0, 3, None, None)
         for cid, h in hists.items()
     }
-    total = server_aggregate(subs, roster, codec, None, None).decode(codec)
-    assert total.g[0, 0] == pytest.approx(-0.375, abs=3 * 2**-40)
-    assert total.g[0, 1] == pytest.approx(0.625, abs=3 * 2**-40)
+    total = server_aggregate(subs, roster, None, None)
+    assert total.g[0].tolist() == quantize([-0.375, 0.625]).tolist()
+    assert total.h[0].tolist() == quantize([0.40625, 0.34375]).tolist()
+
+
+def _mask_only_pair(change_c1):
+    """Two 2x3 mask-only submissions for tree 4, node 3, c1's enc_g
+    rewritten by ``change_c1``."""
+    roster = make_roster(["c0", "c1"], [3, 3], master_seed=9, secagg_mode=SECAGG_MASK_ONLY)
+    subs = {}
+    for cid in roster.client_ids:
+        hist = zero_histogram(2, 3)
+        hist.g[:] = quantize(np.linspace(-0.9, 0.9, 6).reshape(2, 3))
+        subs[cid] = mask_histogram(hist, cid, roster, 9, 4, 3, None, None)
+    subs["c1"].enc_g = change_c1(list(subs["c1"].enc_g))
+    return roster, subs
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda v: v[:-1], "5 enc_g values, expected 6"),
+    (lambda v: v + [0], "7 enc_g values, expected 6"),
+    (lambda v: [v[0] + 2**64, *v[1:]], r"enc_g residue outside \[0, 2\^64\)"),
+    (lambda v: [-1, *v[1:]], r"enc_g residue outside \[0, 2\^64\)"),
+], ids=["short", "extra", "above-2^64", "negative"])
+def test_mask_only_submission_values_are_checked(change, match):
+    roster, subs = _mask_only_pair(lambda v: v)
+    assert server_aggregate(subs, roster, None, None).g.tolist() == [
+        [2 * v for v in row] for row in quantize(np.linspace(-0.9, 0.9, 6).reshape(2, 3)).tolist()]
+    roster, subs = _mask_only_pair(change)
+    with pytest.raises(ProtocolError, match=match) as raised:
+        server_aggregate(subs, roster, None, None)
+    assert "HISTOGRAM_SUBMIT from c1 for tree 4, node 3" in str(raised.value)
 
 
 def test_aggregate_order_invariant(mask_fixture):
-    roster, pk, sk, codec = mask_fixture
+    roster, pk, sk = mask_fixture
     h0, h1 = _hist_from_values([0.3, -0.2]), _hist_from_values([0.1, 0.9])
-    s0 = mask_histogram(h0, "c0", roster, "n3", 0, codec, pk, random.Random(5))
-    s1 = mask_histogram(h1, "c1", roster, "n3", 0, codec, pk, random.Random(6))
-    a = server_aggregate({"c0": s0, "c1": s1}, roster, codec, pk, sk)
-    b = server_aggregate({"c1": s1, "c0": s0}, roster, codec, pk, sk)
+    s0 = mask_histogram(h0, "c0", roster, 5, 3, 0, pk, random.Random(5))
+    s1 = mask_histogram(h1, "c1", roster, 5, 3, 0, pk, random.Random(6))
+    a = server_aggregate({"c0": s0, "c1": s1}, roster, pk, sk)
+    b = server_aggregate({"c1": s1, "c0": s0}, roster, pk, sk)
     assert (a.g == b.g).all() and (a.h == b.h).all()
 
 
 def test_aggregate_missing_client_aborts(mask_fixture):
-    roster, pk, sk, codec = mask_fixture
-    s0 = mask_histogram(_hist_from_values([0.1]), "c0", roster, "n4", 0, codec, pk, random.Random(7))
+    roster, pk, sk = mask_fixture
+    s0 = mask_histogram(_hist_from_values([0.1]), "c0", roster, 5, 4, 0, pk, random.Random(7))
     with pytest.raises(ProtocolError, match="timeout"):
-        server_aggregate({"c0": s0}, roster, codec, pk, sk)
+        server_aggregate({"c0": s0}, roster, pk, sk)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +243,7 @@ def test_aggregate_missing_client_aborts(mask_fixture):
 def test_packed_layout_at_hfl_paillier_shape():
     # 200 training rows over 3 clients under a 512-bit key
     roster = make_roster(["c0", "c1", "c2"], [67, 67, 66])
-    layout = packed_layout(roster, FixedPointCodec(), (1 << 511) + 1)
+    layout = packed_layout(roster, (1 << 511) + 1)
     assert (layout.offset, layout.width, layout.slots) == (2**47, 50, 10)
 
 
@@ -224,53 +253,83 @@ def key_256():
 
 
 @settings(max_examples=25, deadline=None)
-@given(n_clients=st.integers(2, 8), data=st.data())
-def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, data):
-    pk, sk = key_256
-    codec = FixedPointCodec()
-    # the largest sample count for which one slot still fits the key
-    top_bits = pk.n.bit_length() - 1 - codec.scale_bits - 1 - (n_clients - 1).bit_length()
-    count_bits = data.draw(st.sampled_from([1, 24, top_bits]) | st.integers(1, top_bits))
-    counts = [(1 << count_bits) - 1] * n_clients
+@given(n_clients=st.integers(2, 8), tight_key=st.booleans(), data=st.data())
+def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, tight_key, data):
+    # the largest sample count for which the clients' sums still fit int64
+    top_bits = 23 - (n_clients - 1).bit_length()
+    count_bits = data.draw(st.sampled_from([1, 12, top_bits]) | st.integers(1, top_bits))
+    count = (1 << count_bits) - 1
     ids = [f"c{i}" for i in range(n_clients)]
-    roster = make_roster(ids, counts, master_seed=count_bits)
-    near_one = st.sampled_from([-0.999, 0.999]) | st.floats(-0.999, 0.999)
+    roster = make_roster(ids, [count] * n_clients, master_seed=count_bits)
+    pk, sk = key_256
+    if tight_key:
+        # the smallest key that fits one slot: each plaintext fills it
+        width = packed_layout(roster, 1 << 1023).width
+        pk, sk = keygen(key_bits=width + 2, rng_seed=width)
+        assert packed_layout(roster, pk.n).slots == 1
+    # a client's slot sums count quantized |g| <= 2^40 and h <= 2^38
+    top_g, top_h = count << GRAD_SCALE_BITS, count << (GRAD_SCALE_BITS - 2)
+    g_sums = st.sampled_from([-top_g, top_g]) | st.integers(-top_g, top_g)
+    h_sums = st.sampled_from([0, top_h]) | st.integers(0, top_h)
     expect_g, expect_h, subs = [0, 0, 0], [0, 0, 0], {}
-    for cid, count in zip(ids, counts):
+    for cid in ids:
         hist = zero_histogram(1, 3)
-        hist.g[0] = [count * data.draw(near_one) for _ in range(3)]
-        hist.h[0] = [count * data.draw(st.floats(0.0, 0.25)) for _ in range(3)]
-        expect_g = [e + codec.quantize(float(v)) for e, v in zip(expect_g, hist.g[0])]
-        expect_h = [e + codec.quantize(float(v)) for e, v in zip(expect_h, hist.h[0])]
-        subs[cid] = mask_histogram(hist, cid, roster, "x", 0, codec, pk, random.Random(cid))
-    total = server_aggregate(subs, roster, codec, pk, sk)
-    assert list(total.g[0]) == expect_g
-    assert list(total.h[0]) == expect_h
+        hist.g[0] = [data.draw(g_sums) for _ in range(3)]
+        hist.h[0] = [data.draw(h_sums) for _ in range(3)]
+        expect_g = [e + v for e, v in zip(expect_g, hist.g[0].tolist())]
+        expect_h = [e + v for e, v in zip(expect_h, hist.h[0].tolist())]
+        subs[cid] = mask_histogram(hist, cid, roster, 0, 0, 0, pk, random.Random(cid))
+    total = server_aggregate(subs, roster, pk, sk)
+    assert total.g[0].tolist() == expect_g
+    assert total.h[0].tolist() == expect_h
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_clients=st.integers(1, 8), data=st.data())
+def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
+    # every client at the largest count the int64 capacity check admits
+    count = ((1 << 23) - 1) // n_clients
+    ids = [f"c{i}" for i in range(n_clients)]
+    roster = make_roster(ids, [count] * n_clients, master_seed=n_clients,
+                         secagg_mode=SECAGG_MASK_ONLY)
+    top = count << GRAD_SCALE_BITS
+    sums = st.sampled_from([-top, top]) | st.integers(-top, top)
+    F, B = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    expect_g, expect_h, subs = np.zeros((F, B), dtype=object), np.zeros((F, B), dtype=object), {}
+    for cid in ids:
+        hist = zero_histogram(F, B)
+        hist.g[:] = np.array([data.draw(sums) for _ in range(F * B)]).reshape(F, B)
+        hist.h[:] = np.abs(hist.g) >> 2
+        expect_g, expect_h = expect_g + hist.g.astype(object), expect_h + hist.h.astype(object)
+        subs[cid] = mask_histogram(hist, cid, roster, 0, 0, 0, None, None)
+    total = server_aggregate(subs, roster, None, None)
+    assert total.g.tolist() == expect_g.tolist()
+    assert total.h.tolist() == expect_h.tolist()
 
 
 def test_slot_value_reaching_the_offset_raises(mask_fixture):
-    roster, pk, sk, codec = mask_fixture
-    layout = packed_layout(roster, codec, pk.n)
-    edge = layout.offset / codec.scale
+    roster, pk, sk = mask_fixture
+    layout = packed_layout(roster, pk.n)
+    edge = layout.offset / 2**GRAD_SCALE_BITS
     for value in (edge, -edge):
         with pytest.raises(EncodingError, match="offset"):
-            mask_histogram(_hist_from_values([0.0, value]), "c0", roster, "n5", 0, codec, pk,
+            mask_histogram(_hist_from_values([0.0, value]), "c0", roster, 5, 5, 0, pk,
                            random.Random(8))
     assert len(layout.pack([layout.offset - 1, 1 - layout.offset])) == 1
 
 
 def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixture):
-    roster, pk, sk, codec = mask_fixture
-    s0 = mask_histogram(_hist_from_values([0.1, -0.2]), "c0", roster, "n6", 0, codec, pk,
+    roster, pk, sk = mask_fixture
+    s0 = mask_histogram(_hist_from_values([0.1, -0.2]), "c0", roster, 5, 6, 0, pk,
                         random.Random(9))
-    s1 = mask_histogram(_hist_from_values([0.3, 0.4]), "c1", roster, "n6", 0, codec, pk,
+    s1 = mask_histogram(_hist_from_values([0.3, 0.4]), "c1", roster, 5, 6, 0, pk,
                         random.Random(10))
     twin = MaskedEncHistogram(**{**vars(s0), "client_id": "c1"})
     with pytest.raises(ProtocolError, match="bits above"):
-        server_aggregate({"c0": s0, "c1": twin}, roster, codec, pk, sk)
-    flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [Ciphertext(s1.enc_h[0].value ^ 4)]})
+        server_aggregate({"c0": s0, "c1": twin}, roster, pk, sk)
+    flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [s1.enc_h[0] ^ 4]})
     with pytest.raises(ProtocolError, match="bits above"):
-        server_aggregate({"c0": s0, "c1": flipped}, roster, codec, pk, sk)
+        server_aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
 
 
 @pytest.mark.parametrize("secagg, counts, key_bits, match", [
@@ -291,8 +350,8 @@ def test_capacity_checks_abort_before_any_message(secagg, counts, key_bits, matc
 
 def test_sibling_subtraction_on_integer_histograms():
     rng = np.random.default_rng(0)
-    parent = IntHistogram.zeros(2, 4)
-    child = IntHistogram.zeros(2, 4)
+    parent = zero_histogram(2, 4)
+    child = zero_histogram(2, 4)
     for f in range(2):
         for b in range(4):
             c = int(rng.integers(0, 2**50))
@@ -306,31 +365,25 @@ def test_sibling_subtraction_on_integer_histograms():
     # child == parent -> zero histogram; empty child -> parent unchanged
     zero = parent.subtract(parent)
     assert all(v == 0 for v in zero.g.flatten()) and (zero.counts == 0).all()
-    empty = IntHistogram.zeros(2, 4)
+    empty = zero_histogram(2, 4)
     same = parent.subtract(empty)
     assert (same.g == parent.g).all()
-    with pytest.raises(ProtocolError):
-        child.subtract(parent)
+    # the arithmetic shows an impossible child as negative counts, which
+    # the server rejects (test_a_child_with_impossible_counts_is_rejected)
+    assert (child.subtract(parent).counts == -3).all()
 
 
 def test_sibling_subtraction_matches_direct_build():
     rng = np.random.default_rng(3)
     n, F, B = 10, 2, 4
     binned = rng.integers(0, B, size=(n, F))
-    g = rng.integers(-2**20, 2**20, size=n) / 2**20
-    h = rng.integers(1, 2**20, size=n) / 2**22
+    # arbitrary reals: quantized once per sample, the sums are exact
+    g, h = quantize(rng.normal(size=n)), quantize(rng.uniform(0, 0.25, size=n))
     subset = np.sort(rng.choice(n, size=4, replace=False))
     complement = np.setdiff1d(np.arange(n), subset)
-    codec = FixedPointCodec()
-
-    def fixed_point(rows):
-        hist = build_histogram(binned, g, h, rows, B)
-        ints = [np.array([codec.quantize(float(v)) for v in a.flat], dtype=object).reshape(F, B)
-                for a in (hist.g, hist.h)]
-        return IntHistogram(*ints, hist.counts)
-
-    derived = fixed_point(np.arange(n)).subtract(fixed_point(subset))
-    direct = fixed_point(complement)
+    derived = build_histogram(binned, g, h, np.arange(n), B).subtract(
+        build_histogram(binned, g, h, subset, B))
+    direct = build_histogram(binned, g, h, complement, B)
     for name in ("g", "h", "counts"):
         assert (getattr(derived, name) == getattr(direct, name)).all()
 
@@ -360,10 +413,10 @@ def _equivalence_check(n, F, n_clients, seed, secagg, key_bits=512, params=None)
         for fn, cn in zip(ft.nodes, ct.nodes):
             assert fn.is_leaf == cn.is_leaf
             if fn.is_leaf:
-                assert fn.weight == pytest.approx(cn.weight, abs=1e-6)
+                assert fn.weight == cn.weight
             else:
                 assert (fn.feature, fn.bin_index) == (cn.feature, cn.bin_index)
-                assert fn.threshold == pytest.approx(cn.threshold, abs=1e-12)
+                assert fn.threshold == cn.threshold
     return model, central, bus, parties, union
 
 
@@ -398,7 +451,7 @@ def test_single_client_roster_matches_centralized():
         for fn, cn in zip(ft.nodes, ct.nodes):
             assert fn.is_leaf == cn.is_leaf
             if fn.is_leaf:
-                assert fn.weight == pytest.approx(cn.weight, abs=1e-6)
+                assert fn.weight == cn.weight
 
 
 def test_swapping_party_data_leaves_model_unchanged():
@@ -427,7 +480,6 @@ def test_transcript_has_no_sensitive_values():
         n=40, F=3, n_clients=2, seed=31, secagg=SECAGG_PAILLIER,
     )
     assert scan_structure(bus.transcript).clean
-    codec = FixedPointCodec()
     # true (unmasked) per-client slot sums must never appear on the wire;
     # tree-1 margins are continuous, so those sums are generic reals that
     # cannot collide with legitimate payload values (weights, thresholds)
@@ -437,28 +489,28 @@ def test_transcript_has_no_sensitive_values():
     binning = establish_global_binning(list(parties.values()), 8)
     roster = make_roster(list(parties), [p.n_samples for p in parties.values()])
     key = next(e for e in bus.transcript if e.msg_type == "KEY_BROADCAST")
-    layout = packed_layout(roster, codec, hex_to_int(key.payload["n"]))
+    layout = packed_layout(roster, hex_to_int(key.payload["n"]))
     forbidden_hex = set()
     forbidden_floats = set()
     for party in parties.values():
         for n_trees in (0, 1):
             margins = predict_margin(model, party.features, n_trees=n_trees)
-            g, h = logistic_gradients(party.labels, margins)
+            g, h = map(quantize, logistic_gradients(party.labels, margins))
             hist = build_histogram(binning.bin_matrix(party.features), g, h,
                                    np.arange(party.n_samples), 8)
             for f in range(hist.n_features):
                 for b in range(hist.n_bins):
                     if not hist.counts[f, b]:
                         continue
-                    value = float(hist.g[f, b])
+                    value = int(hist.g[f, b]) / 2**GRAD_SCALE_BITS
                     if value != round(value * 4) / 4:  # skip the ±0.25 grid of tree 0
                         forbidden_floats.add(value)
-                    encoded = codec.encode(value, 2**64)
-                    if encoded and len(int_to_hex(encoded)) >= 10:
-                        forbidden_hex.add(int_to_hex(encoded))
+                    residue = int(hist.g[f, b]) % 2**64
+                    if residue and len(int_to_hex(residue)) >= 10:
+                        forbidden_hex.add(int_to_hex(residue))
             # the unmasked packed plaintexts this client would encrypt
             for values in (hist.g, hist.h):
-                for plain in layout.pack([codec.quantize(float(v)) for v in values.flat]):
+                for plain in layout.pack(values.ravel().tolist()):
                     forbidden_hex.add(int_to_hex(plain))
     assert forbidden_floats, "corpus should contain generic per-client sums"
     corpus = SensitiveCorpus(
@@ -576,6 +628,52 @@ def test_a_submission_the_server_did_not_ask_for_is_rejected(field, value):
     sender, payload = bus.tampered
     assert (f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, "
             f"node {payload['node']}") in str(raised.value)
+
+
+def test_a_partition_report_naming_another_node_is_rejected():
+    bus = _TamperOnce("PARTITION_REPORT", lambda to, p: True,
+                      lambda p: p["counts"][0].update(node=77))
+    with pytest.raises(ProtocolError) as raised:
+        _train_with(bus)
+    sender, _ = bus.tampered
+    assert f"PARTITION_REPORT from {sender} reports nodes [77]" in str(raised.value)
+
+
+def test_a_split_broadcast_naming_a_node_without_samples_is_rejected():
+    def rename_first_split(payload):
+        next(d for d in payload["decisions"] if d["action"] == "split")["node"] = 99
+
+    bus = _TamperOnce("SPLIT_BROADCAST",
+                      lambda to, p: to == "c1" and any(d["action"] == "split"
+                                                       for d in p["decisions"]),
+                      rename_first_split)
+    with pytest.raises(ProtocolError, match="SPLIT_BROADCAST to c1 splits node 99"):
+        _train_with(bus)
+
+
+def _first_child_submission(to, payload):
+    return payload["tree"] == 0 and payload["node"] != 0
+
+
+def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
+    # one unit more in one g slot: the count alone would still agree
+    def bump(payload):
+        payload["enc_g"][0] = format((int(payload["enc_g"][0], 16) + 1) % 2**64, "x")
+
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, bump)
+    with pytest.raises(ProtocolError, match="disagrees with the parent prefix sums"):
+        _train_with(bus)
+
+
+def test_a_child_with_impossible_counts_is_rejected():
+    # feature 1's bins trade 1000 samples; feature 0 fixes the totals
+    def shift(payload):
+        payload["counts"][8] += 1000
+        payload["counts"][9] -= 1000
+
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, shift)
+    with pytest.raises(ProtocolError, match="negative count"):
+        _train_with(bus)
 
 
 def _reachable(obj, seen=None):

@@ -4,7 +4,8 @@ it by name, attribute, import alias or identifier string (``getattr`` and
 patch tables).  References from inside a definition's own body do not count.
 
 Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
-searches splits or weighs leaves.
+searches splits or weighs leaves.  Histograms are int64 everywhere: no
+module builds an object-dtype (Python big-int) array.
 """
 
 import ast
@@ -78,3 +79,20 @@ def test_only_gbt_grows_trees():
                 if name in GROWER_CALLS:
                     found.append(f"{path.name}:{node.lineno} {name}(...)")
     assert not found, "trees grow only in gbt.grow_tree: " + ", ".join(found)
+
+
+def _is_object_dtype(node):
+    return ((isinstance(node, ast.Name) and node.id == "object")
+            or (isinstance(node, ast.Constant) and node.value in ("O", "object")))
+
+
+def test_no_src_module_builds_object_arrays():
+    # a dtype passed by keyword, by position (np.array(x, object)) or to astype
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args
+                if any(_is_object_dtype(d) for d in dtypes):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, "object-dtype arrays in src: " + ", ".join(found)

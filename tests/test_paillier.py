@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fedgbt import paillier
+from fedgbt.gbt import GRAD_SCALE_BITS, quantize
 from fedgbt.paillier import (
     OBFUSCATOR_WINDOW_BITS,
     Ciphertext,
     EncodingError,
-    FixedPointCodec,
     PublicKey,
     aggregate,
     decrypt,
@@ -251,56 +251,24 @@ def test_semantic_variation_over_trials(keypair_512):
     assert len(seen) == 100
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-def test_codec_roundtrip_within_resolution(keypair_512, x):
-    pk, _ = keypair_512
-    codec = FixedPointCodec()
-    assert abs(codec.decode(codec.encode(x, pk.n), pk.n) - x) <= 2**-codec.scale_bits
-
-
-def test_codec_exact_dyadic_negative(keypair_512):
-    pk, _ = keypair_512
-    codec = FixedPointCodec(scale_bits=40)
-    m = codec.encode(-0.5, pk.n)
-    assert m == pk.n - 2**39
-    assert codec.decode(m, pk.n) == -0.5
-
-
-def test_codec_zero_and_overflow(keypair_512):
-    pk, _ = keypair_512
-    codec = FixedPointCodec()
-    assert codec.encode(0.0, pk.n) == 0
-    assert codec.decode(0, pk.n) == 0.0
-    with pytest.raises(EncodingError):
-        codec.encode(float(pk.n), pk.n)
+def _encrypted_sum(pk, sk, xs, rng):
+    """Sum of quantized ``xs`` under encryption, decrypted as a signed value."""
+    cs = [encrypt(pk, int(quantize(x)) % pk.n, rng=rng) for x in xs]
+    bound = sum(abs(int(quantize(x))) for x in xs)
+    return decrypt(sk, pk, aggregate(pk, cs), bound=bound) / 2**GRAD_SCALE_BITS
 
 
 def test_encrypted_signed_sum(keypair_512):
     pk, sk = keypair_512
-    codec = FixedPointCodec()
-    rng = random.Random(2)
-    cs = [encrypt(pk, codec.encode(x, pk.n), rng=rng) for x in (0.25, -0.75)]
-    total = codec.decode(decrypt(sk, pk, aggregate(pk, cs)), pk.n)
-    assert abs(total - (-0.5)) <= 2**-40
+    assert _encrypted_sum(pk, sk, (0.25, -0.75), random.Random(2)) == -0.5
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=20))
 def test_signed_multiset_sum_within_bound(keypair_512, xs):
     pk, sk = keypair_512
-    codec = FixedPointCodec()
-    rng = random.Random(len(xs))
-    cs = [encrypt(pk, codec.encode(x, pk.n), rng=rng) for x in xs]
-    total = codec.decode(decrypt(sk, pk, aggregate(pk, cs)), pk.n)
-    assert abs(total - sum(xs)) <= len(xs) * 2**-codec.scale_bits
-
-
-def test_codec_capacity_check(keypair_512):
-    pk, _ = keypair_512
-    FixedPointCodec().check_capacity(pk.n, 1.0, terms=10**6)
-    with pytest.raises(EncodingError):
-        FixedPointCodec().check_capacity(2**60, 1.0, terms=10**6)
+    total = _encrypted_sum(pk, sk, xs, random.Random(len(xs)))
+    assert abs(total - sum(xs)) <= len(xs) * 2**-GRAD_SCALE_BITS
 
 
 def test_hex_serialization_roundtrip(keypair_512):

@@ -6,15 +6,18 @@ import pytest
 
 from fedgbt.data import PartyDataset
 from fedgbt.gbt import (
+    GRAD_SCALE_BITS,
     GbtParams,
+    GradHistogram,
     build_histogram,
     logistic_gradients,
     model_to_json,
     predict_proba,
+    quantize,
     train_centralized,
 )
-from fedgbt.hfl import IntHistogram, ProtocolError
-from fedgbt.paillier import Ciphertext, FixedPointCodec, aggregate, decrypt, keygen
+from fedgbt.hfl import ProtocolError
+from fedgbt.paillier import Ciphertext, aggregate, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import MessageBus
 from fedgbt.vfl import (
@@ -105,16 +108,15 @@ def test_gradient_broadcast_roundtrip_known_values():
     active = ActiveParty(
         "active",
         PartyDataset("active", ids, np.zeros((n, 1)), ("a0",), y),
-        small_params(), FixedPointCodec(), seed=5, key_bits=256,
+        small_params(), seed=5, key_bits=256,
     )
-    active.g, active.h = logistic_gradients(y, np.zeros(n))
+    active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(n)))
     sids, enc_g, enc_h = active.encrypt_gradients(np.arange(n))
-    codec = active.codec
     for sid, cg, ch in zip(sids, enc_g, enc_h):
-        g_val = codec.decode(decrypt(active.sk, active.pk, cg), active.pk.n)
-        h_val = codec.decode(decrypt(active.sk, active.pk, ch), active.pk.n)
-        assert g_val == pytest.approx(-0.5 if y[sid] else 0.5, abs=2**-40)
-        assert h_val == pytest.approx(0.25, abs=2**-40)
+        # the residue of a negative quantized g sits in the upper half of [0, n)
+        g_val = decrypt(active.sk, active.pk, cg)
+        assert g_val == (-(2**39) if y[sid] else 2**39) % active.pk.n
+        assert decrypt(active.sk, active.pk, ch, bound=2**40) == 2**38
 
 
 def test_passive_cannot_decrypt_without_private_key():
@@ -128,29 +130,28 @@ def test_passive_cannot_decrypt_without_private_key():
     _, other_sk = keygen(key_bits=256, rng_seed=999)
     some_cipher = next(iter(passive.enc_g.values()))
     value = decrypt(other_sk, passive.pk, some_cipher)
-    codec = FixedPointCodec()
-    assert abs(codec.decode(value, passive.pk.n)) > 1.0  # far from any gradient
+    # far from any quantized gradient's residue
+    assert 2**GRAD_SCALE_BITS < value < passive.pk.n - 2**GRAD_SCALE_BITS
 
 
 def test_passive_bin_aggregate_matches_plaintext_histogram():
     datasets, X, y = vertical_fixture(20, 1, 3, seed=6)
     roster = make_vfl_roster("active", datasets)
     params = small_params()
-    active = ActiveParty("active", datasets["active"], params, FixedPointCodec(),
-                         seed=2, key_bits=256)
+    active = ActiveParty("active", datasets["active"], params, seed=2, key_bits=256)
     passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
     passive.pk = active.pk
-    active.g, active.h = logistic_gradients(y, np.zeros(20))
+    active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(20)))
     sids, enc_g, enc_h = active.encrypt_gradients(np.arange(20))
     passive.receive_gradients(sids, enc_g, enc_h)
     subset = sids[: 12]
     eg, eh, counts = passive.bin_aggregate(subset)
-    decoded = active.decrypt_histogram(eg, eh, counts, 12, "passive0").decode(active.codec)
+    decoded = active.decrypt_histogram(eg, eh, counts, 12, "passive0")
     plain = build_histogram(
         passive.binned, active.g, active.h, np.arange(12), params.max_bin
     )
-    np.testing.assert_allclose(decoded.g, plain.g, atol=20 * 2**-40)
-    np.testing.assert_allclose(decoded.h, plain.h, atol=20 * 2**-40)
+    np.testing.assert_array_equal(decoded.g, plain.g)
+    np.testing.assert_array_equal(decoded.h, plain.h)
     np.testing.assert_array_equal(decoded.counts, plain.counts)
     # empty bins decrypt to zero through the identity ciphertext
     empty_bins = decoded.counts == 0
@@ -160,11 +161,10 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
 def test_bin_aggregate_equals_the_per_sample_loop():
     datasets, X, y = vertical_fixture(30, 1, 4, seed=18)
     params = small_params()
-    active = ActiveParty("active", datasets["active"], params, FixedPointCodec(),
-                         seed=4, key_bits=256)
+    active = ActiveParty("active", datasets["active"], params, seed=4, key_bits=256)
     passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
     passive.pk = active.pk
-    active.g, active.h = logistic_gradients(y, np.zeros(30))
+    active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(30)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(30)))
     ids = [int(s) for s in datasets["passive0"].sample_ids]
     for space in (ids, ids[::-1][:17], ids[5:6], []):
@@ -192,11 +192,10 @@ def test_passive_rejects_unknown_sample_ids():
 
 def test_passive_rejects_ids_outside_the_gradient_broadcast():
     datasets, _, y = vertical_fixture(12, 1, 2, seed=23)
-    active = ActiveParty("active", datasets["active"], small_params(), FixedPointCodec(),
-                         seed=3, key_bits=256)
+    active = ActiveParty("active", datasets["active"], small_params(), seed=3, key_bits=256)
     passive = PassiveParty("passive0", datasets["passive0"], 8)
     passive.pk = active.pk
-    active.g, active.h = logistic_gradients(y, np.zeros(12))
+    active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(12)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(6)))
     ids = [int(s) for s in datasets["passive0"].sample_ids]
     passive.bin_aggregate(ids[:6])
@@ -252,11 +251,13 @@ def test_vfl_training_matches_centralized_structure_and_predictions():
         for fn, cn in zip(ft.nodes, ct.nodes):
             assert fn.is_leaf == cn.is_leaf
             if fn.is_leaf:
-                assert fn.weight == pytest.approx(cn.weight, abs=1e-6)
+                assert fn.weight == cn.weight
+            else:
+                assert (fn.feature, fn.bin_index) == (cn.feature, cn.bin_index)
     parts = {p: datasets[p] for p in roster.party_ids}
     probs, _ = vfl_predict(trained, parts)
     central_probs = predict_proba(central, X)
-    np.testing.assert_allclose(probs, central_probs, atol=1e-6)
+    np.testing.assert_array_equal(probs, central_probs)
 
 
 @pytest.mark.parametrize("change", [{"max_depth": 0}, {"min_child_weight": 1e6}])
@@ -268,7 +269,7 @@ def test_root_leaf_trees_equal_centralized(change):
     trees = trained.ensemble.trees
     assert [len(t.nodes) for t in trees] == [len(t.nodes) for t in central.trees] == [1, 1]
     for ft, ct in zip(trees, central.trees):
-        assert ft.nodes[0].weight == pytest.approx(ct.nodes[0].weight, abs=1e-6)
+        assert ft.nodes[0].weight == ct.nodes[0].weight
     # the root's histograms are exchanged only while it may split
     exchanged = sum(e.msg_type == "ENC_HISTOGRAM_SUBMIT" for e in bus.transcript)
     assert exchanged == (0 if params.max_depth == 0 else 2)
@@ -325,7 +326,7 @@ def test_single_party_roster_equals_centralized():
         params, seed=7,
     )
     probs, _ = vfl_predict(trained, {"active": datasets["active"]})
-    np.testing.assert_allclose(probs, predict_proba(central, X), atol=1e-6)
+    np.testing.assert_array_equal(probs, predict_proba(central, X))
     # no passive parties -> no protocol messages at all
     assert len(bus.transcript) == 0
 
@@ -451,7 +452,6 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption():
     params = small_params(n_estimators=2, max_depth=3)
     trained, bus = vfl_train(roster, datasets, params, seed=11, key_bits=256)
     active = trained.active
-    scale_bits = active.codec.scale_bits
 
     # one exchange per root and per sibling pair that needs histograms; the
     # exchanged child is the smaller one
@@ -477,7 +477,7 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption():
         ids = [int(active.dataset.sample_ids[p]) for p in positions[node_id]]
         for pid, passive in trained.passives.items():
             eg, eh, counts = passive.bin_aggregate(ids)
-            bounds = [int(c) << scale_bits for c in counts.flat]
+            bounds = [int(c) << GRAD_SCALE_BITS for c in counts.flat]
             held = active.passive_hists[node_id][pid]
             for cts, ints in ((eg, held.g), (eh, held.h)):
                 direct = [decrypt(active.sk, active.pk, c, bound=b) for c, b in zip(cts, bounds)]
@@ -519,13 +519,12 @@ def test_a_flipped_histogram_ciphertext_is_detected(empty_bin):
 
 def test_sibling_subtraction_rejects_impossible_children():
     datasets, _, _ = vertical_fixture(10, 1, 1, seed=20)
-    active = ActiveParty("active", datasets["active"], small_params(), FixedPointCodec(),
-                         seed=1, key_bits=256)
-    scale = active.codec.scale
+    active = ActiveParty("active", datasets["active"], small_params(), seed=1, key_bits=256)
+    scale = 2**GRAD_SCALE_BITS
 
     def hist(g, h, counts):
-        return IntHistogram(np.array([g], dtype=np.int64), np.array([h], dtype=np.int64),
-                            np.array([counts], dtype=np.int64))
+        return GradHistogram(np.array([g], dtype=np.int64), np.array([h], dtype=np.int64),
+                             np.array([counts], dtype=np.int64))
 
     parent = hist([3 * scale, -scale], [scale, scale // 4], [4, 1])
     sibling = active.sibling_histogram(parent, hist([scale, -scale], [0, scale // 4], [1, 1]),
@@ -542,11 +541,10 @@ def test_sibling_subtraction_rejects_impossible_children():
 def test_histogram_decryption_rejects_counts_that_miss_the_sample_space():
     datasets, X, y = vertical_fixture(12, 1, 2, seed=22)
     params = small_params()
-    active = ActiveParty("active", datasets["active"], params, FixedPointCodec(),
-                         seed=2, key_bits=256)
+    active = ActiveParty("active", datasets["active"], params, seed=2, key_bits=256)
     passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
     passive.pk = active.pk
-    active.g, active.h = logistic_gradients(y, np.zeros(12))
+    active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(12)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(12)))
     eg, eh, counts = passive.bin_aggregate([int(s) for s in datasets["passive0"].sample_ids])
     active.decrypt_histogram(eg, eh, counts, 12, "passive0")
