@@ -141,12 +141,16 @@ def compute_binning(X: np.ndarray, n_bins: int) -> Binning:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise TrainingError("cannot bin an empty matrix")
+    if X.shape[1] == 0:
+        raise TrainingError("no features to bin")
     rows = [compute_bins(X[:, f], n_bins) for f in range(X.shape[1])]
     return Binning(boundaries=np.vstack(rows), n_bins=n_bins)
 
 
 def binning_from_ranges(lows: np.ndarray, highs: np.ndarray, n_bins: int) -> Binning:
     rows = [boundaries_from_range(float(lo), float(hi), n_bins) for lo, hi in zip(lows, highs)]
+    if not rows:
+        raise TrainingError("no features to bin")
     return Binning(boundaries=np.vstack(rows), n_bins=n_bins)
 
 
@@ -544,21 +548,36 @@ def grow_tree(
 
 def _grow_pooled(binned: np.ndarray, binning: Binning, g: np.ndarray, h: np.ndarray,
                  rows: np.ndarray, params: GbtParams) -> Tree:
+    """One tree over the pooled rows.  Each split builds the histogram of its
+    smaller child (by rows; a tie builds the left) and derives the larger as
+    parent minus smaller, exact in int64.  Only one level's histograms are
+    kept, and nodes at ``max_depth``, which the grower never asks for, get
+    none."""
     samples = {0: rows}
+    hists = {}
+    if params.max_depth > 0 and rows.size >= 2:
+        hists[0] = build_histogram(binned, g, h, rows, binning.n_bins)
 
     def histogram(node_id):
-        rows = samples[node_id]
-        return build_histogram(binned, g, h, rows, binning.n_bins) if rows.size >= 2 else None
+        return hists[node_id] if samples[node_id].size >= 2 else None
 
     def totals(node_id):
         return int(g[samples[node_id]].sum()), int(h[samples[node_id]].sum())
 
     def finish_level(tree, depth, level):
+        parents = hists.copy()
+        hists.clear()
         for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
             rows = samples.pop(node.node_id)
             left = binned[rows, node.feature] <= node.bin_index
             samples[node.left], samples[node.right] = rows[left], rows[~left]
             node.threshold = binning.threshold(node.feature, node.bin_index)
+            n_left, n_right = samples[node.left].size, samples[node.right].size
+            if depth + 1 < params.max_depth and max(n_left, n_right) >= 2:
+                small, large = ((node.left, node.right) if n_left <= n_right
+                                else (node.right, node.left))
+                hists[small] = build_histogram(binned, g, h, samples[small], binning.n_bins)
+                hists[large] = parents[node.node_id].subtract(hists[small])
 
     return grow_tree(params, histogram, totals, finish_level)
 

@@ -268,6 +268,8 @@ class ActiveParty:
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
         # node id -> passive party -> its bin sums, for the tree in progress
         self.passive_hists: dict[int, dict[str, GradHistogram]] = {}
+        # node id -> this party's own-feature bin sums, likewise
+        self.own_hists: dict[int, GradHistogram] = {}
 
     def encrypt_gradients(self, positions: np.ndarray) -> tuple[list[int], list[Ciphertext], list[Ciphertext]]:
         ids, enc_g, enc_h = [], [], []
@@ -384,16 +386,17 @@ def vfl_train(
             )
 
         node_positions: dict[int, np.ndarray] = {0: rows}
-        active.passive_hists = {}
+        active.passive_hists, active.own_hists = {}, {}
         if params.max_depth > 0 and rows.size >= 2:
             round_id = _exchange_histograms(bus, active, passives, t, 0, rows, round_id)
+            active.own_hists[0] = active.own_histogram(rows)
 
         def histogram(node_id: int) -> GradHistogram | None:
             positions = node_positions[node_id]
             if positions.size < 2:
                 return None
             # every party's bin sums, in roster feature order
-            parts = {**active.passive_hists[node_id], aid: active.own_histogram(positions)}
+            parts = {**active.passive_hists[node_id], aid: active.own_hists[node_id]}
             return GradHistogram(*(np.vstack([getattr(parts[p], a) for p in roster.party_ids])
                                    for a in ("g", "h", "counts")))
 
@@ -435,8 +438,8 @@ def vfl_train(
                                                     sample_ids, t, node.node_id, round_id)
                 right = np.setdiff1d(positions, left)
                 node_positions[node.left], node_positions[node.right] = left, right
-                # while either child may still split, the passive parties
-                # aggregate the smaller one; the larger is parent minus smaller
+                # while either child may still split, every party aggregates
+                # the smaller one; the larger is parent minus smaller
                 if depth + 1 < params.max_depth and max(left.size, right.size) >= 2:
                     small, large = ((node.left, node.right) if left.size <= right.size
                                     else (node.right, node.left))
@@ -448,6 +451,8 @@ def vfl_train(
                             f"{pid}'s histogram for tree {t}, node {large}")
                         for pid, hist in active.passive_hists[small].items()
                     }
+                    own = active.own_hists[small] = active.own_histogram(node_positions[small])
+                    active.own_hists[large] = active.own_hists[node.node_id].subtract(own)
 
         tree = grow_tree(params, histogram, totals, finish_level)
 

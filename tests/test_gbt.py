@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedgbt import gbt
 from fedgbt.data import PartyDataset
 from fedgbt.gbt import (
     GRAD_SCALE_BITS,
@@ -16,6 +17,7 @@ from fedgbt.gbt import (
     TreeNode,
     TrainingError,
     DegenerateNodeError,
+    binning_from_ranges,
     build_histogram,
     check_capacity,
     compute_binning,
@@ -24,6 +26,7 @@ from fedgbt.gbt import (
     SplitCandidate,
     find_best_split,
     grow_tree,
+    initial_margins,
     leaf_value,
     leaf_weight,
     logistic_gradients,
@@ -36,6 +39,7 @@ from fedgbt.gbt import (
     soft_threshold,
     train_centralized,
     tree_leaf_weights_binned,
+    tree_row_sample,
 )
 from fedgbt.paillier import EncodingError
 
@@ -635,6 +639,13 @@ def test_train_rejects_empty_and_unlabeled():
         train_centralized(make_dataset(np.zeros((3, 2))), GbtParams())
 
 
+def test_zero_features_raise_training_error():
+    with pytest.raises(TrainingError, match="no features to bin"):
+        train_centralized(make_dataset(np.zeros((4, 0)), [0, 1, 0, 1]), GbtParams())
+    with pytest.raises(TrainingError, match="no features to bin"):
+        binning_from_ranges(np.array([]), np.array([]), 4)
+
+
 def test_soft_threshold():
     assert soft_threshold(0.7, 0.2) == pytest.approx(0.5)
     assert soft_threshold(-0.7, 0.2) == pytest.approx(-0.5)
@@ -770,3 +781,94 @@ def test_missing_feature_raises_on_both_entry_points():
             # the check is per row width, not a verdict cached on the model
             assert predict(model, np.zeros(ok_width))[0] == predict_margin(
                 model, np.zeros((1, ok_width)))[0]
+
+
+# ---------------------------------------------------------------------------
+# the pooled trainer's sibling subtraction equals building every node directly
+
+
+def direct_train(data, params, seed=0, build=build_histogram):
+    """``train_centralized`` with every node's histogram built from its own
+    rows by ``build``: no sibling subtraction."""
+    X, y = data.features, data.labels
+    binning = compute_binning(X, params.max_bin)
+    binned = binning.bin_matrix(X)
+    margins = initial_margins(data.n_samples, params, seed)
+    trees = []
+    for t in range(params.n_estimators):
+        samples = {0: tree_row_sample(data.n_samples, params.subsample, seed, t)}
+        g, h = map(quantize, logistic_gradients(y, margins))
+
+        def histogram(node_id):
+            rows = samples[node_id]
+            return build(binned, g, h, rows, binning.n_bins) if rows.size >= 2 else None
+
+        def totals(node_id):
+            return int(g[samples[node_id]].sum()), int(h[samples[node_id]].sum())
+
+        def finish_level(tree, depth, level):
+            for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
+                rows = samples.pop(node.node_id)
+                left = binned[rows, node.feature] <= node.bin_index
+                samples[node.left], samples[node.right] = rows[left], rows[~left]
+                node.threshold = binning.threshold(node.feature, node.bin_index)
+
+        tree = grow_tree(params, histogram, totals, finish_level)
+        trees.append(tree)
+        margins += params.learning_rate * tree_leaf_weights_binned(tree, binned)
+    return BoostedEnsemble(trees=trees, params=params, base_score_logit=params.base_score_logit,
+                           feature_names=data.feature_names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.sampled_from([1.0, 0.6]),
+       st.sampled_from([0.0, 1.0, 6.0]), st.integers(0, 2), st.booleans())
+def test_pooled_subtraction_equals_direct_builds(seed, max_depth, subsample, min_child_weight,
+                                                 n_constant, balanced):
+    rng = np.random.default_rng(seed)
+    n = 4 * int(rng.integers(1, 31)) if balanced else int(rng.integers(2, 121))
+    X = rng.normal(size=(n, 3 + n_constant))
+    X[:, 3:] = rng.normal(size=n_constant)  # constant columns
+    if balanced:
+        # two binary columns whose splits halve a node at the first two
+        # levels (at subsample 1), so siblings tie in size and the left one
+        # is built
+        X[:, 0], X[:, 1] = np.arange(n) % 2, np.arange(n) // 2 % 2
+    y = (X[:, 0] + X[:, 1] + rng.normal(scale=0.7, size=n) > 1).astype(int)
+    params = GbtParams(n_estimators=3, max_depth=max_depth, max_bin=int(rng.choice([2, 4, 8])),
+                       subsample=subsample, min_child_weight=min_child_weight,
+                       reg_lambda=float(rng.choice([0.0, 1.0])))
+    data = make_dataset(X, y)
+    assert model_to_json(train_centralized(data, params, seed=seed % 7)) == model_to_json(
+        direct_train(data, params, seed=seed % 7))
+
+
+def test_pooled_trainer_sums_at_most_root_plus_half_a_level_per_depth(monkeypatch):
+    rng = np.random.default_rng(11)
+    n, max_depth = 400, 5
+    X = rng.normal(size=(n, 4))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(scale=0.5, size=n) > 0).astype(int)
+    data = make_dataset(X, y)
+    params = GbtParams(n_estimators=3, max_depth=max_depth, min_child_weight=0.0, reg_lambda=1.0)
+    summed = []  # rows summed per tree
+
+    def counting_build(binned, g, h, sample_idx, n_bins):
+        summed[-1] += len(sample_idx)
+        return build_histogram(binned, g, h, sample_idx, n_bins)
+
+    def next_tree(*args):
+        summed.append(0)
+        return tree_row_sample(*args)
+
+    monkeypatch.setattr(gbt, "build_histogram", counting_build)
+    monkeypatch.setattr(gbt, "tree_row_sample", next_tree)
+    train_centralized(data, params)
+    # the root sums n rows, and each deeper level that may split sums only
+    # its smaller children, at most n / 2
+    bound = n * (1 + (max_depth - 1) / 2)
+    assert len(summed) == params.n_estimators
+    assert all(0 < rows <= bound for rows in summed), summed
+    # building every node directly breaks the bound on these trees
+    direct = []
+    direct_train(data, params, build=lambda *a: direct.append(len(a[3])) or build_histogram(*a))
+    assert sum(direct) > params.n_estimators * bound

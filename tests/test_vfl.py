@@ -470,10 +470,15 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption():
             assert sorted(submits) == [0, *exchanged]
 
     # every internal node of the last tree: what the active party holds is,
-    # exactly, a direct aggregation of the node's sample space, decrypted
+    # exactly, a direct aggregation of the node's sample space, decrypted,
+    # and a direct build of its own features' histogram
     positions, _ = _route_training_rows(trained, trained.ensemble.trees[-1])
     internal = [n.node_id for n in trained.ensemble.trees[-1].nodes if not n.is_leaf]
     for node_id in internal:
+        own = build_histogram(active.binned, active.g, active.h, positions[node_id],
+                              params.max_bin)
+        for a in ("g", "h", "counts"):
+            np.testing.assert_array_equal(getattr(active.own_hists[node_id], a), getattr(own, a))
         ids = [int(active.dataset.sample_ids[p]) for p in positions[node_id]]
         for pid, passive in trained.passives.items():
             eg, eh, counts = passive.bin_aggregate(ids)
