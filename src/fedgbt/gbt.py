@@ -4,9 +4,9 @@ This is the shared mathematical core: the centralized trainer here and the
 federated trainers in :mod:`fedgbt.hfl` / :mod:`fedgbt.vfl` all reduce to the
 same per-bin gradient sums, the same split-gain scan, and the same leaf
 weights, which is what makes the federated-versus-centralized equivalence
-checks meaningful.  All three grow their trees with :func:`grow_tree`, and
-differ only in where a node's histogram comes from and how a level's
-samples are partitioned.
+checks meaningful.  All three grow their trees with :func:`grow_tree`, which
+owns every node's totals and sibling subtraction; they differ only in how a
+level's samples are partitioned and where a built histogram comes from.
 
 Conventions fixed across every training path:
 
@@ -43,6 +43,10 @@ class TrainingError(ValueError):
 
 class DegenerateNodeError(ZeroDivisionError):
     """Leaf weight requested with a vanishing curvature denominator."""
+
+
+class ProtocolError(RuntimeError):
+    """A round produced inconsistent or missing protocol data."""
 
 
 @dataclass(frozen=True)
@@ -206,6 +210,19 @@ class GradHistogram:
     def subtract(self, other: "GradHistogram") -> "GradHistogram":
         """The sibling's sums: this parent's minus one child's, exactly."""
         return GradHistogram(self.g - other.g, self.h - other.h, self.counts - other.counts)
+
+
+def sibling_histogram(parent: GradHistogram, child: GradHistogram, where: str) -> GradHistogram:
+    """The other child's sums: ``parent`` minus ``child``, exact in int64.
+    A count below zero, or a sum outside ``±count * 2**GRAD_SCALE_BITS``
+    (the most that many quantized gradients add up to), raises
+    :class:`ProtocolError` naming ``where``."""
+    sibling = parent.subtract(child)
+    bound = sibling.counts << GRAD_SCALE_BITS  # negative wherever a count is
+    if (np.abs(sibling.g) > bound).any() or (np.abs(sibling.h) > bound).any():
+        raise ProtocolError(f"{where}: sibling subtraction produced a negative count or a "
+                            f"sum beyond its count times 2^{GRAD_SCALE_BITS}")
+    return sibling
 
 
 def build_histogram(
@@ -511,75 +528,93 @@ def leaf_value(G: int, H: int, params: GbtParams) -> float:
 
 def grow_tree(
     params: GbtParams,
-    histogram: Callable[[int], GradHistogram | None],
-    totals: Callable[[int], tuple[int, int]],
-    finish_level: Callable[[Tree, int, list[int]], None],
+    root: tuple[int, int, int],
+    finish_level: Callable[[Tree, int, list[int], dict, list[int]], dict[int, GradHistogram]],
 ) -> Tree:
     """Grow one tree level by level: the one grower of every trainer.
 
-    Below ``max_depth`` a node takes the best split of ``histogram(node_id)``
-    (None when the node cannot split) unless it leaves a child empty; else it
-    is a leaf weighted from ``totals(node_id)``, the node's quantized (G, H).
-    Children are numbered in level order.  ``finish_level(tree, depth,
-    level)`` then does a trainer's own work on the decided level:
-    partitions, thresholds, child histograms.
+    ``stats`` holds each node's quantized (G, H, count): ``root``, then each
+    child's from its parent's :class:`SplitCandidate`.  A node may split
+    while ``depth < max_depth`` and it holds two samples; it takes the best
+    split of its histogram unless that leaves a child empty, else it is a
+    leaf weighted from its (G, H).  Children are numbered in level order.
+    ``finish_level(tree, depth, level, stats, build)`` partitions a decided
+    level and returns the histograms of the nodes in ``build``: the root, by
+    an empty level at depth -1, if it may split; then, of each split whose
+    children may, the smaller child (a tie builds the left).  The larger is
+    derived by :func:`sibling_histogram`, a built child whose totals
+    disagree raises :class:`ProtocolError`, and one level's are kept.
     """
     tree = Tree(nodes=[TreeNode(node_id=0, is_leaf=False)])
+    stats = {0: root}
+
+    def may_split(node_id, depth):
+        return depth < params.max_depth and stats[node_id][2] >= 2
+
+    hists = finish_level(tree, -1, [], stats, [0]) if may_split(0, 0) else {}
     level, depth = [0], 0
     while level:
-        next_level = []
+        next_level, pairs = [], {}  # built child -> (parent, derived sibling)
         for node_id in level:
             node = tree.nodes[node_id]
-            hist = histogram(node_id) if depth < params.max_depth else None
-            best = None if hist is None else find_best_split(hist, params)
+            best = find_best_split(hists[node_id], params) if may_split(node_id, depth) else None
             if best is None or best.left[2] == 0 or best.right[2] == 0:
                 node.is_leaf = True
-                node.weight = leaf_value(*totals(node_id), params)
+                node.weight = leaf_value(*stats[node_id][:2], params)
                 continue
             node.feature, node.bin_index = best.feature, best.bin_index
             node.left, node.right = len(tree.nodes), len(tree.nodes) + 1
             tree.nodes += [TreeNode(node_id=node.left, is_leaf=False),
                            TreeNode(node_id=node.right, is_leaf=False)]
+            stats[node.left], stats[node.right] = best.left, best.right
             next_level += [node.left, node.right]
-        finish_level(tree, depth, level)
+            if may_split(node.left, depth + 1) or may_split(node.right, depth + 1):
+                small, large = ((node.left, node.right) if best.left[2] <= best.right[2]
+                                else (node.right, node.left))
+                pairs[small] = (node_id, large)
+        got = finish_level(tree, depth, level, stats, list(pairs))
+        parents, hists = hists, {}
+        for small, (parent, large) in pairs.items():
+            if got[small].totals() != stats[small]:
+                raise ProtocolError(f"the histogram built for node {small} disagrees with the "
+                                    "parent prefix sums")
+            hists[small] = got[small]
+            hists[large] = sibling_histogram(parents[parent], got[small],
+                                             f"node {large}, node {parent} minus node {small}")
         level, depth = next_level, depth + 1
     return tree
 
 
 def _grow_pooled(binned: np.ndarray, binning: Binning, g: np.ndarray, h: np.ndarray,
-                 rows: np.ndarray, params: GbtParams) -> Tree:
-    """One tree over the pooled rows.  Each split builds the histogram of its
-    smaller child (by rows; a tie builds the left) and derives the larger as
-    parent minus smaller, exact in int64.  Only one level's histograms are
-    kept, and nodes at ``max_depth``, which the grower never asks for, get
-    none."""
+                 rows: np.ndarray, params: GbtParams) -> tuple[Tree, dict[int, np.ndarray]]:
+    """One tree over the pooled rows, and its final partition: leaf id ->
+    rows."""
     samples = {0: rows}
-    hists = {}
-    if params.max_depth > 0 and rows.size >= 2:
-        hists[0] = build_histogram(binned, g, h, rows, binning.n_bins)
 
-    def histogram(node_id):
-        return hists[node_id] if samples[node_id].size >= 2 else None
-
-    def totals(node_id):
-        return int(g[samples[node_id]].sum()), int(h[samples[node_id]].sum())
-
-    def finish_level(tree, depth, level):
-        parents = hists.copy()
-        hists.clear()
+    def finish_level(tree, depth, level, stats, build):
         for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
             rows = samples.pop(node.node_id)
             left = binned[rows, node.feature] <= node.bin_index
             samples[node.left], samples[node.right] = rows[left], rows[~left]
             node.threshold = binning.threshold(node.feature, node.bin_index)
-            n_left, n_right = samples[node.left].size, samples[node.right].size
-            if depth + 1 < params.max_depth and max(n_left, n_right) >= 2:
-                small, large = ((node.left, node.right) if n_left <= n_right
-                                else (node.right, node.left))
-                hists[small] = build_histogram(binned, g, h, samples[small], binning.n_bins)
-                hists[large] = parents[node.node_id].subtract(hists[small])
+        return {n: build_histogram(binned, g, h, samples[n], binning.n_bins) for n in build}
 
-    return grow_tree(params, histogram, totals, finish_level)
+    root = int(g[rows].sum()), int(h[rows].sum()), rows.size
+    return grow_tree(params, root, finish_level), samples
+
+
+def grown_leaf_weights(tree: Tree, leaves: dict[int, np.ndarray],
+                       binned: np.ndarray) -> np.ndarray:
+    """Leaf weight per row of ``binned``.  The rows the tree was grown on
+    take it from the grower's final partition, ``leaves`` (leaf id -> rows);
+    only the rows that subsampling left out are routed by bin index."""
+    weights = np.empty(binned.shape[0])
+    rest = np.ones(binned.shape[0], dtype=bool)
+    for node_id, rows in leaves.items():
+        weights[rows], rest[rows] = tree.nodes[node_id].weight, False
+    if rest.any():
+        weights[rest] = tree_leaf_weights_binned(tree, binned[rest])
+    return weights
 
 
 def train_centralized(
@@ -606,9 +641,9 @@ def train_centralized(
     for t in range(params.n_estimators):
         rows = tree_row_sample(data.n_samples, params.subsample, seed, t)
         g, h = map(quantize, logistic_gradients(y, margins))
-        tree = _grow_pooled(binned, binning, g, h, rows, params)
+        tree, leaves = _grow_pooled(binned, binning, g, h, rows, params)
         trees.append(tree)
-        margins += params.learning_rate * tree_leaf_weights_binned(tree, binned)
+        margins += params.learning_rate * grown_leaf_weights(tree, leaves, binned)
     return BoostedEnsemble(
         trees=trees,
         params=params,

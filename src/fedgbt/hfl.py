@@ -16,12 +16,12 @@ The server grows each tree with the shared :func:`fedgbt.gbt.grow_tree`.
 Wire protocol per boosting round (tree t, depth d):
 
 * ``SPLIT_BROADCAST``    server -> clients: leaf/split decision per node,
-  plus which children must submit a histogram next;
+  and per split the child (``submit``) whose histogram comes next, if any;
 * ``PARTITION_REPORT``   clients -> server: local left/right counts for each
   split node (consistency check against histogram-derived counts);
-* ``HISTOGRAM_SUBMIT``   clients -> server: masked, encrypted left-child
-  histograms (the sibling is derived by exact integer subtraction); the
-  server accepts exactly one per client for each node it asked for;
+* ``HISTOGRAM_SUBMIT``   clients -> server: masked, encrypted histograms of
+  the root and of each split's smaller child (the sibling is derived by exact
+  integer subtraction); the server accepts one per client per node it asked for;
 * ``MODEL_DELIVERY``     server -> clients: the finished tree, then the full
   ensemble at the end.
 
@@ -31,7 +31,8 @@ Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
 Clients act only on the messages they receive: each partitions its samples
 by the splits in its own copy of ``SPLIT_BROADCAST`` and submits exactly the
 children that copy asks for, so a tampered broadcast shows up as a partition
-mismatch or an unrequested submission.
+mismatch, a ``submit`` that names no child of its split, or an unrequested
+submission.
 """
 
 from __future__ import annotations
@@ -48,19 +49,21 @@ from .gbt import (
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
+    ProtocolError,
     Tree,
     binning_from_ranges,
     build_histogram,
     check_capacity,
     find_best_split,  # not called here; perfbench/tracing.py patches it by this name
     grow_tree,
+    grown_leaf_weights,
     initial_margins,
     logistic_gradients,
     model_to_dict,
     node_to_dict,
     quantize,
     tree_from_dicts,
-    tree_leaf_weights_binned,
+    tree_leaf_weights_binned,  # likewise
     tree_row_sample,
 )
 from .paillier import (
@@ -82,10 +85,6 @@ SECAGG_PAILLIER = "paillier+mask"
 SECAGG_MASK_ONLY = "mask-only"
 MASK_ONLY_MODULUS = 1 << 64
 SERVER_ID = "server"
-
-
-class ProtocolError(RuntimeError):
-    """A round produced inconsistent or missing protocol data."""
 
 
 @dataclass(frozen=True)
@@ -441,12 +440,16 @@ class HflClient:
             left = self.binned[samples, d["feature"]] <= d["bin"]
             self.node_samples.update({d["left"]: samples[left], d["right"]: samples[~left]})
             counts.append({"node": d["node"], "left": int(left.sum()), "right": int((~left).sum())})
-            if d["submit_left"]:
-                wanted.append(d["left"])
+            if d["submit"] is not None:
+                if d["submit"] not in (d["left"], d["right"]):
+                    raise ProtocolError(f"SPLIT_BROADCAST to {self.client_id} asks for node "
+                                        f"{d['submit']}, not a child of node {d['node']}")
+                wanted.append(d["submit"])
         return counts, wanted
 
     def finish_tree(self, tree: Tree) -> None:
-        self.margins += self.params.learning_rate * tree_leaf_weights_binned(tree, self.binned)
+        self.margins += self.params.learning_rate * grown_leaf_weights(
+            tree, self.node_samples, self.binned)
         self.node_samples = {}
 
 
@@ -465,10 +468,6 @@ class HflServer:
         # every client's and the aggregate's sums fit int64
         check_capacity(MASK_ONLY_MODULUS, sum(members.sample_counts))
         self.binning: Binning | None = None
-        # the tree in progress: each node's aggregate histogram and its
-        # quantized (G, H) and count
-        self.node_hist: dict[int, GradHistogram] = {}
-        self.node_totals: dict[int, tuple[int, int, int]] = {}
 
     def merge_binning(self, ranges: list[tuple[np.ndarray, np.ndarray]]) -> Binning:
         lows, highs = merge_feature_ranges([r[0] for r in ranges], [r[1] for r in ranges])
@@ -493,21 +492,9 @@ class HflServer:
         return {node_id: server_aggregate(s, self.members, self.pk, self.sk)
                 for node_id, s in subs.items()}
 
-    def start_tree(self, tree_index: int, envelopes: list) -> None:
-        self.node_hist = self.receive_histograms(tree_index, [0], envelopes)
-        self.node_totals = {0: self.node_hist[0].totals()}
-
-    def histogram(self, node_id: int) -> GradHistogram | None:
-        """The node's aggregate histogram, or None below two samples."""
-        return self.node_hist[node_id] if self.node_totals[node_id][2] >= 2 else None
-
-    def totals(self, node_id: int) -> tuple[int, int]:
-        return self.node_totals[node_id][:2]
-
-    def decisions(self, tree: Tree, depth: int, level: list[int]) -> list[dict]:
-        """The ``SPLIT_BROADCAST`` of a grown level.  A split's children take
-        their totals from the parent's prefix sums; the left one is asked for
-        a histogram while either may still split."""
+    def decisions(self, tree: Tree, level: list[int], build: list[int]) -> list[dict]:
+        """The ``SPLIT_BROADCAST`` of a grown level; each split's ``submit``
+        is its child in ``build``, the one the grower asks histograms for."""
         out = []
         for node in (tree.nodes[i] for i in level):
             if node.is_leaf:
@@ -515,10 +502,6 @@ class HflServer:
                 continue
             node.threshold = self.binning.threshold(node.feature, node.bin_index)
             node.owner = SERVER_ID
-            hist, upto = self.node_hist[node.node_id], node.bin_index + 1
-            left = tuple(int(a[node.feature, :upto].sum()) for a in (hist.g, hist.h, hist.counts))
-            right = tuple(a - b for a, b in zip(self.node_totals[node.node_id], left))
-            self.node_totals[node.left], self.node_totals[node.right] = left, right
             out.append({
                 "node": node.node_id,
                 "action": "split",
@@ -527,13 +510,13 @@ class HflServer:
                 "threshold": node.threshold,
                 "left": node.left,
                 "right": node.right,
-                "submit_left": depth + 1 < self.params.max_depth and max(left[2], right[2]) >= 2,
+                "submit": next((c for c in (node.left, node.right) if c in build), None),
             })
         return out
 
-    def check_partition(self, reports: dict, splits: list[dict]) -> None:
+    def check_partition(self, reports: dict, splits: list[dict], stats: dict) -> None:
         """Each client reports every split node, and the clients' left counts
-        add up to each split's left child."""
+        add up to each split's left child's count in the grower's ``stats``."""
         nodes = sorted(s["node"] for s in splits)
         for sender, env in reports.items():
             reported = sorted(c["node"] for c in env.payload["counts"])
@@ -543,29 +526,11 @@ class HflServer:
         for s in splits:
             left_sum = sum({c["node"]: c["left"] for c in env.payload["counts"]}[s["node"]]
                            for env in reports.values())
-            if left_sum != self.node_totals[s["left"]][2]:
+            if left_sum != stats[s["left"]][2]:
                 raise ProtocolError(
                     f"partition mismatch at node {s['node']}: clients report "
-                    f"{left_sum} left samples, histogram says {self.node_totals[s['left']][2]}"
+                    f"{left_sum} left samples, histogram says {stats[s['left']][2]}"
                 )
-
-    def add_children(self, tree_index: int, splits: list[dict], envelopes: list) -> None:
-        """Aggregate the requested left children; each right child is its
-        parent minus its sibling, exactly."""
-        wanted = [s for s in splits if s["submit_left"]]
-        got = self.receive_histograms(tree_index, [s["left"] for s in wanted], envelopes)
-        for s in wanted:
-            left = got[s["left"]]
-            if left.totals() != self.node_totals[s["left"]]:
-                raise ProtocolError(
-                    f"child histogram for node {s['left']} disagrees with the parent prefix sums"
-                )
-            right = self.node_hist[s["node"]].subtract(left)
-            if (right.counts < 0).any():
-                raise ProtocolError(f"sibling subtraction for node {s['right']} produced a "
-                                    "negative count")
-            for node_id, hist in ((s["left"], left), (s["right"], right)):
-                self.node_hist[node_id], self.node_totals[node_id] = hist, hist.totals()
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +550,17 @@ def _submission_payload(sub: MaskedEncHistogram) -> dict:
 
 def _submission_from_payload(payload: dict, sender: str, n_features: int,
                              n_bins: int) -> MaskedEncHistogram:
+    """A submission off the wire; counts that are not ``n_features`` rows of
+    ``n_bins`` non-negative counts with one sum raise :class:`ProtocolError`
+    naming the sender, tree and node."""
+    where = f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, node {payload['node']}"
+    counts = np.array(payload["counts"], dtype=np.int64)
+    if counts.size != n_features * n_bins:
+        raise ProtocolError(f"{where}: {counts.size} counts, expected {n_features * n_bins}")
+    counts = counts.reshape(n_features, n_bins)
+    if (counts < 0).any() or (counts.sum(axis=1) != counts[0].sum()).any():
+        raise ProtocolError(f"{where}: a negative count, or feature rows whose counts "
+                            "differ in sum")
     return MaskedEncHistogram(
         client_id=sender,
         tree=payload["tree"],
@@ -592,7 +568,7 @@ def _submission_from_payload(payload: dict, sender: str, n_features: int,
         mode=payload["mode"],
         enc_g=[hex_to_int(t) for t in payload["enc_g"]],
         enc_h=[hex_to_int(t) for t in payload["enc_h"]],
-        counts=np.array(payload["counts"], dtype=np.int64).reshape(n_features, n_bins),
+        counts=counts,
     )
 
 
@@ -682,11 +658,15 @@ def hfl_train(
         for cid, client in clients.items():
             client.start_tree(t)
             bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, client.masked_submission(t, 0))
-        server.start_tree(t, [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in clients])
+        root = server.receive_histograms(t, [0], [bus.recv(sid, "HISTOGRAM_SUBMIT")
+                                                  for _ in clients])
 
-        def finish_level(tree: Tree, depth: int, level: list[int]) -> None:
+        def finish_level(tree: Tree, depth: int, level: list[int], stats: dict,
+                         build: list[int]) -> dict[int, GradHistogram]:
             nonlocal round_id
-            decisions = server.decisions(tree, depth, level)
+            if depth < 0:
+                return root  # every tree starts from the root's histogram
+            decisions = server.decisions(tree, level, build)
             splits = [d for d in decisions if d["action"] == "split"]
             round_id += 1
             for cid in roster.client_ids:
@@ -704,20 +684,20 @@ def hfl_train(
                         "tree": t, "depth": depth, "counts": counts,
                     })
             if not splits:
-                return
+                return {}
             reports = bus.recv_from_each(sid, list(roster.client_ids), "PARTITION_REPORT")
-            server.check_partition(reports, splits)
-            n_wanted = sum(s["submit_left"] for s in splits)
-            if n_wanted:
-                round_id += 1
-                for cid, client in clients.items():
-                    for node_id in wanted[cid]:
-                        bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id,
-                                 client.masked_submission(t, node_id))
-                envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in range(n_wanted * len(clients))]
-                server.add_children(t, splits, envs)
+            server.check_partition(reports, splits, stats)
+            if not build:
+                return {}
+            round_id += 1
+            for cid, client in clients.items():
+                for node_id in wanted[cid]:
+                    bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id,
+                             client.masked_submission(t, node_id))
+            envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in range(len(build) * len(clients))]
+            return server.receive_histograms(t, build, envs)
 
-        tree = grow_tree(params, server.histogram, server.totals, finish_level)
+        tree = grow_tree(params, root[0].totals(), finish_level)
 
         # deliver the finished tree so clients can update their margins
         round_id += 1

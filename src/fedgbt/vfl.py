@@ -14,12 +14,12 @@ The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
 key's per-prime tables, and decrypts each bin sum modulo ``p`` alone: a sum
 of ``c`` quantized gradients has magnitude at most ``c * 2**40``, far below
-``p / 2``, and a sum outside that bound is rejected as tampered.  Passive
-parties aggregate the root and then only the smaller child of each split
-whose children may still split; the active party keeps every node's
-decrypted sums as int64 histograms, the pooled trainer's integers, and
-derives the larger child as parent minus smaller, exactly.  It grows each
-tree with the shared :func:`fedgbt.gbt.grow_tree`.
+``p / 2``, and a sum outside that bound is rejected as tampered.  The
+decrypted sums are int64 histograms, the pooled trainer's integers.  The
+active party grows each tree with the shared :func:`fedgbt.gbt.grow_tree`:
+every party aggregates the root and then only the smaller child of each
+split whose children may still split, and the grower derives the larger
+child as parent minus smaller, exactly, on every party's features at once.
 
 Wire protocol: ``GRADIENT_BROADCAST``, ``SAMPLE_SPACE``,
 ``ENC_HISTOGRAM_SUBMIT``, ``SPLIT_NOTICE``, ``PARTITION_REPLY`` during
@@ -40,6 +40,7 @@ from .gbt import (
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
+    ProtocolError,
     Tree,
     check_capacity,
     compute_binning,
@@ -51,7 +52,6 @@ from .gbt import (
     sigmoid,
     tree_row_sample,
 )
-from .hfl import ProtocolError
 from .paillier import (
     Ciphertext,
     EncodingError,
@@ -266,10 +266,6 @@ class ActiveParty:
         self.h = np.zeros(dataset.n_samples, dtype=np.int64)
         self.records: dict[int, SplitRecord] = {}
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
-        # node id -> passive party -> its bin sums, for the tree in progress
-        self.passive_hists: dict[int, dict[str, GradHistogram]] = {}
-        # node id -> this party's own-feature bin sums, likewise
-        self.own_hists: dict[int, GradHistogram] = {}
 
     def encrypt_gradients(self, positions: np.ndarray) -> tuple[list[int], list[Ciphertext], list[Ciphertext]]:
         ids, enc_g, enc_h = [], [], []
@@ -311,20 +307,6 @@ class ActiveParty:
             return np.array(values, dtype=np.int64).reshape(counts.shape)
 
         return GradHistogram(g=plain(enc_g), h=plain(enc_h), counts=counts.astype(np.int64))
-
-    def sibling_histogram(self, parent: GradHistogram, child: GradHistogram,
-                          where: str) -> GradHistogram:
-        """The other child's bin sums: ``parent`` minus ``child``, exact in
-        integers.  Raises :class:`ProtocolError` naming ``where`` when a
-        count goes negative or a sum leaves ``±count * 2**GRAD_SCALE_BITS``."""
-        sibling = parent.subtract(child)
-        if (sibling.counts < 0).any():
-            raise ProtocolError(f"{where}: sibling subtraction produced a negative count")
-        bound = sibling.counts << GRAD_SCALE_BITS
-        if (np.abs(sibling.g) > bound).any() or (np.abs(sibling.h) > bound).any():
-            raise ProtocolError(f"{where}: a bin sum derived by subtraction exceeds "
-                                f"its count times 2^{GRAD_SCALE_BITS}")
-        return sibling
 
     def own_histogram(self, positions: np.ndarray) -> GradHistogram:
         from .gbt import build_histogram
@@ -386,28 +368,16 @@ def vfl_train(
             )
 
         node_positions: dict[int, np.ndarray] = {0: rows}
-        active.passive_hists, active.own_hists = {}, {}
-        if params.max_depth > 0 and rows.size >= 2:
-            round_id = _exchange_histograms(bus, active, passives, t, 0, rows, round_id)
-            active.own_hists[0] = active.own_histogram(rows)
 
-        def histogram(node_id: int) -> GradHistogram | None:
-            positions = node_positions[node_id]
-            if positions.size < 2:
-                return None
-            # every party's bin sums, in roster feature order
-            parts = {**active.passive_hists[node_id], aid: active.own_hists[node_id]}
-            return GradHistogram(*(np.vstack([getattr(parts[p], a) for p in roster.party_ids])
-                                   for a in ("g", "h", "counts")))
-
-        def totals(node_id: int) -> tuple[int, int]:
-            positions = node_positions[node_id]
-            return int(active.g[positions].sum()), int(active.h[positions].sum())
-
-        def finish_level(tree: Tree, depth: int, level: list[int]) -> None:
+        def finish_level(tree: Tree, depth: int, level: list[int], stats: dict,
+                         build: list[int]) -> dict[int, GradHistogram]:
             nonlocal round_id, next_record
+            hists = {}
+            if 0 in build:
+                hists[0], round_id = _exchange_histograms(bus, active, passives, t, 0, rows,
+                                                          round_id)
             for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
-                positions = node_positions[node.node_id]
+                positions = node_positions.pop(node.node_id)
                 owner = roster.owner_of(node.feature)
                 local_feature = roster.to_local(owner, node.feature)
                 # the skeleton keeps the winning feature and bin, which the
@@ -436,38 +406,34 @@ def vfl_train(
                     sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
                     left, round_id = _partition_leg(bus, active, passives[owner], node.record_id,
                                                     sample_ids, t, node.node_id, round_id)
-                right = np.setdiff1d(positions, left)
-                node_positions[node.left], node_positions[node.right] = left, right
-                # while either child may still split, every party aggregates
-                # the smaller one; the larger is parent minus smaller
-                if depth + 1 < params.max_depth and max(left.size, right.size) >= 2:
-                    small, large = ((node.left, node.right) if left.size <= right.size
-                                    else (node.right, node.left))
-                    round_id = _exchange_histograms(bus, active, passives, t, small,
-                                                    node_positions[small], round_id)
-                    active.passive_hists[large] = {
-                        pid: active.sibling_histogram(
-                            active.passive_hists[node.node_id][pid], hist,
-                            f"{pid}'s histogram for tree {t}, node {large}")
-                        for pid, hist in active.passive_hists[small].items()
-                    }
-                    own = active.own_hists[small] = active.own_histogram(node_positions[small])
-                    active.own_hists[large] = active.own_hists[node.node_id].subtract(own)
+                    # leaf weights come from the split's sums: the reply must
+                    # agree with them on this party's own gradients
+                    if (int(active.g[left].sum()), int(active.h[left].sum()),
+                            left.size) != stats[node.left]:
+                        raise ProtocolError(f"PARTITION_REPLY from {owner} for tree {t}, node "
+                                            f"{node.node_id}: the left side disagrees with "
+                                            "the split's sums")
+                node_positions[node.left] = left
+                node_positions[node.right] = np.setdiff1d(positions, left)
+                # each wanted child is exchanged right after its parent's partition
+                for c in (c for c in (node.left, node.right) if c in build):
+                    hists[c], round_id = _exchange_histograms(bus, active, passives, t, c,
+                                                              node_positions[c], round_id)
+            return hists
 
-        tree = grow_tree(params, histogram, totals, finish_level)
+        root = int(active.g[rows].sum()), int(active.h[rows].sum()), rows.size
+        tree = grow_tree(params, root, finish_level)
 
-        # margin update: with subsample=1 the training partitions already
-        # route every row; otherwise route the full row set, querying the
-        # owner of each foreign split
+        # margin update: the rows the tree was grown on take their weights
+        # from the final partition; only the rows subsampling left out are
+        # routed, querying the owner of each foreign split
         weights = np.zeros(active.dataset.n_samples)
-        if params.subsample >= 1.0:
-            for node in tree.nodes:
-                if node.is_leaf:
-                    weights[node_positions[node.node_id]] = node.weight
-        else:
-            round_id = _route_all_rows(
-                tree, active, passives, roster, bus, t, round_id, weights
-            )
+        for leaf_id, positions in node_positions.items():
+            weights[positions] = tree.nodes[leaf_id].weight
+        rest = np.setdiff1d(np.arange(active.dataset.n_samples), rows)
+        if rest.size:
+            round_id = _route_rows(tree, active, passives, roster, bus, t, round_id, rest,
+                                   weights)
         active.margins += params.learning_rate * weights
         trees.append(tree)
 
@@ -483,10 +449,11 @@ def vfl_train(
 
 def _exchange_histograms(bus: MessageBus, active: ActiveParty,
                          passives: dict[str, PassiveParty], tree_index: int, node_id: int,
-                         positions: np.ndarray, round_id: int) -> int:
-    """Every passive party aggregates the node's sample space under
-    encryption, and the active party decrypts the sums into
-    ``active.passive_hists[node_id]``; returns the last round id."""
+                         positions: np.ndarray, round_id: int) -> tuple[GradHistogram, int]:
+    """Every party's bin sums of one node, in roster feature order, and the
+    last round id: every passive party aggregates the node's sample space
+    under encryption, and the active party decrypts the sums and builds its
+    own."""
     aid = active.party_id
     sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
     round_id += 1
@@ -506,22 +473,25 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
             "counts": counts.flatten().tolist(),
         })
     envs = bus.recv_from_each(aid, list(passives), "ENC_HISTOGRAM_SUBMIT")
-    hists = {}
+    hists = []
     for pid, passive in passives.items():
         payload = envs[pid].payload
         where = f"{pid}'s histogram for tree {tree_index}, node {node_id}"
         if (payload["tree"], payload["node"]) != (tree_index, node_id):
             raise ProtocolError(f"{where}: the reply names tree {payload['tree']}, "
                                 f"node {payload['node']}")
-        counts = np.array(payload["counts"], dtype=np.int64).reshape(
-            passive.dataset.n_features, active.params.max_bin)
-        hists[pid] = active.decrypt_histogram(
+        shape = passive.dataset.n_features, active.params.max_bin
+        counts = np.array(payload["counts"], dtype=np.int64)
+        if counts.size != shape[0] * shape[1]:
+            raise ProtocolError(f"{where}: {counts.size} counts, expected {shape[0] * shape[1]}")
+        hists.append(active.decrypt_histogram(
             [Ciphertext(hex_to_int(v)) for v in payload["enc_g"]],
             [Ciphertext(hex_to_int(v)) for v in payload["enc_h"]],
-            counts, positions.size, where,
-        )
-    active.passive_hists[node_id] = hists
-    return round_id
+            counts.reshape(shape), positions.size, where,
+        ))
+    parts = [active.own_histogram(positions), *hists]
+    return GradHistogram(*(np.vstack([getattr(part, a) for part in parts])
+                           for a in ("g", "h", "counts"))), round_id
 
 
 def _partition_leg(bus: MessageBus, active: ActiveParty, owner: PassiveParty, record_id: int,
@@ -540,13 +510,14 @@ def _partition_leg(bus: MessageBus, active: ActiveParty, owner: PassiveParty, re
     return np.array(left, dtype=np.int64), round_id
 
 
-def _route_all_rows(tree: Tree, active: ActiveParty, passives: dict[str, PassiveParty],
-                    roster: VflRoster, bus: MessageBus, tree_index: int,
-                    round_id: int, out: np.ndarray) -> int:
-    """Route every training row down the tree, asking owners of foreign
-    splits to partition (used when subsampling left rows unrouted)."""
+def _route_rows(tree: Tree, active: ActiveParty, passives: dict[str, PassiveParty],
+                roster: VflRoster, bus: MessageBus, tree_index: int,
+                round_id: int, positions: np.ndarray, out: np.ndarray) -> int:
+    """Route the training rows at ``positions`` down the tree into ``out``,
+    asking owners of foreign splits to partition; returns the last round
+    id."""
     aid = roster.active_id
-    stack = [(0, np.arange(active.dataset.n_samples, dtype=np.int64))]
+    stack = [(0, positions)]
     while stack:
         node_id, positions = stack.pop()
         node = tree.nodes[node_id]

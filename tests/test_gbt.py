@@ -13,6 +13,7 @@ from fedgbt.gbt import (
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
+    ProtocolError,
     Tree,
     TreeNode,
     TrainingError,
@@ -502,62 +503,97 @@ def test_single_leaf_training_forced_structure():
         margins += params.learning_rate * tree.nodes[0].weight
 
 
-def _scripted_growth(hists, max_depth):
-    """Grow a tree whose node histograms come from ``hists`` (node id ->
-    histogram or None); returns the tree and the callbacks' call log."""
+def _scripted_growth(root, hists, max_depth, monkeypatch=None):
+    """Grow a tree from root totals ``root`` whose built histograms come from
+    ``hists`` (node id -> histogram); returns the tree, its params, the log
+    of (depth, level, build) per ``finish_level`` call and the histograms
+    ``find_best_split`` receives, in call order (recorded when
+    ``monkeypatch`` is given)."""
     params = GbtParams(max_depth=max_depth)
-    log = {"histogram": [], "levels": []}
+    log, searched = [], []
 
-    def histogram(node_id):
-        log["histogram"].append(node_id)
-        return hists[node_id]
-
-    def totals(node_id):
-        return _stub_totals(node_id)
-
-    def finish_level(tree, depth, level):
+    def finish_level(tree, depth, level, stats, build):
         # the level is decided: every split already has both children
         for node in (tree.nodes[i] for i in level):
             assert node.is_leaf or node.right < len(tree.nodes)
-        log["levels"].append((depth, list(level)))
+        log.append((depth, list(level), list(build)))
+        return {n: hists[n] for n in build}
 
-    return grow_tree(params, histogram, totals, finish_level), params, log
-
-
-def _stub_totals(node_id):
-    """Quantized (G, H) of node_id - 2.5 and node_id + 1."""
-    return (2 * node_id - 5) << (GRAD_SCALE_BITS - 1), (node_id + 1) << GRAD_SCALE_BITS
+    if monkeypatch is not None:
+        monkeypatch.setattr(gbt, "find_best_split",
+                            lambda hist, p: searched.append(hist) or find_best_split(hist, p))
+    return grow_tree(params, root, finish_level), params, log, searched
 
 
 def _one_feature(g, h, counts):
     return GradHistogram(quantize([g]), quantize([h]), np.array([counts], dtype=np.int64))
 
 
+# One feature, two bins.  The root (90 samples) splits 50 | 40: the right
+# child is the smaller and is built; the left is derived.  Node 1 splits
+# 30 | 20 and node 2 splits 20 | 20, so node 4 and, on the tie, node 5 are
+# built.
+_SCRIPT = {
+    0: _one_feature([-2.0, 2.0], [4.0, 4.0], [50, 40]),
+    2: _one_feature([3.0, -1.0], [2.0, 2.0], [20, 20]),
+    4: _one_feature([2.0, 1.0], [1.0, 1.0], [10, 10]),
+    5: _one_feature([1.5, 1.5], [1.0, 1.0], [10, 10]),  # zero gain: a leaf
+}
+
+
 def test_grow_tree_root_without_histogram_is_one_leaf():
-    tree, params, log = _scripted_growth({0: None}, max_depth=3)
-    (root,) = tree.nodes
-    assert root.is_leaf and root.weight == leaf_value(-(5 << 39), 1 << 40, params) == 2.5
-    assert log == {"histogram": [0], "levels": [(0, [0])]}
+    # a root of one sample, or any root at max_depth 0, cannot split: no
+    # histogram is asked for
+    for root, max_depth, weight in (((-(5 << 39), 1 << 40, 1), 3, 2.5),
+                                    (_SCRIPT[0].totals(), 0, 0.0)):
+        tree, params, log, _ = _scripted_growth(root, {}, max_depth=max_depth)
+        (node,) = tree.nodes
+        assert node.is_leaf and node.weight == leaf_value(*root[:2], params) == weight
+        assert log == [(0, [0], [])]
 
 
-def test_grow_tree_policy_with_stub_callbacks():
-    split = _one_feature([-2.0, 2.0], [2.0, 2.0], [2, 2])
+def test_grow_tree_policy_with_stub_callbacks(monkeypatch):
+    tree, params, log, searched = _scripted_growth(_SCRIPT[0].totals(), _SCRIPT, max_depth=3,
+                                                   monkeypatch=monkeypatch)
+    # level order: node 1's children come before node 2's
+    assert [(n.node_id, n.left, n.right) for n in tree.nodes if not n.is_leaf] == [
+        (0, 1, 2), (1, 3, 4), (2, 5, 6), (3, 7, 8), (4, 9, 10), (6, 11, 12)]
+    assert [n.node_id for n in tree.nodes] == list(range(13))
+    assert all((n.feature, n.bin_index) == (0, 0) for n in tree.nodes if not n.is_leaf)
+    # the root only when it may split, then the smaller child of each split
+    # (a tie builds the left), and nothing for the children at max_depth
+    assert log == [(-1, [], [0]), (0, [0], [2]), (1, [1, 2], [4, 5]),
+                   (2, [3, 4, 5, 6], []), (3, list(range(7, 13)), [])]
+    # every node above max_depth is searched once, in level order; each
+    # larger child is its parent minus the built one
+    derived = {1: (0, 2), 3: (1, 4), 6: (2, 5)}
+    hists = dict(_SCRIPT)
+    for node_id, (parent, built) in derived.items():
+        hists[node_id] = hists[parent].subtract(hists[built])
+    assert len(searched) == 7
+    for node_id, hist in enumerate(searched):
+        for a in ("g", "h", "counts"):
+            np.testing.assert_array_equal(getattr(hist, a), getattr(hists[node_id], a))
+    # leaves take their weights from the split sums: node 7 holds G = -7, H = 1
+    leaves = {n.node_id: n.weight for n in tree.nodes if n.is_leaf}
+    assert leaves == {5: -1.5, 7: 7.0, 8: -2.0, 9: -2.0, 10: -1.0, 11: -1.5, 12: 2.5}
     # a best split whose left child holds no sample must become a leaf
     empty_left = _one_feature([-2.0, 2.0], [2.0, 2.0], [0, 4])
     assert find_best_split(empty_left, GbtParams()).left[2] == 0
-    hists = {0: split, 1: split, 2: empty_left, 3: None, 4: split}
-    tree, params, log = _scripted_growth(hists, max_depth=3)
-    # level order: node 1's children come before node 4's
-    assert [(n.node_id, n.left, n.right) for n in tree.nodes if not n.is_leaf] == [
-        (0, 1, 2), (1, 3, 4), (4, 5, 6)]
-    assert [n.node_id for n in tree.nodes] == list(range(7))
-    assert all((n.feature, n.bin_index) == (0, 0) for n in tree.nodes if not n.is_leaf)
-    leaves = [n for n in tree.nodes if n.is_leaf]
-    assert [n.node_id for n in leaves] == [2, 3, 5, 6]
-    assert all(n.weight == leaf_value(*_stub_totals(n.node_id), params) for n in leaves)
-    # nodes 5 and 6 sit at max_depth: no histogram is asked for them
-    assert log["histogram"] == [0, 1, 2, 3, 4]
-    assert log["levels"] == [(0, [0]), (1, [1, 2]), (2, [3, 4]), (3, [5, 6])]
+    tree, params, log, _ = _scripted_growth(empty_left.totals(), {0: empty_left}, max_depth=3)
+    assert len(tree.nodes) == 1 and tree.nodes[0].weight == 0.0
+    assert log == [(-1, [], [0]), (0, [0], [])]
+
+
+@pytest.mark.parametrize("node_id", [2, 5])
+def test_grow_tree_rejects_a_built_child_that_disagrees_with_the_parent_split(node_id):
+    script = dict(_SCRIPT)
+    off = script[node_id]
+    script[node_id] = GradHistogram(off.g.copy(), off.h.copy(), off.counts.copy())
+    script[node_id].h[0, 1] += 1  # one unit of one bin
+    with pytest.raises(ProtocolError, match=f"histogram built for node {node_id} disagrees "
+                                            "with the parent prefix sums"):
+        _scripted_growth(_SCRIPT[0].totals(), script, max_depth=3)
 
 
 def test_training_deterministic():
@@ -788,32 +824,38 @@ def test_missing_feature_raises_on_both_entry_points():
 
 
 def direct_train(data, params, seed=0, build=build_histogram):
-    """``train_centralized`` with every node's histogram built from its own
-    rows by ``build``: no sibling subtraction."""
+    """``train_centralized`` by a test-local level-wise grower that builds
+    every node's histogram from its own rows with ``build`` (no sibling
+    subtraction), weighs leaves from their rows' sums and routes every row
+    through each finished tree."""
     X, y = data.features, data.labels
     binning = compute_binning(X, params.max_bin)
     binned = binning.bin_matrix(X)
     margins = initial_margins(data.n_samples, params, seed)
     trees = []
     for t in range(params.n_estimators):
-        samples = {0: tree_row_sample(data.n_samples, params.subsample, seed, t)}
         g, h = map(quantize, logistic_gradients(y, margins))
-
-        def histogram(node_id):
-            rows = samples[node_id]
-            return build(binned, g, h, rows, binning.n_bins) if rows.size >= 2 else None
-
-        def totals(node_id):
-            return int(g[samples[node_id]].sum()), int(h[samples[node_id]].sum())
-
-        def finish_level(tree, depth, level):
-            for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
-                rows = samples.pop(node.node_id)
-                left = binned[rows, node.feature] <= node.bin_index
-                samples[node.left], samples[node.right] = rows[left], rows[~left]
+        tree = Tree(nodes=[TreeNode(node_id=0, is_leaf=False)])
+        level, depth = [(0, tree_row_sample(data.n_samples, params.subsample, seed, t))], 0
+        while level:
+            next_level = []
+            for node_id, rows in level:
+                node = tree.nodes[node_id]
+                best = None
+                if depth < params.max_depth and rows.size >= 2:
+                    best = find_best_split(build(binned, g, h, rows, binning.n_bins), params)
+                if best is None or best.left[2] == 0 or best.right[2] == 0:
+                    node.is_leaf = True
+                    node.weight = leaf_value(int(g[rows].sum()), int(h[rows].sum()), params)
+                    continue
+                node.feature, node.bin_index = best.feature, best.bin_index
                 node.threshold = binning.threshold(node.feature, node.bin_index)
-
-        tree = grow_tree(params, histogram, totals, finish_level)
+                node.left, node.right = len(tree.nodes), len(tree.nodes) + 1
+                tree.nodes += [TreeNode(node_id=node.left, is_leaf=False),
+                               TreeNode(node_id=node.right, is_leaf=False)]
+                left = binned[rows, node.feature] <= node.bin_index
+                next_level += [(node.left, rows[left]), (node.right, rows[~left])]
+            level, depth = next_level, depth + 1
         trees.append(tree)
         margins += params.learning_rate * tree_leaf_weights_binned(tree, binned)
     return BoostedEnsemble(trees=trees, params=params, base_score_logit=params.base_score_logit,

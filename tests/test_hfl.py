@@ -630,6 +630,71 @@ def test_a_submission_the_server_did_not_ask_for_is_rejected(field, value):
             f"node {payload['node']}") in str(raised.value)
 
 
+def _move_out_of_an_empty_bin(counts):
+    # feature 1's row keeps its sum; one of its empty bins goes to -1
+    row = counts[8:16]
+    counts[8 + row.index(0)] -= 1
+    counts[8 + row.index(max(row))] += 1
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda c: c.pop(), "23 counts, expected 24"),
+    (lambda c: c.append(0), "25 counts, expected 24"),
+    (_move_out_of_an_empty_bin, "a negative count"),
+    (lambda c: c.__setitem__(17, c[17] + 1), "feature rows whose counts differ in sum"),
+], ids=["short", "extra", "negative", "uneven-rows"])
+def test_a_submission_with_malformed_counts_is_rejected(change, match):
+    # the first root submission; feature 2 sums one sample more in "uneven-rows"
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", lambda to, p: p["tree"] == 0 and p["node"] == 0,
+                      lambda p: change(p["counts"]))
+    with pytest.raises(ProtocolError, match=match) as raised:
+        _train_with(bus)
+    sender, payload = bus.tampered
+    assert f"HISTOGRAM_SUBMIT from {sender} for tree 0, node 0" in str(raised.value)
+
+
+def test_clients_submit_the_smaller_child():
+    _, bus = _train_with(MessageBus())
+    sizes = {}  # (tree, split node) -> global (left, right) counts
+    for env in bus.transcript:
+        if env.msg_type == "PARTITION_REPORT":
+            for c in env.payload["counts"]:
+                left, right = sizes.get((env.payload["tree"], c["node"]), (0, 0))
+                sizes[env.payload["tree"], c["node"]] = left + c["left"], right + c["right"]
+    asked = {}  # tree -> children asked for
+    for env in bus.transcript:
+        if env.msg_type == "SPLIT_BROADCAST" and env.recipient == "c0":
+            depth, tree = env.payload["depth"], env.payload["tree"]
+            for d in (d for d in env.payload["decisions"] if d["action"] == "split"):
+                left, right = sizes[tree, d["node"]]
+                if depth + 1 < 3 and max(left, right) >= 2:  # max_depth 3
+                    assert d["submit"] == (d["left"] if left <= right else d["right"])
+                    asked.setdefault(tree, []).append(d["submit"])
+                else:
+                    assert d["submit"] is None
+    submitted = {}
+    for env in bus.transcript:
+        if env.msg_type == "HISTOGRAM_SUBMIT" and env.sender == "c0":
+            submitted.setdefault(env.payload["tree"], []).append(env.payload["node"])
+    assert submitted == {t: [0, *nodes] for t, nodes in asked.items()}
+    # both sides are asked for somewhere
+    assert {n % 2 for nodes in asked.values() for n in nodes} == {0, 1}
+
+
+def test_a_split_broadcast_asking_for_a_non_child_is_rejected():
+    def ask_for_the_parent(payload):
+        split = next(d for d in payload["decisions"] if d.get("submit") is not None)
+        split["submit"] = split["node"]
+
+    bus = _TamperOnce("SPLIT_BROADCAST",
+                      lambda to, p: to == "c1" and any(d.get("submit") is not None
+                                                       for d in p["decisions"]),
+                      ask_for_the_parent)
+    with pytest.raises(ProtocolError,
+                       match="SPLIT_BROADCAST to c1 asks for node 0, not a child of node 0"):
+        _train_with(bus)
+
+
 def test_a_partition_report_naming_another_node_is_rejected():
     bus = _TamperOnce("PARTITION_REPORT", lambda to, p: True,
                       lambda p: p["counts"][0].update(node=77))

@@ -4,7 +4,7 @@ it by name, attribute, import alias or identifier string (``getattr`` and
 patch tables).  References from inside a definition's own body do not count.
 
 Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
-searches splits or weighs leaves.  Histograms are int64 everywhere: no
+searches splits, weighs leaves or derives a sibling's histogram.  Histograms are int64 everywhere: no
 module builds an object-dtype (Python big-int) array.
 """
 
@@ -64,7 +64,8 @@ def test_no_src_definition_is_reached_only_from_tests():
     assert not dead, "no caller outside the tests: " + ", ".join(dead)
 
 
-GROWER_CALLS = {"TreeNode", "find_best_split", "leaf_weight", "leaf_value"}
+GROWER_CALLS = {"TreeNode", "find_best_split", "leaf_weight", "leaf_value", "subtract",
+                "sibling_histogram"}
 
 
 def test_only_gbt_grows_trees():

@@ -9,14 +9,16 @@ from fedgbt.gbt import (
     GRAD_SCALE_BITS,
     GbtParams,
     GradHistogram,
+    ProtocolError,
     build_histogram,
+    find_best_split,
     logistic_gradients,
     model_to_json,
     predict_proba,
     quantize,
+    sibling_histogram,
     train_centralized,
 )
-from fedgbt.hfl import ProtocolError
 from fedgbt.paillier import Ciphertext, aggregate, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import MessageBus
@@ -347,6 +349,28 @@ def test_inference_message_count_bounded_by_foreign_path_nodes():
     assert len(queries) <= max(max_depth_foreign, 0) * len(trained.ensemble.trees) or len(queries) <= foreign_internal
 
 
+def test_subsampled_training_equals_centralized_and_routes_only_unsampled_rows():
+    datasets, X, y = vertical_fixture(60, 2, 3, seed=25)
+    params = small_params(n_estimators=3, subsample=0.6)
+    roster, joined, central = centralized_counterpart(datasets, params, seed=5)
+    trained, bus = vfl_train(roster, datasets, params, seed=5, key_bits=256)
+    assert [[(n.is_leaf, n.feature, n.bin_index, n.weight) for n in t.nodes]
+            for t in trained.ensemble.trees] == [
+        [(n.is_leaf, n.feature, n.bin_index, n.weight) for n in t.nodes] for t in central.trees]
+    probs, _ = vfl_predict(trained, datasets)
+    np.testing.assert_array_equal(probs, predict_proba(central, X))
+    # a routing query is a SAMPLE_SPACE answered by a PARTITION_REPLY; after
+    # each tree, only the rows its sample left out are routed
+    sample, routed = set(), 0
+    for env, reply in zip(bus.transcript, bus.transcript[1:]):
+        if env.msg_type == "GRADIENT_BROADCAST":
+            sample = {int(s) for s in env.payload["enc_g"]}
+        elif env.msg_type == "SAMPLE_SPACE" and reply.msg_type == "PARTITION_REPLY":
+            routed += 1
+            assert not sample & set(env.payload["sample_ids"])
+    assert routed, "the run must route rows through a foreign split"
+
+
 def test_subsample_training_still_runs_and_predicts():
     datasets, X, y = vertical_fixture(50, 2, 2, seed=15)
     roster = make_vfl_roster("active", datasets)
@@ -446,7 +470,12 @@ def _route_training_rows(trained, tree):
     return positions, depth
 
 
-def test_subtracted_histograms_equal_direct_aggregation_and_decryption():
+def test_subtracted_histograms_equal_direct_aggregation_and_decryption(monkeypatch):
+    from fedgbt import gbt
+
+    searched = []
+    monkeypatch.setattr(gbt, "find_best_split",
+                        lambda hist, p: searched.append(hist) or find_best_split(hist, p))
     datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
     roster = make_vfl_roster("active", datasets)
     params = small_params(n_estimators=2, max_depth=3)
@@ -455,6 +484,7 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption():
 
     # one exchange per root and per sibling pair that needs histograms; the
     # exchanged child is the smaller one
+    n_searched = 0
     for t, tree in enumerate(trained.ensemble.trees):
         positions, depth = _route_training_rows(trained, tree)
         pairs = [n for n in tree.nodes if not n.is_leaf and depth[n.node_id] + 1 < params.max_depth
@@ -468,26 +498,31 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption():
                        if e.msg_type == "ENC_HISTOGRAM_SUBMIT" and e.sender == pid
                        and e.payload["tree"] == t]
             assert sorted(submits) == [0, *exchanged]
+        # split search sees every node above max_depth with two samples, in
+        # level order, which is node id order
+        searchable = [n.node_id for n in tree.nodes
+                      if depth[n.node_id] < params.max_depth and positions[n.node_id].size >= 2]
+        n_searched += len(searchable)
+    assert len(searched) == n_searched
 
-    # every internal node of the last tree: what the active party holds is,
-    # exactly, a direct aggregation of the node's sample space, decrypted,
-    # and a direct build of its own features' histogram
-    positions, _ = _route_training_rows(trained, trained.ensemble.trees[-1])
-    internal = [n.node_id for n in trained.ensemble.trees[-1].nodes if not n.is_leaf]
-    for node_id in internal:
-        own = build_histogram(active.binned, active.g, active.h, positions[node_id],
-                              params.max_bin)
-        for a in ("g", "h", "counts"):
-            np.testing.assert_array_equal(getattr(active.own_hists[node_id], a), getattr(own, a))
+    # every searched node of the last tree, every internal one among them:
+    # the histogram split search received is, exactly, a direct build of the
+    # active party's own features and a direct aggregation of the node's
+    # sample space at each passive party, decrypted
+    assert {n.node_id for n in tree.nodes if not n.is_leaf} <= set(searchable)
+    for node_id, held in zip(searchable, searched[-len(searchable):]):
+        parts = [build_histogram(active.binned, active.g, active.h, positions[node_id],
+                                 params.max_bin)]
         ids = [int(active.dataset.sample_ids[p]) for p in positions[node_id]]
-        for pid, passive in trained.passives.items():
-            eg, eh, counts = passive.bin_aggregate(ids)
+        for pid in roster.passive_ids:
+            eg, eh, counts = trained.passives[pid].bin_aggregate(ids)
             bounds = [int(c) << GRAD_SCALE_BITS for c in counts.flat]
-            held = active.passive_hists[node_id][pid]
-            for cts, ints in ((eg, held.g), (eh, held.h)):
-                direct = [decrypt(active.sk, active.pk, c, bound=b) for c, b in zip(cts, bounds)]
-                assert ints.flatten().tolist() == direct
-            np.testing.assert_array_equal(held.counts, counts)
+            parts.append(GradHistogram(*(
+                np.array([decrypt(active.sk, active.pk, c, bound=b) for c, b in zip(cts, bounds)],
+                         dtype=np.int64).reshape(counts.shape) for cts in (eg, eh)), counts))
+        for a in ("g", "h", "counts"):
+            np.testing.assert_array_equal(getattr(held, a),
+                                          np.vstack([getattr(part, a) for part in parts]))
 
 
 class _FlipOneCiphertext(MessageBus):
@@ -523,8 +558,6 @@ def test_a_flipped_histogram_ciphertext_is_detected(empty_bin):
 
 
 def test_sibling_subtraction_rejects_impossible_children():
-    datasets, _, _ = vertical_fixture(10, 1, 1, seed=20)
-    active = ActiveParty("active", datasets["active"], small_params(), seed=1, key_bits=256)
     scale = 2**GRAD_SCALE_BITS
 
     def hist(g, h, counts):
@@ -532,15 +565,71 @@ def test_sibling_subtraction_rejects_impossible_children():
                              np.array([counts], dtype=np.int64))
 
     parent = hist([3 * scale, -scale], [scale, scale // 4], [4, 1])
-    sibling = active.sibling_histogram(parent, hist([scale, -scale], [0, scale // 4], [1, 1]),
-                                       "p's histogram for tree 2, node 5")
+    sibling = sibling_histogram(parent, hist([scale, -scale], [0, scale // 4], [1, 1]),
+                                "p's histogram for tree 2, node 5")
     assert sibling.g.tolist() == [[2 * scale, 0]]
     assert sibling.counts.tolist() == [[3, 0]]
     for child in (hist([0, 0], [0, 0], [0, 2]),  # a negative count
                   hist([-scale, 0], [0, 0], [1, 0]),  # 4 * scale over 3 samples
                   hist([0, -1], [0, 0], [1, 1])):  # a nonzero sum over no samples
         with pytest.raises(ProtocolError, match="p's histogram for tree 2, node 5"):
-            active.sibling_histogram(parent, child, "p's histogram for tree 2, node 5")
+            sibling_histogram(parent, child, "p's histogram for tree 2, node 5")
+
+
+class _DropOneLeftId(MessageBus):
+    """Drops the last sample id of the first training PARTITION_REPLY."""
+
+    def __init__(self):
+        super().__init__()
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "PARTITION_REPLY" and self.tampered is None:
+            payload = {**payload, "sample_ids": payload["sample_ids"][:-1]}
+            self.tampered = (sender, payload["tree"], payload["node"])
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+@pytest.mark.parametrize("max_depth", [1, 3])
+def test_a_partition_reply_that_disagrees_with_the_split_is_rejected(max_depth):
+    # at max_depth 1 no child histogram is built that could expose it
+    datasets, X, y = vertical_fixture(40, 1, 3, seed=27)
+    roster = make_vfl_roster("active", datasets)
+    bus = _DropOneLeftId()
+    with pytest.raises(ProtocolError, match="the left side disagrees") as raised:
+        vfl_train(roster, datasets, small_params(max_depth=max_depth), seed=12, bus=bus,
+                  key_bits=256)
+    sender, tree, node = bus.tampered
+    assert f"PARTITION_REPLY from {sender} for tree {tree}, node {node}" in str(raised.value)
+
+
+class _ChangeCounts(MessageBus):
+    """Rewrites the counts of the first ENC_HISTOGRAM_SUBMIT with ``change``."""
+
+    def __init__(self, change):
+        super().__init__()
+        self.change = change
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
+            payload = {**payload, "counts": self.change(list(payload["counts"]))}
+            self.tampered = (sender, payload["tree"], payload["node"])
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda c: c[:-1], "23 counts, expected 24"),
+    (lambda c: c + [0], "25 counts, expected 24"),
+], ids=["short", "extra"])
+def test_histogram_counts_of_the_wrong_length_are_rejected(change, match):
+    datasets, X, y = vertical_fixture(40, 2, 3, seed=19)
+    roster = make_vfl_roster("active", datasets)
+    bus = _ChangeCounts(change)
+    with pytest.raises(ProtocolError, match=match) as raised:
+        vfl_train(roster, datasets, small_params(), seed=11, bus=bus, key_bits=256)
+    sender, tree, node = bus.tampered
+    assert f"{sender}'s histogram for tree {tree}, node {node}" in str(raised.value)
 
 
 def test_histogram_decryption_rejects_counts_that_miss_the_sample_space():
