@@ -5,8 +5,9 @@ federated trainers in :mod:`fedgbt.hfl` / :mod:`fedgbt.vfl` all reduce to the
 same per-bin gradient sums, the same split-gain scan, and the same leaf
 weights, which is what makes the federated-versus-centralized equivalence
 checks meaningful.  All three grow their trees with :func:`grow_tree`, which
-owns every node's totals and sibling subtraction; they differ only in how a
-level's samples are partitioned and where a built histogram comes from.
+owns every node's totals, sibling subtraction and the histogram checks; they
+differ only in how a level's samples are partitioned and where a built
+histogram comes from.
 
 Conventions fixed across every training path:
 
@@ -162,7 +163,7 @@ def binning_from_ranges(lows: np.ndarray, highs: np.ndarray, n_bins: int) -> Bin
 # Fixed-point gradients
 
 # g and h travel and sum as integers scaled by 2**GRAD_SCALE_BITS
-GRAD_SCALE_BITS = 40
+GRAD_SCALE_BITS = 20
 GRAD_SCALE = 1 << GRAD_SCALE_BITS
 
 
@@ -212,17 +213,34 @@ class GradHistogram:
         return GradHistogram(self.g - other.g, self.h - other.h, self.counts - other.counts)
 
 
-def sibling_histogram(parent: GradHistogram, child: GradHistogram, where: str) -> GradHistogram:
-    """The other child's sums: ``parent`` minus ``child``, exact in int64.
-    A count below zero, or a sum outside ``±count * 2**GRAD_SCALE_BITS``
-    (the most that many quantized gradients add up to), raises
-    :class:`ProtocolError` naming ``where``."""
-    sibling = parent.subtract(child)
-    bound = sibling.counts << GRAD_SCALE_BITS  # negative wherever a count is
-    if (np.abs(sibling.g) > bound).any() or (np.abs(sibling.h) > bound).any():
-        raise ProtocolError(f"{where}: sibling subtraction produced a negative count or a "
-                            f"sum beyond its count times 2^{GRAD_SCALE_BITS}")
-    return sibling
+def check_histogram(hist: GradHistogram, totals: tuple[int, int, int],
+                    where: str) -> GradHistogram:
+    """Return ``hist`` if quantized logistic gradients can have produced it
+    at a node of ``totals`` = (G, H, n), else raise :class:`ProtocolError`
+    naming ``where``.  It requires, with ``S = GRAD_SCALE_BITS``:
+
+    * every feature row sums to (G, H, n);
+    * per bin, ``count <= n`` (so no row sum wraps int64) and
+      ``|G| <= count * 2**S``, the most ``count`` values of ``|g| <= 1`` sum to;
+    * per bin, ``0 <= H <= count * 2**(S - 2)``, since a logistic h is at
+      most 1/4 and ``2**S / 4`` is exact.  This also requires ``count >= 0``
+      and zero sums in every empty bin.
+    """
+    G, H, n = totals
+    g, h, counts = hist.g, hist.h, hist.counts
+    top = counts << GRAD_SCALE_BITS
+    bad = (counts > n) | (g > top) | (g < -top) | (h < 0) | (h > top >> 2)
+    if np.count_nonzero(bad):  # cheaper than any() on arrays this small
+        f, b = (int(i) for i in np.argwhere(bad)[0])
+        raise ProtocolError(
+            f"{where}: feature {f}, bin {b} holds (G, H, count) = ({g[f, b]}, {h[f, b]}, "
+            f"{counts[f, b]}), beyond what that many logistic gradients sum to")
+    off = (g.sum(axis=1) != G) | (h.sum(axis=1) != H) | (counts.sum(axis=1) != n)
+    if np.count_nonzero(off):
+        f = int(np.flatnonzero(off)[0])
+        raise ProtocolError(f"{where}: feature {f} sums to (G, H, count) = ({g[f].sum()}, "
+                            f"{h[f].sum()}, {counts[f].sum()}), not the node's {tuple(totals)}")
+    return hist
 
 
 def build_histogram(
@@ -528,6 +546,7 @@ def leaf_value(G: int, H: int, params: GbtParams) -> float:
 
 def grow_tree(
     params: GbtParams,
+    tree_index: int,
     root: tuple[int, int, int],
     finish_level: Callable[[Tree, int, list[int], dict, list[int]], dict[int, GradHistogram]],
 ) -> Tree:
@@ -542,8 +561,9 @@ def grow_tree(
     level and returns the histograms of the nodes in ``build``: the root, by
     an empty level at depth -1, if it may split; then, of each split whose
     children may, the smaller child (a tie builds the left).  The larger is
-    derived by :func:`sibling_histogram`, a built child whose totals
-    disagree raises :class:`ProtocolError`, and one level's are kept.
+    the parent's histogram minus the smaller's, exactly.  Every histogram,
+    built or derived, passes :func:`check_histogram` against its node's
+    totals, naming tree ``tree_index`` and the node, and one level's are kept.
     """
     tree = Tree(nodes=[TreeNode(node_id=0, is_leaf=False)])
     stats = {0: root}
@@ -551,7 +571,10 @@ def grow_tree(
     def may_split(node_id, depth):
         return depth < params.max_depth and stats[node_id][2] >= 2
 
-    hists = finish_level(tree, -1, [], stats, [0]) if may_split(0, 0) else {}
+    hists = {}
+    if may_split(0, 0):
+        hists[0] = check_histogram(finish_level(tree, -1, [], stats, [0])[0], root,
+                                   f"tree {tree_index}, node 0")
     level, depth = [0], 0
     while level:
         next_level, pairs = [], {}  # built child -> (parent, derived sibling)
@@ -575,18 +598,18 @@ def grow_tree(
         got = finish_level(tree, depth, level, stats, list(pairs))
         parents, hists = hists, {}
         for small, (parent, large) in pairs.items():
-            if got[small].totals() != stats[small]:
-                raise ProtocolError(f"the histogram built for node {small} disagrees with the "
-                                    "parent prefix sums")
-            hists[small] = got[small]
-            hists[large] = sibling_histogram(parents[parent], got[small],
-                                             f"node {large}, node {parent} minus node {small}")
+            hists[small] = check_histogram(got[small], stats[small],
+                                           f"tree {tree_index}, node {small}")
+            hists[large] = check_histogram(parents[parent].subtract(hists[small]), stats[large],
+                                           f"tree {tree_index}, node {large} (node {parent} "
+                                           f"minus node {small})")
         level, depth = next_level, depth + 1
     return tree
 
 
 def _grow_pooled(binned: np.ndarray, binning: Binning, g: np.ndarray, h: np.ndarray,
-                 rows: np.ndarray, params: GbtParams) -> tuple[Tree, dict[int, np.ndarray]]:
+                 rows: np.ndarray, params: GbtParams,
+                 tree_index: int) -> tuple[Tree, dict[int, np.ndarray]]:
     """One tree over the pooled rows, and its final partition: leaf id ->
     rows."""
     samples = {0: rows}
@@ -600,7 +623,7 @@ def _grow_pooled(binned: np.ndarray, binning: Binning, g: np.ndarray, h: np.ndar
         return {n: build_histogram(binned, g, h, samples[n], binning.n_bins) for n in build}
 
     root = int(g[rows].sum()), int(h[rows].sum()), rows.size
-    return grow_tree(params, root, finish_level), samples
+    return grow_tree(params, tree_index, root, finish_level), samples
 
 
 def grown_leaf_weights(tree: Tree, leaves: dict[int, np.ndarray],
@@ -641,7 +664,7 @@ def train_centralized(
     for t in range(params.n_estimators):
         rows = tree_row_sample(data.n_samples, params.subsample, seed, t)
         g, h = map(quantize, logistic_gradients(y, margins))
-        tree, leaves = _grow_pooled(binned, binning, g, h, rows, params)
+        tree, leaves = _grow_pooled(binned, binning, g, h, rows, params, t)
         trees.append(tree)
         margins += params.learning_rate * grown_leaf_weights(tree, leaves, binned)
     return BoostedEnsemble(

@@ -697,7 +697,7 @@ def hfl_train(
             envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in range(len(build) * len(clients))]
             return server.receive_histograms(t, build, envs)
 
-        tree = grow_tree(params, root[0].totals(), finish_level)
+        tree = grow_tree(params, t, root[0].totals(), finish_level)
 
         # deliver the finished tree so clients can update their margins
         round_id += 1

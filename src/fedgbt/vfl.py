@@ -13,13 +13,14 @@ partitions and answers left/right queries at inference time.
 The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
 key's per-prime tables, and decrypts each bin sum modulo ``p`` alone: a sum
-of ``c`` quantized gradients has magnitude at most ``c * 2**40``, far below
-``p / 2``, and a sum outside that bound is rejected as tampered.  The
-decrypted sums are int64 histograms, the pooled trainer's integers.  The
-active party grows each tree with the shared :func:`fedgbt.gbt.grow_tree`:
-every party aggregates the root and then only the smaller child of each
-split whose children may still split, and the grower derives the larger
-child as parent minus smaller, exactly, on every party's features at once.
+of ``c`` quantized gradients has magnitude at most
+``c * 2**GRAD_SCALE_BITS``, far below ``p / 2``, and a sum outside that
+bound is rejected as tampered.  The decrypted sums are int64 histograms, the
+pooled trainer's integers.  The active party grows each tree with the shared
+:func:`fedgbt.gbt.grow_tree`: every party aggregates the root and then only
+the smaller child of each split whose children may still split, and the
+grower derives the larger child as parent minus smaller, exactly, on every
+party's features at once.
 
 Wire protocol: ``GRADIENT_BROADCAST``, ``SAMPLE_SPACE``,
 ``ENC_HISTOGRAM_SUBMIT``, ``SPLIT_NOTICE``, ``PARTITION_REPLY`` during
@@ -422,7 +423,7 @@ def vfl_train(
             return hists
 
         root = int(active.g[rows].sum()), int(active.h[rows].sum()), rows.size
-        tree = grow_tree(params, root, finish_level)
+        tree = grow_tree(params, t, root, finish_level)
 
         # margin update: the rows the tree was grown on take their weights
         # from the final partition; only the rows subsampling left out are

@@ -123,8 +123,10 @@ def test_criterion_01_paillier_correctness():
             xs = [rng.uniform(-1, 1) for _ in range(rng.randrange(2, 40))]
             cs = [encrypt(pk, int(quantize(x)) % pk.n, rng=rng) for x in xs]
             total = decrypt(sk, pk, aggregate(pk, cs), bound=len(xs) << GRAD_SCALE_BITS)
+            assert total == sum(int(quantize(x)) for x in xs)
             decoded = total / 2**GRAD_SCALE_BITS
-            assert abs(decoded - sum(xs)) <= 2 * len(xs) * 2**-40
+            # each term rounds by at most half a unit in the last place
+            assert abs(decoded - sum(xs)) <= len(xs) * 2**-GRAD_SCALE_BITS
         assert time.perf_counter() - started <= 60.0
 
 

@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from fedgbt.cli import main as cli_main
-from fedgbt.data import SynthConfig
+from fedgbt import gbt
+from fedgbt.data import SynthConfig, join_datasets, split_train_valid_test
 from fedgbt.experiment import (
     SCENARIO_HFL,
     SCENARIO_VFL,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
+    fold_seed,
+    load_districts,
     run_experiment,
+    train_regime,
 )
-from fedgbt.gbt import GbtParams
+from fedgbt.gbt import GRAD_SCALE_BITS, GbtParams
 from fedgbt.hfl import SECAGG_MASK_ONLY
 
 
@@ -82,12 +86,45 @@ def test_regime_failure_is_isolated_and_reported():
         k_folds=2,
         seed=6,
         secagg_mode="paillier+mask",
-        key_bits=32,
+        # each packed slot takes at least S + 4 bits (a 2-bit sample count,
+        # a sign bit and a carry bit for two clients); this key leaves at
+        # most S + 3 bits below its modulus
+        key_bits=GRAD_SCALE_BITS + 4,
     )
     report = run_experiment(config)
-    assert report.regimes["federated"].error is not None
+    assert "fits no" in report.regimes["federated"].error
     assert report.regimes["centralized"].error is None
     assert report.regimes["centralized"].averaged is not None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_paper_scale_pooled_trees_match_the_40_bit_scale(monkeypatch, seed):
+    # run_hfl_experiment.py's centralized regime, every fold: the split
+    # structure of every tree at GRAD_SCALE_BITS equals the one at 2^40
+    # (narrower scales first change trees at these seeds: 2^18 at seed 2,
+    # 2^16 at seeds 1 and 2)
+    config = ExperimentConfig(
+        scenario=SCENARIO_HFL, regimes=("centralized",), seed=seed, k_folds=5,
+        params=GbtParams(n_estimators=20, max_depth=5, max_bin=32, learning_rate=0.3,
+                         reg_lambda=0.0, min_child_weight=1.0),
+    )
+    joined = join_datasets(load_districts(config), "joined")
+    folds = split_train_valid_test(joined, k=config.k_folds, seed=seed).folds
+
+    def structures():
+        return [[[(n.node_id, n.feature, n.bin_index, n.left, n.right) for n in tree.nodes]
+                 for tree in train_regime(config, "centralized",
+                                          joined.subset(fold.full_train_idx, "train"), {},
+                                          config.params, fold_seed(config, fold.fold_id))[0].trees]
+                for fold in folds]
+
+    ours = structures()
+    monkeypatch.setattr(gbt, "GRAD_SCALE_BITS", 40)
+    monkeypatch.setattr(gbt, "GRAD_SCALE", 1 << 40)
+    wide = structures()
+    for k, (fold, reference) in enumerate(zip(ours, wide)):
+        for t, (tree, ref) in enumerate(zip(fold, reference)):
+            assert tree == ref, f"fold {k}, tree {t}: the split structure moved from 2^40"
 
 
 def test_privacy_cost_rows_present_and_consistent(hfl_report):

@@ -212,31 +212,33 @@ def test_quantize_roundtrip_within_resolution(x):
 
 def test_quantize_exact_dyadic_negative():
     q = int(quantize(-0.5))
-    assert q == -(2**39)
+    assert q == -(2 ** (GRAD_SCALE_BITS - 1))
     assert q / SCALE == -0.5
     # a negative sits in the upper half of any residue ring it enters
     for n in (2**64, (1 << 511) + 1):
-        assert q % n == n - 2**39
+        assert q % n == n - 2 ** (GRAD_SCALE_BITS - 1)
 
 
 def test_quantize_zero_and_overflow():
     assert int(quantize(0.0)) == 0
     assert quantize([0.0, -0.0]).tolist() == [0, 0]
-    # the largest double below 2^23 lands just inside int64
-    assert int(quantize(2.0**23 - 2.0**-30)) == 2**63 - 2**10
-    for bad in (2.0**23, -(2.0**23), float(2**511), math.nan, math.inf):
+    # the largest double below 2^(63 - S) lands just inside int64
+    edge = 63 - GRAD_SCALE_BITS
+    assert int(quantize(2.0**edge - 2.0 ** (edge - 53))) == 2**63 - 2**10
+    for bad in (2.0**edge, -(2.0**edge), float(2**511), math.nan, math.inf):
         with pytest.raises(EncodingError):
             quantize([0.5, bad])
 
 
 def test_check_capacity_on_both_sides_of_its_boundary():
-    # 2 * terms * 2^40 must stay below the modulus
-    check_capacity(2**64, 2**23 - 1)
-    with pytest.raises(EncodingError, match="8388608 terms"):
-        check_capacity(2**64, 2**23)
-    check_capacity((2 * 40 << 40) + 1, 40)
+    # 2 * terms * 2^S must stay below the modulus
+    most = 2 ** (63 - GRAD_SCALE_BITS)  # terms that int64 sums cannot hold
+    check_capacity(2**64, most - 1)
+    with pytest.raises(EncodingError, match=f"{most} terms"):
+        check_capacity(2**64, most)
+    check_capacity((2 * 40 << GRAD_SCALE_BITS) + 1, 40)
     with pytest.raises(EncodingError, match="40 terms"):
-        check_capacity(2 * 40 << 40, 40)
+        check_capacity(2 * 40 << GRAD_SCALE_BITS, 40)
     check_capacity(2**511, 10**6)
 
 
@@ -244,8 +246,8 @@ def test_check_capacity_on_both_sides_of_its_boundary():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 20_000]) | st.integers(1, 60),
        st.booleans())
 def test_build_histogram_exact_at_quantized_extremes(seed, n, one_sign):
-    # |g| <= 1 and h <= 1/4 quantize to at most 2^40 and 2^38; 20,000 of
-    # them sum past 2^53, where float accumulation would round
+    # |g| <= 1 and h <= 1/4 quantize to at most 2^S and 2^(S-2); the sums
+    # must be exact integers at these extremes
     rng = np.random.default_rng(seed)
     F, B = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     binned = rng.integers(0, B, size=(n, F))
@@ -297,7 +299,7 @@ def test_histogram_empty_and_single_sample():
     assert empty.counts.sum() == 0 and empty.g.sum() == 0
     one = build_histogram(binned, g, h, np.array([0]), 4)
     assert one.counts[0, 3] == 1
-    assert one.g[0, 3] == -(2**39)
+    assert one.g[0, 3] == -(2 ** (GRAD_SCALE_BITS - 1))
     assert one.counts.sum() == 1
 
 
@@ -503,13 +505,13 @@ def test_single_leaf_training_forced_structure():
         margins += params.learning_rate * tree.nodes[0].weight
 
 
-def _scripted_growth(root, hists, max_depth, monkeypatch=None):
+def _scripted_growth(root, hists, max_depth, monkeypatch=None, **params):
     """Grow a tree from root totals ``root`` whose built histograms come from
     ``hists`` (node id -> histogram); returns the tree, its params, the log
     of (depth, level, build) per ``finish_level`` call and the histograms
     ``find_best_split`` receives, in call order (recorded when
-    ``monkeypatch`` is given)."""
-    params = GbtParams(max_depth=max_depth)
+    ``monkeypatch`` is given).  Other keywords are :class:`GbtParams`."""
+    params = GbtParams(max_depth=max_depth, **params)
     log, searched = [], []
 
     def finish_level(tree, depth, level, stats, build):
@@ -522,7 +524,7 @@ def _scripted_growth(root, hists, max_depth, monkeypatch=None):
     if monkeypatch is not None:
         monkeypatch.setattr(gbt, "find_best_split",
                             lambda hist, p: searched.append(hist) or find_best_split(hist, p))
-    return grow_tree(params, root, finish_level), params, log, searched
+    return grow_tree(params, 0, root, finish_level), params, log, searched
 
 
 def _one_feature(g, h, counts):
@@ -544,7 +546,7 @@ _SCRIPT = {
 def test_grow_tree_root_without_histogram_is_one_leaf():
     # a root of one sample, or any root at max_depth 0, cannot split: no
     # histogram is asked for
-    for root, max_depth, weight in (((-(5 << 39), 1 << 40, 1), 3, 2.5),
+    for root, max_depth, weight in (((-5 * SCALE // 2, SCALE, 1), 3, 2.5),
                                     (_SCRIPT[0].totals(), 0, 0.0)):
         tree, params, log, _ = _scripted_growth(root, {}, max_depth=max_depth)
         (node,) = tree.nodes
@@ -577,11 +579,14 @@ def test_grow_tree_policy_with_stub_callbacks(monkeypatch):
     # leaves take their weights from the split sums: node 7 holds G = -7, H = 1
     leaves = {n.node_id: n.weight for n in tree.nodes if n.is_leaf}
     assert leaves == {5: -1.5, 7: 7.0, 8: -2.0, 9: -2.0, 10: -1.0, 11: -1.5, 12: 2.5}
-    # a best split whose left child holds no sample must become a leaf
-    empty_left = _one_feature([-2.0, 2.0], [2.0, 2.0], [0, 4])
-    assert find_best_split(empty_left, GbtParams()).left[2] == 0
-    tree, params, log, _ = _scripted_growth(empty_left.totals(), {0: empty_left}, max_depth=3)
-    assert len(tree.nodes) == 1 and tree.nodes[0].weight == 0.0
+    # a best split whose left child holds no sample must become a leaf; a
+    # negative gamma lets the empty split win
+    empty_left = _one_feature([0.0, 2.0], [0.0, 1.0], [0, 4])
+    loose = dict(gamma=-1.0, min_child_weight=0.0)
+    assert find_best_split(empty_left, GbtParams(**loose)).left[2] == 0
+    tree, params, log, _ = _scripted_growth(empty_left.totals(), {0: empty_left}, max_depth=3,
+                                            **loose)
+    assert len(tree.nodes) == 1 and tree.nodes[0].weight == -2.0
     assert log == [(-1, [], [0]), (0, [0], [])]
 
 
@@ -591,9 +596,70 @@ def test_grow_tree_rejects_a_built_child_that_disagrees_with_the_parent_split(no
     off = script[node_id]
     script[node_id] = GradHistogram(off.g.copy(), off.h.copy(), off.counts.copy())
     script[node_id].h[0, 1] += 1  # one unit of one bin
-    with pytest.raises(ProtocolError, match=f"histogram built for node {node_id} disagrees "
-                                            "with the parent prefix sums"):
+    # its row no longer sums to the parent split's prefix sums for the node
+    with pytest.raises(ProtocolError, match=f"tree 0, node {node_id}: feature 0 sums to "):
         _scripted_growth(_SCRIPT[0].totals(), script, max_depth=3)
+
+
+# check_histogram: a node of 4 samples, two features of four bins.  Each
+# case changes feature 1 so that exactly one clause of the check fails.
+_Q = SCALE // 4  # the largest quantized logistic h
+_NODE = (SCALE, 2 * _Q, 4)
+_FEATURE_0 = ([SCALE, -SCALE // 2, SCALE // 2, 0], [_Q, _Q // 2, _Q // 2, 0], [2, 1, 1, 0])
+_FEATURE_1 = ([SCALE // 2, SCALE // 2, 0, 0], [_Q // 2, _Q // 2, _Q, 0], [1, 1, 2, 0])
+_BROKEN = {
+    "row G": ([SCALE // 2, SCALE // 2 - 1, 0, 0], None, None),
+    "row H": (None, [_Q // 2, _Q // 2 - 1, _Q, 0], None),
+    "row count": (None, None, [1, 1, 2, 1]),
+    "G above count * 2^S": ([SCALE + 1, 0, -1, 0], None, None),
+    "G below -count * 2^S": ([-SCALE - 1, SCALE // 2, 3 * SCALE // 2 + 1, 0], None, None),
+    "H below 0": (None, [-1, _Q // 2, 3 * _Q // 2 + 1, 0], None),
+    "H above count * 2^(S-2)": (None, [_Q + 1, _Q // 2, _Q // 2 - 1, 0], None),
+    # the counts wrap int64 to the node's 4; every sum sits in the last bin
+    "count above the node's": ([0, 0, 0, SCALE], [0, 0, 0, 2 * _Q], [2**62] * 3 + [2**62 + 4]),
+    # caught by the bounds: count 0 admits no sum, a negative count no H
+    "a sum in an empty bin": ([SCALE // 2, SCALE // 2 - 1, 0, 1], None, None),
+    "a negative count": (None, None, [1, 1, 3, -1]),
+}
+
+
+def _two_features(feature_1):
+    rows = [[a, b if b is not None else c] for a, b, c in zip(_FEATURE_0, feature_1, _FEATURE_1)]
+    return GradHistogram(*(np.array(r, dtype=np.int64) for r in rows))
+
+
+def test_check_histogram_accepts_a_histogram_at_its_bounds():
+    hist = _two_features((None, None, None))
+    assert gbt.check_histogram(hist, _NODE, "tree 3, node 7") is hist
+
+
+@pytest.mark.parametrize("clause", list(_BROKEN))
+def test_check_histogram_rejects_each_broken_clause(clause):
+    with pytest.raises(ProtocolError, match=r"^tree 3, node 7: feature 1[ ,]"):
+        gbt.check_histogram(_two_features(_BROKEN[clause]), _NODE, "tree 3, node 7")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_check_histogram_passes_every_logistic_histogram_and_sibling(seed):
+    # quantized gradients at and inside their extremes, over a random node
+    # and a random child of it
+    rng = np.random.default_rng(seed)
+    n, F, B = int(rng.integers(2, 50)), int(rng.integers(1, 4)), int(rng.integers(2, 9))
+    binned = rng.integers(0, B, size=(n, F))
+    g = np.where(rng.random(n) < 0.3, SCALE, rng.integers(0, SCALE + 1, size=n))
+    g = np.where(rng.random(n) < 0.5, -g, g)
+    h = np.where(rng.random(n) < 0.3, _Q, rng.integers(0, _Q + 1, size=n))
+    node = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    child = node[: int(rng.integers(0, node.size + 1))]
+    parent, built = (build_histogram(binned, g, h, rows, B) for rows in (node, child))
+
+    def totals(rows):
+        return int(g[rows].sum()), int(h[rows].sum()), rows.size
+
+    gbt.check_histogram(parent, totals(node), "parent")
+    gbt.check_histogram(built, totals(child), "child")
+    gbt.check_histogram(parent.subtract(built), totals(np.setdiff1d(node, child)), "sibling")
 
 
 def test_training_deterministic():

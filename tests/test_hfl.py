@@ -1,4 +1,5 @@
 import copy
+import re
 import math
 import random
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedgbt.data import PartyDataset, join_datasets
+from fedgbt.data import PartyDataset, join_datasets, split_train_valid_test
 from fedgbt.gbt import (
     GRAD_SCALE_BITS,
     GbtParams,
@@ -241,10 +242,36 @@ def test_aggregate_missing_client_aborts(mask_fixture):
 
 
 def test_packed_layout_at_hfl_paillier_shape():
-    # 200 training rows over 3 clients under a 512-bit key
+    # 200 training rows over 3 clients under a 512-bit key: an offset of
+    # 2^(S + 7) for 67 samples, and 2 bits more for the sum of 3 clients
     roster = make_roster(["c0", "c1", "c2"], [67, 67, 66])
     layout = packed_layout(roster, (1 << 511) + 1)
-    assert (layout.offset, layout.width, layout.slots) == (2**47, 50, 10)
+    width = GRAD_SCALE_BITS + 10
+    assert (layout.offset, layout.width, layout.slots) == (2 ** (width - 3), width, 511 // width)
+    assert (layout.offset, layout.width, layout.slots) == (2**27, 30, 17)
+
+
+def test_hfl_paillier_shape_encrypts_384_plaintexts():
+    # fold 0 of 250 rows of 16 Gaussian features, split over 3 clients; 2
+    # trees of depth 3 over 8 bins under a 512-bit key.  Each client submits
+    # 8 histograms, and each of their two 128-slot streams packs into
+    # ceil(128 / 17) = 8 plaintexts, one encryption each.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(250, 16))
+    w = rng.normal(size=16)
+    y = (X @ w / 4 + 0.3 * rng.normal(size=250) > 0).astype(int)
+    joined = make_party(X, y)
+    train = joined.subset(split_train_valid_test(joined, k=5, seed=0).folds[0].full_train_idx)
+    chunks = np.array_split(np.random.default_rng([0, 1]).permutation(train.n_samples), 3)
+    parties = {f"c{i}": make_party(train.features[np.sort(c)], train.labels[np.sort(c)],
+                                   f"c{i}") for i, c in enumerate(chunks)}
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()], master_seed=0)
+    params = GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0)
+    _, bus = hfl_train(roster, parties, params, seed=0, key_bits=512)
+    submits = [e.payload for e in bus.transcript if e.msg_type == "HISTOGRAM_SUBMIT"]
+    assert len(submits) == 3 * 8
+    assert {(len(p["enc_g"]), len(p["enc_h"])) for p in submits} == {(8, 8)}
+    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 384
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +283,7 @@ def key_256():
 @given(n_clients=st.integers(2, 8), tight_key=st.booleans(), data=st.data())
 def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, tight_key, data):
     # the largest sample count for which the clients' sums still fit int64
-    top_bits = 23 - (n_clients - 1).bit_length()
+    top_bits = 63 - GRAD_SCALE_BITS - (n_clients - 1).bit_length()
     count_bits = data.draw(st.sampled_from([1, 12, top_bits]) | st.integers(1, top_bits))
     count = (1 << count_bits) - 1
     ids = [f"c{i}" for i in range(n_clients)]
@@ -267,7 +294,7 @@ def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, tight_key, d
         width = packed_layout(roster, 1 << 1023).width
         pk, sk = keygen(key_bits=width + 2, rng_seed=width)
         assert packed_layout(roster, pk.n).slots == 1
-    # a client's slot sums count quantized |g| <= 2^40 and h <= 2^38
+    # a client's slot sums count quantized |g| <= 2^S and h <= 2^(S-2)
     top_g, top_h = count << GRAD_SCALE_BITS, count << (GRAD_SCALE_BITS - 2)
     g_sums = st.sampled_from([-top_g, top_g]) | st.integers(-top_g, top_g)
     h_sums = st.sampled_from([0, top_h]) | st.integers(0, top_h)
@@ -288,7 +315,7 @@ def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, tight_key, d
 @given(n_clients=st.integers(1, 8), data=st.data())
 def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
     # every client at the largest count the int64 capacity check admits
-    count = ((1 << 23) - 1) // n_clients
+    count = ((1 << (63 - GRAD_SCALE_BITS)) - 1) // n_clients
     ids = [f"c{i}" for i in range(n_clients)]
     roster = make_roster(ids, [count] * n_clients, master_seed=n_clients,
                          secagg_mode=SECAGG_MASK_ONLY)
@@ -333,9 +360,12 @@ def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixtur
 
 
 @pytest.mark.parametrize("secagg, counts, key_bits, match", [
-    (SECAGG_PAILLIER, [10, 10], 40, "fits no"),  # 46-bit slots under a 40-bit key
+    # (S + 6)-bit slots; an (S + 6)-bit key holds at most S + 5 bits below n
+    (SECAGG_PAILLIER, [10, 10], GRAD_SCALE_BITS + 6, "fits no"),
     (SECAGG_PAILLIER, [2**250, 1], 256, "fits no"),
-    (SECAGG_MASK_ONLY, [2**22, 2**22], 512, "8388608 terms"),  # 2^23 samples wrap 2^64
+    # 2^(63 - S) samples wrap 2^64
+    (SECAGG_MASK_ONLY, [2 ** (62 - GRAD_SCALE_BITS)] * 2, 512,
+     f"{2 ** (63 - GRAD_SCALE_BITS)} terms"),
 ])
 def test_capacity_checks_abort_before_any_message(secagg, counts, key_bits, match):
     X, y = synth_classification(20, 2, seed=3)
@@ -726,8 +756,45 @@ def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
         payload["enc_g"][0] = format((int(payload["enc_g"][0], 16) + 1) % 2**64, "x")
 
     bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, bump)
-    with pytest.raises(ProtocolError, match="disagrees with the parent prefix sums"):
+    with pytest.raises(ProtocolError) as raised:
         _train_with(bus)
+    node = bus.tampered[1]["node"]
+    # feature 0's row no longer sums to the parent split's prefix sums, or
+    # bin 0 holds a sum its count cannot reach
+    assert re.match(rf"tree 0, node {node}: feature 0[ ,]", str(raised.value))
+
+
+SCALE = 2**GRAD_SCALE_BITS
+
+
+def _raise_one_g_slot(tree, node, feature, bin_):
+    """A bus that raises one g slot of the first client's submission of
+    ``node`` in ``tree`` by 2^S, one logistic gradient's worth (8 bins)."""
+    def bump(payload):
+        i = feature * 8 + bin_
+        payload["enc_g"][i] = format((int(payload["enc_g"][i], 16) + SCALE) % 2**64, "x")
+
+    return _TamperOnce("HISTOGRAM_SUBMIT",
+                       lambda to, p: (p["tree"], p["node"]) == (tree, node), bump)
+
+
+def test_a_raised_g_slot_of_any_feature_is_rejected_at_every_submitted_node():
+    # one g slot of feature 1 or 2, in every submission of nodes 0-6 of both
+    # trees: that row no longer sums to the node's totals.  Checked through
+    # feature 0 alone, 6 of the 48 cases at tree 0's nodes 0, 1 and 4
+    # trained a different model without an error.
+    _, clean = _train_with(MessageBus())
+    submitted = sorted({(e.payload["tree"], e.payload["node"]) for e in clean.transcript
+                        if e.msg_type == "HISTOGRAM_SUBMIT" and e.payload["node"] <= 6})
+    assert {(0, 0), (0, 1), (0, 4), (1, 0)} <= set(submitted)
+    for tree, node in submitted:
+        for feature in (1, 2):
+            for bin_ in range(8):
+                bus = _raise_one_g_slot(tree, node, feature, bin_)
+                with pytest.raises(ProtocolError,
+                                   match=rf"^tree {tree}, node {node}: feature {feature}[ ,]"):
+                    _train_with(bus)
+                assert bus.tampered is not None
 
 
 def test_a_child_with_impossible_counts_is_rejected():

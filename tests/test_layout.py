@@ -5,11 +5,15 @@ patch tables).  References from inside a definition's own body do not count.
 
 Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
 searches splits, weighs leaves or derives a sibling's histogram.  Histograms are int64 everywhere: no
-module builds an object-dtype (Python big-int) array.
+module builds an object-dtype (Python big-int) array.  The fixed-point scale
+is spelled only as ``GRAD_SCALE_BITS``.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from fedgbt.gbt import GRAD_SCALE_BITS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fedgbt"
@@ -97,3 +101,29 @@ def test_no_src_module_builds_object_arrays():
                 if any(_is_object_dtype(d) for d in dtypes):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, "object-dtype arrays in src: " + ", ".join(found)
+
+
+# powers of two that spell the scale (g), its half (g = 1/2) or its quarter
+# (the largest h): at 2^40, where it stood, and at GRAD_SCALE_BITS
+_SCALE_POWERS = sorted({str(b) for s in (40, GRAD_SCALE_BITS) for b in (s, s - 1, s - 2)})
+_SCALE_LITERAL = re.compile(r"\b2(?:\.0)?\s*(?:\*\*|\^)\s*\(?\s*(?:{0})\b|\b1\s*<<\s*(?:{0})\b"
+                            .format("|".join(_SCALE_POWERS)))
+
+
+def test_no_src_module_spells_the_fixed_point_scale():
+    # in code, comments and docstrings alike; GRAD_SCALE_BITS's own
+    # definition is the one place that names a number
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if _SCALE_LITERAL.search(line) and not line.startswith("GRAD_SCALE_BITS = "):
+                found.append(f"{path.name}:{n}")
+    assert not found, "the scale spelled as a literal: " + ", ".join(found)
+
+
+def test_the_scale_guard_sees_each_spelling():
+    for text in ("c * 2**40", "2 ** 39", "2^38", "1 << 40", "2.0**40",
+                 f"2**{GRAD_SCALE_BITS}", f"1 << {GRAD_SCALE_BITS}", f"2^{GRAD_SCALE_BITS - 2}"):
+        assert _SCALE_LITERAL.search(text), text
+    for text in ("2**400", "12**40", "2**GRAD_SCALE_BITS", "1 << 64", "2^63"):
+        assert not _SCALE_LITERAL.search(text), text

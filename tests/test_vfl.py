@@ -11,15 +11,15 @@ from fedgbt.gbt import (
     GradHistogram,
     ProtocolError,
     build_histogram,
+    check_histogram,
     find_best_split,
     logistic_gradients,
     model_to_json,
     predict_proba,
     quantize,
-    sibling_histogram,
     train_centralized,
 )
-from fedgbt.paillier import Ciphertext, aggregate, decrypt, keygen
+from fedgbt.paillier import Ciphertext, _is_probable_prime, aggregate, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import MessageBus
 from fedgbt.vfl import (
@@ -117,8 +117,10 @@ def test_gradient_broadcast_roundtrip_known_values():
     for sid, cg, ch in zip(sids, enc_g, enc_h):
         # the residue of a negative quantized g sits in the upper half of [0, n)
         g_val = decrypt(active.sk, active.pk, cg)
-        assert g_val == (-(2**39) if y[sid] else 2**39) % active.pk.n
-        assert decrypt(active.sk, active.pk, ch, bound=2**40) == 2**38
+        half = 2 ** (GRAD_SCALE_BITS - 1)  # |g| = 1/2 at margin 0
+        assert g_val == (-half if y[sid] else half) % active.pk.n
+        assert (decrypt(active.sk, active.pk, ch, bound=2**GRAD_SCALE_BITS)
+                == 2 ** (GRAD_SCALE_BITS - 2))
 
 
 def test_passive_cannot_decrypt_without_private_key():
@@ -421,12 +423,27 @@ def test_fresh_keypair_randomizes_ciphertexts_across_runs():
     assert g1.payload["enc_g"] != g2.payload["enc_g"]
 
 
+def _prime_next_to(x, step):
+    x += step
+    while not _is_probable_prime(x):
+        x += step
+    return x
+
+
+# 40 summands of |g| <= 1 need a modulus above 2 * 40 * 2^S
+_FORTY = 2 * 40 << GRAD_SCALE_BITS
+_WIDE = _prime_next_to(_FORTY * 2, 1)
+
+
 @pytest.mark.parametrize("primes, fits", [
-    # 48-bit primes hold 40 summands of 2^40-scaled |g| < 1, not 10^6 of them
-    ((141836999983123, 175921860444259), True),
-    ((4194319, 4718617), False),  # a 45-bit modulus does not hold 40
-    # a 61-bit modulus would, but histograms are decrypted modulo p alone
-    ((1073741827, 1342177283), False),
+    # the first prime above the bound holds 40 summands
+    ((_prime_next_to(_FORTY, 1), _WIDE), True),
+    # a modulus of about a quarter of the bound does not hold 40
+    ((_prime_next_to(math.isqrt(_FORTY) // 2, -1), _prime_next_to(math.isqrt(_FORTY) // 2, 1)),
+     False),
+    # the last prime below the bound: the modulus would hold 40, but
+    # histograms are decrypted modulo p alone
+    ((_prime_next_to(_FORTY, -1), _WIDE), False),
 ])
 def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
     from fedgbt import vfl
@@ -564,16 +581,22 @@ def test_sibling_subtraction_rejects_impossible_children():
         return GradHistogram(np.array([g], dtype=np.int64), np.array([h], dtype=np.int64),
                              np.array([counts], dtype=np.int64))
 
+    def sibling(parent, child, where):
+        # the grower's derivation: parent minus child, checked against the
+        # parent's totals minus the child's
+        totals = tuple(p - c for p, c in zip(parent.totals(), child.totals()))
+        return check_histogram(parent.subtract(child), totals, where)
+
     parent = hist([3 * scale, -scale], [scale, scale // 4], [4, 1])
-    sibling = sibling_histogram(parent, hist([scale, -scale], [0, scale // 4], [1, 1]),
-                                "p's histogram for tree 2, node 5")
-    assert sibling.g.tolist() == [[2 * scale, 0]]
-    assert sibling.counts.tolist() == [[3, 0]]
+    derived = sibling(parent, hist([scale, -scale], [scale // 4, scale // 4], [1, 1]),
+                      "tree 2, node 5")
+    assert derived.g.tolist() == [[2 * scale, 0]]
+    assert derived.counts.tolist() == [[3, 0]]
     for child in (hist([0, 0], [0, 0], [0, 2]),  # a negative count
                   hist([-scale, 0], [0, 0], [1, 0]),  # 4 * scale over 3 samples
                   hist([0, -1], [0, 0], [1, 1])):  # a nonzero sum over no samples
-        with pytest.raises(ProtocolError, match="p's histogram for tree 2, node 5"):
-            sibling_histogram(parent, child, "p's histogram for tree 2, node 5")
+        with pytest.raises(ProtocolError, match="tree 2, node 5: feature 0, bin "):
+            sibling(parent, child, "tree 2, node 5")
 
 
 class _DropOneLeftId(MessageBus):
