@@ -165,6 +165,8 @@ def binning_from_ranges(lows: np.ndarray, highs: np.ndarray, n_bins: int) -> Bin
 # g and h travel and sum as integers scaled by 2**GRAD_SCALE_BITS
 GRAD_SCALE_BITS = 20
 GRAD_SCALE = 1 << GRAD_SCALE_BITS
+# histograms sum in int64: check_capacity(INT64_MODULUS, n) bounds n samples' sums
+INT64_MODULUS = 1 << 64
 
 
 def quantize(x) -> np.ndarray:
@@ -658,7 +660,7 @@ def train_centralized(
     X, y = data.features, data.labels
     binning = binning or compute_binning(X, params.max_bin)
     binned = binning.bin_matrix(X)
-    check_capacity(1 << 64, data.n_samples)  # every histogram sum fits int64
+    check_capacity(INT64_MODULUS, data.n_samples)  # every histogram sum fits int64
     margins = initial_margins(data.n_samples, params, seed)
     trees: list[Tree] = []
     for t in range(params.n_estimators):

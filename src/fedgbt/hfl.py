@@ -4,13 +4,14 @@ Clients hold identically-featured datasets; a server aggregates their
 per-node gradient histograms and drives the split decisions.  Labels, raw
 feature values, and per-client gradient sums never leave a client: each
 client sums its quantized gradients into int64 histograms
-(:mod:`fedgbt.gbt`) and blinds each slot with pairwise-cancelling masks, so
-the server learns only the masked per-client values and, after summing, the
-exact global aggregate once the masks cancel.  In ``mask-only`` mode every
-slot is its own residue mod 2^64, which is an int64 read as uint64.  In
-``paillier+mask`` mode the slots are packed side by side into plaintexts
-just below the server's Paillier modulus (:class:`PackedLayout`, after
-SecureBoost+), and each plaintext is masked once and encrypted once.
+(:mod:`fedgbt.gbt`), packs the slots side by side into residues of a ring
+(:class:`PackedLayout`, after SecureBoost+) and blinds each residue with
+pairwise-cancelling masks, so the server learns only the masked per-client
+values and, after summing, the exact global aggregate once the masks cancel.
+Both modes share that path.  In ``paillier+mask`` mode the ring is the
+server's Paillier modulus and each masked residue is also encrypted; in
+``mask-only`` mode the ring is ``MASK_ONLY_MODULUS`` and the masked residues
+travel as they are.
 
 The server grows each tree with the shared :func:`fedgbt.gbt.grow_tree`.
 Wire protocol per boosting round (tree t, depth d):
@@ -45,6 +46,7 @@ import numpy as np
 from .data import PartyDataset
 from .gbt import (
     GRAD_SCALE_BITS,
+    INT64_MODULUS,
     Binning,
     BoostedEnsemble,
     GbtParams,
@@ -83,7 +85,9 @@ from .transport import MessageBus
 
 SECAGG_PAILLIER = "paillier+mask"
 SECAGG_MASK_ONLY = "mask-only"
-MASK_ONLY_MODULUS = 1 << 64
+# the mask-only ring: one slot of it holds every roster whose sums fit int64,
+# and one SHA-512 block draws each mask
+MASK_ONLY_MODULUS = 1 << 128
 SERVER_ID = "server"
 
 
@@ -179,20 +183,21 @@ def establish_global_binning(datasets: list[PartyDataset], n_bins: int) -> Binni
 
 
 # ---------------------------------------------------------------------------
-# Packed plaintexts (paillier+mask)
+# Packed residues
 
 
 @dataclass(frozen=True)
 class PackedLayout:
-    """Fixed-width slots side by side in one Paillier plaintext.
+    """Fixed-width slots side by side in one residue of the ring.
 
     A client puts ``v + offset`` in each slot, ``v`` a quantized sum, which
     is positive and below ``2 * offset`` while ``|v| < offset``.  ``offset`` is
     sized by the largest client's sample count, which bounds any per-client
     sum of logistic gradients (``|g| < 1``, ``h <= 1/4``), and ``width``
     leaves room for the sum of ``n_clients`` such slots.  ``slots`` of them
-    fit below ``2**(n.bit_length() - 1) <= n``, so the aggregate of packed
-    plaintexts never wraps mod ``n`` and no slot carries into the next.
+    fit below ``2**(n.bit_length() - 1) <= n`` for the ring ``n``, so the
+    aggregate of packed residues never wraps mod ``n`` and no slot carries
+    into the next.
     """
 
     offset: int
@@ -201,7 +206,7 @@ class PackedLayout:
     n_clients: int
 
     def pack(self, values: list[int]) -> list[int]:
-        """Quantized values -> plaintexts of up to ``slots`` slots each."""
+        """Quantized values -> residues of up to ``slots`` slots each."""
         for v in values:
             if not -self.offset < v < self.offset:
                 raise EncodingError(
@@ -216,7 +221,7 @@ class PackedLayout:
         return out
 
     def unpack(self, totals: list[int], n_values: int) -> list[int]:
-        """Decrypted aggregates of ``n_clients`` packings -> the summed values."""
+        """Unmasked aggregates of ``n_clients`` packings -> the summed values."""
         bias, mask = self.n_clients * self.offset, (1 << self.width) - 1
         out = []
         for i, total in enumerate(totals):
@@ -231,14 +236,14 @@ class PackedLayout:
 
 
 def packed_layout(members: HflMembership, n: int) -> PackedLayout:
-    """The slot layout every party derives from the membership and the key."""
+    """The slot layout every party derives from the membership and the ring."""
     offset_bits = GRAD_SCALE_BITS + max(members.sample_counts).bit_length()
     n_clients = len(members.client_ids)
     width = offset_bits + 1 + (n_clients - 1).bit_length()  # + ceil(log2(n_clients))
     slots = (n.bit_length() - 1) // width
     if slots < 1:
         raise EncodingError(
-            f"a {n.bit_length()}-bit key fits no {width}-bit slot for this roster"
+            f"a {n.bit_length()}-bit modulus fits no {width}-bit slot for this roster"
         )
     return PackedLayout(offset=1 << offset_bits, width=width, slots=slots, n_clients=n_clients)
 
@@ -247,7 +252,7 @@ def packed_layout(members: HflMembership, n: int) -> PackedLayout:
 # Masking and encryption of one histogram
 
 
-def _pairwise_mask(roster: HflRoster, client_id: str, modulus: int, domain: str, *label) -> int:
+def _pairwise_mask(roster: HflRoster, client_id: str, modulus: int, *label) -> int:
     """Sum of this client's pairwise mask shares for one labelled value.
 
     The (i, j) pair draws one value from their shared seed; the
@@ -260,7 +265,7 @@ def _pairwise_mask(roster: HflRoster, client_id: str, modulus: int, domain: str,
         if other == client_id:
             continue
         seed = roster.pair_seed(client_id, other)
-        r = derive_uniform_int(modulus, domain, seed, *label)
+        r = derive_uniform_int(modulus, "packmask", seed, *label)
         if client_id < other:
             total = (total + r) % modulus
         else:
@@ -274,8 +279,8 @@ class MaskedEncHistogram:
     tree: int
     node_id: int
     mode: str
-    # paillier+mask: one ciphertext value per packed plaintext of the flat
-    # F*B slots; mask-only: one residue mod 2^64 per slot
+    # one masked residue per packed residue of the flat F*B slots, encrypted
+    # under paillier+mask
     enc_g: list[int]
     enc_h: list[int]
     counts: np.ndarray  # int64 (n_features, n_bins), in clear
@@ -291,27 +296,22 @@ def mask_histogram(
     pk: PublicKey | None,
     enc_rng: random.Random | None,
 ) -> MaskedEncHistogram:
-    """Blind a histogram's slots with pairwise masks; under Paillier, pack
-    the slots, then mask and encrypt each packed plaintext."""
+    """Pack a histogram's slots, then mask each packed residue and, under
+    Paillier, encrypt it."""
     paillier = roster.secagg_mode == SECAGG_PAILLIER
     if paillier and pk is None:
         raise ProtocolError("paillier+mask mode needs the server public key")
     # the run seed enters the nonce so two protocol instances never reuse a
     # pad value even under the same roster
     nonce = f"s{seed}:t{tree_index}"
-    layout = packed_layout(roster, pk.n) if paillier else None
+    ring = pk.n if paillier else MASK_ONLY_MODULUS
+    layout = packed_layout(roster, ring)
     enc_g, enc_h = [], []
     for tag, values, out in (("g", hist.g, enc_g), ("h", hist.h, enc_h)):
-        if paillier:
-            for i, plain in enumerate(layout.pack(values.ravel().tolist())):
-                mask = _pairwise_mask(roster, client_id, pk.n, "packmask", nonce, node_id, tag, i)
-                out.append(encrypt(pk, (plain + mask) % pk.n, rng=enc_rng).value)
-        else:
-            masks = [_pairwise_mask(roster, client_id, MASK_ONLY_MODULUS, "slotmask",
-                                    nonce, node_id, f, b, tag)
-                     for f in range(hist.n_features) for b in range(hist.n_bins)]
-            # uint64 addition wraps mod 2^64
-            out += (values.ravel().view(np.uint64) + np.array(masks, dtype=np.uint64)).tolist()
+        for i, plain in enumerate(layout.pack(values.ravel().tolist())):
+            mask = _pairwise_mask(roster, client_id, ring, nonce, node_id, tag, i)
+            masked = (plain + mask) % ring
+            out.append(encrypt(pk, masked, rng=enc_rng).value if paillier else masked)
     return MaskedEncHistogram(
         client_id=client_id,
         tree=tree_index,
@@ -331,9 +331,9 @@ def server_aggregate(
 ) -> GradHistogram:
     """Combine per-client submissions into the exact global histogram.
 
-    Each submission must carry, per stream, one value for each of the
-    ``F * B`` slots (mask-only, each a residue in ``[0, 2^64)``) or one
-    ciphertext per packed plaintext (Paillier); any other raises
+    Each submission must carry, per stream, one value for each packed
+    residue, and each value must be a residue of the ring (mask-only) or a
+    ciphertext below ``n^2`` (Paillier); any other raises
     :class:`ProtocolError` naming its sender, tree and node.
     """
     missing = set(members.client_ids) - set(submissions)
@@ -346,8 +346,11 @@ def server_aggregate(
     F, B = any_sub.counts.shape
     ordered = [submissions[c] for c in sorted(submissions)]
     paillier = members.secagg_mode == SECAGG_PAILLIER
-    layout = packed_layout(members, pk.n) if paillier else None
-    per_stream = -(-F * B // layout.slots) if paillier else F * B  # plaintexts or slots
+    ring = pk.n if paillier else MASK_ONLY_MODULUS
+    layout = packed_layout(members, ring)
+    per_stream = -(-F * B // layout.slots)
+    kind, bound, shown = (("ciphertext", pk.n_squared, "n^2") if paillier
+                          else ("residue", ring, f"2^{ring.bit_length() - 1}"))
     for s in ordered:
         where = f"HISTOGRAM_SUBMIT from {s.client_id} for tree {s.tree}, node {s.node_id}"
         for enc_attr in ("enc_g", "enc_h"):
@@ -355,19 +358,17 @@ def server_aggregate(
             if len(values) != per_stream:
                 raise ProtocolError(f"{where}: {len(values)} {enc_attr} values, "
                                     f"expected {per_stream}")
-            if not paillier and not 0 <= min(values) <= max(values) < MASK_ONLY_MODULUS:
-                raise ProtocolError(f"{where}: an {enc_attr} residue outside [0, 2^64)")
+            if not 0 <= min(values) <= max(values) < bound:
+                raise ProtocolError(f"{where}: an {enc_attr} {kind} outside [0, {shown})")
     sums = []
     for enc_attr in ("enc_g", "enc_h"):
-        columns = [getattr(s, enc_attr) for s in ordered]
+        columns = zip(*(getattr(s, enc_attr) for s in ordered))
         if paillier:
             totals = [decrypt(sk, pk, aggregate(pk, [Ciphertext(c) for c in cts]))
-                      for cts in zip(*columns)]
-            flat = np.array(layout.unpack(totals, F * B), dtype=np.int64)
+                      for cts in columns]
         else:
-            # the residues' sum mod 2^64, read as int64, is the signed total
-            flat = np.array(columns, dtype=np.uint64).sum(axis=0, dtype=np.uint64).view(np.int64)
-        sums.append(flat.reshape(F, B))
+            totals = [sum(cts) % ring for cts in columns]  # the masks cancel mod the ring
+        sums.append(np.array(layout.unpack(totals, F * B), dtype=np.int64).reshape(F, B))
     return GradHistogram(*sums, counts=sum(s.counts for s in ordered))
 
 
@@ -463,10 +464,10 @@ class HflServer:
         # every check runs before the first message is sent
         if members.secagg_mode == SECAGG_PAILLIER:
             self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("hfl-key", seed))
-            # the layout bounds each slot by the clients' sample counts
-            packed_layout(members, self.pk.n)
+        # the layout bounds each slot by the clients' sample counts
+        packed_layout(members, self.pk.n if self.pk else MASK_ONLY_MODULUS)
         # every client's and the aggregate's sums fit int64
-        check_capacity(MASK_ONLY_MODULUS, sum(members.sample_counts))
+        check_capacity(INT64_MODULUS, sum(members.sample_counts))
         self.binning: Binning | None = None
 
     def merge_binning(self, ranges: list[tuple[np.ndarray, np.ndarray]]) -> Binning:

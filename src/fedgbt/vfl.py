@@ -37,6 +37,7 @@ import numpy as np
 from .data import PartyDataset
 from .gbt import (
     GRAD_SCALE_BITS,
+    INT64_MODULUS,
     Binning,
     BoostedEnsemble,
     GbtParams,
@@ -255,7 +256,7 @@ class ActiveParty:
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
         # a bin sums at most every sample's |g| < 1, and is decrypted modulo
         # p alone into an int64: both must hold every such sum
-        check_capacity(min(self.sk.p, self.sk.q, 2**64), dataset.n_samples)
+        check_capacity(min(self.sk.p, self.sk.q, INT64_MODULUS), dataset.n_samples)
         # seeded, so every obfuscator is predictable from the run seed: see
         # HflClient.enc_rng; a deployment must encrypt with ``rng=None``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))

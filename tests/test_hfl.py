@@ -20,6 +20,7 @@ from fedgbt.gbt import (
     train_centralized,
 )
 from fedgbt.hfl import (
+    MASK_ONLY_MODULUS,
     SECAGG_MASK_ONLY,
     SECAGG_PAILLIER,
     MaskedEncHistogram,
@@ -204,12 +205,13 @@ def _mask_only_pair(change_c1):
     return roster, subs
 
 
+# six 24-bit slots pack five to a 128-bit residue: two residues per stream
 @pytest.mark.parametrize("change, match", [
-    (lambda v: v[:-1], "5 enc_g values, expected 6"),
-    (lambda v: v + [0], "7 enc_g values, expected 6"),
-    (lambda v: [v[0] + 2**64, *v[1:]], r"enc_g residue outside \[0, 2\^64\)"),
-    (lambda v: [-1, *v[1:]], r"enc_g residue outside \[0, 2\^64\)"),
-], ids=["short", "extra", "above-2^64", "negative"])
+    (lambda v: v[:-1], "1 enc_g values, expected 2"),
+    (lambda v: v + [0], "3 enc_g values, expected 2"),
+    (lambda v: [v[0] + MASK_ONLY_MODULUS, *v[1:]], r"enc_g residue outside \[0, 2\^128\)"),
+    (lambda v: [-1, *v[1:]], r"enc_g residue outside \[0, 2\^128\)"),
+], ids=["short", "extra", "above-2^128", "negative"])
 def test_mask_only_submission_values_are_checked(change, match):
     roster, subs = _mask_only_pair(lambda v: v)
     assert server_aggregate(subs, roster, None, None).g.tolist() == [
@@ -218,6 +220,20 @@ def test_mask_only_submission_values_are_checked(change, match):
     with pytest.raises(ProtocolError, match=match) as raised:
         server_aggregate(subs, roster, None, None)
     assert "HISTOGRAM_SUBMIT from c1 for tree 4, node 3" in str(raised.value)
+
+
+def test_a_ciphertext_outside_n_squared_is_rejected(mask_fixture):
+    # aggregate() would reduce c + n^2 to c without a word
+    roster, pk, sk = mask_fixture
+    subs = {cid: mask_histogram(_hist_from_values([0.1, -0.2]), cid, roster, 5, 7, 2, pk,
+                                random.Random(cid)) for cid in roster.client_ids}
+    for change in (pk.n_squared, -subs["c1"].enc_h[0] - 1):
+        tampered = {**subs, "c1": MaskedEncHistogram(
+            **{**vars(subs["c1"]), "enc_h": [subs["c1"].enc_h[0] + change]})}
+        with pytest.raises(ProtocolError, match=r"HISTOGRAM_SUBMIT from c1 for tree 7, node 2: "
+                                                r"an enc_h ciphertext outside \[0, n\^2\)"):
+            server_aggregate(tampered, roster, pk, sk)
+    assert (server_aggregate(subs, roster, pk, sk).g[0] == 2 * quantize([0.1, -0.2])).all()
 
 
 def test_aggregate_order_invariant(mask_fixture):
@@ -238,7 +254,7 @@ def test_aggregate_missing_client_aborts(mask_fixture):
 
 
 # ---------------------------------------------------------------------------
-# packed plaintexts (paillier+mask)
+# packed residues
 
 
 def test_packed_layout_at_hfl_paillier_shape():
@@ -249,6 +265,12 @@ def test_packed_layout_at_hfl_paillier_shape():
     width = GRAD_SCALE_BITS + 10
     assert (layout.offset, layout.width, layout.slots) == (2 ** (width - 3), width, 511 // width)
     assert (layout.offset, layout.width, layout.slots) == (2**27, 30, 17)
+    # hfl-mask-paper's two districts in the 128-bit mask-only ring: 2^(S + 8)
+    # for 170 samples and 1 bit for 2 clients; a 32 x 32 stream packs 4 to a residue
+    roster = make_roster(["a", "b"], [57, 170], secagg_mode=SECAGG_MASK_ONLY)
+    layout = packed_layout(roster, MASK_ONLY_MODULUS)
+    assert (layout.offset, layout.width, layout.slots) == (2**28, 30, 4)
+    assert len(layout.pack([0] * 32 * 32)) == 256
 
 
 def test_hfl_paillier_shape_encrypts_384_plaintexts():
@@ -280,16 +302,17 @@ def key_256():
 
 
 @settings(max_examples=25, deadline=None)
-@given(n_clients=st.integers(2, 8), tight_key=st.booleans(), data=st.data())
-def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, tight_key, data):
+@given(n_clients=st.integers(2, 8), mode=st.sampled_from([SECAGG_PAILLIER, SECAGG_MASK_ONLY]),
+       tight_key=st.booleans(), data=st.data())
+def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, mode, tight_key, data):
     # the largest sample count for which the clients' sums still fit int64
     top_bits = 63 - GRAD_SCALE_BITS - (n_clients - 1).bit_length()
     count_bits = data.draw(st.sampled_from([1, 12, top_bits]) | st.integers(1, top_bits))
     count = (1 << count_bits) - 1
     ids = [f"c{i}" for i in range(n_clients)]
-    roster = make_roster(ids, [count] * n_clients, master_seed=count_bits)
-    pk, sk = key_256
-    if tight_key:
+    roster = make_roster(ids, [count] * n_clients, master_seed=count_bits, secagg_mode=mode)
+    pk, sk = key_256 if mode == SECAGG_PAILLIER else (None, None)
+    if tight_key and pk is not None:
         # the smallest key that fits one slot: each plaintext fills it
         width = packed_layout(roster, 1 << 1023).width
         pk, sk = keygen(key_bits=width + 2, rng_seed=width)
@@ -346,17 +369,20 @@ def test_slot_value_reaching_the_offset_raises(mask_fixture):
 
 
 def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixture):
-    roster, pk, sk = mask_fixture
-    s0 = mask_histogram(_hist_from_values([0.1, -0.2]), "c0", roster, 5, 6, 0, pk,
-                        random.Random(9))
-    s1 = mask_histogram(_hist_from_values([0.3, 0.4]), "c1", roster, 5, 6, 0, pk,
-                        random.Random(10))
-    twin = MaskedEncHistogram(**{**vars(s0), "client_id": "c1"})
-    with pytest.raises(ProtocolError, match="bits above"):
-        server_aggregate({"c0": s0, "c1": twin}, roster, pk, sk)
-    flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [s1.enc_h[0] ^ 4]})
-    with pytest.raises(ProtocolError, match="bits above"):
-        server_aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
+    # any flipped ciphertext bit scrambles its plaintext; a mask-only residue
+    # shows a flip only above its slots (one below them is a wrong bin sum)
+    mask_only = make_roster(["c0", "c1"], [4, 4], master_seed=5, secagg_mode=SECAGG_MASK_ONLY)
+    for roster, pk, sk, flip in ((*mask_fixture, 4), (mask_only, None, None, 1 << 127)):
+        s0 = mask_histogram(_hist_from_values([0.1, -0.2]), "c0", roster, 5, 6, 0, pk,
+                            random.Random(9))
+        s1 = mask_histogram(_hist_from_values([0.3, 0.4]), "c1", roster, 5, 6, 0, pk,
+                            random.Random(10))
+        twin = MaskedEncHistogram(**{**vars(s0), "client_id": "c1"})
+        with pytest.raises(ProtocolError, match="bits above"):
+            server_aggregate({"c0": s0, "c1": twin}, roster, pk, sk)
+        flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [s1.enc_h[0] ^ flip]})
+        with pytest.raises(ProtocolError, match="bits above"):
+            server_aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
 
 
 @pytest.mark.parametrize("secagg, counts, key_bits, match", [
@@ -625,11 +651,16 @@ class _TamperOnce(MessageBus):
         return super().send(sender, recipient, msg_type, round_id, payload)
 
 
-def _train_with(bus):
+def _tamper_roster():
     X, y = synth_classification(60, 3, seed=17)
     parties = random_split_parties(X, y, 2, seed=18)
     roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
                          master_seed=2, secagg_mode=SECAGG_MASK_ONLY)
+    return roster, parties
+
+
+def _train_with(bus):
+    roster, parties = _tamper_roster()
     params = GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0)
     return hfl_train(roster, parties, params, seed=2, bus=bus)
 
@@ -753,7 +784,7 @@ def _first_child_submission(to, payload):
 def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
     # one unit more in one g slot: the count alone would still agree
     def bump(payload):
-        payload["enc_g"][0] = format((int(payload["enc_g"][0], 16) + 1) % 2**64, "x")
+        payload["enc_g"][0] = format((int(payload["enc_g"][0], 16) + 1) % MASK_ONLY_MODULUS, "x")
 
     bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, bump)
     with pytest.raises(ProtocolError) as raised:
@@ -770,9 +801,13 @@ SCALE = 2**GRAD_SCALE_BITS
 def _raise_one_g_slot(tree, node, feature, bin_):
     """A bus that raises one g slot of the first client's submission of
     ``node`` in ``tree`` by 2^S, one logistic gradient's worth (8 bins)."""
+    layout = packed_layout(_tamper_roster()[0], MASK_ONLY_MODULUS)
+
     def bump(payload):
         i = feature * 8 + bin_
-        payload["enc_g"][i] = format((int(payload["enc_g"][i], 16) + SCALE) % 2**64, "x")
+        r, j = divmod(i, layout.slots)
+        raised = int(payload["enc_g"][r], 16) + (SCALE << (layout.width * j))
+        payload["enc_g"][r] = format(raised % MASK_ONLY_MODULUS, "x")
 
     return _TamperOnce("HISTOGRAM_SUBMIT",
                        lambda to, p: (p["tree"], p["node"]) == (tree, node), bump)

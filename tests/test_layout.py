@@ -6,7 +6,8 @@ patch tables).  References from inside a definition's own body do not count.
 Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
 searches splits, weighs leaves or derives a sibling's histogram.  Histograms are int64 everywhere: no
 module builds an object-dtype (Python big-int) array.  The fixed-point scale
-is spelled only as ``GRAD_SCALE_BITS``.
+is spelled only as ``GRAD_SCALE_BITS``, and the int64 capacity only as
+``INT64_MODULUS``.
 """
 
 import ast
@@ -127,3 +128,22 @@ def test_the_scale_guard_sees_each_spelling():
         assert _SCALE_LITERAL.search(text), text
     for text in ("2**400", "12**40", "2**GRAD_SCALE_BITS", "1 << 64", "2^63"):
         assert not _SCALE_LITERAL.search(text), text
+
+
+# 2^64 as a literal, or the mask-only ring standing in for int64, which
+# would widen the capacity check with the ring
+_INT64_SPELLING = re.compile(r"\b2(?:\.0)?\s*(?:\*\*|\^)\s*\(?\s*64\b|\b1\s*<<\s*64\b"
+                             r"|check_capacity\(\s*MASK_ONLY_MODULUS\b")
+
+
+def test_no_src_module_spells_the_int64_capacity():
+    for text in ("1 << 64", "2**64", "2 ** 64", "2^64", "check_capacity(MASK_ONLY_MODULUS, n)"):
+        assert _INT64_SPELLING.search(text), text
+    for text in ("1 << 640", "2**640", "check_capacity(INT64_MODULUS, n)", "MASK_ONLY_MODULUS"):
+        assert not _INT64_SPELLING.search(text), text
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if _INT64_SPELLING.search(line) and not line.startswith("INT64_MODULUS = "):
+                found.append(f"{path.name}:{n}")
+    assert not found, "the int64 capacity spelled other than INT64_MODULUS: " + ", ".join(found)
