@@ -8,6 +8,9 @@ client sums its quantized gradients into int64 histograms
 (:class:`PackedLayout`, after SecureBoost+) and blinds each residue with
 pairwise-cancelling masks, so the server learns only the masked per-client
 values and, after summing, the exact global aggregate once the masks cancel.
+Each pair of clients expands its shared seed once per stream (run nonce,
+tree, node, g or h) into one mask word per residue
+(:func:`fedgbt.seeding.expand_mask_words`), and the packing runs in numpy.
 Both modes share that path.  In ``paillier+mask`` mode the ring is the
 server's Paillier modulus and each masked residue is also encrypted; in
 ``mask-only`` mode the ring is ``MASK_ONLY_MODULUS`` and the masked residues
@@ -80,13 +83,13 @@ from .paillier import (
     int_to_hex,
     keygen,
 )
-from .seeding import derive_seed, derive_uniform_int
+from .seeding import derive_seed, derive_uniform_int, expand_mask_words
 from .transport import MessageBus
 
 SECAGG_PAILLIER = "paillier+mask"
 SECAGG_MASK_ONLY = "mask-only"
 # the mask-only ring: one slot of it holds every roster whose sums fit int64,
-# and one SHA-512 block draws each mask
+# and each mask is one 33-byte word of a SHAKE-256 expansion
 MASK_ONLY_MODULUS = 1 << 128
 SERVER_ID = "server"
 
@@ -205,20 +208,29 @@ class PackedLayout:
     slots: int
     n_clients: int
 
-    def pack(self, values: list[int]) -> list[int]:
-        """Quantized values -> residues of up to ``slots`` slots each."""
-        for v in values:
-            if not -self.offset < v < self.offset:
-                raise EncodingError(
-                    f"slot value {v} reaches the packing offset 2^{self.offset.bit_length() - 1}"
-                )
-        out = []
-        for start in range(0, len(values), self.slots):
-            plain = 0
-            for v in reversed(values[start:start + self.slots]):
-                plain = (plain << self.width) | (v + self.offset)
-            out.append(plain)
-        return out
+    def pack(self, values) -> list[int]:
+        """Quantized int64 values -> residues of up to ``slots`` slots each.
+
+        The slots are built in uint64: ``v + offset < 2 * offset`` fits
+        whenever the int64 capacity check admits the roster.
+        """
+        values = np.asarray(values, dtype=np.int64).ravel()
+        bad = np.flatnonzero((values <= -self.offset) | (values >= self.offset))
+        if bad.size:
+            raise EncodingError(f"slot value {values[bad[0]]} reaches the packing offset "
+                                f"2^{self.offset.bit_length() - 1}")
+        # v + offset wraps back into range from the two's-complement cast
+        slot = values.astype(np.uint64) + np.uint64(self.offset)
+        bits = np.unpackbits(slot.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        keep = min(self.width, 64)  # v + offset < 2 * offset <= 2^width, and fits uint64
+        n_res = -(-values.size // self.slots)
+        laid = np.zeros((n_res * self.slots, self.width), dtype=np.uint8)
+        laid[:values.size, :keep] = bits[:, :keep]
+        size = -(-self.slots * self.width // 8)
+        laid = np.packbits(laid.reshape(n_res, self.slots * self.width), axis=1,
+                           bitorder="little").tobytes()
+        return [int.from_bytes(laid[k:k + size], "little") for k in range(0, len(laid), size)]
 
     def unpack(self, totals: list[int], n_values: int) -> list[int]:
         """Unmasked aggregates of ``n_clients`` packings -> the summed values."""
@@ -252,25 +264,25 @@ def packed_layout(members: HflMembership, n: int) -> PackedLayout:
 # Masking and encryption of one histogram
 
 
-def _pairwise_mask(roster: HflRoster, client_id: str, modulus: int, *label) -> int:
-    """Sum of this client's pairwise mask shares for one labelled value.
+def _add_pairwise_masks(roster: HflRoster, client_id: str, modulus: int, plains: list[int],
+                        *label) -> list[int]:
+    """One labelled stream of residues, each plus this client's pairwise
+    mask shares, mod ``modulus``.
 
-    The (i, j) pair draws one value from their shared seed; the
-    lexicographically smaller id adds it and the larger subtracts it, so the
-    shares cancel exactly in the aggregate while blinding every individual
-    submission.
+    The (i, j) pair expands its shared seed once into one word per residue;
+    the lexicographically smaller id adds each word and the larger subtracts
+    it, so the shares cancel exactly in the aggregate while blinding every
+    individual submission.
     """
-    total = 0
+    total = plains
     for other in roster.client_ids:
         if other == client_id:
             continue
         seed = roster.pair_seed(client_id, other)
-        r = derive_uniform_int(modulus, "packmask", seed, *label)
-        if client_id < other:
-            total = (total + r) % modulus
-        else:
-            total = (total - r) % modulus
-    return total
+        words = expand_mask_words(modulus, len(plains), "packmask", seed, *label)
+        sign = 1 if client_id < other else -1
+        total = [t + sign * derive_uniform_int(modulus, words, i) for i, t in enumerate(total)]
+    return [t % modulus for t in total]
 
 
 @dataclass
@@ -306,12 +318,13 @@ def mask_histogram(
     nonce = f"s{seed}:t{tree_index}"
     ring = pk.n if paillier else MASK_ONLY_MODULUS
     layout = packed_layout(roster, ring)
-    enc_g, enc_h = [], []
-    for tag, values, out in (("g", hist.g, enc_g), ("h", hist.h, enc_h)):
-        for i, plain in enumerate(layout.pack(values.ravel().tolist())):
-            mask = _pairwise_mask(roster, client_id, ring, nonce, node_id, tag, i)
-            masked = (plain + mask) % ring
-            out.append(encrypt(pk, masked, rng=enc_rng).value if paillier else masked)
+    streams = []
+    for tag, values in (("g", hist.g), ("h", hist.h)):
+        masked = _add_pairwise_masks(roster, client_id, ring, layout.pack(values),
+                                     nonce, node_id, tag)
+        streams.append([encrypt(pk, m, rng=enc_rng).value for m in masked] if paillier
+                       else masked)
+    enc_g, enc_h = streams
     return MaskedEncHistogram(
         client_id=client_id,
         tree=tree_index,

@@ -1,4 +1,9 @@
-"""Deterministic seed and mask derivation shared by the protocol modules."""
+"""Deterministic seed and mask derivation shared by the protocol modules.
+
+Masks come from a PRG: :func:`expand_mask_words` stretches one label tuple,
+with SHAKE-256, into the mask words of a whole stream, and
+:func:`derive_uniform_int` reads one word of such an expansion as a residue.
+"""
 
 from __future__ import annotations
 
@@ -11,17 +16,21 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big") >> 1
 
 
-def derive_uniform_int(modulus: int, *parts) -> int:
-    """Uniform residue mod ``modulus`` derived from a label tuple.
+def mask_word_bytes(modulus: int) -> int:
+    """Bytes per mask word: 128 bits more than ``modulus`` has, so reducing
+    a word mod ``modulus`` leaves a bias below 2^-128."""
+    return (modulus.bit_length() + 128 + 7) // 8
 
-    Enough digest bits are drawn that the modular bias is below 2^-128 even
-    for moduli close to the digest size.
-    """
+
+def expand_mask_words(modulus: int, n: int, *parts) -> bytes:
+    """``n`` mask words for residues mod ``modulus``, from one SHAKE-256
+    expansion of a label tuple."""
     material = "|".join(str(p) for p in parts).encode()
-    need_bits = modulus.bit_length() + 128
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) * 8 < need_bits:
-        blocks.append(hashlib.sha512(material + b"#" + str(counter).encode()).digest())
-        counter += 1
-    return int.from_bytes(b"".join(blocks), "big") % modulus
+    return hashlib.shake_256(material).digest(n * mask_word_bytes(modulus))
+
+
+def derive_uniform_int(modulus: int, words: bytes, i: int) -> int:
+    """Word ``i`` of an expansion of :func:`expand_mask_words`, a uniform
+    residue mod ``modulus``."""
+    size = mask_word_bytes(modulus)
+    return int.from_bytes(words[i * size:(i + 1) * size], "big") % modulus

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from fedgbt.data import PartyDataset, join_datasets, split_train_valid_test
 from fedgbt.gbt import (
     GRAD_SCALE_BITS,
+    INT64_MODULUS,
     GbtParams,
     GradHistogram,
     build_histogram,
+    check_capacity,
     compute_binning,
     logistic_gradients,
     model_to_json,
@@ -25,6 +27,7 @@ from fedgbt.hfl import (
     SECAGG_PAILLIER,
     MaskedEncHistogram,
     ProtocolError,
+    _add_pairwise_masks,
     establish_global_binning,
     hfl_train,
     make_roster,
@@ -34,6 +37,7 @@ from fedgbt.hfl import (
 )
 from fedgbt.paillier import Ciphertext, EncodingError, decrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
+from fedgbt.seeding import derive_uniform_int, expand_mask_words, mask_word_bytes
 from fedgbt.transport import MessageBus
 
 
@@ -222,6 +226,49 @@ def test_mask_only_submission_values_are_checked(change, match):
     assert "HISTOGRAM_SUBMIT from c1 for tree 4, node 3" in str(raised.value)
 
 
+@settings(max_examples=25, deadline=None)
+@given(n_clients=st.integers(2, 4), paillier=st.booleans(), data=st.data())
+def test_mask_streams_cancel_and_change_with_every_label_part(mask_fixture, n_clients,
+                                                              paillier, data):
+    _, pk, sk = mask_fixture if paillier else (None, None, None)
+    ring = pk.n if paillier else MASK_ONLY_MODULUS
+    ids = [f"c{i}" for i in range(n_clients)]
+
+    def roster(master_seed):
+        return make_roster(ids, [50] * n_clients, master_seed=master_seed,
+                           secagg_mode=SECAGG_PAILLIER if paillier else SECAGG_MASK_ONLY)
+
+    slots = packed_layout(roster(0), ring).slots
+    n_values = data.draw(st.integers(1, 5 * slots).filter(lambda v: v % slots))
+    n = -(-n_values // slots)
+    node = data.draw(st.integers(0, 62))
+    # the clients' shares of each residue's mask sum to 0 mod the ring
+    shares = [_add_pairwise_masks(roster(0), cid, ring, [0] * n, "s3:t1", node, "g")
+              for cid in ids]
+    assert [sum(column) % ring for column in zip(*shares)] == [0] * n
+    # each word has 128 bits more than the ring: 33 bytes for 2^128, 80 for 512 bits
+    size = mask_word_bytes(ring)
+    assert size == (80 if paillier else 33)
+    assert 8 * size - 8 < ring.bit_length() + 128 <= 8 * size
+    words = expand_mask_words(ring, n, "packmask", 7, "s3:t1", node, "g")
+    assert len(words) == n * size
+    assert [derive_uniform_int(ring, words, i) for i in range(n)] == [
+        int.from_bytes(words[i * size:(i + 1) * size], "big") % ring for i in range(n)]
+
+    # a zero histogram packs the same residues in both streams and every
+    # submission, so a changed residue is a changed mask
+    def residues(master_seed=0, seed=3, tree=1, node_id=node, stream="enc_g"):
+        sub = mask_histogram(zero_histogram(1, n_values), "c0", roster(master_seed), seed,
+                             tree, node_id, pk, random.Random(0))
+        values = getattr(sub, stream)
+        return [decrypt(sk, pk, Ciphertext(v)) for v in values] if paillier else values
+
+    base = residues()
+    for changed in ({"stream": "enc_h"}, {"node_id": node + 1}, {"tree": 2}, {"seed": 4},
+                    {"master_seed": 1}):
+        assert all(a != b for a, b in zip(base, residues(**changed))), changed
+
+
 def test_a_ciphertext_outside_n_squared_is_rejected(mask_fixture):
     # aggregate() would reduce c + n^2 to c without a word
     roster, pk, sk = mask_fixture
@@ -355,6 +402,35 @@ def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
     total = server_aggregate(subs, roster, None, None)
     assert total.g.tolist() == expect_g.tolist()
     assert total.h.tolist() == expect_h.tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([
+    # hfl-paillier's and hfl-mask-paper's rosters, five clients (3 bits for their
+    # sum), and the widest layouts the int64 capacity check admits: offset 2^63, so
+    # a slot value reaches 2^64 - 1, with 1 and with 2 clients
+    ([67, 67, 66], (1 << 511) + 1), ([57, 170], MASK_ONLY_MODULUS), ([3] * 5, 1 << 200),
+    ([(1 << 43) - 1], 1 << 1023), ([1 << 42, (1 << 42) - 1], 1 << 1023),
+]), data=st.data())
+def test_pack_lays_out_the_slot_formula(shape, data):
+    counts, ring = shape
+    check_capacity(INT64_MODULUS, sum(counts))
+    roster = make_roster([f"c{i}" for i in range(len(counts))], counts)
+    layout = packed_layout(roster, ring)
+    top = layout.offset - 1
+    values = data.draw(st.lists(st.sampled_from([top, -top, 0]) | st.integers(-top, top),
+                                min_size=1, max_size=4 * layout.slots + 1))
+    values[0] = data.draw(st.sampled_from([top, -top]))
+    expect = [sum((v + layout.offset) << (layout.width * j)
+                  for j, v in enumerate(values[k:k + layout.slots]))
+              for k in range(0, len(values), layout.slots)]
+    assert layout.pack(np.array(values, dtype=np.int64)) == expect
+    assert layout.pack(values) == expect
+    assert layout.unpack([layout.n_clients * r for r in expect], len(values)) == [
+        layout.n_clients * v for v in values]
+    # -2^63 itself at the widest layouts
+    with pytest.raises(EncodingError, match=f"slot value {-layout.offset} reaches"):
+        layout.pack(values + [-layout.offset])
 
 
 def test_slot_value_reaching_the_offset_raises(mask_fixture):
@@ -589,14 +665,15 @@ def test_subsample_below_one_still_trains():
     assert len(model.trees) == 2
 
 
-def test_rerun_reproduces_transcript_and_model_hash():
+@pytest.mark.parametrize("secagg", [SECAGG_PAILLIER, SECAGG_MASK_ONLY])
+def test_rerun_reproduces_transcript_and_model_hash(secagg):
     import hashlib
 
     X, y = synth_classification(40, 3, seed=40)
     parties = random_split_parties(X, y, 2, seed=41)
     params = GbtParams(n_estimators=2, max_depth=2, max_bin=8, reg_lambda=1.0)
     roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
-                         master_seed=6, secagg_mode=SECAGG_PAILLIER)
+                         master_seed=6, secagg_mode=secagg)
     m1, bus1 = hfl_train(roster, parties, params, seed=6, key_bits=256)
     m2, bus2 = hfl_train(roster, parties, params, seed=6, key_bits=256)
     assert [e.payload_bytes for e in bus1.transcript] == [
@@ -888,3 +965,26 @@ def test_server_holds_no_pairwise_mask_seed(monkeypatch, secagg):
     reachable = list(_reachable(server))
     assert not any(isinstance(v, hfl.HflRoster) for v in reachable)
     assert not seeds & {v for v in reachable if isinstance(v, int)}
+
+
+@pytest.mark.parametrize("secagg", [SECAGG_PAILLIER, SECAGG_MASK_ONLY])
+def test_one_mask_draw_per_residue_per_other_client(monkeypatch, secagg):
+    # perfbench's traced run counts hfl.derive_uniform_int calls against this sum
+    from fedgbt import hfl
+
+    draws = []
+
+    def counting(*args):
+        draws.append(args)
+        return derive_uniform_int(*args)
+
+    monkeypatch.setattr(hfl, "derive_uniform_int", counting)
+    X, y = synth_classification(30, 2, seed=8)
+    parties = random_split_parties(X, y, 3, seed=9)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=7, secagg_mode=secagg)
+    _, bus = hfl_train(roster, parties, GbtParams(n_estimators=2, max_depth=2, max_bin=4),
+                       seed=7, key_bits=256)
+    submits = [e.payload for e in bus.transcript if e.msg_type == "HISTOGRAM_SUBMIT"]
+    assert len(submits) > 3
+    assert len(draws) == sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) * (3 - 1)

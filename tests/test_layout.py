@@ -7,7 +7,8 @@ Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
 searches splits, weighs leaves or derives a sibling's histogram.  Histograms are int64 everywhere: no
 module builds an object-dtype (Python big-int) array.  The fixed-point scale
 is spelled only as ``GRAD_SCALE_BITS``, and the int64 capacity only as
-``INT64_MODULUS``.
+``INT64_MODULUS``.  The protocol modules draw mask material only from
+``fedgbt.seeding``: neither imports ``hashlib``.
 """
 
 import ast
@@ -147,3 +148,37 @@ def test_no_src_module_spells_the_int64_capacity():
             if _INT64_SPELLING.search(line) and not line.startswith("INT64_MODULUS = "):
                 found.append(f"{path.name}:{n}")
     assert not found, "the int64 capacity spelled other than INT64_MODULUS: " + ", ".join(found)
+
+
+def _hashlib_imports(source: str) -> list[int]:
+    """Lines that import ``hashlib`` or a submodule of it, by statement or
+    by ``__import__``/``import_module`` with the name as a string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if any(n.split(".")[0] == "hashlib" for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_hashlib_guard_sees_each_import():
+    for text in ("import hashlib", "import os, hashlib", "import hashlib as h",
+                 "from hashlib import sha512", "from hashlib import shake_256 as prg",
+                 "h = __import__('hashlib')", "importlib.import_module('hashlib')"):
+        assert _hashlib_imports(text), text
+    for text in ("from .seeding import derive_seed", "from . import seeding",
+                 "import hmac  # not hashlib", "hashlib_free = 1", "import fedgbt.hashlib_x"):
+        assert not _hashlib_imports(text), text
+
+
+def test_protocol_modules_take_masks_only_from_seeding():
+    found = [f"{name}:{line}" for name in ("hfl.py", "vfl.py")
+             for line in _hashlib_imports((SRC / name).read_text())]
+    assert not found, "hashlib imported outside fedgbt.seeding: " + ", ".join(found)
