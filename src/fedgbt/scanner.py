@@ -35,7 +35,7 @@ ALLOWED_FIELDS: dict[str, set[str]] = {
     "ENC_HISTOGRAM_SUBMIT": {"tree", "node", "enc_g", "enc_h", "counts"},
     "SPLIT_NOTICE": {"tree", "node", "record", "feature_local", "bin"},
     "PARTITION_REPLY": {"tree", "node", "sample_ids"},
-    "INFER_QUERY": {"query", "record", "sample_id"},
+    "INFER_QUERY": {"query", "records", "sample_ids"},
     "INFER_REPLY": {"query", "go_left"},
     "PING": {"text"},
     "PONG": {"text"},

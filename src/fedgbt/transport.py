@@ -19,8 +19,13 @@ class TransportError(RuntimeError):
     """Missing or malformed protocol message; aborts the round."""
 
 
+# one encoder for every payload: json.dumps with these arguments would build
+# a new one per call
+_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_payload(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return _PAYLOAD_ENCODER.encode(payload).encode()
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,16 @@ parties, and records only (owning party, record id) for foreign nodes — the
 winning threshold value stays at its owner, which also resolves sample
 partitions and answers left/right queries at inference time.
 
+Inference walks every (tree, row) pair in level-synchronous rounds.  A walk
+descends through the active party's own splits locally; at a foreign split
+it waits, and each round every passive party that owns a waiting split
+answers one ``INFER_QUERY`` for all of them, with one list of bools per
+record in its ``INFER_REPLY``.  The passive party learns which of its own
+records each queried sample id reaches, and no more; the active party
+learns no answer for a split off a row's path.  A call sends at most
+``2 * max_depth`` messages per passive party, whatever the number of rows
+or trees.
+
 The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
 key's per-prime tables, and decrypts each bin sum modulo ``p`` alone: a sum
@@ -175,7 +185,7 @@ class PassiveParty:
         self.enc_h: dict[int, Ciphertext] = {}
         self.records: dict[int, SplitRecord] = {}
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
-        self.inference_rows: dict[int, np.ndarray] = {}
+        self.inference_rows: dict[int, list[float]] = {}
 
     def receive_gradients(self, sample_ids: list[int], enc_g: list[Ciphertext],
                           enc_h: list[Ciphertext]) -> None:
@@ -229,17 +239,29 @@ class PassiveParty:
         return np.asarray(sample_ids, dtype=np.int64)[left].tolist()
 
     def load_inference_rows(self, sample_ids: np.ndarray, rows: np.ndarray) -> None:
-        for sid, row in zip(sample_ids, rows):
-            self.inference_rows[int(sid)] = np.asarray(row, dtype=np.float64)
+        self.inference_rows.update(zip(sample_ids.tolist(), rows.tolist()))
 
-    def answer_query(self, record_id: int, sample_id: int) -> bool:
-        if record_id not in self.records:
-            raise ProtocolError(f"{self.party_id} cannot resolve record {record_id}")
-        rec = self.records[record_id]
-        row = self.inference_rows.get(sample_id)
-        if row is None:
-            raise ProtocolError(f"{self.party_id} holds no feature slice for sample {sample_id}")
-        return bool(row[rec.feature_local] <= rec.threshold)
+    def answer_query(self, records: list[int], sample_ids: list[list[int]]) -> list[list[bool]]:
+        """Per record, whether each of its listed sample ids goes left of the
+        stored split."""
+        if len(records) != len(sample_ids):
+            raise ProtocolError(f"{self.party_id} got {len(records)} records but "
+                                f"{len(sample_ids)} sample id lists")
+        answers = []
+        for record_id, ids in zip(records, sample_ids):
+            rec = self.records.get(record_id)
+            if rec is None:
+                raise ProtocolError(f"{self.party_id} cannot resolve record {record_id}")
+            feature, threshold = rec.feature_local, rec.threshold
+            column = []
+            for sample_id in ids:
+                row = self.inference_rows.get(sample_id)
+                if row is None:
+                    raise ProtocolError(f"{self.party_id} holds no feature slice for sample "
+                                        f"{sample_id}")
+                column.append(row[feature] <= threshold)
+            answers.append(column)
+        return answers
 
 
 class ActiveParty:
@@ -553,44 +575,86 @@ def vfl_predict(
     """Federated inference over vertically-split feature rows.
 
     ``parts`` maps each roster party to its feature slice of the query rows
-    (same sample ids everywhere).  The active party walks each tree and asks
-    a node's owner to answer left/right; only leaf weights accumulate here.
+    (same sample ids everywhere).  Every (tree, row) pair is one walk, and
+    all walks advance in level-synchronous rounds.  In a round, each live
+    walk first descends through the active party's own splits, locally,
+    until it reaches a leaf or a foreign split.  Each passive party that
+    owns a split some walk waits at then gets one ``INFER_QUERY`` listing
+    those records and, per record, the sample ids waiting there; its one
+    ``INFER_REPLY`` carries one list of bools per record.  The rounds are
+    at most the largest count of foreign splits on one path.  Only leaf
+    weights accumulate here, per row in tree order.
     """
     bus = bus or MessageBus()
     roster = trained.roster
-    active = trained.active
     aid = roster.active_id
-    sample_ids = parts[aid].sample_ids
+    ids = parts[aid].sample_ids.tolist()
     for pid in roster.passive_ids:
-        if not np.array_equal(parts[pid].sample_ids, sample_ids):
+        if parts[pid].sample_ids.tolist() != ids:
             raise ProtocolError("inference rows are not aligned across parties")
         trained.passives[pid].load_inference_rows(parts[pid].sample_ids, parts[pid].features)
 
-    X_active = parts[aid].features
-    margins = np.full(len(sample_ids), trained.ensemble.base_score_logit)
+    rows = parts[aid].features.tolist()
+    records = trained.active.records
+    # one walk [tree nodes, current node, row, leaf weight] per (tree, row),
+    # tree-major, so each row's leaf weights add up in tree order below
+    walks = [[tree.nodes, tree.nodes[0], i, 0.0]
+             for tree in trained.ensemble.trees for i in range(len(ids))]
+    pending = walks
     round_id = INFER_ROUND_START
     query = 0
-    for i, sid in enumerate(sample_ids):
-        for tree in trained.ensemble.trees:
-            node = tree.nodes[0]
+    while pending:
+        waiting: dict[str, dict[int, list]] = {}  # owner -> record id -> walks
+        for walk in pending:
+            nodes, node, i = walk[0], walk[1], walk[2]
             while not node.is_leaf:
-                if node.owner == aid:
-                    record = active.records[node.record_id]
-                    go_left = X_active[i, record.feature_local] <= record.threshold
-                else:
-                    round_id += 1
-                    query += 1
-                    bus.send(aid, node.owner, "INFER_QUERY", round_id, {
-                        "query": query, "record": node.record_id, "sample_id": int(sid),
-                    })
-                    env = bus.recv(node.owner, "INFER_QUERY")
-                    answer = trained.passives[node.owner].answer_query(
-                        env.payload["record"], env.payload["sample_id"]
-                    )
-                    bus.send(node.owner, aid, "INFER_REPLY", round_id, {
-                        "query": query, "go_left": bool(answer),
-                    })
-                    go_left = bus.recv(aid, "INFER_REPLY").payload["go_left"]
-                node = tree.nodes[node.left if go_left else node.right]
-            margins[i] += trained.ensemble.params.learning_rate * node.weight
-    return sigmoid(margins), bus
+                if node.owner != aid:
+                    waiting.setdefault(node.owner, {}).setdefault(node.record_id, []).append(walk)
+                    break
+                record = records[node.record_id]
+                go_left = rows[i][record.feature_local] <= record.threshold
+                node = nodes[node.left if go_left else node.right]
+            else:
+                walk[3] = node.weight
+            walk[1] = node
+        pending = []
+        round_id += 1
+        for owner, at in waiting.items():
+            query += 1
+            bus.send(aid, owner, "INFER_QUERY", round_id, {
+                "query": query, "records": list(at),
+                "sample_ids": [[ids[walk[2]] for walk in group] for group in at.values()],
+            })
+            asked = bus.recv(owner, "INFER_QUERY").payload
+            try:
+                answers = trained.passives[owner].answer_query(asked["records"],
+                                                               asked["sample_ids"])
+            except ProtocolError as exc:
+                raise ProtocolError(f"INFER_QUERY {asked['query']} to {owner}: {exc}") from None
+            bus.send(owner, aid, "INFER_REPLY", round_id, {
+                "query": asked["query"], "go_left": answers,
+            })
+            reply = bus.recv(aid, "INFER_REPLY").payload
+            answers = reply["go_left"]
+            where = f"INFER_REPLY from {owner} to query {query}"
+            if reply["query"] != query:
+                raise ProtocolError(f"{where} names query {reply['query']}")
+            if type(answers) is not list or len(answers) != len(at):
+                raise ProtocolError(f"{where}: expected {len(at)} answer lists")
+            for (record_id, group), lefts in zip(at.items(), answers):
+                if type(lefts) is not list or len(lefts) != len(group):
+                    raise ProtocolError(f"{where}: expected {len(group)} answers for record "
+                                        f"{record_id}")
+                for walk, left in zip(group, lefts):
+                    if left is not True and left is not False:
+                        raise ProtocolError(f"{where}: answer {left!r} for record {record_id} "
+                                            "is not a bool")
+                    node = walk[1]
+                    walk[1] = walk[0][node.left if left else node.right]
+                    pending.append(walk)
+
+    margins = [trained.ensemble.base_score_logit] * len(ids)
+    lr = trained.ensemble.params.learning_rate
+    for walk in walks:
+        margins[walk[2]] += lr * walk[3]
+    return sigmoid(np.array(margins)), bus

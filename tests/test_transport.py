@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedgbt.scanner import ScanReport, SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import (
@@ -35,6 +38,20 @@ def test_byte_accounting_matches_serialized_sizes():
     assert per_sender["alice"] == len(encode_payload({"text": "hello"}))
     assert sum(per_sender.values()) == expected
     assert bus.messages_by_sender() == {"alice": 1, "bob": 1}
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _json_values, max_size=5))
+def test_encode_payload_equals_canonical_json_dumps(payload):
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert encode_payload(payload) == expected
 
 
 def test_round_ids_must_not_decrease():

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from fedgbt.data import PartyDataset
 from fedgbt.gbt import (
     GRAD_SCALE_BITS,
+    BoostedEnsemble,
     GbtParams,
     GradHistogram,
     ProtocolError,
@@ -335,20 +337,36 @@ def test_single_party_roster_equals_centralized():
     assert len(bus.transcript) == 0
 
 
+def foreign_path_nodes(trained, parts, row, tree):
+    """The foreign internal nodes on one row's path, walked with every
+    owner's own split record."""
+    node, foreign = tree.nodes[0], 0
+    while not node.is_leaf:
+        owner = trained.active if node.owner == "active" else trained.passives[node.owner]
+        record = owner.records[node.record_id]
+        foreign += node.owner != "active"
+        go_left = parts[node.owner].features[row, record.feature_local] <= record.threshold
+        node = tree.nodes[node.left if go_left else node.right]
+    return foreign
+
+
 def test_inference_message_count_bounded_by_foreign_path_nodes():
     datasets, X, y = vertical_fixture(40, 2, 2, seed=14)
     roster = make_vfl_roster("active", datasets)
     params = small_params(n_estimators=1)
     trained, _ = vfl_train(roster, datasets, params, seed=8, key_bits=256)
-    one_row = {p: d.subset(np.array([0])) for p, d in datasets.items()}
-    probs, bus = vfl_predict(trained, one_row)
-    queries = [e for e in bus.transcript if e.msg_type == "INFER_QUERY"]
     tree = trained.ensemble.trees[0]
-    foreign_internal = sum(
-        1 for n in tree.nodes if not n.is_leaf and n.owner != "active"
-    )
-    max_depth_foreign = min(foreign_internal, params.max_depth)
-    assert len(queries) <= max(max_depth_foreign, 0) * len(trained.ensemble.trees) or len(queries) <= foreign_internal
+    asked = 0
+    for row in range(10):
+        one_row = {p: d.subset(np.array([row])) for p, d in datasets.items()}
+        probs, bus = vfl_predict(trained, one_row)
+        queries = [e for e in bus.transcript if e.msg_type == "INFER_QUERY"]
+        # one passive party and one tree: a round per foreign node on the path
+        assert len(queries) == foreign_path_nodes(trained, datasets, row, tree)
+        assert all(e.payload["sample_ids"] == [[int(datasets["active"].sample_ids[row])]]
+                   for e in queries)
+        asked += len(queries)
+    assert asked, "some row must pass a foreign split"
 
 
 def test_subsampled_training_equals_centralized_and_routes_only_unsampled_rows():
@@ -674,3 +692,159 @@ def test_histogram_decryption_rejects_counts_that_miss_the_sample_space():
     forged[0, forged[0].argmin()] -= 2**30
     with pytest.raises(ProtocolError, match="negative"):
         active.decrypt_histogram(eg, eh, forged, 12, "passive0")
+
+
+# ---------------------------------------------------------------------------
+# inference rounds
+
+
+@pytest.fixture(scope="module")
+def two_passive_model():
+    """Three trees whose splits belong to the active party and to both
+    passive parties."""
+    datasets, X, y = vertical_fixture(60, 1, 2, seed=16, n_passives=2)
+    roster = make_vfl_roster("active", datasets)
+    params = small_params(n_estimators=3)
+    trained, _ = vfl_train(roster, datasets, params, seed=8, key_bits=256)
+    owners = {n.owner for t in trained.ensemble.trees for n in t.nodes if not n.is_leaf}
+    assert owners == {"active", "passive0", "passive1"}
+    return trained, datasets, params
+
+
+def first_rows(datasets, n_rows):
+    return {p: d.subset(np.arange(n_rows)) for p, d in datasets.items()}
+
+
+def test_one_answer_query_call_per_infer_query(monkeypatch, two_passive_model):
+    trained, datasets, params = two_passive_model
+    calls = []
+    answer_query = PassiveParty.answer_query
+
+    def counted(self, records, sample_ids):
+        calls.append(self.party_id)
+        return answer_query(self, records, sample_ids)
+
+    monkeypatch.setattr(PassiveParty, "answer_query", counted)
+    for n_rows in (1, 40):
+        calls.clear()
+        probs, bus = vfl_predict(trained, first_rows(datasets, n_rows))
+        queries = [e for e in bus.transcript if e.msg_type == "INFER_QUERY"]
+        assert [e.recipient for e in queries] == calls
+        assert 1 <= len(queries) <= params.max_depth * len(trained.roster.passive_ids)
+        assert [e.msg_type for e in bus.transcript] == ["INFER_QUERY", "INFER_REPLY"] * len(calls)
+    # the batch scores every row as a request of its own would
+    single = [vfl_predict(trained, {p: d.subset([i]) for p, d in datasets.items()})[0][0]
+              for i in range(40)]
+    np.testing.assert_array_equal(probs, single)
+
+
+def test_scores_equal_the_joint_model_on_rows_at_split_thresholds(two_passive_model):
+    # the joint model: the skeleton with every owner's threshold filled in
+    trained, datasets, params = two_passive_model
+    roster = trained.roster
+    trees = copy.deepcopy(trained.ensemble.trees)
+    splits = [n for t in trees for n in t.nodes if not n.is_leaf]
+    for node in splits:
+        owner = trained.active if node.owner == "active" else trained.passives[node.owner]
+        node.threshold = owner.records[node.record_id].threshold
+    joint = BoostedEnsemble(trees=trees, params=params,
+                            base_score_logit=trained.ensemble.base_score_logit,
+                            feature_names=roster.feature_names)
+    # each split's threshold is some row's value, which goes left
+    X = joined_matrix(roster, first_rows(datasets, 40))
+    for k, node in enumerate(splits):
+        X[k % 40, node.feature] = node.threshold
+    parts = {}
+    for p, (start, stop) in roster.feature_slices.items():
+        d = datasets[p]
+        parts[p] = PartyDataset(p, d.sample_ids[:40], X[:, start:stop], d.feature_names)
+    probs, _ = vfl_predict(trained, parts)
+    np.testing.assert_array_equal(probs, predict_proba(joint, X))
+
+
+class _EditFirst(MessageBus):
+    """Edits the payload of the first message of one type before delivery,
+    and keeps (owner, query number) of the message it edited."""
+
+    def __init__(self, msg_type, edit):
+        super().__init__()
+        self.msg_type, self.edit = msg_type, edit
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == self.msg_type and self.tampered is None:
+            owner = sender if msg_type == "INFER_REPLY" else recipient
+            self.tampered = (owner, payload["query"])
+            payload = copy.deepcopy(payload)
+            self.edit(payload)
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+def _drop_answer(p):
+    p["go_left"][0].pop()
+
+
+def _extra_answer_list(p):
+    p["go_left"].append([True])
+
+
+def _int_answer(p):
+    p["go_left"][0][0] = int(p["go_left"][0][0])
+
+
+def _other_query(p):
+    p["query"] += 1
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_drop_answer, "expected [0-9]+ answers for record"),
+    (_extra_answer_list, "expected [0-9]+ answer lists"),
+    (_int_answer, "answer [01] for record [0-9]+ is not a bool"),
+    (_other_query, "names query"),
+], ids=["missing-bool", "extra-list", "int-for-bool", "other-query"])
+def test_a_tampered_infer_reply_is_rejected(two_passive_model, edit, match):
+    trained, datasets, params = two_passive_model
+    bus = _EditFirst("INFER_REPLY", edit)
+    with pytest.raises(ProtocolError, match=match) as raised:
+        vfl_predict(trained, first_rows(datasets, 40), bus=bus)
+    owner, query = bus.tampered
+    assert f"INFER_REPLY from {owner} to query {query}" in str(raised.value)
+
+
+def _extra_record(p):
+    p["records"].append(p["records"][0])
+
+
+def _missing_id_list(p):
+    p["sample_ids"].pop()
+
+
+def _unknown_record(p):
+    p["records"][0] = 10**6
+
+
+def _unloaded_sample(p):
+    p["sample_ids"][0][0] = -1
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_extra_record, "got [0-9]+ records but [0-9]+ sample id lists"),
+    (_missing_id_list, "got [0-9]+ records but [0-9]+ sample id lists"),
+    (_unknown_record, "cannot resolve record 1000000"),
+    (_unloaded_sample, "holds no feature slice for sample -1"),
+], ids=["extra-record", "missing-id-list", "unknown-record", "unloaded-sample"])
+def test_a_tampered_infer_query_is_rejected(two_passive_model, edit, match):
+    trained, datasets, params = two_passive_model
+    bus = _EditFirst("INFER_QUERY", edit)
+    with pytest.raises(ProtocolError, match=match) as raised:
+        vfl_predict(trained, first_rows(datasets, 40), bus=bus)
+    owner, query = bus.tampered
+    assert f"INFER_QUERY {query} to {owner}: {owner} " in str(raised.value)
+
+
+def test_misaligned_inference_rows_are_rejected(two_passive_model):
+    trained, datasets, params = two_passive_model
+    parts = first_rows(datasets, 5)
+    parts["passive1"] = datasets["passive1"].subset([0, 1, 2, 4, 3])
+    with pytest.raises(ProtocolError, match="not aligned"):
+        vfl_predict(trained, parts)
