@@ -31,6 +31,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -184,6 +185,92 @@ def check_capacity(modulus: int, terms: int) -> None:
     signed from their residues without a wrap."""
     if (2 * terms) << GRAD_SCALE_BITS >= modulus:
         raise EncodingError(f"modulus too small for {terms} terms of magnitude 1")
+
+
+# ---------------------------------------------------------------------------
+# Packed slots
+
+
+def _uint64_words(bits: np.ndarray) -> np.ndarray:
+    """Rows of at most 64 little-endian bits -> one uint64 per row."""
+    padded = np.zeros((bits.shape[0], 64), dtype=np.uint8)
+    padded[:, :bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").ravel()
+
+
+@dataclass(frozen=True)
+class PackedLayout:
+    """Fixed-width slots side by side in one integer, the layout of both
+    federations' packed histograms.
+
+    A party puts ``v + offset`` in each slot, ``v`` a quantized sum, which
+    is positive and below ``2 * offset`` while ``|v| < offset``, and
+    ``width`` leaves room for the sum of ``n_clients`` such slots.  Slot
+    ``j`` of a packed integer is bits ``[width * j, width * (j + 1))``.  The
+    horizontal clients pack residues of a ring
+    (:func:`fedgbt.hfl.packed_layout`); a vertical passive party folds each
+    run of ``slots`` bin sums into one ciphertext, with ``n_clients = 1``
+    (:func:`fedgbt.vfl.histogram_layout`).
+    """
+
+    offset: int
+    width: int
+    slots: int
+    n_clients: int
+
+    def pack(self, values) -> list[int]:
+        """Quantized int64 values -> integers of up to ``slots`` slots each.
+
+        The slots are built in uint64: ``v + offset < 2 * offset`` fits
+        whenever the int64 capacity check admits the roster.
+        """
+        values = np.asarray(values, dtype=np.int64).ravel()
+        bad = np.flatnonzero((values <= -self.offset) | (values >= self.offset))
+        if bad.size:
+            raise EncodingError(f"slot value {values[bad[0]]} reaches the packing offset "
+                                f"2^{self.offset.bit_length() - 1}")
+        # v + offset wraps back into range from the two's-complement cast
+        slot = values.astype(np.uint64) + np.uint64(self.offset)
+        bits = np.unpackbits(slot.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        keep = min(self.width, 64)  # v + offset < 2 * offset <= 2^width, and fits uint64
+        n_res = -(-values.size // self.slots)
+        laid = np.zeros((n_res * self.slots, self.width), dtype=np.uint8)
+        laid[:values.size, :keep] = bits[:, :keep]
+        size = -(-self.slots * self.width // 8)
+        laid = np.packbits(laid.reshape(n_res, self.slots * self.width), axis=1,
+                           bitorder="little").tobytes()
+        return [int.from_bytes(laid[k:k + size], "little") for k in range(0, len(laid), size)]
+
+    def unpack(self, totals: list[int], n_values: int) -> list[int]:
+        """Aggregates of ``n_clients`` packings -> the summed values.
+
+        Each total is checked for bits above its used slots; then every slot
+        is read at once in numpy, mirroring :meth:`pack`: its low 64 bits as
+        one uint64, and any bits above them (widths over 64 only) as another.
+        """
+        last = n_values - (len(totals) - 1) * self.slots  # slots the last total uses
+        if totals and (not 0 < last <= self.slots or totals[-1] >> (self.width * last)
+                       or max(totals[:-1], default=0) >> (self.width * self.slots)):
+            for i, total in enumerate(totals):  # name the first offender
+                used = min(self.slots, n_values - i * self.slots)
+                if total >> (self.width * used):
+                    raise ProtocolError(
+                        f"packed aggregate {i} has bits above its {used} slots: "
+                        "a submission was tampered with or counted twice"
+                    )
+        size = -(-self.slots * self.width // 8)
+        raw = np.frombuffer(b"".join(map(int.to_bytes, totals, repeat(size), repeat("little"))),
+                            dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(totals), size), axis=1, bitorder="little")
+        bits = bits[:, :self.slots * self.width].reshape(-1, self.width)[:n_values]
+        low = _uint64_words(bits[:, :64])
+        bias = self.n_clients * self.offset
+        if self.width <= 64 and max(bias, (1 << self.width) - bias) <= 1 << 63:
+            # every slot minus the bias lies in int64: subtract with wraparound
+            return (low - np.uint64(bias)).view(np.int64).tolist()
+        high = _uint64_words(bits[:, 64:])
+        return [hi * INT64_MODULUS + lo - bias for hi, lo in zip(high.tolist(), low.tolist())]
 
 
 # ---------------------------------------------------------------------------

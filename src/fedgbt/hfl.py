@@ -5,9 +5,10 @@ per-node gradient histograms and drives the split decisions.  Labels, raw
 feature values, and per-client gradient sums never leave a client: each
 client sums its quantized gradients into int64 histograms
 (:mod:`fedgbt.gbt`), packs the slots side by side into residues of a ring
-(:class:`PackedLayout`, after SecureBoost+) and blinds each residue with
-pairwise-cancelling masks, so the server learns only the masked per-client
-values and, after summing, the exact global aggregate once the masks cancel.
+(:class:`fedgbt.gbt.PackedLayout`, after SecureBoost+) and blinds each
+residue with pairwise-cancelling masks, so the server learns only the
+masked per-client values and, after summing, the exact global aggregate
+once the masks cancel.
 Each pair of clients expands its shared seed once per stream (run nonce,
 tree, node, g or h) into one mask word per residue
 (:func:`fedgbt.seeding.expand_mask_words`), and the packing runs in numpy.
@@ -54,6 +55,7 @@ from .gbt import (
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
+    PackedLayout,
     ProtocolError,
     Tree,
     binning_from_ranges,
@@ -187,64 +189,6 @@ def establish_global_binning(datasets: list[PartyDataset], n_bins: int) -> Binni
 
 # ---------------------------------------------------------------------------
 # Packed residues
-
-
-@dataclass(frozen=True)
-class PackedLayout:
-    """Fixed-width slots side by side in one residue of the ring.
-
-    A client puts ``v + offset`` in each slot, ``v`` a quantized sum, which
-    is positive and below ``2 * offset`` while ``|v| < offset``.  ``offset`` is
-    sized by the largest client's sample count, which bounds any per-client
-    sum of logistic gradients (``|g| < 1``, ``h <= 1/4``), and ``width``
-    leaves room for the sum of ``n_clients`` such slots.  ``slots`` of them
-    fit below ``2**(n.bit_length() - 1) <= n`` for the ring ``n``, so the
-    aggregate of packed residues never wraps mod ``n`` and no slot carries
-    into the next.
-    """
-
-    offset: int
-    width: int
-    slots: int
-    n_clients: int
-
-    def pack(self, values) -> list[int]:
-        """Quantized int64 values -> residues of up to ``slots`` slots each.
-
-        The slots are built in uint64: ``v + offset < 2 * offset`` fits
-        whenever the int64 capacity check admits the roster.
-        """
-        values = np.asarray(values, dtype=np.int64).ravel()
-        bad = np.flatnonzero((values <= -self.offset) | (values >= self.offset))
-        if bad.size:
-            raise EncodingError(f"slot value {values[bad[0]]} reaches the packing offset "
-                                f"2^{self.offset.bit_length() - 1}")
-        # v + offset wraps back into range from the two's-complement cast
-        slot = values.astype(np.uint64) + np.uint64(self.offset)
-        bits = np.unpackbits(slot.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
-        keep = min(self.width, 64)  # v + offset < 2 * offset <= 2^width, and fits uint64
-        n_res = -(-values.size // self.slots)
-        laid = np.zeros((n_res * self.slots, self.width), dtype=np.uint8)
-        laid[:values.size, :keep] = bits[:, :keep]
-        size = -(-self.slots * self.width // 8)
-        laid = np.packbits(laid.reshape(n_res, self.slots * self.width), axis=1,
-                           bitorder="little").tobytes()
-        return [int.from_bytes(laid[k:k + size], "little") for k in range(0, len(laid), size)]
-
-    def unpack(self, totals: list[int], n_values: int) -> list[int]:
-        """Unmasked aggregates of ``n_clients`` packings -> the summed values."""
-        bias, mask = self.n_clients * self.offset, (1 << self.width) - 1
-        out = []
-        for i, total in enumerate(totals):
-            used = min(self.slots, n_values - i * self.slots)
-            if total >> (self.width * used):
-                raise ProtocolError(
-                    f"packed aggregate {i} has bits above its {used} slots: "
-                    "a submission was tampered with or counted twice"
-                )
-            out += [((total >> (self.width * j)) & mask) - bias for j in range(used)]
-        return out
 
 
 def packed_layout(members: HflMembership, n: int) -> PackedLayout:

@@ -379,14 +379,31 @@ def decrypt(sk: PrivateKey, pk: PublicKey, c: Ciphertext, bound: int | None = No
     return mq + (mp - mq) * sk.q_inv % sk.p * sk.q
 
 
-def aggregate(pk: PublicKey, cs: list[Ciphertext]) -> Ciphertext:
+def aggregate(pk: PublicKey, cs: list[Ciphertext], runs: list[int] | None = None,
+              width: int | None = None) -> Ciphertext:
     """Homomorphically add: the product of ciphertexts decrypts to the plaintext sum.
 
     An empty list yields the identity ciphertext (value 1, decrypts to 0).
+
+    With ``runs``, the sizes of consecutive runs of ``cs``, run ``j``'s sum
+    goes into slot ``j`` of ``width`` bits instead: the result decrypts to
+    ``sum_j s_j * 2**(width * j)``.  The runs are folded by Horner's rule
+    from the last, ``c <- c**(2**width) * (product of the next run)``, one
+    exponentiation per slot after the first (cipher compression,
+    SecureBoost+).
     """
-    acc = 1
-    for c in cs:
-        acc = (acc * c.value) % pk.n_squared
+    n_squared = pk.n_squared
+    if runs is None:
+        runs = [len(cs)]
+    elif sum(runs) != len(cs):
+        raise ValueError(f"runs of {sum(runs)} ciphertexts for a list of {len(cs)}")
+    acc, stop = 1, len(cs)
+    for size in reversed(runs):
+        if acc != 1:
+            acc = _powmod(acc, 1 << width, n_squared)
+        for c in cs[stop - size:stop]:
+            acc = acc * c.value % n_squared
+        stop -= size
     return Ciphertext(acc)
 
 

@@ -22,10 +22,18 @@ or trees.
 
 The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
-key's per-prime tables, and decrypts each bin sum modulo ``p`` alone: a sum
-of ``c`` quantized gradients has magnitude at most
-``c * 2**GRAD_SCALE_BITS``, far below ``p / 2``, and a sum outside that
-bound is rejected as tampered.  The decrypted sums are int64 histograms, the
+key's per-prime tables.  A passive party folds each run of ``slots`` bin
+sums into one ciphertext by Horner's rule, ``c <- c**(2**w) * c_next``
+(cipher compression, after SecureBoost+), with the shared
+:class:`fedgbt.gbt.PackedLayout` (:func:`histogram_layout`): a bin of a node
+of ``n`` samples sums at most ``n`` values of magnitude ``2**GRAD_SCALE_BITS``,
+so its slot of ``w`` bits holds that sum plus an offset.  Only the active
+party knows ``p``, so it names ``slots`` in each ``SAMPLE_SPACE``: the most
+slots whose fold stays below ``p / 2`` (:func:`fold_slots`).  It then
+decrypts each fold modulo ``p`` alone, against the fold's offset constant
+as bound, and unpacks it; a fold outside that bound, bits above its slots,
+a bin sum beyond its count's bound or a nonzero empty bin is rejected as
+tampered.  The decrypted sums are int64 histograms, the
 pooled trainer's integers.  The active party grows each tree with the shared
 :func:`fedgbt.gbt.grow_tree`: every party aggregates the root and then only
 the smaller child of each split whose children may still split, and the
@@ -52,6 +60,7 @@ from .gbt import (
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
+    PackedLayout,
     ProtocolError,
     Tree,
     check_capacity,
@@ -171,6 +180,30 @@ class SplitRecord:
                            binning.threshold(feature_local, bin_index))
 
 
+def histogram_layout(n_samples: int, slots: int) -> PackedLayout:
+    """How a passive party packs its bin sums over a node of ``n_samples``.
+
+    A bin sums at most ``n_samples`` quantized values of magnitude at most
+    ``2**GRAD_SCALE_BITS``, which stays below ``offset``; a slot holds the
+    sum plus ``offset``, in ``[0, 2 * offset)``.  Both sides know the node's
+    sample count, so only ``slots`` travels.
+    """
+    offset_bits = GRAD_SCALE_BITS + n_samples.bit_length()
+    return PackedLayout(offset=1 << offset_bits, width=offset_bits + 1, slots=slots,
+                        n_clients=1)
+
+
+def fold_slots(n_samples: int, p: int) -> int:
+    """The most slots of :func:`histogram_layout` whose fold, offsets
+    included, stays below ``p / 2``, so it decrypts modulo ``p`` alone; 0
+    if not even one fits."""
+    layout = histogram_layout(n_samples, 1)
+    slots, fold = 0, layout.offset
+    while 2 * fold < p:
+        slots, fold = slots + 1, (fold << layout.width) + layout.offset
+    return slots
+
+
 class PassiveParty:
     """Feature owner without labels; sees only gradient ciphertexts."""
 
@@ -192,13 +225,19 @@ class PassiveParty:
         self.enc_g = dict(zip(sample_ids, enc_g))
         self.enc_h = dict(zip(sample_ids, enc_h))
 
-    def bin_aggregate(self, sample_ids: list[int]) -> tuple[list, list, np.ndarray]:
-        """Homomorphic per-(feature, bin) sums over the given sample space.
+    def bin_aggregate(self, sample_ids: list[int], slots: int) -> tuple[list, list, np.ndarray]:
+        """Homomorphic per-(feature, bin) sums over the given sample space,
+        folded ``slots`` bins to a ciphertext.
 
         Per feature, one stable argsort of the samples' cells groups each
-        bin's samples in sample-space order, and one ``aggregate`` call
-        multiplies a bin's ciphertexts.
+        bin's samples in sample-space order.  The flat ``F * B`` bins are cut
+        into runs of ``slots``, and one ``aggregate`` call folds a run's
+        ciphertexts into one, its bin ``j`` in slot ``j``
+        (:func:`histogram_layout`).  The counts stay one per bin.
         """
+        if type(slots) is not int or slots < 1:
+            raise ProtocolError(f"{self.party_id} was asked to fold {slots!r} bins "
+                                "per ciphertext")
         unknown = [s for s in sample_ids if s not in self.pos_of_id]
         if unknown:
             raise ProtocolError(f"{self.party_id} received unknown sample ids {unknown[:3]}")
@@ -211,17 +250,21 @@ class PassiveParty:
         ch = [self.enc_h[s] for s in sample_ids]
         cells = self.binned[[self.pos_of_id[s] for s in sample_ids]]
         counts = np.zeros((F, B), dtype=np.int64)
+        order: list[int] = []  # sample-space indices, feature by feature, bin by bin
+        for f in range(F):
+            order += np.argsort(cells[:, f], kind="stable").tolist()
+            counts[f] = np.bincount(cells[:, f], minlength=B)
+        width = histogram_layout(len(sample_ids), slots).width
+        sizes = counts.ravel().tolist()
         enc_g: list[Ciphertext] = []
         enc_h: list[Ciphertext] = []
-        for f in range(F):
-            order = np.argsort(cells[:, f], kind="stable")
-            counts[f] = np.bincount(cells[:, f], minlength=B)
-            start = 0
-            for stop in np.cumsum(counts[f]).tolist():
-                members = order[start:stop].tolist()
-                enc_g.append(aggregate(self.pk, [cg[i] for i in members]))
-                enc_h.append(aggregate(self.pk, [ch[i] for i in members]))
-                start = stop
+        start = 0
+        for first in range(0, F * B, slots):
+            run = sizes[first:first + slots]
+            members = order[start:start + sum(run)]
+            start += len(members)
+            enc_g.append(aggregate(self.pk, [cg[i] for i in members], run, width))
+            enc_h.append(aggregate(self.pk, [ch[i] for i in members], run, width))
         return enc_g, enc_h, counts
 
     def store_record(self, record_id: int, feature_local: int, bin_index: int) -> SplitRecord:
@@ -239,7 +282,8 @@ class PassiveParty:
         return np.asarray(sample_ids, dtype=np.int64)[left].tolist()
 
     def load_inference_rows(self, sample_ids: np.ndarray, rows: np.ndarray) -> None:
-        self.inference_rows.update(zip(sample_ids.tolist(), rows.tolist()))
+        """Hold this call's feature rows, and only them."""
+        self.inference_rows = dict(zip(sample_ids.tolist(), rows.tolist()))
 
     def answer_query(self, records: list[int], sample_ids: list[list[int]]) -> list[list[bool]]:
         """Per record, whether each of its listed sample ids goes left of the
@@ -276,9 +320,13 @@ class ActiveParty:
         self.params = params
         self.seed = seed
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
-        # a bin sums at most every sample's |g| < 1, and is decrypted modulo
-        # p alone into an int64: both must hold every such sum
-        check_capacity(min(self.sk.p, self.sk.q, INT64_MODULUS), dataset.n_samples)
+        # a bin sums at most every sample's |g| <= 1 into an int64, and its
+        # slot, folded and decrypted modulo p alone, must fit at the root
+        check_capacity(INT64_MODULUS, dataset.n_samples)
+        if fold_slots(dataset.n_samples, self.sk.p) < 1:
+            raise EncodingError(f"prime p too small for one "
+                                f"{histogram_layout(dataset.n_samples, 1).width}-bit slot of "
+                                f"{dataset.n_samples} terms of magnitude 1")
         # seeded, so every obfuscator is predictable from the run seed: see
         # HflClient.enc_rng; a deployment must encrypt with ``rng=None``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))
@@ -305,32 +353,46 @@ class ActiveParty:
         """One passive party's bin sums over a sample space of ``n_samples``,
         as exact quantized integers.
 
-        A bin of ``c`` samples sums ``c`` values of magnitude at most
-        ``2**GRAD_SCALE_BITS``, so each ciphertext is decrypted modulo ``p`` alone
-        with that bound.  A sum outside it, an empty bin whose ciphertext is
-        not the identity, or counts that do not add up to the sample space
-        raise :class:`ProtocolError` naming ``where`` (sender, tree, node).
+        Each ciphertext folds a run of bins (:meth:`PassiveParty.bin_aggregate`).
+        It is decrypted modulo ``p`` alone, bounded by the run's offset
+        constant ``M``, the packing of all-zero sums; adding ``M`` back gives
+        the packed slots.  A ciphertext list of the wrong length, counts that
+        are negative or do not add up to the sample space, a fold outside its
+        bound, bits above its slots, a bin of ``c`` samples whose sum leaves
+        ``[-c * 2**GRAD_SCALE_BITS, c * 2**GRAD_SCALE_BITS]``, or a nonzero
+        empty bin raise :class:`ProtocolError` naming ``where`` (sender,
+        tree, node).
         """
-        if len(enc_g) != counts.size or len(enc_h) != counts.size:
-            raise ProtocolError(f"{where}: {len(enc_g)} and {len(enc_h)} ciphertexts "
-                                f"for {counts.size} bins")
+        layout = histogram_layout(n_samples, fold_slots(n_samples, self.sk.p))
+        runs = -(-counts.size // layout.slots)
+        if len(enc_g) != runs or len(enc_h) != runs:
+            raise ProtocolError(f"{where}: {len(enc_g)} and {len(enc_h)} ciphertexts for "
+                                f"{counts.size} bins in runs of {layout.slots}")
         if (counts < 0).any() or (counts.sum(axis=1) != n_samples).any():
             raise ProtocolError(f"{where}: bin counts are negative or do not add up to "
                                 f"{n_samples} samples")
-        bounds = [int(c) << GRAD_SCALE_BITS for c in counts.flat]
+        folds = layout.pack(np.zeros(counts.size, dtype=np.int64))
+        top = counts.astype(np.int64) << GRAD_SCALE_BITS
 
-        def plain(cts):
-            values = []
-            for c, bound in zip(cts, bounds):
-                if bound == 0 and c.value != 1:
-                    raise ProtocolError(f"{where}: an empty bin's ciphertext is not the identity")
-                try:
-                    values.append(decrypt(self.sk, self.pk, c, bound=bound))
-                except EncodingError as exc:
-                    raise ProtocolError(f"{where}: {exc}") from None
-            return np.array(values, dtype=np.int64).reshape(counts.shape)
+        def plain(cts, name):
+            try:
+                totals = [decrypt(self.sk, self.pk, c, bound=m) + m for c, m in zip(cts, folds)]
+                values = np.array(layout.unpack(totals, counts.size), dtype=np.int64)
+            except (EncodingError, ProtocolError) as exc:
+                raise ProtocolError(f"{where}: {exc}") from None
+            values = values.reshape(counts.shape)
+            bad = (values > top) | (values < -top)
+            if np.count_nonzero(bad):
+                f, b = (int(i) for i in np.argwhere(bad)[0])
+                if counts[f, b] == 0:
+                    raise ProtocolError(f"{where}: feature {f}, bin {b} is empty but its "
+                                        f"{name} sum unpacks to {values[f, b]}")
+                raise ProtocolError(f"{where}: feature {f}, bin {b} has a {name} sum of "
+                                    f"{values[f, b]}, beyond {counts[f, b]} samples' bound")
+            return values
 
-        return GradHistogram(g=plain(enc_g), h=plain(enc_h), counts=counts.astype(np.int64))
+        return GradHistogram(g=plain(enc_g, "g"), h=plain(enc_h, "h"),
+                             counts=counts.astype(np.int64))
 
     def own_histogram(self, positions: np.ndarray) -> GradHistogram:
         from .gbt import build_histogram
@@ -480,15 +542,17 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
     own."""
     aid = active.party_id
     sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
+    # only the key holder knows p, so it names how many bins fold together
+    slots = fold_slots(len(sample_ids), active.sk.p)
     round_id += 1
     for pid in passives:
         bus.send(aid, pid, "SAMPLE_SPACE", round_id, {
-            "tree": tree_index, "node": node_id, "sample_ids": sample_ids,
+            "tree": tree_index, "node": node_id, "sample_ids": sample_ids, "slots": slots,
         })
     round_id += 1
     for pid, passive in passives.items():
         env = bus.recv(pid, "SAMPLE_SPACE")
-        eg, eh, counts = passive.bin_aggregate(env.payload["sample_ids"])
+        eg, eh, counts = passive.bin_aggregate(env.payload["sample_ids"], env.payload["slots"])
         bus.send(pid, aid, "ENC_HISTOGRAM_SUBMIT", round_id, {
             "tree": tree_index,
             "node": node_id,

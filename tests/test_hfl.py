@@ -404,14 +404,17 @@ def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
     assert total.h.tolist() == expect_h.tolist()
 
 
-@settings(max_examples=25, deadline=None)
-@given(shape=st.sampled_from([
-    # hfl-paillier's and hfl-mask-paper's rosters, five clients (3 bits for their
-    # sum), and the widest layouts the int64 capacity check admits: offset 2^63, so
-    # a slot value reaches 2^64 - 1, with 1 and with 2 clients
+# hfl-paillier's and hfl-mask-paper's rosters, five clients (3 bits for their
+# sum), and the widest layouts the int64 capacity check admits: offset 2^63, so
+# a slot value reaches 2^64 - 1, with 1 and with 2 clients
+_LAYOUT_SHAPES = [
     ([67, 67, 66], (1 << 511) + 1), ([57, 170], MASK_ONLY_MODULUS), ([3] * 5, 1 << 200),
     ([(1 << 43) - 1], 1 << 1023), ([1 << 42, (1 << 42) - 1], 1 << 1023),
-]), data=st.data())
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(_LAYOUT_SHAPES), data=st.data())
 def test_pack_lays_out_the_slot_formula(shape, data):
     counts, ring = shape
     check_capacity(INT64_MODULUS, sum(counts))
@@ -431,6 +434,39 @@ def test_pack_lays_out_the_slot_formula(shape, data):
     # -2^63 itself at the widest layouts
     with pytest.raises(EncodingError, match=f"slot value {-layout.offset} reaches"):
         layout.pack(values + [-layout.offset])
+
+
+def _unpack_per_slot(layout, totals, n_values):
+    """Slot by slot, in Python integers: what ``PackedLayout.unpack`` reads
+    in numpy."""
+    bias, mask = layout.n_clients * layout.offset, (1 << layout.width) - 1
+    out = []
+    for i, total in enumerate(totals):
+        used = min(layout.slots, n_values - i * layout.slots)
+        if total >> (layout.width * used):
+            raise ProtocolError(f"packed aggregate {i} has bits above its {used} slots: "
+                                "a submission was tampered with or counted twice")
+        out += [((total >> (layout.width * j)) & mask) - bias for j in range(used)]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(_LAYOUT_SHAPES), data=st.data())
+def test_unpack_equals_the_per_slot_loop(shape, data):
+    # any slot contents, not only sums of in-range packings
+    counts, ring = shape
+    layout = packed_layout(make_roster([f"c{i}" for i in range(len(counts))], counts), ring)
+    n_values = data.draw(st.integers(0, 3 * layout.slots + 1))
+    used = [min(layout.slots, n_values - k) for k in range(0, n_values, layout.slots)]
+    totals = [data.draw(st.integers(0, (1 << (layout.width * u)) - 1)) for u in used]
+    assert layout.unpack(totals, n_values) == _unpack_per_slot(layout, totals, n_values)
+    if totals:
+        i = data.draw(st.integers(0, len(totals) - 1))
+        totals[i] |= 1 << (layout.width * used[i] + data.draw(st.integers(0, 8)))
+        with pytest.raises(ProtocolError) as raised:
+            _unpack_per_slot(layout, totals, n_values)
+        with pytest.raises(ProtocolError, match=re.escape(str(raised.value))):
+            layout.unpack(totals, n_values)
 
 
 def test_slot_value_reaching_the_offset_raises(mask_fixture):

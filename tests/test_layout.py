@@ -8,7 +8,9 @@ searches splits, weighs leaves or derives a sibling's histogram.  Histograms are
 module builds an object-dtype (Python big-int) array.  The fixed-point scale
 is spelled only as ``GRAD_SCALE_BITS``, and the int64 capacity only as
 ``INT64_MODULUS``.  The protocol modules draw mask material only from
-``fedgbt.seeding``: neither imports ``hashlib``.
+``fedgbt.seeding``: neither imports ``hashlib``.  One slot layout,
+``PackedLayout``, is defined in ``gbt.py`` alone, and both protocol modules
+import it from there.
 """
 
 import ast
@@ -182,3 +184,34 @@ def test_protocol_modules_take_masks_only_from_seeding():
     found = [f"{name}:{line}" for name in ("hfl.py", "vfl.py")
              for line in _hashlib_imports((SRC / name).read_text())]
     assert not found, "hashlib imported outside fedgbt.seeding: " + ", ".join(found)
+
+
+def _layout_homes(src: Path) -> tuple[list[str], list[str]]:
+    """(modules under ``src`` that define a ``PackedLayout`` class, protocol
+    modules that do not import it from ``gbt``)."""
+    defined, strays = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if any(isinstance(node, ast.ClassDef) and node.name == "PackedLayout"
+               for node in ast.walk(tree)):
+            defined.append(path.name)
+        if path.name in ("hfl.py", "vfl.py") and not any(
+                isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "gbt"
+                and any(alias.name == "PackedLayout" for alias in node.names)
+                for node in ast.walk(tree)):
+            strays.append(path.name)
+    return defined, strays
+
+
+def test_one_slot_layout_serves_both_protocols():
+    assert _layout_homes(SRC) == (["gbt.py"], [])
+
+
+def test_the_layout_guard_sees_a_second_definition(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    assert _layout_homes(tmp_path) == (["gbt.py"], [])
+    vfl = tmp_path / "vfl.py"
+    vfl.write_text(vfl.read_text().replace("    PackedLayout,\n", "", 1)
+                   + "\n\n@dataclass(frozen=True)\nclass PackedLayout:\n    offset: int\n")
+    assert _layout_homes(tmp_path) == (["gbt.py", "vfl.py"], ["vfl.py"])

@@ -1,9 +1,13 @@
 import copy
+import importlib.util
 import math
 import random
+from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fedgbt.data import PartyDataset
 from fedgbt.gbt import (
@@ -21,12 +25,23 @@ from fedgbt.gbt import (
     quantize,
     train_centralized,
 )
-from fedgbt.paillier import Ciphertext, _is_probable_prime, aggregate, decrypt, keygen
+from fedgbt.paillier import (
+    Ciphertext,
+    _is_probable_prime,
+    aggregate,
+    decrypt,
+    encrypt,
+    int_to_hex,
+    keygen,
+    keypair_from_primes,
+)
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import MessageBus
 from fedgbt.vfl import (
     ActiveParty,
     PassiveParty,
+    fold_slots,
+    histogram_layout,
     joined_matrix,
     make_vfl_roster,
     vfl_predict,
@@ -151,7 +166,7 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     sids, enc_g, enc_h = active.encrypt_gradients(np.arange(20))
     passive.receive_gradients(sids, enc_g, enc_h)
     subset = sids[: 12]
-    eg, eh, counts = passive.bin_aggregate(subset)
+    eg, eh, counts = passive.bin_aggregate(subset, fold_slots(12, active.sk.p))
     decoded = active.decrypt_histogram(eg, eh, counts, 12, "passive0")
     plain = build_histogram(
         passive.binned, active.g, active.h, np.arange(12), params.max_bin
@@ -159,7 +174,7 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     np.testing.assert_array_equal(decoded.g, plain.g)
     np.testing.assert_array_equal(decoded.h, plain.h)
     np.testing.assert_array_equal(decoded.counts, plain.counts)
-    # empty bins decrypt to zero through the identity ciphertext
+    # empty bins unpack to zero
     empty_bins = decoded.counts == 0
     assert (decoded.g[empty_bins] == 0).all()
 
@@ -170,6 +185,7 @@ def test_bin_aggregate_equals_the_per_sample_loop():
     active = ActiveParty("active", datasets["active"], params, seed=4, key_bits=256)
     passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
     passive.pk = active.pk
+    n_squared = passive.pk.n_squared
     active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(30)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(30)))
     ids = [int(s) for s in datasets["passive0"].sample_ids]
@@ -183,17 +199,33 @@ def test_bin_aggregate_equals_the_per_sample_loop():
                 b = passive.binned[passive.pos_of_id[sid], f]
                 buckets_g[f * B + b].append(passive.enc_g[sid])
                 buckets_h[f * B + b].append(passive.enc_h[sid])
-        eg, eh, counts = passive.bin_aggregate(space)
-        assert [c.value for c in eg] == [aggregate(passive.pk, b).value for b in buckets_g]
-        assert [c.value for c in eh] == [aggregate(passive.pk, b).value for b in buckets_h]
-        assert counts.flatten().tolist() == [len(b) for b in buckets_g]
+        # one bin per ciphertext, a partial last run, and the key's widest fold
+        widest = fold_slots(len(space), active.sk.p)
+        assert widest > 3 and (F * B) % 3
+        for slots in (1, 3, widest):
+            width = histogram_layout(len(space), slots).width
+
+            def folded(buckets):
+                # run r's bin j is raised to 2^(width * j), then multiplied in
+                return [math.prod(pow(aggregate(passive.pk, bucket).value, 1 << (width * j),
+                                      n_squared)
+                                  for j, bucket in enumerate(buckets[k:k + slots])) % n_squared
+                        for k in range(0, F * B, slots)]
+
+            eg, eh, counts = passive.bin_aggregate(space, slots)
+            assert [c.value for c in eg] == folded(buckets_g)
+            assert [c.value for c in eh] == folded(buckets_h)
+            assert counts.flatten().tolist() == [len(b) for b in buckets_g]
+        # a run of one bin is the bin's own product
+        assert ([c.value for c in passive.bin_aggregate(space, 1)[0]]
+                == [aggregate(passive.pk, b).value for b in buckets_g])
 
 
 def test_passive_rejects_unknown_sample_ids():
     datasets, _, _ = vertical_fixture(8, 1, 2, seed=7)
     passive = PassiveParty("passive0", datasets["passive0"], 4)
     with pytest.raises(ProtocolError):
-        passive.bin_aggregate([9999])
+        passive.bin_aggregate([9999], 1)
 
 
 def test_passive_rejects_ids_outside_the_gradient_broadcast():
@@ -204,9 +236,9 @@ def test_passive_rejects_ids_outside_the_gradient_broadcast():
     active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(12)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(6)))
     ids = [int(s) for s in datasets["passive0"].sample_ids]
-    passive.bin_aggregate(ids[:6])
+    passive.bin_aggregate(ids[:6], 1)
     with pytest.raises(ProtocolError, match=r"passive0 received sample ids \[106, 107, 108\]"):
-        passive.bin_aggregate(ids)
+        passive.bin_aggregate(ids, 1)
 
 
 def test_partition_resolution_matches_plaintext_filter():
@@ -448,20 +480,24 @@ def _prime_next_to(x, step):
     return x
 
 
-# 40 summands of |g| <= 1 need a modulus above 2 * 40 * 2^S
-_FORTY = 2 * 40 << GRAD_SCALE_BITS
-_WIDE = _prime_next_to(_FORTY * 2, 1)
+# a fold over 40 samples has slots of 20 + 6 + 1 bits: one slot holds a bin
+# sum plus 2^(S + 6), which decrypts modulo p alone once p > 2^(S + 7), a
+# little above 2 * 40 * 2^S, the bound on the sum itself
+_ONE_SLOT = 1 << histogram_layout(40, 1).width
+_WIDE = _prime_next_to(_ONE_SLOT * 4, 1)
 
 
 @pytest.mark.parametrize("primes, fits", [
-    # the first prime above the bound holds 40 summands
-    ((_prime_next_to(_FORTY, 1), _WIDE), True),
+    # the first prime above the bound holds one slot of 40 summands
+    ((_prime_next_to(_ONE_SLOT, 1), _WIDE), True),
     # a modulus of about a quarter of the bound does not hold 40
-    ((_prime_next_to(math.isqrt(_FORTY) // 2, -1), _prime_next_to(math.isqrt(_FORTY) // 2, 1)),
-     False),
-    # the last prime below the bound: the modulus would hold 40, but
-    # histograms are decrypted modulo p alone
-    ((_prime_next_to(_FORTY, -1), _WIDE), False),
+    ((_prime_next_to(math.isqrt(_ONE_SLOT) // 2, -1),
+      _prime_next_to(math.isqrt(_ONE_SLOT) // 2, 1)), False),
+    # the last prime below the bound: the modulus would hold the slot, but
+    # folds are decrypted modulo p alone
+    ((_prime_next_to(_ONE_SLOT, -1), _WIDE), False),
+    # nor does the first prime above 2 * 40 * 2^S
+    ((_prime_next_to(2 * 40 << GRAD_SCALE_BITS, 1), _WIDE), False),
 ])
 def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
     from fedgbt import vfl
@@ -503,6 +539,23 @@ def _route_training_rows(trained, tree):
         positions[node.left], positions[node.right] = rows[go_left], rows[~go_left]
         depth[node.left] = depth[node.right] = depth[node.node_id] + 1
     return positions, depth
+
+
+def _unfold(active, cts, counts):
+    """Bin sums from folded ciphertexts by full two-prime decryption and
+    plain shifts, apart from ``PackedLayout.unpack`` and the bounded
+    decryption."""
+    n = int(counts[0].sum())
+    layout = histogram_layout(n, fold_slots(n, active.sk.p))
+    width, offset, modulus = layout.width, layout.offset, active.pk.n
+    values = []
+    for k, c in enumerate(cts):
+        used = min(layout.slots, counts.size - k * layout.slots)
+        total = decrypt(active.sk, active.pk, c)
+        total = (total - modulus if total > modulus // 2 else total) + sum(
+            offset << (width * j) for j in range(used))
+        values += [((total >> (width * j)) & ((1 << width) - 1)) - offset for j in range(used)]
+    return np.array(values, dtype=np.int64).reshape(counts.shape)
 
 
 def test_subtracted_histograms_equal_direct_aggregation_and_decryption(monkeypatch):
@@ -550,31 +603,34 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption(monkeypat
                                  params.max_bin)]
         ids = [int(active.dataset.sample_ids[p]) for p in positions[node_id]]
         for pid in roster.passive_ids:
-            eg, eh, counts = trained.passives[pid].bin_aggregate(ids)
-            bounds = [int(c) << GRAD_SCALE_BITS for c in counts.flat]
-            parts.append(GradHistogram(*(
-                np.array([decrypt(active.sk, active.pk, c, bound=b) for c, b in zip(cts, bounds)],
-                         dtype=np.int64).reshape(counts.shape) for cts in (eg, eh)), counts))
+            eg, eh, counts = trained.passives[pid].bin_aggregate(
+                ids, fold_slots(len(ids), active.sk.p))
+            parts.append(GradHistogram(_unfold(active, eg, counts), _unfold(active, eh, counts),
+                                       counts))
         for a in ("g", "h", "counts"):
             np.testing.assert_array_equal(getattr(held, a),
                                           np.vstack([getattr(part, a) for part in parts]))
 
 
 class _FlipOneCiphertext(MessageBus):
-    """Flips the low bit of one g ciphertext, in an empty or a nonempty
-    bin, in the first ENC_HISTOGRAM_SUBMIT that has such a bin."""
+    """Flips the low bit of the g fold of the first run that holds an empty,
+    or a nonempty, bin, in the first ENC_HISTOGRAM_SUBMIT that has one."""
 
     def __init__(self, empty_bin: bool):
         super().__init__()
         self.empty_bin = empty_bin
+        self.slots = {}  # passive party -> bins per fold it was last asked for
         self.tampered = None
 
     def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "SAMPLE_SPACE":
+            self.slots[recipient] = payload.get("slots")
         if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
             bins = [i for i, c in enumerate(payload["counts"]) if (c == 0) == self.empty_bin]
             if bins:
+                run = bins[0] // self.slots[sender]
                 enc_g = list(payload["enc_g"])
-                enc_g[bins[0]] = format(int(enc_g[bins[0]], 16) ^ 1, "x")
+                enc_g[run] = format(int(enc_g[run], 16) ^ 1, "x")
                 payload = {**payload, "enc_g": enc_g}
                 self.tampered = (sender, payload["tree"], payload["node"])
         return super().send(sender, recipient, msg_type, round_id, payload)
@@ -582,6 +638,8 @@ class _FlipOneCiphertext(MessageBus):
 
 @pytest.mark.parametrize("empty_bin", [False, True])
 def test_a_flipped_histogram_ciphertext_is_detected(empty_bin):
+    # a flipped bit scrambles the whole fold, so its bounded decryption
+    # fails, whether or not the run holds an empty bin
     datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
     roster = make_vfl_roster("active", datasets)
     bus = _FlipOneCiphertext(empty_bin)
@@ -589,7 +647,7 @@ def test_a_flipped_histogram_ciphertext_is_detected(empty_bin):
         vfl_train(roster, datasets, small_params(), seed=11, bus=bus, key_bits=256)
     sender, tree, node = bus.tampered
     assert f"{sender}'s histogram for tree {tree}, node {node}" in str(raised.value)
-    assert ("identity" in str(raised.value)) == empty_bin
+    assert "decrypted value outside" in str(raised.value)
 
 
 def test_sibling_subtraction_rejects_impossible_children():
@@ -681,7 +739,8 @@ def test_histogram_decryption_rejects_counts_that_miss_the_sample_space():
     passive.pk = active.pk
     active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(12)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(12)))
-    eg, eh, counts = passive.bin_aggregate([int(s) for s in datasets["passive0"].sample_ids])
+    eg, eh, counts = passive.bin_aggregate([int(s) for s in datasets["passive0"].sample_ids],
+                                           fold_slots(12, active.sk.p))
     active.decrypt_histogram(eg, eh, counts, 12, "passive0")
     with pytest.raises(ProtocolError, match="do not add up"):
         active.decrypt_histogram(eg, eh, counts, 11, "passive0")
@@ -848,3 +907,254 @@ def test_misaligned_inference_rows_are_rejected(two_passive_model):
     parts["passive1"] = datasets["passive1"].subset([0, 1, 2, 4, 3])
     with pytest.raises(ProtocolError, match="not aligned"):
         vfl_predict(trained, parts)
+
+
+def test_a_passive_party_holds_only_the_last_calls_rows(two_passive_model):
+    trained, datasets, params = two_passive_model
+    vfl_predict(trained, first_rows(datasets, 40))
+    later = {p: d.subset(np.arange(40, 45)) for p, d in datasets.items()}
+    vfl_predict(trained, later)
+    for passive in trained.passives.values():
+        assert sorted(passive.inference_rows) == datasets["active"].sample_ids[40:45].tolist()
+        first_id = int(datasets["active"].sample_ids[0])
+        record = next(iter(passive.records))
+        with pytest.raises(ProtocolError, match=f"holds no feature slice for sample {first_id}"):
+            passive.answer_query([record], [[first_id]])
+
+
+# ---------------------------------------------------------------------------
+# folded histogram replies
+
+
+def test_crypto_calls_match_what_the_transcript_implies(monkeypatch):
+    # perfbench's traced run counts vfl.aggregate and vfl.decrypt calls,
+    # and aggregate's len(cs), against these transcript sums
+    from fedgbt import vfl
+
+    seen = Counter()
+    real_aggregate, real_decrypt = vfl.aggregate, vfl.decrypt
+
+    def counting_aggregate(pk, cs, *args, **kwargs):
+        seen["aggregate"] += 1
+        seen["terms"] += len(cs)
+        return real_aggregate(pk, cs, *args, **kwargs)
+
+    def counting_decrypt(*args, **kwargs):
+        seen["decrypt"] += 1
+        return real_decrypt(*args, **kwargs)
+
+    monkeypatch.setattr(vfl, "aggregate", counting_aggregate)
+    monkeypatch.setattr(vfl, "decrypt", counting_decrypt)
+    datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
+    _, bus = vfl_train(make_vfl_roster("active", datasets), datasets, small_params(), seed=11,
+                       key_bits=256)
+    submits = [e.payload for e in bus.transcript if e.msg_type == "ENC_HISTOGRAM_SUBMIT"]
+    folds = sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits)
+    assert seen["aggregate"] == seen["decrypt"] == folds
+    assert seen["terms"] == 2 * sum(sum(p["counts"]) for p in submits)
+    # at least three bins fold into each ciphertext at this key
+    assert 3 * folds <= 2 * sum(len(p["counts"]) for p in submits)
+
+
+def test_every_name_perfbench_traces_exists():
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in tracing.PATCHES if not hasattr(owner, attr)]
+    assert not missing
+
+
+def test_a_passive_party_rejects_fewer_than_one_slot():
+    datasets, _, y = vertical_fixture(12, 1, 2, seed=23)
+    active = ActiveParty("active", datasets["active"], small_params(), seed=3, key_bits=256)
+    passive = PassiveParty("passive0", datasets["passive0"], 8)
+    passive.pk = active.pk
+    active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(12)))
+    passive.receive_gradients(*active.encrypt_gradients(np.arange(12)))
+    ids = [int(s) for s in datasets["passive0"].sample_ids]
+    for slots in (0, -1, 2.0, True, None):
+        with pytest.raises(ProtocolError, match="passive0 was asked to fold"):
+            passive.bin_aggregate(ids, slots)
+
+
+@cache
+def _fold_key():
+    """A key whose p has 128 bits, about four slots of a 64-sample node."""
+    return keypair_from_primes(_prime_next_to(1 << 127, 1), _prime_next_to(1 << 128, 1))
+
+
+def _fold_and_open(pk, sk, layout, values):
+    """Encrypt each value, fold every run of ``layout.slots``, decrypt each
+    fold against its offset constant and unpack."""
+    rng = random.Random(0)
+    folds = layout.pack(np.zeros(len(values), dtype=np.int64))
+    totals = []
+    for k, fold in enumerate(folds):
+        run = values[k * layout.slots:(k + 1) * layout.slots]
+        c = aggregate(pk, [encrypt(pk, v % pk.n, rng=rng) for v in run], [1] * len(run),
+                      layout.width)
+        totals.append(decrypt(sk, pk, c, bound=fold) + fold)
+    return layout.unpack(totals, len(values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 5000), data=st.data())
+def test_folds_carry_slot_values_up_to_the_offset(n, data):
+    pk, sk = _fold_key()
+    layout = histogram_layout(n, fold_slots(n, sk.p))
+    top = layout.offset - 1
+    values = data.draw(st.lists(st.sampled_from([top, -top, 0]) | st.integers(-top, top),
+                                min_size=1, max_size=3 * layout.slots + 1))
+    values[0] = data.draw(st.sampled_from([top, -top]))
+    assert _fold_and_open(pk, sk, layout, values) == values
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(0, 3000), data=st.data())
+def test_the_smallest_prime_that_admits_one_slot(n, data):
+    layout = histogram_layout(n, 1)
+    bound = 1 << layout.width  # twice the offset
+    p = _prime_next_to(bound, 1)
+    assert fold_slots(n, _prime_next_to(bound, -1)) == 0
+    assert fold_slots(n, p) == 1
+    pk, sk = keypair_from_primes(p, _prime_next_to(4 * p + 1, 1))
+    top = layout.offset - 1
+    values = [top, -top, 0, data.draw(st.integers(-top, top))]
+    assert _fold_and_open(pk, sk, layout, values) == values
+
+
+def _packed_parties(n, n_bins):
+    """An active party over 64 samples with the fold key, and a passive party
+    whose feature 0 is constant, so one bin holds its whole sample space."""
+    ids = np.arange(64)
+    rng = np.random.default_rng(3)
+    active = ActiveParty("active", PartyDataset("active", ids, rng.normal(size=(64, 1)), ("a0",),
+                                                np.arange(64) % 2), small_params(), seed=1,
+                         key_bits=256)
+    active.pk, active.sk = _fold_key()
+    features = np.column_stack([np.ones(64), rng.normal(size=64)])
+    passive = PassiveParty("passive0", PartyDataset("passive0", ids, features, ("p0", "p1")),
+                           n_bins)
+    passive.pk = active.pk
+    return active, passive
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 64), sign=st.sampled_from([1, -1]))
+def test_a_bin_holding_the_whole_sample_space_unpacks_at_its_bound(n, sign):
+    active, passive = _packed_parties(n, 8)
+    # every |g| = 1 and every h = 1/4, the largest logistic gradients
+    active.g = np.full(64, sign << GRAD_SCALE_BITS, dtype=np.int64)
+    active.h = np.full(64, 1 << (GRAD_SCALE_BITS - 2), dtype=np.int64)
+    passive.receive_gradients(*active.encrypt_gradients(np.arange(64)))
+    ids = list(range(n))
+    eg, eh, counts = passive.bin_aggregate(ids, fold_slots(n, active.sk.p))
+    hist = active.decrypt_histogram(eg, eh, counts, n, "passive0")
+    full = int(np.argmax(counts[0]))
+    assert counts[0, full] == n
+    assert hist.g[0, full] == sign * n << GRAD_SCALE_BITS
+    assert hist.h[0, full] == n << (GRAD_SCALE_BITS - 2)
+    plain = build_histogram(passive.binned, active.g, active.h, np.arange(n), 8)
+    np.testing.assert_array_equal(hist.g, plain.g)
+    np.testing.assert_array_equal(hist.h, plain.h)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 64), n_bins=st.integers(2, 9), seed=st.integers(0, 2**16))
+def test_a_partial_last_run_decrypts_like_the_full_ones(n, n_bins, seed):
+    slots = fold_slots(n, _fold_key()[1].p)
+    assume(2 * n_bins % slots)
+    active, passive = _packed_parties(n, n_bins)
+    rng = np.random.default_rng(seed)
+    active.g = rng.integers(-(1 << GRAD_SCALE_BITS), 1 << GRAD_SCALE_BITS, size=64, endpoint=True)
+    active.h = rng.integers(0, 1 << (GRAD_SCALE_BITS - 2), size=64, endpoint=True)
+    passive.receive_gradients(*active.encrypt_gradients(np.arange(64)))
+    ids = rng.permutation(64)[:n].tolist()
+    eg, eh, counts = passive.bin_aggregate(ids, slots)
+    assert len(eg) == len(eh) == -(-2 * n_bins // slots)
+    hist = active.decrypt_histogram(eg, eh, counts, n, "passive0")
+    plain = build_histogram(passive.binned, active.g, active.h, np.array(ids), n_bins)
+    for a in ("g", "h", "counts"):
+        np.testing.assert_array_equal(getattr(hist, a), getattr(plain, a))
+
+
+def _slot(total, layout, j):
+    return (total >> (layout.width * j)) & ((1 << layout.width) - 1)
+
+
+def _with_slot(total, layout, j, value):
+    return total - (_slot(total, layout, j) << (layout.width * j)) + (value << (layout.width * j))
+
+
+def _bits_above(packed, counts, layout):
+    used = min(layout.slots, len(counts))
+    below = packed[0] & ((1 << (layout.width * (used - 1))) - 1)
+    # the next bit up, with the lower slots kept, stays within the fold's bound
+    return [(1 << (layout.width * used)) + below, *packed[1:]]
+
+
+def _edit_bin(empty):
+    def edit(packed, counts, layout):
+        bins = [i for i, c in enumerate(counts) if (c == 0) == empty]
+        if not bins:
+            return None
+        k, j = divmod(bins[0], layout.slots)
+        # one past the bin's bound, or any nonzero sum in an empty bin
+        value = layout.offset + (counts[bins[0]] << GRAD_SCALE_BITS) + 1
+        return [*packed[:k], _with_slot(packed[k], layout, j, value), *packed[k + 1:]]
+    return edit
+
+
+class _RewriteFolds(MessageBus):
+    """Decrypts the g folds of the first ENC_HISTOGRAM_SUBMIT that ``edit``
+    applies to with the active party's key, and re-encrypts what ``edit``
+    returns: a tamperer that knows the key."""
+
+    def __init__(self, key, edit):
+        super().__init__()
+        self.key, self.edit = key, edit
+        self.asked = {}  # passive party -> (sample count, slots) last asked for
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "SAMPLE_SPACE" and "slots" in payload:
+            self.asked[recipient] = len(payload["sample_ids"]), payload["slots"]
+        if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
+            pk, sk = self.key
+            layout = histogram_layout(*self.asked[sender])
+            folds = layout.pack(np.zeros(len(payload["counts"]), dtype=np.int64))
+            packed = [decrypt(sk, pk, Ciphertext(int(c, 16)), bound=m) + m
+                      for c, m in zip(payload["enc_g"], folds)]
+            edited = self.edit(packed, payload["counts"], layout)
+            if edited is not None:
+                rng = random.Random(0)
+                enc_g = [int_to_hex(encrypt(pk, (t - folds[min(i, len(folds) - 1)]) % pk.n,
+                                            rng=rng).value) for i, t in enumerate(edited)]
+                payload = {**payload, "enc_g": enc_g}
+                self.tampered = (sender, payload["tree"], payload["node"])
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_bits_above, "has bits above its [0-9]+ slots"),
+    (_edit_bin(empty=False), r"feature [0-9]+, bin [0-9]+ has a g sum of [0-9]+, beyond"),
+    (_edit_bin(empty=True), r"feature [0-9]+, bin [0-9]+ is empty but its g sum unpacks to 1$"),
+    (lambda packed, counts, layout: packed[:-1], "ciphertexts for"),
+    (lambda packed, counts, layout: packed + packed[-1:], "ciphertexts for"),
+], ids=["bits-above", "slot-beyond-bound", "nonzero-empty-bin", "short-list", "long-list"])
+def test_a_tampered_fold_is_rejected(monkeypatch, edit, match):
+    from fedgbt import vfl
+
+    key = keygen(key_bits=256, rng_seed=5)
+    monkeypatch.setattr(vfl, "keygen", lambda key_bits, rng_seed: key)
+    datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
+    bus = _RewriteFolds(key, edit)
+    with pytest.raises(ProtocolError, match=match) as raised:
+        vfl_train(make_vfl_roster("active", datasets), datasets, small_params(), seed=11,
+                  bus=bus, key_bits=256)
+    sender, tree, node = bus.tampered
+    assert f"{sender}'s histogram for tree {tree}, node {node}: " in str(raised.value)
