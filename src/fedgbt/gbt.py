@@ -7,7 +7,10 @@ weights, which is what makes the federated-versus-centralized equivalence
 checks meaningful.  All three grow their trees with :func:`grow_tree`, which
 owns every node's totals, sibling subtraction and the histogram checks; they
 differ only in how a level's samples are partitioned and where a built
-histogram comes from.
+histogram comes from.  The core is vectorized over a level's nodes: one
+product of the rows' one-hot cells and their gradients builds the
+histograms a level asks for, and one call each checks them and searches
+their splits.
 
 Conventions fixed across every training path:
 
@@ -15,14 +18,18 @@ Conventions fixed across every training path:
   lands in the bin counting thresholds strictly below x, so x goes left at a
   split exactly when x <= threshold;
 * g and h are quantized once per sample per tree (:func:`quantize`), and
-  every histogram is an int64 sum of them, exact in any order: every trainer
-  holds the same integers, and sibling subtraction is exact;
+  every histogram sums them in float64 under the 2^53 bound
+  (``FLOAT64_MODULUS``), so it is exact in any order and read back as int64:
+  every trainer holds the same integers, and sibling subtraction is exact;
 * split search reads the integer prefix sums as floats once, so equal sums
   give equal gains, and a tie goes to the lowest feature id, then bin;
 * boosting updates margins by ``learning_rate * leaf_weight`` per tree;
-* histograms, split search and routing are vectorized over features, bins,
-  rows and trees, yet every result equals a per-feature, per-row loop's:
-  margins accumulate tree by tree.
+* histograms, split search and routing are vectorized over nodes, features,
+  bins, rows and trees, yet every result equals a per-node, per-feature,
+  per-row loop's: margins accumulate tree by tree;
+* a trainer bins its rows once per training, into one contiguous small-int
+  row per feature (:meth:`Binning.bin_columns`), which partitions read, and
+  each row's flat cell ids (:func:`cell_ids`), which histograms read.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass, field, asdict
 from itertools import repeat
 
 import numpy as np
+from scipy import sparse
 
 from .data import PartyDataset
 from .paillier import EncodingError
@@ -112,14 +120,6 @@ def boundaries_from_range(low: float, high: float, n_bins: int) -> np.ndarray:
     return low + width * np.arange(1, n_bins)
 
 
-def compute_bins(column: np.ndarray, n_bins: int) -> np.ndarray:
-    """Thresholds for one feature from its observed range."""
-    column = np.asarray(column, dtype=np.float64)
-    if column.size == 0:
-        raise TrainingError("cannot bin an empty column")
-    return boundaries_from_range(float(column.min()), float(column.max()), n_bins)
-
-
 @dataclass(frozen=True)
 class Binning:
     """Per-feature equal-width thresholds shared by all samples of a run."""
@@ -127,30 +127,35 @@ class Binning:
     boundaries: np.ndarray  # (n_features, n_bins - 1)
     n_bins: int
 
-    def bin_column(self, values: np.ndarray, feature: int) -> np.ndarray:
-        # Counting thresholds strictly below x puts x == threshold in the
-        # lower bin, so "bin <= split bin" matches "x <= threshold".
-        return np.searchsorted(self.boundaries[feature], values, side="left")
-
-    def bin_matrix(self, X: np.ndarray) -> np.ndarray:
+    def bin_columns(self, X: np.ndarray) -> np.ndarray:
+        """Bin per feature and row, ``(n_features, n)``: each feature one
+        contiguous row of the smallest unsigned type that holds a bin."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape, dtype=np.int64)
+        out = np.empty(X.shape[::-1], dtype=np.min_scalar_type(self.n_bins - 1))
         for f in range(X.shape[1]):
-            out[:, f] = self.bin_column(X[:, f], f)
+            # Counting thresholds strictly below x puts x == threshold in the
+            # lower bin, so "bin <= split bin" matches "x <= threshold".
+            out[f] = np.searchsorted(self.boundaries[f], X[:, f], side="left")
         return out
 
     def threshold(self, feature: int, bin_index: int) -> float:
         return float(self.boundaries[feature][bin_index])
 
 
+def cell_ids(columns: np.ndarray, n_bins: int) -> np.ndarray:
+    """Each row's flat cell id ``f * n_bins + b`` per feature: ``(n,
+    n_features)`` int32, from :meth:`Binning.bin_columns`."""
+    cells = columns.T.astype(np.int32, order="C")
+    cells += np.arange(columns.shape[0], dtype=np.int32) * n_bins
+    return cells
+
+
 def compute_binning(X: np.ndarray, n_bins: int) -> Binning:
+    """Thresholds for each feature from its observed range."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise TrainingError("cannot bin an empty matrix")
-    if X.shape[1] == 0:
-        raise TrainingError("no features to bin")
-    rows = [compute_bins(X[:, f], n_bins) for f in range(X.shape[1])]
-    return Binning(boundaries=np.vstack(rows), n_bins=n_bins)
+    return binning_from_ranges(X.min(axis=0), X.max(axis=0), n_bins)
 
 
 def binning_from_ranges(lows: np.ndarray, highs: np.ndarray, n_bins: int) -> Binning:
@@ -168,6 +173,9 @@ GRAD_SCALE_BITS = 20
 GRAD_SCALE = 1 << GRAD_SCALE_BITS
 # histograms sum in int64: check_capacity(INT64_MODULUS, n) bounds n samples' sums
 INT64_MODULUS = 1 << 64
+# and accumulate in float64, exact while every sum stays within 2^53:
+# check_capacity(FLOAT64_MODULUS, n), read as a signed ring of twice that, bounds them
+FLOAT64_MODULUS = 1 << 54
 
 
 def quantize(x) -> np.ndarray:
@@ -285,14 +293,6 @@ class GradHistogram:
     h: np.ndarray
     counts: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return self.g.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.g.shape[1]
-
     def totals(self) -> tuple[int, int, int]:
         """Node-level (G, H, count); every feature row sums to the same totals."""
         return int(self.g[0].sum()), int(self.h[0].sum()), int(self.counts[0].sum())
@@ -302,11 +302,12 @@ class GradHistogram:
         return GradHistogram(self.g - other.g, self.h - other.h, self.counts - other.counts)
 
 
-def check_histogram(hist: GradHistogram, totals: tuple[int, int, int],
-                    where: str) -> GradHistogram:
-    """Return ``hist`` if quantized logistic gradients can have produced it
-    at a node of ``totals`` = (G, H, n), else raise :class:`ProtocolError`
-    naming ``where``.  It requires, with ``S = GRAD_SCALE_BITS``:
+def check_histogram(hists: list[GradHistogram], totals: list[tuple[int, int, int]],
+                    where: list[str]) -> list[GradHistogram]:
+    """Return ``hists`` if quantized logistic gradients can have produced
+    each at a node of its ``totals`` = (G, H, n), else raise
+    :class:`ProtocolError` naming the first offender's ``where``.  It
+    requires, with ``S = GRAD_SCALE_BITS``:
 
     * every feature row sums to (G, H, n);
     * per bin, ``count <= n`` (so no row sum wraps int64) and
@@ -314,49 +315,61 @@ def check_histogram(hist: GradHistogram, totals: tuple[int, int, int],
     * per bin, ``0 <= H <= count * 2**(S - 2)``, since a logistic h is at
       most 1/4 and ``2**S / 4`` is exact.  This also requires ``count >= 0``
       and zero sums in every empty bin.
+
+    The histograms are checked as one ``(nodes, F, B)`` stack; the first
+    that fails is reported as a check of it alone would report it, a bin
+    before a row.
     """
-    G, H, n = totals
-    g, h, counts = hist.g, hist.h, hist.counts
+    if not hists:
+        return []
+    g, h, counts = np.array([(x.g, x.h, x.counts) for x in hists]).swapaxes(0, 1)
+    node = np.array(totals, dtype=np.int64)[:, :, None]
     top = counts << GRAD_SCALE_BITS
-    bad = (counts > n) | (g > top) | (g < -top) | (h < 0) | (h > top >> 2)
-    if np.count_nonzero(bad):  # cheaper than any() on arrays this small
-        f, b = (int(i) for i in np.argwhere(bad)[0])
-        raise ProtocolError(
-            f"{where}: feature {f}, bin {b} holds (G, H, count) = ({g[f, b]}, {h[f, b]}, "
-            f"{counts[f, b]}), beyond what that many logistic gradients sum to")
-    off = (g.sum(axis=1) != G) | (h.sum(axis=1) != H) | (counts.sum(axis=1) != n)
-    if np.count_nonzero(off):
-        f = int(np.flatnonzero(off)[0])
-        raise ProtocolError(f"{where}: feature {f} sums to (G, H, count) = ({g[f].sum()}, "
-                            f"{h[f].sum()}, {counts[f].sum()}), not the node's {tuple(totals)}")
-    return hist
+    bad = (counts > node[:, 2:]) | (g > top) | (g < -top) | (h < 0) | (h > top >> 2)
+    off = (g.sum(axis=2) != node[:, 0]) | (h.sum(axis=2) != node[:, 1]) | (
+        counts.sum(axis=2) != node[:, 2])
+    if np.count_nonzero(bad) or np.count_nonzero(off):
+        i = int(np.flatnonzero(bad.any(axis=(1, 2)) | off.any(axis=1))[0])
+        g, h, counts = g[i], h[i], counts[i]
+        if bad[i].any():
+            f, b = (int(k) for k in np.argwhere(bad[i])[0])
+            raise ProtocolError(
+                f"{where[i]}: feature {f}, bin {b} holds (G, H, count) = ({g[f, b]}, "
+                f"{h[f, b]}, {counts[f, b]}), beyond what that many logistic gradients sum to")
+        f = int(np.flatnonzero(off[i])[0])
+        raise ProtocolError(f"{where[i]}: feature {f} sums to (G, H, count) = ({g[f].sum()}, "
+                            f"{h[f].sum()}, {counts[f].sum()}), not the node's {tuple(totals[i])}")
+    return hists
 
 
-def build_histogram(
-    binned: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    sample_idx: np.ndarray,
-    n_bins: int,
-) -> GradHistogram:
-    """Accumulate (G, H, count) per feature and bin over the given samples.
+def build_histogram(cells: np.ndarray, g: np.ndarray, h: np.ndarray, row_sets: list[np.ndarray],
+                    n_bins: int) -> list[GradHistogram]:
+    """(G, H, count) per feature and bin of each row set, in one product.
 
-    ``g`` and ``h`` are quantized (int64).  One offset ``np.add.at`` per
-    statistic covers every feature, cell ``f * n_bins + b``; integer sums
-    are exact in any order.
+    ``cells`` holds each row's flat cell ids (:func:`cell_ids`) and ``g``
+    and ``h`` are quantized (int64).  Set ``k``'s rows put a one in cell
+    ``k * F * n_bins + f * n_bins + b`` per feature, a sparse matrix that
+    multiplies the float64 columns ``[g h 1]`` of the same rows.  Every term
+    is an integer, so each sum is exact in any order while it stays within
+    ``FLOAT64_MODULUS / 2``, which every trainer checks, and reads back as
+    an int64.
     """
-    n_features = binned.shape[1]
-    idx = np.asarray(sample_idx, dtype=np.int64)
-    # binned[idx] is a copy, so the offsets go in place without a second buffer
-    cells = binned[idx].astype(np.intp, copy=False)
-    cells += np.arange(n_features) * n_bins
-    cells = cells.ravel()
-    size, shape = n_features * n_bins, (n_features, n_bins)
-    sums = [np.zeros(size, dtype=np.int64) for _ in range(2)]
-    for out, values in zip(sums, (g, h)):
-        np.add.at(out, cells, np.repeat(values[idx], n_features))
-    counts = np.bincount(cells, minlength=size)
-    return GradHistogram(*(a.reshape(shape) for a in (*sums, counts)))
+    if not row_sets:
+        return []
+    n_sets, n_features = len(row_sets), cells.shape[1]
+    size = n_sets * n_features * n_bins
+    rows = np.concatenate(row_sets)
+    onehot = cells[rows]
+    if n_sets > 1:
+        onehot += np.repeat(np.arange(n_sets, dtype=np.int32) * (size // n_sets),
+                            [len(r) for r in row_sets])[:, None]
+    weights = np.empty((rows.size, 3))
+    weights[:, 0], weights[:, 1], weights[:, 2] = g[rows], h[rows], 1.0
+    sums = (sparse.csc_matrix(
+        (np.ones(onehot.size), onehot.ravel(), np.arange(0, onehot.size + 1, n_features)),
+        shape=(size, rows.size)) @ weights).T
+    sums = sums.astype(np.int64, order="C").reshape(3, n_sets, n_features, n_bins)
+    return [GradHistogram(*sums[:, k]) for k in range(n_sets)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,50 +412,43 @@ class SplitCandidate:
 GAIN_NOISE_REL_TOL = 1e-9
 
 
-def find_best_split(hist: GradHistogram, params: GbtParams) -> SplitCandidate | None:
-    """Scan every feature and interior bin boundary for the highest gain.
+def find_best_split(hists: list[GradHistogram], params: GbtParams) -> list[SplitCandidate | None]:
+    """Per histogram, scan every feature and interior bin boundary for the
+    highest gain; the histograms are searched as one ``(nodes, F, B)`` stack.
 
-    Returns None when no candidate clears min_split_gain (plus the
-    GAIN_NOISE_REL_TOL margin) with both children at or above
+    A node's result is None when no candidate clears min_split_gain (plus
+    the GAIN_NOISE_REL_TOL margin) with both children at or above
     min_child_weight in hessian mass.  The integer prefix sums become floats
     once, so equal sums give bit-identical gains, and a tie goes to the
     lowest feature id, then the lowest bin index.
     """
-    G_node, H_node, n_node = hist.totals()
+    if not hists:
+        return []
+    # (nodes, 3, F, B) integer grids of (G, H, count); every feature row
+    # sums to its node's totals
+    grid = np.array([(x.g, x.h, x.counts) for x in hists])
+    node = grid[:, :, 0].sum(axis=2)
     alpha, lam = params.reg_alpha, params.reg_lambda
-    parent_term = float(_gain_term(soft_threshold(G_node / GRAD_SCALE, alpha),
-                                   H_node / GRAD_SCALE, lam))
+    parent_term = _gain_term(soft_threshold(node[:, 0] / GRAD_SCALE, alpha),
+                             node[:, 1] / GRAD_SCALE, lam)[:, None, None]
     min_gain = params.min_split_gain + GAIN_NOISE_REL_TOL * (1.0 + parent_term)
-    # (3, n_features, n_bins - 1) integer grids of (G, H, count): the left
-    # side takes bins 0..b, the right side the rest of the node
-    left = np.cumsum(np.stack([hist.g, hist.h, hist.counts]), axis=2)[:, :, :-1]
-    right = np.array([G_node, H_node, n_node]).reshape(3, 1, 1) - left
-    gl, hl = left[:2] / GRAD_SCALE
-    gr, hr = right[:2] / GRAD_SCALE
-    gains = (
-        0.5
-        * (
-            _gain_term(soft_threshold(gl, alpha), hl, lam)
-            + _gain_term(soft_threshold(gr, alpha), hr, lam)
-            - parent_term
-        )
-        - params.gamma
-    )
+    # the left side takes bins 0..b, the right side the rest of the node
+    left = np.cumsum(grid, axis=3)[..., :-1]
+    right = node[:, :, None, None] - left
+    gl, hl = left[:, 0] / GRAD_SCALE, left[:, 1] / GRAD_SCALE
+    gr, hr = right[:, 0] / GRAD_SCALE, right[:, 1] / GRAD_SCALE
+    gains = 0.5 * (_gain_term(soft_threshold(gl, alpha), hl, lam)
+                   + _gain_term(soft_threshold(gr, alpha), hr, lam) - parent_term) - params.gamma
     ok = (hl >= params.min_child_weight) & (hr >= params.min_child_weight) & (gains > min_gain)
-    if not ok.any():
-        return None
-    best_gain = float(gains[ok].max())
-    if not math.isfinite(best_gain):
-        return None
+    best = np.where(ok, gains, -np.inf).max(axis=(1, 2))
     # row-major order: the lowest feature first, then the lowest bin
-    f, b = divmod(int(np.flatnonzero(ok & (gains == best_gain))[0]), gains.shape[1])
-    return SplitCandidate(
-        feature=f,
-        bin_index=b,
-        gain=best_gain,
-        left=tuple(int(v) for v in left[:, f, b]),
-        right=tuple(int(v) for v in right[:, f, b]),
-    )
+    first = (ok & (gains == best[:, None, None])).reshape(len(hists), -1).argmax(axis=1)
+    out = []
+    for i, (gain, hit) in enumerate(zip(best.tolist(), first.tolist())):
+        f, b = divmod(hit, gains.shape[2])
+        out.append(SplitCandidate(f, b, gain, tuple(left[i, :, f, b].tolist()),
+                                  tuple(right[i, :, f, b].tolist())) if math.isfinite(gain) else None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +656,11 @@ def grow_tree(
     level and returns the histograms of the nodes in ``build``: the root, by
     an empty level at depth -1, if it may split; then, of each split whose
     children may, the smaller child (a tie builds the left).  The larger is
-    the parent's histogram minus the smaller's, exactly.  Every histogram,
-    built or derived, passes :func:`check_histogram` against its node's
-    totals, naming tree ``tree_index`` and the node, and one level's are kept.
+    the parent's histogram minus the smaller's, exactly.  Each level's
+    histograms, built and derived in pairs, pass one :func:`check_histogram`
+    against their nodes' totals, naming tree ``tree_index`` and the node,
+    and one :func:`find_best_split` call searches the nodes that may split.
+    One level's histograms are kept.
     """
     tree = Tree(nodes=[TreeNode(node_id=0, is_leaf=False)])
     stats = {0: root}
@@ -662,14 +670,15 @@ def grow_tree(
 
     hists = {}
     if may_split(0, 0):
-        hists[0] = check_histogram(finish_level(tree, -1, [], stats, [0])[0], root,
-                                   f"tree {tree_index}, node 0")
+        hists[0] = check_histogram([finish_level(tree, -1, [], stats, [0])[0]], [root],
+                                   [f"tree {tree_index}, node 0"])[0]
     level, depth = [0], 0
     while level:
+        searched = [node_id for node_id in level if may_split(node_id, depth)]
+        found = dict(zip(searched, find_best_split([hists[i] for i in searched], params)))
         next_level, pairs = [], {}  # built child -> (parent, derived sibling)
         for node_id in level:
-            node = tree.nodes[node_id]
-            best = find_best_split(hists[node_id], params) if may_split(node_id, depth) else None
+            node, best = tree.nodes[node_id], found.get(node_id)
             if best is None or best.left[2] == 0 or best.right[2] == 0:
                 node.is_leaf = True
                 node.weight = leaf_value(*stats[node_id][:2], params)
@@ -685,47 +694,49 @@ def grow_tree(
                                 else (node.right, node.left))
                 pairs[small] = (node_id, large)
         got = finish_level(tree, depth, level, stats, list(pairs))
-        parents, hists = hists, {}
+        order, stack, where = [], [], []
         for small, (parent, large) in pairs.items():
-            hists[small] = check_histogram(got[small], stats[small],
-                                           f"tree {tree_index}, node {small}")
-            hists[large] = check_histogram(parents[parent].subtract(hists[small]), stats[large],
-                                           f"tree {tree_index}, node {large} (node {parent} "
-                                           f"minus node {small})")
+            order += [small, large]
+            stack += [got[small], hists[parent].subtract(got[small])]
+            where += [f"tree {tree_index}, node {small}",
+                      f"tree {tree_index}, node {large} (node {parent} minus node {small})"]
+        hists = dict(zip(order, check_histogram(stack, [stats[i] for i in order], where)))
         level, depth = next_level, depth + 1
     return tree
 
 
-def _grow_pooled(binned: np.ndarray, binning: Binning, g: np.ndarray, h: np.ndarray,
-                 rows: np.ndarray, params: GbtParams,
+def _grow_pooled(columns: np.ndarray, cells: np.ndarray, binning: Binning, g: np.ndarray,
+                 h: np.ndarray, rows: np.ndarray, params: GbtParams,
                  tree_index: int) -> tuple[Tree, dict[int, np.ndarray]]:
     """One tree over the pooled rows, and its final partition: leaf id ->
-    rows."""
+    rows.  Each level's wanted histograms come from one build."""
     samples = {0: rows}
 
     def finish_level(tree, depth, level, stats, build):
         for node in (tree.nodes[i] for i in level if not tree.nodes[i].is_leaf):
             rows = samples.pop(node.node_id)
-            left = binned[rows, node.feature] <= node.bin_index
+            left = columns[node.feature][rows] <= node.bin_index
             samples[node.left], samples[node.right] = rows[left], rows[~left]
             node.threshold = binning.threshold(node.feature, node.bin_index)
-        return {n: build_histogram(binned, g, h, samples[n], binning.n_bins) for n in build}
+        return dict(zip(build, build_histogram(cells, g, h, [samples[n] for n in build],
+                                               binning.n_bins)))
 
     root = int(g[rows].sum()), int(h[rows].sum()), rows.size
     return grow_tree(params, tree_index, root, finish_level), samples
 
 
 def grown_leaf_weights(tree: Tree, leaves: dict[int, np.ndarray],
-                       binned: np.ndarray) -> np.ndarray:
-    """Leaf weight per row of ``binned``.  The rows the tree was grown on
-    take it from the grower's final partition, ``leaves`` (leaf id -> rows);
-    only the rows that subsampling left out are routed by bin index."""
-    weights = np.empty(binned.shape[0])
-    rest = np.ones(binned.shape[0], dtype=bool)
+                       columns: np.ndarray) -> np.ndarray:
+    """Leaf weight per row of ``columns`` (:meth:`Binning.bin_columns`).
+    The rows the tree was grown on take it from the grower's final
+    partition, ``leaves`` (leaf id -> rows); only the rows that subsampling
+    left out are routed by bin index."""
+    weights = np.empty(columns.shape[1])
+    rest = np.ones(columns.shape[1], dtype=bool)
     for node_id, rows in leaves.items():
         weights[rows], rest[rows] = tree.nodes[node_id].weight, False
     if rest.any():
-        weights[rest] = tree_leaf_weights_binned(tree, binned[rest])
+        weights[rest] = tree_leaf_weights_binned(tree, columns[:, rest].T)
     return weights
 
 
@@ -746,16 +757,18 @@ def train_centralized(
         raise TrainingError("empty dataset")
     X, y = data.features, data.labels
     binning = binning or compute_binning(X, params.max_bin)
-    binned = binning.bin_matrix(X)
-    check_capacity(INT64_MODULUS, data.n_samples)  # every histogram sum fits int64
+    columns = binning.bin_columns(X)
+    cells = cell_ids(columns, binning.n_bins)
+    # every histogram sum is exact in float64, and so fits int64
+    check_capacity(FLOAT64_MODULUS, data.n_samples)
     margins = initial_margins(data.n_samples, params, seed)
     trees: list[Tree] = []
     for t in range(params.n_estimators):
         rows = tree_row_sample(data.n_samples, params.subsample, seed, t)
         g, h = map(quantize, logistic_gradients(y, margins))
-        tree, leaves = _grow_pooled(binned, binning, g, h, rows, params, t)
+        tree, leaves = _grow_pooled(columns, cells, binning, g, h, rows, params, t)
         trees.append(tree)
-        margins += params.learning_rate * grown_leaf_weights(tree, leaves, binned)
+        margins += params.learning_rate * grown_leaf_weights(tree, leaves, columns)
     return BoostedEnsemble(
         trees=trees,
         params=params,

@@ -49,6 +49,7 @@ import numpy as np
 
 from .data import PartyDataset
 from .gbt import (
+    FLOAT64_MODULUS,
     GRAD_SCALE_BITS,
     INT64_MODULUS,
     Binning,
@@ -60,6 +61,7 @@ from .gbt import (
     Tree,
     binning_from_ranges,
     build_histogram,
+    cell_ids,
     check_capacity,
     find_best_split,  # not called here; perfbench/tracing.py patches it by this name
     grow_tree,
@@ -349,9 +351,13 @@ class HflClient:
         # every obfuscator and strip the encryption without the key.  A
         # deployment must encrypt with ``rng=None`` (the system CSPRNG).
         self.enc_rng = random.Random(derive_seed("enc", seed, client_id))
+        # this client's histograms sum in float64
+        check_capacity(FLOAT64_MODULUS, dataset.n_samples)
         self.pk: PublicKey | None = None
         self.binning: Binning | None = None
-        self.binned: np.ndarray | None = None
+        # this client's bins: one row per feature, and each row's cell ids
+        self.columns: np.ndarray | None = None
+        self.cells: np.ndarray | None = None
         self.margins = initial_margins(dataset.n_samples, params, seed,
                                        stream=(self.client_index,))
         # this tree's quantized gradients
@@ -364,7 +370,8 @@ class HflClient:
 
     def install_binning(self, binning: Binning) -> None:
         self.binning = binning
-        self.binned = binning.bin_matrix(self.dataset.features)
+        self.columns = binning.bin_columns(self.dataset.features)
+        self.cells = cell_ids(self.columns, binning.n_bins)
 
     def start_tree(self, tree_index: int) -> None:
         rows = tree_row_sample(
@@ -374,14 +381,15 @@ class HflClient:
         self.g, self.h = map(quantize, logistic_gradients(self.dataset.labels, self.margins))
         self.node_samples = {0: rows}
 
-    def masked_submission(self, tree_index: int, node_id: int) -> dict:
-        """The ``HISTOGRAM_SUBMIT`` payload of one node: its histogram over
-        this client's samples, masked and, under Paillier, encrypted."""
-        hist = build_histogram(self.binned, self.g, self.h, self.node_samples[node_id],
-                               self.binning.n_bins)
-        sub = mask_histogram(hist, self.client_id, self.roster, self.seed, tree_index, node_id,
-                             self.pk, self.enc_rng)
-        return _submission_payload(sub)
+    def masked_submissions(self, tree_index: int, node_ids: list[int]) -> list[dict]:
+        """The ``HISTOGRAM_SUBMIT`` payloads of the given nodes, in order:
+        their histograms over this client's samples, built in one call, each
+        masked and, under Paillier, encrypted."""
+        hists = build_histogram(self.cells, self.g, self.h,
+                                [self.node_samples[n] for n in node_ids], self.binning.n_bins)
+        return [_submission_payload(mask_histogram(hist, self.client_id, self.roster, self.seed,
+                                                   tree_index, node_id, self.pk, self.enc_rng))
+                for node_id, hist in zip(node_ids, hists)]
 
     def apply_decisions(self, decisions: list[dict]) -> tuple[list[dict], list[int]]:
         """Partition this client's samples as a ``SPLIT_BROADCAST`` says;
@@ -395,7 +403,7 @@ class HflClient:
                 raise ProtocolError(f"SPLIT_BROADCAST to {self.client_id} splits node "
                                     f"{d['node']}, for which it holds no samples")
             samples = self.node_samples.pop(d["node"])
-            left = self.binned[samples, d["feature"]] <= d["bin"]
+            left = self.columns[d["feature"]][samples] <= d["bin"]
             self.node_samples.update({d["left"]: samples[left], d["right"]: samples[~left]})
             counts.append({"node": d["node"], "left": int(left.sum()), "right": int((~left).sum())})
             if d["submit"] is not None:
@@ -407,7 +415,7 @@ class HflClient:
 
     def finish_tree(self, tree: Tree) -> None:
         self.margins += self.params.learning_rate * grown_leaf_weights(
-            tree, self.node_samples, self.binned)
+            tree, self.node_samples, self.columns)
         self.node_samples = {}
 
 
@@ -615,7 +623,8 @@ def hfl_train(
         round_id += 1
         for cid, client in clients.items():
             client.start_tree(t)
-            bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, client.masked_submission(t, 0))
+            (root_payload,) = client.masked_submissions(t, [0])
+            bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, root_payload)
         root = server.receive_histograms(t, [0], [bus.recv(sid, "HISTOGRAM_SUBMIT")
                                                   for _ in clients])
 
@@ -649,9 +658,8 @@ def hfl_train(
                 return {}
             round_id += 1
             for cid, client in clients.items():
-                for node_id in wanted[cid]:
-                    bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id,
-                             client.masked_submission(t, node_id))
+                for payload in client.masked_submissions(t, wanted[cid]):
+                    bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, payload)
             envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in range(len(build) * len(clients))]
             return server.receive_histograms(t, build, envs)
 

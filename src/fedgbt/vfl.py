@@ -54,8 +54,8 @@ import numpy as np
 
 from .data import PartyDataset
 from .gbt import (
+    FLOAT64_MODULUS,
     GRAD_SCALE_BITS,
-    INT64_MODULUS,
     Binning,
     BoostedEnsemble,
     GbtParams,
@@ -63,6 +63,7 @@ from .gbt import (
     PackedLayout,
     ProtocolError,
     Tree,
+    cell_ids,
     check_capacity,
     compute_binning,
     find_best_split,  # not called here; perfbench/tracing.py patches it by this name
@@ -212,7 +213,7 @@ class PassiveParty:
         self.dataset = dataset
         self.n_bins = n_bins
         self.binning: Binning = compute_binning(dataset.features, n_bins)
-        self.binned: np.ndarray = self.binning.bin_matrix(dataset.features)
+        self.columns: np.ndarray = self.binning.bin_columns(dataset.features)
         self.pk: PublicKey | None = None
         self.enc_g: dict[int, Ciphertext] = {}
         self.enc_h: dict[int, Ciphertext] = {}
@@ -248,12 +249,13 @@ class PassiveParty:
         F, B = self.dataset.n_features, self.n_bins
         cg = [self.enc_g[s] for s in sample_ids]
         ch = [self.enc_h[s] for s in sample_ids]
-        cells = self.binned[[self.pos_of_id[s] for s in sample_ids]]
+        positions = np.array([self.pos_of_id[s] for s in sample_ids], dtype=np.int64)
         counts = np.zeros((F, B), dtype=np.int64)
         order: list[int] = []  # sample-space indices, feature by feature, bin by bin
-        for f in range(F):
-            order += np.argsort(cells[:, f], kind="stable").tolist()
-            counts[f] = np.bincount(cells[:, f], minlength=B)
+        for f, column in enumerate(self.columns):
+            bins = column[positions]
+            order += np.argsort(bins, kind="stable").tolist()
+            counts[f] = np.bincount(bins, minlength=B)
         width = histogram_layout(len(sample_ids), slots).width
         sizes = counts.ravel().tolist()
         enc_g: list[Ciphertext] = []
@@ -278,7 +280,7 @@ class PassiveParty:
             raise ProtocolError(f"{self.party_id} has no record {record_id}")
         rec = self.records[record_id]
         positions = np.array([self.pos_of_id[s] for s in sample_ids], dtype=np.int64)
-        left = self.binned[positions, rec.feature_local] <= rec.bin_index
+        left = self.columns[rec.feature_local][positions] <= rec.bin_index
         return np.asarray(sample_ids, dtype=np.int64)[left].tolist()
 
     def load_inference_rows(self, sample_ids: np.ndarray, rows: np.ndarray) -> None:
@@ -320,9 +322,10 @@ class ActiveParty:
         self.params = params
         self.seed = seed
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
-        # a bin sums at most every sample's |g| <= 1 into an int64, and its
-        # slot, folded and decrypted modulo p alone, must fit at the root
-        check_capacity(INT64_MODULUS, dataset.n_samples)
+        # a bin sums at most every sample's |g| <= 1, exactly in float64 and
+        # so in int64, and its slot, folded and decrypted modulo p alone, must
+        # fit at the root
+        check_capacity(FLOAT64_MODULUS, dataset.n_samples)
         if fold_slots(dataset.n_samples, self.sk.p) < 1:
             raise EncodingError(f"prime p too small for one "
                                 f"{histogram_layout(dataset.n_samples, 1).width}-bit slot of "
@@ -331,7 +334,8 @@ class ActiveParty:
         # HflClient.enc_rng; a deployment must encrypt with ``rng=None``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))
         self.binning: Binning = compute_binning(dataset.features, params.max_bin)
-        self.binned: np.ndarray = self.binning.bin_matrix(dataset.features)
+        self.columns: np.ndarray = self.binning.bin_columns(dataset.features)
+        self.cells: np.ndarray = cell_ids(self.columns, params.max_bin)
         self.margins = initial_margins(dataset.n_samples, params, seed)
         # this tree's quantized gradients
         self.g = np.zeros(dataset.n_samples, dtype=np.int64)
@@ -397,7 +401,7 @@ class ActiveParty:
     def own_histogram(self, positions: np.ndarray) -> GradHistogram:
         from .gbt import build_histogram
 
-        return build_histogram(self.binned, self.g, self.h, positions, self.params.max_bin)
+        return build_histogram(self.cells, self.g, self.h, [positions], self.params.max_bin)[0]
 
 
 @dataclass
@@ -475,7 +479,7 @@ def vfl_train(
                     record = active.records[node.record_id] = SplitRecord.at(
                         active.binning, node.record_id, local_feature, node.bin_index)
                     node.threshold = record.threshold
-                    left = positions[active.binned[positions, local_feature] <= node.bin_index]
+                    left = positions[active.columns[local_feature][positions] <= node.bin_index]
                 else:
                     round_id += 1
                     bus.send(aid, owner, "SPLIT_NOTICE", round_id, {
@@ -614,7 +618,7 @@ def _route_rows(tree: Tree, active: ActiveParty, passives: dict[str, PassivePart
             continue
         if node.owner == aid:
             record = active.records[node.record_id]
-            mask = active.binned[positions, record.feature_local] <= record.bin_index
+            mask = active.columns[record.feature_local][positions] <= record.bin_index
             left = positions[mask]
         else:
             sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]

@@ -19,7 +19,6 @@ from fedgbt.data import PartyDataset, default_synth_config, join_datasets, split
 from fedgbt.gbt import (
     GRAD_SCALE_BITS,
     GbtParams,
-    build_histogram,
     find_best_split,
     logistic_gradients,
     predict_proba,
@@ -48,7 +47,7 @@ from fedgbt.paillier import aggregate, decrypt, encrypt, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.vfl import make_vfl_roster, vfl_predict, vfl_train
 
-from test_gbt import brute_force_best_split
+from test_gbt import brute_force_best_split, histogram_of
 from test_metrics import naive_metrics, pairwise_auc
 
 
@@ -217,14 +216,14 @@ def test_criterion_04_split_search_matches_exhaustive_enumeration():
             y = rng.integers(0, 2, size=n)
             margins = rng.normal(scale=0.5, size=n)
             g, h = map(quantize, logistic_gradients(y, margins))
-            hist = build_histogram(binned, g, h, np.arange(n), B)
+            hist = histogram_of(binned, g, h, np.arange(n), B)
             params = GbtParams(
                 min_child_weight=float(rng.choice([0.0, 0.1, 0.3])),
                 reg_lambda=float(rng.choice([0.0, 0.5, 1.0])),
                 reg_alpha=float(rng.choice([0.0, 0.05])),
                 gamma=float(rng.choice([0.0, 0.1])),
             )
-            ours = find_best_split(hist, params)
+            (ours,) = find_best_split([hist], params)
             oracle = brute_force_best_split(hist, params)
             if oracle is None:
                 assert ours is None
@@ -352,8 +351,8 @@ def test_criterion_10_transcripts_carry_no_sensitive_values():
 
                 margins = predict_margin(model, party.features, n_trees=1)
                 g, h = map(quantize, logistic_gradients(party.labels, margins))
-                hist = build_histogram(binning.bin_matrix(party.features), g, h,
-                                       np.arange(party.n_samples), params.max_bin)
+                hist = histogram_of(binning.bin_columns(party.features).T, g, h,
+                                    np.arange(party.n_samples), params.max_bin)
                 for value in hist.g.flatten():
                     value = int(value) / 2**GRAD_SCALE_BITS
                     if value and value != round(value * 4) / 4:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fedgbt import gbt
 from fedgbt.data import PartyDataset
 from fedgbt.gbt import (
+    FLOAT64_MODULUS,
     GRAD_SCALE_BITS,
     Binning,
     BoostedEnsemble,
@@ -20,9 +21,9 @@ from fedgbt.gbt import (
     DegenerateNodeError,
     binning_from_ranges,
     build_histogram,
+    cell_ids,
     check_capacity,
     compute_binning,
-    compute_bins,
     GAIN_NOISE_REL_TOL,
     SplitCandidate,
     find_best_split,
@@ -103,6 +104,38 @@ def split_gain(G_L, H_L, G_R, H_R, reg_lambda, gamma):
     return 0.5 * float(terms[0] + terms[1] - terms[2]) - gamma
 
 
+def histogram_of(binned, g, h, sample_idx, n_bins):
+    """``build_histogram`` of one row set of an ``(n, F)`` bin matrix."""
+    cells = cell_ids(np.ascontiguousarray(np.asarray(binned).T), n_bins)
+    (hist,) = build_histogram(cells, g, h, [np.asarray(sample_idx, dtype=np.int64)], n_bins)
+    return hist
+
+
+def add_at_histogram(binned, g, h, sample_idx, n_bins):
+    """int64 sums by one offset ``np.add.at`` per statistic over the flat
+    cells ``f * n_bins + b``, exact in any order."""
+    F = binned.shape[1]
+    idx = np.asarray(sample_idx, dtype=np.int64)
+    cells = (binned[idx] + np.arange(F) * n_bins).ravel()
+    sums = [np.zeros(F * n_bins, dtype=np.int64) for _ in range(3)]
+    for out, values in zip(sums, (g, h, np.ones_like(g))):
+        np.add.at(out, cells, np.repeat(np.asarray(values, dtype=np.int64)[idx], F))
+    return GradHistogram(*(a.reshape(F, n_bins) for a in sums))
+
+
+def row_partition(rng, n, shape):
+    """Disjoint row sets over ``n`` rows: random cuts of a permutation
+    (empty and single-row sets among them), all rows among empty sets, or
+    single rows."""
+    perm = rng.permutation(n)
+    if shape == "all":
+        sets = [perm] + [perm[:0]] * int(rng.integers(0, 3))
+        return [sets[i] for i in rng.permutation(len(sets))]
+    if shape == "single":
+        return [perm[i:i + 1] for i in range(min(n, int(rng.integers(1, 6))))]
+    return np.split(perm, np.sort(rng.integers(0, n + 1, size=int(rng.integers(1, 6)))))
+
+
 def reference_histogram(binned, g, h, sample_idx, n_bins):
     """Python-int sums, feature by feature and sample by sample."""
     F = binned.shape[1]
@@ -123,7 +156,7 @@ def reference_best_split(hist, params):
     min_gain = params.min_split_gain + GAIN_NOISE_REL_TOL * (1.0 + parent_term)
     per_feature = []
     best_gain = -math.inf
-    for f in range(hist.n_features):
+    for f in range(hist.g.shape[0]):
         ints = [np.cumsum(a[f])[:-1] for a in (hist.g, hist.h, hist.counts)]
         totals = [a[f].sum() for a in (hist.g, hist.h, hist.counts)]
         ints += [total - prefix for total, prefix in zip(totals, ints)]
@@ -230,6 +263,19 @@ def test_quantize_zero_and_overflow():
             quantize([0.5, bad])
 
 
+def test_float64_capacity_on_both_sides_of_its_boundary():
+    # float64 sums of values of magnitude at most 2^S are exact while the
+    # sum stays within 2^53: 2^(53 - S) terms reach it and fail, one fewer pass
+    assert FLOAT64_MODULUS == 2 * 2**53
+    most = 2 ** (53 - GRAD_SCALE_BITS)
+    check_capacity(FLOAT64_MODULUS, most - 1)
+    with pytest.raises(EncodingError, match=f"{most} terms"):
+        check_capacity(FLOAT64_MODULUS, most)
+    # the largest sum the bound admits is exact in float64, and one beyond it is not
+    assert float((most - 1) << GRAD_SCALE_BITS) + 1 == ((most - 1) << GRAD_SCALE_BITS) + 1
+    assert float(2**53) + 1 == 2**53
+
+
 def test_check_capacity_on_both_sides_of_its_boundary():
     # 2 * terms * 2^S must stay below the modulus
     most = 2 ** (63 - GRAD_SCALE_BITS)  # terms that int64 sums cannot hold
@@ -244,10 +290,10 @@ def test_check_capacity_on_both_sides_of_its_boundary():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 20_000]) | st.integers(1, 60),
-       st.booleans())
-def test_build_histogram_exact_at_quantized_extremes(seed, n, one_sign):
+       st.booleans(), st.sampled_from(["cuts", "all", "single"]))
+def test_build_histogram_exact_at_quantized_extremes(seed, n, one_sign, shape):
     # |g| <= 1 and h <= 1/4 quantize to at most 2^S and 2^(S-2); the sums
-    # must be exact integers at these extremes
+    # must be exact integers at these extremes, for every set of one call
     rng = np.random.default_rng(seed)
     F, B = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     binned = rng.integers(0, B, size=(n, F))
@@ -256,12 +302,18 @@ def test_build_histogram_exact_at_quantized_extremes(seed, n, one_sign):
     if not one_sign:
         g = np.where(rng.random(n) < 0.5, -g, g)
     h = np.where(extremes, SCALE >> 2, rng.integers(0, (SCALE >> 2) + 1, size=n))
-    idx = rng.permutation(n)[: int(rng.integers(0, n + 1))]
-    ours = build_histogram(binned, g, h, idx, B)
-    ref = reference_histogram(binned, g, h, idx, B)
-    for name in ("g", "h", "counts"):
-        assert getattr(ours, name).tolist() == getattr(ref, name).tolist()
-    assert ours.totals() == (sum(int(g[i]) for i in idx), sum(int(h[i]) for i in idx), len(idx))
+    sets = row_partition(rng, n, shape)
+    hists = build_histogram(cell_ids(np.ascontiguousarray(binned.T), B), g, h, sets, B)
+    assert len(hists) == len(sets)
+    for ours, idx in zip(hists, sets):
+        refs = [add_at_histogram(binned, g, h, idx, B)]
+        if n <= 60:  # the per-sample loop is slow at 20,000 rows
+            refs.append(reference_histogram(binned, g, h, idx, B))
+        for ref in refs:
+            for name in ("g", "h", "counts"):
+                assert getattr(ours, name).tolist() == getattr(ref, name).tolist()
+        assert ours.totals() == (sum(int(g[i]) for i in idx), sum(int(h[i]) for i in idx),
+                                 len(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +321,23 @@ def test_build_histogram_exact_at_quantized_extremes(seed, n, one_sign):
 
 
 def test_compute_bins_midpoint():
-    np.testing.assert_allclose(compute_bins(np.array([0.0, 1, 2, 3]), 2), [1.5])
+    np.testing.assert_allclose(compute_binning(np.array([[0.0], [1], [2], [3]]), 2).boundaries[0],
+                               [1.5])
 
 
 def test_compute_bins_arithmetic():
-    np.testing.assert_allclose(compute_bins(np.array([0.0, 10.0]), 5), [2, 4, 6, 8])
+    np.testing.assert_allclose(compute_binning(np.array([[0.0], [10.0]]), 5).boundaries[0],
+                               [2, 4, 6, 8])
 
 
 def test_constant_column_single_occupied_bin():
     binning = compute_binning(np.full((5, 1), 3.3), 8)
-    assert (binning.bin_matrix(np.full((5, 1), 3.3)) == 0).all()
+    assert (binning.bin_columns(np.full((5, 1), 3.3)) == 0).all()
 
 
 def test_value_equal_to_threshold_goes_left():
     binning = Binning(boundaries=np.array([[1.5]]), n_bins=2)
-    bins = binning.bin_column(np.array([1.5, 1.50001]), 0)
+    (bins,) = binning.bin_columns(np.array([[1.5], [1.50001]]))
     assert list(bins) == [0, 1]
 
 
@@ -292,15 +346,21 @@ def test_value_equal_to_threshold_goes_left():
 
 
 def test_histogram_empty_and_single_sample():
-    binned = np.array([[3], [1]])
+    cells = cell_ids(np.array([[3, 1]]), 4)
     g = quantize([-0.5, 0.1])
     h = quantize([0.25, 0.2])
-    empty = build_histogram(binned, g, h, np.array([], dtype=int), 4)
+    empty, one = build_histogram(cells, g, h, [np.array([], dtype=int), np.array([0])], 4)
     assert empty.counts.sum() == 0 and empty.g.sum() == 0
-    one = build_histogram(binned, g, h, np.array([0]), 4)
     assert one.counts[0, 3] == 1
     assert one.g[0, 3] == -(2 ** (GRAD_SCALE_BITS - 1))
     assert one.counts.sum() == 1
+
+
+def test_level_calls_of_no_nodes_return_no_results():
+    cells = cell_ids(np.array([[3, 1]]), 4)
+    assert build_histogram(cells, quantize([0.5]), quantize([0.25]), [], 4) == []
+    assert find_best_split([], GbtParams()) == []
+    assert gbt.check_histogram([], [], []) == []
 
 
 def test_histogram_matches_naive_accumulation():
@@ -309,7 +369,7 @@ def test_histogram_matches_naive_accumulation():
     binned = rng.integers(0, B, size=(n, F))
     g, h = quantize(rng.normal(size=n)), quantize(rng.uniform(0.01, 0.25, size=n))
     idx = rng.choice(n, size=25, replace=False)
-    hist = build_histogram(binned, g, h, idx, B)
+    hist = histogram_of(binned, g, h, idx, B)
     assert hist.g.dtype == hist.h.dtype == hist.counts.dtype == np.int64
     for f in range(F):
         for b in range(B):
@@ -331,9 +391,8 @@ def test_histogram_additivity_and_subtraction_exact_on_dyadic(seed):
     split = rng.integers(1, n - 1)
     perm = rng.permutation(n)
     a_idx, b_idx = np.sort(perm[:split]), np.sort(perm[split:])
-    hist_a = build_histogram(binned, g, h, a_idx, B)
-    hist_b = build_histogram(binned, g, h, b_idx, B)
-    parent = build_histogram(binned, g, h, np.arange(n), B)
+    hist_a, hist_b, parent = build_histogram(cell_ids(np.ascontiguousarray(binned.T), B), g, h,
+                                             [a_idx, b_idx, np.arange(n)], B)
     for name in ("g", "h", "counts"):
         a, b, whole = (getattr(x, name) for x in (hist_a, hist_b, parent))
         assert (a + b == whole).all()
@@ -416,10 +475,10 @@ def brute_force_best_split(hist: GradHistogram, params: GbtParams):
         return (G * G / den) if den > 0 else 0.0
 
     candidates = []
-    for f in range(hist.n_features):
+    for f in range(hist.g.shape[0]):
         total_g, total_h = int(hist.g[f].sum()), int(hist.h[f].sum())
         gl_int = hl_int = 0
-        for b in range(hist.n_bins - 1):
+        for b in range(hist.g.shape[1] - 1):
             gl_int += int(hist.g[f, b])
             hl_int += int(hist.h[f, b])
             gl, hl, gr, hr, G, H = (v / SCALE for v in (
@@ -441,11 +500,10 @@ def test_find_best_split_separable_toy():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
     binning = compute_binning(X, 4)
-    binned = binning.bin_matrix(X)
     g, h = map(quantize, logistic_gradients(y, np.zeros(4)))
-    hist = build_histogram(binned, g, h, np.arange(4), 4)
+    (hist,) = build_histogram(cell_ids(binning.bin_columns(X), 4), g, h, [np.arange(4)], 4)
     params = GbtParams(min_child_weight=0.0, reg_lambda=1.0)
-    best = find_best_split(hist, params)
+    (best,) = find_best_split([hist], params)
     assert best is not None
     assert best.feature == 0
     assert best.bin_index == 1  # boundary at 1.5 separates the classes
@@ -457,7 +515,7 @@ def test_find_best_split_pure_node_returns_none():
     hist = zero_histogram(2, 4)
     hist.h += quantize(0.01)
     hist.counts += 1
-    assert find_best_split(hist, GbtParams(min_child_weight=0.0)) is None
+    assert find_best_split([hist], GbtParams(min_child_weight=0.0)) == [None]
 
 
 @settings(max_examples=300, deadline=None)
@@ -471,14 +529,14 @@ def test_find_best_split_matches_brute_force(seed):
     y = rng.integers(0, 2, size=n)
     margins = rng.normal(scale=0.5, size=n)
     g, h = map(quantize, logistic_gradients(y, margins))
-    hist = build_histogram(binned, g, h, np.arange(n), B)
+    hist = histogram_of(binned, g, h, np.arange(n), B)
     params = GbtParams(
         min_child_weight=float(rng.choice([0.0, 0.1, 0.3])),
         reg_lambda=float(rng.choice([0.0, 0.5, 1.0])),
         reg_alpha=float(rng.choice([0.0, 0.05])),
         gamma=float(rng.choice([0.0, 0.1])),
     )
-    ours = find_best_split(hist, params)
+    (ours,) = find_best_split([hist], params)
     oracle = brute_force_best_split(hist, params)
     if oracle is None:
         assert ours is None
@@ -523,7 +581,7 @@ def _scripted_growth(root, hists, max_depth, monkeypatch=None, **params):
 
     if monkeypatch is not None:
         monkeypatch.setattr(gbt, "find_best_split",
-                            lambda hist, p: searched.append(hist) or find_best_split(hist, p))
+                            lambda hists, p: searched.extend(hists) or find_best_split(hists, p))
     return grow_tree(params, 0, root, finish_level), params, log, searched
 
 
@@ -583,7 +641,7 @@ def test_grow_tree_policy_with_stub_callbacks(monkeypatch):
     # negative gamma lets the empty split win
     empty_left = _one_feature([0.0, 2.0], [0.0, 1.0], [0, 4])
     loose = dict(gamma=-1.0, min_child_weight=0.0)
-    assert find_best_split(empty_left, GbtParams(**loose)).left[2] == 0
+    assert find_best_split([empty_left], GbtParams(**loose))[0].left[2] == 0
     tree, params, log, _ = _scripted_growth(empty_left.totals(), {0: empty_left}, max_depth=3,
                                             **loose)
     assert len(tree.nodes) == 1 and tree.nodes[0].weight == -2.0
@@ -630,13 +688,46 @@ def _two_features(feature_1):
 
 def test_check_histogram_accepts_a_histogram_at_its_bounds():
     hist = _two_features((None, None, None))
-    assert gbt.check_histogram(hist, _NODE, "tree 3, node 7") is hist
+    (checked,) = gbt.check_histogram([hist], [_NODE], ["tree 3, node 7"])
+    assert checked is hist
 
 
 @pytest.mark.parametrize("clause", list(_BROKEN))
 def test_check_histogram_rejects_each_broken_clause(clause):
     with pytest.raises(ProtocolError, match=r"^tree 3, node 7: feature 1[ ,]"):
-        gbt.check_histogram(_two_features(_BROKEN[clause]), _NODE, "tree 3, node 7")
+        gbt.check_histogram([_two_features(_BROKEN[clause])], [_NODE], ["tree 3, node 7"])
+
+
+def test_check_histogram_names_a_bin_before_a_row():
+    # feature 0's row misses the node's G and feature 1 holds a sum in an
+    # empty bin: the bin clause is reported, as in any single check
+    hist = _two_features(_BROKEN["a sum in an empty bin"])
+    hist.g[0, 0] += 1
+    with pytest.raises(ProtocolError, match=r"^tree 3, node 7: feature 1, bin 3 holds "):
+        gbt.check_histogram([hist], [_NODE], ["tree 3, node 7"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_a_stacked_check_names_the_first_offender_as_its_own_check_would(n_nodes, data):
+    # any node of a stack breaks one clause, and a later node perhaps
+    # another: the stack raises what a check of the first broken node alone
+    # raises
+    broken = data.draw(st.integers(0, n_nodes - 1))
+    clause = data.draw(st.sampled_from(list(_BROKEN)))
+    later = data.draw(st.none() | st.tuples(st.integers(broken, n_nodes - 1),
+                                            st.sampled_from(list(_BROKEN))))
+    hists = [_two_features((None, None, None)) for _ in range(n_nodes)]
+    hists[broken] = _two_features(_BROKEN[clause])
+    if later is not None and later[0] > broken:
+        hists[later[0]] = _two_features(_BROKEN[later[1]])
+    where = [f"tree 3, node {i}" for i in range(n_nodes)]
+    with pytest.raises(ProtocolError) as alone:
+        gbt.check_histogram([hists[broken]], [_NODE], [where[broken]])
+    with pytest.raises(ProtocolError) as stacked:
+        gbt.check_histogram(hists, [_NODE] * n_nodes, where)
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value).startswith(f"tree 3, node {broken}: feature 1")
 
 
 @settings(max_examples=40, deadline=None)
@@ -652,14 +743,15 @@ def test_check_histogram_passes_every_logistic_histogram_and_sibling(seed):
     h = np.where(rng.random(n) < 0.3, _Q, rng.integers(0, _Q + 1, size=n))
     node = rng.permutation(n)[: int(rng.integers(1, n + 1))]
     child = node[: int(rng.integers(0, node.size + 1))]
-    parent, built = (build_histogram(binned, g, h, rows, B) for rows in (node, child))
+    parent, built = build_histogram(cell_ids(np.ascontiguousarray(binned.T), B), g, h,
+                                    [node, child], B)
 
     def totals(rows):
         return int(g[rows].sum()), int(h[rows].sum()), rows.size
 
-    gbt.check_histogram(parent, totals(node), "parent")
-    gbt.check_histogram(built, totals(child), "child")
-    gbt.check_histogram(parent.subtract(built), totals(np.setdiff1d(node, child)), "sibling")
+    gbt.check_histogram([parent, built, parent.subtract(built)],
+                        [totals(node), totals(child), totals(np.setdiff1d(node, child))],
+                        ["parent", "child", "sibling"])
 
 
 def test_training_deterministic():
@@ -781,20 +873,23 @@ def test_build_histogram_equals_per_feature_bincount(seed):
     g = quantize(rng.normal(size=n) * 10.0 ** rng.uniform(-8, 6, size=n))
     h = quantize(rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-8, 6, size=n))
     idx = rng.permutation(n)[: int(rng.integers(0, n + 1))]
-    ours = build_histogram(binned, g, h, idx, B)
-    ref = reference_histogram(binned, g, h, idx, B)
-    assert np.array_equal(ours.g, ref.g)
-    assert np.array_equal(ours.h, ref.h)
-    assert np.array_equal(ours.counts, ref.counts)
-    assert ours.counts.dtype == np.int64
+    sets = row_partition(rng, n, str(rng.choice(["cuts", "all", "single"])))
+    hists = build_histogram(cell_ids(np.ascontiguousarray(binned.T), B), g, h, sets, B)
+    assert len(hists) == len(sets)
+    for ours, idx in zip(hists, sets):
+        for ref in (reference_histogram(binned, g, h, idx, B),
+                    add_at_histogram(binned, g, h, idx, B)):
+            assert np.array_equal(ours.g, ref.g)
+            assert np.array_equal(ours.h, ref.h)
+            assert np.array_equal(ours.counts, ref.counts)
+        assert ours.counts.dtype == np.int64
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "shifted", "coarse"]),
-       st.booleans(), st.booleans())
-def test_find_best_split_equals_per_feature_scan(seed, twin, one_ratio, edge_weight):
-    rng = np.random.default_rng(seed)
-    n, F, B = int(rng.integers(2, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 10))
+def _scan_case(rng, F, B, twin, one_ratio):
+    """A node's histogram over 2..39 random rows of ``F`` features and ``B``
+    bins: ``twin`` makes a feature repeat feature 0's partitions, and
+    ``one_ratio`` gives every sample one g/h ratio."""
+    n = int(rng.integers(2, 40))
     binned = rng.integers(0, B, size=(n, F))
     k = int(rng.integers(1, F))
     if twin == "shifted":
@@ -807,6 +902,17 @@ def test_find_best_split_equals_per_feature_scan(seed, twin, one_ratio, edge_wei
         # in another order: the integer sums agree, so the gains tie exactly
         # and the lower feature wins
         binned[:, k] = binned[:, 0] // 2
+    if one_ratio:
+        # every sample shares one g/h ratio: at lambda=0 every partition has
+        # zero gain, and only rounding noise is left
+        h = quantize(rng.uniform(0.01, 0.25, size=n))
+        g = int(rng.integers(-4, 5)) * h
+    else:
+        g, h = map(quantize, logistic_gradients(rng.integers(0, 2, size=n), rng.normal(size=n)))
+    return histogram_of(binned, g, h, np.arange(n), B)
+
+
+def _scan_params(rng, one_ratio):
     params = GbtParams(
         reg_lambda=float(rng.choice([0.0, 0.5, 1.0])),
         reg_alpha=float(rng.choice([0.0, 0.05, 0.3])),
@@ -815,19 +921,65 @@ def test_find_best_split_equals_per_feature_scan(seed, twin, one_ratio, edge_wei
         min_child_weight=float(rng.choice([0.0, 0.1, 0.3])),
     )
     if one_ratio:
-        # every sample shares one g/h ratio: at lambda=0 every partition has
-        # zero gain, and only rounding noise is left
-        h = quantize(rng.uniform(0.01, 0.25, size=n))
-        g = int(rng.integers(-4, 5)) * h
         params = params.replace(reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, min_split_gain=0.0)
-    else:
-        g, h = map(quantize, logistic_gradients(rng.integers(0, 2, size=n), rng.normal(size=n)))
-    hist = build_histogram(binned, g, h, np.arange(n), B)
+    return params
+
+
+def _at_edge_weight(rng, params, hist):
+    """``params`` whose min_child_weight is a left hessian sum of ``hist``,
+    which must still qualify."""
+    prefix = np.cumsum(hist.h, axis=1)[:, :-1]
+    return params.replace(min_child_weight=int(rng.choice(prefix.ravel())) / SCALE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "shifted", "coarse"]),
+       st.booleans(), st.booleans())
+def test_find_best_split_equals_per_feature_scan(seed, twin, one_ratio, edge_weight):
+    rng = np.random.default_rng(seed)
+    F, B = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+    hist = _scan_case(rng, F, B, twin, one_ratio)
+    params = _scan_params(rng, one_ratio)
     if edge_weight:
-        # a left hessian sum exactly at min_child_weight must still qualify
-        prefix = np.cumsum(hist.h, axis=1)[:, :-1]
-        params = params.replace(min_child_weight=int(rng.choice(prefix.ravel())) / SCALE)
-    assert find_best_split(hist, params) == reference_best_split(hist, params)
+        params = _at_edge_weight(rng, params, hist)
+    assert find_best_split([hist], params) == [reference_best_split(hist, params)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans(), st.booleans(),
+       st.booleans())
+def test_stacked_split_search_equals_the_per_node_scan(seed, n_nodes, one_ratio, edge_weight,
+                                                       all_pure):
+    # one call over a level's stack: every node's result is its own scan's,
+    # with its ties, pure nodes and min_child_weight edges; a stack of pure
+    # nodes finds no split anywhere
+    rng = np.random.default_rng(seed)
+    F, B = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+    hists = [_scan_case(rng, F, B, str(rng.choice(["none", "shifted", "coarse"])),
+                        one_ratio or bool(rng.integers(2)))
+             for _ in range(n_nodes)]
+    if all_pure:
+        for hist in hists:
+            hist.g[:] = 0
+    params = _scan_params(rng, one_ratio)
+    if edge_weight:
+        params = _at_edge_weight(rng, params, hists[int(rng.integers(n_nodes))])
+    found = find_best_split(hists, params)
+    assert found == [reference_best_split(hist, params) for hist in hists]
+    if all_pure:
+        assert found == [None] * n_nodes
+
+
+def test_stacked_split_search_keeps_each_nodes_noise_margin():
+    # GAIN_NOISE_REL_TOL scales with each node's own parent term: node B's
+    # gain of 2^-28 clears its margin of about 1e-9, though it would not
+    # clear node A's, whose parent term is 100
+    a = _one_feature([10.0, 0.0], [0.5, 0.5], [4, 4])
+    b = _one_feature([2.0**-14, -(2.0**-14)], [1.0, 1.0], [4, 4])
+    params = GbtParams(reg_lambda=0.0, min_child_weight=1.0)
+    found = find_best_split([a, b], params)
+    assert found == [reference_best_split(a, params), reference_best_split(b, params)]
+    assert found[1] is not None and found[1].gain == 2.0**-28
 
 
 def _random_model(seed):
@@ -859,7 +1011,7 @@ def test_batch_predict_equals_row_walks_bit_for_bit(seed):
     for k in range(model.n_trees + 1):
         assert np.array_equal(predict_margin(model, X_test, n_trees=k),
                               reference_margin(model, X_test, n_trees=k))
-    binned = binning.bin_matrix(X)
+    binned = binning.bin_columns(X).T
     for tree in model.trees:
         assert np.array_equal(tree_leaf_weights_binned(tree, binned),
                               reference_leaf_weights(tree, binned, binned=True))
@@ -896,7 +1048,8 @@ def direct_train(data, params, seed=0, build=build_histogram):
     through each finished tree."""
     X, y = data.features, data.labels
     binning = compute_binning(X, params.max_bin)
-    binned = binning.bin_matrix(X)
+    columns = binning.bin_columns(X)
+    cells = cell_ids(columns, binning.n_bins)
     margins = initial_margins(data.n_samples, params, seed)
     trees = []
     for t in range(params.n_estimators):
@@ -909,7 +1062,8 @@ def direct_train(data, params, seed=0, build=build_histogram):
                 node = tree.nodes[node_id]
                 best = None
                 if depth < params.max_depth and rows.size >= 2:
-                    best = find_best_split(build(binned, g, h, rows, binning.n_bins), params)
+                    (best,) = find_best_split(build(cells, g, h, [rows], binning.n_bins),
+                                              params)
                 if best is None or best.left[2] == 0 or best.right[2] == 0:
                     node.is_leaf = True
                     node.weight = leaf_value(int(g[rows].sum()), int(h[rows].sum()), params)
@@ -919,11 +1073,11 @@ def direct_train(data, params, seed=0, build=build_histogram):
                 node.left, node.right = len(tree.nodes), len(tree.nodes) + 1
                 tree.nodes += [TreeNode(node_id=node.left, is_leaf=False),
                                TreeNode(node_id=node.right, is_leaf=False)]
-                left = binned[rows, node.feature] <= node.bin_index
+                left = columns[node.feature][rows] <= node.bin_index
                 next_level += [(node.left, rows[left]), (node.right, rows[~left])]
             level, depth = next_level, depth + 1
         trees.append(tree)
-        margins += params.learning_rate * tree_leaf_weights_binned(tree, binned)
+        margins += params.learning_rate * tree_leaf_weights_binned(tree, columns.T)
     return BoostedEnsemble(trees=trees, params=params, base_score_logit=params.base_score_logit,
                            feature_names=data.feature_names)
 
@@ -960,9 +1114,9 @@ def test_pooled_trainer_sums_at_most_root_plus_half_a_level_per_depth(monkeypatc
     params = GbtParams(n_estimators=3, max_depth=max_depth, min_child_weight=0.0, reg_lambda=1.0)
     summed = []  # rows summed per tree
 
-    def counting_build(binned, g, h, sample_idx, n_bins):
-        summed[-1] += len(sample_idx)
-        return build_histogram(binned, g, h, sample_idx, n_bins)
+    def counting_build(cells, g, h, row_sets, n_bins):
+        summed[-1] += sum(len(rows) for rows in row_sets)
+        return build_histogram(cells, g, h, row_sets, n_bins)
 
     def next_tree(*args):
         summed.append(0)
@@ -978,5 +1132,6 @@ def test_pooled_trainer_sums_at_most_root_plus_half_a_level_per_depth(monkeypatc
     assert all(0 < rows <= bound for rows in summed), summed
     # building every node directly breaks the bound on these trees
     direct = []
-    direct_train(data, params, build=lambda *a: direct.append(len(a[3])) or build_histogram(*a))
+    direct_train(data, params,
+                 build=lambda *a: direct.append(sum(map(len, a[3]))) or build_histogram(*a))
     assert sum(direct) > params.n_estimators * bound

@@ -14,6 +14,7 @@ from fedgbt.gbt import (
     GbtParams,
     GradHistogram,
     build_histogram,
+    cell_ids,
     check_capacity,
     compute_binning,
     logistic_gradients,
@@ -549,9 +550,9 @@ def test_sibling_subtraction_matches_direct_build():
     g, h = quantize(rng.normal(size=n)), quantize(rng.uniform(0, 0.25, size=n))
     subset = np.sort(rng.choice(n, size=4, replace=False))
     complement = np.setdiff1d(np.arange(n), subset)
-    derived = build_histogram(binned, g, h, np.arange(n), B).subtract(
-        build_histogram(binned, g, h, subset, B))
-    direct = build_histogram(binned, g, h, complement, B)
+    whole, built, direct = build_histogram(cell_ids(np.ascontiguousarray(binned.T), B), g, h,
+                                           [np.arange(n), subset, complement], B)
+    derived = whole.subtract(built)
     for name in ("g", "h", "counts"):
         assert (getattr(derived, name) == getattr(direct, name)).all()
 
@@ -664,10 +665,10 @@ def test_transcript_has_no_sensitive_values():
         for n_trees in (0, 1):
             margins = predict_margin(model, party.features, n_trees=n_trees)
             g, h = map(quantize, logistic_gradients(party.labels, margins))
-            hist = build_histogram(binning.bin_matrix(party.features), g, h,
-                                   np.arange(party.n_samples), 8)
-            for f in range(hist.n_features):
-                for b in range(hist.n_bins):
+            (hist,) = build_histogram(cell_ids(binning.bin_columns(party.features), 8), g, h,
+                                      [np.arange(party.n_samples)], 8)
+            for f in range(hist.g.shape[0]):
+                for b in range(hist.g.shape[1]):
                     if not hist.counts[f, b]:
                         continue
                     value = int(hist.g[f, b]) / 2**GRAD_SCALE_BITS
@@ -853,6 +854,30 @@ def test_clients_submit_the_smaller_child():
     assert submitted == {t: [0, *nodes] for t, nodes in asked.items()}
     # both sides are asked for somewhere
     assert {n % 2 for nodes in asked.values() for n in nodes} == {0, 1}
+
+
+def test_each_client_submits_a_levels_nodes_in_broadcast_order():
+    # a client builds a level's histograms in one call, then sends one
+    # HISTOGRAM_SUBMIT per node the SPLIT_BROADCAST asks for, in its order
+    X, y = synth_classification(200, 4, seed=17)
+    parties = random_split_parties(X, y, 2, seed=18)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=2, secagg_mode=SECAGG_MASK_ONLY)
+    params = GbtParams(n_estimators=1, max_depth=4, max_bin=8, reg_lambda=1.0,
+                       min_child_weight=0.0)
+    _, bus = hfl_train(roster, parties, params, seed=2)
+    asked, submitted = {}, {}
+    for env in bus.transcript:
+        if env.msg_type == "SPLIT_BROADCAST":
+            asked.setdefault(env.recipient, []).append(
+                [d["submit"] for d in env.payload["decisions"]
+                 if d["action"] == "split" and d["submit"] is not None])
+        if env.msg_type == "HISTOGRAM_SUBMIT":
+            submitted.setdefault((env.sender, env.round_id), []).append(env.payload["node"])
+    for cid in roster.client_ids:
+        rounds = [nodes for (sender, _), nodes in sorted(submitted.items()) if sender == cid]
+        assert rounds == [[0]] + [nodes for nodes in asked[cid] if nodes]
+        assert max(map(len, rounds)) >= 3
 
 
 def test_a_split_broadcast_asking_for_a_non_child_is_rejected():

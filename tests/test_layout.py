@@ -6,8 +6,9 @@ patch tables).  References from inside a definition's own body do not count.
 Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
 searches splits, weighs leaves or derives a sibling's histogram.  Histograms are int64 everywhere: no
 module builds an object-dtype (Python big-int) array.  The fixed-point scale
-is spelled only as ``GRAD_SCALE_BITS``, and the int64 capacity only as
-``INT64_MODULUS``.  The protocol modules draw mask material only from
+is spelled only as ``GRAD_SCALE_BITS``, the int64 capacity only as
+``INT64_MODULUS``, and the float64 bound (2^53) only as
+``FLOAT64_MODULUS``.  The protocol modules draw mask material only from
 ``fedgbt.seeding``: neither imports ``hashlib``.  One slot layout,
 ``PackedLayout``, is defined in ``gbt.py`` alone, and both protocol modules
 import it from there.
@@ -150,6 +151,24 @@ def test_no_src_module_spells_the_int64_capacity():
             if _INT64_SPELLING.search(line) and not line.startswith("INT64_MODULUS = "):
                 found.append(f"{path.name}:{n}")
     assert not found, "the int64 capacity spelled other than INT64_MODULUS: " + ", ".join(found)
+
+
+# 2^53 (float64's last exact integer) or twice it as a literal in code; a
+# comment may write 2^53
+_FLOAT64_SPELLING = re.compile(r"\b2(?:\.0)?\s*\*\*\s*\(?\s*5[34]\b|\b1\s*<<\s*5[34]\b")
+
+
+def test_no_src_module_spells_the_float64_bound():
+    for text in ("1 << 53", "1<<54", "2**53", "2 ** 53", "2.0**53", "2**(53 - S)", "2**54"):
+        assert _FLOAT64_SPELLING.search(text), text
+    for text in ("1 << 530", "2**530", "12**53", "2^53", "check_capacity(FLOAT64_MODULUS, n)"):
+        assert not _FLOAT64_SPELLING.search(text), text
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if _FLOAT64_SPELLING.search(line) and not line.startswith("FLOAT64_MODULUS = "):
+                found.append(f"{path.name}:{n}")
+    assert not found, "the float64 bound spelled other than FLOAT64_MODULUS: " + ", ".join(found)
 
 
 def _hashlib_imports(source: str) -> list[int]:

@@ -16,7 +16,6 @@ from fedgbt.gbt import (
     GbtParams,
     GradHistogram,
     ProtocolError,
-    build_histogram,
     check_histogram,
     find_best_split,
     logistic_gradients,
@@ -47,6 +46,7 @@ from fedgbt.vfl import (
     vfl_predict,
     vfl_train,
 )
+from test_gbt import histogram_of
 
 
 def vertical_fixture(n, f_active, f_passive, seed, n_passives=1):
@@ -168,9 +168,7 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     subset = sids[: 12]
     eg, eh, counts = passive.bin_aggregate(subset, fold_slots(12, active.sk.p))
     decoded = active.decrypt_histogram(eg, eh, counts, 12, "passive0")
-    plain = build_histogram(
-        passive.binned, active.g, active.h, np.arange(12), params.max_bin
-    )
+    plain = histogram_of(passive.columns.T, active.g, active.h, np.arange(12), params.max_bin)
     np.testing.assert_array_equal(decoded.g, plain.g)
     np.testing.assert_array_equal(decoded.h, plain.h)
     np.testing.assert_array_equal(decoded.counts, plain.counts)
@@ -196,7 +194,7 @@ def test_bin_aggregate_equals_the_per_sample_loop():
         buckets_h = [[] for _ in range(F * B)]
         for sid in space:
             for f in range(F):
-                b = passive.binned[passive.pos_of_id[sid], f]
+                b = passive.columns[f, passive.pos_of_id[sid]]
                 buckets_g[f * B + b].append(passive.enc_g[sid])
                 buckets_h[f * B + b].append(passive.enc_h[sid])
         # one bin per ciphertext, a partial last run, and the key's widest fold
@@ -532,10 +530,10 @@ def _route_training_rows(trained, tree):
         if node.is_leaf:
             continue
         owner = node.owner
-        binned = active.binned if owner == roster.active_id else trained.passives[owner].binned
+        party = active if owner == roster.active_id else trained.passives[owner]
         local = roster.to_local(owner, node.feature)
         rows = positions[node.node_id]
-        go_left = binned[rows, local] <= node.bin_index
+        go_left = party.columns[local][rows] <= node.bin_index
         positions[node.left], positions[node.right] = rows[go_left], rows[~go_left]
         depth[node.left] = depth[node.right] = depth[node.node_id] + 1
     return positions, depth
@@ -563,7 +561,7 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption(monkeypat
 
     searched = []
     monkeypatch.setattr(gbt, "find_best_split",
-                        lambda hist, p: searched.append(hist) or find_best_split(hist, p))
+                        lambda hists, p: searched.extend(hists) or find_best_split(hists, p))
     datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
     roster = make_vfl_roster("active", datasets)
     params = small_params(n_estimators=2, max_depth=3)
@@ -599,8 +597,8 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption(monkeypat
     # sample space at each passive party, decrypted
     assert {n.node_id for n in tree.nodes if not n.is_leaf} <= set(searchable)
     for node_id, held in zip(searchable, searched[-len(searchable):]):
-        parts = [build_histogram(active.binned, active.g, active.h, positions[node_id],
-                                 params.max_bin)]
+        parts = [histogram_of(active.columns.T, active.g, active.h, positions[node_id],
+                              params.max_bin)]
         ids = [int(active.dataset.sample_ids[p]) for p in positions[node_id]]
         for pid in roster.passive_ids:
             eg, eh, counts = trained.passives[pid].bin_aggregate(
@@ -661,7 +659,7 @@ def test_sibling_subtraction_rejects_impossible_children():
         # the grower's derivation: parent minus child, checked against the
         # parent's totals minus the child's
         totals = tuple(p - c for p, c in zip(parent.totals(), child.totals()))
-        return check_histogram(parent.subtract(child), totals, where)
+        return check_histogram([parent.subtract(child)], [totals], [where])[0]
 
     parent = hist([3 * scale, -scale], [scale, scale // 4], [4, 1])
     derived = sibling(parent, hist([scale, -scale], [scale // 4, scale // 4], [1, 1]),
@@ -1058,7 +1056,7 @@ def test_a_bin_holding_the_whole_sample_space_unpacks_at_its_bound(n, sign):
     assert counts[0, full] == n
     assert hist.g[0, full] == sign * n << GRAD_SCALE_BITS
     assert hist.h[0, full] == n << (GRAD_SCALE_BITS - 2)
-    plain = build_histogram(passive.binned, active.g, active.h, np.arange(n), 8)
+    plain = histogram_of(passive.columns.T, active.g, active.h, np.arange(n), 8)
     np.testing.assert_array_equal(hist.g, plain.g)
     np.testing.assert_array_equal(hist.h, plain.h)
 
@@ -1077,7 +1075,7 @@ def test_a_partial_last_run_decrypts_like_the_full_ones(n, n_bins, seed):
     eg, eh, counts = passive.bin_aggregate(ids, slots)
     assert len(eg) == len(eh) == -(-2 * n_bins // slots)
     hist = active.decrypt_histogram(eg, eh, counts, n, "passive0")
-    plain = build_histogram(passive.binned, active.g, active.h, np.array(ids), n_bins)
+    plain = histogram_of(passive.columns.T, active.g, active.h, np.array(ids), n_bins)
     for a in ("g", "h", "counts"):
         np.testing.assert_array_equal(getattr(hist, a), getattr(plain, a))
 
