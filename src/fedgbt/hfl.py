@@ -14,8 +14,8 @@ tree, node, g or h) into one mask word per residue
 (:func:`fedgbt.seeding.expand_mask_words`), and the packing runs in numpy.
 Both modes share that path.  In ``paillier+mask`` mode the ring is the
 server's Paillier modulus and each masked residue is also encrypted; in
-``mask-only`` mode the ring is ``MASK_ONLY_MODULUS`` and the masked residues
-travel as they are.
+``mask-only`` mode the ring is ``MASK_ONLY_MODULUS`` (2^1024, wide enough
+for dozens of slots per residue) and the masked residues travel as they are.
 
 The server grows each tree with the shared :func:`fedgbt.gbt.grow_tree`.
 Wire protocol per boosting round (tree t, depth d):
@@ -93,8 +93,9 @@ from .transport import MessageBus
 SECAGG_PAILLIER = "paillier+mask"
 SECAGG_MASK_ONLY = "mask-only"
 # the mask-only ring: one slot of it holds every roster whose sums fit int64,
-# and each mask is one 33-byte word of a SHAKE-256 expansion
-MASK_ONLY_MODULUS = 1 << 128
+# a residue of it holds 34 of the paper's 30-bit slots, and each mask is one
+# 145-byte word of a SHAKE-256 expansion
+MASK_ONLY_MODULUS = 1 << 1024
 SERVER_ID = "server"
 
 

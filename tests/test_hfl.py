@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedgbt.data import PartyDataset, join_datasets, split_train_valid_test
+from fedgbt.data import (
+    PartyDataset,
+    default_synth_config,
+    join_datasets,
+    split_train_valid_test,
+    synth_generate,
+)
 from fedgbt.gbt import (
     GRAD_SCALE_BITS,
     INT64_MODULUS,
@@ -197,30 +203,33 @@ def test_mask_only_mode_roundtrip():
     assert total.h[0].tolist() == quantize([0.40625, 0.34375]).tolist()
 
 
+_PAIR_G = quantize(np.linspace(-0.9, 0.9, 48).reshape(2, 24))
+
+
 def _mask_only_pair(change_c1):
-    """Two 2x3 mask-only submissions for tree 4, node 3, c1's enc_g
+    """Two 2x24 mask-only submissions for tree 4, node 3, c1's enc_g
     rewritten by ``change_c1``."""
     roster = make_roster(["c0", "c1"], [3, 3], master_seed=9, secagg_mode=SECAGG_MASK_ONLY)
     subs = {}
     for cid in roster.client_ids:
-        hist = zero_histogram(2, 3)
-        hist.g[:] = quantize(np.linspace(-0.9, 0.9, 6).reshape(2, 3))
+        hist = zero_histogram(2, 24)
+        hist.g[:] = _PAIR_G
         subs[cid] = mask_histogram(hist, cid, roster, 9, 4, 3, None, None)
     subs["c1"].enc_g = change_c1(list(subs["c1"].enc_g))
     return roster, subs
 
 
-# six 24-bit slots pack five to a 128-bit residue: two residues per stream
+# 48 24-bit slots pack 42 to a 1024-bit residue: two residues per stream
 @pytest.mark.parametrize("change, match", [
     (lambda v: v[:-1], "1 enc_g values, expected 2"),
     (lambda v: v + [0], "3 enc_g values, expected 2"),
-    (lambda v: [v[0] + MASK_ONLY_MODULUS, *v[1:]], r"enc_g residue outside \[0, 2\^128\)"),
-    (lambda v: [-1, *v[1:]], r"enc_g residue outside \[0, 2\^128\)"),
-], ids=["short", "extra", "above-2^128", "negative"])
+    (lambda v: [v[0] + MASK_ONLY_MODULUS, *v[1:]], r"enc_g residue outside \[0, 2\^1024\)"),
+    (lambda v: [-1, *v[1:]], r"enc_g residue outside \[0, 2\^1024\)"),
+], ids=["short", "extra", "above-2^1024", "negative"])
 def test_mask_only_submission_values_are_checked(change, match):
     roster, subs = _mask_only_pair(lambda v: v)
-    assert server_aggregate(subs, roster, None, None).g.tolist() == [
-        [2 * v for v in row] for row in quantize(np.linspace(-0.9, 0.9, 6).reshape(2, 3)).tolist()]
+    assert packed_layout(roster, MASK_ONLY_MODULUS).slots == 42
+    assert server_aggregate(subs, roster, None, None).g.tolist() == (2 * _PAIR_G).tolist()
     roster, subs = _mask_only_pair(change)
     with pytest.raises(ProtocolError, match=match) as raised:
         server_aggregate(subs, roster, None, None)
@@ -247,9 +256,9 @@ def test_mask_streams_cancel_and_change_with_every_label_part(mask_fixture, n_cl
     shares = [_add_pairwise_masks(roster(0), cid, ring, [0] * n, "s3:t1", node, "g")
               for cid in ids]
     assert [sum(column) % ring for column in zip(*shares)] == [0] * n
-    # each word has 128 bits more than the ring: 33 bytes for 2^128, 80 for 512 bits
+    # each word has 128 bits more than the ring: 145 bytes for 2^1024, 80 for 512 bits
     size = mask_word_bytes(ring)
-    assert size == (80 if paillier else 33)
+    assert size == (80 if paillier else 145)
     assert 8 * size - 8 < ring.bit_length() + 128 <= 8 * size
     words = expand_mask_words(ring, n, "packmask", 7, "s3:t1", node, "g")
     assert len(words) == n * size
@@ -313,12 +322,12 @@ def test_packed_layout_at_hfl_paillier_shape():
     width = GRAD_SCALE_BITS + 10
     assert (layout.offset, layout.width, layout.slots) == (2 ** (width - 3), width, 511 // width)
     assert (layout.offset, layout.width, layout.slots) == (2**27, 30, 17)
-    # hfl-mask-paper's two districts in the 128-bit mask-only ring: 2^(S + 8)
-    # for 170 samples and 1 bit for 2 clients; a 32 x 32 stream packs 4 to a residue
+    # hfl-mask-paper's two districts in the 1024-bit mask-only ring: 2^(S + 8)
+    # for 170 samples and 1 bit for 2 clients; a 32 x 32 stream packs 34 to a residue
     roster = make_roster(["a", "b"], [57, 170], secagg_mode=SECAGG_MASK_ONLY)
     layout = packed_layout(roster, MASK_ONLY_MODULUS)
-    assert (layout.offset, layout.width, layout.slots) == (2**28, 30, 4)
-    assert len(layout.pack([0] * 32 * 32)) == 256
+    assert (layout.offset, layout.width, layout.slots) == (2**28, 30, 34)
+    assert len(layout.pack([0] * 32 * 32)) == 31
 
 
 def test_hfl_paillier_shape_encrypts_384_plaintexts():
@@ -342,6 +351,31 @@ def test_hfl_paillier_shape_encrypts_384_plaintexts():
     assert len(submits) == 3 * 8
     assert {(len(p["enc_g"]), len(p["enc_h"])) for p in submits} == {(8, 8)}
     assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 384
+
+
+def test_hfl_mask_paper_shape_submits_20832_residues():
+    # fold 0 of the seed-0 districts (57 and 170 training rows of 32
+    # features) at the paper's 20 trees of depth 5 over 32 bins, mask-only.
+    # Each of 336 submissions carries two 1,024-slot streams of 31 residues.
+    districts = synth_generate(default_synth_config(0))
+    joined = join_datasets(list(districts), "joined")
+    train = joined.subset(split_train_valid_test(joined, k=5, seed=0).folds[0].full_train_idx)
+    parties = {d.party_id: train.subset(np.flatnonzero(np.isin(train.sample_ids, d.sample_ids)),
+                                        d.party_id) for d in districts}
+    assert [p.n_samples for p in parties.values()] == [57, 170]
+    assert {p.n_features for p in parties.values()} == {32}
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=0, secagg_mode=SECAGG_MASK_ONLY)
+    params = GbtParams(n_estimators=20, max_depth=5, max_bin=32, learning_rate=0.3,
+                       reg_lambda=0.0, min_child_weight=1.0)
+    model, bus = hfl_train(roster, parties, params, seed=0)
+    submits = [e.payload for e in bus.transcript if e.msg_type == "HISTOGRAM_SUBMIT"]
+    assert len(submits) == 336
+    assert {(len(p["enc_g"]), len(p["enc_h"])) for p in submits} == {(31, 31)}
+    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 20832
+    binning = establish_global_binning(list(parties.values()), params.max_bin)
+    _assert_same_trees(model, train_centralized(join_datasets(list(parties.values()), "union"),
+                                                params, seed=0, binning=binning))
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +426,11 @@ def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
                          secagg_mode=SECAGG_MASK_ONLY)
     top = count << GRAD_SCALE_BITS
     sums = st.sampled_from([-top, top]) | st.integers(-top, top)
-    F, B = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    # up to three residues of 64- or 65-bit slots: full ones and a partly filled last one
+    slots = packed_layout(roster, MASK_ONLY_MODULUS).slots
+    assert slots in (15, 16)
+    F = data.draw(st.integers(1, 3))
+    B = data.draw(st.sampled_from([slots, slots - 1]) | st.integers(1, slots))
     expect_g, expect_h, subs = np.zeros((F, B), dtype=object), np.zeros((F, B), dtype=object), {}
     for cid in ids:
         hist = zero_histogram(F, B)
@@ -576,6 +614,12 @@ def _equivalence_check(n, F, n_clients, seed, secagg, key_bits=512, params=None)
     union = join_datasets(list(parties.values()), "union")
     binning = establish_global_binning(list(parties.values()), params.max_bin)
     central = train_centralized(union, params, seed=seed, binning=binning)
+    _assert_same_trees(model, central)
+    return model, central, bus, parties, union
+
+
+def _assert_same_trees(model, central):
+    """The same splits node for node, and equal leaf weights."""
     assert len(model.trees) == len(central.trees)
     for ft, ct in zip(model.trees, central.trees):
         assert len(ft.nodes) == len(ct.nodes)
@@ -586,7 +630,6 @@ def _equivalence_check(n, F, n_clients, seed, secagg, key_bits=512, params=None)
             else:
                 assert (fn.feature, fn.bin_index) == (cn.feature, cn.bin_index)
                 assert fn.threshold == cn.threshold
-    return model, central, bus, parties, union
 
 
 def test_federated_equals_centralized_mask_only():
