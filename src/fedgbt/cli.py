@@ -14,11 +14,11 @@ import sys
 from dataclasses import replace
 
 from .data import (
-    SynthConfig,
     default_synth_config,
     join_datasets,
     load_csv,
     split_train_valid_test,
+    synth_config_from_dict,
     synth_generate,
     write_csv,
 )
@@ -105,12 +105,7 @@ def _override_config(config: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
         if config.synth is not None:
-            updates["synth"] = SynthConfig(
-                seed=args.seed,
-                signal_weights=dict(config.synth.signal_weights),
-                label_threshold=config.synth.label_threshold,
-                noise_scale=config.synth.noise_scale,
-            )
+            updates["synth"] = replace(config.synth, seed=args.seed)
     if getattr(args, "key_bits", None) is not None:
         updates["key_bits"] = args.key_bits
     if getattr(args, "secagg", None) is not None:
@@ -150,31 +145,7 @@ def _cmd_synth(args) -> int:
     config = default_synth_config(seed=args.seed)
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
-        districts = ()
-        if "districts" in doc:
-            from .data import DISTRICT_A_STATS, DISTRICT_B_STATS, DistrictSpec, FeatureStats
-
-            base_stats = {"A": DISTRICT_A_STATS, "B": DISTRICT_B_STATS}
-            specs = []
-            for d in doc["districts"]:
-                if "stats" in d:
-                    stats = {
-                        name: FeatureStats(mean=v[0], median=v[1], low=v[2], high=v[3])
-                        for name, v in d["stats"].items()
-                    }
-                else:
-                    stats = base_stats[d["name"]]
-                specs.append(DistrictSpec(d["name"], d["n_samples"],
-                                          d["positive_rate"], stats))
-            districts = tuple(specs)
-        config = SynthConfig(
-            districts=districts,
-            seed=doc.get("seed", args.seed),
-            noise_scale=doc.get("noise_scale", 0.25),
-            signal_weights=doc.get("signal_weights") or dict(config.signal_weights),
-            label_threshold=doc.get("label_threshold", 2.0e4),
-        )
+            config = synth_config_from_dict(json.load(fh), seed=args.seed)
     datasets = synth_generate(config)
     os.makedirs(args.out, exist_ok=True)
     for dataset in datasets:

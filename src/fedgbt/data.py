@@ -226,6 +226,27 @@ def default_synth_config(seed: int = 0) -> SynthConfig:
     return SynthConfig(seed=seed)
 
 
+def synth_config_from_dict(doc: dict, seed: int = 0) -> SynthConfig:
+    """A generator config from its JSON document.
+
+    ``districts`` lists ``name``, ``n_samples``, ``positive_rate`` and,
+    optionally, ``stats`` (feature -> [mean, median, low, high]; without it
+    district A's or B's published stats); ``seed`` defaults to ``seed``.
+    ``noise_scale``, ``signal_weights`` (an empty one too) and
+    ``label_threshold`` keep :class:`SynthConfig`'s defaults when absent.
+    """
+    published = {"A": DISTRICT_A_STATS, "B": DISTRICT_B_STATS}
+    districts = tuple(
+        DistrictSpec(d["name"], d["n_samples"], d["positive_rate"],
+                     {name: FeatureStats(*v) for name, v in d["stats"].items()}
+                     if "stats" in d else published[d["name"]])
+        for d in doc.get("districts", ()))
+    given = {k: doc[k] for k in ("noise_scale", "label_threshold") if k in doc}
+    if doc.get("signal_weights"):
+        given["signal_weights"] = doc["signal_weights"]
+    return SynthConfig(districts=districts, seed=doc.get("seed", seed), **given)
+
+
 def _fit_unit_beta(mean_u: float, median_u: float) -> tuple[float, float]:
     """Pick Beta shape parameters with the target mean whose median is closest.
 

@@ -26,6 +26,7 @@ from .data import (
     join_datasets,
     load_csv,
     split_train_valid_test,
+    synth_config_from_dict,
     synth_generate,
     vertical_partition,
 )
@@ -99,15 +100,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     params = GbtParams(**doc.get("params", {}))
     synth = None
     if "synth" in doc.get("data", {}):
-        s = doc["data"]["synth"]
-        synth = SynthConfig(
-            seed=s.get("seed", 0),
-            noise_scale=s.get("noise_scale", 0.25),
-            signal_weights=s.get("signal_weights", None) or dict(
-                default_synth_config().signal_weights
-            ),
-            label_threshold=s.get("label_threshold", 2.0e4),
-        )
+        synth = synth_config_from_dict(doc["data"]["synth"])
     csv_paths = doc.get("data", {}).get("csv")
     return ExperimentConfig(
         scenario=doc.get("scenario", SCENARIO_HFL),

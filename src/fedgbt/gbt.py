@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 from itertools import repeat
@@ -819,7 +820,12 @@ def model_to_json(model: BoostedEnsemble) -> str:
 
 
 def tree_from_dicts(docs: list[dict]) -> Tree:
-    """A tree from its node documents (any order; ids are positions)."""
+    """A tree from its node documents, in any order; ids are positions.
+
+    A document that is not a tree raises :class:`TrainingError`: the ids
+    must be exactly ``0..n-1``, each split's children ids above its own,
+    and every node but the root the child of exactly one split.
+    """
     nodes = []
     for nd in docs:
         if nd["leaf"]:
@@ -831,6 +837,18 @@ def tree_from_dicts(docs: list[dict]) -> Tree:
                 record_id=nd.get("record", -1), left=nd["left"], right=nd["right"],
             ))
     nodes.sort(key=lambda n: n.node_id)
+    ids = [n.node_id for n in nodes]
+    if not nodes or ids != list(range(len(nodes))):
+        raise TrainingError(f"tree node ids {ids} are not 0..n-1")
+    parents = Counter()
+    for n in (n for n in nodes if not n.is_leaf):
+        if not n.node_id < min(n.left, n.right) <= max(n.left, n.right) < len(nodes):
+            raise TrainingError(f"tree node {n.node_id} has children {n.left} and {n.right}, "
+                                f"not ids in ({n.node_id}, {len(nodes)})")
+        parents.update((n.left, n.right))
+    strays = [i for i in ids[1:] if parents[i] != 1]
+    if strays:
+        raise TrainingError(f"tree nodes {strays} are not each the child of exactly one split")
     return Tree(nodes=nodes)
 
 

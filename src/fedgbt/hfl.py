@@ -20,15 +20,19 @@ for dozens of slots per residue) and the masked residues travel as they are.
 The server grows each tree with the shared :func:`fedgbt.gbt.grow_tree`.
 Wire protocol per boosting round (tree t, depth d):
 
-* ``SPLIT_BROADCAST``    server -> clients: leaf/split decision per node,
-  and per split the child (``submit``) whose histogram comes next, if any;
+* ``SPLIT_BROADCAST``    server -> clients: each node of the level as its
+  model document (:func:`fedgbt.gbt.node_to_dict`), and on each split the
+  child (``submit``) whose histogram comes next, if any;
 * ``PARTITION_REPORT``   clients -> server: local left/right counts for each
   split node (consistency check against histogram-derived counts);
 * ``HISTOGRAM_SUBMIT``   clients -> server: masked, encrypted histograms of
   the root and of each split's smaller child (the sibling is derived by exact
   integer subtraction); the server accepts one per client per node it asked for;
-* ``MODEL_DELIVERY``     server -> clients: the finished tree, then the full
-  ensemble at the end.
+* ``MODEL_DELIVERY``     server -> clients: the full ensemble at the end.
+
+A client keeps the node documents of a tree's broadcasts and, once the tree
+is grown, builds it from them (:func:`fedgbt.gbt.tree_from_dicts`) to update
+its margins; the finished tree is never sent again.
 
 Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
 (per-feature ranges, sanctioned metadata) and ``BINNING_BROADCAST``.
@@ -36,14 +40,14 @@ Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
 Clients act only on the messages they receive: each partitions its samples
 by the splits in its own copy of ``SPLIT_BROADCAST`` and submits exactly the
 children that copy asks for, so a tampered broadcast shows up as a partition
-mismatch, a ``submit`` that names no child of its split, or an unrequested
-submission.
+mismatch, a ``submit`` that names no child of its split, an unrequested
+submission, or node documents that do not form a tree.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .gbt import (
     PackedLayout,
     ProtocolError,
     Tree,
+    TrainingError,
     binning_from_ranges,
     build_histogram,
     cell_ids,
@@ -365,6 +370,8 @@ class HflClient:
         self.g = np.zeros(dataset.n_samples, dtype=np.int64)
         self.h = np.zeros(dataset.n_samples, dtype=np.int64)
         self.node_samples: dict[int, np.ndarray] = {}
+        # this tree's node documents, as its SPLIT_BROADCASTs carried them
+        self.tree_docs: list[dict] = []
 
     def feature_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         return self.dataset.features.min(axis=0), self.dataset.features.max(axis=0)
@@ -393,31 +400,39 @@ class HflClient:
                 for node_id, hist in zip(node_ids, hists)]
 
     def apply_decisions(self, decisions: list[dict]) -> tuple[list[dict], list[int]]:
-        """Partition this client's samples as a ``SPLIT_BROADCAST`` says;
-        returns the ``PARTITION_REPORT`` counts and the children whose
-        histograms the broadcast asks for."""
+        """Partition this client's samples as a ``SPLIT_BROADCAST`` says, and
+        keep its node documents for :meth:`finish_tree`; returns the
+        ``PARTITION_REPORT`` counts and the children whose histograms the
+        broadcast asks for."""
+        self.tree_docs += decisions
         counts, wanted = [], []
-        for d in decisions:
-            if d["action"] != "split":
-                continue
-            if d["node"] not in self.node_samples:
+        for d in (d for d in decisions if not d["leaf"]):
+            if d["id"] not in self.node_samples:
                 raise ProtocolError(f"SPLIT_BROADCAST to {self.client_id} splits node "
-                                    f"{d['node']}, for which it holds no samples")
-            samples = self.node_samples.pop(d["node"])
+                                    f"{d['id']}, for which it holds no samples")
+            samples = self.node_samples.pop(d["id"])
             left = self.columns[d["feature"]][samples] <= d["bin"]
             self.node_samples.update({d["left"]: samples[left], d["right"]: samples[~left]})
-            counts.append({"node": d["node"], "left": int(left.sum()), "right": int((~left).sum())})
+            counts.append({"node": d["id"], "left": int(left.sum()), "right": int((~left).sum())})
             if d["submit"] is not None:
                 if d["submit"] not in (d["left"], d["right"]):
                     raise ProtocolError(f"SPLIT_BROADCAST to {self.client_id} asks for node "
-                                        f"{d['submit']}, not a child of node {d['node']}")
+                                        f"{d['submit']}, not a child of node {d['id']}")
                 wanted.append(d["submit"])
         return counts, wanted
 
-    def finish_tree(self, tree: Tree) -> None:
+    def finish_tree(self, tree_index: int) -> Tree:
+        """Build the tree from this tree's broadcasts, update the margins by
+        it, and return it."""
+        try:
+            tree = tree_from_dicts(self.tree_docs)
+        except TrainingError as exc:
+            raise ProtocolError(f"the SPLIT_BROADCASTs to {self.client_id} for tree "
+                                f"{tree_index} do not form a tree: {exc}") from None
         self.margins += self.params.learning_rate * grown_leaf_weights(
             tree, self.node_samples, self.columns)
-        self.node_samples = {}
+        self.node_samples, self.tree_docs = {}, []
+        return tree
 
 
 class HflServer:
@@ -460,42 +475,36 @@ class HflServer:
                 for node_id, s in subs.items()}
 
     def decisions(self, tree: Tree, level: list[int], build: list[int]) -> list[dict]:
-        """The ``SPLIT_BROADCAST`` of a grown level; each split's ``submit``
-        is its child in ``build``, the one the grower asks histograms for."""
+        """The ``SPLIT_BROADCAST`` of a grown level: each node's document,
+        which names no owner, since every split is the server's; each
+        split's ``submit`` is its child in ``build``, the one the grower asks
+        histograms for."""
         out = []
         for node in (tree.nodes[i] for i in level):
             if node.is_leaf:
-                out.append({"node": node.node_id, "action": "leaf", "weight": node.weight})
+                out.append(node_to_dict(node))
                 continue
             node.threshold = self.binning.threshold(node.feature, node.bin_index)
+            out.append({**node_to_dict(node),
+                        "submit": next((c for c in (node.left, node.right) if c in build), None)})
             node.owner = SERVER_ID
-            out.append({
-                "node": node.node_id,
-                "action": "split",
-                "feature": node.feature,
-                "bin": node.bin_index,
-                "threshold": node.threshold,
-                "left": node.left,
-                "right": node.right,
-                "submit": next((c for c in (node.left, node.right) if c in build), None),
-            })
         return out
 
     def check_partition(self, reports: dict, splits: list[dict], stats: dict) -> None:
         """Each client reports every split node, and the clients' left counts
         add up to each split's left child's count in the grower's ``stats``."""
-        nodes = sorted(s["node"] for s in splits)
+        nodes = sorted(s["id"] for s in splits)
         for sender, env in reports.items():
             reported = sorted(c["node"] for c in env.payload["counts"])
             if reported != nodes:
                 raise ProtocolError(f"PARTITION_REPORT from {sender} reports nodes {reported}, "
                                     f"not the split nodes {nodes}")
         for s in splits:
-            left_sum = sum({c["node"]: c["left"] for c in env.payload["counts"]}[s["node"]]
+            left_sum = sum({c["node"]: c["left"] for c in env.payload["counts"]}[s["id"]]
                            for env in reports.values())
             if left_sum != stats[s["left"]][2]:
                 raise ProtocolError(
-                    f"partition mismatch at node {s['node']}: clients report "
+                    f"partition mismatch at node {s['id']}: clients report "
                     f"{left_sum} left samples, histogram says {stats[s['left']][2]}"
                 )
 
@@ -635,7 +644,7 @@ def hfl_train(
             if depth < 0:
                 return root  # every tree starts from the root's histogram
             decisions = server.decisions(tree, level, build)
-            splits = [d for d in decisions if d["action"] == "split"]
+            splits = [d for d in decisions if not d["leaf"]]
             round_id += 1
             for cid in roster.client_ids:
                 bus.send(sid, cid, "SPLIT_BROADCAST", round_id, {
@@ -664,18 +673,9 @@ def hfl_train(
             envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in range(len(build) * len(clients))]
             return server.receive_histograms(t, build, envs)
 
-        tree = grow_tree(params, t, root[0].totals(), finish_level)
-
-        # deliver the finished tree so clients can update their margins
-        round_id += 1
-        # the per-tree document names no owner: every split is the server's
-        tree_doc = [node_to_dict(replace(n, owner="")) for n in tree.nodes]
-        for cid in roster.client_ids:
-            bus.send(sid, cid, "MODEL_DELIVERY", round_id, {"tree_index": t, "tree": tree_doc})
-        for cid, client in clients.items():
-            env = bus.recv(cid, "MODEL_DELIVERY")
-            client.finish_tree(tree_from_dicts(env.payload["tree"]))
-        trees.append(tree)
+        trees.append(grow_tree(params, t, root[0].totals(), finish_level))
+        for client in clients.values():
+            client.finish_tree(t)
 
     ensemble = BoostedEnsemble(
         trees=trees,

@@ -29,11 +29,11 @@ ALLOWED_FIELDS: dict[str, set[str]] = {
     "HISTOGRAM_SUBMIT": {"tree", "node", "enc_g", "enc_h", "counts", "mode"},
     "SPLIT_BROADCAST": {"tree", "depth", "decisions"},
     "PARTITION_REPORT": {"tree", "depth", "counts"},
-    "MODEL_DELIVERY": {"tree_index", "tree", "model"},
+    "MODEL_DELIVERY": {"model"},
     "GRADIENT_BROADCAST": {"tree", "enc_g", "enc_h"},
     "SAMPLE_SPACE": {"tree", "node", "sample_ids", "slots"},
     "ENC_HISTOGRAM_SUBMIT": {"tree", "node", "enc_g", "enc_h", "counts"},
-    "SPLIT_NOTICE": {"tree", "node", "record", "feature_local", "bin"},
+    "SPLIT_NOTICE": {"tree", "node", "record", "feature_local", "bin", "sample_ids"},
     "PARTITION_REPLY": {"tree", "node", "sample_ids"},
     "INFER_QUERY": {"query", "records", "sample_ids"},
     "INFER_REPLY": {"query", "go_left"},

@@ -18,7 +18,9 @@ record in its ``INFER_REPLY``.  The passive party learns which of its own
 records each queried sample id reaches, and no more; the active party
 learns no answer for a split off a row's path.  A call sends at most
 ``2 * max_depth`` messages per passive party, whatever the number of rows
-or trees.
+or trees.  Training routes the rows a subsampled tree left out (its
+out-of-bag rows) through the same walk, to update their margins; each
+passive party answers from its own rows of those ids.
 
 The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
@@ -40,9 +42,12 @@ the smaller child of each split whose children may still split, and the
 grower derives the larger child as parent minus smaller, exactly, on every
 party's features at once.
 
-Wire protocol: ``GRADIENT_BROADCAST``, ``SAMPLE_SPACE``,
-``ENC_HISTOGRAM_SUBMIT``, ``SPLIT_NOTICE``, ``PARTITION_REPLY`` during
-training; ``INFER_QUERY`` / ``INFER_REPLY`` during prediction.
+Wire protocol during training: ``GRADIENT_BROADCAST``; ``SAMPLE_SPACE``
+(a node's sample ids and ``slots``) and ``ENC_HISTOGRAM_SUBMIT``;
+``SPLIT_NOTICE`` (a foreign split's record and its node's sample ids) and
+``PARTITION_REPLY`` (the ids that go left); ``INFER_QUERY`` /
+``INFER_REPLY`` for out-of-bag rows.  During prediction: ``INFER_QUERY`` /
+``INFER_REPLY``.
 """
 
 from __future__ import annotations
@@ -172,14 +177,6 @@ class SplitRecord:
     bin_index: int
     threshold: float
 
-    @staticmethod
-    def at(binning: Binning, record_id: int, feature_local: int, bin_index: int) -> "SplitRecord":
-        """The record of a split at an interior boundary of the owner's binning."""
-        if not 0 <= bin_index < binning.n_bins - 1:
-            raise ProtocolError(f"split bin {bin_index} outside the boundary range")
-        return SplitRecord(record_id, feature_local, bin_index,
-                           binning.threshold(feature_local, bin_index))
-
 
 def histogram_layout(n_samples: int, slots: int) -> PackedLayout:
     """How a passive party packs its bin sums over a node of ``n_samples``.
@@ -270,8 +267,11 @@ class PassiveParty:
         return enc_g, enc_h, counts
 
     def store_record(self, record_id: int, feature_local: int, bin_index: int) -> SplitRecord:
-        self.records[record_id] = SplitRecord.at(self.binning, record_id, feature_local,
-                                                 bin_index)
+        """Keep a split at an interior boundary of this party's binning."""
+        if not 0 <= bin_index < self.n_bins - 1:
+            raise ProtocolError(f"split bin {bin_index} outside the boundary range")
+        self.records[record_id] = SplitRecord(record_id, feature_local, bin_index,
+                                              self.binning.threshold(feature_local, bin_index))
         return self.records[record_id]
 
     def resolve_partition(self, record_id: int, sample_ids: list[int]) -> list[int]:
@@ -340,7 +340,6 @@ class ActiveParty:
         # this tree's quantized gradients
         self.g = np.zeros(dataset.n_samples, dtype=np.int64)
         self.h = np.zeros(dataset.n_samples, dtype=np.int64)
-        self.records: dict[int, SplitRecord] = {}
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
 
     def encrypt_gradients(self, positions: np.ndarray) -> tuple[list[int], list[Ciphertext], list[Ciphertext]]:
@@ -406,7 +405,8 @@ class ActiveParty:
 
 @dataclass
 class VflTrained:
-    """The distributed model: skeleton at the active party, thresholds at owners."""
+    """The distributed model: the skeleton, with the active party's own
+    thresholds, at the active party; foreign thresholds at their owners."""
 
     roster: VflRoster
     ensemble: BoostedEnsemble
@@ -476,11 +476,11 @@ def vfl_train(
                 node.owner, node.record_id = owner, next_record
                 next_record += 1
                 if owner == aid:
-                    record = active.records[node.record_id] = SplitRecord.at(
-                        active.binning, node.record_id, local_feature, node.bin_index)
-                    node.threshold = record.threshold
+                    node.threshold = active.binning.threshold(local_feature, node.bin_index)
                     left = positions[active.columns[local_feature][positions] <= node.bin_index]
                 else:
+                    # the owner stores the split and partitions the sample
+                    # ids its notice carries
                     round_id += 1
                     bus.send(aid, owner, "SPLIT_NOTICE", round_id, {
                         "tree": t,
@@ -488,14 +488,20 @@ def vfl_train(
                         "record": node.record_id,
                         "feature_local": local_feature,
                         "bin": node.bin_index,
+                        "sample_ids": active.dataset.sample_ids[positions].tolist(),
                     })
-                    env = bus.recv(owner, "SPLIT_NOTICE")
-                    passives[owner].store_record(
-                        node.record_id, env.payload["feature_local"], env.payload["bin"]
-                    )
-                    sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
-                    left, round_id = _partition_leg(bus, active, passives[owner], node.record_id,
-                                                    sample_ids, t, node.node_id, round_id)
+                    notice = bus.recv(owner, "SPLIT_NOTICE").payload
+                    passive = passives[owner]
+                    passive.store_record(notice["record"], notice["feature_local"], notice["bin"])
+                    round_id += 1
+                    bus.send(owner, aid, "PARTITION_REPLY", round_id, {
+                        "tree": t, "node": node.node_id,
+                        "sample_ids": passive.resolve_partition(notice["record"],
+                                                                notice["sample_ids"]),
+                    })
+                    reply = bus.recv(aid, "PARTITION_REPLY").payload
+                    left = np.array(sorted(active.pos_of_id[s] for s in reply["sample_ids"]),
+                                    dtype=np.int64)
                     # leaf weights come from the split's sums: the reply must
                     # agree with them on this party's own gradients
                     if (int(active.g[left].sum()), int(active.h[left].sum()),
@@ -515,15 +521,21 @@ def vfl_train(
         tree = grow_tree(params, t, root, finish_level)
 
         # margin update: the rows the tree was grown on take their weights
-        # from the final partition; only the rows subsampling left out are
-        # routed, querying the owner of each foreign split
+        # from the final partition; only the rows subsampling left out walk
+        # the tree as inference rows do, and each passive party answers from
+        # its own rows of those ids, the ones its GRADIENT_BROADCAST lacked
         weights = np.zeros(active.dataset.n_samples)
         for leaf_id, positions in node_positions.items():
             weights[positions] = tree.nodes[leaf_id].weight
         rest = np.setdiff1d(np.arange(active.dataset.n_samples), rows)
         if rest.size:
-            round_id = _route_rows(tree, active, passives, roster, bus, t, round_id, rest,
-                                   weights)
+            ids = active.dataset.sample_ids[rest]
+            for passive in passives.values():
+                own = [passive.pos_of_id[s] for s in ids.tolist()]
+                passive.load_inference_rows(ids, passive.dataset.features[own])
+            weights[rest], round_id = _walk([tree], roster, passives,
+                                            active.dataset.features[rest], ids.tolist(), bus,
+                                            round_id)
         active.margins += params.learning_rate * weights
         trees.append(tree)
 
@@ -586,55 +598,6 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
                            for a in ("g", "h", "counts"))), round_id
 
 
-def _partition_leg(bus: MessageBus, active: ActiveParty, owner: PassiveParty, record_id: int,
-                   sample_ids: list[int], tree_index: int, node_id: int,
-                   round_id: int) -> tuple[np.ndarray, int]:
-    """The owner of a foreign split replies with the ids of ``sample_ids``
-    that go left; returns their sorted positions at the active party and the
-    last round id."""
-    round_id += 1
-    left_ids = owner.resolve_partition(record_id, sample_ids)
-    bus.send(owner.party_id, active.party_id, "PARTITION_REPLY", round_id, {
-        "tree": tree_index, "node": node_id, "sample_ids": left_ids,
-    })
-    reply = bus.recv(active.party_id, "PARTITION_REPLY")
-    left = sorted(active.pos_of_id[s] for s in reply.payload["sample_ids"])
-    return np.array(left, dtype=np.int64), round_id
-
-
-def _route_rows(tree: Tree, active: ActiveParty, passives: dict[str, PassiveParty],
-                roster: VflRoster, bus: MessageBus, tree_index: int,
-                round_id: int, positions: np.ndarray, out: np.ndarray) -> int:
-    """Route the training rows at ``positions`` down the tree into ``out``,
-    asking owners of foreign splits to partition; returns the last round
-    id."""
-    aid = roster.active_id
-    stack = [(0, positions)]
-    while stack:
-        node_id, positions = stack.pop()
-        node = tree.nodes[node_id]
-        if node.is_leaf:
-            out[positions] = node.weight
-            continue
-        if node.owner == aid:
-            record = active.records[node.record_id]
-            mask = active.columns[record.feature_local][positions] <= record.bin_index
-            left = positions[mask]
-        else:
-            sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
-            round_id += 1
-            bus.send(aid, node.owner, "SAMPLE_SPACE", round_id, {
-                "tree": tree_index, "node": node_id, "sample_ids": sample_ids,
-            })
-            env = bus.recv(node.owner, "SAMPLE_SPACE")
-            left, round_id = _partition_leg(bus, active, passives[node.owner], node.record_id,
-                                            env.payload["sample_ids"], tree_index, node_id,
-                                            round_id)
-        stack.append((node.left, left))
-        stack.append((node.right, np.setdiff1d(positions, left)))
-    return round_id
-
-
 def vfl_predict(
     trained: VflTrained,
     parts: dict[str, PartyDataset],
@@ -643,15 +606,9 @@ def vfl_predict(
     """Federated inference over vertically-split feature rows.
 
     ``parts`` maps each roster party to its feature slice of the query rows
-    (same sample ids everywhere).  Every (tree, row) pair is one walk, and
-    all walks advance in level-synchronous rounds.  In a round, each live
-    walk first descends through the active party's own splits, locally,
-    until it reaches a leaf or a foreign split.  Each passive party that
-    owns a split some walk waits at then gets one ``INFER_QUERY`` listing
-    those records and, per record, the sample ids waiting there; its one
-    ``INFER_REPLY`` carries one list of bools per record.  The rounds are
-    at most the largest count of foreign splits on one path.  Only leaf
-    weights accumulate here, per row in tree order.
+    (same sample ids everywhere).  Every (tree, row) pair is one walk of
+    :func:`_walk`, and all walks advance in level-synchronous rounds; only
+    leaf weights accumulate here, per row in tree order.
     """
     bus = bus or MessageBus()
     roster = trained.roster
@@ -661,15 +618,39 @@ def vfl_predict(
         if parts[pid].sample_ids.tolist() != ids:
             raise ProtocolError("inference rows are not aligned across parties")
         trained.passives[pid].load_inference_rows(parts[pid].sample_ids, parts[pid].features)
+    leaf_weights, _ = _walk(trained.ensemble.trees, roster, trained.passives,
+                            parts[aid].features, ids, bus, INFER_ROUND_START)
+    # each row's leaf weights add up in tree order
+    margins = [trained.ensemble.base_score_logit] * len(ids)
+    lr = trained.ensemble.params.learning_rate
+    for k, weight in enumerate(leaf_weights):
+        margins[k % len(ids)] += lr * weight
+    return sigmoid(np.array(margins)), bus
 
-    rows = parts[aid].features.tolist()
-    records = trained.active.records
-    # one walk [tree nodes, current node, row, leaf weight] per (tree, row),
-    # tree-major, so each row's leaf weights add up in tree order below
-    walks = [[tree.nodes, tree.nodes[0], i, 0.0]
-             for tree in trained.ensemble.trees for i in range(len(ids))]
+
+def _walk(trees: list[Tree], roster: VflRoster, passives: dict[str, PassiveParty],
+          rows: np.ndarray, ids: list[int], bus: MessageBus,
+          round_id: int) -> tuple[list[float], int]:
+    """The leaf weight of every (tree, row) pair, tree-major, and the last
+    round id: the walk that inference and the training margin update share.
+
+    ``rows`` are the active party's feature rows of the sample ids ``ids``;
+    each passive party holds its own rows of them
+    (:meth:`PassiveParty.load_inference_rows`).  In a round, each live walk
+    first descends through the active party's own splits, locally, until it
+    reaches a leaf or a foreign split.  Each passive party that owns a split
+    some walk waits at then gets one ``INFER_QUERY`` listing those records
+    and, per record, the sample ids waiting there; its one ``INFER_REPLY``
+    carries one list of bools per record.  The rounds are at most the
+    largest count of foreign splits on one path.
+    """
+    aid = roster.active_id
+    # the active party's rows hold its own slice of the roster's features
+    first = roster.feature_slices[aid][0]
+    rows = rows.tolist()
+    # one walk [tree nodes, current node, row, leaf weight] per (tree, row)
+    walks = [[tree.nodes, tree.nodes[0], i, 0.0] for tree in trees for i in range(len(ids))]
     pending = walks
-    round_id = INFER_ROUND_START
     query = 0
     while pending:
         waiting: dict[str, dict[int, list]] = {}  # owner -> record id -> walks
@@ -679,8 +660,7 @@ def vfl_predict(
                 if node.owner != aid:
                     waiting.setdefault(node.owner, {}).setdefault(node.record_id, []).append(walk)
                     break
-                record = records[node.record_id]
-                go_left = rows[i][record.feature_local] <= record.threshold
+                go_left = rows[i][node.feature - first] <= node.threshold
                 node = nodes[node.left if go_left else node.right]
             else:
                 walk[3] = node.weight
@@ -695,8 +675,7 @@ def vfl_predict(
             })
             asked = bus.recv(owner, "INFER_QUERY").payload
             try:
-                answers = trained.passives[owner].answer_query(asked["records"],
-                                                               asked["sample_ids"])
+                answers = passives[owner].answer_query(asked["records"], asked["sample_ids"])
             except ProtocolError as exc:
                 raise ProtocolError(f"INFER_QUERY {asked['query']} to {owner}: {exc}") from None
             bus.send(owner, aid, "INFER_REPLY", round_id, {
@@ -720,9 +699,4 @@ def vfl_predict(
                     node = walk[1]
                     walk[1] = walk[0][node.left if left else node.right]
                     pending.append(walk)
-
-    margins = [trained.ensemble.base_score_logit] * len(ids)
-    lr = trained.ensemble.params.learning_rate
-    for walk in walks:
-        margins[walk[2]] += lr * walk[3]
-    return sigmoid(np.array(margins)), bus
+    return [walk[3] for walk in walks], round_id

@@ -1,12 +1,22 @@
 import json
 import os
+from argparse import Namespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedgbt.cli import main as cli_main
+from fedgbt.cli import _override_config, main as cli_main
 from fedgbt import gbt
-from fedgbt.data import SynthConfig, join_datasets, split_train_valid_test
+from fedgbt.data import (
+    DISTRICT_B_STATS,
+    DistrictSpec,
+    FeatureStats,
+    SynthConfig,
+    join_datasets,
+    split_train_valid_test,
+    synth_config_from_dict,
+)
 from fedgbt.experiment import (
     SCENARIO_HFL,
     SCENARIO_VFL,
@@ -220,6 +230,28 @@ def test_config_validation():
     assert config.synth.seed == 5
 
 
+def test_a_synth_document_keeps_the_defaults_of_every_key_it_leaves_out():
+    assert synth_config_from_dict({}) == SynthConfig()
+    assert synth_config_from_dict({"signal_weights": {}}, seed=4) == SynthConfig(seed=4)
+    doc = {"seed": 2, "noise_scale": 0.1, "label_threshold": 1.5e4, "signal_weights": {"O3": 2.0},
+           "districts": [{"name": "B", "n_samples": 30, "positive_rate": 0.4},
+                         {"name": "C", "n_samples": 20, "positive_rate": 0.5,
+                          "stats": {"O3": [5.0, 4.0, 1.0, 9.0]}}]}
+    synth = synth_config_from_dict(doc, seed=4)
+    assert synth == SynthConfig(
+        districts=(DistrictSpec("B", 30, 0.4, DISTRICT_B_STATS),
+                   DistrictSpec("C", 20, 0.5, {"O3": FeatureStats(5.0, 4.0, 1.0, 9.0)})),
+        signal_weights={"O3": 2.0}, label_threshold=1.5e4, noise_scale=0.1, seed=2)
+    assert config_from_dict({"data": {"synth": doc}}).synth == synth
+
+
+def test_a_seed_override_keeps_every_other_synth_field():
+    synth = replace(small_synth(seed=3), signal_weights={"O3": 2.0}, label_threshold=1.5e4,
+                    noise_scale=0.1, rate_tolerance=0.05)
+    config = _override_config(ExperimentConfig(synth=synth, seed=3), Namespace(seed=9))
+    assert config == ExperimentConfig(synth=replace(synth, seed=9), seed=9)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -335,6 +367,24 @@ def test_cli_evaluate_saved_model(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert 0.0 <= doc["auc"] <= 1.0
+
+
+def test_cli_evaluate_rejects_a_model_that_is_not_a_tree(tmp_path, capsys):
+    config = write_cli_config(tmp_path / "cfg.json", seed=13)
+    out = tmp_path / "m"
+    assert cli_main(["train", "--config", config, "--regime", "centralized",
+                     "--out", str(out)]) == 0
+    assert cli_main(["synth", "--seed", "13", "--out", str(tmp_path)]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    nodes = doc["trees"][0]["nodes"]
+    split = next(n for n in nodes if not n["leaf"])
+    split["right"] = split["left"]  # one child twice, the other orphaned
+    (out / "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_main(["evaluate", "--model", str(out / "model.json"),
+                     "--data", str(tmp_path / "district_A.csv")])
+    assert code == 2
+    assert "not each the child of exactly one split" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_1():

@@ -41,6 +41,7 @@ from fedgbt.gbt import (
     soft_threshold,
     train_centralized,
     tree_leaf_weights_binned,
+    tree_from_dicts,
     tree_row_sample,
 )
 from fedgbt.paillier import EncodingError
@@ -856,6 +857,36 @@ def test_model_json_roundtrip():
     restored = model_from_json(model_to_json(model))
     assert model_to_json(restored) == model_to_json(model)
     np.testing.assert_allclose(predict_margin(restored, X), predict_margin(model, X))
+
+
+def _split(node_id, left, right):
+    return {"id": node_id, "leaf": False, "feature": 0, "bin": 1, "left": left, "right": right}
+
+
+def _leaf(node_id):
+    return {"id": node_id, "leaf": True, "weight": 0.5}
+
+
+@pytest.mark.parametrize("docs, match", [
+    ([], r"node ids \[\] are not 0..n-1"),
+    ([_split(0, 1, 2), _leaf(1), _leaf(1)], r"node ids \[0, 1, 1\]"),
+    ([_split(0, 1, 3), _leaf(1), _leaf(3)], r"node ids \[0, 1, 3\]"),
+    ([_split(0, 1, 3), _leaf(1), _leaf(2)], r"node 0 has children 1 and 3, not ids in \(0, 3\)"),
+    ([_split(0, 1, 2), _split(1, 0, 2), _leaf(2)], "node 1 has children 0 and 2"),
+    ([_split(0, 1, 1), _leaf(1), _leaf(2)], r"nodes \[1, 2\] are not each the child"),
+    ([_split(0, 1, 2), _split(1, 2, 3), _leaf(2), _leaf(3)], r"nodes \[2\] are not each"),
+    ([_split(0, 1, 2), _leaf(1), _leaf(2), _leaf(3)], r"nodes \[3\] are not each"),
+], ids=["empty", "duplicate-id", "id-gap", "dangling-child", "child-below-parent",
+        "one-child-twice", "two-parents", "orphan"])
+def test_tree_from_dicts_rejects_a_document_that_is_not_a_tree(docs, match):
+    with pytest.raises(TrainingError, match=match):
+        tree_from_dicts(docs)
+
+
+def test_tree_from_dicts_takes_any_order():
+    tree = tree_from_dicts([_leaf(2), _split(0, 1, 2), _leaf(1)])
+    assert [n.node_id for n in tree.nodes] == [0, 1, 2]
+    assert (tree.nodes[0].left, tree.nodes[0].right) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

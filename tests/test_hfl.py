@@ -2,6 +2,7 @@ import copy
 import re
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fedgbt.gbt import (
     compute_binning,
     logistic_gradients,
     model_to_json,
+    node_to_dict,
     quantize,
     train_centralized,
 )
@@ -32,6 +34,7 @@ from fedgbt.hfl import (
     MASK_ONLY_MODULUS,
     SECAGG_MASK_ONLY,
     SECAGG_PAILLIER,
+    HflClient,
     MaskedEncHistogram,
     ProtocolError,
     _add_pairwise_masks,
@@ -824,11 +827,11 @@ def _train_with(bus):
 
 def test_clients_partition_by_the_broadcast_they_receive():
     def move_first_split(payload):
-        split = next(d for d in payload["decisions"] if d["action"] == "split")
+        split = next(d for d in payload["decisions"] if not d["leaf"])
         split["bin"] = 7  # every sample of this client goes left
 
     bus = _TamperOnce("SPLIT_BROADCAST",
-                      lambda to, p: to == "c1" and any(d["action"] == "split"
+                      lambda to, p: to == "c1" and any(not d["leaf"]
                                                        for d in p["decisions"]),
                       move_first_split)
     with pytest.raises(ProtocolError, match="partition mismatch"):
@@ -883,8 +886,8 @@ def test_clients_submit_the_smaller_child():
     for env in bus.transcript:
         if env.msg_type == "SPLIT_BROADCAST" and env.recipient == "c0":
             depth, tree = env.payload["depth"], env.payload["tree"]
-            for d in (d for d in env.payload["decisions"] if d["action"] == "split"):
-                left, right = sizes[tree, d["node"]]
+            for d in (d for d in env.payload["decisions"] if not d["leaf"]):
+                left, right = sizes[tree, d["id"]]
                 if depth + 1 < 3 and max(left, right) >= 2:  # max_depth 3
                     assert d["submit"] == (d["left"] if left <= right else d["right"])
                     asked.setdefault(tree, []).append(d["submit"])
@@ -914,7 +917,7 @@ def test_each_client_submits_a_levels_nodes_in_broadcast_order():
         if env.msg_type == "SPLIT_BROADCAST":
             asked.setdefault(env.recipient, []).append(
                 [d["submit"] for d in env.payload["decisions"]
-                 if d["action"] == "split" and d["submit"] is not None])
+                 if not d["leaf"] and d["submit"] is not None])
         if env.msg_type == "HISTOGRAM_SUBMIT":
             submitted.setdefault((env.sender, env.round_id), []).append(env.payload["node"])
     for cid in roster.client_ids:
@@ -926,7 +929,7 @@ def test_each_client_submits_a_levels_nodes_in_broadcast_order():
 def test_a_split_broadcast_asking_for_a_non_child_is_rejected():
     def ask_for_the_parent(payload):
         split = next(d for d in payload["decisions"] if d.get("submit") is not None)
-        split["submit"] = split["node"]
+        split["submit"] = split["id"]
 
     bus = _TamperOnce("SPLIT_BROADCAST",
                       lambda to, p: to == "c1" and any(d.get("submit") is not None
@@ -948,14 +951,52 @@ def test_a_partition_report_naming_another_node_is_rejected():
 
 def test_a_split_broadcast_naming_a_node_without_samples_is_rejected():
     def rename_first_split(payload):
-        next(d for d in payload["decisions"] if d["action"] == "split")["node"] = 99
+        next(d for d in payload["decisions"] if not d["leaf"])["id"] = 99
 
     bus = _TamperOnce("SPLIT_BROADCAST",
-                      lambda to, p: to == "c1" and any(d["action"] == "split"
+                      lambda to, p: to == "c1" and any(not d["leaf"]
                                                        for d in p["decisions"]),
                       rename_first_split)
     with pytest.raises(ProtocolError, match="SPLIT_BROADCAST to c1 splits node 99"):
         _train_with(bus)
+
+
+@pytest.mark.parametrize("change", ["drop", "duplicate"])
+def test_a_split_broadcast_with_a_leaf_dropped_or_duplicated_is_rejected(change):
+    def edit(payload):
+        decisions = payload["decisions"]
+        k = next(i for i, d in enumerate(decisions) if d["leaf"])
+        decisions[k:k + 1] = [] if change == "drop" else [decisions[k]] * 2
+
+    bus = _TamperOnce("SPLIT_BROADCAST",
+                      lambda to, p: to == "c1" and any(d["leaf"] for d in p["decisions"]), edit)
+    with pytest.raises(ProtocolError) as raised:
+        _train_with(bus)
+    tree = bus.tampered[1]["tree"]
+    assert f"the SPLIT_BROADCASTs to c1 for tree {tree} do not form a tree: tree node ids" in str(
+        raised.value)
+
+
+@pytest.mark.parametrize("change", [{"subsample": 0.7}, {"max_depth": 0}])
+def test_every_client_assembles_the_servers_tree(monkeypatch, change):
+    assembled = {}  # (client, tree) -> the tree its broadcasts built
+    finish_tree = HflClient.finish_tree
+
+    def kept(self, tree_index):
+        assembled[self.client_id, tree_index] = finish_tree(self, tree_index)
+        return assembled[self.client_id, tree_index]
+
+    monkeypatch.setattr(HflClient, "finish_tree", kept)
+    roster, parties = _tamper_roster()
+    params = GbtParams(n_estimators=3, max_depth=3, max_bin=8, reg_lambda=1.0).replace(**change)
+    ensemble, _ = hfl_train(roster, parties, params, seed=2)
+    assert len(assembled) == len(roster.client_ids) * 3
+    for (_, t), tree in assembled.items():
+        # the broadcast documents name no owner: every split is the server's
+        assert [node_to_dict(n) for n in tree.nodes] == [
+            node_to_dict(replace(n, owner="")) for n in ensemble.trees[t].nodes]
+    sizes = {len(t.nodes) for t in ensemble.trees}
+    assert (sizes == {1}) if change.get("max_depth") == 0 else (min(sizes) > 1)
 
 
 def _first_child_submission(to, payload):

@@ -11,7 +11,8 @@ is spelled only as ``GRAD_SCALE_BITS``, the int64 capacity only as
 ``FLOAT64_MODULUS``.  The protocol modules draw mask material only from
 ``fedgbt.seeding``: neither imports ``hashlib``.  One slot layout,
 ``PackedLayout``, is defined in ``gbt.py`` alone, and both protocol modules
-import it from there.
+import it from there.  One serializer writes tree-node documents: outside
+``gbt.py`` no module builds a dict with a ``"leaf"`` key.
 """
 
 import ast
@@ -234,3 +235,39 @@ def test_the_layout_guard_sees_a_second_definition(tmp_path):
     vfl.write_text(vfl.read_text().replace("    PackedLayout,\n", "", 1)
                    + "\n\n@dataclass(frozen=True)\nclass PackedLayout:\n    offset: int\n")
     assert _layout_homes(tmp_path) == (["gbt.py", "vfl.py"], ["vfl.py"])
+
+
+def _node_documents(src: Path) -> list[str]:
+    """Places in modules under ``src``, ``gbt.py`` aside, that build a dict
+    with a ``"leaf"`` key: a dict display or a ``dict(leaf=...)`` call."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gbt.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Dict):
+                keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+                keys = [kw.arg for kw in node.keywords]
+            else:
+                continue
+            if "leaf" in keys:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_gbt_writes_tree_node_documents():
+    found = _node_documents(SRC)
+    assert not found, "tree-node documents outside gbt.node_to_dict: " + ", ".join(found)
+
+
+def test_the_node_document_guard_sees_a_second_serializer(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    assert _node_documents(tmp_path) == []
+    hfl = tmp_path / "hfl.py"
+    source = hfl.read_text()
+    hfl.write_text(source + '\n\ndef _leaf_doc(node):\n    return {"id": node.node_id, "leaf": True}\n'
+                   '\n\ndef _split_doc(node):\n    return dict(id=node.node_id, leaf=False)\n')
+    lines = len(source.splitlines())
+    assert _node_documents(tmp_path) == [f"hfl.py:{lines + 4}", f"hfl.py:{lines + 8}"]

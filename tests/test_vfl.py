@@ -368,14 +368,19 @@ def test_single_party_roster_equals_centralized():
 
 
 def foreign_path_nodes(trained, parts, row, tree):
-    """The foreign internal nodes on one row's path, walked with every
-    owner's own split record."""
+    """The foreign internal nodes on one row's path, walked with the active
+    party's thresholds on the tree nodes and each passive owner's own split
+    record."""
     node, foreign = tree.nodes[0], 0
     while not node.is_leaf:
-        owner = trained.active if node.owner == "active" else trained.passives[node.owner]
-        record = owner.records[node.record_id]
-        foreign += node.owner != "active"
-        go_left = parts[node.owner].features[row, record.feature_local] <= record.threshold
+        if node.owner == "active":
+            feature = trained.roster.to_local("active", node.feature)
+            threshold = node.threshold
+        else:
+            record = trained.passives[node.owner].records[node.record_id]
+            feature, threshold = record.feature_local, record.threshold
+            foreign += 1
+        go_left = parts[node.owner].features[row, feature] <= threshold
         node = tree.nodes[node.left if go_left else node.right]
     return foreign
 
@@ -399,6 +404,27 @@ def test_inference_message_count_bounded_by_foreign_path_nodes():
     assert asked, "some row must pass a foreign split"
 
 
+def test_a_split_notice_missing_a_left_going_id_is_rejected():
+    datasets, X, y = vertical_fixture(40, 2, 2, seed=14)
+    roster = make_vfl_roster("active", datasets)
+    params = small_params(n_estimators=1)
+    _, clean = vfl_train(roster, datasets, params, seed=8, key_bits=256)
+    reply = next(e for e in clean.transcript if e.msg_type == "PARTITION_REPLY")
+    tree, node = reply.payload["tree"], reply.payload["node"]
+    dropped = reply.payload["sample_ids"][0]
+
+    class _DropOneId(MessageBus):
+        def send(self, sender, recipient, msg_type, round_id, payload):
+            if msg_type == "SPLIT_NOTICE" and (payload["tree"], payload["node"]) == (tree, node):
+                payload = {**payload, "sample_ids": [s for s in payload["sample_ids"]
+                                                     if s != dropped]}
+            return super().send(sender, recipient, msg_type, round_id, payload)
+
+    with pytest.raises(ProtocolError, match=f"PARTITION_REPLY from {reply.sender} for tree "
+                                            f"{tree}, node {node}: the left side disagrees"):
+        vfl_train(roster, datasets, params, seed=8, bus=_DropOneId(), key_bits=256)
+
+
 def test_subsampled_training_equals_centralized_and_routes_only_unsampled_rows():
     datasets, X, y = vertical_fixture(60, 2, 3, seed=25)
     params = small_params(n_estimators=3, subsample=0.6)
@@ -409,15 +435,15 @@ def test_subsampled_training_equals_centralized_and_routes_only_unsampled_rows()
         [(n.is_leaf, n.feature, n.bin_index, n.weight) for n in t.nodes] for t in central.trees]
     probs, _ = vfl_predict(trained, datasets)
     np.testing.assert_array_equal(probs, predict_proba(central, X))
-    # a routing query is a SAMPLE_SPACE answered by a PARTITION_REPLY; after
-    # each tree, only the rows its sample left out are routed
+    # training routes rows with INFER_QUERY rounds; after each tree, only
+    # the rows its sample left out are routed
     sample, routed = set(), 0
-    for env, reply in zip(bus.transcript, bus.transcript[1:]):
+    for env in bus.transcript:
         if env.msg_type == "GRADIENT_BROADCAST":
             sample = {int(s) for s in env.payload["enc_g"]}
-        elif env.msg_type == "SAMPLE_SPACE" and reply.msg_type == "PARTITION_REPLY":
+        elif env.msg_type == "INFER_QUERY":
             routed += 1
-            assert not sample & set(env.payload["sample_ids"])
+            assert not sample & {s for ids in env.payload["sample_ids"] for s in ids}
     assert routed, "the run must route rows through a foreign split"
 
 
@@ -622,7 +648,7 @@ class _FlipOneCiphertext(MessageBus):
 
     def send(self, sender, recipient, msg_type, round_id, payload):
         if msg_type == "SAMPLE_SPACE":
-            self.slots[recipient] = payload.get("slots")
+            self.slots[recipient] = payload["slots"]
         if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
             bins = [i for i, c in enumerate(payload["counts"]) if (c == 0) == self.empty_bin]
             if bins:
@@ -801,9 +827,8 @@ def test_scores_equal_the_joint_model_on_rows_at_split_thresholds(two_passive_mo
     roster = trained.roster
     trees = copy.deepcopy(trained.ensemble.trees)
     splits = [n for t in trees for n in t.nodes if not n.is_leaf]
-    for node in splits:
-        owner = trained.active if node.owner == "active" else trained.passives[node.owner]
-        node.threshold = owner.records[node.record_id].threshold
+    for node in (n for n in splits if n.owner != "active"):
+        node.threshold = trained.passives[node.owner].records[node.record_id].threshold
     joint = BoostedEnsemble(trees=trees, params=params,
                             base_score_logit=trained.ensemble.base_score_logit,
                             feature_names=roster.feature_names)
@@ -1119,7 +1144,7 @@ class _RewriteFolds(MessageBus):
         self.tampered = None
 
     def send(self, sender, recipient, msg_type, round_id, payload):
-        if msg_type == "SAMPLE_SPACE" and "slots" in payload:
+        if msg_type == "SAMPLE_SPACE":
             self.asked[recipient] = len(payload["sample_ids"]), payload["slots"]
         if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
             pk, sk = self.key
