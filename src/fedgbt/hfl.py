@@ -92,7 +92,7 @@ from .paillier import (
     int_to_hex,
     keygen,
 )
-from .seeding import derive_seed, derive_uniform_int, expand_mask_words
+from .seeding import derive_seed, derive_uniform_int, expand_mask_words, mask_word_bytes
 from .transport import MessageBus
 
 SECAGG_PAILLIER = "paillier+mask"
@@ -227,13 +227,15 @@ def _add_pairwise_masks(roster: HflRoster, client_id: str, modulus: int, plains:
     individual submission.
     """
     total = plains
+    size = mask_word_bytes(modulus)
     for other in roster.client_ids:
         if other == client_id:
             continue
         seed = roster.pair_seed(client_id, other)
         words = expand_mask_words(modulus, len(plains), "packmask", seed, *label)
         sign = 1 if client_id < other else -1
-        total = [t + sign * derive_uniform_int(modulus, words, i) for i, t in enumerate(total)]
+        total = [t + sign * derive_uniform_int(modulus, words, i, size)
+                 for i, t in enumerate(total)]
     return [t % modulus for t in total]
 
 

@@ -12,9 +12,11 @@ modulo n, and a signed sum comes back through ``decrypt``'s ``bound``.
 
 Encryption draws its obfuscator from a fixed public base, in the manner of
 Damgård, Jurik and Nielsen (2010): ``r^n`` becomes ``h_s^a`` with a
-full-length exponent ``a``, and each public key precomputes the powers of
-``h_s`` once, so an encryption costs about a hundred modular multiplications
-instead of one full-size exponentiation.
+full-length exponent ``a``.  Each key object precomputes a Lim-Lee comb of
+``h_s`` once (Lim and Lee, CRYPTO '94; :class:`FixedBaseComb`): 8 rows of
+256 powers.  At a 512-bit key an encryption then costs 9 squarings and 80
+products modulo ``n^2`` instead of one full-size exponentiation, and the key
+holder's, modulo ``p^2`` and ``q^2``, 3 squarings and 32 products per prime.
 
 All structures are immutable and safe to share between concurrently running
 parties.  When ``rng`` / ``rng_seed`` arguments are supplied, key generation
@@ -29,6 +31,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
     import gmpy2
@@ -60,8 +64,12 @@ except ImportError:  # pragma: no cover
         while d % 2 == 0:
             d //= 2
             s += 1
-        # Fixed-base Miller-Rabin; 40 small-prime bases keep the error
-        # probability far below 2^-80 for the key sizes used here.
+        # Miller-Rabin with 82 fixed bases: the 12 small primes, then every
+        # odd number from 41 to 179, composites such as 45 and 49 included.
+        # A composite passes a round at a random base with probability at
+        # most 1/4, so 82 random bases would err below 4^-82 = 2^-164.  The
+        # bases are fixed, so that bound carries over only heuristically,
+        # to the random candidates keygen draws, not to a chosen composite.
         for a in _SMALL_PRIMES + list(range(41, 180, 2)):
             x = pow(a, d, n)
             if x in (1, n - 1):
@@ -83,9 +91,6 @@ class EncodingError(ValueError):
     """Value outside the admissible plaintext or fixed-point range."""
 
 
-# Exponent bits per row of the fixed-base table: a row holds 2^6 powers, and
-# an encryption multiplies one entry per row.
-OBFUSCATOR_WINDOW_BITS = 6
 # The obfuscator exponent has n.bit_length() + 128 bits, so ``a`` reduced
 # modulo the order of h (below n) is within 2^-128 of uniform.
 OBFUSCATOR_SLACK_BITS = 128
@@ -107,31 +112,55 @@ def _obfuscator_base(n: int) -> int:
         counter += 1
 
 
-def _window_table(base: int, mod: int, bits: int) -> tuple[tuple[int, ...], ...]:
-    """Row ``i`` holds ``base^(d * 2^(6i)) mod mod`` for every 6-bit digit
-    ``d``, enough rows for exponents below ``2^bits``."""
-    step = base % mod
-    rows = []
-    for _ in range(-(-bits // OBFUSCATOR_WINDOW_BITS)):
-        row = [1, step]
-        for _ in range(2, 1 << OBFUSCATOR_WINDOW_BITS):
-            row.append(row[-1] * step % mod)
-        rows.append(tuple(row))
-        step = row[-1] * step % mod
-    return tuple(rows)
+@dataclass(frozen=True)
+class FixedBaseComb:
+    """Powers of one base from a Lim-Lee comb (Lim and Lee, CRYPTO '94).
 
+    An exponent of at most ``64 * steps`` bits is read as 8 teeth of 8
+    blocks of ``steps`` bits: bit ``(8i + j) * steps + k`` is step ``k`` of
+    block ``j`` of tooth ``i``.  ``rows[j][u]`` is the product of
+    ``base^(2^((8i + j) * steps))`` over the set bits ``i`` of the 8-bit
+    digit ``u``, so a power costs ``steps - 1`` squarings and one product
+    per block and step.
+    """
 
-def _window_power(table: tuple[tuple[int, ...], ...], a: int, mod: int) -> int:
-    """``base^a mod mod`` from a :func:`_window_table`, one multiplication per
-    nonzero 6-bit digit of ``a``."""
-    mask = (1 << OBFUSCATOR_WINDOW_BITS) - 1
-    acc = 1
-    for row in table:
-        digit = a & mask
-        if digit:
-            acc = acc * row[digit] % mod
-        a >>= OBFUSCATOR_WINDOW_BITS
-    return acc
+    mod: int
+    steps: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def build(cls, base: int, mod: int, bits: int) -> FixedBaseComb:
+        """The comb of ``base`` modulo ``mod`` for exponents of ``bits`` bits:
+        ``63 * steps`` squarings and 8 rows of 256 entries."""
+        steps = -(-bits // 64)
+        powers = [base % mod]  # powers[8i + j] = base^(2^((8i + j) * steps))
+        for _ in range(63):
+            x = powers[-1]
+            for _ in range(steps):
+                x = x * x % mod
+            powers.append(x)
+        rows = []
+        for j in range(8):
+            row = [1]
+            for i in range(8):
+                row += [x * powers[8 * i + j] % mod for x in row]
+            rows.append(tuple(row))
+        return cls(mod, steps, tuple(rows))
+
+    def power(self, a: int) -> int:
+        """``base^a mod mod`` for ``a >= 0`` of at most ``64 * steps`` bits."""
+        if a >> (64 * self.steps):
+            raise ValueError(f"exponent outside [0, 2^{64 * self.steps})")
+        # one bit transpose: digit (j, k) gathers step k of block j of every tooth
+        bits = np.unpackbits(np.frombuffer(a.to_bytes(8 * self.steps, "little"), np.uint8),
+                             bitorder="little").reshape(8, 8, self.steps)
+        digits = np.packbits(bits, axis=0, bitorder="little")[0]
+        acc, mod = 1, self.mod
+        for column in digits.T[::-1].tolist():
+            acc = acc * acc % mod
+            for row, digit in zip(self.rows, column):
+                acc = acc * row[digit] % mod
+        return acc
 
 
 @dataclass(frozen=True)
@@ -158,20 +187,19 @@ class PublicKey:
         return self.n.bit_length() + OBFUSCATOR_SLACK_BITS
 
     @cached_property
-    def obfuscator_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row ``i`` holds ``h_s^(d * 2^(6i)) mod n^2`` for every 6-bit digit
-        ``d``, with ``h_s = h^n mod n^2``.
+    def obfuscator_table(self) -> FixedBaseComb:
+        """The comb of ``h_s = h^n mod n^2``.
 
-        Built on first use, once per key object: about 107 rows of 64 powers
-        at a 512-bit key.
+        Built on first use, once per key object: 8 rows of 256 powers, and
+        10 steps at a 512-bit key.
         """
         h_s = _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
-        return _window_table(h_s, self.n_squared, self.obfuscator_bits)
+        return FixedBaseComb.build(h_s, self.n_squared, self.obfuscator_bits)
 
     def obfuscator(self, a: int) -> int:
-        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``, one table
-        entry per nonzero 6-bit digit of ``a``."""
-        return _window_power(self.obfuscator_table, a, self.n_squared)
+        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``: at a 512-bit
+        key, 9 squarings and 80 table products."""
+        return self.obfuscator_table.power(a)
 
 
 @dataclass(frozen=True)
@@ -195,18 +223,19 @@ class PrivateKey:
     q_inv: int
 
     @cached_property
-    def obfuscator_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Fixed-base tables of ``h_s`` modulo ``p^2`` and modulo ``q^2``.
+    def obfuscator_tables(self) -> tuple[FixedBaseComb, FixedBaseComb]:
+        """The combs of ``h_s`` modulo ``p^2`` and modulo ``q^2``.
 
         ``h_s = h^n`` is a ``p``-th power modulo ``p^2``, so its order there
-        divides ``p - 1``: an exponent reduced modulo ``p - 1`` needs rows
-        for ``p.bit_length()`` bits only, about 43 at a 512-bit key, and each
+        divides ``p - 1``: an exponent reduced modulo ``p - 1`` needs a comb
+        for ``p.bit_length()`` bits only, 4 steps at a 512-bit key, and each
         product is half as wide as one modulo ``n^2``.  Likewise for ``q``.
         Built on first use, once per key object.
         """
         n = self.p * self.q
         h = _obfuscator_base(n)
-        return tuple(_window_table(_powmod(h, n, prime_squared), prime_squared, prime.bit_length())
+        return tuple(FixedBaseComb.build(_powmod(h, n, prime_squared), prime_squared,
+                                         prime.bit_length())
                      for prime, prime_squared in ((self.p, self.p_squared),
                                                   (self.q, self.q_squared)))
 
@@ -217,10 +246,10 @@ class PrivateKey:
 
     def obfuscator(self, a: int) -> int:
         """``h_s^a mod n^2``, the value :meth:`PublicKey.obfuscator` gives,
-        from the per-prime tables joined by the Chinese remainder theorem."""
+        from the per-prime combs joined by the Chinese remainder theorem."""
         table_p, table_q = self.obfuscator_tables
-        xp = _window_power(table_p, a % (self.p - 1), self.p_squared)
-        xq = _window_power(table_q, a % (self.q - 1), self.q_squared)
+        xp = table_p.power(a % (self.p - 1))
+        xq = table_q.power(a % (self.q - 1))
         return xq + (xp - xq) * self.q_squared_inv % self.p_squared * self.q_squared
 
 
@@ -321,7 +350,7 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
 
     Without ``r``, the obfuscator is ``h_s^a = (h^a)^n`` with ``a`` drawn
     from ``rng`` (the system CSPRNG when None), computed from the key's
-    fixed-base table; that is ``r = h^a mod n``.  Security rests on the
+    fixed-base comb; that is ``r = h^a mod n``.  Security rests on the
     decisional composite residuosity assumption, as for textbook Paillier,
     with ``r`` statistically close to uniform over the subgroup generated
     by ``h`` (Damgård-Jurik-Nielsen 2010).  The exponent is full length;
@@ -330,7 +359,7 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
     ``r^n``.
 
     The key holder may pass its own ``sk``: ``h_s^a`` then comes from the
-    per-prime tables (:meth:`PrivateKey.obfuscator`), about three times
+    per-prime combs (:meth:`PrivateKey.obfuscator`), about three times
     faster, and the same ``rng`` state gives the same ciphertext.
     """
     if not 0 <= m < pk.n:

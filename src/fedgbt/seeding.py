@@ -29,8 +29,7 @@ def expand_mask_words(modulus: int, n: int, *parts) -> bytes:
     return hashlib.shake_256(material).digest(n * mask_word_bytes(modulus))
 
 
-def derive_uniform_int(modulus: int, words: bytes, i: int) -> int:
+def derive_uniform_int(modulus: int, words: bytes, i: int, size: int) -> int:
     """Word ``i`` of an expansion of :func:`expand_mask_words`, a uniform
-    residue mod ``modulus``."""
-    size = mask_word_bytes(modulus)
+    residue mod ``modulus``; ``size`` is ``mask_word_bytes(modulus)``."""
     return int.from_bytes(words[i * size:(i + 1) * size], "big") % modulus

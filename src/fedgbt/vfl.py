@@ -24,7 +24,7 @@ passive party answers from its own rows of those ids.
 
 The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
-key's per-prime tables.  A passive party folds each run of ``slots`` bin
+key's per-prime combs.  A passive party folds each run of ``slots`` bin
 sums into one ciphertext by Horner's rule, ``c <- c**(2**w) * c_next``
 (cipher compression, after SecureBoost+), with the shared
 :class:`fedgbt.gbt.PackedLayout` (:func:`histogram_layout`): a bin of a node
@@ -481,6 +481,7 @@ def vfl_train(
                 else:
                     # the owner stores the split and partitions the sample
                     # ids its notice carries
+                    noticed = active.dataset.sample_ids[positions].tolist()
                     round_id += 1
                     bus.send(aid, owner, "SPLIT_NOTICE", round_id, {
                         "tree": t,
@@ -488,7 +489,7 @@ def vfl_train(
                         "record": node.record_id,
                         "feature_local": local_feature,
                         "bin": node.bin_index,
-                        "sample_ids": active.dataset.sample_ids[positions].tolist(),
+                        "sample_ids": noticed,
                     })
                     notice = bus.recv(owner, "SPLIT_NOTICE").payload
                     passive = passives[owner]
@@ -499,16 +500,18 @@ def vfl_train(
                         "sample_ids": passive.resolve_partition(notice["record"],
                                                                 notice["sample_ids"]),
                     })
-                    reply = bus.recv(aid, "PARTITION_REPLY").payload
-                    left = np.array(sorted(active.pos_of_id[s] for s in reply["sample_ids"]),
-                                    dtype=np.int64)
+                    reply = bus.recv(aid, "PARTITION_REPLY").payload["sample_ids"]
+                    where = f"PARTITION_REPLY from {owner} for tree {t}, node {node.node_id}"
+                    if len(set(reply)) != len(reply) or not set(reply) <= set(noticed):
+                        raise ProtocolError(f"{where}: the ids are not a duplicate-free subset "
+                                            "of the notice's")
+                    left = np.array(sorted(active.pos_of_id[s] for s in reply), dtype=np.int64)
                     # leaf weights come from the split's sums: the reply must
                     # agree with them on this party's own gradients
                     if (int(active.g[left].sum()), int(active.h[left].sum()),
                             left.size) != stats[node.left]:
-                        raise ProtocolError(f"PARTITION_REPLY from {owner} for tree {t}, node "
-                                            f"{node.node_id}: the left side disagrees with "
-                                            "the split's sums")
+                        raise ProtocolError(f"{where}: the left side disagrees with the "
+                                            "split's sums")
                 node_positions[node.left] = left
                 node_positions[node.right] = np.setdiff1d(positions, left)
                 # each wanted child is exchanged right after its parent's partition

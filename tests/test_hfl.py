@@ -265,7 +265,7 @@ def test_mask_streams_cancel_and_change_with_every_label_part(mask_fixture, n_cl
     assert 8 * size - 8 < ring.bit_length() + 128 <= 8 * size
     words = expand_mask_words(ring, n, "packmask", 7, "s3:t1", node, "g")
     assert len(words) == n * size
-    assert [derive_uniform_int(ring, words, i) for i in range(n)] == [
+    assert [derive_uniform_int(ring, words, i, size) for i in range(n)] == [
         int.from_bytes(words[i * size:(i + 1) * size], "big") % ring for i in range(n)]
 
     # a zero histogram packs the same residues in both streams and every

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from fedgbt import paillier
 from fedgbt.gbt import GRAD_SCALE_BITS, quantize
 from fedgbt.paillier import (
-    OBFUSCATOR_WINDOW_BITS,
     Ciphertext,
     EncodingError,
+    FixedBaseComb,
     PublicKey,
     aggregate,
     decrypt,
@@ -138,25 +138,73 @@ def _h_s(pk):
     return pow(paillier._obfuscator_base(pk.n), pk.n, pk.n_squared)
 
 
-_EXPONENT_BITS = 512 + 128
-_single_window = st.builds(lambda d, i: d << (OBFUSCATOR_WINDOW_BITS * i),
-                           st.integers(1, 2**OBFUSCATOR_WINDOW_BITS - 1),
-                           st.integers(0, _EXPONENT_BITS // OBFUSCATOR_WINDOW_BITS),
-                           ).filter(lambda a: a < 2**_EXPONENT_BITS)
+@pytest.fixture(scope="session")
+def comb_keypairs():
+    """Keypairs by size, each with its ``h_s``."""
+    pairs = {bits: keygen(key_bits=bits, rng_seed=bits) for bits in (16, 128, 512, 2048)}
+    return {bits: (pk, sk, _h_s(pk)) for bits, (pk, sk) in pairs.items()}
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(st.integers(min_value=0, max_value=2**_EXPONENT_BITS - 1), _single_window))
-@example(0)
-@example(2**_EXPONENT_BITS - 1)
-@example(1)
-@example(2**OBFUSCATOR_WINDOW_BITS - 1)
-@example(37 << (5 * OBFUSCATOR_WINDOW_BITS))
-@example(2**(_EXPONENT_BITS - 1))
-def test_fixed_base_table_power_matches_pow(keypair_512, a):
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 128, 512, 2048]), st.integers(min_value=0, max_value=2**2176),
+       st.integers(min_value=0, max_value=2**2176 - 1))
+@example(512, 2**2176, 0)
+@example(16, 2**2176, 2**2176 - 1)
+@example(128, 2**2176, 2**2176 - 1)
+@example(512, 2**2176, 2**2176 - 1)
+@example(2048, 2**2176, 2**2176 - 1)
+def test_fixed_base_table_power_matches_pow(comb_keypairs, key_bits, length_share, raw):
+    pk, sk, h_s = comb_keypairs[key_bits]
+    # exponents of every length up to the full one, most not a multiple of 64
+    length = pk.obfuscator_bits * length_share // 2**2176
+    a = raw % 2**length
+    assert pk.obfuscator(a) == sk.obfuscator(a) == pow(h_s, a, pk.n_squared)
+    for comb, prime in zip(sk.obfuscator_tables, (sk.p, sk.q)):
+        assert comb.power(a % (prime - 1)) == pow(h_s, a % (prime - 1), prime * prime)
+
+
+def _check_every_comb_position(comb):
+    """Every single-bit exponent, at each (tooth, block, step), and every
+    full digit, at each (block, step), against repeated squaring."""
+    base, steps = comb.rows[0][1], comb.steps
+    assert len(comb.rows) == 8 and all(len(row) == 256 for row in comb.rows)
+    squares = [base]
+    for _ in range(64 * steps - 1):
+        squares.append(squares[-1] ** 2 % comb.mod)
+    for tooth in range(8):
+        for block in range(8):
+            for step in range(steps):
+                bit = (8 * tooth + block) * steps + step
+                assert comb.power(1 << bit) == squares[bit]
+    for block in range(8):
+        for step in range(steps):
+            bits = [(8 * tooth + block) * steps + step for tooth in range(8)]
+            assert comb.power(sum(1 << b for b in bits)) == math.prod(
+                squares[b] for b in bits) % comb.mod
+
+
+@pytest.mark.parametrize("key_bits", [16, 512])
+def test_fixed_base_table_power_at_every_comb_position(comb_keypairs, key_bits):
+    pk, sk, h_s = comb_keypairs[key_bits]
+    assert pk.obfuscator_table.rows[0][1] == h_s
+    for comb in (pk.obfuscator_table, *sk.obfuscator_tables):
+        _check_every_comb_position(comb)
+
+
+@pytest.mark.parametrize("bits", [1, 63, 64, 65, 100, 200])
+def test_an_exponent_at_or_above_the_combs_range_raises(keypair_512, bits):
     pk, _ = keypair_512
-    assert pk.obfuscator_bits == _EXPONENT_BITS
-    assert pk.obfuscator(a) == pow(_h_s(pk), a, pk.n_squared)
+    comb = FixedBaseComb.build(3, pk.n_squared, bits)
+    capacity = 64 * comb.steps
+    assert capacity - 64 < bits <= capacity
+    assert comb.power(2**capacity - 1) == pow(3, 2**capacity - 1, pk.n_squared)
+    for a in (2**capacity, 2**capacity + 1, 2**(capacity + 64) - 1, -1):
+        with pytest.raises(ValueError):
+            comb.power(a)
+    # at a 512-bit key the public comb's range is exactly the drawn exponent's
+    assert 64 * pk.obfuscator_table.steps == pk.obfuscator_bits
+    with pytest.raises(ValueError):
+        pk.obfuscator(2**pk.obfuscator_bits)
 
 
 class _RecordingRandom(random.Random):
@@ -187,7 +235,8 @@ def test_obfuscator_base_is_a_public_unit(key_bits):
     assert 1 < h < pk.n - 1
     assert math.gcd(h, pk.n) == 1
     assert paillier._obfuscator_base(pk.n) == h
-    assert pk.obfuscator_table[0][1] == _h_s(pk)
+    assert pk.obfuscator_table.rows[0][1] == _h_s(pk)
+    assert pk.obfuscator_table.mod == pk.n_squared
 
 
 def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
@@ -205,7 +254,8 @@ def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
     assert builds == [n, n]
     assert first.obfuscator_table is not second.obfuscator_table
     assert first.obfuscator_table == second.obfuscator_table
-    assert len(first.obfuscator_table) == -(-(n.bit_length() + 128) // OBFUSCATOR_WINDOW_BITS)
+    assert first.obfuscator_table.steps == -(-(n.bit_length() + 128) // 64) == 10
+    assert [len(row) for row in first.obfuscator_table.rows] == [256] * 8
 
 
 @pytest.mark.parametrize("random_g", [False, True])
@@ -360,7 +410,9 @@ def test_private_key_obfuscator_equals_the_public_table(keypair_512, monkeypatch
     for a in (0, 1, sk.p - 1, sk.q - 1, (sk.p - 1) * (sk.q - 1), 2**pk.obfuscator_bits - 1):
         assert sk.obfuscator(a) == pk.obfuscator(a)
     assert builds == [pk.n]  # both per-prime tables, once, on first use
-    assert len(sk.obfuscator_tables[0]) == -(-sk.p.bit_length() // OBFUSCATOR_WINDOW_BITS)
+    assert [comb.steps for comb in sk.obfuscator_tables] == [
+        -(-sk.p.bit_length() // 64), -(-sk.q.bit_length() // 64)] == [4, 4]
+    assert [comb.mod for comb in sk.obfuscator_tables] == [sk.p_squared, sk.q_squared]
 
 
 def test_key_holder_encryption_rejects_a_foreign_private_key(keypair_512):

@@ -726,6 +726,43 @@ def test_a_partition_reply_that_disagrees_with_the_split_is_rejected(max_depth):
     assert f"PARTITION_REPLY from {sender} for tree {tree}, node {node}" in str(raised.value)
 
 
+class _RewriteReply(MessageBus):
+    """Rewrites the first training PARTITION_REPLY to a notice that leaves some
+    held id out with ``change(reply ids, notice ids)``."""
+
+    def __init__(self, held, change):
+        super().__init__()
+        self.held, self.change = held, change
+        self.notice = None
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "SPLIT_NOTICE":
+            self.notice = payload["sample_ids"]
+        if (msg_type == "PARTITION_REPLY" and self.tampered is None and payload["sample_ids"]
+                and len(self.notice) < len(self.held)):
+            payload = {**payload, "sample_ids": self.change(payload["sample_ids"], self.notice)}
+            self.tampered = (sender, payload["tree"], payload["node"])
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+@pytest.mark.parametrize("change", ["unknown id", "duplicated id", "held id outside the notice"])
+def test_a_partition_reply_that_is_not_a_subset_of_its_notice_is_rejected(change):
+    datasets, X, y = vertical_fixture(40, 1, 3, seed=27)
+    roster = make_vfl_roster("active", datasets)
+    held = datasets["active"].sample_ids.tolist()
+    bus = _RewriteReply(held, {
+        "unknown id": lambda ids, notice: ids + [987654],
+        "duplicated id": lambda ids, notice: ids + ids[:1],
+        "held id outside the notice": lambda ids, notice: ids + [min(set(held) - set(notice))],
+    }[change])
+    with pytest.raises(ProtocolError, match="the ids are not a duplicate-free subset") as raised:
+        vfl_train(roster, datasets, small_params(), seed=12, bus=bus, key_bits=256)
+    sender, tree, node = bus.tampered
+    assert node != 0
+    assert f"PARTITION_REPLY from {sender} for tree {tree}, node {node}" in str(raised.value)
+
+
 class _ChangeCounts(MessageBus):
     """Rewrites the counts of the first ENC_HISTOGRAM_SUBMIT with ``change``."""
 
