@@ -212,37 +212,40 @@ class PackedLayout:
     """Fixed-width slots side by side in one integer, the layout of both
     federations' packed histograms.
 
-    A party puts ``v + offset`` in each slot, ``v`` a quantized sum, which
-    is positive and below ``2 * offset`` while ``|v| < offset``, and
-    ``width`` leaves room for the sum of ``n_clients`` such slots.  Slot
-    ``j`` of a packed integer is bits ``[width * j, width * (j + 1))``.  The
-    horizontal clients pack residues of a ring
-    (:func:`fedgbt.hfl.packed_layout`); a vertical passive party folds each
-    run of ``slots`` bin sums into one ciphertext, with ``n_clients = 1``
+    A party puts ``v + offset`` in each slot, ``v`` a quantized sum with
+    ``v + offset`` in ``[0, 2**width)`` and, at a nonzero offset,
+    ``|v| < offset``.  Slot ``j`` of a packed integer is bits
+    ``[width * j, width * (j + 1))``.  A sum of ``k`` packings reads back
+    once its ``k - 1`` surplus offsets are subtracted, ``(k - 1)`` times the
+    packing of zeros, so the width only has to hold the summed ``v`` plus
+    one offset.  The horizontal clients pack each level's residues of a ring
+    in a g layout with an offset and an h layout without one
+    (:func:`fedgbt.hfl.level_layouts`); a vertical passive party folds each
+    run of ``slots`` bin sums into one ciphertext
     (:func:`fedgbt.vfl.histogram_layout`).
     """
 
     offset: int
     width: int
     slots: int
-    n_clients: int
 
     def pack(self, values) -> list[int]:
         """Quantized int64 values -> integers of up to ``slots`` slots each.
 
-        The slots are built in uint64: ``v + offset < 2 * offset`` fits
-        whenever the int64 capacity check admits the roster.
+        The slots are built in uint64: ``v + offset`` fits whenever the
+        int64 capacity check admits the roster.
         """
         values = np.asarray(values, dtype=np.int64).ravel()
-        bad = np.flatnonzero((values <= -self.offset) | (values >= self.offset))
+        bad = np.flatnonzero((values < min(0, 1 - self.offset))
+                             | (values >= (1 << self.width) - self.offset))
         if bad.size:
-            raise EncodingError(f"slot value {values[bad[0]]} reaches the packing offset "
-                                f"2^{self.offset.bit_length() - 1}")
+            raise EncodingError(f"slot value {values[bad[0]]} does not fit a {self.width}-bit "
+                                f"slot at offset {self.offset}")
         # v + offset wraps back into range from the two's-complement cast
         slot = values.astype(np.uint64) + np.uint64(self.offset)
         bits = np.unpackbits(slot.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
                              bitorder="little")
-        keep = min(self.width, 64)  # v + offset < 2 * offset <= 2^width, and fits uint64
+        keep = min(self.width, 64)  # v + offset < 2^width, and fits uint64
         n_res = -(-values.size // self.slots)
         laid = np.zeros((n_res * self.slots, self.width), dtype=np.uint8)
         laid[:values.size, :keep] = bits[:, :keep]
@@ -251,12 +254,13 @@ class PackedLayout:
                            bitorder="little").tobytes()
         return [int.from_bytes(laid[k:k + size], "little") for k in range(0, len(laid), size)]
 
-    def unpack(self, totals: list[int], n_values: int) -> list[int]:
-        """Aggregates of ``n_clients`` packings -> the summed values.
+    def unpack(self, totals: list[int], n_values: int) -> np.ndarray:
+        """Packed totals, one offset per slot -> the int64 slot values.
 
         Each total is checked for bits above its used slots; then every slot
         is read at once in numpy, mirroring :meth:`pack`: its low 64 bits as
-        one uint64, and any bits above them (widths over 64 only) as another.
+        one uint64, and any bits above them (widths over 64 only) as
+        another.  A slot value outside int64 raises :class:`ProtocolError`.
         """
         last = n_values - (len(totals) - 1) * self.slots  # slots the last total uses
         if totals and (not 0 < last <= self.slots or totals[-1] >> (self.width * last)
@@ -274,12 +278,15 @@ class PackedLayout:
         bits = np.unpackbits(raw.reshape(len(totals), size), axis=1, bitorder="little")
         bits = bits[:, :self.slots * self.width].reshape(-1, self.width)[:n_values]
         low = _uint64_words(bits[:, :64])
-        bias = self.n_clients * self.offset
-        if self.width <= 64 and max(bias, (1 << self.width) - bias) <= 1 << 63:
-            # every slot minus the bias lies in int64: subtract with wraparound
-            return (low - np.uint64(bias)).view(np.int64).tolist()
+        if self.width <= 64 and max(self.offset, (1 << self.width) - self.offset) <= 1 << 63:
+            # every slot minus the offset lies in int64: subtract with wraparound
+            return (low - np.uint64(self.offset)).view(np.int64)
         high = _uint64_words(bits[:, 64:])
-        return [hi * INT64_MODULUS + lo - bias for hi, lo in zip(high.tolist(), low.tolist())]
+        try:
+            return np.array([hi * INT64_MODULUS + lo - self.offset
+                             for hi, lo in zip(high.tolist(), low.tolist())], dtype=np.int64)
+        except OverflowError:
+            raise ProtocolError("a packed slot holds a value outside int64") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ client sums its quantized gradients into int64 histograms
 residue with pairwise-cancelling masks, so the server learns only the
 masked per-client values and, after summing, the exact global aggregate
 once the masks cancel.
-Each pair of clients expands its shared seed once per stream (run nonce,
-tree, node, g or h) into one mask word per residue
-(:func:`fedgbt.seeding.expand_mask_words`), and the packing runs in numpy.
+Each client sends one submission per level: the histograms of the nodes
+the server asked for, back to back, in one g and one h layout sized for the
+level (:func:`level_layouts`).  Each pair of clients expands its shared seed
+once per stream (run nonce, tree, depth, g or h) into one mask word per
+residue (:func:`fedgbt.seeding.expand_mask_words`), and the packing runs in
+numpy.
 Both modes share that path.  In ``paillier+mask`` mode the ring is the
 server's Paillier modulus and each masked residue is also encrypted; in
 ``mask-only`` mode the ring is ``MASK_ONLY_MODULUS`` (2^1024, wide enough
@@ -21,13 +24,17 @@ The server grows each tree with the shared :func:`fedgbt.gbt.grow_tree`.
 Wire protocol per boosting round (tree t, depth d):
 
 * ``SPLIT_BROADCAST``    server -> clients: each node of the level as its
-  model document (:func:`fedgbt.gbt.node_to_dict`), and on each split the
-  child (``submit``) whose histogram comes next, if any;
+  model document (:func:`fedgbt.gbt.node_to_dict`), on each split the child
+  (``submit``) whose histogram comes next, if any, and ``bits``, the bit
+  length of the largest global count among those children, which sizes the
+  next level's slots;
 * ``PARTITION_REPORT``   clients -> server: local left/right counts for each
   split node (consistency check against histogram-derived counts);
-* ``HISTOGRAM_SUBMIT``   clients -> server: masked, encrypted histograms of
-  the root and of each split's smaller child (the sibling is derived by exact
-  integer subtraction); the server accepts one per client per node it asked for;
+* ``HISTOGRAM_SUBMIT``   clients -> server: one per client per level, the
+  masked, encrypted histograms of the root, or of each split's smaller child
+  (the sibling is derived by exact integer subtraction), in broadcast order
+  under ``nodes``; the server accepts one per client that names exactly the
+  nodes it asked for;
 * ``MODEL_DELIVERY``     server -> clients: the full ensemble at the end.
 
 A client keeps the node documents of a tree's broadcasts and, once the tree
@@ -41,7 +48,8 @@ Clients act only on the messages they receive: each partitions its samples
 by the splits in its own copy of ``SPLIT_BROADCAST`` and submits exactly the
 children that copy asks for, so a tampered broadcast shows up as a partition
 mismatch, a ``submit`` that names no child of its split, an unrequested
-submission, or node documents that do not form a tree.
+submission, a ``bits`` below the client's own count at a requested node,
+or node documents that do not form a tree.
 """
 
 from __future__ import annotations
@@ -123,6 +131,11 @@ class HflMembership:
         if self.secagg_mode not in (SECAGG_PAILLIER, SECAGG_MASK_ONLY):
             raise ProtocolError(f"unknown secure-aggregation mode {self.secagg_mode!r}")
 
+    def root_bits(self) -> int:
+        """The bit length of the roster's total sample count, which sizes
+        the root's slots: no node holds more."""
+        return sum(self.sample_counts).bit_length()
+
 
 @dataclass(frozen=True)
 class HflRoster(HflMembership):
@@ -199,17 +212,27 @@ def establish_global_binning(datasets: list[PartyDataset], n_bins: int) -> Binni
 # Packed residues
 
 
-def packed_layout(members: HflMembership, n: int) -> PackedLayout:
-    """The slot layout every party derives from the membership and the ring."""
-    offset_bits = GRAD_SCALE_BITS + max(members.sample_counts).bit_length()
-    n_clients = len(members.client_ids)
-    width = offset_bits + 1 + (n_clients - 1).bit_length()  # + ceil(log2(n_clients))
-    slots = (n.bit_length() - 1) // width
-    if slots < 1:
-        raise EncodingError(
-            f"a {n.bit_length()}-bit modulus fits no {width}-bit slot for this roster"
-        )
-    return PackedLayout(offset=1 << offset_bits, width=width, slots=slots, n_clients=n_clients)
+def level_layouts(bits: int, ring: int) -> tuple[PackedLayout, PackedLayout]:
+    """The g and h slot layouts of a level whose built nodes each hold
+    fewer than ``2**bits`` samples, in residues of ``ring``.
+
+    With ``S = GRAD_SCALE_BITS``, a g sum over ``c < 2**bits`` samples lies
+    in ``[-c * 2**S, c * 2**S]``, so a slot of ``S + bits + 1`` bits at an
+    offset of ``2**(S + bits)`` holds it; an h sum lies in
+    ``[0, c * 2**(S - 2)]`` and needs ``S + bits - 2`` bits and no offset.
+    A client's own sums fit the same slots, and the server subtracts the
+    other clients' offsets from the aggregate, so no width grows with the
+    roster.
+    """
+    offset_bits = GRAD_SCALE_BITS + bits
+    layouts = []
+    for offset, width in ((1 << offset_bits, offset_bits + 1), (0, offset_bits - 2)):
+        slots = (ring.bit_length() - 1) // width
+        if slots < 1:
+            raise EncodingError(f"a {ring.bit_length()}-bit modulus fits no {width}-bit slot "
+                                f"for nodes of {bits}-bit counts")
+        layouts.append(PackedLayout(offset=offset, width=width, slots=slots))
+    return layouts[0], layouts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,29 +264,33 @@ def _add_pairwise_masks(roster: HflRoster, client_id: str, modulus: int, plains:
 
 @dataclass
 class MaskedEncHistogram:
+    """One client's submission of a level: its histograms of ``nodes``."""
+
     client_id: str
     tree: int
-    node_id: int
+    nodes: list[int]
     mode: str
-    # one masked residue per packed residue of the flat F*B slots, encrypted
-    # under paillier+mask
+    # one masked residue per packed residue of the nodes' flat F*B slots,
+    # back to back, encrypted under paillier+mask
     enc_g: list[int]
     enc_h: list[int]
-    counts: np.ndarray  # int64 (n_features, n_bins), in clear
+    counts: np.ndarray  # int64 (len(nodes), n_features, n_bins), in clear
 
 
 def mask_histogram(
-    hist: GradHistogram,
+    hists: list[GradHistogram],
+    nodes: list[int],
+    bits: int,
     client_id: str,
     roster: HflRoster,
     seed: int,
     tree_index: int,
-    node_id: int,
+    depth: int,
     pk: PublicKey | None,
     enc_rng: random.Random | None,
 ) -> MaskedEncHistogram:
-    """Pack a histogram's slots, then mask each packed residue and, under
-    Paillier, encrypt it."""
+    """Pack a level's histograms back to back in the layouts of ``bits``,
+    then mask each packed residue and, under Paillier, encrypt it."""
     paillier = roster.secagg_mode == SECAGG_PAILLIER
     if paillier and pk is None:
         raise ProtocolError("paillier+mask mode needs the server public key")
@@ -271,72 +298,76 @@ def mask_histogram(
     # pad value even under the same roster
     nonce = f"s{seed}:t{tree_index}"
     ring = pk.n if paillier else MASK_ONLY_MODULUS
-    layout = packed_layout(roster, ring)
     streams = []
-    for tag, values in (("g", hist.g), ("h", hist.h)):
+    for tag, layout, values in zip("gh", level_layouts(bits, ring),
+                                   ([x.g for x in hists], [x.h for x in hists])):
         masked = _add_pairwise_masks(roster, client_id, ring, layout.pack(values),
-                                     nonce, node_id, tag)
+                                     nonce, depth, tag)
         streams.append([encrypt(pk, m, rng=enc_rng).value for m in masked] if paillier
                        else masked)
     enc_g, enc_h = streams
     return MaskedEncHistogram(
         client_id=client_id,
         tree=tree_index,
-        node_id=node_id,
+        nodes=list(nodes),
         mode=roster.secagg_mode,
         enc_g=enc_g,
         enc_h=enc_h,
-        counts=hist.counts.copy(),
+        counts=np.array([x.counts for x in hists]),
     )
 
 
 def server_aggregate(
     submissions: dict[str, MaskedEncHistogram],
     members: HflMembership,
+    bits: int,
     pk: PublicKey | None,
     sk: PrivateKey | None,
-) -> GradHistogram:
-    """Combine per-client submissions into the exact global histogram.
+) -> list[GradHistogram]:
+    """Combine per-client submissions of a level into the exact global
+    histograms of its nodes.
 
     Each submission must carry, per stream, one value for each packed
-    residue, and each value must be a residue of the ring (mask-only) or a
-    ciphertext below ``n^2`` (Paillier); any other raises
-    :class:`ProtocolError` naming its sender, tree and node.
+    residue of the layouts of ``bits``, and each value must be a residue of
+    the ring (mask-only) or a ciphertext below ``n^2`` (Paillier); any other
+    raises :class:`ProtocolError` naming its sender, tree and nodes.  Every
+    client packs each slot at the layout's offset; the aggregate keeps one.
     """
     missing = set(members.client_ids) - set(submissions)
     if missing:
         raise ProtocolError(f"round timeout: no histogram from {sorted(missing)}")
-    nodes = {s.node_id for s in submissions.values()}
-    if len(nodes) != 1:
-        raise ProtocolError(f"submissions mix node ids {sorted(nodes)}")
-    any_sub = next(iter(submissions.values()))
-    F, B = any_sub.counts.shape
+    levels = {(s.tree, tuple(s.nodes)) for s in submissions.values()}
+    if len(levels) != 1:
+        raise ProtocolError(f"submissions mix (tree, nodes) {sorted(levels)}")
     ordered = [submissions[c] for c in sorted(submissions)]
+    counts = sum(s.counts for s in ordered)
     paillier = members.secagg_mode == SECAGG_PAILLIER
     ring = pk.n if paillier else MASK_ONLY_MODULUS
-    layout = packed_layout(members, ring)
-    per_stream = -(-F * B // layout.slots)
+    layouts = level_layouts(bits, ring)
     kind, bound, shown = (("ciphertext", pk.n_squared, "n^2") if paillier
                           else ("residue", ring, f"2^{ring.bit_length() - 1}"))
     for s in ordered:
-        where = f"HISTOGRAM_SUBMIT from {s.client_id} for tree {s.tree}, node {s.node_id}"
-        for enc_attr in ("enc_g", "enc_h"):
-            values = getattr(s, enc_attr)
+        where = f"HISTOGRAM_SUBMIT from {s.client_id} for tree {s.tree}, nodes {s.nodes}"
+        for enc_attr, layout in zip(("enc_g", "enc_h"), layouts):
+            values, per_stream = getattr(s, enc_attr), -(-counts.size // layout.slots)
             if len(values) != per_stream:
                 raise ProtocolError(f"{where}: {len(values)} {enc_attr} values, "
                                     f"expected {per_stream}")
             if not 0 <= min(values) <= max(values) < bound:
                 raise ProtocolError(f"{where}: an {enc_attr} {kind} outside [0, {shown})")
     sums = []
-    for enc_attr in ("enc_g", "enc_h"):
+    for enc_attr, layout in zip(("enc_g", "enc_h"), layouts):
         columns = zip(*(getattr(s, enc_attr) for s in ordered))
         if paillier:
             totals = [decrypt(sk, pk, aggregate(pk, [Ciphertext(c) for c in cts]))
                       for cts in columns]
         else:
             totals = [sum(cts) % ring for cts in columns]  # the masks cancel mod the ring
-        sums.append(np.array(layout.unpack(totals, F * B), dtype=np.int64).reshape(F, B))
-    return GradHistogram(*sums, counts=sum(s.counts for s in ordered))
+        if layout.offset:  # all but one offset per slot, one constant per residue
+            surplus = layout.pack(np.zeros(counts.size, dtype=np.int64))
+            totals = [(t - (len(ordered) - 1) * z) % ring for t, z in zip(totals, surplus)]
+        sums.append(layout.unpack(totals, counts.size).reshape(counts.shape))
+    return [GradHistogram(g, h, c) for g, h, c in zip(*sums, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +422,25 @@ class HflClient:
         self.g, self.h = map(quantize, logistic_gradients(self.dataset.labels, self.margins))
         self.node_samples = {0: rows}
 
-    def masked_submissions(self, tree_index: int, node_ids: list[int]) -> list[dict]:
-        """The ``HISTOGRAM_SUBMIT`` payloads of the given nodes, in order:
-        their histograms over this client's samples, built in one call, each
-        masked and, under Paillier, encrypted."""
+    def level_submission(self, tree_index: int, depth: int, nodes: list[int],
+                         bits: int) -> dict:
+        """The ``HISTOGRAM_SUBMIT`` payload of the given nodes at ``depth``:
+        their histograms over this client's samples, built in one call,
+        packed back to back in the layouts of ``bits``, masked and, under
+        Paillier, encrypted.  A node where this client alone holds
+        ``2**bits`` samples or more raises :class:`ProtocolError` before any
+        mask is drawn."""
+        for node_id in nodes:
+            held = self.node_samples[node_id].size
+            if held >> bits:
+                raise ProtocolError(f"SPLIT_BROADCAST to {self.client_id} for tree {tree_index} "
+                                    f"sizes node {node_id} for {bits}-bit counts, but the "
+                                    f"client holds {held} samples there")
         hists = build_histogram(self.cells, self.g, self.h,
-                                [self.node_samples[n] for n in node_ids], self.binning.n_bins)
-        return [_submission_payload(mask_histogram(hist, self.client_id, self.roster, self.seed,
-                                                   tree_index, node_id, self.pk, self.enc_rng))
-                for node_id, hist in zip(node_ids, hists)]
+                                [self.node_samples[n] for n in nodes], self.binning.n_bins)
+        return _submission_payload(mask_histogram(hists, nodes, bits, self.client_id,
+                                                  self.roster, self.seed, tree_index, depth,
+                                                  self.pk, self.enc_rng))
 
     def apply_decisions(self, decisions: list[dict]) -> tuple[list[dict], list[int]]:
         """Partition this client's samples as a ``SPLIT_BROADCAST`` says, and
@@ -447,8 +488,8 @@ class HflServer:
         # every check runs before the first message is sent
         if members.secagg_mode == SECAGG_PAILLIER:
             self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("hfl-key", seed))
-        # the layout bounds each slot by the clients' sample counts
-        packed_layout(members, self.pk.n if self.pk else MASK_ONLY_MODULUS)
+        # the root's layouts, the widest, bound each slot by the roster's sample count
+        level_layouts(members.root_bits(), self.pk.n if self.pk else MASK_ONLY_MODULUS)
         # every client's and the aggregate's sums fit int64
         check_capacity(INT64_MODULUS, sum(members.sample_counts))
         self.binning: Binning | None = None
@@ -458,23 +499,23 @@ class HflServer:
         self.binning = binning_from_ranges(lows, highs, self.params.max_bin)
         return self.binning
 
-    def receive_histograms(self, tree_index: int, nodes: list[int],
+    def receive_histograms(self, tree_index: int, nodes: list[int], bits: int,
                            envelopes: list) -> dict[int, GradHistogram]:
-        """Aggregate one ``HISTOGRAM_SUBMIT`` per client for each requested
-        node.  Any other submission raises :class:`ProtocolError` naming its
-        sender, tree and node."""
-        subs: dict[int, dict[str, MaskedEncHistogram]] = {node_id: {} for node_id in nodes}
+        """Aggregate a level's ``HISTOGRAM_SUBMIT``s, one per client naming
+        ``nodes`` in order, packed in the layouts of ``bits``.  Any other
+        submission raises :class:`ProtocolError` naming its sender, tree and
+        nodes."""
+        subs: dict[str, MaskedEncHistogram] = {}
         for env in envelopes:
-            tree, node = env.payload["tree"], env.payload["node"]
+            tree, sent = env.payload["tree"], env.payload["nodes"]
             if (env.sender not in self.members.client_ids or tree != tree_index
-                    or node not in subs or env.sender in subs[node]):
+                    or sent != nodes or env.sender in subs):
                 raise ProtocolError(
-                    f"HISTOGRAM_SUBMIT from {env.sender} for tree {tree}, node {node}: the "
+                    f"HISTOGRAM_SUBMIT from {env.sender} for tree {tree}, nodes {sent}: the "
                     f"server asked each client once for tree {tree_index}, nodes {nodes}")
-            subs[node][env.sender] = _submission_from_payload(
+            subs[env.sender] = _submission_from_payload(
                 env.payload, env.sender, len(self.binning.boundaries), self.binning.n_bins)
-        return {node_id: server_aggregate(s, self.members, self.pk, self.sk)
-                for node_id, s in subs.items()}
+        return dict(zip(nodes, server_aggregate(subs, self.members, bits, self.pk, self.sk)))
 
     def decisions(self, tree: Tree, level: list[int], build: list[int]) -> list[dict]:
         """The ``SPLIT_BROADCAST`` of a grown level: each node's document,
@@ -518,7 +559,7 @@ class HflServer:
 def _submission_payload(sub: MaskedEncHistogram) -> dict:
     return {
         "tree": sub.tree,
-        "node": sub.node_id,
+        "nodes": sub.nodes,
         "mode": sub.mode,
         "enc_g": [int_to_hex(v) for v in sub.enc_g],
         "enc_h": [int_to_hex(v) for v in sub.enc_h],
@@ -528,21 +569,23 @@ def _submission_payload(sub: MaskedEncHistogram) -> dict:
 
 def _submission_from_payload(payload: dict, sender: str, n_features: int,
                              n_bins: int) -> MaskedEncHistogram:
-    """A submission off the wire; counts that are not ``n_features`` rows of
-    ``n_bins`` non-negative counts with one sum raise :class:`ProtocolError`
-    naming the sender, tree and node."""
-    where = f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, node {payload['node']}"
+    """A submission off the wire; counts that are not, per node,
+    ``n_features`` rows of ``n_bins`` non-negative counts with one sum raise
+    :class:`ProtocolError` naming the sender, tree and nodes."""
+    nodes = payload["nodes"]
+    where = f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, nodes {nodes}"
     counts = np.array(payload["counts"], dtype=np.int64)
-    if counts.size != n_features * n_bins:
-        raise ProtocolError(f"{where}: {counts.size} counts, expected {n_features * n_bins}")
-    counts = counts.reshape(n_features, n_bins)
-    if (counts < 0).any() or (counts.sum(axis=1) != counts[0].sum()).any():
+    if counts.size != len(nodes) * n_features * n_bins:
+        raise ProtocolError(f"{where}: {counts.size} counts, expected "
+                            f"{len(nodes) * n_features * n_bins}")
+    counts = counts.reshape(len(nodes), n_features, n_bins)
+    if (counts < 0).any() or (counts.sum(axis=2) != counts[:, :1].sum(axis=2)).any():
         raise ProtocolError(f"{where}: a negative count, or feature rows whose counts "
                             "differ in sum")
     return MaskedEncHistogram(
         client_id=sender,
         tree=payload["tree"],
-        node_id=payload["node"],
+        nodes=nodes,
         mode=payload["mode"],
         enc_g=[hex_to_int(t) for t in payload["enc_g"]],
         enc_h=[hex_to_int(t) for t in payload["enc_h"]],
@@ -635,10 +678,10 @@ def hfl_train(
         round_id += 1
         for cid, client in clients.items():
             client.start_tree(t)
-            (root_payload,) = client.masked_submissions(t, [0])
-            bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, root_payload)
-        root = server.receive_histograms(t, [0], [bus.recv(sid, "HISTOGRAM_SUBMIT")
-                                                  for _ in clients])
+            bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id,
+                     client.level_submission(t, 0, [0], roster.root_bits()))
+        root = server.receive_histograms(t, [0], server.members.root_bits(),
+                                         [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in clients])
 
         def finish_level(tree: Tree, depth: int, level: list[int], stats: dict,
                          build: list[int]) -> dict[int, GradHistogram]:
@@ -647,17 +690,18 @@ def hfl_train(
                 return root  # every tree starts from the root's histogram
             decisions = server.decisions(tree, level, build)
             splits = [d for d in decisions if not d["leaf"]]
+            bits = max((stats[n][2] for n in build), default=0).bit_length()
             round_id += 1
             for cid in roster.client_ids:
                 bus.send(sid, cid, "SPLIT_BROADCAST", round_id, {
-                    "tree": t, "depth": depth, "decisions": decisions,
+                    "tree": t, "depth": depth, "decisions": decisions, "bits": bits,
                 })
             if splits:
                 round_id += 1
-            wanted = {}
+            wanted, received = {}, {}
             for cid, client in clients.items():
-                env = bus.recv(cid, "SPLIT_BROADCAST")
-                counts, wanted[cid] = client.apply_decisions(env.payload["decisions"])
+                received[cid] = bus.recv(cid, "SPLIT_BROADCAST").payload
+                counts, wanted[cid] = client.apply_decisions(received[cid]["decisions"])
                 if counts:
                     bus.send(cid, sid, "PARTITION_REPORT", round_id, {
                         "tree": t, "depth": depth, "counts": counts,
@@ -670,10 +714,10 @@ def hfl_train(
                 return {}
             round_id += 1
             for cid, client in clients.items():
-                for payload in client.masked_submissions(t, wanted[cid]):
-                    bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, payload)
-            envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in range(len(build) * len(clients))]
-            return server.receive_histograms(t, build, envs)
+                bus.send(cid, sid, "HISTOGRAM_SUBMIT", round_id, client.level_submission(
+                    t, received[cid]["depth"] + 1, wanted[cid], received[cid]["bits"]))
+            envs = [bus.recv(sid, "HISTOGRAM_SUBMIT") for _ in clients]
+            return server.receive_histograms(t, build, bits, envs)
 
         trees.append(grow_tree(params, t, root[0].totals(), finish_level))
         for client in clients.values():

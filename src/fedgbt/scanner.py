@@ -26,8 +26,8 @@ ALLOWED_FIELDS: dict[str, set[str]] = {
     "KEY_BROADCAST": {"n", "g", "key_bits"},
     "BINNING_REPORT": {"lows", "highs", "n_features"},
     "BINNING_BROADCAST": {"boundaries", "n_bins"},
-    "HISTOGRAM_SUBMIT": {"tree", "node", "enc_g", "enc_h", "counts", "mode"},
-    "SPLIT_BROADCAST": {"tree", "depth", "decisions"},
+    "HISTOGRAM_SUBMIT": {"tree", "nodes", "enc_g", "enc_h", "counts", "mode"},
+    "SPLIT_BROADCAST": {"tree", "depth", "decisions", "bits"},
     "PARTITION_REPORT": {"tree", "depth", "counts"},
     "MODEL_DELIVERY": {"model"},
     "GRADIENT_BROADCAST": {"tree", "enc_g", "enc_h"},

@@ -187,8 +187,7 @@ def histogram_layout(n_samples: int, slots: int) -> PackedLayout:
     sample count, so only ``slots`` travels.
     """
     offset_bits = GRAD_SCALE_BITS + n_samples.bit_length()
-    return PackedLayout(offset=1 << offset_bits, width=offset_bits + 1, slots=slots,
-                        n_clients=1)
+    return PackedLayout(offset=1 << offset_bits, width=offset_bits + 1, slots=slots)
 
 
 def fold_slots(n_samples: int, p: int) -> int:
@@ -380,7 +379,7 @@ class ActiveParty:
         def plain(cts, name):
             try:
                 totals = [decrypt(self.sk, self.pk, c, bound=m) + m for c, m in zip(cts, folds)]
-                values = np.array(layout.unpack(totals, counts.size), dtype=np.int64)
+                values = layout.unpack(totals, counts.size)
             except (EncodingError, ProtocolError) as exc:
                 raise ProtocolError(f"{where}: {exc}") from None
             values = values.reshape(counts.shape)

@@ -20,6 +20,7 @@ from fedgbt.gbt import (
     INT64_MODULUS,
     GbtParams,
     GradHistogram,
+    PackedLayout,
     build_histogram,
     cell_ids,
     check_capacity,
@@ -40,12 +41,12 @@ from fedgbt.hfl import (
     _add_pairwise_masks,
     establish_global_binning,
     hfl_train,
+    level_layouts,
     make_roster,
     mask_histogram,
-    packed_layout,
     server_aggregate,
 )
-from fedgbt.paillier import Ciphertext, EncodingError, decrypt, keygen
+from fedgbt.paillier import Ciphertext, EncodingError, decrypt, hex_to_int, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.seeding import derive_uniform_int, expand_mask_words, mask_word_bytes
 from fedgbt.transport import MessageBus
@@ -143,13 +144,28 @@ def _hist_from_values(values):
     return hist
 
 
+def _mask(hists, cid, roster, seed, tree, depth, pk, rng, bits=None):
+    """One client's level submission of ``hists`` (one or a list), as nodes
+    0, 1, ..., in the layouts of ``bits`` (the roster's root bits if None)."""
+    hists = hists if isinstance(hists, list) else [hists]
+    bits = roster.root_bits() if bits is None else bits
+    return mask_histogram(hists, list(range(len(hists))), bits, cid, roster, seed, tree, depth,
+                          pk, rng)
+
+
+def _aggregate(subs, roster, pk, sk, bits=None):
+    """The first node's global histogram of a level's submissions."""
+    bits = roster.root_bits() if bits is None else bits
+    return server_aggregate(subs, roster, bits, pk, sk)[0]
+
+
 def test_masks_cancel_for_zero_histograms(mask_fixture):
     roster, pk, sk = mask_fixture
     subs = {}
     for cid in roster.client_ids:
         hist = zero_histogram(2, 3)
-        subs[cid] = mask_histogram(hist, cid, roster, 5, 0, 0, pk, random.Random(1))
-    total = server_aggregate(subs, roster, pk, sk)
+        subs[cid] = _mask(hist, cid, roster, 5, 0, 0, pk, random.Random(1))
+    total = _aggregate(subs, roster, pk, sk)
     assert all(v == 0 for v in total.g.flatten())
     assert all(v == 0 for v in total.h.flatten())
 
@@ -159,10 +175,10 @@ def test_masked_aggregate_recovers_signed_slot_totals(mask_fixture):
     h0 = _hist_from_values([0.25, 0.0])
     h1 = _hist_from_values([-0.75, 0.125])
     subs = {
-        "c0": mask_histogram(h0, "c0", roster, 5, 1, 0, pk, random.Random(2)),
-        "c1": mask_histogram(h1, "c1", roster, 5, 1, 0, pk, random.Random(3)),
+        "c0": _mask(h0, "c0", roster, 5, 1, 0, pk, random.Random(2)),
+        "c1": _mask(h1, "c1", roster, 5, 1, 0, pk, random.Random(3)),
     }
-    total = server_aggregate(subs, roster, pk, sk)
+    total = _aggregate(subs, roster, pk, sk)
     assert total.g.dtype == np.int64
     assert total.g[0, 0] == quantize(-0.5) and total.g[0, 0] / 2**GRAD_SCALE_BITS == -0.5
     assert total.g[0, 1] == quantize(0.125) and total.g[0, 1] / 2**GRAD_SCALE_BITS == 0.125
@@ -174,8 +190,8 @@ def test_single_submission_is_blinded(mask_fixture):
     values = np.linspace(-0.4, 0.4, 100)
     hist = zero_histogram(1, 100)
     hist.g[0] = quantize(values)
-    sub = mask_histogram(hist, "c0", roster, 5, 2, 0, pk, random.Random(4))
-    layout = packed_layout(roster, pk.n)
+    sub = _mask(hist, "c0", roster, 5, 2, 0, pk, random.Random(4))
+    layout, _ = level_layouts(roster.root_bits(), pk.n)
     true_slots = [v + layout.offset for v in hist.g[0].tolist()]
     packed = layout.pack(hist.g[0].tolist())
     assert len(sub.enc_g) == len(packed) == -(-100 // layout.slots)
@@ -198,10 +214,10 @@ def test_mask_only_mode_roundtrip():
         "c2": _hist_from_values([-1.0, 1.0]),
     }
     subs = {
-        cid: mask_histogram(h, cid, roster, 9, 0, 3, None, None)
+        cid: _mask(h, cid, roster, 9, 0, 3, None, None)
         for cid, h in hists.items()
     }
-    total = server_aggregate(subs, roster, None, None)
+    total = _aggregate(subs, roster, None, None)
     assert total.g[0].tolist() == quantize([-0.375, 0.625]).tolist()
     assert total.h[0].tolist() == quantize([0.40625, 0.34375]).tolist()
 
@@ -210,19 +226,19 @@ _PAIR_G = quantize(np.linspace(-0.9, 0.9, 48).reshape(2, 24))
 
 
 def _mask_only_pair(change_c1):
-    """Two 2x24 mask-only submissions for tree 4, node 3, c1's enc_g
-    rewritten by ``change_c1``."""
+    """Two 2x24 mask-only submissions for tree 4, node 0 at depth 3, c1's
+    enc_g rewritten by ``change_c1``."""
     roster = make_roster(["c0", "c1"], [3, 3], master_seed=9, secagg_mode=SECAGG_MASK_ONLY)
     subs = {}
     for cid in roster.client_ids:
         hist = zero_histogram(2, 24)
         hist.g[:] = _PAIR_G
-        subs[cid] = mask_histogram(hist, cid, roster, 9, 4, 3, None, None)
+        subs[cid] = _mask(hist, cid, roster, 9, 4, 3, None, None)
     subs["c1"].enc_g = change_c1(list(subs["c1"].enc_g))
     return roster, subs
 
 
-# 48 24-bit slots pack 42 to a 1024-bit residue: two residues per stream
+# 48 24-bit g slots pack 42 to a 1024-bit residue: two g residues
 @pytest.mark.parametrize("change, match", [
     (lambda v: v[:-1], "1 enc_g values, expected 2"),
     (lambda v: v + [0], "3 enc_g values, expected 2"),
@@ -231,12 +247,12 @@ def _mask_only_pair(change_c1):
 ], ids=["short", "extra", "above-2^1024", "negative"])
 def test_mask_only_submission_values_are_checked(change, match):
     roster, subs = _mask_only_pair(lambda v: v)
-    assert packed_layout(roster, MASK_ONLY_MODULUS).slots == 42
-    assert server_aggregate(subs, roster, None, None).g.tolist() == (2 * _PAIR_G).tolist()
+    assert level_layouts(roster.root_bits(), MASK_ONLY_MODULUS)[0].slots == 42
+    assert _aggregate(subs, roster, None, None).g.tolist() == (2 * _PAIR_G).tolist()
     roster, subs = _mask_only_pair(change)
     with pytest.raises(ProtocolError, match=match) as raised:
-        server_aggregate(subs, roster, None, None)
-    assert "HISTOGRAM_SUBMIT from c1 for tree 4, node 3" in str(raised.value)
+        _aggregate(subs, roster, None, None)
+    assert "HISTOGRAM_SUBMIT from c1 for tree 4, nodes [0]" in str(raised.value)
 
 
 @settings(max_examples=25, deadline=None)
@@ -251,66 +267,70 @@ def test_mask_streams_cancel_and_change_with_every_label_part(mask_fixture, n_cl
         return make_roster(ids, [50] * n_clients, master_seed=master_seed,
                            secagg_mode=SECAGG_PAILLIER if paillier else SECAGG_MASK_ONLY)
 
-    slots = packed_layout(roster(0), ring).slots
+    layouts = level_layouts(roster(0).root_bits(), ring)
+    slots = layouts[0].slots
     n_values = data.draw(st.integers(1, 5 * slots).filter(lambda v: v % slots))
     n = -(-n_values // slots)
-    node = data.draw(st.integers(0, 62))
+    depth = data.draw(st.integers(0, 62))
     # the clients' shares of each residue's mask sum to 0 mod the ring
-    shares = [_add_pairwise_masks(roster(0), cid, ring, [0] * n, "s3:t1", node, "g")
+    shares = [_add_pairwise_masks(roster(0), cid, ring, [0] * n, "s3:t1", depth, "g")
               for cid in ids]
     assert [sum(column) % ring for column in zip(*shares)] == [0] * n
     # each word has 128 bits more than the ring: 145 bytes for 2^1024, 80 for 512 bits
     size = mask_word_bytes(ring)
     assert size == (80 if paillier else 145)
     assert 8 * size - 8 < ring.bit_length() + 128 <= 8 * size
-    words = expand_mask_words(ring, n, "packmask", 7, "s3:t1", node, "g")
+    words = expand_mask_words(ring, n, "packmask", 7, "s3:t1", depth, "g")
     assert len(words) == n * size
     assert [derive_uniform_int(ring, words, i, size) for i in range(n)] == [
         int.from_bytes(words[i * size:(i + 1) * size], "big") % ring for i in range(n)]
 
-    # a zero histogram packs the same residues in both streams and every
-    # submission, so a changed residue is a changed mask
-    def residues(master_seed=0, seed=3, tree=1, node_id=node, stream="enc_g"):
-        sub = mask_histogram(zero_histogram(1, n_values), "c0", roster(master_seed), seed,
-                             tree, node_id, pk, random.Random(0))
-        values = getattr(sub, stream)
-        return [decrypt(sk, pk, Ciphertext(v)) for v in values] if paillier else values
+    # a zero histogram packs the same residues in every submission: the
+    # offsets in g and zeros in h, so a residue minus its packing is its mask
+    def masks(master_seed=0, seed=3, tree=1, level=depth, stream=0):
+        sub = _mask(zero_histogram(1, n_values), "c0", roster(master_seed), seed, tree, level,
+                    pk, random.Random(0))
+        values = (sub.enc_g, sub.enc_h)[stream]
+        values = [decrypt(sk, pk, Ciphertext(v)) for v in values] if paillier else values
+        packed = layouts[stream].pack(np.zeros(n_values, dtype=np.int64))
+        return [(v - p) % ring for v, p in zip(values, packed)]
 
-    base = residues()
-    for changed in ({"stream": "enc_h"}, {"node_id": node + 1}, {"tree": 2}, {"seed": 4},
+    base = masks()
+    for changed in ({"stream": 1}, {"level": depth + 1}, {"tree": 2}, {"seed": 4},
                     {"master_seed": 1}):
-        assert all(a != b for a, b in zip(base, residues(**changed))), changed
+        assert all(a != b for a, b in zip(base, masks(**changed))), changed
 
 
 def test_a_ciphertext_outside_n_squared_is_rejected(mask_fixture):
     # aggregate() would reduce c + n^2 to c without a word
     roster, pk, sk = mask_fixture
-    subs = {cid: mask_histogram(_hist_from_values([0.1, -0.2]), cid, roster, 5, 7, 2, pk,
-                                random.Random(cid)) for cid in roster.client_ids}
+    subs = {cid: _mask(_hist_from_values([0.1, -0.2]), cid, roster, 5, 7, 2, pk,
+                       random.Random(cid)) for cid in roster.client_ids}
     for change in (pk.n_squared, -subs["c1"].enc_h[0] - 1):
         tampered = {**subs, "c1": MaskedEncHistogram(
             **{**vars(subs["c1"]), "enc_h": [subs["c1"].enc_h[0] + change]})}
-        with pytest.raises(ProtocolError, match=r"HISTOGRAM_SUBMIT from c1 for tree 7, node 2: "
-                                                r"an enc_h ciphertext outside \[0, n\^2\)"):
-            server_aggregate(tampered, roster, pk, sk)
-    assert (server_aggregate(subs, roster, pk, sk).g[0] == 2 * quantize([0.1, -0.2])).all()
+        with pytest.raises(ProtocolError, match=r"HISTOGRAM_SUBMIT from c1 for tree 7, "
+                                                r"nodes \[0\]: an enc_h ciphertext outside "
+                                                r"\[0, n\^2\)"):
+            _aggregate(tampered, roster, pk, sk)
+    assert (_aggregate(subs, roster, pk, sk).g[0] == 2 * quantize([0.1, -0.2])).all()
 
 
 def test_aggregate_order_invariant(mask_fixture):
     roster, pk, sk = mask_fixture
     h0, h1 = _hist_from_values([0.3, -0.2]), _hist_from_values([0.1, 0.9])
-    s0 = mask_histogram(h0, "c0", roster, 5, 3, 0, pk, random.Random(5))
-    s1 = mask_histogram(h1, "c1", roster, 5, 3, 0, pk, random.Random(6))
-    a = server_aggregate({"c0": s0, "c1": s1}, roster, pk, sk)
-    b = server_aggregate({"c1": s1, "c0": s0}, roster, pk, sk)
+    s0 = _mask(h0, "c0", roster, 5, 3, 0, pk, random.Random(5))
+    s1 = _mask(h1, "c1", roster, 5, 3, 0, pk, random.Random(6))
+    a = _aggregate({"c0": s0, "c1": s1}, roster, pk, sk)
+    b = _aggregate({"c1": s1, "c0": s0}, roster, pk, sk)
     assert (a.g == b.g).all() and (a.h == b.h).all()
 
 
 def test_aggregate_missing_client_aborts(mask_fixture):
     roster, pk, sk = mask_fixture
-    s0 = mask_histogram(_hist_from_values([0.1]), "c0", roster, 5, 4, 0, pk, random.Random(7))
+    s0 = _mask(_hist_from_values([0.1]), "c0", roster, 5, 4, 0, pk, random.Random(7))
     with pytest.raises(ProtocolError, match="timeout"):
-        server_aggregate({"c0": s0}, roster, pk, sk)
+        _aggregate({"c0": s0}, roster, pk, sk)
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +338,31 @@ def test_aggregate_missing_client_aborts(mask_fixture):
 
 
 def test_packed_layout_at_hfl_paillier_shape():
-    # 200 training rows over 3 clients under a 512-bit key: an offset of
-    # 2^(S + 7) for 67 samples, and 2 bits more for the sum of 3 clients
+    # 200 training rows over 3 clients under a 512-bit key: the root's counts
+    # take 8 bits, so g slots of S + 9 bits at an offset of 2^(S + 8) and h
+    # slots of S + 6 bits with none, however many clients there are
     roster = make_roster(["c0", "c1", "c2"], [67, 67, 66])
-    layout = packed_layout(roster, (1 << 511) + 1)
-    width = GRAD_SCALE_BITS + 10
-    assert (layout.offset, layout.width, layout.slots) == (2 ** (width - 3), width, 511 // width)
-    assert (layout.offset, layout.width, layout.slots) == (2**27, 30, 17)
-    # hfl-mask-paper's two districts in the 1024-bit mask-only ring: 2^(S + 8)
-    # for 170 samples and 1 bit for 2 clients; a 32 x 32 stream packs 34 to a residue
+    g, h = level_layouts(roster.root_bits(), (1 << 511) + 1)
+    assert roster.root_bits() == 8
+    assert (g.offset, g.width, g.slots) == (2 ** (GRAD_SCALE_BITS + 8), GRAD_SCALE_BITS + 9,
+                                            511 // (GRAD_SCALE_BITS + 9))
+    assert (g.offset, g.width, g.slots) == (2**28, 29, 17)
+    assert (h.offset, h.width, h.slots) == (0, 26, 19)
+    # a child of 100 samples takes 7 bits: one bit less in both streams
+    g, h = level_layouts(100 .bit_length(), (1 << 511) + 1)
+    assert (g.offset, g.width, g.slots, h.width, h.slots) == (2**27, 28, 18, 25, 20)
+    # hfl-mask-paper's two districts, 57 and 170 samples, in the 1024-bit
+    # mask-only ring: a 32 x 32 root packs 35 g and 39 h slots to a residue
     roster = make_roster(["a", "b"], [57, 170], secagg_mode=SECAGG_MASK_ONLY)
-    layout = packed_layout(roster, MASK_ONLY_MODULUS)
-    assert (layout.offset, layout.width, layout.slots) == (2**28, 30, 34)
-    assert len(layout.pack([0] * 32 * 32)) == 31
+    g, h = level_layouts(roster.root_bits(), MASK_ONLY_MODULUS)
+    assert (g.offset, g.width, g.slots, h.offset, h.width, h.slots) == (
+        2**28, 29, 35, 0, 26, 39)
+    assert (len(g.pack([0] * 32 * 32)), len(h.pack([0] * 32 * 32))) == (30, 27)
 
 
-def test_hfl_paillier_shape_encrypts_384_plaintexts():
+def _hfl_paillier_shape_run():
     # fold 0 of 250 rows of 16 Gaussian features, split over 3 clients; 2
-    # trees of depth 3 over 8 bins under a 512-bit key.  Each client submits
-    # 8 histograms, and each of their two 128-slot streams packs into
-    # ceil(128 / 17) = 8 plaintexts, one encryption each.
+    # trees of depth 3 over 8 bins under a 512-bit key
     rng = np.random.default_rng(0)
     X = rng.normal(size=(250, 16))
     w = rng.normal(size=16)
@@ -349,36 +374,103 @@ def test_hfl_paillier_shape_encrypts_384_plaintexts():
                                    f"c{i}") for i, c in enumerate(chunks)}
     roster = make_roster(list(parties), [p.n_samples for p in parties.values()], master_seed=0)
     params = GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0)
-    _, bus = hfl_train(roster, parties, params, seed=0, key_bits=512)
-    submits = [e.payload for e in bus.transcript if e.msg_type == "HISTOGRAM_SUBMIT"]
-    assert len(submits) == 3 * 8
-    assert {(len(p["enc_g"]), len(p["enc_h"])) for p in submits} == {(8, 8)}
-    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 384
+    return roster, hfl_train(roster, parties, params, seed=0, key_bits=512)[1]
 
 
-def test_hfl_mask_paper_shape_submits_20832_residues():
+def _level_bits(roster, transcript):
+    """The bits of each client's level submission, by (sender, tree, nodes):
+    the roster's at the root, else the last ``SPLIT_BROADCAST`` to it."""
+    bits, last = {}, {}
+    for env in transcript:
+        if env.msg_type == "SPLIT_BROADCAST":
+            last[env.recipient] = env.payload["bits"]
+        elif env.msg_type == "HISTOGRAM_SUBMIT":
+            nodes = env.payload["nodes"]
+            bits[env.sender, env.payload["tree"], tuple(nodes)] = (
+                roster.root_bits() if nodes == [0] else last[env.sender])
+    return bits
+
+
+def _assert_level_residues(roster, transcript, ring, n_slots):
+    """Every submission packs its ``n_slots`` per node back to back in the
+    layouts of its level's bits; returns the submissions."""
+    submits = [e for e in transcript if e.msg_type == "HISTOGRAM_SUBMIT"]
+    bits = _level_bits(roster, transcript)
+    for e in submits:
+        g, h = level_layouts(bits[e.sender, e.payload["tree"], tuple(e.payload["nodes"])], ring)
+        n = len(e.payload["nodes"]) * n_slots
+        assert (len(e.payload["enc_g"]), len(e.payload["enc_h"])) == (-(-n // g.slots),
+                                                                      -(-n // h.slots))
+    return [e.payload for e in submits]
+
+
+def test_hfl_paillier_shape_encrypts_348_plaintexts():
+    # each client sends one submission per level that builds a histogram:
+    # the root and the children of depths 1 and 2, in each of 2 trees.  At
+    # the root, 200 rows' 128 slots pack 17 g and 19 h to a plaintext: 8 + 7
+    # encryptions, where one roster-wide layout took 8 + 8
+    roster, bus = _hfl_paillier_shape_run()
+    key = next(e for e in bus.transcript if e.msg_type == "KEY_BROADCAST")
+    submits = _assert_level_residues(roster, bus.transcript, hex_to_int(key.payload["n"]),
+                                     16 * 8)
+    assert len(submits) == 3 * 6
+    assert [(len(p["enc_g"]), len(p["enc_h"])) for p in submits if p["nodes"] == [0]] == [
+        (8, 7)] * 6
+    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 348
+
+
+@pytest.fixture(scope="module")
+def mask_paper_run():
     # fold 0 of the seed-0 districts (57 and 170 training rows of 32
-    # features) at the paper's 20 trees of depth 5 over 32 bins, mask-only.
-    # Each of 336 submissions carries two 1,024-slot streams of 31 residues.
+    # features) at the paper's 20 trees of depth 5 over 32 bins, mask-only
     districts = synth_generate(default_synth_config(0))
     joined = join_datasets(list(districts), "joined")
     train = joined.subset(split_train_valid_test(joined, k=5, seed=0).folds[0].full_train_idx)
     parties = {d.party_id: train.subset(np.flatnonzero(np.isin(train.sample_ids, d.sample_ids)),
                                         d.party_id) for d in districts}
-    assert [p.n_samples for p in parties.values()] == [57, 170]
-    assert {p.n_features for p in parties.values()} == {32}
     roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
                          master_seed=0, secagg_mode=SECAGG_MASK_ONLY)
     params = GbtParams(n_estimators=20, max_depth=5, max_bin=32, learning_rate=0.3,
                        reg_lambda=0.0, min_child_weight=1.0)
     model, bus = hfl_train(roster, parties, params, seed=0)
-    submits = [e.payload for e in bus.transcript if e.msg_type == "HISTOGRAM_SUBMIT"]
-    assert len(submits) == 336
-    assert {(len(p["enc_g"]), len(p["enc_h"])) for p in submits} == {(31, 31)}
-    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 20832
+    return roster, parties, params, model, bus
+
+
+def test_hfl_mask_paper_shape_submits_17430_residues(mask_paper_run):
+    # 100 level submissions per client, each of the level's 1,024-slot nodes
+    # back to back: 17,430 residues where one submission per node took 20,832
+    roster, parties, params, model, bus = mask_paper_run
+    assert [p.n_samples for p in parties.values()] == [57, 170]
+    assert {p.n_features for p in parties.values()} == {32}
+    submits = _assert_level_residues(roster, bus.transcript, MASK_ONLY_MODULUS, 32 * 32)
+    assert len(submits) == 200
+    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 17430
     binning = establish_global_binning(list(parties.values()), params.max_bin)
     _assert_same_trees(model, train_centralized(join_datasets(list(parties.values()), "union"),
                                                 params, seed=0, binning=binning))
+
+
+def test_each_levels_bits_are_those_of_its_largest_built_child(mask_paper_run):
+    roster, _, _, _, bus = mask_paper_run
+    sizes = {}  # (tree, child) -> global count, from the clients' partition reports
+    for env in bus.transcript:
+        if env.msg_type == "PARTITION_REPORT":
+            for c in env.payload["counts"]:
+                for side in ("left", "right"):
+                    key = env.payload["tree"], c["node"], side
+                    sizes[key] = sizes.get(key, 0) + c[side]
+    levels = 0
+    for env in bus.transcript:
+        if env.msg_type == "SPLIT_BROADCAST":
+            tree, built = env.payload["tree"], [0]
+            for d in env.payload["decisions"]:
+                if not d["leaf"] and d["submit"] is not None:
+                    built.append(sizes[tree, d["id"], "left" if d["submit"] == d["left"]
+                                       else "right"])
+            assert env.payload["bits"] == max(built).bit_length()
+            levels += len(built) > 1
+    # every submission below the roots of 20 trees, from each of 2 clients
+    assert levels == 200 - 2 * 20
 
 
 @pytest.fixture(scope="module")
@@ -386,122 +478,151 @@ def key_256():
     return keygen(key_bits=256, rng_seed=60)
 
 
+def _client_shares(total, n_clients):
+    return [total // n_clients + (i < total % n_clients) for i in range(n_clients)]
+
+
 @settings(max_examples=25, deadline=None)
-@given(n_clients=st.integers(2, 8), mode=st.sampled_from([SECAGG_PAILLIER, SECAGG_MASK_ONLY]),
+@given(n_clients=st.integers(1, 8), mode=st.sampled_from([SECAGG_PAILLIER, SECAGG_MASK_ONLY]),
        tight_key=st.booleans(), data=st.data())
 def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, mode, tight_key, data):
-    # the largest sample count for which the clients' sums still fit int64
-    top_bits = 63 - GRAD_SCALE_BITS - (n_clients - 1).bit_length()
-    count_bits = data.draw(st.sampled_from([1, 12, top_bits]) | st.integers(1, top_bits))
-    count = (1 << count_bits) - 1
+    # a level whose nodes hold fewer than 2^bits samples, up to the most the
+    # int64 capacity check admits, split among the clients
+    top_bits = 63 - GRAD_SCALE_BITS
+    bits = data.draw(st.sampled_from([1, 12, top_bits]) | st.integers(1, top_bits))
+    total = data.draw(st.sampled_from([(1 << bits) - 1])
+                      | st.integers(1 << (bits - 1), (1 << bits) - 1))
     ids = [f"c{i}" for i in range(n_clients)]
-    roster = make_roster(ids, [count] * n_clients, master_seed=count_bits, secagg_mode=mode)
+    roster = make_roster(ids, [1] * n_clients, master_seed=bits, secagg_mode=mode)
     pk, sk = key_256 if mode == SECAGG_PAILLIER else (None, None)
     if tight_key and pk is not None:
-        # the smallest key that fits one slot: each plaintext fills it
-        width = packed_layout(roster, 1 << 1023).width
+        # the smallest key that fits one g slot: each g plaintext fills it
+        width = level_layouts(bits, 1 << 1023)[0].width
         pk, sk = keygen(key_bits=width + 2, rng_seed=width)
-        assert packed_layout(roster, pk.n).slots == 1
-    # a client's slot sums count quantized |g| <= 2^S and h <= 2^(S-2)
-    top_g, top_h = count << GRAD_SCALE_BITS, count << (GRAD_SCALE_BITS - 2)
-    g_sums = st.sampled_from([-top_g, top_g]) | st.integers(-top_g, top_g)
-    h_sums = st.sampled_from([0, top_h]) | st.integers(0, top_h)
-    expect_g, expect_h, subs = [0, 0, 0], [0, 0, 0], {}
-    for cid in ids:
-        hist = zero_histogram(1, 3)
-        hist.g[0] = [data.draw(g_sums) for _ in range(3)]
-        hist.h[0] = [data.draw(h_sums) for _ in range(3)]
-        expect_g = [e + v for e, v in zip(expect_g, hist.g[0].tolist())]
-        expect_h = [e + v for e, v in zip(expect_h, hist.h[0].tolist())]
-        subs[cid] = mask_histogram(hist, cid, roster, 0, 0, 0, pk, random.Random(cid))
-    total = server_aggregate(subs, roster, pk, sk)
-    assert total.g[0].tolist() == expect_g
-    assert total.h[0].tolist() == expect_h
+        assert level_layouts(bits, pk.n)[0].slots == 1
+    g_layout, h_layout = level_layouts(bits, pk.n if pk else MASK_ONLY_MODULUS)
+    # two nodes of one feature: streams of two or more residues, the last
+    # of them partly filled unless the slots are few
+    B = data.draw(st.integers(h_layout.slots // 2 + 1, h_layout.slots))
+    expect_g, expect_h, subs = [0] * 2 * B, [0] * 2 * B, {}
+    for cid, count in zip(ids, _client_shares(total, n_clients)):
+        # a client's slot sums count quantized |g| <= 2^S and h <= 2^(S-2)
+        top_g, top_h = count << GRAD_SCALE_BITS, count << (GRAD_SCALE_BITS - 2)
+        g, h = (data.draw(st.lists(st.sampled_from([lo, hi]) | st.integers(lo, hi),
+                                   min_size=2 * B, max_size=2 * B))
+                for lo, hi in ((-top_g, top_g), (0, top_h)))
+        expect_g = [e + v for e, v in zip(expect_g, g)]
+        expect_h = [e + v for e, v in zip(expect_h, h)]
+        hists = [zero_histogram(1, B), zero_histogram(1, B)]
+        for k, hist in enumerate(hists):
+            hist.g[0], hist.h[0] = g[k * B:(k + 1) * B], h[k * B:(k + 1) * B]
+        subs[cid] = _mask(hists, cid, roster, 0, 0, 0, pk, random.Random(cid), bits=bits)
+    totals = server_aggregate(subs, roster, bits, pk, sk)
+    assert [v for t in totals for v in t.g[0].tolist()] == expect_g
+    assert [v for t in totals for v in t.h[0].tolist()] == expect_h
 
 
 @settings(max_examples=25, deadline=None)
 @given(n_clients=st.integers(1, 8), data=st.data())
 def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
-    # every client at the largest count the int64 capacity check admits
-    count = ((1 << (63 - GRAD_SCALE_BITS)) - 1) // n_clients
+    # a root of the most samples the int64 capacity check admits, split
+    # among the clients: 43-bit counts, so 64-bit g slots at an offset of
+    # 2^63 and 61-bit h slots
+    total = (1 << (63 - GRAD_SCALE_BITS)) - 1
+    check_capacity(INT64_MODULUS, total)
     ids = [f"c{i}" for i in range(n_clients)]
-    roster = make_roster(ids, [count] * n_clients, master_seed=n_clients,
-                         secagg_mode=SECAGG_MASK_ONLY)
-    top = count << GRAD_SCALE_BITS
-    sums = st.sampled_from([-top, top]) | st.integers(-top, top)
-    # up to three residues of 64- or 65-bit slots: full ones and a partly filled last one
-    slots = packed_layout(roster, MASK_ONLY_MODULUS).slots
-    assert slots in (15, 16)
+    counts = _client_shares(total, n_clients)
+    roster = make_roster(ids, counts, master_seed=n_clients, secagg_mode=SECAGG_MASK_ONLY)
+    g_layout, h_layout = level_layouts(roster.root_bits(), MASK_ONLY_MODULUS)
+    assert (g_layout.offset, g_layout.width, g_layout.slots) == (1 << 63, 64, 16)
+    assert (h_layout.offset, h_layout.width, h_layout.slots) == (0, 61, 16)
+    # up to three residues: full ones and a partly filled last one
     F = data.draw(st.integers(1, 3))
-    B = data.draw(st.sampled_from([slots, slots - 1]) | st.integers(1, slots))
+    B = data.draw(st.sampled_from([15, 16]) | st.integers(1, 16))
     expect_g, expect_h, subs = np.zeros((F, B), dtype=object), np.zeros((F, B), dtype=object), {}
-    for cid in ids:
+    for cid, count in zip(ids, counts):
+        top_g, top_h = count << GRAD_SCALE_BITS, count << (GRAD_SCALE_BITS - 2)
         hist = zero_histogram(F, B)
-        hist.g[:] = np.array([data.draw(sums) for _ in range(F * B)]).reshape(F, B)
-        hist.h[:] = np.abs(hist.g) >> 2
+        hist.g[:], hist.h[:] = (
+            np.array(data.draw(st.lists(st.sampled_from([lo, hi]) | st.integers(lo, hi),
+                                        min_size=F * B, max_size=F * B))).reshape(F, B)
+            for lo, hi in ((-top_g, top_g), (0, top_h)))
         expect_g, expect_h = expect_g + hist.g.astype(object), expect_h + hist.h.astype(object)
-        subs[cid] = mask_histogram(hist, cid, roster, 0, 0, 0, None, None)
-    total = server_aggregate(subs, roster, None, None)
+        subs[cid] = _mask(hist, cid, roster, 0, 0, 0, None, None)
+    total = _aggregate(subs, roster, None, None)
     assert total.g.tolist() == expect_g.tolist()
     assert total.h.tolist() == expect_h.tolist()
 
 
-# hfl-paillier's and hfl-mask-paper's rosters, five clients (3 bits for their
-# sum), and the widest layouts the int64 capacity check admits: offset 2^63, so
-# a slot value reaches 2^64 - 1, with 1 and with 2 clients
-_LAYOUT_SHAPES = [
-    ([67, 67, 66], (1 << 511) + 1), ([57, 170], MASK_ONLY_MODULUS), ([3] * 5, 1 << 200),
-    ([(1 << 43) - 1], 1 << 1023), ([1 << 42, (1 << 42) - 1], 1 << 1023),
-]
+# (bits, ring) of hfl-paillier's and hfl-mask-paper's roots, a 3-bit level,
+# a 1-bit one, and the widest layouts the int64 capacity check admits: 43-bit
+# counts, so a g slot at an offset of 2^63 reaches 2^64 - 1
+_LAYOUT_SHAPES = [(8, (1 << 511) + 1), (8, MASK_ONLY_MODULUS), (3, 1 << 200), (1, 1 << 200),
+                  (63 - GRAD_SCALE_BITS, 1 << 1023)]
 
 
 @settings(max_examples=25, deadline=None)
-@given(shape=st.sampled_from(_LAYOUT_SHAPES), data=st.data())
-def test_pack_lays_out_the_slot_formula(shape, data):
-    counts, ring = shape
-    check_capacity(INT64_MODULUS, sum(counts))
-    roster = make_roster([f"c{i}" for i in range(len(counts))], counts)
-    layout = packed_layout(roster, ring)
-    top = layout.offset - 1
-    values = data.draw(st.lists(st.sampled_from([top, -top, 0]) | st.integers(-top, top),
+@given(shape=st.sampled_from(_LAYOUT_SHAPES), stream=st.sampled_from([0, 1]), data=st.data())
+def test_pack_lays_out_the_slot_formula(shape, stream, data):
+    layout = level_layouts(*shape)[stream]
+    # g values lie strictly within the offset, h values in [0, 2^width)
+    lo, hi = min(0, 1 - layout.offset), (1 << layout.width) - layout.offset - 1
+    values = data.draw(st.lists(st.sampled_from([lo, hi, 0]) | st.integers(lo, hi),
                                 min_size=1, max_size=4 * layout.slots + 1))
-    values[0] = data.draw(st.sampled_from([top, -top]))
+    values[0] = data.draw(st.sampled_from([lo, hi]))
     expect = [sum((v + layout.offset) << (layout.width * j)
                   for j, v in enumerate(values[k:k + layout.slots]))
               for k in range(0, len(values), layout.slots)]
     assert layout.pack(np.array(values, dtype=np.int64)) == expect
     assert layout.pack(values) == expect
-    assert layout.unpack([layout.n_clients * r for r in expect], len(values)) == [
-        layout.n_clients * v for v in values]
-    # -2^63 itself at the widest layouts
-    with pytest.raises(EncodingError, match=f"slot value {-layout.offset} reaches"):
-        layout.pack(values + [-layout.offset])
+    unpacked = layout.unpack(expect, len(values))
+    assert unpacked.dtype == np.int64 and unpacked.tolist() == values
+    # one past either end, where int64 holds it: -2^63 itself at the widest
+    for edge in (lo - 1, hi + 1):
+        if -(1 << 63) <= edge < 1 << 63:
+            with pytest.raises(EncodingError, match=f"slot value {edge} does not fit"):
+                layout.pack(values + [edge])
 
 
 def _unpack_per_slot(layout, totals, n_values):
     """Slot by slot, in Python integers: what ``PackedLayout.unpack`` reads
     in numpy."""
-    bias, mask = layout.n_clients * layout.offset, (1 << layout.width) - 1
+    mask = (1 << layout.width) - 1
     out = []
     for i, total in enumerate(totals):
         used = min(layout.slots, n_values - i * layout.slots)
         if total >> (layout.width * used):
             raise ProtocolError(f"packed aggregate {i} has bits above its {used} slots: "
                                 "a submission was tampered with or counted twice")
-        out += [((total >> (layout.width * j)) & mask) - bias for j in range(used)]
+        out += [((total >> (layout.width * j)) & mask) - layout.offset for j in range(used)]
     return out
 
 
+# every level layout above, and two that only the exact path beyond 64 bits
+# reads: a 66-bit slot at an offset of 2^64, and an unsigned 64-bit one
+_UNPACK_LAYOUTS = [level_layouts(*shape)[stream] for shape in _LAYOUT_SHAPES for stream in (0, 1)]
+_UNPACK_LAYOUTS += [PackedLayout(offset=1 << 64, width=66, slots=3),
+                    PackedLayout(offset=0, width=64, slots=4)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from(_LAYOUT_SHAPES), data=st.data())
-def test_unpack_equals_the_per_slot_loop(shape, data):
-    # any slot contents, not only sums of in-range packings
-    counts, ring = shape
-    layout = packed_layout(make_roster([f"c{i}" for i in range(len(counts))], counts), ring)
+@given(layout=st.sampled_from(_UNPACK_LAYOUTS), data=st.data())
+def test_unpack_equals_the_per_slot_loop(layout, data):
+    # any slot contents, not only sums of in-range packings, but often ones
+    # whose value lies in int64
     n_values = data.draw(st.integers(0, 3 * layout.slots + 1))
     used = [min(layout.slots, n_values - k) for k in range(0, n_values, layout.slots)]
-    totals = [data.draw(st.integers(0, (1 << (layout.width * u)) - 1)) for u in used]
-    assert layout.unpack(totals, n_values) == _unpack_per_slot(layout, totals, n_values)
+    near = st.integers(max(0, layout.offset - (1 << 63)),
+                       min(1 << layout.width, layout.offset + (1 << 63)) - 1)
+    slot = near | st.integers(0, (1 << layout.width) - 1)
+    totals = [sum(data.draw(slot) << (layout.width * j) for j in range(u)) for u in used]
+    expect = _unpack_per_slot(layout, totals, n_values)
+    if all(-(1 << 63) <= v < 1 << 63 for v in expect):
+        unpacked = layout.unpack(totals, n_values)
+        assert unpacked.dtype == np.int64 and unpacked.tolist() == expect
+    else:
+        with pytest.raises(ProtocolError, match="outside int64"):
+            layout.unpack(totals, n_values)
     if totals:
         i = data.draw(st.integers(0, len(totals) - 1))
         totals[i] |= 1 << (layout.width * used[i] + data.draw(st.integers(0, 8)))
@@ -513,13 +634,17 @@ def test_unpack_equals_the_per_slot_loop(shape, data):
 
 def test_slot_value_reaching_the_offset_raises(mask_fixture):
     roster, pk, sk = mask_fixture
-    layout = packed_layout(roster, pk.n)
+    layout, h_layout = level_layouts(roster.root_bits(), pk.n)
     edge = layout.offset / 2**GRAD_SCALE_BITS
     for value in (edge, -edge):
         with pytest.raises(EncodingError, match="offset"):
-            mask_histogram(_hist_from_values([0.0, value]), "c0", roster, 5, 5, 0, pk,
-                           random.Random(8))
+            _mask(_hist_from_values([0.0, value]), "c0", roster, 5, 5, 0, pk, random.Random(8))
     assert len(layout.pack([layout.offset - 1, 1 - layout.offset])) == 1
+    # an h slot holds [0, 2^width), with no offset
+    assert len(h_layout.pack([0, (1 << h_layout.width) - 1])) == 1
+    for value in (-1, 1 << h_layout.width):
+        with pytest.raises(EncodingError, match=f"slot value {value} does not fit"):
+            h_layout.pack([value])
 
 
 def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixture):
@@ -527,16 +652,14 @@ def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixtur
     # shows a flip only above its slots (one below them is a wrong bin sum)
     mask_only = make_roster(["c0", "c1"], [4, 4], master_seed=5, secagg_mode=SECAGG_MASK_ONLY)
     for roster, pk, sk, flip in ((*mask_fixture, 4), (mask_only, None, None, 1 << 127)):
-        s0 = mask_histogram(_hist_from_values([0.1, -0.2]), "c0", roster, 5, 6, 0, pk,
-                            random.Random(9))
-        s1 = mask_histogram(_hist_from_values([0.3, 0.4]), "c1", roster, 5, 6, 0, pk,
-                            random.Random(10))
+        s0 = _mask(_hist_from_values([0.1, -0.2]), "c0", roster, 5, 6, 0, pk, random.Random(9))
+        s1 = _mask(_hist_from_values([0.3, 0.4]), "c1", roster, 5, 6, 0, pk, random.Random(10))
         twin = MaskedEncHistogram(**{**vars(s0), "client_id": "c1"})
         with pytest.raises(ProtocolError, match="bits above"):
-            server_aggregate({"c0": s0, "c1": twin}, roster, pk, sk)
+            _aggregate({"c0": s0, "c1": twin}, roster, pk, sk)
         flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [s1.enc_h[0] ^ flip]})
         with pytest.raises(ProtocolError, match="bits above"):
-            server_aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
+            _aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
 
 
 @pytest.mark.parametrize("secagg, counts, key_bits, match", [
@@ -699,12 +822,12 @@ def test_transcript_has_no_sensitive_values():
     # tree-1 margins are continuous, so those sums are generic reals that
     # cannot collide with legitimate payload values (weights, thresholds)
     from fedgbt.gbt import predict_margin
-    from fedgbt.paillier import hex_to_int, int_to_hex
+    from fedgbt.paillier import int_to_hex
 
     binning = establish_global_binning(list(parties.values()), 8)
     roster = make_roster(list(parties), [p.n_samples for p in parties.values()])
     key = next(e for e in bus.transcript if e.msg_type == "KEY_BROADCAST")
-    layout = packed_layout(roster, hex_to_int(key.payload["n"]))
+    layouts = level_layouts(roster.root_bits(), hex_to_int(key.payload["n"]))
     forbidden_hex = set()
     forbidden_floats = set()
     for party in parties.values():
@@ -724,7 +847,7 @@ def test_transcript_has_no_sensitive_values():
                     if residue and len(int_to_hex(residue)) >= 10:
                         forbidden_hex.add(int_to_hex(residue))
             # the unmasked packed plaintexts this client would encrypt
-            for values in (hist.g, hist.h):
+            for values, layout in zip((hist.g, hist.h), layouts):
                 for plain in layout.pack(values.ravel().tolist()):
                     forbidden_hex.add(int_to_hex(plain))
     assert forbidden_floats, "corpus should contain generic per-client sums"
@@ -839,16 +962,114 @@ def test_clients_partition_by_the_broadcast_they_receive():
     assert bus.tampered is not None
 
 
+def _first_child_submission(to, payload):
+    return payload["tree"] == 0 and payload["nodes"] != [0]
+
+
+def _first_level_of_two(to, payload):
+    return len(payload["nodes"]) >= 2
+
+
+def _wide_parties():
+    X, y = synth_classification(200, 4, seed=17)
+    parties = random_split_parties(X, y, 2, seed=18)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=2, secagg_mode=SECAGG_MASK_ONLY)
+    return roster, parties
+
+
+def _train_wide(bus):
+    """One tree of depth 4 whose levels build up to 3 nodes each."""
+    roster, parties = _wide_parties()
+    params = GbtParams(n_estimators=1, max_depth=4, max_bin=8, reg_lambda=1.0,
+                       min_child_weight=0.0)
+    return hfl_train(roster, parties, params, seed=2, bus=bus)
+
+
+def _assert_names_the_tampered_submission(bus, raised):
+    sender, payload = bus.tampered
+    assert (f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, "
+            f"nodes {payload['nodes']}") in str(raised.value)
+
+
 @pytest.mark.parametrize("field, value", [("tree", 1), ("node", 101)])
 def test_a_submission_the_server_did_not_ask_for_is_rejected(field, value):
     # a child submission of tree 0 names another tree, or a node never requested
-    bus = _TamperOnce("HISTOGRAM_SUBMIT", lambda to, p: p["tree"] == 0 and p["node"] != 0,
-                      lambda p: p.update({field: value}))
+    def change(payload):
+        if field == "tree":
+            payload["tree"] = value
+        else:
+            payload["nodes"][0] = value
+
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, change)
     with pytest.raises(ProtocolError) as raised:
         _train_with(bus)
-    sender, payload = bus.tampered
-    assert (f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, "
-            f"node {payload['node']}") in str(raised.value)
+    _assert_names_the_tampered_submission(bus, raised)
+
+
+@pytest.mark.parametrize("change", [
+    lambda nodes: nodes.reverse(),
+    lambda nodes: nodes.pop(),
+    lambda nodes: nodes.append(nodes[0]),
+], ids=["reordered", "dropped", "duplicated"])
+def test_a_level_submission_that_misnames_its_nodes_is_rejected(change):
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_level_of_two, lambda p: change(p["nodes"]))
+    with pytest.raises(ProtocolError, match="the server asked each client once") as raised:
+        _train_wide(bus)
+    _assert_names_the_tampered_submission(bus, raised)
+
+
+def test_a_level_submission_one_residue_short_is_rejected():
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_level_of_two, lambda p: p["enc_h"].pop())
+    with pytest.raises(ProtocolError, match=r"enc_h values, expected") as raised:
+        _train_wide(bus)
+    _assert_names_the_tampered_submission(bus, raised)
+
+
+class _SendTwice(MessageBus):
+    """Sends the first ``HISTOGRAM_SUBMIT`` of a level of two nodes twice."""
+
+    def __init__(self):
+        super().__init__()
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if (self.tampered is None and msg_type == "HISTOGRAM_SUBMIT"
+                and _first_level_of_two(recipient, payload)):
+            self.tampered = (sender, payload)
+            super().send(sender, recipient, msg_type, round_id, payload)
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+def test_a_second_submission_from_one_client_is_rejected():
+    bus = _SendTwice()
+    with pytest.raises(ProtocolError, match="the server asked each client once") as raised:
+        _train_wide(bus)
+    _assert_names_the_tampered_submission(bus, raised)
+
+
+def test_a_split_broadcast_whose_bits_a_client_outgrows_is_rejected(monkeypatch):
+    # c1 alone holds more samples at a node it is asked for than the
+    # broadcast's bits admit: it raises before it draws any mask of that level
+    from fedgbt import hfl
+
+    masked = []
+
+    def recording(roster, client_id, modulus, plains, nonce, depth, tag):
+        masked.append((client_id, nonce, depth))
+        return add_masks(roster, client_id, modulus, plains, nonce, depth, tag)
+
+    add_masks = hfl._add_pairwise_masks
+    monkeypatch.setattr(hfl, "_add_pairwise_masks", recording)
+    bus = _TamperOnce("SPLIT_BROADCAST",
+                      lambda to, p: to == "c1" and p["bits"] > 0, lambda p: p.update(bits=0))
+    with pytest.raises(ProtocolError, match=r"SPLIT_BROADCAST to c1 for tree 0 sizes node \d+ "
+                                            r"for 0-bit counts, but the client holds \d+ "
+                                            r"samples there"):
+        _train_with(bus)
+    depth = bus.tampered[1]["depth"]
+    assert ("c0", "s2:t0", depth + 1) in masked
+    assert ("c1", "s2:t0", depth + 1) not in masked
 
 
 def _move_out_of_an_empty_bin(counts):
@@ -866,12 +1087,12 @@ def _move_out_of_an_empty_bin(counts):
 ], ids=["short", "extra", "negative", "uneven-rows"])
 def test_a_submission_with_malformed_counts_is_rejected(change, match):
     # the first root submission; feature 2 sums one sample more in "uneven-rows"
-    bus = _TamperOnce("HISTOGRAM_SUBMIT", lambda to, p: p["tree"] == 0 and p["node"] == 0,
+    bus = _TamperOnce("HISTOGRAM_SUBMIT", lambda to, p: p["tree"] == 0 and p["nodes"] == [0],
                       lambda p: change(p["counts"]))
     with pytest.raises(ProtocolError, match=match) as raised:
         _train_with(bus)
     sender, payload = bus.tampered
-    assert f"HISTOGRAM_SUBMIT from {sender} for tree 0, node 0" in str(raised.value)
+    assert f"HISTOGRAM_SUBMIT from {sender} for tree 0, nodes [0]" in str(raised.value)
 
 
 def test_clients_submit_the_smaller_child():
@@ -896,7 +1117,7 @@ def test_clients_submit_the_smaller_child():
     submitted = {}
     for env in bus.transcript:
         if env.msg_type == "HISTOGRAM_SUBMIT" and env.sender == "c0":
-            submitted.setdefault(env.payload["tree"], []).append(env.payload["node"])
+            submitted.setdefault(env.payload["tree"], []).extend(env.payload["nodes"])
     assert submitted == {t: [0, *nodes] for t, nodes in asked.items()}
     # both sides are asked for somewhere
     assert {n % 2 for nodes in asked.values() for n in nodes} == {0, 1}
@@ -904,14 +1125,10 @@ def test_clients_submit_the_smaller_child():
 
 def test_each_client_submits_a_levels_nodes_in_broadcast_order():
     # a client builds a level's histograms in one call, then sends one
-    # HISTOGRAM_SUBMIT per node the SPLIT_BROADCAST asks for, in its order
-    X, y = synth_classification(200, 4, seed=17)
-    parties = random_split_parties(X, y, 2, seed=18)
-    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
-                         master_seed=2, secagg_mode=SECAGG_MASK_ONLY)
-    params = GbtParams(n_estimators=1, max_depth=4, max_bin=8, reg_lambda=1.0,
-                       min_child_weight=0.0)
-    _, bus = hfl_train(roster, parties, params, seed=2)
+    # HISTOGRAM_SUBMIT that names the nodes the SPLIT_BROADCAST asks for, in
+    # its order
+    roster, _ = _wide_parties()
+    _, bus = _train_wide(MessageBus())
     asked, submitted = {}, {}
     for env in bus.transcript:
         if env.msg_type == "SPLIT_BROADCAST":
@@ -919,11 +1136,11 @@ def test_each_client_submits_a_levels_nodes_in_broadcast_order():
                 [d["submit"] for d in env.payload["decisions"]
                  if not d["leaf"] and d["submit"] is not None])
         if env.msg_type == "HISTOGRAM_SUBMIT":
-            submitted.setdefault((env.sender, env.round_id), []).append(env.payload["node"])
+            submitted.setdefault((env.sender, env.round_id), []).append(env.payload["nodes"])
     for cid in roster.client_ids:
         rounds = [nodes for (sender, _), nodes in sorted(submitted.items()) if sender == cid]
-        assert rounds == [[0]] + [nodes for nodes in asked[cid] if nodes]
-        assert max(map(len, rounds)) >= 3
+        assert rounds == [[[0]]] + [[nodes] for nodes in asked[cid] if nodes]
+        assert max(len(level[0]) for level in rounds) >= 3
 
 
 def test_a_split_broadcast_asking_for_a_non_child_is_rejected():
@@ -999,10 +1216,6 @@ def test_every_client_assembles_the_servers_tree(monkeypatch, change):
     assert (sizes == {1}) if change.get("max_depth") == 0 else (min(sizes) > 1)
 
 
-def _first_child_submission(to, payload):
-    return payload["tree"] == 0 and payload["node"] != 0
-
-
 def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
     # one unit more in one g slot: the count alone would still agree
     def bump(payload):
@@ -1011,7 +1224,7 @@ def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
     bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, bump)
     with pytest.raises(ProtocolError) as raised:
         _train_with(bus)
-    node = bus.tampered[1]["node"]
+    node = bus.tampered[1]["nodes"][0]
     # feature 0's row no longer sums to the parent split's prefix sums, or
     # bin 0 holds a sum its count cannot reach
     assert re.match(rf"tree 0, node {node}: feature 0[ ,]", str(raised.value))
@@ -1020,19 +1233,23 @@ def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
 SCALE = 2**GRAD_SCALE_BITS
 
 
-def _raise_one_g_slot(tree, node, feature, bin_):
-    """A bus that raises one g slot of the first client's submission of
-    ``node`` in ``tree`` by 2^S, one logistic gradient's worth (8 bins)."""
-    layout = packed_layout(_tamper_roster()[0], MASK_ONLY_MODULUS)
+def _raise_one_g_slot(bits, tree, node, feature, bin_):
+    """A bus that raises one g slot of ``node`` in the first client's level
+    submission of ``tree`` that holds it by 2^S, one logistic gradient's
+    worth (3 features of 8 bins); ``bits`` maps each submission to its
+    level's bits, as :func:`_level_bits` reads them."""
 
     def bump(payload):
-        i = feature * 8 + bin_
+        level = bits[sender, tree, tuple(payload["nodes"])]
+        layout = level_layouts(level, MASK_ONLY_MODULUS)[0]
+        i = payload["nodes"].index(node) * 3 * 8 + feature * 8 + bin_
         r, j = divmod(i, layout.slots)
         raised = int(payload["enc_g"][r], 16) + (SCALE << (layout.width * j))
         payload["enc_g"][r] = format(raised % MASK_ONLY_MODULUS, "x")
 
+    sender = _tamper_roster()[0].client_ids[0]
     return _TamperOnce("HISTOGRAM_SUBMIT",
-                       lambda to, p: (p["tree"], p["node"]) == (tree, node), bump)
+                       lambda to, p: p["tree"] == tree and node in p["nodes"], bump)
 
 
 def test_a_raised_g_slot_of_any_feature_is_rejected_at_every_submitted_node():
@@ -1041,13 +1258,14 @@ def test_a_raised_g_slot_of_any_feature_is_rejected_at_every_submitted_node():
     # feature 0 alone, 6 of the 48 cases at tree 0's nodes 0, 1 and 4
     # trained a different model without an error.
     _, clean = _train_with(MessageBus())
-    submitted = sorted({(e.payload["tree"], e.payload["node"]) for e in clean.transcript
-                        if e.msg_type == "HISTOGRAM_SUBMIT" and e.payload["node"] <= 6})
+    bits = _level_bits(_tamper_roster()[0], clean.transcript)
+    submitted = sorted({(e.payload["tree"], n) for e in clean.transcript
+                        if e.msg_type == "HISTOGRAM_SUBMIT" for n in e.payload["nodes"] if n <= 6})
     assert {(0, 0), (0, 1), (0, 4), (1, 0)} <= set(submitted)
     for tree, node in submitted:
         for feature in (1, 2):
             for bin_ in range(8):
-                bus = _raise_one_g_slot(tree, node, feature, bin_)
+                bus = _raise_one_g_slot(bits, tree, node, feature, bin_)
                 with pytest.raises(ProtocolError,
                                    match=rf"^tree {tree}, node {node}: feature {feature}[ ,]"):
                     _train_with(bus)

@@ -1058,7 +1058,7 @@ def _fold_and_open(pk, sk, layout, values):
         c = aggregate(pk, [encrypt(pk, v % pk.n, rng=rng) for v in run], [1] * len(run),
                       layout.width)
         totals.append(decrypt(sk, pk, c, bound=fold) + fold)
-    return layout.unpack(totals, len(values))
+    return layout.unpack(totals, len(values)).tolist()
 
 
 @settings(max_examples=30, deadline=None)
