@@ -218,11 +218,10 @@ class PackedLayout:
     ``[width * j, width * (j + 1))``.  A sum of ``k`` packings reads back
     once its ``k - 1`` surplus offsets are subtracted, ``(k - 1)`` times the
     packing of zeros, so the width only has to hold the summed ``v`` plus
-    one offset.  The horizontal clients pack each level's residues of a ring
-    in a g layout with an offset and an h layout without one
-    (:func:`fedgbt.hfl.level_layouts`); a vertical passive party folds each
-    run of ``slots`` bin sums into one ciphertext
-    (:func:`fedgbt.vfl.histogram_layout`).
+    one offset.  Every layout comes from :func:`level_layouts`, a g layout
+    with an offset and an h layout without one: the horizontal clients pack
+    each level's residues of a ring in them, and a vertical passive party
+    folds each run of a node's non-empty bin sums into one ciphertext.
     """
 
     offset: int
@@ -289,6 +288,31 @@ class PackedLayout:
             raise ProtocolError("a packed slot holds a value outside int64") from None
 
 
+def level_layouts(bits: int, ring: int) -> tuple[PackedLayout, PackedLayout]:
+    """The g and h slot layouts for nodes that each hold fewer than
+    ``2**bits`` samples, packed into integers below ``ring``: the one slot
+    rule of both federations.
+
+    With ``S = GRAD_SCALE_BITS``, a g sum over ``c < 2**bits`` samples lies
+    in ``[-c * 2**S, c * 2**S]``, so a slot of ``S + bits + 1`` bits at an
+    offset of ``2**(S + bits)`` holds it; an h sum lies in
+    ``[0, c * 2**(S - 2)]`` and needs ``S + bits - 2`` bits and no offset.
+    Each layout takes the most slots whose packing stays below
+    ``2**(bit_length(ring) - 1) <= ring``.  A horizontal level passes its
+    ring; a client's own sums fit the same slots, and the server subtracts
+    the other clients' offsets from the aggregate, so no width grows with
+    the roster.  The vertical active party passes ``p // 2``, so each fold
+    stays below ``p / 2`` and decrypts modulo ``p`` alone.
+    """
+    offset_bits = GRAD_SCALE_BITS + bits
+    g, h = (PackedLayout(offset=offset, width=width, slots=(ring.bit_length() - 1) // width)
+            for offset, width in ((1 << offset_bits, offset_bits + 1), (0, offset_bits - 2)))
+    if g.slots < 1:  # the wider of the two
+        raise EncodingError(f"a packed integer below 2^{ring.bit_length() - 1} fits no "
+                            f"{g.width}-bit slot for nodes of {bits}-bit counts")
+    return g, h
+
+
 # ---------------------------------------------------------------------------
 # Gradient histograms
 
@@ -350,6 +374,12 @@ def check_histogram(hists: list[GradHistogram], totals: list[tuple[int, int, int
     return hists
 
 
+# read-only float64 ones whose prefixes are the data of every one-hot matrix,
+# which scipy keeps without a copy; replaced, never written, by a longer run
+# when a histogram needs more
+_ONES = [np.ones(0)]
+
+
 def build_histogram(cells: np.ndarray, g: np.ndarray, h: np.ndarray, row_sets: list[np.ndarray],
                     n_bins: int) -> list[GradHistogram]:
     """(G, H, count) per feature and bin of each row set, in one product.
@@ -373,8 +403,12 @@ def build_histogram(cells: np.ndarray, g: np.ndarray, h: np.ndarray, row_sets: l
                             [len(r) for r in row_sets])[:, None]
     weights = np.empty((rows.size, 3))
     weights[:, 0], weights[:, 1], weights[:, 2] = g[rows], h[rows], 1.0
+    ones = _ONES[0]
+    if ones.size < onehot.size:
+        ones = _ONES[0] = np.ones(onehot.size)
+        ones.flags.writeable = False
     sums = (sparse.csc_matrix(
-        (np.ones(onehot.size), onehot.ravel(), np.arange(0, onehot.size + 1, n_features)),
+        (ones[:onehot.size], onehot.ravel(), np.arange(0, onehot.size + 1, n_features)),
         shape=(size, rows.size)) @ weights).T
     sums = sums.astype(np.int64, order="C").reshape(3, n_sets, n_features, n_bins)
     return [GradHistogram(*sums[:, k]) for k in range(n_sets)]

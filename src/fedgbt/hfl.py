@@ -11,10 +11,10 @@ masked per-client values and, after summing, the exact global aggregate
 once the masks cancel.
 Each client sends one submission per level: the histograms of the nodes
 the server asked for, back to back, in one g and one h layout sized for the
-level (:func:`level_layouts`).  Each pair of clients expands its shared seed
-once per stream (run nonce, tree, depth, g or h) into one mask word per
-residue (:func:`fedgbt.seeding.expand_mask_words`), and the packing runs in
-numpy.
+level (:func:`fedgbt.gbt.level_layouts`).  Each pair of clients expands its
+shared seed once per stream (run nonce, tree, depth, g or h) into one mask
+word per residue (:func:`fedgbt.seeding.expand_mask_words`), and the
+packing runs in numpy.
 Both modes share that path.  In ``paillier+mask`` mode the ring is the
 server's Paillier modulus and each masked residue is also encrypted; in
 ``mask-only`` mode the ring is ``MASK_ONLY_MODULUS`` (2^1024, wide enough
@@ -62,13 +62,11 @@ import numpy as np
 from .data import PartyDataset
 from .gbt import (
     FLOAT64_MODULUS,
-    GRAD_SCALE_BITS,
     INT64_MODULUS,
     Binning,
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
-    PackedLayout,
     ProtocolError,
     Tree,
     TrainingError,
@@ -80,6 +78,7 @@ from .gbt import (
     grow_tree,
     grown_leaf_weights,
     initial_margins,
+    level_layouts,
     logistic_gradients,
     model_to_dict,
     node_to_dict,
@@ -90,7 +89,6 @@ from .gbt import (
 )
 from .paillier import (
     Ciphertext,
-    EncodingError,
     PrivateKey,
     PublicKey,
     aggregate,
@@ -206,33 +204,6 @@ def establish_global_binning(datasets: list[PartyDataset], n_bins: int) -> Binni
         [d.features.max(axis=0) for d in datasets],
     )
     return binning_from_ranges(lows, highs, n_bins)
-
-
-# ---------------------------------------------------------------------------
-# Packed residues
-
-
-def level_layouts(bits: int, ring: int) -> tuple[PackedLayout, PackedLayout]:
-    """The g and h slot layouts of a level whose built nodes each hold
-    fewer than ``2**bits`` samples, in residues of ``ring``.
-
-    With ``S = GRAD_SCALE_BITS``, a g sum over ``c < 2**bits`` samples lies
-    in ``[-c * 2**S, c * 2**S]``, so a slot of ``S + bits + 1`` bits at an
-    offset of ``2**(S + bits)`` holds it; an h sum lies in
-    ``[0, c * 2**(S - 2)]`` and needs ``S + bits - 2`` bits and no offset.
-    A client's own sums fit the same slots, and the server subtracts the
-    other clients' offsets from the aggregate, so no width grows with the
-    roster.
-    """
-    offset_bits = GRAD_SCALE_BITS + bits
-    layouts = []
-    for offset, width in ((1 << offset_bits, offset_bits + 1), (0, offset_bits - 2)):
-        slots = (ring.bit_length() - 1) // width
-        if slots < 1:
-            raise EncodingError(f"a {ring.bit_length()}-bit modulus fits no {width}-bit slot "
-                                f"for nodes of {bits}-bit counts")
-        layouts.append(PackedLayout(offset=offset, width=width, slots=slots))
-    return layouts[0], layouts[1]
 
 
 # ---------------------------------------------------------------------------

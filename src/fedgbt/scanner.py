@@ -31,7 +31,7 @@ ALLOWED_FIELDS: dict[str, set[str]] = {
     "PARTITION_REPORT": {"tree", "depth", "counts"},
     "MODEL_DELIVERY": {"model"},
     "GRADIENT_BROADCAST": {"tree", "enc_g", "enc_h"},
-    "SAMPLE_SPACE": {"tree", "node", "sample_ids", "slots"},
+    "SAMPLE_SPACE": {"tree", "node", "sample_ids", "slots", "h_slots"},
     "ENC_HISTOGRAM_SUBMIT": {"tree", "node", "enc_g", "enc_h", "counts"},
     "SPLIT_NOTICE": {"tree", "node", "record", "feature_local", "bin", "sample_ids"},
     "PARTITION_REPLY": {"tree", "node", "sample_ids"},

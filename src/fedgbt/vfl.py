@@ -24,36 +24,37 @@ passive party answers from its own rows of those ids.
 
 The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
-key's per-prime combs.  A passive party folds each run of ``slots`` bin
-sums into one ciphertext by Horner's rule, ``c <- c**(2**w) * c_next``
-(cipher compression, after SecureBoost+), with the shared
-:class:`fedgbt.gbt.PackedLayout` (:func:`histogram_layout`): a bin of a node
-of ``n`` samples sums at most ``n`` values of magnitude ``2**GRAD_SCALE_BITS``,
-so its slot of ``w`` bits holds that sum plus an offset.  Only the active
-party knows ``p``, so it names ``slots`` in each ``SAMPLE_SPACE``: the most
-slots whose fold stays below ``p / 2`` (:func:`fold_slots`).  It then
-decrypts each fold modulo ``p`` alone, against the fold's offset constant
-as bound, and unpacks it; a fold outside that bound, bits above its slots,
-a bin sum beyond its count's bound or a nonzero empty bin is rejected as
-tampered.  The decrypted sums are int64 histograms, the
-pooled trainer's integers.  The active party grows each tree with the shared
-:func:`fedgbt.gbt.grow_tree`: every party aggregates the root and then only
-the smaller child of each split whose children may still split, and the
-grower derives the larger child as parent minus smaller, exactly, on every
-party's features at once.
+key's per-prime combs.  A passive party folds only the bins its counts say
+are non-empty, in flat (feature, bin) order, each run of them into one
+ciphertext by Horner's rule, ``c <- c**(2**w) * c_next`` (cipher
+compression, after SecureBoost+).  The slots are those of the horizontal
+federation (:func:`fedgbt.gbt.level_layouts`) for a node of ``n`` samples:
+g at an offset, h unsigned.  Only the active party knows ``p``, so it names
+each stream's slot count in each ``SAMPLE_SPACE``, the most whose fold stays
+below ``p / 2`` (:meth:`ActiveParty.fold_layouts`).  It derives the folded
+bins from the counts, decrypts each fold modulo ``p`` alone and unpacks it;
+a fold outside its bound, a negative h fold, bits above its slots, a bin
+sum beyond its count's bound, or a feature whose sums miss the node's
+totals is rejected as tampered.  The decrypted sums are int64 histograms,
+the pooled trainer's integers.  The active party grows each tree with the
+shared :func:`fedgbt.gbt.grow_tree`: every party aggregates the root and
+then only the smaller child of each split whose children may still split,
+and the grower derives the larger child as parent minus smaller, exactly,
+on every party's features at once.
 
 Wire protocol during training: ``GRADIENT_BROADCAST``; ``SAMPLE_SPACE``
-(a node's sample ids and ``slots``) and ``ENC_HISTOGRAM_SUBMIT``;
-``SPLIT_NOTICE`` (a foreign split's record and its node's sample ids) and
-``PARTITION_REPLY`` (the ids that go left); ``INFER_QUERY`` /
-``INFER_REPLY`` for out-of-bag rows.  During prediction: ``INFER_QUERY`` /
-``INFER_REPLY``.
+(a node's sample ids, ``slots`` and ``h_slots``) and
+``ENC_HISTOGRAM_SUBMIT``; ``SPLIT_NOTICE`` (a foreign split's record and its
+node's sample ids) and ``PARTITION_REPLY`` (the ids that go left);
+``INFER_QUERY`` / ``INFER_REPLY`` for out-of-bag rows.  During prediction:
+``INFER_QUERY`` / ``INFER_REPLY``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,6 +75,7 @@ from .gbt import (
     find_best_split,  # not called here; perfbench/tracing.py patches it by this name
     grow_tree,
     initial_margins,
+    level_layouts,
     logistic_gradients,
     quantize,
     sigmoid,
@@ -178,29 +180,6 @@ class SplitRecord:
     threshold: float
 
 
-def histogram_layout(n_samples: int, slots: int) -> PackedLayout:
-    """How a passive party packs its bin sums over a node of ``n_samples``.
-
-    A bin sums at most ``n_samples`` quantized values of magnitude at most
-    ``2**GRAD_SCALE_BITS``, which stays below ``offset``; a slot holds the
-    sum plus ``offset``, in ``[0, 2 * offset)``.  Both sides know the node's
-    sample count, so only ``slots`` travels.
-    """
-    offset_bits = GRAD_SCALE_BITS + n_samples.bit_length()
-    return PackedLayout(offset=1 << offset_bits, width=offset_bits + 1, slots=slots)
-
-
-def fold_slots(n_samples: int, p: int) -> int:
-    """The most slots of :func:`histogram_layout` whose fold, offsets
-    included, stays below ``p / 2``, so it decrypts modulo ``p`` alone; 0
-    if not even one fits."""
-    layout = histogram_layout(n_samples, 1)
-    slots, fold = 0, layout.offset
-    while 2 * fold < p:
-        slots, fold = slots + 1, (fold << layout.width) + layout.offset
-    return slots
-
-
 class PassiveParty:
     """Feature owner without labels; sees only gradient ciphertexts."""
 
@@ -222,19 +201,22 @@ class PassiveParty:
         self.enc_g = dict(zip(sample_ids, enc_g))
         self.enc_h = dict(zip(sample_ids, enc_h))
 
-    def bin_aggregate(self, sample_ids: list[int], slots: int) -> tuple[list, list, np.ndarray]:
+    def bin_aggregate(self, sample_ids: list[int], slots: int,
+                      h_slots: int) -> tuple[list, list, np.ndarray]:
         """Homomorphic per-(feature, bin) sums over the given sample space,
-        folded ``slots`` bins to a ciphertext.
+        folded ``slots`` g and ``h_slots`` h sums to a ciphertext.
 
         Per feature, one stable argsort of the samples' cells groups each
-        bin's samples in sample-space order.  The flat ``F * B`` bins are cut
-        into runs of ``slots``, and one ``aggregate`` call folds a run's
-        ciphertexts into one, its bin ``j`` in slot ``j``
-        (:func:`histogram_layout`).  The counts stay one per bin.
+        bin's samples in sample-space order.  Each stream cuts the non-empty
+        bins, in flat (feature, bin) order, into runs of its slot count, and
+        one ``aggregate`` call folds a run's ciphertexts into one, its
+        ``j``-th bin in slot ``j`` (:func:`fedgbt.gbt.level_layouts`).  The
+        counts stay one per bin, so they name the folded bins.
         """
-        if type(slots) is not int or slots < 1:
-            raise ProtocolError(f"{self.party_id} was asked to fold {slots!r} bins "
-                                "per ciphertext")
+        for named in (slots, h_slots):
+            if type(named) is not int or named < 1:
+                raise ProtocolError(f"{self.party_id} was asked to fold {named!r} bins "
+                                    "per ciphertext")
         unknown = [s for s in sample_ids if s not in self.pos_of_id]
         if unknown:
             raise ProtocolError(f"{self.party_id} received unknown sample ids {unknown[:3]}")
@@ -252,18 +234,18 @@ class PassiveParty:
             bins = column[positions]
             order += np.argsort(bins, kind="stable").tolist()
             counts[f] = np.bincount(bins, minlength=B)
-        width = histogram_layout(len(sample_ids), slots).width
-        sizes = counts.ravel().tolist()
-        enc_g: list[Ciphertext] = []
-        enc_h: list[Ciphertext] = []
-        start = 0
-        for first in range(0, F * B, slots):
-            run = sizes[first:first + slots]
-            members = order[start:start + sum(run)]
-            start += len(members)
-            enc_g.append(aggregate(self.pk, [cg[i] for i in members], run, width))
-            enc_h.append(aggregate(self.pk, [ch[i] for i in members], run, width))
-        return enc_g, enc_h, counts
+        sizes = counts[counts > 0].tolist()
+        ends = [0, *accumulate(sizes)]
+        groups = [order[a:b] for a, b in zip(ends, ends[1:])]  # each non-empty bin's samples
+
+        def fold(cts, per_run, width):
+            return [aggregate(self.pk, [cts[i] for group in groups[k:k + per_run] for i in group],
+                              sizes[k:k + per_run], width) for k in range(0, len(sizes), per_run)]
+
+        # a slot's width follows from the node's sample count alone; the
+        # slot counts are the key holder's, since only it knows p
+        g_layout, h_layout = level_layouts(len(sample_ids).bit_length(), self.pk.n)
+        return fold(cg, slots, g_layout.width), fold(ch, h_slots, h_layout.width), counts
 
     def store_record(self, record_id: int, feature_local: int, bin_index: int) -> SplitRecord:
         """Keep a split at an interior boundary of this party's binning."""
@@ -322,13 +304,10 @@ class ActiveParty:
         self.seed = seed
         self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("vfl-key", seed))
         # a bin sums at most every sample's |g| <= 1, exactly in float64 and
-        # so in int64, and its slot, folded and decrypted modulo p alone, must
-        # fit at the root
+        # so in int64, and a slot of each stream, folded and decrypted modulo
+        # p alone, must fit at the root
         check_capacity(FLOAT64_MODULUS, dataset.n_samples)
-        if fold_slots(dataset.n_samples, self.sk.p) < 1:
-            raise EncodingError(f"prime p too small for one "
-                                f"{histogram_layout(dataset.n_samples, 1).width}-bit slot of "
-                                f"{dataset.n_samples} terms of magnitude 1")
+        self.fold_layouts(dataset.n_samples)
         # seeded, so every obfuscator is predictable from the run seed: see
         # HflClient.enc_rng; a deployment must encrypt with ``rng=None``
         self.enc_rng = random.Random(derive_seed("vfl-enc", seed))
@@ -350,51 +329,74 @@ class ActiveParty:
             enc_h.append(encrypt(self.pk, int(self.h[pos]) % n, rng=self.enc_rng, sk=self.sk))
         return ids, enc_g, enc_h
 
+    def fold_layouts(self, n_samples: int) -> tuple[PackedLayout, PackedLayout]:
+        """The g and h layouts of a node of ``n_samples``: the most slots
+        whose fold stays below ``p / 2``, so that it decrypts modulo ``p``
+        alone, whatever its sign."""
+        return level_layouts(n_samples.bit_length(), self.sk.p >> 1)
+
     def decrypt_histogram(self, enc_g: list[Ciphertext], enc_h: list[Ciphertext],
-                          counts: np.ndarray, n_samples: int, where: str) -> GradHistogram:
-        """One passive party's bin sums over a sample space of ``n_samples``,
+                          counts: np.ndarray, positions: np.ndarray, where: str) -> GradHistogram:
+        """One passive party's bin sums over the sample space at ``positions``,
         as exact quantized integers.
 
-        Each ciphertext folds a run of bins (:meth:`PassiveParty.bin_aggregate`).
-        It is decrypted modulo ``p`` alone, bounded by the run's offset
-        constant ``M``, the packing of all-zero sums; adding ``M`` back gives
-        the packed slots.  A ciphertext list of the wrong length, counts that
-        are negative or do not add up to the sample space, a fold outside its
-        bound, bits above its slots, a bin of ``c`` samples whose sum leaves
-        ``[-c * 2**GRAD_SCALE_BITS, c * 2**GRAD_SCALE_BITS]``, or a nonzero
-        empty bin raise :class:`ProtocolError` naming ``where`` (sender,
-        tree, node).
+        Each ciphertext folds a run of the bins that ``counts`` says are
+        non-empty, in flat (feature, bin) order
+        (:meth:`PassiveParty.bin_aggregate`); every empty bin sums to zero.
+        Each fold is decrypted modulo ``p`` alone: a g fold against its
+        run's offset constant ``M``, the packing of all-zero sums, which is
+        then added back; an h fold, whose slots are unsigned, against
+        ``2**(width * slots) - 1``.  A ciphertext list of the wrong length,
+        counts that are negative or do not add up to the sample space, a
+        fold outside its bound, a negative h fold, bits above its slots, a
+        bin of ``c`` samples whose sum leaves ``[-c * 2**GRAD_SCALE_BITS,
+        c * 2**GRAD_SCALE_BITS]``, or a feature whose g or h sums miss the
+        node's totals on this party's own gradients raise
+        :class:`ProtocolError` naming ``where`` (sender, tree, node).  A
+        count moved into or out of an empty bin shifts every later slot by
+        one bin, across features, which the last check sees unless the
+        shift stays within the last feature.
         """
-        layout = histogram_layout(n_samples, fold_slots(n_samples, self.sk.p))
-        runs = -(-counts.size // layout.slots)
-        if len(enc_g) != runs or len(enc_h) != runs:
-            raise ProtocolError(f"{where}: {len(enc_g)} and {len(enc_h)} ciphertexts for "
-                                f"{counts.size} bins in runs of {layout.slots}")
+        n_samples = positions.size
         if (counts < 0).any() or (counts.sum(axis=1) != n_samples).any():
             raise ProtocolError(f"{where}: bin counts are negative or do not add up to "
                                 f"{n_samples} samples")
-        folds = layout.pack(np.zeros(counts.size, dtype=np.int64))
-        top = counts.astype(np.int64) << GRAD_SCALE_BITS
+        occupied = np.flatnonzero(counts)
+        layouts = self.fold_layouts(n_samples)
+        if [len(enc_g), len(enc_h)] != [-(-occupied.size // x.slots) for x in layouts]:
+            raise ProtocolError(f"{where}: {len(enc_g)} and {len(enc_h)} ciphertexts for "
+                                f"{occupied.size} non-empty bins in runs of "
+                                f"{layouts[0].slots} and {layouts[1].slots}")
+        top = counts << GRAD_SCALE_BITS
 
-        def plain(cts, name):
+        def plain(cts, layout, name, node_sum):
+            # a g fold is signed around its offset constant m; an h fold,
+            # with no offset, is unsigned
+            folds = layout.pack(np.zeros(occupied.size, dtype=np.int64))
+            unsigned = (1 << (layout.width * layout.slots)) - 1
+            values = np.zeros(counts.shape, dtype=np.int64)
             try:
-                totals = [decrypt(self.sk, self.pk, c, bound=m) + m for c, m in zip(cts, folds)]
-                values = layout.unpack(totals, counts.size)
+                totals = [decrypt(self.sk, self.pk, c, bound=m or unsigned) + m
+                          for c, m in zip(cts, folds)]
+                if min(totals, default=0) < 0:
+                    raise ProtocolError(f"{name} fold {totals.index(min(totals))} is negative")
+                values.flat[occupied] = layout.unpack(totals, occupied.size)
             except (EncodingError, ProtocolError) as exc:
                 raise ProtocolError(f"{where}: {exc}") from None
-            values = values.reshape(counts.shape)
             bad = (values > top) | (values < -top)
             if np.count_nonzero(bad):
                 f, b = (int(i) for i in np.argwhere(bad)[0])
-                if counts[f, b] == 0:
-                    raise ProtocolError(f"{where}: feature {f}, bin {b} is empty but its "
-                                        f"{name} sum unpacks to {values[f, b]}")
                 raise ProtocolError(f"{where}: feature {f}, bin {b} has a {name} sum of "
                                     f"{values[f, b]}, beyond {counts[f, b]} samples' bound")
+            off = np.flatnonzero(values.sum(axis=1) != node_sum)
+            if off.size:
+                raise ProtocolError(f"{where}: feature {off[0]}'s {name} sums add up to "
+                                    f"{values[off[0]].sum()}, not the node's {node_sum}")
             return values
 
-        return GradHistogram(g=plain(enc_g, "g"), h=plain(enc_h, "h"),
-                             counts=counts.astype(np.int64))
+        g, h = (plain(cts, layout, name, int(own[positions].sum())) for cts, layout, name, own
+                in zip((enc_g, enc_h), layouts, "gh", (self.g, self.h)))
+        return GradHistogram(g, h, counts)
 
     def own_histogram(self, positions: np.ndarray) -> GradHistogram:
         from .gbt import build_histogram
@@ -561,16 +563,17 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
     aid = active.party_id
     sample_ids = [int(active.dataset.sample_ids[p]) for p in positions]
     # only the key holder knows p, so it names how many bins fold together
-    slots = fold_slots(len(sample_ids), active.sk.p)
+    g_layout, h_layout = active.fold_layouts(len(sample_ids))
     round_id += 1
     for pid in passives:
         bus.send(aid, pid, "SAMPLE_SPACE", round_id, {
-            "tree": tree_index, "node": node_id, "sample_ids": sample_ids, "slots": slots,
+            "tree": tree_index, "node": node_id, "sample_ids": sample_ids,
+            "slots": g_layout.slots, "h_slots": h_layout.slots,
         })
     round_id += 1
     for pid, passive in passives.items():
-        env = bus.recv(pid, "SAMPLE_SPACE")
-        eg, eh, counts = passive.bin_aggregate(env.payload["sample_ids"], env.payload["slots"])
+        space = bus.recv(pid, "SAMPLE_SPACE").payload
+        eg, eh, counts = passive.bin_aggregate(space["sample_ids"], space["slots"], space["h_slots"])
         bus.send(pid, aid, "ENC_HISTOGRAM_SUBMIT", round_id, {
             "tree": tree_index,
             "node": node_id,
@@ -593,7 +596,7 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
         hists.append(active.decrypt_histogram(
             [Ciphertext(hex_to_int(v)) for v in payload["enc_g"]],
             [Ciphertext(hex_to_int(v)) for v in payload["enc_h"]],
-            counts.reshape(shape), positions.size, where,
+            counts.reshape(shape), positions, where,
         ))
     parts = [active.own_histogram(positions), *hists]
     return GradHistogram(*(np.vstack([getattr(part, a) for part in parts])

@@ -25,6 +25,7 @@ from fedgbt.gbt import (
     cell_ids,
     check_capacity,
     compute_binning,
+    level_layouts,
     logistic_gradients,
     model_to_json,
     node_to_dict,
@@ -41,7 +42,6 @@ from fedgbt.hfl import (
     _add_pairwise_masks,
     establish_global_binning,
     hfl_train,
-    level_layouts,
     make_roster,
     mask_histogram,
     server_aggregate,

@@ -10,9 +10,11 @@ is spelled only as ``GRAD_SCALE_BITS``, the int64 capacity only as
 ``INT64_MODULUS``, and the float64 bound (2^53) only as
 ``FLOAT64_MODULUS``.  The protocol modules draw mask material only from
 ``fedgbt.seeding``: neither imports ``hashlib``.  One slot layout,
-``PackedLayout``, is defined in ``gbt.py`` alone, and both protocol modules
-import it from there.  One serializer writes tree-node documents: outside
-``gbt.py`` no module builds a dict with a ``"leaf"`` key.
+``PackedLayout``, is defined in ``gbt.py`` alone, and one slot rule builds
+every instance: nothing but ``gbt.level_layouts`` constructs one, and both
+protocol modules import that function from ``gbt``.  One serializer writes
+tree-node documents: outside ``gbt.py`` no module builds a dict with a
+``"leaf"`` key.
 """
 
 import ast
@@ -206,35 +208,58 @@ def test_protocol_modules_take_masks_only_from_seeding():
     assert not found, "hashlib imported outside fedgbt.seeding: " + ", ".join(found)
 
 
-def _layout_homes(src: Path) -> tuple[list[str], list[str]]:
-    """(modules under ``src`` that define a ``PackedLayout`` class, protocol
-    modules that do not import it from ``gbt``)."""
-    defined, strays = [], []
+def _layout_homes(src: Path) -> tuple[list[str], list[str], list[str]]:
+    """(modules under ``src`` that define a ``PackedLayout`` class, places
+    that construct one outside ``gbt.level_layouts``, protocol modules that
+    do not import ``level_layouts`` from ``gbt``)."""
+    defined, built, strays = [], [], []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        if any(isinstance(node, ast.ClassDef) and node.name == "PackedLayout"
-               for node in ast.walk(tree)):
-            defined.append(path.name)
+        rule = {id(node) for top in tree.body if path.name == "gbt.py"
+                and isinstance(top, ast.FunctionDef) and top.name == "level_layouts"
+                for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "PackedLayout":
+                defined.append(path.name)
+            if (isinstance(node, ast.Call) and id(node) not in rule and "PackedLayout" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                built.append((path.name, node.lineno))
         if path.name in ("hfl.py", "vfl.py") and not any(
                 isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "gbt"
-                and any(alias.name == "PackedLayout" for alias in node.names)
+                and any(alias.name == "level_layouts" for alias in node.names)
                 for node in ast.walk(tree)):
             strays.append(path.name)
-    return defined, strays
+    return defined, [f"{name}:{line}" for name, line in sorted(built)], strays
 
 
 def test_one_slot_layout_serves_both_protocols():
-    assert _layout_homes(SRC) == (["gbt.py"], [])
+    assert _layout_homes(SRC) == (["gbt.py"], [], [])
+
+
+def _copy_src(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    assert _layout_homes(tmp_path) == (["gbt.py"], [], [])
 
 
 def test_the_layout_guard_sees_a_second_definition(tmp_path):
-    for path in SRC.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    assert _layout_homes(tmp_path) == (["gbt.py"], [])
+    _copy_src(tmp_path)
     vfl = tmp_path / "vfl.py"
-    vfl.write_text(vfl.read_text().replace("    PackedLayout,\n", "", 1)
+    vfl.write_text(vfl.read_text().replace("    level_layouts,\n", "", 1)
                    + "\n\n@dataclass(frozen=True)\nclass PackedLayout:\n    offset: int\n")
-    assert _layout_homes(tmp_path) == (["gbt.py", "vfl.py"], ["vfl.py"])
+    assert _layout_homes(tmp_path) == (["gbt.py", "vfl.py"], [], ["vfl.py"])
+
+
+def test_the_layout_guard_sees_a_second_constructor(tmp_path):
+    _copy_src(tmp_path)
+    vfl = tmp_path / "vfl.py"
+    source = vfl.read_text()
+    vfl.write_text(source + "\n\ndef histogram_layout(n_samples, slots):\n"
+                   "    return PackedLayout(offset=1 << 27, width=28, slots=slots)\n"
+                   "\n\nWIDE = gbt.PackedLayout(0, 64, 1)\n")
+    lines = len(source.splitlines())
+    assert _layout_homes(tmp_path) == (["gbt.py"], [f"vfl.py:{lines + 4}", f"vfl.py:{lines + 7}"],
+                                       [])
 
 
 def _node_documents(src: Path) -> list[str]:

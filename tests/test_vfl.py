@@ -18,6 +18,7 @@ from fedgbt.gbt import (
     ProtocolError,
     check_histogram,
     find_best_split,
+    level_layouts,
     logistic_gradients,
     model_to_json,
     predict_proba,
@@ -26,6 +27,7 @@ from fedgbt.gbt import (
 )
 from fedgbt.paillier import (
     Ciphertext,
+    EncodingError,
     _is_probable_prime,
     aggregate,
     decrypt,
@@ -39,14 +41,18 @@ from fedgbt.transport import MessageBus
 from fedgbt.vfl import (
     ActiveParty,
     PassiveParty,
-    fold_slots,
-    histogram_layout,
     joined_matrix,
     make_vfl_roster,
     vfl_predict,
     vfl_train,
 )
 from test_gbt import histogram_of
+
+
+def named_slots(active, n_samples):
+    """The (g, h) slot counts the active party names for a node of
+    ``n_samples``."""
+    return tuple(layout.slots for layout in active.fold_layouts(n_samples))
 
 
 def vertical_fixture(n, f_active, f_passive, seed, n_passives=1):
@@ -166,8 +172,8 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     sids, enc_g, enc_h = active.encrypt_gradients(np.arange(20))
     passive.receive_gradients(sids, enc_g, enc_h)
     subset = sids[: 12]
-    eg, eh, counts = passive.bin_aggregate(subset, fold_slots(12, active.sk.p))
-    decoded = active.decrypt_histogram(eg, eh, counts, 12, "passive0")
+    eg, eh, counts = passive.bin_aggregate(subset, *named_slots(active, 12))
+    decoded = active.decrypt_histogram(eg, eh, counts, np.arange(12), "passive0")
     plain = histogram_of(passive.columns.T, active.g, active.h, np.arange(12), params.max_bin)
     np.testing.assert_array_equal(decoded.g, plain.g)
     np.testing.assert_array_equal(decoded.h, plain.h)
@@ -177,53 +183,11 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     assert (decoded.g[empty_bins] == 0).all()
 
 
-def test_bin_aggregate_equals_the_per_sample_loop():
-    datasets, X, y = vertical_fixture(30, 1, 4, seed=18)
-    params = small_params()
-    active = ActiveParty("active", datasets["active"], params, seed=4, key_bits=256)
-    passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
-    passive.pk = active.pk
-    n_squared = passive.pk.n_squared
-    active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(30)))
-    passive.receive_gradients(*active.encrypt_gradients(np.arange(30)))
-    ids = [int(s) for s in datasets["passive0"].sample_ids]
-    for space in (ids, ids[::-1][:17], ids[5:6], []):
-        # reference: append each sample's ciphertexts to its bins in order
-        F, B = passive.dataset.n_features, passive.n_bins
-        buckets_g = [[] for _ in range(F * B)]
-        buckets_h = [[] for _ in range(F * B)]
-        for sid in space:
-            for f in range(F):
-                b = passive.columns[f, passive.pos_of_id[sid]]
-                buckets_g[f * B + b].append(passive.enc_g[sid])
-                buckets_h[f * B + b].append(passive.enc_h[sid])
-        # one bin per ciphertext, a partial last run, and the key's widest fold
-        widest = fold_slots(len(space), active.sk.p)
-        assert widest > 3 and (F * B) % 3
-        for slots in (1, 3, widest):
-            width = histogram_layout(len(space), slots).width
-
-            def folded(buckets):
-                # run r's bin j is raised to 2^(width * j), then multiplied in
-                return [math.prod(pow(aggregate(passive.pk, bucket).value, 1 << (width * j),
-                                      n_squared)
-                                  for j, bucket in enumerate(buckets[k:k + slots])) % n_squared
-                        for k in range(0, F * B, slots)]
-
-            eg, eh, counts = passive.bin_aggregate(space, slots)
-            assert [c.value for c in eg] == folded(buckets_g)
-            assert [c.value for c in eh] == folded(buckets_h)
-            assert counts.flatten().tolist() == [len(b) for b in buckets_g]
-        # a run of one bin is the bin's own product
-        assert ([c.value for c in passive.bin_aggregate(space, 1)[0]]
-                == [aggregate(passive.pk, b).value for b in buckets_g])
-
-
 def test_passive_rejects_unknown_sample_ids():
     datasets, _, _ = vertical_fixture(8, 1, 2, seed=7)
     passive = PassiveParty("passive0", datasets["passive0"], 4)
     with pytest.raises(ProtocolError):
-        passive.bin_aggregate([9999], 1)
+        passive.bin_aggregate([9999], 1, 1)
 
 
 def test_passive_rejects_ids_outside_the_gradient_broadcast():
@@ -234,9 +198,9 @@ def test_passive_rejects_ids_outside_the_gradient_broadcast():
     active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(12)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(6)))
     ids = [int(s) for s in datasets["passive0"].sample_ids]
-    passive.bin_aggregate(ids[:6], 1)
+    passive.bin_aggregate(ids[:6], 1, 1)
     with pytest.raises(ProtocolError, match=r"passive0 received sample ids \[106, 107, 108\]"):
-        passive.bin_aggregate(ids, 1)
+        passive.bin_aggregate(ids, 1, 1)
 
 
 def test_partition_resolution_matches_plaintext_filter():
@@ -504,10 +468,11 @@ def _prime_next_to(x, step):
     return x
 
 
-# a fold over 40 samples has slots of 20 + 6 + 1 bits: one slot holds a bin
-# sum plus 2^(S + 6), which decrypts modulo p alone once p > 2^(S + 7), a
-# little above 2 * 40 * 2^S, the bound on the sum itself
-_ONE_SLOT = 1 << histogram_layout(40, 1).width
+# a fold over 40 samples has g slots of 20 + 6 + 1 bits: one slot holds a
+# bin sum plus 2^(S + 6), and a fold stays below p/2, so that it decrypts
+# modulo p alone, once p > 2^(S + 8), 3.2 times 2 * 40 * 2^S, the bound on
+# the sum itself
+_ONE_SLOT = 2 << level_layouts((40).bit_length(), 1 << 64)[0].width
 _WIDE = _prime_next_to(_ONE_SLOT * 4, 1)
 
 
@@ -525,7 +490,6 @@ _WIDE = _prime_next_to(_ONE_SLOT * 4, 1)
 ])
 def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
     from fedgbt import vfl
-    from fedgbt.paillier import EncodingError, keypair_from_primes
 
     datasets, X, y = vertical_fixture(40, 2, 2, seed=21)
     roster = make_vfl_roster("active", datasets)
@@ -538,7 +502,7 @@ def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
         trained, _ = vfl_train(roster, datasets, params, seed=3, bus=bus)
         assert model_to_json(trained.ensemble) == model_to_json(reference.ensemble)
     else:
-        with pytest.raises(EncodingError, match="40 terms"):
+        with pytest.raises(EncodingError, match="fits no 27-bit slot for nodes of 6-bit counts"):
             vfl_train(roster, datasets, params, seed=3, bus=bus)
         assert bus.transcript == []
 
@@ -565,21 +529,23 @@ def _route_training_rows(trained, tree):
     return positions, depth
 
 
-def _unfold(active, cts, counts):
-    """Bin sums from folded ciphertexts by full two-prime decryption and
-    plain shifts, apart from ``PackedLayout.unpack`` and the bounded
-    decryption."""
-    n = int(counts[0].sum())
-    layout = histogram_layout(n, fold_slots(n, active.sk.p))
+def _unfold(active, cts, counts, stream):
+    """One stream's bin sums from folded ciphertexts by full two-prime
+    decryption and plain shifts, apart from ``PackedLayout.unpack`` and the
+    bounded decryption: the folds hold the non-empty bins in flat order."""
+    layout = active.fold_layouts(int(counts[0].sum()))[stream]
     width, offset, modulus = layout.width, layout.offset, active.pk.n
-    values = []
+    occupied = np.flatnonzero(counts)
+    values = np.zeros(counts.size, dtype=np.int64)
     for k, c in enumerate(cts):
-        used = min(layout.slots, counts.size - k * layout.slots)
+        run = occupied[k * layout.slots:(k + 1) * layout.slots]
         total = decrypt(active.sk, active.pk, c)
         total = (total - modulus if total > modulus // 2 else total) + sum(
-            offset << (width * j) for j in range(used))
-        values += [((total >> (width * j)) & ((1 << width) - 1)) - offset for j in range(used)]
-    return np.array(values, dtype=np.int64).reshape(counts.shape)
+            offset << (width * j) for j in range(run.size))
+        for j, b in enumerate(run):
+            values[b] = ((total >> (width * j)) & ((1 << width) - 1)) - offset
+    assert len(cts) == -(-occupied.size // layout.slots)
+    return values.reshape(counts.shape)
 
 
 def test_subtracted_histograms_equal_direct_aggregation_and_decryption(monkeypatch):
@@ -628,45 +594,39 @@ def test_subtracted_histograms_equal_direct_aggregation_and_decryption(monkeypat
         ids = [int(active.dataset.sample_ids[p]) for p in positions[node_id]]
         for pid in roster.passive_ids:
             eg, eh, counts = trained.passives[pid].bin_aggregate(
-                ids, fold_slots(len(ids), active.sk.p))
-            parts.append(GradHistogram(_unfold(active, eg, counts), _unfold(active, eh, counts),
-                                       counts))
+                ids, *named_slots(active, len(ids)))
+            parts.append(GradHistogram(_unfold(active, eg, counts, 0),
+                                       _unfold(active, eh, counts, 1), counts))
         for a in ("g", "h", "counts"):
             np.testing.assert_array_equal(getattr(held, a),
                                           np.vstack([getattr(part, a) for part in parts]))
 
 
 class _FlipOneCiphertext(MessageBus):
-    """Flips the low bit of the g fold of the first run that holds an empty,
-    or a nonempty, bin, in the first ENC_HISTOGRAM_SUBMIT that has one."""
+    """Flips the low bit of the last g or h fold, the one a partial run
+    would fill, in the first ENC_HISTOGRAM_SUBMIT."""
 
-    def __init__(self, empty_bin: bool):
+    def __init__(self, h_stream: bool):
         super().__init__()
-        self.empty_bin = empty_bin
-        self.slots = {}  # passive party -> bins per fold it was last asked for
+        self.stream = "enc_h" if h_stream else "enc_g"
         self.tampered = None
 
     def send(self, sender, recipient, msg_type, round_id, payload):
-        if msg_type == "SAMPLE_SPACE":
-            self.slots[recipient] = payload["slots"]
         if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
-            bins = [i for i, c in enumerate(payload["counts"]) if (c == 0) == self.empty_bin]
-            if bins:
-                run = bins[0] // self.slots[sender]
-                enc_g = list(payload["enc_g"])
-                enc_g[run] = format(int(enc_g[run], 16) ^ 1, "x")
-                payload = {**payload, "enc_g": enc_g}
-                self.tampered = (sender, payload["tree"], payload["node"])
+            folds = list(payload[self.stream])
+            folds[-1] = format(int(folds[-1], 16) ^ 1, "x")
+            payload = {**payload, self.stream: folds}
+            self.tampered = (sender, payload["tree"], payload["node"])
         return super().send(sender, recipient, msg_type, round_id, payload)
 
 
-@pytest.mark.parametrize("empty_bin", [False, True])
-def test_a_flipped_histogram_ciphertext_is_detected(empty_bin):
+@pytest.mark.parametrize("h_stream", [False, True])
+def test_a_flipped_histogram_ciphertext_is_detected(h_stream):
     # a flipped bit scrambles the whole fold, so its bounded decryption
-    # fails, whether or not the run holds an empty bin
+    # fails, in either stream
     datasets, X, y = vertical_fixture(80, 2, 3, seed=19, n_passives=2)
     roster = make_vfl_roster("active", datasets)
-    bus = _FlipOneCiphertext(empty_bin)
+    bus = _FlipOneCiphertext(h_stream)
     with pytest.raises(ProtocolError) as raised:
         vfl_train(roster, datasets, small_params(), seed=11, bus=bus, key_bits=256)
     sender, tree, node = bus.tampered
@@ -801,17 +761,17 @@ def test_histogram_decryption_rejects_counts_that_miss_the_sample_space():
     active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(12)))
     passive.receive_gradients(*active.encrypt_gradients(np.arange(12)))
     eg, eh, counts = passive.bin_aggregate([int(s) for s in datasets["passive0"].sample_ids],
-                                           fold_slots(12, active.sk.p))
-    active.decrypt_histogram(eg, eh, counts, 12, "passive0")
+                                           *named_slots(active, 12))
+    active.decrypt_histogram(eg, eh, counts, np.arange(12), "passive0")
     with pytest.raises(ProtocolError, match="do not add up"):
-        active.decrypt_histogram(eg, eh, counts, 11, "passive0")
+        active.decrypt_histogram(eg, eh, counts, np.arange(11), "passive0")
     with pytest.raises(ProtocolError, match="ciphertexts"):
-        active.decrypt_histogram(eg[:-1], eh, counts, 12, "passive0")
+        active.decrypt_histogram(eg[:-1], eh, counts, np.arange(12), "passive0")
     forged = counts.copy()
     forged[0, forged[0].argmax()] += 2**30  # the row still sums to 12
     forged[0, forged[0].argmin()] -= 2**30
     with pytest.raises(ProtocolError, match="negative"):
-        active.decrypt_histogram(eg, eh, forged, 12, "passive0")
+        active.decrypt_histogram(eg, eh, forged, np.arange(12), "passive0")
 
 
 # ---------------------------------------------------------------------------
@@ -1012,8 +972,16 @@ def test_crypto_calls_match_what_the_transcript_implies(monkeypatch):
     folds = sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits)
     assert seen["aggregate"] == seen["decrypt"] == folds
     assert seen["terms"] == 2 * sum(sum(p["counts"]) for p in submits)
-    # at least three bins fold into each ciphertext at this key
-    assert 3 * folds <= 2 * sum(len(p["counts"]) for p in submits)
+    # each stream folds only the non-empty bins, in runs of the slots its
+    # SAMPLE_SPACE named, at least three of them at this key
+    asked = {(e.recipient, e.payload["tree"], e.payload["node"]): e.payload
+             for e in bus.transcript if e.msg_type == "SAMPLE_SPACE"}
+    for e in (e for e in bus.transcript if e.msg_type == "ENC_HISTOGRAM_SUBMIT"):
+        named = asked[e.sender, e.payload["tree"], e.payload["node"]]
+        occupied = np.count_nonzero(e.payload["counts"])
+        assert min(named["slots"], named["h_slots"]) >= 3
+        assert [len(e.payload["enc_g"]), len(e.payload["enc_h"])] == [
+            -(-occupied // named["slots"]), -(-occupied // named["h_slots"])]
 
 
 def test_every_name_perfbench_traces_exists():
@@ -1037,8 +1005,9 @@ def test_a_passive_party_rejects_fewer_than_one_slot():
     passive.receive_gradients(*active.encrypt_gradients(np.arange(12)))
     ids = [int(s) for s in datasets["passive0"].sample_ids]
     for slots in (0, -1, 2.0, True, None):
-        with pytest.raises(ProtocolError, match="passive0 was asked to fold"):
-            passive.bin_aggregate(ids, slots)
+        for named in ((slots, 1), (1, slots)):
+            with pytest.raises(ProtocolError, match=f"passive0 was asked to fold {slots!r} bins"):
+                passive.bin_aggregate(ids, *named)
 
 
 @cache
@@ -1049,71 +1018,142 @@ def _fold_key():
 
 def _fold_and_open(pk, sk, layout, values):
     """Encrypt each value, fold every run of ``layout.slots``, decrypt each
-    fold against its offset constant and unpack."""
+    fold as the active party does, against its offset constant (g) or
+    against ``2**(width * slots) - 1`` (h, unsigned), and unpack."""
     rng = random.Random(0)
     folds = layout.pack(np.zeros(len(values), dtype=np.int64))
+    unsigned = (1 << (layout.width * layout.slots)) - 1
     totals = []
     for k, fold in enumerate(folds):
         run = values[k * layout.slots:(k + 1) * layout.slots]
         c = aggregate(pk, [encrypt(pk, v % pk.n, rng=rng) for v in run], [1] * len(run),
                       layout.width)
-        totals.append(decrypt(sk, pk, c, bound=fold) + fold)
+        totals.append(decrypt(sk, pk, c, bound=fold or unsigned) + fold)
     return layout.unpack(totals, len(values)).tolist()
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(0, 5000), data=st.data())
 def test_folds_carry_slot_values_up_to_the_offset(n, data):
+    # g slots carry |v| < offset; h slots, unsigned, every value they hold
     pk, sk = _fold_key()
-    layout = histogram_layout(n, fold_slots(n, sk.p))
-    top = layout.offset - 1
-    values = data.draw(st.lists(st.sampled_from([top, -top, 0]) | st.integers(-top, top),
-                                min_size=1, max_size=3 * layout.slots + 1))
-    values[0] = data.draw(st.sampled_from([top, -top]))
-    assert _fold_and_open(pk, sk, layout, values) == values
+    g_layout, h_layout = level_layouts(n.bit_length(), sk.p >> 1)
+    for layout, low, top in ((g_layout, 1 - g_layout.offset, g_layout.offset - 1),
+                             (h_layout, 0, (1 << h_layout.width) - 1)):
+        values = data.draw(st.lists(st.sampled_from([low, top, 0]) | st.integers(low, top),
+                                    min_size=1, max_size=3 * layout.slots + 1))
+        values[0] = data.draw(st.sampled_from([low, top]))
+        assert _fold_and_open(pk, sk, layout, values) == values
 
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(0, 3000), data=st.data())
 def test_the_smallest_prime_that_admits_one_slot(n, data):
-    layout = histogram_layout(n, 1)
-    bound = 1 << layout.width  # twice the offset
+    bits = n.bit_length()
+    bound = 2 << level_layouts(bits, 1 << 64)[0].width  # p/2 above any one-slot g fold
     p = _prime_next_to(bound, 1)
-    assert fold_slots(n, _prime_next_to(bound, -1)) == 0
-    assert fold_slots(n, p) == 1
+    with pytest.raises(EncodingError, match=f"fits no {GRAD_SCALE_BITS + bits + 1}-bit slot"):
+        level_layouts(bits, _prime_next_to(bound, -1) >> 1)
+    g_layout, h_layout = level_layouts(bits, p >> 1)
+    assert g_layout.slots == h_layout.slots == 1
     pk, sk = keypair_from_primes(p, _prime_next_to(4 * p + 1, 1))
-    top = layout.offset - 1
+    top = g_layout.offset - 1
     values = [top, -top, 0, data.draw(st.integers(-top, top))]
-    assert _fold_and_open(pk, sk, layout, values) == values
+    assert _fold_and_open(pk, sk, g_layout, values) == values
+    top = (1 << h_layout.width) - 1
+    values = [top, 0, data.draw(st.integers(0, top))]
+    assert _fold_and_open(pk, sk, h_layout, values) == values
 
 
-def _packed_parties(n, n_bins):
+def _packed_parties(features, n_bins):
     """An active party over 64 samples with the fold key, and a passive party
-    whose feature 0 is constant, so one bin holds its whole sample space."""
+    holding the 64 rows of ``features``."""
     ids = np.arange(64)
     rng = np.random.default_rng(3)
     active = ActiveParty("active", PartyDataset("active", ids, rng.normal(size=(64, 1)), ("a0",),
                                                 np.arange(64) % 2), small_params(), seed=1,
                          key_bits=256)
     active.pk, active.sk = _fold_key()
-    features = np.column_stack([np.ones(64), rng.normal(size=64)])
-    passive = PassiveParty("passive0", PartyDataset("passive0", ids, features, ("p0", "p1")),
-                           n_bins)
+    names = tuple(f"p{f}" for f in range(features.shape[1]))
+    passive = PassiveParty("passive0", PartyDataset("passive0", ids, features, names), n_bins)
     passive.pk = active.pk
     return active, passive
+
+
+@st.composite
+def _sparse_space(draw):
+    """64 rows of one to four features, the first constant and each other
+    one constant, two-valued or spread, so some have one or two occupied
+    bins; quantized g at +1, at -1 or anywhere in [-1, 1] and h at 0, at 1/4
+    or anywhere between, so a bin's sums reach ``+-c * 2**20`` and
+    ``c * 2**18``; and a sample space of up to 64 of the rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kinds = ["one", *draw(st.lists(st.sampled_from(["one", "two", "spread"]), max_size=3))]
+    columns = {"one": np.ones(64), "two": rng.integers(0, 2, 64) * 1.0,
+               "spread": rng.normal(size=64)}
+    top = 1 << GRAD_SCALE_BITS
+    g = {"+1": np.full(64, top), "-1": np.full(64, -top),
+         "any": rng.integers(-top, top, 64, endpoint=True)}
+    h = {"0": np.zeros(64), "1/4": np.full(64, top >> 2),
+         "any": rng.integers(0, top >> 2, 64, endpoint=True)}
+    g, h = g[draw(st.sampled_from(sorted(g)))], h[draw(st.sampled_from(sorted(h)))]
+    ids = rng.permutation(64)[:draw(st.integers(0, 64))].tolist()
+    return (np.column_stack([columns[k] for k in kinds]), g.astype(np.int64), h.astype(np.int64),
+            ids)
+
+
+@settings(max_examples=20, deadline=None)
+@given(space=_sparse_space(), n_bins=st.integers(2, 9), data=st.data())
+def test_bin_aggregate_equals_the_per_sample_loop(space, n_bins, data):
+    features, g, h, ids = space
+    active, passive = _packed_parties(features, n_bins)
+    active.g, active.h = g, h
+    passive.receive_gradients(*active.encrypt_gradients(np.arange(64)))
+    n_squared = passive.pk.n_squared
+    # reference: append each sample's ciphertexts to its bins in order
+    F, B = features.shape[1], n_bins
+    buckets_g = [[] for _ in range(F * B)]
+    buckets_h = [[] for _ in range(F * B)]
+    for sid in ids:
+        for f in range(F):
+            b = passive.columns[f, passive.pos_of_id[sid]]
+            buckets_g[f * B + b].append(passive.enc_g[sid].value)
+            buckets_h[f * B + b].append(passive.enc_h[sid].value)
+    occupied = [k for k in range(F * B) if buckets_g[k]]
+    # slots of 21 + b bits for g and 18 + b for h, b the sample count's bits
+    bits = len(ids).bit_length()
+    widths = GRAD_SCALE_BITS + bits + 1, GRAD_SCALE_BITS + bits - 2
+    # per stream, one bin per ciphertext, the key's widest fold or between
+    slots = [data.draw(st.sampled_from([1, most]) | st.integers(1, most))
+             for most in named_slots(active, len(ids))]
+
+    def folded(buckets, per_run, width):
+        # only the non-empty bins fold: run r's j-th is raised to
+        # 2^(width * j), then multiplied in
+        bins = [math.prod(buckets[k]) % n_squared for k in occupied]
+        return [math.prod(pow(b, 1 << (width * j), n_squared)
+                          for j, b in enumerate(bins[k:k + per_run])) % n_squared
+                for k in range(0, len(bins), per_run)]
+
+    eg, eh, counts = passive.bin_aggregate(ids, *slots)
+    assert [c.value for c in eg] == folded(buckets_g, slots[0], widths[0])
+    assert [c.value for c in eh] == folded(buckets_h, slots[1], widths[1])
+    assert counts.ravel().tolist() == [len(b) for b in buckets_g]
 
 
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(1, 64), sign=st.sampled_from([1, -1]))
 def test_a_bin_holding_the_whole_sample_space_unpacks_at_its_bound(n, sign):
-    active, passive = _packed_parties(n, 8)
+    # feature 0 is constant, so one bin holds the whole sample space
+    features = np.column_stack([np.ones(64), np.random.default_rng(3).normal(size=64)])
+    active, passive = _packed_parties(features, 8)
     # every |g| = 1 and every h = 1/4, the largest logistic gradients
     active.g = np.full(64, sign << GRAD_SCALE_BITS, dtype=np.int64)
     active.h = np.full(64, 1 << (GRAD_SCALE_BITS - 2), dtype=np.int64)
     passive.receive_gradients(*active.encrypt_gradients(np.arange(64)))
     ids = list(range(n))
-    eg, eh, counts = passive.bin_aggregate(ids, fold_slots(n, active.sk.p))
-    hist = active.decrypt_histogram(eg, eh, counts, n, "passive0")
+    eg, eh, counts = passive.bin_aggregate(ids, *named_slots(active, n))
+    hist = active.decrypt_histogram(eg, eh, counts, np.arange(n), "passive0")
     full = int(np.argmax(counts[0]))
     assert counts[0, full] == n
     assert hist.g[0, full] == sign * n << GRAD_SCALE_BITS
@@ -1123,21 +1163,22 @@ def test_a_bin_holding_the_whole_sample_space_unpacks_at_its_bound(n, sign):
     np.testing.assert_array_equal(hist.h, plain.h)
 
 
-@settings(max_examples=15, deadline=None)
-@given(n=st.integers(1, 64), n_bins=st.integers(2, 9), seed=st.integers(0, 2**16))
-def test_a_partial_last_run_decrypts_like_the_full_ones(n, n_bins, seed):
-    slots = fold_slots(n, _fold_key()[1].p)
-    assume(2 * n_bins % slots)
-    active, passive = _packed_parties(n, n_bins)
-    rng = np.random.default_rng(seed)
-    active.g = rng.integers(-(1 << GRAD_SCALE_BITS), 1 << GRAD_SCALE_BITS, size=64, endpoint=True)
-    active.h = rng.integers(0, 1 << (GRAD_SCALE_BITS - 2), size=64, endpoint=True)
+@settings(max_examples=25, deadline=None)
+@given(space=_sparse_space(), n_bins=st.integers(2, 9))
+def test_a_partial_last_run_decrypts_like_the_full_ones(space, n_bins):
+    features, g, h, ids = space
+    active, passive = _packed_parties(features, n_bins)
+    positions = np.array(ids, dtype=np.int64)
+    plain = histogram_of(passive.columns.T, g, h, positions, n_bins)
+    occupied = np.count_nonzero(plain.counts)
+    slots = named_slots(active, len(ids))
+    # both streams end in a partly filled run
+    assume(occupied % slots[0] and occupied % slots[1])
+    active.g, active.h = g, h
     passive.receive_gradients(*active.encrypt_gradients(np.arange(64)))
-    ids = rng.permutation(64)[:n].tolist()
-    eg, eh, counts = passive.bin_aggregate(ids, slots)
-    assert len(eg) == len(eh) == -(-2 * n_bins // slots)
-    hist = active.decrypt_histogram(eg, eh, counts, n, "passive0")
-    plain = histogram_of(passive.columns.T, active.g, active.h, np.array(ids), n_bins)
+    eg, eh, counts = passive.bin_aggregate(ids, *slots)
+    assert [len(eg), len(eh)] == [-(-occupied // k) for k in slots]
+    hist = active.decrypt_histogram(eg, eh, counts, positions, "passive0")
     for a in ("g", "h", "counts"):
         np.testing.assert_array_equal(getattr(hist, a), getattr(plain, a))
 
@@ -1150,62 +1191,109 @@ def _with_slot(total, layout, j, value):
     return total - (_slot(total, layout, j) << (layout.width * j)) + (value << (layout.width * j))
 
 
-def _bits_above(packed, counts, layout):
-    used = min(layout.slots, len(counts))
-    below = packed[0] & ((1 << (layout.width * (used - 1))) - 1)
-    # the next bit up, with the lower slots kept, stays within the fold's bound
-    return [(1 << (layout.width * used)) + below, *packed[1:]]
+def _bits_above(stream):
+    def edit(folds, counts, layouts):
+        layout, packed = layouts[stream], folds[stream]
+        used = int(np.count_nonzero(counts)) - (len(packed) - 1) * layout.slots
+        if stream and used == layout.slots:
+            return None  # a full h run has no room above its slots within its bound
+        below = packed[-1] & ((1 << (layout.width * (used - 1))) - 1)
+        # the next bit up, with the lower slots kept, stays within the fold's bound
+        edited = [*packed[:-1], (1 << (layout.width * used)) + below]
+        return [edited, folds[1]] if stream == 0 else [folds[0], edited], counts
+    return edit
 
 
-def _edit_bin(empty):
-    def edit(packed, counts, layout):
-        bins = [i for i, c in enumerate(counts) if (c == 0) == empty]
-        if not bins:
+def _beyond_bound(folds, counts, layouts):
+    # one past the bound of the first non-empty bin, which the first g
+    # fold's slot 0 holds
+    layout = layouts[0]
+    value = layout.offset + (int(counts[counts > 0][0]) << GRAD_SCALE_BITS) + 1
+    return [[_with_slot(folds[0][0], layout, 0, value), *folds[0][1:]], folds[1]], counts
+
+
+def _negative_h(folds, counts, layouts):
+    return [folds[0], [-1, *folds[1][1:]]], counts
+
+
+def _g_list(change):
+    def edit(folds, counts, layouts):
+        return [change(folds[0]), folds[1]], counts
+    return edit
+
+
+def _move_count(into_empty):
+    """Within feature 0, moves one count from a bin of two or more into an
+    empty bin, or empties a bin of one into another non-empty bin, where
+    that leaves the number of folds of both streams as it is."""
+    def edit(folds, counts, layouts):
+        row = counts[0]
+        source = np.flatnonzero(row >= 2 if into_empty else row == 1)
+        target = np.flatnonzero(row == 0 if into_empty else row > 0)
+        target = target[target != source[0]] if source.size else target
+        occupied = int(np.count_nonzero(counts)) + (1 if into_empty else -1)
+        if not (source.size and target.size) or [len(f) for f in folds] != [
+                -(-occupied // layout.slots) for layout in layouts]:
             return None
-        k, j = divmod(bins[0], layout.slots)
-        # one past the bin's bound, or any nonzero sum in an empty bin
-        value = layout.offset + (counts[bins[0]] << GRAD_SCALE_BITS) + 1
-        return [*packed[:k], _with_slot(packed[k], layout, j, value), *packed[k + 1:]]
+        counts = counts.copy()
+        counts[0, source[0]] -= 1
+        counts[0, target[0]] += 1
+        return folds, counts
     return edit
 
 
 class _RewriteFolds(MessageBus):
-    """Decrypts the g folds of the first ENC_HISTOGRAM_SUBMIT that ``edit``
-    applies to with the active party's key, and re-encrypts what ``edit``
-    returns: a tamperer that knows the key."""
+    """Decrypts both streams' folds of the first ENC_HISTOGRAM_SUBMIT that
+    ``edit`` applies to with the active party's key, and re-encrypts the
+    folds and sends the counts that ``edit`` returns: a tamperer that knows
+    the key."""
 
     def __init__(self, key, edit):
         super().__init__()
         self.key, self.edit = key, edit
-        self.asked = {}  # passive party -> (sample count, slots) last asked for
+        self.asked = {}  # passive party -> the SAMPLE_SPACE it was last sent
         self.tampered = None
 
     def send(self, sender, recipient, msg_type, round_id, payload):
         if msg_type == "SAMPLE_SPACE":
-            self.asked[recipient] = len(payload["sample_ids"]), payload["slots"]
+            self.asked[recipient] = payload
         if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
             pk, sk = self.key
-            layout = histogram_layout(*self.asked[sender])
-            folds = layout.pack(np.zeros(len(payload["counts"]), dtype=np.int64))
-            packed = [decrypt(sk, pk, Ciphertext(int(c, 16)), bound=m) + m
-                      for c, m in zip(payload["enc_g"], folds)]
-            edited = self.edit(packed, payload["counts"], layout)
+            asked = self.asked[sender]
+            layouts = level_layouts(len(asked["sample_ids"]).bit_length(), sk.p >> 1)
+            assert [x.slots for x in layouts] == [asked["slots"], asked["h_slots"]]
+            counts = np.array(payload["counts"]).reshape(-1, small_params().max_bin)
+            # each stream's folds hold the non-empty bins, in flat order
+            zeros = [x.pack(np.zeros(np.count_nonzero(counts), dtype=np.int64)) for x in layouts]
+            unsigned = [(1 << (x.width * x.slots)) - 1 for x in layouts]
+            folds = [[decrypt(sk, pk, Ciphertext(int(c, 16)), bound=m or top) + m
+                      for c, m in zip(payload[name], offsets)]
+                     for name, offsets, top in zip(("enc_g", "enc_h"), zeros, unsigned)]
+            edited = self.edit(folds, counts, layouts)
             if edited is not None:
                 rng = random.Random(0)
-                enc_g = [int_to_hex(encrypt(pk, (t - folds[min(i, len(folds) - 1)]) % pk.n,
-                                            rng=rng).value) for i, t in enumerate(edited)]
-                payload = {**payload, "enc_g": enc_g}
+                folds, counts = edited
+                payload = {**payload, "counts": counts.ravel().tolist(), **{
+                    name: [int_to_hex(encrypt(pk, (t - offsets[min(i, len(offsets) - 1)]) % pk.n,
+                                              rng=rng).value) for i, t in enumerate(stream)]
+                    for name, stream, offsets in zip(("enc_g", "enc_h"), folds, zeros)}}
                 self.tampered = (sender, payload["tree"], payload["node"])
         return super().send(sender, recipient, msg_type, round_id, payload)
 
 
 @pytest.mark.parametrize("edit, match", [
-    (_bits_above, "has bits above its [0-9]+ slots"),
-    (_edit_bin(empty=False), r"feature [0-9]+, bin [0-9]+ has a g sum of [0-9]+, beyond"),
-    (_edit_bin(empty=True), r"feature [0-9]+, bin [0-9]+ is empty but its g sum unpacks to 1$"),
-    (lambda packed, counts, layout: packed[:-1], "ciphertexts for"),
-    (lambda packed, counts, layout: packed + packed[-1:], "ciphertexts for"),
-], ids=["bits-above", "slot-beyond-bound", "nonzero-empty-bin", "short-list", "long-list"])
+    (_bits_above(0), "has bits above its [0-9]+ slots"),
+    (_beyond_bound, r"feature [0-9]+, bin [0-9]+ has a g sum of [0-9]+, beyond"),
+    # every later slot lands one bin on, across features
+    (_move_count(into_empty=True), "feature 0's g sums add up to -?[0-9]+, not the node's"),
+    # the last g fold holds one slot more than the counts leave it
+    (_move_count(into_empty=False), "decrypted value outside"),
+    (_negative_h, "h fold 0 is negative$"),
+    (_bits_above(1), "has bits above its [0-9]+ slots"),
+    (_g_list(lambda packed: packed[:-1]), "ciphertexts for"),
+    (_g_list(lambda packed: packed + packed[-1:]), "ciphertexts for"),
+], ids=["bits-above", "slot-beyond-bound", "count-into-empty-bin", "emptied-bin", "h-negative",
+        "h-bits-above", "short-list", "long-list"])
 def test_a_tampered_fold_is_rejected(monkeypatch, edit, match):
     from fedgbt import vfl
 
