@@ -34,12 +34,13 @@ Wire protocol per boosting round (tree t, depth d):
   masked, encrypted histograms of the root, or of each split's smaller child
   (the sibling is derived by exact integer subtraction), in broadcast order
   under ``nodes``; the server accepts one per client that names exactly the
-  nodes it asked for;
-* ``MODEL_DELIVERY``     server -> clients: the full ensemble at the end.
+  nodes it asked for.
 
 A client keeps the node documents of a tree's broadcasts and, once the tree
 is grown, builds it from them (:func:`fedgbt.gbt.tree_from_dicts`) to update
-its margins; the finished tree is never sent again.
+its margins; no tree, and no finished model, is sent again.  Every payload's
+fields and wire form are those of :data:`fedgbt.transport.MESSAGES`: the
+parties hand the bus ints and lists, and read them back decoded.
 
 Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
 (per-feature ranges, sanctioned metadata) and ``BINNING_BROADCAST``.
@@ -80,7 +81,6 @@ from .gbt import (
     initial_margins,
     level_layouts,
     logistic_gradients,
-    model_to_dict,
     node_to_dict,
     quantize,
     tree_from_dicts,
@@ -94,8 +94,6 @@ from .paillier import (
     aggregate,
     decrypt,
     encrypt,
-    hex_to_int,
-    int_to_hex,
     keygen,
 )
 from .seeding import derive_seed, derive_uniform_int, expand_mask_words, mask_word_bytes
@@ -528,14 +526,8 @@ class HflServer:
 
 
 def _submission_payload(sub: MaskedEncHistogram) -> dict:
-    return {
-        "tree": sub.tree,
-        "nodes": sub.nodes,
-        "mode": sub.mode,
-        "enc_g": [int_to_hex(v) for v in sub.enc_g],
-        "enc_h": [int_to_hex(v) for v in sub.enc_h],
-        "counts": sub.counts.flatten().tolist(),
-    }
+    return {"tree": sub.tree, "nodes": sub.nodes, "mode": sub.mode, "enc_g": sub.enc_g,
+            "enc_h": sub.enc_h, "counts": sub.counts.flatten().tolist()}
 
 
 def _submission_from_payload(payload: dict, sender: str, n_features: int,
@@ -545,7 +537,7 @@ def _submission_from_payload(payload: dict, sender: str, n_features: int,
     :class:`ProtocolError` naming the sender, tree and nodes."""
     nodes = payload["nodes"]
     where = f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, nodes {nodes}"
-    counts = np.array(payload["counts"], dtype=np.int64)
+    counts = payload["counts"]
     if counts.size != len(nodes) * n_features * n_bins:
         raise ProtocolError(f"{where}: {counts.size} counts, expected "
                             f"{len(nodes) * n_features * n_bins}")
@@ -553,15 +545,7 @@ def _submission_from_payload(payload: dict, sender: str, n_features: int,
     if (counts < 0).any() or (counts.sum(axis=2) != counts[:, :1].sum(axis=2)).any():
         raise ProtocolError(f"{where}: a negative count, or feature rows whose counts "
                             "differ in sum")
-    return MaskedEncHistogram(
-        client_id=sender,
-        tree=payload["tree"],
-        nodes=nodes,
-        mode=payload["mode"],
-        enc_g=[hex_to_int(t) for t in payload["enc_g"]],
-        enc_h=[hex_to_int(t) for t in payload["enc_h"]],
-        counts=counts,
-    )
+    return MaskedEncHistogram(client_id=sender, **{**payload, "counts": counts})
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +586,11 @@ def hfl_train(
     round_id += 1
     if roster.secagg_mode == SECAGG_PAILLIER:
         for cid in roster.client_ids:
-            bus.send(sid, cid, "KEY_BROADCAST", round_id, {
-                "n": int_to_hex(server.pk.n),
-                "g": int_to_hex(server.pk.g),
-                "key_bits": key_bits,
-            })
+            bus.send(sid, cid, "KEY_BROADCAST", round_id,
+                     {"n": server.pk.n, "g": server.pk.g, "key_bits": key_bits})
         for cid, client in clients.items():
-            env = bus.recv(cid, "KEY_BROADCAST")
-            n = hex_to_int(env.payload["n"])
-            client.pk = PublicKey(n=n, g=hex_to_int(env.payload["g"]), n_squared=n * n)
+            key = bus.recv(cid, "KEY_BROADCAST").payload
+            client.pk = PublicKey(n=key["n"], g=key["g"], n_squared=key["n"] ** 2)
 
     # --- setup: shared binning from merged ranges
     round_id += 1
@@ -700,10 +680,4 @@ def hfl_train(
         base_score_logit=params.base_score_logit,
         feature_names=datasets[roster.client_ids[0]].feature_names,
     )
-    round_id += 1
-    model_doc = model_to_dict(ensemble)
-    for cid in roster.client_ids:
-        bus.send(sid, cid, "MODEL_DELIVERY", round_id, {"model": model_doc})
-    for cid in roster.client_ids:
-        bus.recv(cid, "MODEL_DELIVERY")
     return ensemble, bus

@@ -444,4 +444,9 @@ def int_to_hex(value: int) -> str:
 
 
 def hex_to_int(text: str) -> int:
-    return int(text, 16)
+    """The inverse of :func:`int_to_hex`: a string that is not hex, or is a
+    negative one, raises ValueError."""
+    value = int(text, 16)
+    if value < 0:
+        raise ValueError(f"negative hex {text!r}")
+    return value

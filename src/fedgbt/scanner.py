@@ -2,8 +2,11 @@
 
 Two complementary checks:
 
-* :func:`scan_structure` validates that every message type carries only its
-  declared fields — the check the CLI runs on a bare transcript file;
+* :func:`scan_structure` decodes every payload through the wire schema,
+  :data:`fedgbt.transport.MESSAGES`: an undeclared message type, a missing
+  or undeclared field, or a value its codec rejects is a finding that names
+  the envelope's index, type, sender and field.  It is the check the CLI
+  runs on a bare transcript file;
 * :func:`scan_sensitive` hunts for known-sensitive values (label vectors,
   raw feature cells, unmasked per-party gradient aggregates, thresholds
   bound to a specific owner) inside payloads — the stronger check the test
@@ -18,28 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .transport import Envelope
-
-# Payload fields each message type may carry.  Anything outside this table is
-# flagged, which catches accidental plaintext debug fields early.
-ALLOWED_FIELDS: dict[str, set[str]] = {
-    "KEY_BROADCAST": {"n", "g", "key_bits"},
-    "BINNING_REPORT": {"lows", "highs", "n_features"},
-    "BINNING_BROADCAST": {"boundaries", "n_bins"},
-    "HISTOGRAM_SUBMIT": {"tree", "nodes", "enc_g", "enc_h", "counts", "mode"},
-    "SPLIT_BROADCAST": {"tree", "depth", "decisions", "bits"},
-    "PARTITION_REPORT": {"tree", "depth", "counts"},
-    "MODEL_DELIVERY": {"model"},
-    "GRADIENT_BROADCAST": {"tree", "enc_g", "enc_h"},
-    "SAMPLE_SPACE": {"tree", "node", "sample_ids", "slots", "h_slots"},
-    "ENC_HISTOGRAM_SUBMIT": {"tree", "node", "enc_g", "enc_h", "counts"},
-    "SPLIT_NOTICE": {"tree", "node", "record", "feature_local", "bin", "sample_ids"},
-    "PARTITION_REPLY": {"tree", "node", "sample_ids"},
-    "INFER_QUERY": {"query", "records", "sample_ids"},
-    "INFER_REPLY": {"query", "go_left"},
-    "PING": {"text"},
-    "PONG": {"text"},
-}
+from .transport import Envelope, decode_payload
 
 # Message types whose numeric content is sanctioned aggregate metadata and is
 # therefore excluded from the raw-feature-cell search.
@@ -61,18 +43,10 @@ class ScanReport:
 
 
 def scan_structure(envelopes: list[Envelope]) -> ScanReport:
-    """Check every envelope against the declared payload schemas."""
+    """Decode every envelope through the wire schema; each fault is a finding."""
     report = ScanReport()
     for i, env in enumerate(envelopes):
-        allowed = ALLOWED_FIELDS.get(env.msg_type)
-        if allowed is None:
-            report.findings.append(f"#{i}: undeclared message type {env.msg_type}")
-            continue
-        extra = set(env.payload) - allowed
-        if extra:
-            report.findings.append(
-                f"#{i} {env.msg_type} from {env.sender}: undeclared fields {sorted(extra)}"
-            )
+        report.findings += [f"#{i} {fault}" for fault in decode_payload(env)[1]]
     return report
 
 

@@ -47,7 +47,9 @@ Wire protocol during training: ``GRADIENT_BROADCAST``; ``SAMPLE_SPACE``
 ``ENC_HISTOGRAM_SUBMIT``; ``SPLIT_NOTICE`` (a foreign split's record and its
 node's sample ids) and ``PARTITION_REPLY`` (the ids that go left);
 ``INFER_QUERY`` / ``INFER_REPLY`` for out-of-bag rows.  During prediction:
-``INFER_QUERY`` / ``INFER_REPLY``.
+``INFER_QUERY`` / ``INFER_REPLY``.  Every payload's fields and wire form are
+those of :data:`fedgbt.transport.MESSAGES`: the parties hand the bus
+ciphertexts as ints and counts as lists, and read them back decoded.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ from .paillier import (
     aggregate,
     decrypt,
     encrypt,
-    hex_to_int,
-    int_to_hex,
     keygen,
 )
 from .seeding import derive_seed
@@ -440,23 +440,16 @@ def vfl_train(
 
         round_id += 1
         ids, enc_g, enc_h = active.encrypt_gradients(rows)
-        payload = {
-            "tree": t,
-            "enc_g": {str(s): int_to_hex(c.value) for s, c in zip(ids, enc_g)},
-            "enc_h": {str(s): int_to_hex(c.value) for s, c in zip(ids, enc_h)},
-        }
+        payload = {"tree": t, "enc_g": {s: c.value for s, c in zip(ids, enc_g)},
+                   "enc_h": {s: c.value for s, c in zip(ids, enc_h)}}
         for pid in roster.passive_ids:
             bus.send(aid, pid, "GRADIENT_BROADCAST", round_id, payload)
         for pid, passive in passives.items():
-            env = bus.recv(pid, "GRADIENT_BROADCAST")
+            got = bus.recv(pid, "GRADIENT_BROADCAST").payload
             passive.pk = active.pk  # public key is public by definition
-            g_map = env.payload["enc_g"]
-            h_map = env.payload["enc_h"]
-            passive.receive_gradients(
-                [int(s) for s in g_map],
-                [Ciphertext(hex_to_int(v)) for v in g_map.values()],
-                [Ciphertext(hex_to_int(v)) for v in h_map.values()],
-            )
+            g_map, h_map = got["enc_g"], got["enc_h"]
+            passive.receive_gradients(list(g_map), [Ciphertext(c) for c in g_map.values()],
+                                      [Ciphertext(c) for c in h_map.values()])
 
         node_positions: dict[int, np.ndarray] = {0: rows}
 
@@ -575,11 +568,8 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
         space = bus.recv(pid, "SAMPLE_SPACE").payload
         eg, eh, counts = passive.bin_aggregate(space["sample_ids"], space["slots"], space["h_slots"])
         bus.send(pid, aid, "ENC_HISTOGRAM_SUBMIT", round_id, {
-            "tree": tree_index,
-            "node": node_id,
-            "enc_g": [int_to_hex(c.value) for c in eg],
-            "enc_h": [int_to_hex(c.value) for c in eh],
-            "counts": counts.flatten().tolist(),
+            "tree": tree_index, "node": node_id, "enc_g": [c.value for c in eg],
+            "enc_h": [c.value for c in eh], "counts": counts.flatten().tolist(),
         })
     envs = bus.recv_from_each(aid, list(passives), "ENC_HISTOGRAM_SUBMIT")
     hists = []
@@ -590,12 +580,11 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
             raise ProtocolError(f"{where}: the reply names tree {payload['tree']}, "
                                 f"node {payload['node']}")
         shape = passive.dataset.n_features, active.params.max_bin
-        counts = np.array(payload["counts"], dtype=np.int64)
+        counts = payload["counts"]
         if counts.size != shape[0] * shape[1]:
             raise ProtocolError(f"{where}: {counts.size} counts, expected {shape[0] * shape[1]}")
         hists.append(active.decrypt_histogram(
-            [Ciphertext(hex_to_int(v)) for v in payload["enc_g"]],
-            [Ciphertext(hex_to_int(v)) for v in payload["enc_h"]],
+            [Ciphertext(c) for c in payload["enc_g"]], [Ciphertext(c) for c in payload["enc_h"]],
             counts.reshape(shape), positions, where,
         ))
     parts = [active.own_histogram(positions), *hists]

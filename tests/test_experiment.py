@@ -12,6 +12,7 @@ from fedgbt.data import (
     DISTRICT_B_STATS,
     DistrictSpec,
     FeatureStats,
+    PartyDataset,
     SynthConfig,
     join_datasets,
     split_train_valid_test,
@@ -29,7 +30,8 @@ from fedgbt.experiment import (
     train_regime,
 )
 from fedgbt.gbt import GRAD_SCALE_BITS, GbtParams
-from fedgbt.hfl import SECAGG_MASK_ONLY
+from fedgbt.hfl import SECAGG_MASK_ONLY, hfl_train, make_roster
+from fedgbt.transport import write_transcript
 
 
 def small_synth(seed=0):
@@ -353,6 +355,34 @@ def test_cli_train_federated_writes_model_and_transcript(tmp_path):
     assert (out / "model.json").exists()
     assert (out / "transcript.log").exists()
     assert cli_main(["inspect-transcript", str(out / "transcript.log")]) == 0
+
+
+def test_cli_inspect_transcript_reports_a_missing_field_and_a_non_hex_residue(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    y = (X.sum(axis=1) > 0).astype(int)
+    names = ("f0", "f1", "f2")
+    parties = {c: PartyDataset(c, np.arange(20 * i, 20 * i + 20), X[20 * i:20 * i + 20], names,
+                               y[20 * i:20 * i + 20]) for i, c in enumerate(("c0", "c1"))}
+    roster = make_roster(["c0", "c1"], [20, 20], secagg_mode=SECAGG_MASK_ONLY)
+    _, bus = hfl_train(roster, parties, GbtParams(n_estimators=1, max_depth=2, max_bin=8))
+    path = tmp_path / "transcript.log"
+    write_transcript(bus, str(path))
+    assert cli_main(["inspect-transcript", str(path)]) == 0
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    split = next(i for i, r in enumerate(records) if r["msg_type"] == "SPLIT_BROADCAST")
+    submit = next(i for i, r in enumerate(records) if r["msg_type"] == "HISTOGRAM_SUBMIT")
+    del records[split]["payload"]["bits"]
+    records[submit]["payload"]["enc_g"][0] = "not-hex"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert cli_main(["inspect-transcript", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("2 finding(s): ")
+    assert f"#{split} SPLIT_BROADCAST from server: missing field bits" in out
+    sender = records[submit]["sender"]
+    assert (f"#{submit} HISTOGRAM_SUBMIT from {sender}: field enc_g is not a list of hex "
+            "integers") in out
 
 
 def test_cli_evaluate_saved_model(tmp_path, capsys):

@@ -1219,7 +1219,7 @@ def test_every_client_assembles_the_servers_tree(monkeypatch, change):
 def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
     # one unit more in one g slot: the count alone would still agree
     def bump(payload):
-        payload["enc_g"][0] = format((int(payload["enc_g"][0], 16) + 1) % MASK_ONLY_MODULUS, "x")
+        payload["enc_g"][0] = (payload["enc_g"][0] + 1) % MASK_ONLY_MODULUS
 
     bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, bump)
     with pytest.raises(ProtocolError) as raised:
@@ -1244,8 +1244,8 @@ def _raise_one_g_slot(bits, tree, node, feature, bin_):
         layout = level_layouts(level, MASK_ONLY_MODULUS)[0]
         i = payload["nodes"].index(node) * 3 * 8 + feature * 8 + bin_
         r, j = divmod(i, layout.slots)
-        raised = int(payload["enc_g"][r], 16) + (SCALE << (layout.width * j))
-        payload["enc_g"][r] = format(raised % MASK_ONLY_MODULUS, "x")
+        raised = payload["enc_g"][r] + (SCALE << (layout.width * j))
+        payload["enc_g"][r] = raised % MASK_ONLY_MODULUS
 
     sender = _tamper_roster()[0].client_ids[0]
     return _TamperOnce("HISTOGRAM_SUBMIT",

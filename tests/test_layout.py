@@ -14,14 +14,19 @@ is spelled only as ``GRAD_SCALE_BITS``, the int64 capacity only as
 every instance: nothing but ``gbt.level_layouts`` constructs one, and both
 protocol modules import that function from ``gbt``.  One serializer writes
 tree-node documents: outside ``gbt.py`` no module builds a dict with a
-``"leaf"`` key.
+``"leaf"`` key.  One table spells the wire format: no module but
+``transport.py`` keys a dict by a message type, and neither protocol module
+converts to or from hex itself.
 """
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 from fedgbt.gbt import GRAD_SCALE_BITS
+from fedgbt.transport import MESSAGES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fedgbt"
@@ -296,3 +301,44 @@ def test_the_node_document_guard_sees_a_second_serializer(tmp_path):
                    '\n\ndef _split_doc(node):\n    return dict(id=node.node_id, leaf=False)\n')
     lines = len(source.splitlines())
     assert _node_documents(tmp_path) == [f"hfl.py:{lines + 4}", f"hfl.py:{lines + 8}"]
+
+
+HEX_CODECS = {"int_to_hex", "hex_to_int"}
+
+
+def _wire_strays(src: Path) -> list[str]:
+    """Places in modules under ``src`` that spell the wire format outside
+    ``transport.py``: a dict display keyed by a message type of
+    ``transport.MESSAGES`` (a second schema), or, in ``hfl.py`` and
+    ``vfl.py``, any import or use of the hex conversions."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "transport.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno} message fields" for node in ast.walk(tree)
+                  if isinstance(node, ast.Dict) and any(
+                      isinstance(k, ast.Constant) and k.value in MESSAGES for k in node.keys)]
+        if path.name in ("hfl.py", "vfl.py"):
+            found += [f"{path.name}:{line} {name}" for name, line in _references(tree)
+                      if name in HEX_CODECS]
+    return found
+
+
+def test_only_the_transport_table_spells_the_wire_format():
+    found = _wire_strays(SRC)
+    assert not found, "the wire format spelled outside transport.MESSAGES: " + ", ".join(found)
+
+
+@pytest.mark.parametrize("module, addition, stray", [
+    ("vfl.py", "from .paillier import hex_to_int\n", "hex_to_int"),
+    ("scanner.py", 'FIELDS = {"SPLIT_NOTICE": {"tree", "node"}}\n', "message fields"),
+])
+def test_the_wire_format_guard_sees_a_second_spelling(tmp_path, module, addition, stray):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    assert _wire_strays(tmp_path) == []
+    target = tmp_path / module
+    source = target.read_text()
+    target.write_text(source + "\n" + addition)
+    assert _wire_strays(tmp_path) == [f"{module}:{len(source.splitlines()) + 2} {stray}"]

@@ -32,7 +32,6 @@ from fedgbt.paillier import (
     aggregate,
     decrypt,
     encrypt,
-    int_to_hex,
     keygen,
     keypair_from_primes,
 )
@@ -614,7 +613,7 @@ class _FlipOneCiphertext(MessageBus):
     def send(self, sender, recipient, msg_type, round_id, payload):
         if msg_type == "ENC_HISTOGRAM_SUBMIT" and self.tampered is None:
             folds = list(payload[self.stream])
-            folds[-1] = format(int(folds[-1], 16) ^ 1, "x")
+            folds[-1] ^= 1
             payload = {**payload, self.stream: folds}
             self.tampered = (sender, payload["tree"], payload["node"])
         return super().send(sender, recipient, msg_type, round_id, payload)
@@ -1266,7 +1265,7 @@ class _RewriteFolds(MessageBus):
             # each stream's folds hold the non-empty bins, in flat order
             zeros = [x.pack(np.zeros(np.count_nonzero(counts), dtype=np.int64)) for x in layouts]
             unsigned = [(1 << (x.width * x.slots)) - 1 for x in layouts]
-            folds = [[decrypt(sk, pk, Ciphertext(int(c, 16)), bound=m or top) + m
+            folds = [[decrypt(sk, pk, Ciphertext(c), bound=m or top) + m
                       for c, m in zip(payload[name], offsets)]
                      for name, offsets, top in zip(("enc_g", "enc_h"), zeros, unsigned)]
             edited = self.edit(folds, counts, layouts)
@@ -1274,8 +1273,8 @@ class _RewriteFolds(MessageBus):
                 rng = random.Random(0)
                 folds, counts = edited
                 payload = {**payload, "counts": counts.ravel().tolist(), **{
-                    name: [int_to_hex(encrypt(pk, (t - offsets[min(i, len(offsets) - 1)]) % pk.n,
-                                              rng=rng).value) for i, t in enumerate(stream)]
+                    name: [encrypt(pk, (t - offsets[min(i, len(offsets) - 1)]) % pk.n,
+                                   rng=rng).value for i, t in enumerate(stream)]
                     for name, stream, offsets in zip(("enc_g", "enc_h"), folds, zeros)}}
                 self.tampered = (sender, payload["tree"], payload["node"])
         return super().send(sender, recipient, msg_type, round_id, payload)
