@@ -374,9 +374,11 @@ def check_histogram(hists: list[GradHistogram], totals: list[tuple[int, int, int
     return hists
 
 
-# read-only float64 ones whose prefixes are the data of every one-hot matrix,
-# which scipy keeps without a copy; replaced, never written, by a longer run
-# when a histogram needs more
+# read-only float64 ones whose prefixes are the data of every one-hot matrix;
+# replaced, never written, by a longer run when a histogram needs more.
+# scipy keeps a prefix without a copy only from half the run up (its
+# ``_prune_array`` copies a shorter one), so the roots share it and most
+# builds below them copy theirs: 120 of ``central``'s 140 per training
 _ONES = [np.ones(0)]
 
 

@@ -15,10 +15,13 @@ level (:func:`fedgbt.gbt.level_layouts`).  Each pair of clients expands its
 shared seed once per stream (run nonce, tree, depth, g or h) into one mask
 word per residue (:func:`fedgbt.seeding.expand_mask_words`), and the
 packing runs in numpy.
-Both modes share that path.  In ``paillier+mask`` mode the ring is the
-server's Paillier modulus and each masked residue is also encrypted; in
-``mask-only`` mode the ring is ``MASK_ONLY_MODULUS`` (2^1024, wide enough
-for dozens of slots per residue) and the masked residues travel as they are.
+Both modes share that path (:func:`level_streams`).  In ``paillier+mask``
+mode the ring is the server's Paillier modulus, a stream takes as many
+residues as its slots need, and each masked residue is also encrypted.  In
+``mask-only`` mode each stream is one residue of its own ring, a power of
+two 64 bits wider than the stream's packing, so a client draws one mask
+word per stream and other client and sends its masked residues as they
+are; the server derives each ring from the level's ``bits`` and slot count.
 
 The server grows each tree with the shared :func:`fedgbt.gbt.grow_tree`.
 Wire protocol per boosting round (tree t, depth d):
@@ -34,7 +37,7 @@ Wire protocol per boosting round (tree t, depth d):
   masked, encrypted histograms of the root, or of each split's smaller child
   (the sibling is derived by exact integer subtraction), in broadcast order
   under ``nodes``; the server accepts one per client that names exactly the
-  nodes it asked for.
+  nodes it asked for, in the roster's ``mode``.
 
 A client keeps the node documents of a tree's broadcasts and, once the tree
 is grown, builds it from them (:func:`fedgbt.gbt.tree_from_dicts`) to update
@@ -56,7 +59,7 @@ or node documents that do not form a tree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,6 +71,7 @@ from .gbt import (
     BoostedEnsemble,
     GbtParams,
     GradHistogram,
+    PackedLayout,
     ProtocolError,
     Tree,
     TrainingError,
@@ -101,10 +105,10 @@ from .transport import MessageBus
 
 SECAGG_PAILLIER = "paillier+mask"
 SECAGG_MASK_ONLY = "mask-only"
-# the mask-only ring: one slot of it holds every roster whose sums fit int64,
-# a residue of it holds 34 of the paper's 30-bit slots, and each mask is one
-# 145-byte word of a SHAKE-256 expansion
-MASK_ONLY_MODULUS = 1 << 1024
+# the bits of a mask-only ring above its slots: a random change to a
+# residue leaves them all clear, and passes the aggregate's bits-above
+# check, with probability 2^-64
+MASK_SPARE_BITS = 64
 SERVER_ID = "server"
 
 
@@ -231,6 +235,24 @@ def _add_pairwise_masks(roster: HflRoster, client_id: str, modulus: int, plains:
     return [t % modulus for t in total]
 
 
+def level_streams(bits: int, n_values: int,
+                  pk: PublicKey | None) -> list[tuple[PackedLayout, int]]:
+    """The g and h streams of a level of ``n_values`` slots each, for nodes
+    of fewer than ``2**bits`` samples: each stream's layout and ring.
+
+    Under Paillier (``pk`` given) both streams pack residues of ``n``.
+    Mask-only, each stream is one residue of its own ring, a power of two
+    ``MASK_SPARE_BITS`` wider than its packing, in the slot widths of
+    :func:`fedgbt.gbt.level_layouts` (read at the int64 ring, which every
+    admitted roster's sums fit).  The server derives both from the level's
+    ``bits`` and the slot count it expects.
+    """
+    if pk is not None:
+        return [(layout, pk.n) for layout in level_layouts(bits, pk.n)]
+    return [(replace(layout, slots=n_values), 1 << (layout.width * n_values + MASK_SPARE_BITS))
+            for layout in level_layouts(bits, INT64_MODULUS)]
+
+
 @dataclass
 class MaskedEncHistogram:
     """One client's submission of a level: its histograms of ``nodes``."""
@@ -240,7 +262,7 @@ class MaskedEncHistogram:
     nodes: list[int]
     mode: str
     # one masked residue per packed residue of the nodes' flat F*B slots,
-    # back to back, encrypted under paillier+mask
+    # back to back (one per stream, mask-only), encrypted under paillier+mask
     enc_g: list[int]
     enc_h: list[int]
     counts: np.ndarray  # int64 (len(nodes), n_features, n_bins), in clear
@@ -258,18 +280,19 @@ def mask_histogram(
     pk: PublicKey | None,
     enc_rng: random.Random | None,
 ) -> MaskedEncHistogram:
-    """Pack a level's histograms back to back in the layouts of ``bits``,
-    then mask each packed residue and, under Paillier, encrypt it."""
+    """Pack a level's histograms back to back in the streams of ``bits``
+    (:func:`level_streams`), then mask each packed residue and, under
+    Paillier, encrypt it."""
     paillier = roster.secagg_mode == SECAGG_PAILLIER
     if paillier and pk is None:
         raise ProtocolError("paillier+mask mode needs the server public key")
     # the run seed enters the nonce so two protocol instances never reuse a
     # pad value even under the same roster
     nonce = f"s{seed}:t{tree_index}"
-    ring = pk.n if paillier else MASK_ONLY_MODULUS
     streams = []
-    for tag, layout, values in zip("gh", level_layouts(bits, ring),
-                                   ([x.g for x in hists], [x.h for x in hists])):
+    for tag, (layout, ring), values in zip(
+            "gh", level_streams(bits, sum(x.g.size for x in hists), pk if paillier else None),
+            ([x.g for x in hists], [x.h for x in hists])):
         masked = _add_pairwise_masks(roster, client_id, ring, layout.pack(values),
                                      nonce, depth, tag)
         streams.append([encrypt(pk, m, rng=enc_rng).value for m in masked] if paillier
@@ -296,11 +319,14 @@ def server_aggregate(
     """Combine per-client submissions of a level into the exact global
     histograms of its nodes.
 
-    Each submission must carry, per stream, one value for each packed
-    residue of the layouts of ``bits``, and each value must be a residue of
-    the ring (mask-only) or a ciphertext below ``n^2`` (Paillier); any other
-    raises :class:`ProtocolError` naming its sender, tree and nodes.  Every
-    client packs each slot at the layout's offset; the aggregate keeps one.
+    Each submission must be in the roster's mode and carry, per stream,
+    one value for each packed residue of the streams of ``bits``
+    (:func:`level_streams`, at the level's ``len(nodes) * F * B`` slots,
+    which :meth:`HflServer.receive_histograms` checked every submission's
+    counts against), and each value must be a residue of the stream's ring
+    (mask-only) or a ciphertext below ``n^2`` (Paillier); any other raises
+    :class:`ProtocolError` naming its sender, tree and nodes.  Every client
+    packs each slot at the layout's offset; the aggregate keeps one.
     """
     missing = set(members.client_ids) - set(submissions)
     if missing:
@@ -311,21 +337,23 @@ def server_aggregate(
     ordered = [submissions[c] for c in sorted(submissions)]
     counts = sum(s.counts for s in ordered)
     paillier = members.secagg_mode == SECAGG_PAILLIER
-    ring = pk.n if paillier else MASK_ONLY_MODULUS
-    layouts = level_layouts(bits, ring)
-    kind, bound, shown = (("ciphertext", pk.n_squared, "n^2") if paillier
-                          else ("residue", ring, f"2^{ring.bit_length() - 1}"))
+    streams = level_streams(bits, counts.size, pk if paillier else None)
     for s in ordered:
         where = f"HISTOGRAM_SUBMIT from {s.client_id} for tree {s.tree}, nodes {s.nodes}"
-        for enc_attr, layout in zip(("enc_g", "enc_h"), layouts):
+        if s.mode != members.secagg_mode:
+            raise ProtocolError(f"{where}: mode {s.mode!r}, not the roster's "
+                                f"{members.secagg_mode!r}")
+        for enc_attr, (layout, ring) in zip(("enc_g", "enc_h"), streams):
             values, per_stream = getattr(s, enc_attr), -(-counts.size // layout.slots)
             if len(values) != per_stream:
                 raise ProtocolError(f"{where}: {len(values)} {enc_attr} values, "
                                     f"expected {per_stream}")
+            kind, bound, shown = (("ciphertext", pk.n_squared, "n^2") if paillier
+                                  else ("residue", ring, f"2^{ring.bit_length() - 1}"))
             if not 0 <= min(values) <= max(values) < bound:
                 raise ProtocolError(f"{where}: an {enc_attr} {kind} outside [0, {shown})")
     sums = []
-    for enc_attr, layout in zip(("enc_g", "enc_h"), layouts):
+    for enc_attr, (layout, ring) in zip(("enc_g", "enc_h"), streams):
         columns = zip(*(getattr(s, enc_attr) for s in ordered))
         if paillier:
             totals = [decrypt(sk, pk, aggregate(pk, [Ciphertext(c) for c in cts]))
@@ -457,8 +485,8 @@ class HflServer:
         # every check runs before the first message is sent
         if members.secagg_mode == SECAGG_PAILLIER:
             self.pk, self.sk = keygen(key_bits=key_bits, rng_seed=derive_seed("hfl-key", seed))
-        # the root's layouts, the widest, bound each slot by the roster's sample count
-        level_layouts(members.root_bits(), self.pk.n if self.pk else MASK_ONLY_MODULUS)
+        if self.pk:  # the root's layouts, the widest, fit a slot below n
+            level_layouts(members.root_bits(), self.pk.n)
         # every client's and the aggregate's sums fit int64
         check_capacity(INT64_MODULUS, sum(members.sample_counts))
         self.binning: Binning | None = None

@@ -70,7 +70,11 @@ except ImportError:  # pragma: no cover
         # most 1/4, so 82 random bases would err below 4^-82 = 2^-164.  The
         # bases are fixed, so that bound carries over only heuristically,
         # to the random candidates keygen draws, not to a chosen composite.
+        # A base that is a multiple of n says nothing (n has no factor up to
+        # 37, so only a prime n up to 179 meets one) and is skipped.
         for a in _SMALL_PRIMES + list(range(41, 180, 2)):
+            if a % n == 0:
+                continue
             x = pow(a, d, n)
             if x in (1, n - 1):
                 continue
@@ -437,16 +441,20 @@ def aggregate(pk: PublicKey, cs: list[Ciphertext], runs: list[int] | None = None
 
 
 def int_to_hex(value: int) -> str:
-    """Lowercase big-endian hex, the wire form for keys and ciphertexts."""
+    """Minimal lowercase big-endian hex (``"0"`` for zero), the wire form
+    for keys, ciphertexts and residues, written through the bytes in time
+    linear in the length."""
     if value < 0:
         raise ValueError("only nonnegative integers are serialized")
-    return format(value, "x")
+    text = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big").hex()
+    return text[1:] if text[0] == "0" and len(text) > 1 else text
 
 
 def hex_to_int(text: str) -> int:
-    """The inverse of :func:`int_to_hex`: a string that is not hex, or is a
-    negative one, raises ValueError."""
-    value = int(text, 16)
-    if value < 0:
-        raise ValueError(f"negative hex {text!r}")
+    """The inverse of :func:`int_to_hex`, in linear time: anything but what
+    it writes (a sign, a prefix, whitespace, an underscore, an upper-case
+    digit, a leading zero) raises ValueError, or TypeError for a non-string."""
+    value = int.from_bytes(bytes.fromhex(text if len(text) % 2 == 0 else "0" + text), "big")
+    if int_to_hex(value) != text:
+        raise ValueError(f"not canonical hex: {text!r}")
     return value

@@ -10,15 +10,15 @@ integers as ints, counts as a flat list of ints) and encodes every field to
 its wire form; a type the table does not declare, or a payload missing a
 field or carrying one more, raises :class:`TransportError` before the
 transcript grows.  The envelope and the transcript keep that wire form:
-canonical JSON (sorted keys, big integers as lowercase hex strings), so byte
-accounting reflects realistic wire sizes and identical runs produce
-byte-identical transcripts.  ``recv`` hands the recipient the wire payload
-decoded through the same table (counts as one flat int64 array): a missing,
-extra or undeclared field, or a value its codec rejects (not hex, negative,
-not an int64 integer), raises :class:`TransportError` naming the sender,
-the type and the field.  The recipient decodes the wire dict rather than
-parsing the bytes again; the tests show that the bytes parse back to that
-dict, type for type.
+canonical JSON (sorted keys, big integers as minimal lowercase hex
+strings), so byte accounting reflects realistic wire sizes and identical
+runs produce byte-identical transcripts.  ``recv`` hands the recipient the
+wire payload decoded through the same table (counts as one flat int64
+array): a missing, extra or undeclared field, or a value its codec rejects
+(hex that ``int_to_hex`` would not write, not an int64 integer), raises
+:class:`TransportError` naming the sender, the type and the field.  The
+recipient decodes the wire dict rather than parsing the bytes again; the
+tests show that the bytes parse back to that dict, type for type.
 """
 
 from __future__ import annotations

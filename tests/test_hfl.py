@@ -33,7 +33,6 @@ from fedgbt.gbt import (
     train_centralized,
 )
 from fedgbt.hfl import (
-    MASK_ONLY_MODULUS,
     SECAGG_MASK_ONLY,
     SECAGG_PAILLIER,
     HflClient,
@@ -42,11 +41,12 @@ from fedgbt.hfl import (
     _add_pairwise_masks,
     establish_global_binning,
     hfl_train,
+    level_streams,
     make_roster,
     mask_histogram,
     server_aggregate,
 )
-from fedgbt.paillier import Ciphertext, EncodingError, decrypt, hex_to_int, keygen
+from fedgbt.paillier import Ciphertext, EncodingError, PublicKey, decrypt, hex_to_int, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.seeding import derive_uniform_int, expand_mask_words, mask_word_bytes
 from fedgbt.transport import MessageBus
@@ -238,16 +238,18 @@ def _mask_only_pair(change_c1):
     return roster, subs
 
 
-# 48 24-bit g slots pack 42 to a 1024-bit residue: two g residues
+# 48 24-bit g slots: one g residue of the ring 2^(24 * 48 + 64)
 @pytest.mark.parametrize("change, match", [
-    (lambda v: v[:-1], "1 enc_g values, expected 2"),
-    (lambda v: v + [0], "3 enc_g values, expected 2"),
-    (lambda v: [v[0] + MASK_ONLY_MODULUS, *v[1:]], r"enc_g residue outside \[0, 2\^1024\)"),
-    (lambda v: [-1, *v[1:]], r"enc_g residue outside \[0, 2\^1024\)"),
-], ids=["short", "extra", "above-2^1024", "negative"])
+    (lambda v: v[:-1], "0 enc_g values, expected 1"),
+    (lambda v: v + [0], "2 enc_g values, expected 1"),
+    (lambda v: [v[0] + (1 << 1216), *v[1:]], r"enc_g residue outside \[0, 2\^1216\)"),
+    (lambda v: [-1, *v[1:]], r"enc_g residue outside \[0, 2\^1216\)"),
+], ids=["short", "extra", "above-the-ring", "negative"])
 def test_mask_only_submission_values_are_checked(change, match):
     roster, subs = _mask_only_pair(lambda v: v)
-    assert level_layouts(roster.root_bits(), MASK_ONLY_MODULUS)[0].slots == 42
+    (g_layout, g_ring), _ = level_streams(roster.root_bits(), 48, None)
+    assert (g_layout.width, g_layout.slots, g_ring) == (24, 48, 1 << 1216)
+    assert [len(subs[c].enc_g) for c in roster.client_ids] == [1, 1]
     assert _aggregate(subs, roster, None, None).g.tolist() == (2 * _PAIR_G).tolist()
     roster, subs = _mask_only_pair(change)
     with pytest.raises(ProtocolError, match=match) as raised:
@@ -260,25 +262,33 @@ def test_mask_only_submission_values_are_checked(change, match):
 def test_mask_streams_cancel_and_change_with_every_label_part(mask_fixture, n_clients,
                                                               paillier, data):
     _, pk, sk = mask_fixture if paillier else (None, None, None)
-    ring = pk.n if paillier else MASK_ONLY_MODULUS
     ids = [f"c{i}" for i in range(n_clients)]
 
     def roster(master_seed):
         return make_roster(ids, [50] * n_clients, master_seed=master_seed,
                            secagg_mode=SECAGG_PAILLIER if paillier else SECAGG_MASK_ONLY)
 
-    layouts = level_layouts(roster(0).root_bits(), ring)
-    slots = layouts[0].slots
-    n_values = data.draw(st.integers(1, 5 * slots).filter(lambda v: v % slots))
-    n = -(-n_values // slots)
+    bits = roster(0).root_bits()
+    if paillier:  # a partly filled last residue
+        slots = level_layouts(bits, pk.n)[0].slots
+        n_values = data.draw(st.integers(1, 5 * slots).filter(lambda v: v % slots))
+    else:
+        n_values = data.draw(st.integers(1, 200))
+    streams = level_streams(bits, n_values, pk)
+    (layout, ring), (_, h_ring) = streams
+    n = -(-n_values // layout.slots)
+    # mask-only, one residue per stream, of a ring 64 bits wider than its packing
+    assert n == 1 or paillier
+    assert paillier or (ring, h_ring) == (1 << (layout.width * n_values + 64),
+                                          1 << (streams[1][0].width * n_values + 64))
     depth = data.draw(st.integers(0, 62))
     # the clients' shares of each residue's mask sum to 0 mod the ring
     shares = [_add_pairwise_masks(roster(0), cid, ring, [0] * n, "s3:t1", depth, "g")
               for cid in ids]
     assert [sum(column) % ring for column in zip(*shares)] == [0] * n
-    # each word has 128 bits more than the ring: 145 bytes for 2^1024, 80 for 512 bits
+    # each word has 128 bits more than the ring: 80 bytes for 512 bits
     size = mask_word_bytes(ring)
-    assert size == (80 if paillier else 145)
+    assert size == (80 if paillier else (layout.width * n_values + 65 + 128 + 7) // 8)
     assert 8 * size - 8 < ring.bit_length() + 128 <= 8 * size
     words = expand_mask_words(ring, n, "packmask", 7, "s3:t1", depth, "g")
     assert len(words) == n * size
@@ -292,8 +302,9 @@ def test_mask_streams_cancel_and_change_with_every_label_part(mask_fixture, n_cl
                     pk, random.Random(0))
         values = (sub.enc_g, sub.enc_h)[stream]
         values = [decrypt(sk, pk, Ciphertext(v)) for v in values] if paillier else values
-        packed = layouts[stream].pack(np.zeros(n_values, dtype=np.int64))
-        return [(v - p) % ring for v, p in zip(values, packed)]
+        stream_layout, stream_ring = streams[stream]
+        packed = stream_layout.pack(np.zeros(n_values, dtype=np.int64))
+        return [(v - p) % stream_ring for v, p in zip(values, packed)]
 
     base = masks()
     for changed in ({"stream": 1}, {"level": depth + 1}, {"tree": 2}, {"seed": 4},
@@ -351,13 +362,15 @@ def test_packed_layout_at_hfl_paillier_shape():
     # a child of 100 samples takes 7 bits: one bit less in both streams
     g, h = level_layouts(100 .bit_length(), (1 << 511) + 1)
     assert (g.offset, g.width, g.slots, h.width, h.slots) == (2**27, 28, 18, 25, 20)
-    # hfl-mask-paper's two districts, 57 and 170 samples, in the 1024-bit
-    # mask-only ring: a 32 x 32 root packs 35 g and 39 h slots to a residue
+    # hfl-mask-paper's two districts, 57 and 170 samples, mask-only: a
+    # 32 x 32 root packs its 1,024 g slots of 29 bits into one residue of
+    # 2^(29 * 1024 + 64), and its h slots of 26 bits into one of 2^(26 * 1024 + 64)
     roster = make_roster(["a", "b"], [57, 170], secagg_mode=SECAGG_MASK_ONLY)
-    g, h = level_layouts(roster.root_bits(), MASK_ONLY_MODULUS)
+    (g, g_ring), (h, h_ring) = level_streams(roster.root_bits(), 32 * 32, None)
     assert (g.offset, g.width, g.slots, h.offset, h.width, h.slots) == (
-        2**28, 29, 35, 0, 26, 39)
-    assert (len(g.pack([0] * 32 * 32)), len(h.pack([0] * 32 * 32))) == (30, 27)
+        2**28, 29, 1024, 0, 26, 1024)
+    assert (g_ring, h_ring) == (1 << 29760, 1 << 26688)
+    assert (len(g.pack([0] * 32 * 32)), len(h.pack([0] * 32 * 32))) == (1, 1)
 
 
 def _hfl_paillier_shape_run():
@@ -391,16 +404,20 @@ def _level_bits(roster, transcript):
     return bits
 
 
-def _assert_level_residues(roster, transcript, ring, n_slots):
+def _assert_level_residues(roster, transcript, pk, n_slots):
     """Every submission packs its ``n_slots`` per node back to back in the
-    layouts of its level's bits; returns the submissions."""
+    streams of its level's bits, each value below its bound (``n^2`` under
+    Paillier, else its stream's ring); returns the submissions."""
     submits = [e for e in transcript if e.msg_type == "HISTOGRAM_SUBMIT"]
     bits = _level_bits(roster, transcript)
     for e in submits:
-        g, h = level_layouts(bits[e.sender, e.payload["tree"], tuple(e.payload["nodes"])], ring)
         n = len(e.payload["nodes"]) * n_slots
-        assert (len(e.payload["enc_g"]), len(e.payload["enc_h"])) == (-(-n // g.slots),
-                                                                      -(-n // h.slots))
+        streams = level_streams(bits[e.sender, e.payload["tree"], tuple(e.payload["nodes"])],
+                                n, pk)
+        for name, (layout, ring) in zip(("enc_g", "enc_h"), streams):
+            values = list(map(hex_to_int, e.payload[name]))
+            assert len(values) == -(-n // layout.slots)
+            assert all(0 <= v < (pk.n_squared if pk else ring) for v in values)
     return [e.payload for e in submits]
 
 
@@ -411,8 +428,8 @@ def test_hfl_paillier_shape_encrypts_348_plaintexts():
     # encryptions, where one roster-wide layout took 8 + 8
     roster, bus = _hfl_paillier_shape_run()
     key = next(e for e in bus.transcript if e.msg_type == "KEY_BROADCAST")
-    submits = _assert_level_residues(roster, bus.transcript, hex_to_int(key.payload["n"]),
-                                     16 * 8)
+    n = hex_to_int(key.payload["n"])
+    submits = _assert_level_residues(roster, bus.transcript, PublicKey(n, n + 1, n * n), 16 * 8)
     assert len(submits) == 3 * 6
     assert [(len(p["enc_g"]), len(p["enc_h"])) for p in submits if p["nodes"] == [0]] == [
         (8, 7)] * 6
@@ -436,15 +453,16 @@ def mask_paper_run():
     return roster, parties, params, model, bus
 
 
-def test_hfl_mask_paper_shape_submits_17430_residues(mask_paper_run):
+def test_hfl_mask_paper_shape_submits_400_residues(mask_paper_run):
     # 100 level submissions per client, each of the level's 1,024-slot nodes
-    # back to back: 17,430 residues where one submission per node took 20,832
+    # back to back in one g and one h residue: 400 residues where 2^1024
+    # residues took 17,430 and one submission per node 20,832
     roster, parties, params, model, bus = mask_paper_run
     assert [p.n_samples for p in parties.values()] == [57, 170]
     assert {p.n_features for p in parties.values()} == {32}
-    submits = _assert_level_residues(roster, bus.transcript, MASK_ONLY_MODULUS, 32 * 32)
+    submits = _assert_level_residues(roster, bus.transcript, None, 32 * 32)
     assert len(submits) == 200
-    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 17430
+    assert sum(len(p["enc_g"]) + len(p["enc_h"]) for p in submits) == 400
     binning = establish_global_binning(list(parties.values()), params.max_bin)
     _assert_same_trees(model, train_centralized(join_datasets(list(parties.values()), "union"),
                                                 params, seed=0, binning=binning))
@@ -500,10 +518,15 @@ def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, mode, tight_
         width = level_layouts(bits, 1 << 1023)[0].width
         pk, sk = keygen(key_bits=width + 2, rng_seed=width)
         assert level_layouts(bits, pk.n)[0].slots == 1
-    g_layout, h_layout = level_layouts(bits, pk.n if pk else MASK_ONLY_MODULUS)
-    # two nodes of one feature: streams of two or more residues, the last
-    # of them partly filled unless the slots are few
-    B = data.draw(st.integers(h_layout.slots // 2 + 1, h_layout.slots))
+    # two nodes of one feature: under Paillier, as many bins as pack in one
+    # h residue below n and more than half as many, so streams of two or
+    # more residues, the last of them partly filled unless the slots are
+    # few; mask-only, up to 64 bins, one residue per stream
+    if pk:
+        h_slots = level_layouts(bits, pk.n)[1].slots
+        B = data.draw(st.integers(h_slots // 2 + 1, h_slots))
+    else:
+        B = data.draw(st.integers(1, 64))
     expect_g, expect_h, subs = [0] * 2 * B, [0] * 2 * B, {}
     for cid, count in zip(ids, _client_shares(total, n_clients)):
         # a client's slot sums count quantized |g| <= 2^S and h <= 2^(S-2)
@@ -533,12 +556,13 @@ def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
     ids = [f"c{i}" for i in range(n_clients)]
     counts = _client_shares(total, n_clients)
     roster = make_roster(ids, counts, master_seed=n_clients, secagg_mode=SECAGG_MASK_ONLY)
-    g_layout, h_layout = level_layouts(roster.root_bits(), MASK_ONLY_MODULUS)
-    assert (g_layout.offset, g_layout.width, g_layout.slots) == (1 << 63, 64, 16)
-    assert (h_layout.offset, h_layout.width, h_layout.slots) == (0, 61, 16)
-    # up to three residues: full ones and a partly filled last one
+    # up to 48 slots per stream, each stream one residue
     F = data.draw(st.integers(1, 3))
     B = data.draw(st.sampled_from([15, 16]) | st.integers(1, 16))
+    (g_layout, g_ring), (h_layout, h_ring) = level_streams(roster.root_bits(), F * B, None)
+    assert (g_layout.offset, g_layout.width, g_layout.slots) == (1 << 63, 64, F * B)
+    assert (h_layout.offset, h_layout.width, h_layout.slots) == (0, 61, F * B)
+    assert (g_ring, h_ring) == (1 << (64 * F * B + 64), 1 << (61 * F * B + 64))
     expect_g, expect_h, subs = np.zeros((F, B), dtype=object), np.zeros((F, B), dtype=object), {}
     for cid, count in zip(ids, counts):
         top_g, top_h = count << GRAD_SCALE_BITS, count << (GRAD_SCALE_BITS - 2)
@@ -554,10 +578,10 @@ def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
     assert total.h.tolist() == expect_h.tolist()
 
 
-# (bits, ring) of hfl-paillier's and hfl-mask-paper's roots, a 3-bit level,
-# a 1-bit one, and the widest layouts the int64 capacity check admits: 43-bit
+# (bits, ring) of hfl-paillier's root, the same root below 2^1024 (35 g
+# slots per residue), a 3-bit level, a 1-bit one, and the widest layouts the int64 capacity check admits: 43-bit
 # counts, so a g slot at an offset of 2^63 reaches 2^64 - 1
-_LAYOUT_SHAPES = [(8, (1 << 511) + 1), (8, MASK_ONLY_MODULUS), (3, 1 << 200), (1, 1 << 200),
+_LAYOUT_SHAPES = [(8, (1 << 511) + 1), (8, 1 << 1024), (3, 1 << 200), (1, 1 << 200),
                   (63 - GRAD_SCALE_BITS, 1 << 1023)]
 
 
@@ -649,17 +673,26 @@ def test_slot_value_reaching_the_offset_raises(mask_fixture):
 
 def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixture):
     # any flipped ciphertext bit scrambles its plaintext; a mask-only residue
-    # shows a flip only above its slots (one below them is a wrong bin sum)
-    mask_only = make_roster(["c0", "c1"], [4, 4], master_seed=5, secagg_mode=SECAGG_MASK_ONLY)
-    for roster, pk, sk, flip in ((*mask_fixture, 4), (mask_only, None, None, 1 << 127)):
+    # shows a flip only above its slots (one below them is a wrong bin sum),
+    # in the 64 spare bits of its ring: 2 h slots of 22 bits, so bits 44 to
+    # 107; a duplicate shows under every roster seed
+    cases = [(*mask_fixture, [4])]
+    for master_seed in range(10):
+        mask_only = make_roster(["c0", "c1"], [4, 4], master_seed=master_seed,
+                                secagg_mode=SECAGG_MASK_ONLY)
+        cases.append((mask_only, None, None, [1 << 44, 1 << 107]))
+    _, (h_layout, h_ring) = level_streams(cases[-1][0].root_bits(), 2, None)
+    assert (h_layout.width, h_ring) == (22, 1 << 108)
+    for roster, pk, sk, flips in cases:
         s0 = _mask(_hist_from_values([0.1, -0.2]), "c0", roster, 5, 6, 0, pk, random.Random(9))
         s1 = _mask(_hist_from_values([0.3, 0.4]), "c1", roster, 5, 6, 0, pk, random.Random(10))
         twin = MaskedEncHistogram(**{**vars(s0), "client_id": "c1"})
         with pytest.raises(ProtocolError, match="bits above"):
             _aggregate({"c0": s0, "c1": twin}, roster, pk, sk)
-        flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [s1.enc_h[0] ^ flip]})
-        with pytest.raises(ProtocolError, match="bits above"):
-            _aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
+        for flip in flips:
+            flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [s1.enc_h[0] ^ flip]})
+            with pytest.raises(ProtocolError, match="bits above"):
+                _aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
 
 
 @pytest.mark.parametrize("secagg, counts, key_bits, match", [
@@ -1216,10 +1249,22 @@ def test_every_client_assembles_the_servers_tree(monkeypatch, change):
     assert (sizes == {1}) if change.get("max_depth") == 0 else (min(sizes) > 1)
 
 
+def _g_stream(bits, payload):
+    """The g stream's layout and ring of a mask-only submission packed for
+    ``bits``."""
+    return level_streams(bits, len(payload["counts"]), None)[0]
+
+
 def test_a_child_whose_sums_miss_the_parent_prefix_is_rejected():
     # one unit more in one g slot: the count alone would still agree
+    _, clean = _train_with(MessageBus())
+    bits = _level_bits(_tamper_roster()[0], clean.transcript)
+
     def bump(payload):
-        payload["enc_g"][0] = (payload["enc_g"][0] + 1) % MASK_ONLY_MODULUS
+        _, ring = _g_stream(bits[sender, payload["tree"], tuple(payload["nodes"])], payload)
+        payload["enc_g"][0] = (payload["enc_g"][0] + 1) % ring
+
+    sender = _tamper_roster()[0].client_ids[0]
 
     bus = _TamperOnce("HISTOGRAM_SUBMIT", _first_child_submission, bump)
     with pytest.raises(ProtocolError) as raised:
@@ -1240,12 +1285,9 @@ def _raise_one_g_slot(bits, tree, node, feature, bin_):
     level's bits, as :func:`_level_bits` reads them."""
 
     def bump(payload):
-        level = bits[sender, tree, tuple(payload["nodes"])]
-        layout = level_layouts(level, MASK_ONLY_MODULUS)[0]
-        i = payload["nodes"].index(node) * 3 * 8 + feature * 8 + bin_
-        r, j = divmod(i, layout.slots)
-        raised = payload["enc_g"][r] + (SCALE << (layout.width * j))
-        payload["enc_g"][r] = raised % MASK_ONLY_MODULUS
+        layout, ring = _g_stream(bits[sender, tree, tuple(payload["nodes"])], payload)
+        j = payload["nodes"].index(node) * 3 * 8 + feature * 8 + bin_
+        payload["enc_g"][0] = (payload["enc_g"][0] + (SCALE << (layout.width * j))) % ring
 
     sender = _tamper_roster()[0].client_ids[0]
     return _TamperOnce("HISTOGRAM_SUBMIT",
@@ -1328,6 +1370,39 @@ def test_server_holds_no_pairwise_mask_seed(monkeypatch, secagg):
     reachable = list(_reachable(server))
     assert not any(isinstance(v, hfl.HflRoster) for v in reachable)
     assert not seeds & {v for v in reachable if isinstance(v, int)}
+
+
+def test_mask_only_masks_one_residue_per_stream_and_the_masks_cancel(monkeypatch):
+    # every stream of every level submission is one residue below its ring,
+    # 2^(width * V + 1) for V = len(nodes) * F * B; the 3 clients' masks of
+    # each (tree, depth, stream) sum to 0 mod that ring
+    from fedgbt import hfl
+
+    masks = {}  # (nonce, depth, stream) -> {client: (ring, mask)}
+
+    def recording(roster, client_id, modulus, plains, nonce, depth, tag):
+        masked = add_masks(roster, client_id, modulus, plains, nonce, depth, tag)
+        assert len(plains) == len(masked) == 1 and 0 <= plains[0] < modulus
+        masks.setdefault((nonce, depth, tag), {})[client_id] = (
+            modulus, (masked[0] - plains[0]) % modulus)
+        return masked
+
+    add_masks = hfl._add_pairwise_masks
+    monkeypatch.setattr(hfl, "_add_pairwise_masks", recording)
+    X, y = synth_classification(60, 3, seed=8)
+    parties = random_split_parties(X, y, 3, seed=9)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=7, secagg_mode=SECAGG_MASK_ONLY)
+    _, bus = hfl_train(roster, parties, GbtParams(n_estimators=2, max_depth=3, max_bin=4),
+                       seed=7)
+    submits = _assert_level_residues(roster, bus.transcript, None, 3 * 4)
+    assert {(len(p["enc_g"]), len(p["enc_h"])) for p in submits} == {(1, 1)}
+    assert len(masks) == 2 * len(submits) // 3
+    for shares in masks.values():
+        assert sorted(shares) == sorted(roster.client_ids)
+        (ring,) = {r for r, _ in shares.values()}
+        assert sum(m for _, m in shares.values()) % ring == 0
+        assert all(m for _, m in shares.values())
 
 
 @pytest.mark.parametrize("secagg", [SECAGG_PAILLIER, SECAGG_MASK_ONLY])

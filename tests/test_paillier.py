@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -103,6 +104,36 @@ def test_keygen_deterministic_under_seed():
     assert (pk1.n, pk1.g, sk1.lam, sk1.mu) == (pk2.n, pk2.g, sk2.lam, sk2.mu)
     pk3, _ = keygen(key_bits=512, rng_seed=8)
     assert pk3.n != pk1.n
+
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_probable_prime_agrees_with_trial_division_below_2_to_the_12():
+    # the primes from 41 to 179 are among the fixed Miller-Rabin bases
+    assert [n for n in range(1 << 12)
+            if paillier._is_probable_prime(n) != _is_prime_by_trial_division(n)] == []
+
+
+def test_a_16_bit_keygen_can_pick_a_prime_among_the_bases():
+    primes = set()
+    for seed in range(400):
+        _, sk = keygen(key_bits=16, rng_seed=seed)
+        primes |= {sk.p, sk.q}
+    assert primes & set(range(41, 180))
+
+
+def test_keys_at_seeds_0_to_9_are_pinned():
+    # the prime search draws the same candidates and accepts the same primes
+    # as before small primes among the bases were admitted: every 512-bit
+    # candidate lies far above the largest base
+    digest = hashlib.sha256()
+    for seed in range(10):
+        pk, sk = keygen(key_bits=512, rng_seed=seed)
+        digest.update(f"{sk.p},{sk.q},{pk.g};".encode())
+    assert digest.hexdigest() == (
+        "e44e92993a24807563a59d21a1e82ae149469b5a110fa8d0b7d6b80b919b38e1")
 
 
 def test_keygen_prime_length_and_gcd_condition():
@@ -326,6 +357,20 @@ def test_hex_serialization_roundtrip(keypair_512):
     text = int_to_hex(pk.n)
     assert text == text.lower()
     assert hex_to_int(text) == pk.n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1 << 3000) | st.integers(0, 1100).map(lambda k: (1 << k) - 1)
+       | st.integers(0, 1100).map(lambda k: 1 << k))
+def test_hex_is_minimal_lowercase_and_only_that_decodes(value):
+    text = int_to_hex(value)
+    assert text == format(value, "x")
+    assert hex_to_int(text) == value
+    for other in (text.upper(), "0" + text, " " + text, text + " ", "0x" + text, "+" + text,
+                  "-" + text, text[:1] + "_" + text[1:]):
+        if other != text:
+            with pytest.raises(ValueError):
+                hex_to_int(other)
 
 
 @pytest.fixture(scope="session")

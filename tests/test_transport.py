@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedgbt.data import PartyDataset
-from fedgbt.gbt import GbtParams
+from fedgbt.gbt import GbtParams, ProtocolError
 from fedgbt.hfl import SECAGG_MASK_ONLY, SECAGG_PAILLIER, hfl_train, make_roster
 from fedgbt.scanner import ScanReport, SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.transport import (
@@ -217,6 +217,10 @@ WIRE_FAULTS = {
     "count-as-string": (_set("counts", "3"), "field counts is not a list of int64 integers"),
     "count-as-float": (_set("counts", 1.5), "field counts is not a list of int64 integers"),
     "count-beyond-int64": (_set("counts", 2**70), "field counts is not a list of int64 integers"),
+    # hex that int(text, 16) would read, but int_to_hex never writes
+    **{f"hex-{name}": (_set("enc_g", text), "field enc_g is not a list of hex integers")
+       for name, text in [("space", " ff"), ("underscore", "f_f"), ("prefix", "0xff"),
+                          ("plus", "+ff"), ("upper-case", "FF"), ("leading-zero", "00ff")]},
 }
 
 
@@ -228,6 +232,17 @@ def test_a_malformed_payload_is_rejected_naming_sender_type_and_field(msg_type, 
     with pytest.raises(TransportError) as raised:
         _hfl(bus) if msg_type == "HISTOGRAM_SUBMIT" else _vfl(bus)
     assert str(raised.value) == f"{msg_type} from {bus.sender}: {expected}"
+
+
+@pytest.mark.parametrize("roster_mode, sent", [
+    (SECAGG_MASK_ONLY, "anything"), (SECAGG_MASK_ONLY, SECAGG_PAILLIER),
+    (SECAGG_PAILLIER, "anything"), (SECAGG_PAILLIER, SECAGG_MASK_ONLY)])
+def test_a_submission_in_another_mode_is_rejected(roster_mode, sent):
+    bus = _MangleWire("HISTOGRAM_SUBMIT", lambda payload: payload.update(mode=sent))
+    with pytest.raises(ProtocolError) as raised:
+        _hfl(bus, mode=roster_mode)
+    assert str(raised.value) == (f"HISTOGRAM_SUBMIT from {bus.sender} for tree 0, nodes [0]: "
+                                 f"mode {sent!r}, not the roster's {roster_mode!r}")
 
 
 def test_send_refuses_an_undeclared_type_or_a_payload_missing_a_field():
