@@ -18,7 +18,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 GEO_FEATURES = tuple(f"G{i}" for i in range(1, 17))
 OP_FEATURES = tuple(f"O{i}" for i in range(1, 17))
@@ -247,21 +247,23 @@ def synth_config_from_dict(doc: dict, seed: int = 0) -> SynthConfig:
     return SynthConfig(districts=districts, seed=doc.get("seed", seed), **given)
 
 
+# Concentrations kappa = a + b tried by _fit_unit_beta.
+_BETA_KAPPAS = np.geomspace(0.05, 500.0, 60)
+
+
 def _fit_unit_beta(mean_u: float, median_u: float) -> tuple[float, float]:
     """Pick Beta shape parameters with the target mean whose median is closest.
 
-    Mean is matched exactly via a = mean*kappa, b = (1-mean)*kappa; the
-    concentration kappa is chosen from a coarse grid by median mismatch.
+    Mean is matched exactly via a = mean*kappa, b = (1-mean)*kappa; kappa is
+    the first of ``_BETA_KAPPAS`` whose median misses ``median_u`` least.
+    One ``betaincinv`` call gives the medians of the whole grid: the
+    quantiles ``scipy.stats.beta.ppf`` gives, without importing
+    ``scipy.stats``.
     """
     m = min(max(mean_u, 1e-4), 1 - 1e-4)
-    best = None
-    for kappa in np.geomspace(0.05, 500.0, 60):
-        a, b = m * kappa, (1 - m) * kappa
-        med = beta_dist.ppf(0.5, a, b)
-        err = abs(med - median_u)
-        if best is None or err < best[0]:
-            best = (err, a, b)
-    return best[1], best[2]
+    a, b = m * _BETA_KAPPAS, (1 - m) * _BETA_KAPPAS
+    best = np.argmin(np.abs(betaincinv(a, b, 0.5) - median_u))
+    return a[best], b[best]
 
 
 def _sample_feature(stats: FeatureStats, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -289,12 +291,12 @@ def _sample_feature(stats: FeatureStats, n: int, rng: np.random.Generator) -> np
         tail_mean = min(tail_mean, 0.97)
         a, b = tail_mean * 1.5, (1 - tail_mean) * 1.5
         u = (np.arange(n - n0) + 0.5) / (n - n0)
-        tail = beta_dist.ppf(u, a, b)
+        tail = betaincinv(a, b, u)
         values_u = np.concatenate([np.zeros(n0), tail])
     else:
         a, b = _fit_unit_beta(mean_u, median_u)
         u = (np.arange(n) + 0.5) / n
-        values_u = beta_dist.ppf(u, a, b)
+        values_u = betaincinv(a, b, u)
 
     values = stats.low + values_u * span
     # Nudge toward the published mean; clipping keeps values inside the range.

@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import beta as beta_dist
 
+from fedgbt import data
 from fedgbt.data import (
     ALL_FEATURES,
     DISTRICT_A_STATS,
@@ -9,6 +14,8 @@ from fedgbt.data import (
     GenerationError,
     PartyDataset,
     SynthConfig,
+    _fit_unit_beta,
+    _sample_feature,
     default_synth_config,
     join_datasets,
     load_csv,
@@ -50,6 +57,91 @@ def test_generated_statistics_match_published_summaries(default_pair):
             assert col.max() <= s.high + 1e-9
             tolerance = 0.05 * max(abs(s.mean), 1e-9)
             assert abs(col.mean() - s.mean) <= tolerance, (dataset.party_id, name)
+
+
+def _per_kappa_fit(mean_u, median_u):
+    """The concentration search as one ``beta.ppf`` call per grid point,
+    keeping the first kappa whose median misses least."""
+    m = min(max(mean_u, 1e-4), 1 - 1e-4)
+    best = None
+    for kappa in np.geomspace(0.05, 500.0, 60):
+        a, b = m * kappa, (1 - m) * kappa
+        err = abs(beta_dist.ppf(0.5, a, b) - median_u)
+        if best is None or err < best[0]:
+            best = (err, a, b)
+    return best[1], best[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1))
+@example(0.0, 0.0)
+@example(1.0, 1.0)
+@example(0.0, 1.0)
+@example(1.0, 0.0)
+@example(1e-5, 1e-5)
+@example(1 - 1e-5, 1 - 1e-5)
+@example(1e-5, 1 - 1e-5)
+@example(1 - 1e-5, 1e-5)
+@example(0.5, 0.5)
+def test_fit_unit_beta_equals_the_per_kappa_search(mean_u, median_u):
+    assert _fit_unit_beta(mean_u, median_u) == _per_kappa_fit(mean_u, median_u)
+
+
+# (stats, n): one Beta column and one zero-inflated column at each district size.
+_BRANCH_CASES = [
+    (DISTRICT_A_STATS["G1"], 72),
+    (DISTRICT_B_STATS["G1"], 212),
+    (DISTRICT_A_STATS["G2"], 72),
+    (DISTRICT_B_STATS["G7"], 212),
+]
+
+
+@pytest.mark.parametrize("stats, n", _BRANCH_CASES)
+def test_sample_feature_quantiles_equal_beta_ppf(monkeypatch, stats, n):
+    """Both branches of ``_sample_feature`` (the fitted Beta and the
+    zero-inflated tail) place the values ``beta.ppf`` gives on their
+    quantile grid, so the calibrated column is the same to the bit."""
+    grids = []
+
+    def ppf(a, b, q):
+        if np.ndim(q):
+            grids.append(np.size(q))
+        return beta_dist.ppf(q, a, b)
+
+    fast = _sample_feature(stats, n, np.random.default_rng(3))
+    monkeypatch.setattr(data, "betaincinv", ppf)
+    slow = _sample_feature(stats, n, np.random.default_rng(3))
+    assert fast.tobytes() == slow.tobytes()
+    zero_inflated = stats.median == stats.low
+    assert (grids[0] < n) if zero_inflated else grids == [n]
+
+
+# sha256 of each district's features (float64) and labels (int64), in
+# little-endian bytes, at seeds 0, 1 and 7 of the default config: the bytes
+# the generator gave when it still called scipy.stats.beta.ppf.
+_DISTRICT_SHA256 = {
+    0: (("f79c12c77f39e20918f55baa8330b0befb5db3a4cd3241bd44ba08b13be7e076",
+         "5bb92506aba8339a9be585cef40ec8143672210c374927cb9e049a9408863088"),
+        ("4aca117553ac0598c869c962bf725abf962b4b73a7a7810fd50b5a5b95a8503f",
+         "ae62ba7e77892fa95f9ef395f4a484ec3c35ccdf1bd51793b94349e1fecea474")),
+    1: (("9059b380982c49d617cf7421bca19947eca9eaab6f89f70ecfde55379d7c9b01",
+         "a624a4390d9b1e6ce9c1eae62dd5996a3584f25bad4f1be8bd4e72ecfd11a695"),
+        ("5504d28e93b4fad23173864e6a0348bef9598f0977958dbf6c7ee328ef9f70e6",
+         "ee178c305b6582dc222dffd083f13f59ee926b2f023f8a0897e37eb60cba2e67")),
+    7: (("487ea74548cdcc025652870ac2ca6de0de8b2ee17579b2eefc69c03345187c28",
+         "e938139bfd94748cfe37ac7f688c4ae85707f86dfc2275a3d4b37921196d63ac"),
+        ("dddb7728114d3d5ce84cfdd498fc27ef15c47f9d257a5d94eb98d71329f12bd1",
+         "5c871ea0131e5d1135c0341dba164a72278cf058d70d1c5ff509ed5d15c7b50d")),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_DISTRICT_SHA256))
+def test_generated_districts_are_pinned_to_the_byte(seed):
+    digests = tuple(
+        (hashlib.sha256(d.features.astype("<f8").tobytes()).hexdigest(),
+         hashlib.sha256(d.labels.astype("<i8").tobytes()).hexdigest())
+        for d in synth_generate(default_synth_config(seed)))
+    assert digests == _DISTRICT_SHA256[seed]
 
 
 def test_headline_feature_range_and_mean(default_pair):

@@ -16,11 +16,15 @@ protocol modules import that function from ``gbt``.  One serializer writes
 tree-node documents: outside ``gbt.py`` no module builds a dict with a
 ``"leaf"`` key.  One table spells the wire format: no module but
 ``transport.py`` keys a dict by a message type, and neither protocol module
-converts to or from hex itself.
+converts to or from hex itself.  Only tuning (``hpo.py``) imports
+``scipy.stats``, and importing the training path does not load it.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -340,3 +344,46 @@ def test_the_wire_format_guard_sees_a_second_spelling(tmp_path, module, addition
     source = target.read_text()
     target.write_text(source + "\n" + addition)
     assert _wire_strays(tmp_path) == [f"{module}:{len(source.splitlines()) + 2} {stray}"]
+
+
+# The modules that training, the protocols and the benchmark import.
+TRAINING_PATH = ("data", "gbt", "hfl", "vfl", "transport", "scanner", "metrics")
+
+
+def _stats_importers(src: Path) -> list[str]:
+    """Modules under ``src`` that import ``scipy.stats`` or a name from it."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.stats" or name.startswith("scipy.stats.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_hpo_imports_scipy_stats():
+    assert [f.split(":")[0] for f in _stats_importers(SRC)] == ["hpo.py"]
+
+
+@pytest.mark.parametrize("line", [
+    "from scipy.stats import beta", "from scipy import stats", "import scipy.stats as ss"])
+def test_the_scipy_stats_guard_sees_each_import(tmp_path, line):
+    (tmp_path / "data.py").write_text("import numpy as np\n" + line + "\n")
+    assert _stats_importers(tmp_path) == ["data.py:2"]
+
+
+def test_the_training_path_does_not_load_scipy_stats():
+    """A fresh interpreter that imports every training-path module has no
+    ``scipy.stats``, which alone adds about 45 MB of resident memory
+    (``scripts/import_footprint.py``)."""
+    code = "".join(f"import fedgbt.{name}\n" for name in TRAINING_PATH) + (
+        "import sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.strip() == "[]"
