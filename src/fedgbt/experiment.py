@@ -30,15 +30,9 @@ from .data import (
     synth_generate,
     vertical_partition,
 )
-from .gbt import GbtParams, model_to_dict, model_to_json, predict_proba, train_centralized
+from .gbt import GbtParams, model_to_json, predict_proba, train_centralized
 from .hfl import SECAGG_MASK_ONLY, SECAGG_PAILLIER, hfl_train, make_roster
-from .hpo import (
-    SearchSpace,
-    TunedParams,
-    default_search_space,
-    params_from_vector,
-    tune_objective,
-)
+from .hpo import TunedParams, params_from_vector, tune_objective
 from .metrics import MetricReport, average_reports, evaluate_scores, privacy_cost
 from .transport import MessageBus, write_transcript
 from .vfl import VflTrained, joined_matrix, make_vfl_roster, vfl_predict, vfl_train
@@ -69,7 +63,6 @@ class ExperimentConfig:
     secagg_mode: str = SECAGG_PAILLIER
     key_bits: int = 512
     bo_budget: int = 12
-    tuning_space: SearchSpace | None = None
 
     def __post_init__(self):
         if self.scenario not in (SCENARIO_HFL, SCENARIO_VFL):
@@ -97,24 +90,19 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    params = GbtParams(**doc.get("params", {}))
-    synth = None
-    if "synth" in doc.get("data", {}):
-        synth = synth_config_from_dict(doc["data"]["synth"])
-    csv_paths = doc.get("data", {}).get("csv")
-    return ExperimentConfig(
-        scenario=doc.get("scenario", SCENARIO_HFL),
-        regimes=tuple(doc.get("regimes", ["separate", "federated", "centralized"])),
-        tuning=doc.get("tuning", "none"),
-        params=params,
-        csv_paths=csv_paths,
-        synth=synth,
-        k_folds=doc.get("k_folds", 5),
-        seed=doc.get("seed", 0),
-        secagg_mode=doc.get("secagg", SECAGG_PAILLIER),
-        key_bits=doc.get("key_bits", 512),
-        bo_budget=doc.get("bo_budget", 12),
-    )
+    """The config a JSON document describes; a field the document leaves
+    out keeps its :class:`ExperimentConfig` default."""
+    fields = {name: doc[name] for name in ("scenario", "tuning", "k_folds", "seed",
+                                           "key_bits", "bo_budget") if name in doc}
+    if "regimes" in doc:
+        fields["regimes"] = tuple(doc["regimes"])
+    if "secagg" in doc:
+        fields["secagg_mode"] = doc["secagg"]
+    data = doc.get("data", {})
+    if "synth" in data:
+        fields["synth"] = synth_config_from_dict(data["synth"])
+    return ExperimentConfig(params=GbtParams(**doc.get("params", {})),
+                            csv_paths=data.get("csv"), **fields)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -246,9 +234,7 @@ def tune_regime(config: ExperimentConfig, regime: str, rows: PartyDataset,
         mode, data = "centralized", [pooled_set(config.scenario, rows)]
     else:
         mode, data = "federated-aggregated", list(sets.values())
-    return tune_objective(mode, data, base=config.params,
-                          space=config.tuning_space or default_search_space(),
-                          seed=seed, budget=config.bo_budget)
+    return tune_objective(mode, data, base=config.params, seed=seed, budget=config.bo_budget)
 
 
 def train_regime(config: ExperimentConfig, regime: str, rows: PartyDataset,
@@ -360,7 +346,7 @@ def _fold_run(config, regime, train, test, sets, seed, party):
     model, bus = train_regime(config, regime, train, sets, params, seed, party)
     if isinstance(model, VflTrained):
         scores, bus = vfl_predict(model, vertical_partition(test), bus=bus)
-        return scores, _hash_json(model_to_dict(model.ensemble)), bus
+        return scores, _model_hash(model.ensemble), bus
     if config.scenario == SCENARIO_HFL:
         X = test.features
     elif party:

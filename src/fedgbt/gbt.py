@@ -89,10 +89,6 @@ class GbtParams:
         if self.max_depth < 0:
             raise TrainingError("max_depth must be >= 0")
 
-    def replace(self, **kwargs) -> "GbtParams":
-        merged = {**asdict(self), **kwargs}
-        return GbtParams(**merged)
-
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
@@ -591,10 +587,6 @@ class BoostedEnsemble:
     base_score_logit: float
     feature_names: tuple[str, ...] | None = None
     _compiled: CompiledTrees | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
 
     def compiled(self, n_features: int) -> CompiledTrees:
         """The compiled trees, once rows of ``n_features`` features are

@@ -1,15 +1,23 @@
 """Gaussian-process hyperparameter search and sample-weighted aggregation.
 
 The surrogate is a zero-mean GP with a unit-bandwidth squared-exponential
-kernel over inputs normalized to the unit hypercube, fixed jitter 1e-6, and
-no kernel learning.  Acquisition is expected improvement (exploration offset
-0.01) maximized by a seeded random multistart.  Integer dimensions relax to
+kernel over inputs normalized to the unit hypercube, fixed jitter
+``JITTER`` (1e-6), and no kernel learning.  Acquisition is expected
+improvement with exploration offset ``EI_OFFSET`` (0.01), maximized over
+``CANDIDATES_PER_STEP`` seeded random candidates after an
+``INITIAL_DESIGN``-point Latin hypercube.  Integer dimensions relax to
 continuous values during search and round half-away-from-zero at evaluation.
+Every search starts from the base parameters (a warm start) and scores on
+``split_train_valid_test``'s validation rows, a tenth of the training pool.
 
 For multi-party tuning without data pooling, each party optimizes on its own
 data and the coordinator averages the per-party optima weighted by sample
 count, rounding integer dimensions only at the end (both the raw and rounded
 vectors are kept).
+
+Only numpy, ``scipy.special`` and ``scipy.linalg`` are used: nothing here
+loads ``scipy.stats``, which would add about 45 MB to every process that
+imports the experiment harness.
 """
 
 from __future__ import annotations
@@ -19,9 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm, qmc
+from scipy.special import ndtr
 
-from .data import PartyDataset, join_datasets, split_train_valid_test
+from .data import DataError, PartyDataset, join_datasets, split_train_valid_test
 from .gbt import GbtParams, predict_proba, train_centralized
 from .metrics import auc_roc
 
@@ -47,10 +55,6 @@ class Dimension:
 @dataclass(frozen=True)
 class SearchSpace:
     dimensions: tuple[Dimension, ...]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dimensions)
 
     def normalize(self, vector: dict[str, float]) -> np.ndarray:
         return np.array([
@@ -100,20 +104,21 @@ def default_search_space() -> SearchSpace:
 # ---------------------------------------------------------------------------
 # Gaussian-process surrogate
 
+JITTER = 1e-6
+EI_OFFSET = 0.01
+
 
 @dataclass
 class GpSurrogate:
     X: np.ndarray  # (n, d) in the unit cube
     y: np.ndarray
-    bandwidth: float = 1.0
-    jitter: float = 1e-6
     _chol: tuple = field(default=None, repr=False)
     _alpha: np.ndarray = field(default=None, repr=False)
 
     def kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2 * A @ B.T
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        return np.exp(-sq / 2.0)
 
     def posterior(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at query points (n_q, d)."""
@@ -125,33 +130,47 @@ class GpSurrogate:
         return mean, np.maximum(var, 0.0)
 
 
-def gp_fit(X: np.ndarray, y: np.ndarray, bandwidth: float = 1.0, jitter: float = 1e-6) -> GpSurrogate:
+def gp_fit(X: np.ndarray, y: np.ndarray) -> GpSurrogate:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise OptimError("at least one observation required")
-    gp = GpSurrogate(X=X, y=y, bandwidth=bandwidth, jitter=jitter)
-    K = gp.kernel(X, X) + jitter * np.eye(X.shape[0])
+    gp = GpSurrogate(X=X, y=y)
+    K = gp.kernel(X, X) + JITTER * np.eye(X.shape[0])
     gp._chol = cho_factor(K, lower=True)
     gp._alpha = cho_solve(gp._chol, y)
     return gp
 
 
-def expected_improvement_from_moments(mean, std, best: float, xi: float = 0.01):
-    """EI for maximization; collapses to max(mean - best - xi, 0) at std=0."""
+def expected_improvement_from_moments(mean, std, best: float):
+    """EI for maximization; collapses to max(mean - best - EI_OFFSET, 0) at std=0.
+
+    The standard normal cdf is ``ndtr`` and its pdf is written out, as
+    ``scipy.stats.norm`` computes them both.
+    """
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
-    imp = mean - best - xi
-    out = np.where(std > 0, 1.0, np.maximum(imp, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    imp = mean - best - EI_OFFSET
+    with np.errstate(invalid="ignore"):
         z = np.where(std > 0, imp / np.where(std > 0, std, 1.0), 0.0)
-        ei = imp * norm.cdf(z) + std * norm.pdf(z)
-    return np.where(std > 0, np.maximum(ei, 0.0), out)
+        ei = imp * ndtr(z) + std * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi))
+    return np.where(std > 0, np.maximum(ei, 0.0), np.maximum(imp, 0.0))
 
 
-def expected_improvement(gp: GpSurrogate, Q: np.ndarray, best: float, xi: float = 0.01) -> np.ndarray:
+def expected_improvement(gp: GpSurrogate, Q: np.ndarray, best: float) -> np.ndarray:
     mean, var = gp.posterior(Q)
-    return expected_improvement_from_moments(mean, np.sqrt(var), best, xi)
+    return expected_improvement_from_moments(mean, np.sqrt(var), best)
+
+
+def latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
+    """``n`` points in the unit ``d``-cube, one in each of the ``n`` strata
+    of every dimension, each at a uniform offset within its stratum
+    (McKay, Beckman and Conover, 1979); the draws of
+    ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)``."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, d))
+    perm = np.array([rng.permutation(n) + 1 for _ in range(d)])
+    return (perm.T - u) / n
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +200,7 @@ def bo_optimize(
     """Maximize ``objective(vector)`` over the space with GP-guided search.
 
     The first evaluations cover ``initial_points`` (if given) plus a seeded
-    quasi-random design; afterwards each step fits the surrogate and
+    Latin hypercube; afterwards each step fits the surrogate and
     evaluates the best of 1024 random candidates by expected improvement.
     Failures score -inf and stay in the history (the surrogate sees a finite
     floor instead).
@@ -190,11 +209,8 @@ def bo_optimize(
     if budget < 1:
         raise OptimError("budget must be positive")
     rng = np.random.default_rng([seed, 211])
-    sampler = qmc.LatinHypercube(d, seed=seed)
-    design_unit = [np.asarray(row) for row in sampler.random(INITIAL_DESIGN)]
     queue = [space.normalize(space.clip(p)) for p in (initial_points or [])]
-    queue += design_unit
-    queue = queue[:budget]
+    queue = (queue + list(latin_hypercube(d, INITIAL_DESIGN, seed)))[:budget]
 
     X: list[np.ndarray] = []
     ys: list[float] = []
@@ -276,7 +292,7 @@ def params_from_vector(base: GbtParams, vector: dict[str, float]) -> GbtParams:
         updates["max_bin"] = 2
     if updates.get("n_estimators", 1) < 1:
         updates["n_estimators"] = 1
-    return base.replace(**updates)
+    return replace(base, **updates)
 
 
 def validation_objective(train: PartyDataset, valid: PartyDataset, base: GbtParams, seed: int):
@@ -290,12 +306,11 @@ def validation_objective(train: PartyDataset, valid: PartyDataset, base: GbtPara
     return objective
 
 
-def _train_valid_split(dataset: PartyDataset, valid_fraction: float, seed: int):
+def _train_valid_split(dataset: PartyDataset, seed: int):
     for attempt in range(10):
         try:
-            plan = split_train_valid_test(dataset, k=5, valid_fraction=valid_fraction,
-                                          seed=seed + attempt)
-        except Exception:
+            plan = split_train_valid_test(dataset, k=5, seed=seed + attempt)
+        except DataError:
             continue
         fold = plan.folds[0]
         train = dataset.subset(np.concatenate([fold.train_idx, fold.test_idx]))
@@ -312,8 +327,6 @@ def tune_objective(
     space: SearchSpace | None = None,
     seed: int = 0,
     budget: int = 30,
-    valid_fraction: float = 0.10,
-    warm_start: bool = True,
 ) -> TunedParams:
     """Tune under one of three data-access regimes.
 
@@ -326,13 +339,12 @@ def tune_objective(
     base_point = {
         d.name: min(max(getattr(base, d.name), d.low), d.high) for d in space.dimensions
     }
-    initial = [base_point] if warm_start else None
 
     def run_direct(data: PartyDataset, run_seed: int) -> TunedParams:
-        train, valid = _train_valid_split(data, valid_fraction, run_seed)
+        train, valid = _train_valid_split(data, run_seed)
         objective = validation_objective(train, valid, base, run_seed)
         return bo_optimize(objective, space, budget=budget, seed=run_seed,
-                           initial_points=initial)
+                           initial_points=[base_point])
 
     if mode == "separate":
         if len(datasets) != 1:

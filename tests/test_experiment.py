@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from argparse import Namespace
@@ -26,6 +27,7 @@ from fedgbt.experiment import (
     config_from_dict,
     fold_seed,
     load_districts,
+    party_sets,
     run_experiment,
     train_regime,
 )
@@ -207,6 +209,22 @@ def test_vfl_scenario_runs_end_to_end():
         assert abs(f_rep.auc - c_rep.auc) <= 0.005
 
 
+def test_vfl_model_hash_is_sha256_of_the_model_json():
+    # one hash form for every regime: sha256 of gbt.model_to_json
+    config = ExperimentConfig(scenario=SCENARIO_VFL, regimes=("federated",), params=fast_params(),
+                              synth=small_synth(4), k_folds=2, seed=4, key_bits=256)
+    report = run_experiment(config)
+    districts = load_districts(config)
+    joined = join_datasets(districts, "joined")
+    fold = split_train_valid_test(joined, k=config.k_folds, seed=config.seed).folds[0]
+    train = joined.subset(fold.full_train_idx, "train")
+    sets = party_sets(config.scenario, districts, train)
+    model, _ = train_regime(config, "federated", train, sets, config.params,
+                            fold_seed(config, fold.fold_id))
+    expected = hashlib.sha256(gbt.model_to_json(model.ensemble).encode()).hexdigest()
+    assert report.regimes["federated"].model_hashes[0] == expected
+
+
 def test_vfl_federated_with_aggregated_tuning_is_rejected():
     # per-party tuning would give every feature owner the label vector
     with pytest.raises(ConfigError, match="labels"):
@@ -230,6 +248,12 @@ def test_config_validation():
     })
     assert config.params.n_estimators == 3
     assert config.synth.seed == 5
+
+
+def test_a_config_document_keeps_the_defaults_of_every_key_it_leaves_out():
+    assert config_from_dict({}) == ExperimentConfig()
+    assert config_from_dict({"secagg": SECAGG_MASK_ONLY, "regimes": ["centralized"]}) == \
+        ExperimentConfig(secagg_mode=SECAGG_MASK_ONLY, regimes=("centralized",))
 
 
 def test_a_synth_document_keeps_the_defaults_of_every_key_it_leaves_out():

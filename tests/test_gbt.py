@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -952,7 +952,7 @@ def _scan_params(rng, one_ratio):
         min_child_weight=float(rng.choice([0.0, 0.1, 0.3])),
     )
     if one_ratio:
-        params = params.replace(reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, min_split_gain=0.0)
+        params = replace(params, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, min_split_gain=0.0)
     return params
 
 
@@ -960,7 +960,7 @@ def _at_edge_weight(rng, params, hist):
     """``params`` whose min_child_weight is a left hessian sum of ``hist``,
     which must still qualify."""
     prefix = np.cumsum(hist.h, axis=1)[:, :-1]
-    return params.replace(min_child_weight=int(rng.choice(prefix.ravel())) / SCALE)
+    return replace(params, min_child_weight=int(rng.choice(prefix.ravel())) / SCALE)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1039,7 +1039,7 @@ def test_batch_predict_equals_row_walks_bit_for_bit(seed):
     batch = predict_margin(model, X_test)
     assert np.array_equal(batch, reference_margin(model, X_test))
     assert [predict(model, row)[0] for row in X_test] == batch.tolist()
-    for k in range(model.n_trees + 1):
+    for k in range(len(model.trees) + 1):
         assert np.array_equal(predict_margin(model, X_test, n_trees=k),
                               reference_margin(model, X_test, n_trees=k))
     binned = binning.bin_columns(X).T

@@ -802,7 +802,7 @@ def test_federated_equals_centralized_paillier():
 @pytest.mark.parametrize("secagg", [SECAGG_MASK_ONLY, SECAGG_PAILLIER])
 @pytest.mark.parametrize("change", [{"max_depth": 0}, {"min_child_weight": 1e6}])
 def test_root_leaf_trees_equal_centralized(secagg, change):
-    params = GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0).replace(**change)
+    params = replace(GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0), **change)
     model, central, bus, _, _ = _equivalence_check(n=40, F=3, n_clients=2, seed=29,
                                                    secagg=secagg, key_bits=256, params=params)
     assert [len(t.nodes) for t in model.trees] == [len(t.nodes) for t in central.trees] == [1, 1]
@@ -1238,7 +1238,7 @@ def test_every_client_assembles_the_servers_tree(monkeypatch, change):
 
     monkeypatch.setattr(HflClient, "finish_tree", kept)
     roster, parties = _tamper_roster()
-    params = GbtParams(n_estimators=3, max_depth=3, max_bin=8, reg_lambda=1.0).replace(**change)
+    params = replace(GbtParams(n_estimators=3, max_depth=3, max_bin=8, reg_lambda=1.0), **change)
     ensemble, _ = hfl_train(roster, parties, params, seed=2)
     assert len(assembled) == len(roster.client_ids) * 3
     for (_, t), tree in assembled.items():

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import norm, qmc
 
+import fedgbt.hpo as hpo
 from fedgbt.data import PartyDataset
 from fedgbt.gbt import GbtParams
 from fedgbt.hpo import (
+    EI_OFFSET,
+    JITTER,
     Dimension,
     OptimError,
     SearchSpace,
@@ -16,6 +21,7 @@ from fedgbt.hpo import (
     expected_improvement,
     expected_improvement_from_moments,
     gp_fit,
+    latin_hypercube,
     params_from_vector,
     round_half_away,
     tune_objective,
@@ -57,7 +63,7 @@ def test_single_point_posterior_decays_with_square_exponential():
     gp = gp_fit(np.array([[0.0]]), np.array([y0]))
     for dist in (0.3, 0.7, 1.2):
         mean, _ = gp.posterior(np.array([[dist]]))
-        expected = math.exp(-dist**2 / 2) * y0 / (1 + gp.jitter)
+        expected = math.exp(-dist**2 / 2) * y0 / (1 + JITTER)
         assert mean[0] == pytest.approx(expected, rel=1e-5)
 
 
@@ -73,7 +79,7 @@ def test_kernel_matrix_symmetric_positive_definite():
     for n in (2, 16, 64):
         X = rng.random((n, 4))
         gp = gp_fit(X, rng.normal(size=n))
-        K = gp.kernel(X, X) + gp.jitter * np.eye(n)
+        K = gp.kernel(X, X) + JITTER * np.eye(n)
         np.testing.assert_allclose(K, K.T, atol=1e-12)
         assert np.linalg.eigvalsh(K).min() > 0
 
@@ -101,6 +107,36 @@ def test_ei_prefers_unexplored_over_dominated_points():
     ei_far = expected_improvement(gp, np.array([[0.95]]), best=0.2)[0]
     ei_dominated = expected_improvement(gp, np.array([[0.2]]), best=0.2)[0]
     assert ei_far > ei_dominated
+
+
+def _scipy_ei(mean, std, best):
+    """Expected improvement on ``scipy.stats.norm``, the reference."""
+    imp = mean - best - EI_OFFSET
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(std > 0, imp / np.where(std > 0, std, 1.0), 0.0)
+        ei = imp * norm.cdf(z) + std * norm.pdf(z)
+    return np.where(std > 0, np.maximum(ei, 0.0), np.maximum(imp, 0.0))
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_finite, st.one_of(st.just(0.0), st.floats(1e-6, 1e3))),
+                min_size=1, max_size=20), _finite)
+def test_ei_equals_scipy_norm_bit_for_bit(moments, best):
+    mean, std = (np.array(column) for column in zip(*moments))
+    assert np.array_equal(expected_improvement_from_moments(mean, std, best),
+                          _scipy_ei(mean, std, best))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_latin_hypercube_equals_scipy_bit_for_bit(d, n, seed):
+    design = latin_hypercube(d, n, seed)
+    assert np.array_equal(design, qmc.LatinHypercube(d, seed=seed).random(n))
+    # one point in each of the n strata of every dimension
+    assert (np.sort(np.floor(design * n), axis=0) == np.arange(n)[:, None]).all()
 
 
 def test_ei_nondecreasing_in_mean_at_fixed_std():
@@ -287,7 +323,6 @@ def test_tuned_params_beat_defaults_on_validation_with_warm_start():
 def test_federated_aggregated_mode_never_pools_data():
     a, b = _party(50, seed=2, party="a"), _party(70, seed=3, party="b")
     seen_sizes = set()
-    import fedgbt.hpo as hpo
 
     original = hpo.train_centralized
 
@@ -302,6 +337,24 @@ def test_federated_aggregated_mode_never_pools_data():
     finally:
         hpo.train_centralized = original
     assert all(size < 120 for size in seen_sizes)  # never the pooled 120
+
+
+def test_tuning_propagates_errors_other_than_unsplittable_data(monkeypatch):
+    # only DataError means "try another seed"; a programming error surfaces
+    def broken(*args, **kwargs):
+        raise TypeError("broken split")
+
+    monkeypatch.setattr(hpo, "split_train_valid_test", broken)
+    with pytest.raises(TypeError, match="broken split"):
+        tune_objective("separate", [_party(60, seed=1)], base=_base_params(),
+                       space=_test_space(), seed=0, budget=2)
+
+
+def test_unsplittable_data_is_an_optim_error():
+    # two rows of one class cannot give a two-class validation split
+    with pytest.raises(OptimError, match="two-class validation split"):
+        tune_objective("separate", [_party(3, seed=1)], base=_base_params(),
+                       space=_test_space(), seed=0, budget=2)
 
 
 def test_params_from_vector_casts_integers():

@@ -1,7 +1,10 @@
 """Every function, class and method in ``src/fedgbt`` has a caller outside
 the tests: something in ``src/``, ``scripts/`` or ``perfbench/`` references
 it by name, attribute, import alias or identifier string (``getattr`` and
-patch tables).  References from inside a definition's own body do not count.
+patch tables).  A method or property counts only through an attribute or an
+identifier string: a bare name of the same spelling, such as a local
+variable, does not reach it.  References from inside a definition's own
+body do not count.
 
 Trees grow in one place: outside ``gbt.py`` no module builds tree nodes,
 searches splits, weighs leaves or derives a sibling's histogram.  Histograms are int64 everywhere: no
@@ -16,8 +19,8 @@ protocol modules import that function from ``gbt``.  One serializer writes
 tree-node documents: outside ``gbt.py`` no module builds a dict with a
 ``"leaf"`` key.  One table spells the wire format: no module but
 ``transport.py`` keys a dict by a message type, and neither protocol module
-converts to or from hex itself.  Only tuning (``hpo.py``) imports
-``scipy.stats``, and importing the training path does not load it.
+converts to or from hex itself.  No module imports ``scipy.stats``, and
+importing every module of the package does not load it.
 """
 
 import ast
@@ -47,42 +50,69 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _references(tree):
-    """(name, line) of every name, attribute, import alias and identifier string."""
+def _references(tree, members_only=False):
+    """(name, line) of every name, attribute, import alias and identifier
+    string; with ``members_only``, of the attributes and identifier strings
+    alone, the ways a method or property is reached."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
+        elif members_only:
+            continue
+        elif isinstance(node, ast.Name):
+            yield node.id, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
             if node.asname:
                 yield node.asname, node.lineno
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            yield node.value, node.lineno
 
 
-def _unreferenced():
-    files = sorted(SRC.glob("*.py"))
+def _unreferenced(src: Path) -> list[str]:
+    """Definitions in modules under ``src`` that nothing there, in
+    ``scripts/`` or in ``perfbench/`` reaches."""
+    files = sorted(src.glob("*.py"))
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    refs = {members_only: {path: list(_references(tree, members_only))
+                           for path, tree in trees.items()}
+            for members_only in (False, True)}
     dead = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         for qualname, name, node in _definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue  # called by the interpreter
             own = range(node.lineno, node.end_lineno + 1)
             if not any(ref == name and (other != path or line not in own)
-                       for other, found in refs.items() for ref, line in found):
+                       for other, found in refs["." in qualname].items() for ref, line in found):
                 dead.append(f"{path.name}:{qualname}")
     return dead
 
 
 def test_no_src_definition_is_reached_only_from_tests():
-    dead = _unreferenced()
+    dead = _unreferenced(SRC)
     assert not dead, "no caller outside the tests: " + ", ".join(dead)
+
+
+def test_the_dead_code_guard_sees_a_method_that_only_a_local_name_matches(tmp_path):
+    # ``predict_margin`` has an ``n_trees`` argument and the scripts a local
+    # ``names``: neither reaches a method of that name
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    assert _unreferenced(tmp_path) == []
+    gbt = tmp_path / "gbt.py"
+    gbt.write_text(gbt.read_text().replace(
+        "    def compiled(self, n_features: int)",
+        "    @property\n    def n_trees(self) -> int:\n        return len(self.trees)\n\n"
+        "    def compiled(self, n_features: int)", 1))
+    hpo = tmp_path / "hpo.py"
+    hpo.write_text(hpo.read_text().replace(
+        "    def normalize(self, vector",
+        "    @property\n    def names(self):\n        return tuple(d.name for d in self.dimensions)\n\n"
+        "    def normalize(self, vector", 1))
+    assert _unreferenced(tmp_path) == ["gbt.py:BoostedEnsemble.n_trees", "hpo.py:SearchSpace.names"]
 
 
 GROWER_CALLS = {"TreeNode", "find_best_split", "leaf_weight", "leaf_value", "subtract",
@@ -346,10 +376,6 @@ def test_the_wire_format_guard_sees_a_second_spelling(tmp_path, module, addition
     assert _wire_strays(tmp_path) == [f"{module}:{len(source.splitlines()) + 2} {stray}"]
 
 
-# The modules that training, the protocols and the benchmark import.
-TRAINING_PATH = ("data", "gbt", "hfl", "vfl", "transport", "scanner", "metrics")
-
-
 def _stats_importers(src: Path) -> list[str]:
     """Modules under ``src`` that import ``scipy.stats`` or a name from it."""
     found = []
@@ -366,8 +392,9 @@ def _stats_importers(src: Path) -> list[str]:
     return found
 
 
-def test_only_hpo_imports_scipy_stats():
-    assert [f.split(":")[0] for f in _stats_importers(SRC)] == ["hpo.py"]
+def test_no_src_module_imports_scipy_stats():
+    found = _stats_importers(SRC)
+    assert not found, "scipy.stats imported at " + ", ".join(found)
 
 
 @pytest.mark.parametrize("line", [
@@ -377,11 +404,11 @@ def test_the_scipy_stats_guard_sees_each_import(tmp_path, line):
     assert _stats_importers(tmp_path) == ["data.py:2"]
 
 
-def test_the_training_path_does_not_load_scipy_stats():
-    """A fresh interpreter that imports every training-path module has no
+def test_no_fedgbt_module_loads_scipy_stats():
+    """A fresh interpreter that imports every module of the package has no
     ``scipy.stats``, which alone adds about 45 MB of resident memory
     (``scripts/import_footprint.py``)."""
-    code = "".join(f"import fedgbt.{name}\n" for name in TRAINING_PATH) + (
+    code = "".join(f"import fedgbt.{path.stem}\n" for path in sorted(SRC.glob("[!_]*.py"))) + (
         "import sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

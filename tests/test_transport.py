@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def _vfl(bus=None, **params):
     datasets = {"active": PartyDataset("active", ids, X[:, :2], ("a0", "a1"), y),
                 "passive0": PartyDataset("passive0", ids, X[:, 2:], ("p0", "p1"))}
     trained, bus = vfl_train(make_vfl_roster("active", datasets), datasets,
-                             PARAMS.replace(**params), seed=1, bus=bus, key_bits=256)
+                             replace(PARAMS, **params), seed=1, bus=bus, key_bits=256)
     return trained, datasets, bus
 
 
