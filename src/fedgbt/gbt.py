@@ -240,10 +240,9 @@ class PackedLayout:
         slot = values.astype(np.uint64) + np.uint64(self.offset)
         bits = np.unpackbits(slot.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
                              bitorder="little")
-        keep = min(self.width, 64)  # v + offset < 2^width, and fits uint64
         n_res = -(-values.size // self.slots)
         laid = np.zeros((n_res * self.slots, self.width), dtype=np.uint8)
-        laid[:values.size, :keep] = bits[:, :keep]
+        laid[:values.size] = bits[:, :self.width]
         size = -(-self.slots * self.width // 8)
         laid = np.packbits(laid.reshape(n_res, self.slots * self.width), axis=1,
                            bitorder="little").tobytes()
@@ -253,9 +252,10 @@ class PackedLayout:
         """Packed totals, one offset per slot -> the int64 slot values.
 
         Each total is checked for bits above its used slots; then every slot
-        is read at once in numpy, mirroring :meth:`pack`: its low 64 bits as
-        one uint64, and any bits above them (widths over 64 only) as
-        another.  A slot value outside int64 raises :class:`ProtocolError`.
+        is read at once in numpy, mirroring :meth:`pack`, as one uint64.
+        A slot of :func:`level_layouts` has at most 64 bits, and its offset
+        and ``2**width - offset`` are at most ``2**63``, so every slot minus
+        the offset lies in int64: the subtraction wraps around in uint64.
         """
         last = n_values - (len(totals) - 1) * self.slots  # slots the last total uses
         if totals and (not 0 < last <= self.slots or totals[-1] >> (self.width * last)
@@ -272,16 +272,7 @@ class PackedLayout:
                             dtype=np.uint8)
         bits = np.unpackbits(raw.reshape(len(totals), size), axis=1, bitorder="little")
         bits = bits[:, :self.slots * self.width].reshape(-1, self.width)[:n_values]
-        low = _uint64_words(bits[:, :64])
-        if self.width <= 64 and max(self.offset, (1 << self.width) - self.offset) <= 1 << 63:
-            # every slot minus the offset lies in int64: subtract with wraparound
-            return (low - np.uint64(self.offset)).view(np.int64)
-        high = _uint64_words(bits[:, 64:])
-        try:
-            return np.array([hi * INT64_MODULUS + lo - self.offset
-                             for hi, lo in zip(high.tolist(), low.tolist())], dtype=np.int64)
-        except OverflowError:
-            raise ProtocolError("a packed slot holds a value outside int64") from None
+        return (_uint64_words(bits) - np.uint64(self.offset)).view(np.int64)
 
 
 def level_layouts(bits: int, ring: int) -> tuple[PackedLayout, PackedLayout]:
@@ -299,6 +290,10 @@ def level_layouts(bits: int, ring: int) -> tuple[PackedLayout, PackedLayout]:
     the other clients' offsets from the aggregate, so no width grows with
     the roster.  The vertical active party passes ``p // 2``, so each fold
     stays below ``p / 2`` and decrypts modulo ``p`` alone.
+
+    A slot wider than 64 bits raises :class:`EncodingError`: the int64
+    capacity check admits fewer than ``2**(63 - S)`` samples, so ``bits``
+    is at most ``63 - S`` and a g slot at most 64 bits wide.
     """
     offset_bits = GRAD_SCALE_BITS + bits
     g, h = (PackedLayout(offset=offset, width=width, slots=(ring.bit_length() - 1) // width)
@@ -306,6 +301,8 @@ def level_layouts(bits: int, ring: int) -> tuple[PackedLayout, PackedLayout]:
     if g.slots < 1:  # the wider of the two
         raise EncodingError(f"a packed integer below 2^{ring.bit_length() - 1} fits no "
                             f"{g.width}-bit slot for nodes of {bits}-bit counts")
+    if g.width > 64:
+        raise EncodingError(f"nodes of {bits}-bit counts need {g.width}-bit slots, above 64")
     return g, h
 
 

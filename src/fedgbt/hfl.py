@@ -43,7 +43,10 @@ A client keeps the node documents of a tree's broadcasts and, once the tree
 is grown, builds it from them (:func:`fedgbt.gbt.tree_from_dicts`) to update
 its margins; no tree, and no finished model, is sent again.  Every payload's
 fields and wire form are those of :data:`fedgbt.transport.MESSAGES`: the
-parties hand the bus ints and lists, and read them back decoded.
+parties hand the bus ints and lists, and read them back decoded.  A
+submission has no other form: :func:`mask_histogram` returns the
+``HISTOGRAM_SUBMIT`` payload, ciphertexts as plain ints, and
+:func:`server_aggregate` makes every check of the decoded payloads.
 
 Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
 (per-feature ranges, sanctioned metadata) and ``BINNING_BROADCAST``.
@@ -52,8 +55,8 @@ Clients act only on the messages they receive: each partitions its samples
 by the splits in its own copy of ``SPLIT_BROADCAST`` and submits exactly the
 children that copy asks for, so a tampered broadcast shows up as a partition
 mismatch, a ``submit`` that names no child of its split, an unrequested
-submission, a ``bits`` below the client's own count at a requested node,
-or node documents that do not form a tree.
+submission, a ``bits`` above the roster's or below the client's own count
+at a requested node, or node documents that do not form a tree.
 """
 
 from __future__ import annotations
@@ -91,15 +94,7 @@ from .gbt import (
     tree_leaf_weights_binned,  # likewise
     tree_row_sample,
 )
-from .paillier import (
-    Ciphertext,
-    PrivateKey,
-    PublicKey,
-    aggregate,
-    decrypt,
-    encrypt,
-    keygen,
-)
+from .paillier import PrivateKey, PublicKey, aggregate, decrypt, encrypt, keygen
 from .seeding import derive_seed, derive_uniform_int, expand_mask_words, mask_word_bytes
 from .transport import MessageBus
 
@@ -253,21 +248,6 @@ def level_streams(bits: int, n_values: int,
             for layout in level_layouts(bits, INT64_MODULUS)]
 
 
-@dataclass
-class MaskedEncHistogram:
-    """One client's submission of a level: its histograms of ``nodes``."""
-
-    client_id: str
-    tree: int
-    nodes: list[int]
-    mode: str
-    # one masked residue per packed residue of the nodes' flat F*B slots,
-    # back to back (one per stream, mask-only), encrypted under paillier+mask
-    enc_g: list[int]
-    enc_h: list[int]
-    counts: np.ndarray  # int64 (len(nodes), n_features, n_bins), in clear
-
-
 def mask_histogram(
     hists: list[GradHistogram],
     nodes: list[int],
@@ -279,10 +259,12 @@ def mask_histogram(
     depth: int,
     pk: PublicKey | None,
     enc_rng: random.Random | None,
-) -> MaskedEncHistogram:
-    """Pack a level's histograms back to back in the streams of ``bits``
-    (:func:`level_streams`), then mask each packed residue and, under
-    Paillier, encrypt it."""
+) -> dict:
+    """One client's ``HISTOGRAM_SUBMIT`` payload of a level: its histograms
+    of ``nodes``, packed back to back in the streams of ``bits``
+    (:func:`level_streams`), each packed residue masked and, under
+    Paillier, encrypted, one value per residue in ``enc_g`` and ``enc_h``;
+    the counts go in clear, flat."""
     paillier = roster.secagg_mode == SECAGG_PAILLIER
     if paillier and pk is None:
         raise ProtocolError("paillier+mask mode needs the server public key")
@@ -295,75 +277,84 @@ def mask_histogram(
             ([x.g for x in hists], [x.h for x in hists])):
         masked = _add_pairwise_masks(roster, client_id, ring, layout.pack(values),
                                      nonce, depth, tag)
-        streams.append([encrypt(pk, m, rng=enc_rng).value for m in masked] if paillier
-                       else masked)
-    enc_g, enc_h = streams
-    return MaskedEncHistogram(
-        client_id=client_id,
-        tree=tree_index,
-        nodes=list(nodes),
-        mode=roster.secagg_mode,
-        enc_g=enc_g,
-        enc_h=enc_h,
-        counts=np.array([x.counts for x in hists]),
-    )
+        streams.append([encrypt(pk, m, rng=enc_rng) for m in masked] if paillier else masked)
+    return {"tree": tree_index, "nodes": list(nodes), "mode": roster.secagg_mode,
+            "enc_g": streams[0], "enc_h": streams[1],
+            "counts": np.array([x.counts for x in hists]).ravel().tolist()}
+
+
+def _asked_once(sender: str, submission: dict, tree_index: int, nodes: list[int]) -> str:
+    return (f"HISTOGRAM_SUBMIT from {sender} for tree {submission['tree']}, nodes "
+            f"{submission['nodes']}: the server asked each client once for tree {tree_index}, "
+            f"nodes {nodes}")
 
 
 def server_aggregate(
-    submissions: dict[str, MaskedEncHistogram],
+    submissions: dict[str, dict],
     members: HflMembership,
+    tree_index: int,
+    nodes: list[int],
+    shape: tuple[int, int],
     bits: int,
     pk: PublicKey | None,
     sk: PrivateKey | None,
 ) -> list[GradHistogram]:
-    """Combine per-client submissions of a level into the exact global
-    histograms of its nodes.
+    """Combine the clients' decoded ``HISTOGRAM_SUBMIT`` payloads of a
+    level, by sender, into the exact global histograms of its ``nodes``,
+    each of ``shape`` = (features, bins).
 
-    Each submission must be in the roster's mode and carry, per stream,
-    one value for each packed residue of the streams of ``bits``
-    (:func:`level_streams`, at the level's ``len(nodes) * F * B`` slots,
-    which :meth:`HflServer.receive_histograms` checked every submission's
-    counts against), and each value must be a residue of the stream's ring
-    (mask-only) or a ciphertext below ``n^2`` (Paillier); any other raises
-    :class:`ProtocolError` naming its sender, tree and nodes.  Every client
-    packs each slot at the layout's offset; the aggregate keeps one.
+    Each submission must come from a roster client, name ``tree_index``
+    and ``nodes`` in order, be in the roster's mode, carry ``len(nodes)``
+    times ``shape`` non-negative counts whose feature rows of a node add
+    up alike, and carry, per stream, one value for each packed residue of
+    the streams of ``bits`` (:func:`level_streams`), each a residue of the
+    stream's ring (mask-only) or a ciphertext below ``n^2`` (Paillier); any
+    other raises :class:`ProtocolError` naming its sender, tree and nodes,
+    as does a client that sent none.  Every client packs each slot at the
+    layout's offset; the aggregate keeps one.
     """
-    missing = set(members.client_ids) - set(submissions)
-    if missing:
-        raise ProtocolError(f"round timeout: no histogram from {sorted(missing)}")
-    levels = {(s.tree, tuple(s.nodes)) for s in submissions.values()}
-    if len(levels) != 1:
-        raise ProtocolError(f"submissions mix (tree, nodes) {sorted(levels)}")
-    ordered = [submissions[c] for c in sorted(submissions)]
-    counts = sum(s.counts for s in ordered)
+    n_values = len(nodes) * shape[0] * shape[1]
     paillier = members.secagg_mode == SECAGG_PAILLIER
-    streams = level_streams(bits, counts.size, pk if paillier else None)
-    for s in ordered:
-        where = f"HISTOGRAM_SUBMIT from {s.client_id} for tree {s.tree}, nodes {s.nodes}"
-        if s.mode != members.secagg_mode:
-            raise ProtocolError(f"{where}: mode {s.mode!r}, not the roster's "
+    streams = level_streams(bits, n_values, pk if paillier else None)
+    for sender, s in sorted(submissions.items()):
+        if sender not in members.client_ids or (s["tree"], s["nodes"]) != (tree_index, nodes):
+            raise ProtocolError(_asked_once(sender, s, tree_index, nodes))
+        where = f"HISTOGRAM_SUBMIT from {sender} for tree {tree_index}, nodes {nodes}"
+        if s["mode"] != members.secagg_mode:
+            raise ProtocolError(f"{where}: mode {s['mode']!r}, not the roster's "
                                 f"{members.secagg_mode!r}")
-        for enc_attr, (layout, ring) in zip(("enc_g", "enc_h"), streams):
-            values, per_stream = getattr(s, enc_attr), -(-counts.size // layout.slots)
+        counts = s["counts"]
+        if counts.size != n_values:
+            raise ProtocolError(f"{where}: {counts.size} counts, expected {n_values}")
+        counts = counts.reshape(len(nodes), *shape)
+        if (counts < 0).any() or (counts.sum(axis=2) != counts[:, :1].sum(axis=2)).any():
+            raise ProtocolError(f"{where}: a negative count, or feature rows whose counts "
+                                "differ in sum")
+        for name, (layout, ring) in zip(("enc_g", "enc_h"), streams):
+            values, per_stream = s[name], -(-n_values // layout.slots)
             if len(values) != per_stream:
-                raise ProtocolError(f"{where}: {len(values)} {enc_attr} values, "
+                raise ProtocolError(f"{where}: {len(values)} {name} values, "
                                     f"expected {per_stream}")
             kind, bound, shown = (("ciphertext", pk.n_squared, "n^2") if paillier
                                   else ("residue", ring, f"2^{ring.bit_length() - 1}"))
             if not 0 <= min(values) <= max(values) < bound:
-                raise ProtocolError(f"{where}: an {enc_attr} {kind} outside [0, {shown})")
+                raise ProtocolError(f"{where}: an {name} {kind} outside [0, {shown})")
+    missing = set(members.client_ids) - set(submissions)
+    if missing:
+        raise ProtocolError(f"round timeout: no histogram from {sorted(missing)}")
+    ordered = [submissions[c] for c in sorted(submissions)]
+    counts = sum(s["counts"] for s in ordered).reshape(len(nodes), *shape)
     sums = []
-    for enc_attr, (layout, ring) in zip(("enc_g", "enc_h"), streams):
-        columns = zip(*(getattr(s, enc_attr) for s in ordered))
+    for name, (layout, ring) in zip(("enc_g", "enc_h"), streams):
+        columns = zip(*(s[name] for s in ordered))
         if paillier:
-            totals = [decrypt(sk, pk, aggregate(pk, [Ciphertext(c) for c in cts]))
-                      for cts in columns]
+            totals = [decrypt(sk, pk, aggregate(pk, cts)) for cts in columns]
         else:
             totals = [sum(cts) % ring for cts in columns]  # the masks cancel mod the ring
         if layout.offset:  # all but one offset per slot, one constant per residue
-            surplus = layout.pack(np.zeros(counts.size, dtype=np.int64))
+            surplus = layout.pack(np.zeros(n_values, dtype=np.int64))
             totals = [(t - (len(ordered) - 1) * z) % ring for t, z in zip(totals, surplus)]
-        sums.append(layout.unpack(totals, counts.size).reshape(counts.shape))
+        sums.append(layout.unpack(totals, n_values).reshape(counts.shape))
     return [GradHistogram(g, h, c) for g, h, c in zip(*sums, counts)]
 
 
@@ -426,7 +417,12 @@ class HflClient:
         packed back to back in the layouts of ``bits``, masked and, under
         Paillier, encrypted.  A node where this client alone holds
         ``2**bits`` samples or more raises :class:`ProtocolError` before any
-        mask is drawn."""
+        mask is drawn, and so do ``bits`` outside ``[0, roster.root_bits()]``:
+        no node holds more samples than the roster."""
+        if type(bits) is not int or not 0 <= bits <= self.roster.root_bits():
+            raise ProtocolError(f"SPLIT_BROADCAST to {self.client_id} for tree {tree_index} "
+                                f"sizes nodes for {bits!r}-bit counts; the roster's total "
+                                f"takes {self.roster.root_bits()} bits")
         for node_id in nodes:
             held = self.node_samples[node_id].size
             if held >> bits:
@@ -435,9 +431,8 @@ class HflClient:
                                     f"client holds {held} samples there")
         hists = build_histogram(self.cells, self.g, self.h,
                                 [self.node_samples[n] for n in nodes], self.binning.n_bins)
-        return _submission_payload(mask_histogram(hists, nodes, bits, self.client_id,
-                                                  self.roster, self.seed, tree_index, depth,
-                                                  self.pk, self.enc_rng))
+        return mask_histogram(hists, nodes, bits, self.client_id, self.roster, self.seed,
+                              tree_index, depth, self.pk, self.enc_rng)
 
     def apply_decisions(self, decisions: list[dict]) -> tuple[list[dict], list[int]]:
         """Partition this client's samples as a ``SPLIT_BROADCAST`` says, and
@@ -499,20 +494,17 @@ class HflServer:
     def receive_histograms(self, tree_index: int, nodes: list[int], bits: int,
                            envelopes: list) -> dict[int, GradHistogram]:
         """Aggregate a level's ``HISTOGRAM_SUBMIT``s, one per client naming
-        ``nodes`` in order, packed in the layouts of ``bits``.  Any other
-        submission raises :class:`ProtocolError` naming its sender, tree and
-        nodes."""
-        subs: dict[str, MaskedEncHistogram] = {}
+        ``nodes`` in order, packed in the layouts of ``bits``
+        (:func:`server_aggregate`).  A second submission from a client
+        raises :class:`ProtocolError` naming its sender, tree and nodes."""
+        subs: dict[str, dict] = {}
         for env in envelopes:
-            tree, sent = env.payload["tree"], env.payload["nodes"]
-            if (env.sender not in self.members.client_ids or tree != tree_index
-                    or sent != nodes or env.sender in subs):
-                raise ProtocolError(
-                    f"HISTOGRAM_SUBMIT from {env.sender} for tree {tree}, nodes {sent}: the "
-                    f"server asked each client once for tree {tree_index}, nodes {nodes}")
-            subs[env.sender] = _submission_from_payload(
-                env.payload, env.sender, len(self.binning.boundaries), self.binning.n_bins)
-        return dict(zip(nodes, server_aggregate(subs, self.members, bits, self.pk, self.sk)))
+            if env.sender in subs:
+                raise ProtocolError(_asked_once(env.sender, env.payload, tree_index, nodes))
+            subs[env.sender] = env.payload
+        shape = len(self.binning.boundaries), self.binning.n_bins
+        return dict(zip(nodes, server_aggregate(subs, self.members, tree_index, nodes, shape,
+                                                bits, self.pk, self.sk)))
 
     def decisions(self, tree: Tree, level: list[int], build: list[int]) -> list[dict]:
         """The ``SPLIT_BROADCAST`` of a grown level: each node's document,
@@ -547,33 +539,6 @@ class HflServer:
                     f"partition mismatch at node {s['id']}: clients report "
                     f"{left_sum} left samples, histogram says {stats[s['left']][2]}"
                 )
-
-
-# ---------------------------------------------------------------------------
-# Wire encoding of submissions
-
-
-def _submission_payload(sub: MaskedEncHistogram) -> dict:
-    return {"tree": sub.tree, "nodes": sub.nodes, "mode": sub.mode, "enc_g": sub.enc_g,
-            "enc_h": sub.enc_h, "counts": sub.counts.flatten().tolist()}
-
-
-def _submission_from_payload(payload: dict, sender: str, n_features: int,
-                             n_bins: int) -> MaskedEncHistogram:
-    """A submission off the wire; counts that are not, per node,
-    ``n_features`` rows of ``n_bins`` non-negative counts with one sum raise
-    :class:`ProtocolError` naming the sender, tree and nodes."""
-    nodes = payload["nodes"]
-    where = f"HISTOGRAM_SUBMIT from {sender} for tree {payload['tree']}, nodes {nodes}"
-    counts = payload["counts"]
-    if counts.size != len(nodes) * n_features * n_bins:
-        raise ProtocolError(f"{where}: {counts.size} counts, expected "
-                            f"{len(nodes) * n_features * n_bins}")
-    counts = counts.reshape(len(nodes), n_features, n_bins)
-    if (counts < 0).any() or (counts.sum(axis=2) != counts[:, :1].sum(axis=2)).any():
-        raise ProtocolError(f"{where}: a negative count, or feature rows whose counts "
-                            "differ in sum")
-    return MaskedEncHistogram(client_id=sender, **{**payload, "counts": counts})
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +583,10 @@ def hfl_train(
                      {"n": server.pk.n, "g": server.pk.g, "key_bits": key_bits})
         for cid, client in clients.items():
             key = bus.recv(cid, "KEY_BROADCAST").payload
-            client.pk = PublicKey(n=key["n"], g=key["g"], n_squared=key["n"] ** 2)
+            try:
+                client.pk = PublicKey(n=key["n"], g=key["g"])
+            except ValueError as exc:
+                raise ProtocolError(f"KEY_BROADCAST to {cid}: {exc}") from None
 
     # --- setup: shared binning from merged ranges
     round_id += 1

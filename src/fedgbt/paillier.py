@@ -9,6 +9,10 @@ decrypts the sum.
 Plaintexts are residues in [0, n).  The protocols encrypt integers only:
 quantized gradients (:func:`fedgbt.gbt.quantize`) go in as their residues
 modulo n, and a signed sum comes back through ``decrypt``'s ``bound``.
+A ciphertext is a plain ``int`` in [0, n^2), the form the wire carries it
+in, and the generator is always ``g = n + 1``, so ``g^m = 1 + m * n``
+modulo ``n^2`` costs one product; a public key with any other ``g`` is
+refused.
 
 Encryption draws its obfuscator from a fixed public base, in the manner of
 Damgård, Jurik and Nielsen (2010): ``r^n`` becomes ``h_s^a`` with a
@@ -169,17 +173,19 @@ class FixedBaseComb:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Encryption key ``(n, g)`` with the modulus square cached."""
+    """Encryption key ``(n, g)``, with ``g = n + 1``, the only generator
+    this module implements."""
 
     n: int
     g: int
-    n_squared: int
 
     def __post_init__(self):
-        if self.n_squared != self.n * self.n:
-            raise ValueError("n_squared does not match n")
-        if math.gcd(self.g, self.n_squared) != 1:
-            raise ValueError("g is not invertible modulo n^2")
+        if self.g != self.n + 1:
+            raise ValueError("the public key's g is not n + 1")
+
+    @cached_property
+    def n_squared(self) -> int:
+        return self.n * self.n
 
     @property
     def key_bits(self) -> int:
@@ -213,7 +219,9 @@ class PrivateKey:
 
     Decryption works modulo ``p**2`` and ``q**2`` separately (Paillier,
     EUROCRYPT 1999, section 7): ``hp = L_p(g^(p-1) mod p^2)^-1 mod p``,
-    likewise ``hq``, and ``q_inv = q^-1 mod p`` recombines the halves.
+    likewise ``hq``, and ``q_inv = q^-1 mod p`` recombines the halves.  At
+    ``g = n + 1``, ``g^(p-1) = 1 + (p-1) * n`` modulo ``p^2``, so
+    ``L_p(...) = (p-1) * q = -q`` modulo ``p``, and ``mu = lam^-1 mod n``.
     """
 
     lam: int
@@ -257,23 +265,8 @@ class PrivateKey:
         return xq + (xp - xq) * self.q_squared_inv % self.p_squared * self.q_squared
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    """A Paillier ciphertext value in [0, n^2)."""
-
-    value: int
-
-
 def _l_function(u: int, n: int) -> int:
     return (u - 1) // n
-
-
-def _crt_constant(g: int, prime: int, prime_squared: int) -> int:
-    """``L_p(g^(p-1) mod p^2)^-1 mod p``: the per-prime analogue of ``mu``."""
-    denom = _l_function(_powmod(g, prime - 1, prime_squared), prime) % prime
-    if math.gcd(denom, prime) != 1:
-        raise KeyGenerationError("g admits no CRT constant; choose another generator")
-    return _invert(denom, prime)
 
 
 def _generate_prime(bits: int, rng: random.Random, max_tries: int = 100_000) -> int:
@@ -284,41 +277,27 @@ def _generate_prime(bits: int, rng: random.Random, max_tries: int = 100_000) -> 
     raise KeyGenerationError(f"no {bits}-bit prime found in {max_tries} tries")
 
 
-def keypair_from_primes(p: int, q: int, g: int | None = None) -> tuple[PublicKey, PrivateKey]:
-    """Assemble a keypair from explicit primes (mainly for small worked examples)."""
+def keypair_from_primes(p: int, q: int) -> tuple[PublicKey, PrivateKey]:
+    """Assemble the keypair of ``n = p * q`` and ``g = n + 1`` from explicit
+    primes (mainly for small worked examples)."""
     if p == q:
         raise KeyGenerationError("p and q must be distinct")
     n = p * q
-    phi = (p - 1) * (q - 1)
-    if math.gcd(n, phi) != 1:
+    if math.gcd(n, (p - 1) * (q - 1)) != 1:
         raise KeyGenerationError("gcd(n, phi(n)) != 1; pick different primes")
+    # lam divides phi(n), so it is a unit modulo n
     lam = math.lcm(p - 1, q - 1)
-    if g is None:
-        g = n + 1
-    n_squared = n * n
-    denom = _l_function(_powmod(g, lam, n_squared), n) % n
-    if math.gcd(denom, n) != 1:
-        raise KeyGenerationError("g admits no mu; choose another generator")
-    mu = _invert(denom, n)
-    p_squared, q_squared = p * p, q * q
     sk = PrivateKey(
-        lam=lam, mu=mu, p=p, q=q, p_squared=p_squared, q_squared=q_squared,
-        hp=_crt_constant(g, p, p_squared), hq=_crt_constant(g, q, q_squared),
-        q_inv=_invert(q, p),
+        lam=lam, mu=_invert(lam, n), p=p, q=q, p_squared=p * p, q_squared=q * q,
+        hp=_invert(-q % p, p), hq=_invert(-p % q, q), q_inv=_invert(q, p),
     )
-    return PublicKey(n=n, g=g, n_squared=n_squared), sk
+    return PublicKey(n=n, g=n + 1), sk
 
 
-def keygen(
-    key_bits: int = 2048,
-    rng_seed: int | None = None,
-    random_g: bool = False,
-) -> tuple[PublicKey, PrivateKey]:
-    """Generate a keypair from two equal-bit-length primes.
+def keygen(key_bits: int = 2048, rng_seed: int | None = None) -> tuple[PublicKey, PrivateKey]:
+    """Generate a keypair from two equal-bit-length primes, with ``g = n + 1``.
 
-    ``g = n + 1`` by default (one multiplication cheaper to encrypt);
-    ``random_g=True`` draws g uniformly from the invertible residues mod n^2
-    instead.  A seed makes the whole procedure deterministic.
+    A seed makes the whole procedure deterministic.
     """
     if key_bits < 16:
         raise ValueError("key_bits too small to form a workable modulus")
@@ -333,24 +312,14 @@ def keygen(
         # Equal-length primes guarantee gcd(n, phi(n)) = 1, but verify anyway.
         if n.bit_length() < key_bits - 1 or math.gcd(n, (p - 1) * (q - 1)) != 1:
             continue
-        g = None
-        if random_g:
-            n_squared = n * n
-            while True:
-                g = rng.randrange(2, n_squared)
-                if math.gcd(g, n_squared) != 1:
-                    continue
-                try:
-                    return keypair_from_primes(p, q, g)
-                except KeyGenerationError:
-                    continue
-        return keypair_from_primes(p, q, g)
+        return keypair_from_primes(p, q)
     raise KeyGenerationError("failed to assemble a valid keypair")
 
 
 def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | None = None,
-            sk: PrivateKey | None = None) -> Ciphertext:
-    """Encrypt plaintext ``m`` in [0, n) as ``g^m * r^n mod n^2``.
+            sk: PrivateKey | None = None) -> int:
+    """Encrypt plaintext ``m`` in [0, n) as ``g^m * r^n mod n^2``, where
+    ``g^m = (n + 1)^m = 1 + m * n``.
 
     Without ``r``, the obfuscator is ``h_s^a = (h^a)^n`` with ``a`` drawn
     from ``rng`` (the system CSPRNG when None), computed from the key's
@@ -377,15 +346,10 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
         r_n = _powmod(r, pk.n, pk.n_squared)
     else:
         raise EncodingError("obfuscator r is not a unit modulo n")
-    if pk.g == pk.n + 1:
-        # (n+1)^m = 1 + m*n (mod n^2), saving one exponentiation.
-        g_m = (1 + m * pk.n) % pk.n_squared
-    else:
-        g_m = _powmod(pk.g, m, pk.n_squared)
-    return Ciphertext(g_m * r_n % pk.n_squared)
+    return (1 + m * pk.n) * r_n % pk.n_squared
 
 
-def decrypt(sk: PrivateKey, pk: PublicKey, c: Ciphertext, bound: int | None = None) -> int:
+def decrypt(sk: PrivateKey, pk: PublicKey, c: int, bound: int | None = None) -> int:
     """Recover the plaintext ``L(c^lam mod n^2) * mu mod n``.
 
     Computed by the Chinese remainder theorem: ``m mod p`` and ``m mod q``
@@ -396,27 +360,27 @@ def decrypt(sk: PrivateKey, pk: PublicKey, c: Ciphertext, bound: int | None = No
     ``v mod p`` alone, so one exponentiation modulo ``p^2`` suffices; a
     result outside ``[-bound, bound]`` raises :class:`EncodingError`.
     """
-    if not 0 <= c.value < pk.n_squared:
+    if not 0 <= c < pk.n_squared:
         raise EncodingError("ciphertext outside [0, n^2)")
     if bound is not None and not 0 <= 2 * bound < sk.p:
         raise EncodingError(f"bound {bound} is not below p/2")
-    if c.value == 1:
+    if c == 1:
         return 0
-    mp = _l_function(_powmod(c.value % sk.p_squared, sk.p - 1, sk.p_squared), sk.p) * sk.hp % sk.p
+    mp = _l_function(_powmod(c % sk.p_squared, sk.p - 1, sk.p_squared), sk.p) * sk.hp % sk.p
     if bound is not None:
         signed = mp - sk.p if mp > sk.p // 2 else mp
         if abs(signed) > bound:
             raise EncodingError(f"decrypted value outside [-{bound}, {bound}]")
         return signed
-    mq = _l_function(_powmod(c.value % sk.q_squared, sk.q - 1, sk.q_squared), sk.q) * sk.hq % sk.q
+    mq = _l_function(_powmod(c % sk.q_squared, sk.q - 1, sk.q_squared), sk.q) * sk.hq % sk.q
     return mq + (mp - mq) * sk.q_inv % sk.p * sk.q
 
 
-def aggregate(pk: PublicKey, cs: list[Ciphertext], runs: list[int] | None = None,
-              width: int | None = None) -> Ciphertext:
+def aggregate(pk: PublicKey, cs: list[int], runs: list[int] | None = None,
+              width: int | None = None) -> int:
     """Homomorphically add: the product of ciphertexts decrypts to the plaintext sum.
 
-    An empty list yields the identity ciphertext (value 1, decrypts to 0).
+    An empty list yields the identity ciphertext, 1, which decrypts to 0.
 
     With ``runs``, the sizes of consecutive runs of ``cs``, run ``j``'s sum
     goes into slot ``j`` of ``width`` bits instead: the result decrypts to
@@ -435,9 +399,9 @@ def aggregate(pk: PublicKey, cs: list[Ciphertext], runs: list[int] | None = None
         if acc != 1:
             acc = _powmod(acc, 1 << width, n_squared)
         for c in cs[stop - size:stop]:
-            acc = acc * c.value % n_squared
+            acc = acc * c % n_squared
         stop -= size
-    return Ciphertext(acc)
+    return acc
 
 
 def int_to_hex(value: int) -> str:

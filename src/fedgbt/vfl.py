@@ -49,7 +49,11 @@ node's sample ids) and ``PARTITION_REPLY`` (the ids that go left);
 ``INFER_QUERY`` / ``INFER_REPLY`` for out-of-bag rows.  During prediction:
 ``INFER_QUERY`` / ``INFER_REPLY``.  Every payload's fields and wire form are
 those of :data:`fedgbt.transport.MESSAGES`: the parties hand the bus
-ciphertexts as ints and counts as lists, and read them back decoded.
+ciphertexts as ints and counts as lists, and read them back decoded.  A
+ciphertext is a plain int throughout, and a passive party keeps the
+``GRADIENT_BROADCAST`` maps of sample id to ciphertext as they arrive.  It
+rejects a ``SPLIT_NOTICE`` that reuses a record id, whose feature or bin is
+not an int in range, or that names a sample id it does not hold.
 """
 
 from __future__ import annotations
@@ -83,15 +87,7 @@ from .gbt import (
     sigmoid,
     tree_row_sample,
 )
-from .paillier import (
-    Ciphertext,
-    EncodingError,
-    PublicKey,
-    aggregate,
-    decrypt,
-    encrypt,
-    keygen,
-)
+from .paillier import EncodingError, PublicKey, aggregate, decrypt, encrypt, keygen
 from .seeding import derive_seed
 from .transport import MessageBus
 
@@ -190,16 +186,16 @@ class PassiveParty:
         self.binning: Binning = compute_binning(dataset.features, n_bins)
         self.columns: np.ndarray = self.binning.bin_columns(dataset.features)
         self.pk: PublicKey | None = None
-        self.enc_g: dict[int, Ciphertext] = {}
-        self.enc_h: dict[int, Ciphertext] = {}
+        # this tree's gradient ciphertexts by sample id
+        self.enc_g: dict[int, int] = {}
+        self.enc_h: dict[int, int] = {}
         self.records: dict[int, SplitRecord] = {}
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
         self.inference_rows: dict[int, list[float]] = {}
 
-    def receive_gradients(self, sample_ids: list[int], enc_g: list[Ciphertext],
-                          enc_h: list[Ciphertext]) -> None:
-        self.enc_g = dict(zip(sample_ids, enc_g))
-        self.enc_h = dict(zip(sample_ids, enc_h))
+    def receive_gradients(self, enc_g: dict[int, int], enc_h: dict[int, int]) -> None:
+        """Keep a ``GRADIENT_BROADCAST``'s two maps of sample id to ciphertext."""
+        self.enc_g, self.enc_h = enc_g, enc_h
 
     def bin_aggregate(self, sample_ids: list[int], slots: int,
                       h_slots: int) -> tuple[list, list, np.ndarray]:
@@ -248,17 +244,30 @@ class PassiveParty:
         return fold(cg, slots, g_layout.width), fold(ch, h_slots, h_layout.width), counts
 
     def store_record(self, record_id: int, feature_local: int, bin_index: int) -> SplitRecord:
-        """Keep a split at an interior boundary of this party's binning."""
-        if not 0 <= bin_index < self.n_bins - 1:
-            raise ProtocolError(f"split bin {bin_index} outside the boundary range")
+        """Keep a split at an interior boundary of one of this party's
+        features; a record id already held, or a feature or bin that is not
+        an int in range, raises :class:`ProtocolError`."""
+        if record_id in self.records:
+            raise ProtocolError(f"{self.party_id} cannot store record {record_id}: it holds "
+                                "one by that id already")
+        for name, value, stop in (("feature", feature_local, self.dataset.n_features),
+                                  ("split bin", bin_index, self.n_bins - 1)):
+            if type(value) is not int or not 0 <= value < stop:
+                raise ProtocolError(f"{self.party_id} cannot store record {record_id}: "
+                                    f"{name} {value!r} is not an int in [0, {stop})")
         self.records[record_id] = SplitRecord(record_id, feature_local, bin_index,
                                               self.binning.threshold(feature_local, bin_index))
         return self.records[record_id]
 
     def resolve_partition(self, record_id: int, sample_ids: list[int]) -> list[int]:
-        """Sample ids from the given space that fall left of the stored split."""
+        """Sample ids from the given space that fall left of the stored split;
+        an id this party does not hold raises :class:`ProtocolError`."""
         if record_id not in self.records:
             raise ProtocolError(f"{self.party_id} has no record {record_id}")
+        unknown = [s for s in sample_ids if s not in self.pos_of_id]
+        if unknown:
+            raise ProtocolError(f"{self.party_id} cannot partition record {record_id}: it "
+                                f"holds no sample ids {unknown[:3]}")
         rec = self.records[record_id]
         positions = np.array([self.pos_of_id[s] for s in sample_ids], dtype=np.int64)
         left = self.columns[rec.feature_local][positions] <= rec.bin_index
@@ -320,14 +329,16 @@ class ActiveParty:
         self.h = np.zeros(dataset.n_samples, dtype=np.int64)
         self.pos_of_id = {int(s): i for i, s in enumerate(dataset.sample_ids)}
 
-    def encrypt_gradients(self, positions: np.ndarray) -> tuple[list[int], list[Ciphertext], list[Ciphertext]]:
-        ids, enc_g, enc_h = [], [], []
+    def encrypt_gradients(self, positions: np.ndarray) -> tuple[dict[int, int], dict[int, int]]:
+        """The ``GRADIENT_BROADCAST`` maps of sample id to the ciphertext of
+        its quantized g, and of its h, for the samples at ``positions``."""
+        enc_g, enc_h = {}, {}
         n = self.pk.n
         for pos in positions:
-            ids.append(int(self.dataset.sample_ids[pos]))
-            enc_g.append(encrypt(self.pk, int(self.g[pos]) % n, rng=self.enc_rng, sk=self.sk))
-            enc_h.append(encrypt(self.pk, int(self.h[pos]) % n, rng=self.enc_rng, sk=self.sk))
-        return ids, enc_g, enc_h
+            sample_id = int(self.dataset.sample_ids[pos])
+            enc_g[sample_id] = encrypt(self.pk, int(self.g[pos]) % n, rng=self.enc_rng, sk=self.sk)
+            enc_h[sample_id] = encrypt(self.pk, int(self.h[pos]) % n, rng=self.enc_rng, sk=self.sk)
+        return enc_g, enc_h
 
     def fold_layouts(self, n_samples: int) -> tuple[PackedLayout, PackedLayout]:
         """The g and h layouts of a node of ``n_samples``: the most slots
@@ -335,7 +346,7 @@ class ActiveParty:
         alone, whatever its sign."""
         return level_layouts(n_samples.bit_length(), self.sk.p >> 1)
 
-    def decrypt_histogram(self, enc_g: list[Ciphertext], enc_h: list[Ciphertext],
+    def decrypt_histogram(self, enc_g: list[int], enc_h: list[int],
                           counts: np.ndarray, positions: np.ndarray, where: str) -> GradHistogram:
         """One passive party's bin sums over the sample space at ``positions``,
         as exact quantized integers.
@@ -439,17 +450,14 @@ def vfl_train(
                                                               active.margins))
 
         round_id += 1
-        ids, enc_g, enc_h = active.encrypt_gradients(rows)
-        payload = {"tree": t, "enc_g": {s: c.value for s, c in zip(ids, enc_g)},
-                   "enc_h": {s: c.value for s, c in zip(ids, enc_h)}}
+        enc_g, enc_h = active.encrypt_gradients(rows)
         for pid in roster.passive_ids:
-            bus.send(aid, pid, "GRADIENT_BROADCAST", round_id, payload)
+            bus.send(aid, pid, "GRADIENT_BROADCAST", round_id,
+                     {"tree": t, "enc_g": enc_g, "enc_h": enc_h})
         for pid, passive in passives.items():
             got = bus.recv(pid, "GRADIENT_BROADCAST").payload
             passive.pk = active.pk  # public key is public by definition
-            g_map, h_map = got["enc_g"], got["enc_h"]
-            passive.receive_gradients(list(g_map), [Ciphertext(c) for c in g_map.values()],
-                                      [Ciphertext(c) for c in h_map.values()])
+            passive.receive_gradients(got["enc_g"], got["enc_h"])
 
         node_positions: dict[int, np.ndarray] = {0: rows}
 
@@ -568,8 +576,8 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
         space = bus.recv(pid, "SAMPLE_SPACE").payload
         eg, eh, counts = passive.bin_aggregate(space["sample_ids"], space["slots"], space["h_slots"])
         bus.send(pid, aid, "ENC_HISTOGRAM_SUBMIT", round_id, {
-            "tree": tree_index, "node": node_id, "enc_g": [c.value for c in eg],
-            "enc_h": [c.value for c in eh], "counts": counts.flatten().tolist(),
+            "tree": tree_index, "node": node_id, "enc_g": eg, "enc_h": eh,
+            "counts": counts.flatten().tolist(),
         })
     envs = bus.recv_from_each(aid, list(passives), "ENC_HISTOGRAM_SUBMIT")
     hists = []
@@ -583,10 +591,8 @@ def _exchange_histograms(bus: MessageBus, active: ActiveParty,
         counts = payload["counts"]
         if counts.size != shape[0] * shape[1]:
             raise ProtocolError(f"{where}: {counts.size} counts, expected {shape[0] * shape[1]}")
-        hists.append(active.decrypt_histogram(
-            [Ciphertext(c) for c in payload["enc_g"]], [Ciphertext(c) for c in payload["enc_h"]],
-            counts.reshape(shape), positions, where,
-        ))
+        hists.append(active.decrypt_histogram(payload["enc_g"], payload["enc_h"],
+                                              counts.reshape(shape), positions, where))
     parts = [active.own_histogram(positions), *hists]
     return GradHistogram(*(np.vstack([getattr(part, a) for part in parts])
                            for a in ("g", "h", "counts"))), round_id

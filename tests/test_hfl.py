@@ -20,7 +20,6 @@ from fedgbt.gbt import (
     INT64_MODULUS,
     GbtParams,
     GradHistogram,
-    PackedLayout,
     build_histogram,
     cell_ids,
     check_capacity,
@@ -36,7 +35,6 @@ from fedgbt.hfl import (
     SECAGG_MASK_ONLY,
     SECAGG_PAILLIER,
     HflClient,
-    MaskedEncHistogram,
     ProtocolError,
     _add_pairwise_masks,
     establish_global_binning,
@@ -46,7 +44,7 @@ from fedgbt.hfl import (
     mask_histogram,
     server_aggregate,
 )
-from fedgbt.paillier import Ciphertext, EncodingError, PublicKey, decrypt, hex_to_int, keygen
+from fedgbt.paillier import EncodingError, PublicKey, decrypt, hex_to_int, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.seeding import derive_uniform_int, expand_mask_words, mask_word_bytes
 from fedgbt.transport import MessageBus
@@ -145,18 +143,29 @@ def _hist_from_values(values):
 
 
 def _mask(hists, cid, roster, seed, tree, depth, pk, rng, bits=None):
-    """One client's level submission of ``hists`` (one or a list), as nodes
-    0, 1, ..., in the layouts of ``bits`` (the roster's root bits if None)."""
+    """One client's level submission payload of ``hists`` (one or a list),
+    as nodes 0, 1, ..., in the layouts of ``bits`` (the roster's root bits
+    if None)."""
     hists = hists if isinstance(hists, list) else [hists]
     bits = roster.root_bits() if bits is None else bits
     return mask_histogram(hists, list(range(len(hists))), bits, cid, roster, seed, tree, depth,
                           pk, rng)
 
 
-def _aggregate(subs, roster, pk, sk, bits=None):
-    """The first node's global histogram of a level's submissions."""
+def _decoded(subs):
+    """Submission payloads as the server reads them off the wire: the
+    counts as one flat int64 array."""
+    return {c: {**s, "counts": np.array(s["counts"], dtype=np.int64)} for c, s in subs.items()}
+
+
+def _aggregate(subs, roster, pk, sk, bits=None, features=1):
+    """The first node's global histogram of a level's submissions, for the
+    tree and nodes the first of them names, at ``features`` rows a node."""
     bits = roster.root_bits() if bits is None else bits
-    return server_aggregate(subs, roster, bits, pk, sk)[0]
+    first = next(iter(subs.values()))
+    shape = features, len(first["counts"]) // (len(first["nodes"]) * features)
+    return server_aggregate(_decoded(subs), roster, first["tree"], first["nodes"], shape, bits,
+                            pk, sk)[0]
 
 
 def test_masks_cancel_for_zero_histograms(mask_fixture):
@@ -165,7 +174,7 @@ def test_masks_cancel_for_zero_histograms(mask_fixture):
     for cid in roster.client_ids:
         hist = zero_histogram(2, 3)
         subs[cid] = _mask(hist, cid, roster, 5, 0, 0, pk, random.Random(1))
-    total = _aggregate(subs, roster, pk, sk)
+    total = _aggregate(subs, roster, pk, sk, features=2)
     assert all(v == 0 for v in total.g.flatten())
     assert all(v == 0 for v in total.h.flatten())
 
@@ -194,11 +203,11 @@ def test_single_submission_is_blinded(mask_fixture):
     layout, _ = level_layouts(roster.root_bits(), pk.n)
     true_slots = [v + layout.offset for v in hist.g[0].tolist()]
     packed = layout.pack(hist.g[0].tolist())
-    assert len(sub.enc_g) == len(packed) == -(-100 // layout.slots)
+    assert len(sub["enc_g"]) == len(packed) == -(-100 // layout.slots)
     # decrypting a single client's plaintexts must NOT reveal its true values
     differing = 0
-    for i, cipher in enumerate(sub.enc_g):
-        plain = decrypt(sk, pk, Ciphertext(cipher))
+    for i, cipher in enumerate(sub["enc_g"]):
+        plain = decrypt(sk, pk, cipher)
         assert plain != packed[i]
         for j, true in enumerate(true_slots[i * layout.slots:(i + 1) * layout.slots]):
             slot = (plain >> (layout.width * j)) & ((1 << layout.width) - 1)
@@ -234,7 +243,7 @@ def _mask_only_pair(change_c1):
         hist = zero_histogram(2, 24)
         hist.g[:] = _PAIR_G
         subs[cid] = _mask(hist, cid, roster, 9, 4, 3, None, None)
-    subs["c1"].enc_g = change_c1(list(subs["c1"].enc_g))
+    subs["c1"]["enc_g"] = change_c1(list(subs["c1"]["enc_g"]))
     return roster, subs
 
 
@@ -249,11 +258,11 @@ def test_mask_only_submission_values_are_checked(change, match):
     roster, subs = _mask_only_pair(lambda v: v)
     (g_layout, g_ring), _ = level_streams(roster.root_bits(), 48, None)
     assert (g_layout.width, g_layout.slots, g_ring) == (24, 48, 1 << 1216)
-    assert [len(subs[c].enc_g) for c in roster.client_ids] == [1, 1]
-    assert _aggregate(subs, roster, None, None).g.tolist() == (2 * _PAIR_G).tolist()
+    assert [len(subs[c]["enc_g"]) for c in roster.client_ids] == [1, 1]
+    assert _aggregate(subs, roster, None, None, features=2).g.tolist() == (2 * _PAIR_G).tolist()
     roster, subs = _mask_only_pair(change)
     with pytest.raises(ProtocolError, match=match) as raised:
-        _aggregate(subs, roster, None, None)
+        _aggregate(subs, roster, None, None, features=2)
     assert "HISTOGRAM_SUBMIT from c1 for tree 4, nodes [0]" in str(raised.value)
 
 
@@ -300,8 +309,8 @@ def test_mask_streams_cancel_and_change_with_every_label_part(mask_fixture, n_cl
     def masks(master_seed=0, seed=3, tree=1, level=depth, stream=0):
         sub = _mask(zero_histogram(1, n_values), "c0", roster(master_seed), seed, tree, level,
                     pk, random.Random(0))
-        values = (sub.enc_g, sub.enc_h)[stream]
-        values = [decrypt(sk, pk, Ciphertext(v)) for v in values] if paillier else values
+        values = (sub["enc_g"], sub["enc_h"])[stream]
+        values = [decrypt(sk, pk, v) for v in values] if paillier else values
         stream_layout, stream_ring = streams[stream]
         packed = stream_layout.pack(np.zeros(n_values, dtype=np.int64))
         return [(v - p) % stream_ring for v, p in zip(values, packed)]
@@ -317,9 +326,8 @@ def test_a_ciphertext_outside_n_squared_is_rejected(mask_fixture):
     roster, pk, sk = mask_fixture
     subs = {cid: _mask(_hist_from_values([0.1, -0.2]), cid, roster, 5, 7, 2, pk,
                        random.Random(cid)) for cid in roster.client_ids}
-    for change in (pk.n_squared, -subs["c1"].enc_h[0] - 1):
-        tampered = {**subs, "c1": MaskedEncHistogram(
-            **{**vars(subs["c1"]), "enc_h": [subs["c1"].enc_h[0] + change]})}
+    for change in (pk.n_squared, -subs["c1"]["enc_h"][0] - 1):
+        tampered = {**subs, "c1": {**subs["c1"], "enc_h": [subs["c1"]["enc_h"][0] + change]}}
         with pytest.raises(ProtocolError, match=r"HISTOGRAM_SUBMIT from c1 for tree 7, "
                                                 r"nodes \[0\]: an enc_h ciphertext outside "
                                                 r"\[0, n\^2\)"):
@@ -342,6 +350,16 @@ def test_aggregate_missing_client_aborts(mask_fixture):
     s0 = _mask(_hist_from_values([0.1]), "c0", roster, 5, 4, 0, pk, random.Random(7))
     with pytest.raises(ProtocolError, match="timeout"):
         _aggregate({"c0": s0}, roster, pk, sk)
+
+
+def test_a_submission_from_outside_the_roster_is_rejected(mask_fixture):
+    roster, pk, sk = mask_fixture
+    subs = {cid: _mask(_hist_from_values([0.1]), cid, roster, 5, 4, 0, pk, random.Random(7))
+            for cid in roster.client_ids}
+    with pytest.raises(ProtocolError, match=r"^HISTOGRAM_SUBMIT from c9 for tree 4, nodes \[0\]: "
+                                            r"the server asked each client once for tree 4, "
+                                            r"nodes \[0\]$"):
+        _aggregate({**subs, "c9": subs["c0"]}, roster, pk, sk)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +447,7 @@ def test_hfl_paillier_shape_encrypts_348_plaintexts():
     roster, bus = _hfl_paillier_shape_run()
     key = next(e for e in bus.transcript if e.msg_type == "KEY_BROADCAST")
     n = hex_to_int(key.payload["n"])
-    submits = _assert_level_residues(roster, bus.transcript, PublicKey(n, n + 1, n * n), 16 * 8)
+    submits = _assert_level_residues(roster, bus.transcript, PublicKey(n, n + 1), 16 * 8)
     assert len(submits) == 3 * 6
     assert [(len(p["enc_g"]), len(p["enc_h"])) for p in submits if p["nodes"] == [0]] == [
         (8, 7)] * 6
@@ -540,7 +558,7 @@ def test_packed_totals_exact_at_layout_extremes(key_256, n_clients, mode, tight_
         for k, hist in enumerate(hists):
             hist.g[0], hist.h[0] = g[k * B:(k + 1) * B], h[k * B:(k + 1) * B]
         subs[cid] = _mask(hists, cid, roster, 0, 0, 0, pk, random.Random(cid), bits=bits)
-    totals = server_aggregate(subs, roster, bits, pk, sk)
+    totals = server_aggregate(_decoded(subs), roster, 0, [0, 1], (1, B), bits, pk, sk)
     assert [v for t in totals for v in t.g[0].tolist()] == expect_g
     assert [v for t in totals for v in t.h[0].tolist()] == expect_h
 
@@ -573,7 +591,7 @@ def test_mask_only_totals_exact_at_int64_extremes(n_clients, data):
             for lo, hi in ((-top_g, top_g), (0, top_h)))
         expect_g, expect_h = expect_g + hist.g.astype(object), expect_h + hist.h.astype(object)
         subs[cid] = _mask(hist, cid, roster, 0, 0, 0, None, None)
-    total = _aggregate(subs, roster, None, None)
+    total = _aggregate(subs, roster, None, None, features=F)
     assert total.g.tolist() == expect_g.tolist()
     assert total.h.tolist() == expect_h.tolist()
 
@@ -622,31 +640,23 @@ def _unpack_per_slot(layout, totals, n_values):
     return out
 
 
-# every level layout above, and two that only the exact path beyond 64 bits
-# reads: a 66-bit slot at an offset of 2^64, and an unsigned 64-bit one
+# every level layout above, the widest included
 _UNPACK_LAYOUTS = [level_layouts(*shape)[stream] for shape in _LAYOUT_SHAPES for stream in (0, 1)]
-_UNPACK_LAYOUTS += [PackedLayout(offset=1 << 64, width=66, slots=3),
-                    PackedLayout(offset=0, width=64, slots=4)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(layout=st.sampled_from(_UNPACK_LAYOUTS), data=st.data())
 def test_unpack_equals_the_per_slot_loop(layout, data):
-    # any slot contents, not only sums of in-range packings, but often ones
-    # whose value lies in int64
+    # any slot contents, not only sums of in-range packings: a level
+    # layout's slot minus its offset always lies in int64
     n_values = data.draw(st.integers(0, 3 * layout.slots + 1))
     used = [min(layout.slots, n_values - k) for k in range(0, n_values, layout.slots)]
-    near = st.integers(max(0, layout.offset - (1 << 63)),
-                       min(1 << layout.width, layout.offset + (1 << 63)) - 1)
-    slot = near | st.integers(0, (1 << layout.width) - 1)
+    slot = st.sampled_from([0, (1 << layout.width) - 1]) | st.integers(0, (1 << layout.width) - 1)
     totals = [sum(data.draw(slot) << (layout.width * j) for j in range(u)) for u in used]
     expect = _unpack_per_slot(layout, totals, n_values)
-    if all(-(1 << 63) <= v < 1 << 63 for v in expect):
-        unpacked = layout.unpack(totals, n_values)
-        assert unpacked.dtype == np.int64 and unpacked.tolist() == expect
-    else:
-        with pytest.raises(ProtocolError, match="outside int64"):
-            layout.unpack(totals, n_values)
+    assert all(-(1 << 63) <= v < 1 << 63 for v in expect)
+    unpacked = layout.unpack(totals, n_values)
+    assert unpacked.dtype == np.int64 and unpacked.tolist() == expect
     if totals:
         i = data.draw(st.integers(0, len(totals) - 1))
         totals[i] |= 1 << (layout.width * used[i] + data.draw(st.integers(0, 8)))
@@ -686,11 +696,10 @@ def test_tampered_or_duplicated_submission_fails_the_high_bits_check(mask_fixtur
     for roster, pk, sk, flips in cases:
         s0 = _mask(_hist_from_values([0.1, -0.2]), "c0", roster, 5, 6, 0, pk, random.Random(9))
         s1 = _mask(_hist_from_values([0.3, 0.4]), "c1", roster, 5, 6, 0, pk, random.Random(10))
-        twin = MaskedEncHistogram(**{**vars(s0), "client_id": "c1"})
         with pytest.raises(ProtocolError, match="bits above"):
-            _aggregate({"c0": s0, "c1": twin}, roster, pk, sk)
+            _aggregate({"c0": s0, "c1": s0}, roster, pk, sk)  # c0's submission sent twice
         for flip in flips:
-            flipped = MaskedEncHistogram(**{**vars(s1), "enc_h": [s1.enc_h[0] ^ flip]})
+            flipped = {**s1, "enc_h": [s1["enc_h"][0] ^ flip]}
             with pytest.raises(ProtocolError, match="bits above"):
                 _aggregate({"c0": s0, "c1": flipped}, roster, pk, sk)
 
@@ -1103,6 +1112,58 @@ def test_a_split_broadcast_whose_bits_a_client_outgrows_is_rejected(monkeypatch)
     depth = bus.tampered[1]["depth"]
     assert ("c0", "s2:t0", depth + 1) in masked
     assert ("c1", "s2:t0", depth + 1) not in masked
+
+
+@pytest.mark.parametrize("bits", [7, 43, 44, -1])
+def test_a_split_broadcast_with_bits_beyond_the_roster_is_rejected(monkeypatch, bits):
+    # the roster's 60 samples take 6 bits, and no node holds more; 44 bits
+    # would take 65-bit g slots.  c1 raises before it draws a mask of the level
+    from fedgbt import hfl
+
+    masked = []
+
+    def recording(roster, client_id, modulus, plains, nonce, depth, tag):
+        masked.append((client_id, depth))
+        return add_masks(roster, client_id, modulus, plains, nonce, depth, tag)
+
+    add_masks = hfl._add_pairwise_masks
+    monkeypatch.setattr(hfl, "_add_pairwise_masks", recording)
+    assert _tamper_roster()[0].root_bits() == 6
+    bus = _TamperOnce("SPLIT_BROADCAST",
+                      lambda to, p: to == "c1" and p["bits"] > 0, lambda p: p.update(bits=bits))
+    with pytest.raises(ProtocolError, match=rf"^SPLIT_BROADCAST to c1 for tree 0 sizes nodes for "
+                                            rf"{bits}-bit counts; the roster's total takes 6 "
+                                            rf"bits$"):
+        _train_with(bus)
+    depth = bus.tampered[1]["depth"]
+    assert ("c0", depth + 1) in masked
+    assert ("c1", depth + 1) not in masked
+
+
+def test_slots_are_at_most_64_bits():
+    # the int64 capacity check admits fewer than 2^(63 - S) samples
+    top = 63 - GRAD_SCALE_BITS
+    check_capacity(INT64_MODULUS, (1 << top) - 1)
+    with pytest.raises(EncodingError):
+        check_capacity(INT64_MODULUS, 1 << top)
+    g, h = level_layouts(top, 1 << 1023)
+    assert (g.offset, g.width, h.width) == (1 << 63, 64, 61)
+    with pytest.raises(EncodingError, match=f"nodes of {top + 1}-bit counts need 65-bit slots, "
+                                            "above 64"):
+        level_layouts(top + 1, 1 << 1023)
+
+
+def test_a_key_broadcast_with_another_generator_is_rejected():
+    X, y = synth_classification(40, 3, seed=40)
+    parties = random_split_parties(X, y, 2, seed=41)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=6, secagg_mode=SECAGG_PAILLIER)
+    bus = _TamperOnce("KEY_BROADCAST", lambda to, p: to == "c1",
+                      lambda p: p.update(g=p["n"] + 2))
+    with pytest.raises(ProtocolError, match=r"^KEY_BROADCAST to c1: the public key's g is not "
+                                            r"n \+ 1$"):
+        hfl_train(roster, parties, GbtParams(n_estimators=1), seed=6, bus=bus, key_bits=256)
+    assert not any(e.msg_type == "HISTOGRAM_SUBMIT" for e in bus.transcript)
 
 
 def _move_out_of_an_empty_bin(counts):

@@ -26,7 +26,6 @@ from fedgbt.gbt import (
     train_centralized,
 )
 from fedgbt.paillier import (
-    Ciphertext,
     EncodingError,
     _is_probable_prime,
     aggregate,
@@ -135,8 +134,9 @@ def test_gradient_broadcast_roundtrip_known_values():
         small_params(), seed=5, key_bits=256,
     )
     active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(n)))
-    sids, enc_g, enc_h = active.encrypt_gradients(np.arange(n))
-    for sid, cg, ch in zip(sids, enc_g, enc_h):
+    enc_g, enc_h = active.encrypt_gradients(np.arange(n))
+    assert list(enc_g) == list(enc_h) == ids.tolist()
+    for sid, cg, ch in zip(ids.tolist(), enc_g.values(), enc_h.values()):
         # the residue of a negative quantized g sits in the upper half of [0, n)
         g_val = decrypt(active.sk, active.pk, cg)
         half = 2 ** (GRAD_SCALE_BITS - 1)  # |g| = 1/2 at margin 0
@@ -168,9 +168,9 @@ def test_passive_bin_aggregate_matches_plaintext_histogram():
     passive = PassiveParty("passive0", datasets["passive0"], params.max_bin)
     passive.pk = active.pk
     active.g, active.h = map(quantize, logistic_gradients(y, np.zeros(20)))
-    sids, enc_g, enc_h = active.encrypt_gradients(np.arange(20))
-    passive.receive_gradients(sids, enc_g, enc_h)
-    subset = sids[: 12]
+    enc_g, enc_h = active.encrypt_gradients(np.arange(20))
+    passive.receive_gradients(enc_g, enc_h)
+    subset = list(enc_g)[: 12]
     eg, eh, counts = passive.bin_aggregate(subset, *named_slots(active, 12))
     decoded = active.decrypt_histogram(eg, eh, counts, np.arange(12), "passive0")
     plain = histogram_of(passive.columns.T, active.g, active.h, np.arange(12), params.max_bin)
@@ -722,6 +722,53 @@ def test_a_partition_reply_that_is_not_a_subset_of_its_notice_is_rejected(change
     assert f"PARTITION_REPLY from {sender} for tree {tree}, node {node}" in str(raised.value)
 
 
+class _RewriteNotice(MessageBus):
+    """Rewrites the ``which``-th SPLIT_NOTICE with ``change(payload, records
+    of the notices before it)``, on a copy, and records its recipient and
+    record."""
+
+    def __init__(self, change, which):
+        super().__init__()
+        self.change, self.which = change, which
+        self.records = []
+        self.tampered = None
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "SPLIT_NOTICE" and len(self.records) == self.which:
+            payload = copy.deepcopy(payload)
+            self.change(payload, self.records)
+            self.tampered = (recipient, payload["record"])
+        if msg_type == "SPLIT_NOTICE":
+            self.records.append(payload["record"])
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+@pytest.mark.parametrize("change, which, match", [
+    (lambda p, _: p.update(feature_local=-1), 0, r"feature -1 is not an int in \[0, 3\)"),
+    (lambda p, _: p.update(feature_local=3), 0, r"feature 3 is not an int in \[0, 3\)"),
+    (lambda p, _: p.update(feature_local=True), 0, r"feature True is not an int"),
+    (lambda p, _: p.update(bin=-1), 0, r"split bin -1 is not an int in \[0, 7\)"),
+    (lambda p, _: p.update(bin=7), 0, r"split bin 7 is not an int in \[0, 7\)"),
+    (lambda p, _: p.update(bin=2.0), 0, r"split bin 2.0 is not an int"),
+    (lambda p, _: p["sample_ids"].append(99), 0,
+     r"cannot partition record \d+: it holds no sample ids \[99\]"),
+    # the second notice names the first one's record, which would overwrite it
+    (lambda p, earlier: p.update(record=earlier[0]), 1,
+     r"cannot store record \d+: it holds one by that id already"),
+], ids=["feature-below", "feature-above", "feature-bool", "bin-below", "bin-above", "bin-float",
+        "unheld-id", "reused-record"])
+def test_a_tampered_split_notice_is_rejected(change, which, match):
+    # the passive party holds 3 features of 8 bins, and sample ids 100-139
+    datasets, X, y = vertical_fixture(40, 1, 3, seed=27)
+    roster = make_vfl_roster("active", datasets)
+    bus = _RewriteNotice(change, which)
+    with pytest.raises(ProtocolError, match=match) as raised:
+        vfl_train(roster, datasets, small_params(), seed=12, bus=bus, key_bits=256)
+    owner, record = bus.tampered
+    assert str(raised.value).startswith(f"{owner} cannot ")
+    assert f" record {record}: " in str(raised.value)
+
+
 class _ChangeCounts(MessageBus):
     """Rewrites the counts of the first ENC_HISTOGRAM_SUBMIT with ``change``."""
 
@@ -1116,8 +1163,8 @@ def test_bin_aggregate_equals_the_per_sample_loop(space, n_bins, data):
     for sid in ids:
         for f in range(F):
             b = passive.columns[f, passive.pos_of_id[sid]]
-            buckets_g[f * B + b].append(passive.enc_g[sid].value)
-            buckets_h[f * B + b].append(passive.enc_h[sid].value)
+            buckets_g[f * B + b].append(passive.enc_g[sid])
+            buckets_h[f * B + b].append(passive.enc_h[sid])
     occupied = [k for k in range(F * B) if buckets_g[k]]
     # slots of 21 + b bits for g and 18 + b for h, b the sample count's bits
     bits = len(ids).bit_length()
@@ -1135,8 +1182,8 @@ def test_bin_aggregate_equals_the_per_sample_loop(space, n_bins, data):
                 for k in range(0, len(bins), per_run)]
 
     eg, eh, counts = passive.bin_aggregate(ids, *slots)
-    assert [c.value for c in eg] == folded(buckets_g, slots[0], widths[0])
-    assert [c.value for c in eh] == folded(buckets_h, slots[1], widths[1])
+    assert eg == folded(buckets_g, slots[0], widths[0])
+    assert eh == folded(buckets_h, slots[1], widths[1])
     assert counts.ravel().tolist() == [len(b) for b in buckets_g]
 
 
@@ -1265,7 +1312,7 @@ class _RewriteFolds(MessageBus):
             # each stream's folds hold the non-empty bins, in flat order
             zeros = [x.pack(np.zeros(np.count_nonzero(counts), dtype=np.int64)) for x in layouts]
             unsigned = [(1 << (x.width * x.slots)) - 1 for x in layouts]
-            folds = [[decrypt(sk, pk, Ciphertext(c), bound=m or top) + m
+            folds = [[decrypt(sk, pk, c, bound=m or top) + m
                       for c, m in zip(payload[name], offsets)]
                      for name, offsets, top in zip(("enc_g", "enc_h"), zeros, unsigned)]
             edited = self.edit(folds, counts, layouts)
@@ -1274,7 +1321,7 @@ class _RewriteFolds(MessageBus):
                 folds, counts = edited
                 payload = {**payload, "counts": counts.ravel().tolist(), **{
                     name: [encrypt(pk, (t - offsets[min(i, len(offsets) - 1)]) % pk.n,
-                                   rng=rng).value for i, t in enumerate(stream)]
+                                   rng=rng) for i, t in enumerate(stream)]
                     for name, stream, offsets in zip(("enc_g", "enc_h"), folds, zeros)}}
                 self.tampered = (sender, payload["tree"], payload["node"])
         return super().send(sender, recipient, msg_type, round_id, payload)
