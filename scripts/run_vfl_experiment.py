@@ -6,8 +6,9 @@ shared 5-fold plan, at the paper's 20 trees, depth 5 and 32 bins.  Writes the
 comparison tables plus privacy-cost rows and communication accounting.
 
 The federation always runs real Paillier encryption under the active
-party's key, so it takes about a minute and a half at 512-bit keys on a
-2-core box; ``--trees`` and ``--folds`` shorten it.
+party's key; at 512-bit keys on a 2-core box its federated regime takes
+about 20 s with the system libcrypto and about 50 s without it (five
+folds).  ``--trees`` and ``--folds`` shorten it.
 """
 
 import argparse

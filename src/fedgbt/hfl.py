@@ -48,7 +48,8 @@ submission has no other form: :func:`mask_histogram` returns the
 ``HISTOGRAM_SUBMIT`` payload, ciphertexts as plain ints, and
 :func:`server_aggregate` makes every check of the decoded payloads.
 
-Setup uses ``KEY_BROADCAST`` (Paillier public key), ``BINNING_REPORT``
+Setup uses ``KEY_BROADCAST`` (Paillier public key, whose ``key_bits``
+each client checks against ``n``), ``BINNING_REPORT``
 (per-feature ranges, sanctioned metadata) and ``BINNING_BROADCAST``.
 
 Clients act only on the messages they receive: each partitions its samples
@@ -584,9 +585,13 @@ def hfl_train(
         for cid, client in clients.items():
             key = bus.recv(cid, "KEY_BROADCAST").payload
             try:
-                client.pk = PublicKey(n=key["n"], g=key["g"])
+                pk, bits = PublicKey(n=key["n"], g=key["g"]), key["key_bits"]
+                # keygen's n has key_bits or key_bits - 1 bits
+                if type(bits) is not int or bits - pk.key_bits not in (0, 1):
+                    raise ValueError(f"key_bits {bits!r} for an n of {pk.key_bits} bits")
             except ValueError as exc:
                 raise ProtocolError(f"KEY_BROADCAST to {cid}: {exc}") from None
+            client.pk = pk
 
     # --- setup: shared binning from merged ranges
     round_id += 1

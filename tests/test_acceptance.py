@@ -43,7 +43,7 @@ from fedgbt.hpo import (
     gp_fit,
 )
 from fedgbt.metrics import auc_roc, evaluate_scores, privacy_cost
-from fedgbt.paillier import aggregate, decrypt, encrypt, keygen
+from fedgbt.paillier import aggregate, decrypt, encrypt, hex_to_int, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
 from fedgbt.vfl import make_vfl_roster, vfl_predict, vfl_train
 
@@ -203,6 +203,41 @@ def test_criterion_03_vfl_equals_centralized():
             fed_auc = auc_roc(joined.labels[test_idx], fed_scores)
             cen_auc = auc_roc(joined.labels[test_idx], cen_scores)
             assert abs(fed_auc - cen_auc) <= 0.005
+
+
+def test_a_2048_bit_key_trains_the_pooled_models():
+    # the size a deployment needs; on a tiny shape, so that keygen and the
+    # comb builds dominate
+    params = GbtParams(n_estimators=1, max_depth=2, max_bin=8, learning_rate=0.3,
+                       reg_lambda=1.0, min_child_weight=1.0)
+    X, y = synth_classification(60, 4, seed=2048)
+    parties = split_horizontal(X, y, 2, seed=2048)
+    pooled = train_centralized(join_datasets(list(parties.values()), "union"), params, seed=1,
+                               binning=establish_global_binning(list(parties.values()),
+                                                                params.max_bin))
+    # mask-only draws no key: key_bits must leave it as it is
+    for secagg in (SECAGG_PAILLIER, SECAGG_MASK_ONLY):
+        roster = make_roster(sorted(parties), [parties[p].n_samples for p in sorted(parties)],
+                             master_seed=1, secagg_mode=secagg)
+        fed, bus = hfl_train(roster, parties, params, seed=1, key_bits=2048)
+        assert_same_structure(fed, pooled)
+        keys = [hex_to_int(e.payload["n"]).bit_length() for e in bus.transcript
+                if e.msg_type == "KEY_BROADCAST"]
+        assert keys == ([] if secagg == SECAGG_MASK_ONLY else [keys[0]] * 2)
+        assert keys == [] or keys[0] in (2047, 2048)
+
+    ids = np.arange(60)
+    datasets = {"active": PartyDataset("active", ids, X[:, :2], ("a0", "a1"), y),
+                "passive0": PartyDataset("passive0", ids, X[:, 2:], ("p0", "p1"))}
+    roster = make_vfl_roster("active", datasets)
+    trained, bus = vfl_train(roster, datasets, params, seed=1, key_bits=2048)
+    joined = PartyDataset("joined", ids, X, roster.feature_names, y)
+    central = train_centralized(joined, params, seed=1)
+    assert_same_structure(trained.ensemble, central)
+    scores, _ = vfl_predict(trained, datasets)
+    np.testing.assert_array_equal(scores, predict_proba(central, X))
+    gradients = next(e for e in bus.transcript if e.msg_type == "GRADIENT_BROADCAST")
+    assert max(hex_to_int(c).bit_length() for c in gradients.payload["enc_g"].values()) > 4000
 
 
 def test_criterion_04_split_search_matches_exhaustive_enumeration():

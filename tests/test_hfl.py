@@ -46,7 +46,7 @@ from fedgbt.hfl import (
 )
 from fedgbt.paillier import EncodingError, PublicKey, decrypt, hex_to_int, keygen
 from fedgbt.scanner import SensitiveCorpus, scan_sensitive, scan_structure
-from fedgbt.seeding import derive_uniform_int, expand_mask_words, mask_word_bytes
+from fedgbt.seeding import derive_seed, derive_uniform_int, expand_mask_words, mask_word_bytes
 from fedgbt.transport import MessageBus
 
 
@@ -1164,6 +1164,39 @@ def test_a_key_broadcast_with_another_generator_is_rejected():
                                             r"n \+ 1$"):
         hfl_train(roster, parties, GbtParams(n_estimators=1), seed=6, bus=bus, key_bits=256)
     assert not any(e.msg_type == "HISTOGRAM_SUBMIT" for e in bus.transcript)
+
+
+@pytest.mark.parametrize("key_bits, shown", [
+    (4096, "4096"), (258, "258"), (254, "254"), ("256", "'256'"), (256.0, "256.0"),
+    (True, "True"), (None, "None")])
+def test_a_key_broadcast_whose_key_bits_n_does_not_have_is_rejected(key_bits, shown):
+    X, y = synth_classification(40, 3, seed=40)
+    parties = random_split_parties(X, y, 2, seed=41)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=6, secagg_mode=SECAGG_PAILLIER)
+    bus = _TamperOnce("KEY_BROADCAST", lambda to, p: to == "c1",
+                      lambda p: p.update(key_bits=key_bits))
+    n_bits = keygen(key_bits=256, rng_seed=derive_seed("hfl-key", 6))[0].key_bits
+    with pytest.raises(ProtocolError, match=rf"^KEY_BROADCAST to c1: key_bits {shown} for an n "
+                                            rf"of {n_bits} bits$"):
+        hfl_train(roster, parties, GbtParams(n_estimators=1), seed=6, bus=bus, key_bits=256)
+    assert bus.tampered[1]["key_bits"] == key_bits
+    assert not any(e.msg_type == "HISTOGRAM_SUBMIT" for e in bus.transcript)
+
+
+def test_a_key_broadcast_of_key_bits_one_above_n_is_accepted():
+    # keygen's n may have one bit fewer than asked for; c0 gets the broadcast as sent
+    n_bits = {seed: keygen(key_bits=256, rng_seed=derive_seed("hfl-key", seed))[0].key_bits
+              for seed in range(6, 30)}
+    seed = next(s for s, bits in n_bits.items() if bits == 255)
+    X, y = synth_classification(40, 3, seed=40)
+    parties = random_split_parties(X, y, 2, seed=41)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=6, secagg_mode=SECAGG_PAILLIER)
+    model, bus = hfl_train(roster, parties, GbtParams(n_estimators=1), seed=seed, key_bits=256)
+    assert {e.payload["key_bits"] for e in bus.transcript if e.msg_type == "KEY_BROADCAST"} == {
+        256}
+    assert len(model.trees) == 1
 
 
 def _move_out_of_an_empty_bin(counts):

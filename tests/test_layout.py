@@ -12,7 +12,9 @@ module builds an object-dtype (Python big-int) array.  The fixed-point scale
 is spelled only as ``GRAD_SCALE_BITS``, the int64 capacity only as
 ``INT64_MODULUS``, and the float64 bound (2^53) only as
 ``FLOAT64_MODULUS``.  The protocol modules draw mask material only from
-``fedgbt.seeding``: neither imports ``hashlib``.  One slot layout,
+``fedgbt.seeding``: neither imports ``hashlib``.  One function computes
+modular powers, ``paillier._powmod``, and only ``paillier.py`` imports
+``ctypes``, to load the libcrypto behind it.  One slot layout,
 ``PackedLayout``, is defined in ``gbt.py`` alone, and one slot rule builds
 every instance: nothing but ``gbt.level_layouts`` constructs one, and both
 protocol modules import that function from ``gbt``.  One serializer writes
@@ -211,8 +213,8 @@ def test_no_src_module_spells_the_float64_bound():
     assert not found, "the float64 bound spelled other than FLOAT64_MODULUS: " + ", ".join(found)
 
 
-def _hashlib_imports(source: str) -> list[int]:
-    """Lines that import ``hashlib`` or a submodule of it, by statement or
+def _imports(source: str, module: str) -> list[int]:
+    """Lines that import ``module`` or a submodule of it, by statement or
     by ``__import__``/``import_module`` with the name as a string."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -224,7 +226,7 @@ def _hashlib_imports(source: str) -> list[int]:
             names = [node.value]
         else:
             continue
-        if any(n.split(".")[0] == "hashlib" for n in names):
+        if any(n.split(".")[0] == module for n in names):
             found.append(node.lineno)
     return found
 
@@ -233,16 +235,94 @@ def test_the_hashlib_guard_sees_each_import():
     for text in ("import hashlib", "import os, hashlib", "import hashlib as h",
                  "from hashlib import sha512", "from hashlib import shake_256 as prg",
                  "h = __import__('hashlib')", "importlib.import_module('hashlib')"):
-        assert _hashlib_imports(text), text
+        assert _imports(text, "hashlib"), text
     for text in ("from .seeding import derive_seed", "from . import seeding",
                  "import hmac  # not hashlib", "hashlib_free = 1", "import fedgbt.hashlib_x"):
-        assert not _hashlib_imports(text), text
+        assert not _imports(text, "hashlib"), text
 
 
 def test_protocol_modules_take_masks_only_from_seeding():
     found = [f"{name}:{line}" for name in ("hfl.py", "vfl.py")
-             for line in _hashlib_imports((SRC / name).read_text())]
+             for line in _imports((SRC / name).read_text(), "hashlib")]
     assert not found, "hashlib imported outside fedgbt.seeding: " + ", ".join(found)
+
+
+def test_only_paillier_loads_a_native_library():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "paillier.py"
+             for line in _imports(path.read_text(), "ctypes")]
+    assert not found, "ctypes imported outside fedgbt.paillier: " + ", ".join(found)
+
+
+@pytest.mark.parametrize("text", [
+    "import ctypes", "import os, ctypes", "import ctypes.util", "from ctypes import CDLL",
+    "from ctypes.util import find_library as find", "lib = __import__('ctypes')",
+    "importlib.import_module('ctypes')"])
+def test_the_ctypes_guard_sees_each_import(text):
+    assert _imports(text, "ctypes") == [1]
+    assert not _imports(text.replace("ctypes", "ctypes_free"), "ctypes")
+
+
+# the two places that may compute a modular power other than by calling
+# paillier._powmod: its fallback to the builtin pow, and the inverse
+_POWER_HOMES = {"_load_powmod", "_invert"}
+
+
+def _is_power_call(node, min_args):
+    """A call of ``pow`` or of an attribute ``pow`` or ``powmod`` (a
+    library's modular power) with at least ``min_args`` arguments."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("pow", "powmod")
+            and len(node.args) + len(node.keywords) >= min_args)
+
+
+def _modular_powers(src: Path) -> list[str]:
+    """Places in modules under ``src`` that compute a modular power other
+    than through ``paillier._powmod``: a three-argument ``pow`` (by position
+    or keyword), a ``powmod`` call, or a power or ``pow`` call taken modulo
+    something, outside ``_load_powmod`` and ``_invert`` in ``paillier.py``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        homes = {id(node) for top in tree.body if path.name == "paillier.py"
+                 and isinstance(top, ast.FunctionDef) and top.name in _POWER_HOMES
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in homes:
+                continue
+            if _is_power_call(node, 3) or (
+                    isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and (isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Pow)
+                         or _is_power_call(node.left, 2))):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_one_modular_exponentiation_serves_the_package():
+    found = _modular_powers(SRC)
+    assert not found, "modular powers outside paillier._powmod: " + ", ".join(found)
+
+
+@pytest.mark.parametrize("line", [
+    "x = pow(c, d, n)", "x = pow(c, d, mod=n)", "x = pow(base=c, exp=d, mod=n)",
+    "x = builtins.pow(c, d, n)", "x = gmpy2.powmod(c, d, n)", "x = c ** d % n",
+    "x = (c ** 2) % n", "x = pow(c, d) % n"])
+def test_the_modular_power_guard_sees_each_spelling(tmp_path, line):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    assert _modular_powers(tmp_path) == []
+    for name in ("vfl.py", "paillier.py"):
+        target = tmp_path / name
+        source = target.read_text()
+        target.write_text(source + "\n" + line + "\n")
+        assert _modular_powers(tmp_path)[-1:] == [f"{name}:{len(source.splitlines()) + 2}"]
+        target.write_text(source)
+
+
+def test_the_modular_power_guard_passes_what_is_not_one(tmp_path):
+    (tmp_path / "gbt.py").write_text("x = pow(c, d)\ny = x * x % n\nz = 2 ** 8\n"
+                                     "w = c % n ** 2\nv = np.power(c, d)\n"
+                                     "u = paillier._powmod(c, d, n)\n")
+    assert _modular_powers(tmp_path) == []
 
 
 def _layout_homes(src: Path) -> tuple[list[str], list[str], list[str]]:

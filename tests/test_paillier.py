@@ -1,7 +1,9 @@
+import ctypes
 import dataclasses
 import hashlib
 import math
 import random
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +22,20 @@ from fedgbt.paillier import (
     keygen,
     keypair_from_primes,
 )
+
+
+@pytest.fixture(params=["libcrypto", "pow"])
+def powmod_backend(request, monkeypatch):
+    """Runs a test once on each backend of ``paillier._powmod``: the
+    libcrypto one loaded at import, and the builtin ``pow`` it falls back to."""
+    if request.param == "pow":
+        monkeypatch.setattr(paillier, "_powmod", pow)
+    elif paillier._powmod is pow:
+        pytest.skip("no libcrypto loaded")
+    return request.param
+
+
+needs_libcrypto = pytest.mark.skipif(paillier._powmod is pow, reason="no libcrypto loaded")
 
 
 @pytest.fixture(scope="session")
@@ -123,7 +139,7 @@ def test_a_16_bit_keygen_can_pick_a_prime_among_the_bases():
     assert primes & set(range(41, 180))
 
 
-def test_keys_at_seeds_0_to_9_are_pinned():
+def test_keys_at_seeds_0_to_9_are_pinned(powmod_backend):
     # the prime search draws the same candidates and accepts the same primes
     # as before small primes among the bases were admitted: every 512-bit
     # candidate lies far above the largest base
@@ -457,3 +473,144 @@ def test_key_holder_encryption_rejects_a_foreign_private_key(keypair_512):
     _, other = keygen(key_bits=512, rng_seed=43)
     with pytest.raises(ValueError):
         encrypt(pk, 1, rng=random.Random(0), sk=other)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _odd_modulus(bits, raw):
+    """An odd modulus of ``bits`` bits (3 at 2 bits) drawn from ``raw``."""
+    return raw % 2**bits | 2**(bits - 1) | 1
+
+
+_BASE_KINDS = ["zero", "modulus", "below", "above", "negative"]
+
+
+def _base(kind, mod, raw):
+    return {"zero": 0, "modulus": mod, "below": raw % mod, "above": mod + raw,
+            "negative": -raw}[kind]
+
+
+@needs_libcrypto
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4096), st.integers(0, 2**4096), st.sampled_from(_BASE_KINDS),
+       st.integers(0, 2**4200), st.sampled_from([0, 1]) | st.integers(0, 2**2200))
+@example(2, 0, "below", 2, 1)  # 3: the smallest modulus libcrypto takes
+@example(2, 0, "negative", 1, 2**2200)
+@example(4096, 2**4096 - 1, "modulus", 0, 0)
+@example(4096, 2**4096 - 1, "above", 2**4200, 2**2200 - 1)
+@example(1024, 0, "zero", 0, 0)
+def test_libcrypto_powmod_equals_pow(bits, raw_mod, kind, raw_base, exp):
+    mod = _odd_modulus(bits, raw_mod)
+    base = _base(kind, mod, raw_base)
+    assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+@needs_libcrypto
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**64, 2**600), st.integers(-2**300, 2**300), st.integers(-5, 2**600))
+@example(3, -1, 8)  # an inverse modulo an even number
+@example(2, -1, 9)
+@example(3, -1, 9)  # no inverse: ValueError, as from pow
+@example(5, 7, 0)
+@example(5, 7, 1)
+@example(5, 7, 2)
+@example(5, 7, -3)
+def test_even_moduli_small_moduli_and_negative_exponents_go_to_pow(base, exp, mod):
+    # even moduli, moduli below 3 and negative exponents; anything else is
+    # the case above
+    if exp >= 0 and mod >= 3 and mod & 1:
+        mod += 1
+    assert _outcome(paillier._powmod, base, exp, mod) == _outcome(pow, base, exp, mod)
+
+
+@needs_libcrypto
+def test_four_threads_share_the_backend():
+    # each thread keeps its own libcrypto context and scratch numbers
+    start = threading.Barrier(4)
+    mismatches = []
+
+    def compare(seed):
+        rng = random.Random(seed)
+        start.wait()
+        for _ in range(200):
+            mod = _odd_modulus(rng.choice([64, 512, 1024]), rng.getrandbits(1024))
+            base, exp = rng.getrandbits(1100), rng.getrandbits(rng.randrange(1, 600))
+            if paillier._powmod(base, exp, mod) != pow(base, exp, mod):
+                mismatches.append((seed, base, exp, mod))
+
+    threads = [threading.Thread(target=compare, args=(seed,)) for seed in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert mismatches == []
+
+
+_LIBCRYPTO_SYMBOLS = ["BN_new", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad", "BN_mod_exp_mont"]
+
+
+class _LibraryWithout:
+    """A loaded library with ``missing`` symbols absent and ``replaced`` ones
+    swapped for Python functions."""
+
+    def __init__(self, lib, missing=(), replaced=None):
+        self._lib, self._missing, self._replaced = lib, missing, replaced or {}
+
+    def __getattr__(self, name):
+        if name in self._missing:
+            raise AttributeError(name)
+        return self._replaced.get(name) or getattr(self._lib, name)
+
+
+def test_a_library_that_does_not_load_leaves_pow(monkeypatch):
+    asked = []
+
+    def refuse(name):
+        asked.append(name)
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    assert paillier._load_powmod() is pow
+    assert asked == ["libcrypto.so.3", "libcrypto.so.1.1"]
+
+
+@needs_libcrypto
+@pytest.mark.parametrize("symbol", _LIBCRYPTO_SYMBOLS)
+def test_a_symbol_that_does_not_load_leaves_pow(monkeypatch, symbol):
+    real = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _LibraryWithout(real(name), {symbol}))
+    assert paillier._load_powmod() is pow
+
+
+@needs_libcrypto
+def test_the_second_soname_serves_when_the_first_does_not_load(monkeypatch):
+    real, asked = ctypes.CDLL, []
+
+    def second_only(name):
+        asked.append(name)
+        if name == "libcrypto.so.3":
+            raise OSError(name)
+        return real("libcrypto.so.3")  # the library this box has, under the second name
+
+    monkeypatch.setattr(ctypes, "CDLL", second_only)
+    powmod = paillier._load_powmod()
+    assert asked == ["libcrypto.so.3", "libcrypto.so.1.1"]
+    assert powmod is not pow
+    assert powmod(3, 2**100 + 1, 2**127 - 1) == pow(3, 2**100 + 1, 2**127 - 1)
+
+
+@needs_libcrypto
+def test_a_failing_libcrypto_call_raises(monkeypatch):
+    real = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _LibraryWithout(
+        real(name), replaced={"BN_mod_exp_mont": lambda *args: 0}))
+    powmod = paillier._load_powmod()
+    assert powmod(3, 5, 8) == pow(3, 5, 8)  # an even modulus never reaches libcrypto
+    with pytest.raises(RuntimeError, match="BN_mod_exp_mont failed"):
+        powmod(3, 5, 7)

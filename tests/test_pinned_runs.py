@@ -1,7 +1,9 @@
 """Small federated runs pinned to the byte: the sha256 of each model's JSON
 and of each transcript.  A change that must leave the trained models and
 every message unchanged shows here that it does; a change that means to
-alter them updates the digests and says why."""
+alter them updates the digests and says why.  Each run is made on both
+backends of ``paillier._powmod``, libcrypto and the builtin ``pow``, to the
+same digests."""
 
 import hashlib
 
@@ -12,6 +14,10 @@ from fedgbt.data import PartyDataset
 from fedgbt.gbt import GbtParams, model_to_json
 from fedgbt.hfl import SECAGG_MASK_ONLY, SECAGG_PAILLIER, hfl_train, make_roster
 from fedgbt.vfl import make_vfl_roster, vfl_predict, vfl_train
+
+from test_paillier import powmod_backend  # a fixture, which pytest finds by name
+
+pytestmark = pytest.mark.usefixtures("powmod_backend")
 
 PARAMS = GbtParams(n_estimators=2, max_depth=3, max_bin=8, reg_lambda=1.0, learning_rate=0.3,
                    min_child_weight=1.0, subsample=0.8)
