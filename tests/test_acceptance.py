@@ -221,10 +221,9 @@ def test_a_2048_bit_key_trains_the_pooled_models():
                              master_seed=1, secagg_mode=secagg)
         fed, bus = hfl_train(roster, parties, params, seed=1, key_bits=2048)
         assert_same_structure(fed, pooled)
-        keys = [hex_to_int(e.payload["n"]).bit_length() for e in bus.transcript
-                if e.msg_type == "KEY_BROADCAST"]
-        assert keys == ([] if secagg == SECAGG_MASK_ONLY else [keys[0]] * 2)
-        assert keys == [] or keys[0] in (2047, 2048)
+        sizes = [hex_to_int(e.payload["n"]).bit_length() for e in bus.transcript
+                 if e.msg_type == "KEY_BROADCAST"]
+        assert sizes in ([[2047] * 2, [2048] * 2] if secagg == SECAGG_PAILLIER else [[]])
 
     ids = np.arange(60)
     datasets = {"active": PartyDataset("active", ids, X[:, :2], ("a0", "a1"), y),

@@ -304,8 +304,8 @@ def test_one_modular_exponentiation_serves_the_package():
 
 @pytest.mark.parametrize("line", [
     "x = pow(c, d, n)", "x = pow(c, d, mod=n)", "x = pow(base=c, exp=d, mod=n)",
-    "x = builtins.pow(c, d, n)", "x = gmpy2.powmod(c, d, n)", "x = c ** d % n",
-    "x = (c ** 2) % n", "x = pow(c, d) % n"])
+    "x = builtins.pow(c, d, n)", "x = gmpy2.powmod(c, d, n)", "x = (c ** d) % n",
+    "x = pow(c, d) % n"])
 def test_the_modular_power_guard_sees_each_spelling(tmp_path, line):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
@@ -314,7 +314,7 @@ def test_the_modular_power_guard_sees_each_spelling(tmp_path, line):
         target = tmp_path / name
         source = target.read_text()
         target.write_text(source + "\n" + line + "\n")
-        assert _modular_powers(tmp_path)[-1:] == [f"{name}:{len(source.splitlines()) + 2}"]
+        assert _modular_powers(tmp_path) == [f"{name}:{len(source.splitlines()) + 2}"]
         target.write_text(source)
 
 
