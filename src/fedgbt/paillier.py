@@ -16,20 +16,20 @@ refused.
 
 Encryption draws its obfuscator from a fixed public base, in the manner of
 Damgård, Jurik and Nielsen (2010): ``r^n`` becomes ``h_s^a`` with a
-full-length exponent ``a``.  Each key object precomputes a Lim-Lee comb of
-``h_s`` once (Lim and Lee, CRYPTO '94; :class:`FixedBaseComb`): 8 rows of
-256 powers.  At a 512-bit key an encryption then costs 9 squarings and 80
-products modulo ``n^2`` instead of one full-size exponentiation, and the key
-holder's, modulo ``p^2`` and ``q^2``, 3 squarings and 32 products per prime.
-
-Every other modular exponentiation (decryption, the aggregator's folds,
-the comb bases and keygen's Miller-Rabin rounds) goes through ``_powmod``:
-OpenSSL's Montgomery exponentiation from the system ``libcrypto``, loaded by
-soname through ``ctypes``, or the builtin ``pow`` where that library does
-not load.  The two give the same integers, so keys, ciphertexts and
-transcripts do not depend on which one runs.  At a 512-bit key libcrypto
-takes an aggregator's fold power about 4x faster, and a full decryption
-about 9x.
+full-length exponent ``a``, and each key object computes ``h_s`` once
+(:class:`FixedBase`).  Every modular exponentiation (these powers,
+decryption, the aggregator's folds and keygen's Miller-Rabin rounds) goes
+through ``_powmod``: OpenSSL's Montgomery exponentiation from the system
+``libcrypto``, loaded by soname through ``ctypes``, or the builtin ``pow``
+where that library does not load.  The two give the same integers, so
+keys, ciphertexts and transcripts do not depend on which one runs.  At a
+512-bit key libcrypto takes an aggregator's fold power about 4x faster,
+and a full decryption about 9x.  Under ``pow`` alone, ``h_s^a`` comes from
+a Lim-Lee comb (Lim and Lee, CRYPTO '94; :class:`FixedBaseComb`) of 8 rows
+of 256 powers, built once per key object: at a 512-bit key an encryption
+then costs 9 squarings and 80 products modulo ``n^2``, about 10x less than
+one ``pow``, and the key holder's, modulo ``p^2`` and ``q^2``, 3 squarings
+and 32 products per prime.
 
 All structures are immutable and safe to share between concurrently running
 parties.  When ``rng`` / ``rng_seed`` arguments are supplied, key generation
@@ -51,6 +51,10 @@ import numpy as np
 
 _LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
 
+# Moduli whose Montgomery context each thread keeps; a key uses three
+# (n^2, p^2 and q^2).
+_MONTGOMERY_CACHE_SIZE = 8
+
 
 def _load_powmod():
     """``pow(base, exp, mod)`` computed by OpenSSL's ``BN_mod_exp_mont``
@@ -60,25 +64,31 @@ def _load_powmod():
     Both give the same integer for every argument.  A negative exponent or
     a modulus that is even or below 3 goes to ``pow``, as Montgomery
     multiplication needs an odd modulus.  Each thread keeps its own
-    ``BN_CTX`` and scratch ``BIGNUM``s, a few kB that live as long as the
-    process.  ``BN_mod_exp_mont`` is variable-time, as CPython's ``pow`` is.
+    ``BN_CTX`` and scratch ``BIGNUM``s, and the ``BN_MONT_CTX``, modulus
+    and output buffer of the last ``_MONTGOMERY_CACHE_SIZE`` moduli it
+    used; an evicted entry is freed, and the rest, a few kB, live as long
+    as the process.  ``BN_mod_exp_mont`` is variable-time, as CPython's
+    ``pow`` is.
     """
+    ptr, c_int = ctypes.c_void_p, ctypes.c_int
+    signatures = {
+        "BN_new": (ptr, []), "BN_free": (None, [ptr]), "BN_CTX_new": (ptr, []),
+        "BN_bin2bn": (ptr, [ptr, c_int, ptr]), "BN_bn2binpad": (c_int, [ptr, ptr, c_int]),
+        "BN_MONT_CTX_new": (ptr, []), "BN_MONT_CTX_set": (c_int, [ptr] * 3),
+        "BN_MONT_CTX_free": (None, [ptr]), "BN_mod_exp_mont": (c_int, [ptr] * 6),
+    }
     for soname in _LIBCRYPTO_SONAMES:
         try:
             lib = ctypes.CDLL(soname)
-            bn_new, ctx_new, bin2bn, bn2binpad, exp_mont = (
-                lib.BN_new, lib.BN_CTX_new, lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp_mont)
+            fns = [getattr(lib, name) for name in signatures]
             break
         except (OSError, AttributeError):
             continue
     else:
         return pow
-    ptr, c_int = ctypes.c_void_p, ctypes.c_int
-    for fn, restype, argtypes in ((bn_new, ptr, []), (ctx_new, ptr, []),
-                                  (bin2bn, ptr, [ptr, c_int, ptr]),
-                                  (bn2binpad, c_int, [ptr, ptr, c_int]),
-                                  (exp_mont, c_int, [ptr] * 6)):
+    for fn, (restype, argtypes) in zip(fns, signatures.values()):
         fn.restype, fn.argtypes = restype, argtypes
+    bn_new, bn_free, ctx_new, bin2bn, bn2binpad, mont_new, mont_set, mont_free, exp_mont = fns
     scratch = threading.local()
 
     def checked(result, name: str):
@@ -90,21 +100,42 @@ def _load_powmod():
         data = value.to_bytes((value.bit_length() + 7) // 8, "big")
         checked(bin2bn(data, len(data), bn), "BN_bin2bn")
 
+    def montgomery(mod: int, ctx, cache: dict):
+        """The thread's ``(BN_MONT_CTX, modulus, output buffer)`` of ``mod``,
+        most recently used last."""
+        entry = cache.pop(mod, None)
+        if entry is None:
+            mont, m = None, checked(bn_new(), "BN_new")
+            try:
+                load(m, mod)
+                mont = checked(mont_new(), "BN_MONT_CTX_new")
+                checked(mont_set(mont, m, ctx), "BN_MONT_CTX_set")
+            except RuntimeError:
+                mont_free(mont)
+                bn_free(m)
+                raise
+            entry = mont, m, ctypes.create_string_buffer((mod.bit_length() + 7) // 8)
+            if len(cache) >= _MONTGOMERY_CACHE_SIZE:
+                evicted_mont, evicted_m, _ = cache.pop(next(iter(cache)))
+                mont_free(evicted_mont)
+                bn_free(evicted_m)
+        cache[mod] = entry
+        return entry
+
     def powmod(base: int, exp: int, mod: int) -> int:
         if exp < 0 or mod < 3 or not mod & 1:
             return pow(base, exp, mod)
         try:
-            ctx, r, a, p, m = scratch.bignums
+            ctx, r, a, p, cache = scratch.state
         except AttributeError:
-            ctx, r, a, p, m = scratch.bignums = (
-                checked(ctx_new(), "BN_CTX_new"), *(checked(bn_new(), "BN_new") for _ in range(4)))
+            ctx, r, a, p, cache = scratch.state = (
+                checked(ctx_new(), "BN_CTX_new"),
+                *(checked(bn_new(), "BN_new") for _ in range(3)), {})
+        mont, m, out = montgomery(mod, ctx, cache)
         load(a, base % mod)
         load(p, exp)
-        load(m, mod)
-        checked(exp_mont(r, a, p, m, ctx, None), "BN_mod_exp_mont")
-        width = (mod.bit_length() + 7) // 8
-        out = ctypes.create_string_buffer(width)
-        checked(bn2binpad(r, out, width) == width, "BN_bn2binpad")
+        checked(exp_mont(r, a, p, m, ctx, mont), "BN_mod_exp_mont")
+        checked(bn2binpad(r, out, len(out)) == len(out), "BN_bn2binpad")
         return int.from_bytes(out.raw, "big")
 
     return powmod
@@ -182,6 +213,11 @@ def _obfuscator_base(n: int) -> int:
         counter += 1
 
 
+def _check_exponent(a: int, bits: int) -> None:
+    if not 0 <= a < 1 << bits:
+        raise ValueError(f"exponent outside [0, 2^{bits})")
+
+
 @dataclass(frozen=True)
 class FixedBaseComb:
     """Powers of one base from a Lim-Lee comb (Lim and Lee, CRYPTO '94).
@@ -219,8 +255,7 @@ class FixedBaseComb:
 
     def power(self, a: int) -> int:
         """``base^a mod mod`` for ``a >= 0`` of at most ``64 * steps`` bits."""
-        if a >> (64 * self.steps):
-            raise ValueError(f"exponent outside [0, 2^{64 * self.steps})")
+        _check_exponent(a, 64 * self.steps)
         # one bit transpose: digit (j, k) gathers step k of block j of every tooth
         bits = np.unpackbits(np.frombuffer(a.to_bytes(8 * self.steps, "little"), np.uint8),
                              bitorder="little").reshape(8, 8, self.steps)
@@ -231,6 +266,31 @@ class FixedBaseComb:
             for row, digit in zip(self.rows, column):
                 acc = acc * row[digit] % mod
         return acc
+
+
+@dataclass(frozen=True)
+class FixedBase:
+    """Powers ``base^a mod mod`` of one public base, ``0 <= a < 2^bits``.
+
+    Under libcrypto a power is one ``_powmod``.  Under the builtin ``pow``
+    it comes from a :class:`FixedBaseComb`, built on first use, which there
+    is about 10x faster than ``pow`` at a 512-bit key.  The choice is read
+    at each call, so a test that swaps ``_powmod`` runs either side.
+    """
+
+    base: int
+    mod: int
+    bits: int
+
+    @cached_property
+    def comb(self) -> FixedBaseComb:
+        return FixedBaseComb.build(self.base, self.mod, self.bits)
+
+    def power(self, a: int) -> int:
+        _check_exponent(a, self.bits)
+        if _powmod is pow:
+            return self.comb.power(a)
+        return _powmod(self.base, a, self.mod)
 
 
 @dataclass(frozen=True)
@@ -259,19 +319,16 @@ class PublicKey:
         return self.n.bit_length() + OBFUSCATOR_SLACK_BITS
 
     @cached_property
-    def obfuscator_table(self) -> FixedBaseComb:
-        """The comb of ``h_s = h^n mod n^2``.
-
-        Built on first use, once per key object: 8 rows of 256 powers, and
-        10 steps at a 512-bit key.
-        """
+    def fixed_base(self) -> FixedBase:
+        """``h_s = h^n mod n^2``, computed on first use, once per key object."""
         h_s = _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
-        return FixedBaseComb.build(h_s, self.n_squared, self.obfuscator_bits)
+        return FixedBase(h_s, self.n_squared, self.obfuscator_bits)
 
     def obfuscator(self, a: int) -> int:
-        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``: at a 512-bit
-        key, 9 squarings and 80 table products."""
-        return self.obfuscator_table.power(a)
+        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``: one
+        exponentiation under libcrypto; under ``pow``, at a 512-bit key, 9
+        squarings and 80 products from a comb of 10 steps."""
+        return self.fixed_base.power(a)
 
 
 @dataclass(frozen=True)
@@ -297,19 +354,19 @@ class PrivateKey:
     q_inv: int
 
     @cached_property
-    def obfuscator_tables(self) -> tuple[FixedBaseComb, FixedBaseComb]:
-        """The combs of ``h_s`` modulo ``p^2`` and modulo ``q^2``.
+    def fixed_bases(self) -> tuple[FixedBase, FixedBase]:
+        """``h_s`` modulo ``p^2`` and modulo ``q^2``, computed on first use,
+        once per key object.
 
         ``h_s = h^n`` is a ``p``-th power modulo ``p^2``, so its order there
-        divides ``p - 1``: an exponent reduced modulo ``p - 1`` needs a comb
-        for ``p.bit_length()`` bits only, 4 steps at a 512-bit key, and each
-        product is half as wide as one modulo ``n^2``.  Likewise for ``q``.
-        Built on first use, once per key object.
+        divides ``p - 1``: an exponent reduced modulo ``p - 1`` has
+        ``p.bit_length()`` bits only (a comb of 4 steps at a 512-bit key),
+        and each product is half as wide as one modulo ``n^2``.  Likewise
+        for ``q``.
         """
         n = self.p * self.q
         h = _obfuscator_base(n)
-        return tuple(FixedBaseComb.build(_powmod(h, n, prime_squared), prime_squared,
-                                         prime.bit_length())
+        return tuple(FixedBase(_powmod(h, n, prime_squared), prime_squared, prime.bit_length())
                      for prime, prime_squared in ((self.p, self.p_squared),
                                                   (self.q, self.q_squared)))
 
@@ -320,10 +377,13 @@ class PrivateKey:
 
     def obfuscator(self, a: int) -> int:
         """``h_s^a mod n^2``, the value :meth:`PublicKey.obfuscator` gives,
-        from the per-prime combs joined by the Chinese remainder theorem."""
-        table_p, table_q = self.obfuscator_tables
-        xp = table_p.power(a % (self.p - 1))
-        xq = table_q.power(a % (self.q - 1))
+        for the same ``0 <= a < 2^obfuscator_bits``: powers modulo ``p^2``
+        and ``q^2`` of ``a mod (p - 1)`` and ``a mod (q - 1)``, joined by the
+        Chinese remainder theorem."""
+        _check_exponent(a, (self.p * self.q).bit_length() + OBFUSCATOR_SLACK_BITS)
+        base_p, base_q = self.fixed_bases
+        xp = base_p.power(a % (self.p - 1))
+        xq = base_q.power(a % (self.q - 1))
         return xq + (xp - xq) * self.q_squared_inv % self.p_squared * self.q_squared
 
 
@@ -385,17 +445,18 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
 
     Without ``r``, the obfuscator is ``h_s^a = (h^a)^n`` with ``a`` drawn
     from ``rng`` (the system CSPRNG when None), computed from the key's
-    fixed-base comb; that is ``r = h^a mod n``.  Security rests on the
-    decisional composite residuosity assumption, as for textbook Paillier,
-    with ``r`` statistically close to uniform over the subgroup generated
-    by ``h`` (Damgård-Jurik-Nielsen 2010).  The exponent is full length;
+    fixed base (:meth:`PublicKey.obfuscator`); that is ``r = h^a mod n``.
+    Security rests on the decisional composite residuosity assumption, as
+    for textbook Paillier, with ``r`` statistically close to uniform over
+    the subgroup generated by ``h`` (Damgård-Jurik-Nielsen 2010).  The exponent is full length;
     their short-exponent variant would add a further assumption and is not
     used.  An explicit ``r``, a unit modulo ``n``, gives the textbook
     ``r^n``.
 
-    The key holder may pass its own ``sk``: ``h_s^a`` then comes from the
-    per-prime combs (:meth:`PrivateKey.obfuscator`), about three times
-    faster, and the same ``rng`` state gives the same ciphertext.
+    The key holder may pass its own ``sk``: ``h_s^a`` then comes from
+    powers modulo ``p^2`` and ``q^2`` (:meth:`PrivateKey.obfuscator`),
+    about three times faster, and the same ``rng`` state gives the same
+    ciphertext.
     """
     if not 0 <= m < pk.n:
         raise EncodingError(f"plaintext {m} outside [0, n)")

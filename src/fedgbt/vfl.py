@@ -24,7 +24,7 @@ passive party answers from its own rows of those ids.
 
 The active party holds the primes and works in them.  It encrypts each
 sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
-key's per-prime combs.  A passive party folds only the bins its counts say
+key's per-prime powers.  A passive party folds only the bins its counts say
 are non-empty, in flat (feature, bin) order, each run of them into one
 ciphertext by Horner's rule, ``c <- c**(2**w) * c_next`` (cipher
 compression, after SecureBoost+).  The slots are those of the horizontal

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -206,9 +207,11 @@ def test_fixed_base_table_power_matches_pow(comb_keypairs, key_bits, length_shar
     # exponents of every length up to the full one, most not a multiple of 64
     length = pk.obfuscator_bits * length_share // 2**2176
     a = raw % 2**length
-    assert pk.obfuscator(a) == sk.obfuscator(a) == pow(h_s, a, pk.n_squared)
-    for comb, prime in zip(sk.obfuscator_tables, (sk.p, sk.q)):
-        assert comb.power(a % (prime - 1)) == pow(h_s, a % (prime - 1), prime * prime)
+    assert pk.obfuscator(a) == sk.obfuscator(a) == pk.fixed_base.comb.power(a) == pow(
+        h_s, a, pk.n_squared)
+    for base, prime in zip(sk.fixed_bases, (sk.p, sk.q)):
+        reduced = a % (prime - 1)
+        assert base.power(reduced) == base.comb.power(reduced) == pow(h_s, reduced, prime * prime)
 
 
 def _check_every_comb_position(comb):
@@ -234,9 +237,9 @@ def _check_every_comb_position(comb):
 @pytest.mark.parametrize("key_bits", [16, 512])
 def test_fixed_base_table_power_at_every_comb_position(comb_keypairs, key_bits):
     pk, sk, h_s = comb_keypairs[key_bits]
-    assert pk.obfuscator_table.rows[0][1] == h_s
-    for comb in (pk.obfuscator_table, *sk.obfuscator_tables):
-        _check_every_comb_position(comb)
+    assert pk.fixed_base.comb.rows[0][1] == h_s
+    for base in (pk.fixed_base, *sk.fixed_bases):
+        _check_every_comb_position(base.comb)
 
 
 @pytest.mark.parametrize("bits", [1, 63, 64, 65, 100, 200])
@@ -249,10 +252,20 @@ def test_an_exponent_at_or_above_the_combs_range_raises(keypair_512, bits):
     for a in (2**capacity, 2**capacity + 1, 2**(capacity + 64) - 1, -1):
         with pytest.raises(ValueError):
             comb.power(a)
-    # at a 512-bit key the public comb's range is exactly the drawn exponent's
-    assert 64 * pk.obfuscator_table.steps == pk.obfuscator_bits
-    with pytest.raises(ValueError):
-        pk.obfuscator(2**pk.obfuscator_bits)
+
+
+@pytest.mark.parametrize("key_bits, seed", [(512, 42), (200, 200)])
+def test_an_obfuscator_exponent_outside_the_drawn_range_raises(powmod_backend, key_bits, seed):
+    # at 200 bits (seed 200: a 199-bit n) the 327-bit drawn exponent falls short of the
+    # public comb's 384, and a negative exponent would be an inverse to pow
+    pk, sk = keygen(key_bits=key_bits, rng_seed=seed)
+    bits = pk.obfuscator_bits
+    top = 2**bits - 1
+    assert pk.obfuscator(top) == sk.obfuscator(top) == pow(_h_s(pk), top, pk.n_squared)
+    for a in (-1, -2**bits, 2**bits, 2**bits + 1, 2**(bits + 64) - 1):
+        for key in (pk, sk):
+            with pytest.raises(ValueError, match=rf"exponent outside \[0, 2\^{bits}\)"):
+                key.obfuscator(a)
 
 
 class _RecordingRandom(random.Random):
@@ -283,8 +296,8 @@ def test_obfuscator_base_is_a_public_unit(key_bits):
     assert 1 < h < pk.n - 1
     assert math.gcd(h, pk.n) == 1
     assert paillier._obfuscator_base(pk.n) == h
-    assert pk.obfuscator_table.rows[0][1] == _h_s(pk)
-    assert pk.obfuscator_table.mod == pk.n_squared
+    assert pk.fixed_base.base == pk.fixed_base.comb.rows[0][1] == _h_s(pk)
+    assert pk.fixed_base.mod == pk.fixed_base.comb.mod == pk.n_squared
 
 
 def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
@@ -300,10 +313,31 @@ def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
     assert builds == [n]
     encrypt(second, 3, rng=rng)
     assert builds == [n, n]
-    assert first.obfuscator_table is not second.obfuscator_table
-    assert first.obfuscator_table == second.obfuscator_table
-    assert first.obfuscator_table.steps == -(-(n.bit_length() + 128) // 64) == 10
-    assert [len(row) for row in first.obfuscator_table.rows] == [256] * 8
+    assert first.fixed_base is not second.fixed_base
+    assert first.fixed_base == second.fixed_base
+    assert first.fixed_base.comb.steps == -(-(n.bit_length() + 128) // 64) == 10
+    assert [len(row) for row in first.fixed_base.comb.rows] == [256] * 8
+
+
+def test_encryption_builds_a_comb_only_under_pow(keypair_512, powmod_backend, monkeypatch):
+    pk, held = keypair_512
+    fresh_pk, fresh_sk = PublicKey(n=pk.n, g=pk.g), dataclasses.replace(held)
+    builds = []
+    real = FixedBaseComb.build
+
+    def build(base, mod, bits):
+        if powmod_backend == "libcrypto":
+            raise AssertionError("a comb was built under libcrypto")
+        builds.append(mod)
+        return real(base, mod, bits)
+
+    monkeypatch.setattr(FixedBaseComb, "build", build)
+    public = encrypt(fresh_pk, 7, rng=random.Random(5))
+    assert encrypt(fresh_pk, 7, rng=random.Random(5), sk=fresh_sk) == public
+    assert decrypt(held, pk, public) == 7
+    expected = [] if powmod_backend == "libcrypto" else [pk.n_squared, held.p_squared,
+                                                        held.q_squared]
+    assert builds == expected
 
 
 def test_system_randomness_roundtrips():
@@ -454,7 +488,8 @@ def test_key_holder_encryption_equals_public_encryption(keypairs_by_size, key_bi
     assert decrypt(sk, pk, held) == m
 
 
-def test_private_key_obfuscator_equals_the_public_table(keypair_512, monkeypatch):
+def test_private_key_obfuscator_equals_the_public_table(keypair_512, powmod_backend,
+                                                         monkeypatch):
     pk, held = keypair_512
     sk = dataclasses.replace(held)  # a fresh object, with no tables built yet
     builds = []
@@ -462,10 +497,10 @@ def test_private_key_obfuscator_equals_the_public_table(keypair_512, monkeypatch
     monkeypatch.setattr(paillier, "_obfuscator_base", lambda m: builds.append(m) or real(m))
     for a in (0, 1, sk.p - 1, sk.q - 1, (sk.p - 1) * (sk.q - 1), 2**pk.obfuscator_bits - 1):
         assert sk.obfuscator(a) == pk.obfuscator(a)
-    assert builds == [pk.n]  # both per-prime tables, once, on first use
-    assert [comb.steps for comb in sk.obfuscator_tables] == [
+    assert builds == [pk.n]  # both per-prime bases, once, on first use
+    assert [base.comb.steps for base in sk.fixed_bases] == [
         -(-sk.p.bit_length() // 64), -(-sk.q.bit_length() // 64)] == [4, 4]
-    assert [comb.mod for comb in sk.obfuscator_tables] == [sk.p_squared, sk.q_squared]
+    assert [base.mod for base in sk.fixed_bases] == [sk.p_squared, sk.q_squared]
 
 
 def test_key_holder_encryption_rejects_a_foreign_private_key(keypair_512):
@@ -506,9 +541,13 @@ def _base(kind, mod, raw):
 @example(4096, 2**4096 - 1, "above", 2**4200, 2**2200 - 1)
 @example(1024, 0, "zero", 0, 0)
 def test_libcrypto_powmod_equals_pow(bits, raw_mod, kind, raw_base, exp):
+    # each example brings a new modulus, which evicts an old one from the
+    # thread's Montgomery cache; the second call finds it there
     mod = _odd_modulus(bits, raw_mod)
     base = _base(kind, mod, raw_base)
-    assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+    expected = pow(base, exp, mod)
+    assert paillier._powmod(base, exp, mod) == expected
+    assert paillier._powmod(base, exp, mod) == expected
 
 
 @needs_libcrypto
@@ -531,28 +570,39 @@ def test_even_moduli_small_moduli_and_negative_exponents_go_to_pow(base, exp, mo
 
 @needs_libcrypto
 def test_four_threads_share_the_backend():
-    # each thread keeps its own libcrypto context and scratch numbers
+    # each thread keeps its own libcrypto context, scratch numbers and
+    # Montgomery cache, and cycles through more moduli than the cache holds
     start = threading.Barrier(4)
     mismatches = []
+    moduli = [_odd_modulus(bits, 2 * raw) for raw in range(paillier._MONTGOMERY_CACHE_SIZE // 3 + 2)
+              for bits in (64, 512, 1024)]
+    assert len(set(moduli)) > paillier._MONTGOMERY_CACHE_SIZE
 
     def compare(seed):
         rng = random.Random(seed)
         start.wait()
         for _ in range(200):
-            mod = _odd_modulus(rng.choice([64, 512, 1024]), rng.getrandbits(1024))
+            mod = rng.choice(moduli)
             base, exp = rng.getrandbits(1100), rng.getrandbits(rng.randrange(1, 600))
             if paillier._powmod(base, exp, mod) != pow(base, exp, mod):
                 mismatches.append((seed, base, exp, mod))
 
     threads = [threading.Thread(target=compare, args=(seed,)) for seed in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
 
 
-_LIBCRYPTO_SYMBOLS = ["BN_new", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad", "BN_mod_exp_mont"]
+_LIBCRYPTO_SYMBOLS = ["BN_new", "BN_free", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad",
+                      "BN_MONT_CTX_new", "BN_MONT_CTX_set", "BN_MONT_CTX_free", "BN_mod_exp_mont"]
 
 
 class _LibraryWithout:
@@ -613,9 +663,48 @@ def test_the_second_soname_serves_when_the_first_does_not_load(monkeypatch):
 @needs_libcrypto
 def test_a_failing_libcrypto_call_raises(monkeypatch):
     real = ctypes.CDLL
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: _LibraryWithout(
-        real(name), replaced={"BN_mod_exp_mont": lambda *args: 0}))
+    for symbol in ("BN_mod_exp_mont", "BN_MONT_CTX_set"):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: _LibraryWithout(
+            real(name), replaced={symbol: lambda *args: 0}))
+        powmod = paillier._load_powmod()
+        assert powmod(3, 5, 8) == pow(3, 5, 8)  # an even modulus never reaches libcrypto
+        for _ in range(2):  # a context that failed to set up is not cached
+            with pytest.raises(RuntimeError, match=f"{symbol} failed"):
+                powmod(3, 5, 7)
+
+
+@needs_libcrypto
+def test_the_montgomery_cache_keeps_the_last_moduli_and_frees_what_it_evicts(monkeypatch):
+    real, calls = ctypes.CDLL, []
+
+    def counting(name):
+        lib = real(name)
+
+        def counted(symbol, restype, argtypes):
+            fn = getattr(lib, symbol)
+            fn.restype, fn.argtypes = restype, argtypes
+            return lambda *args: calls.append(symbol) or fn(*args)
+
+        ptr = ctypes.c_void_p
+        return _LibraryWithout(lib, replaced={
+            "BN_MONT_CTX_set": counted("BN_MONT_CTX_set", ctypes.c_int, [ptr] * 3),
+            "BN_MONT_CTX_free": counted("BN_MONT_CTX_free", None, [ptr]),
+            "BN_free": counted("BN_free", None, [ptr])})
+
+    monkeypatch.setattr(ctypes, "CDLL", counting)
     powmod = paillier._load_powmod()
-    assert powmod(3, 5, 8) == pow(3, 5, 8)  # an even modulus never reaches libcrypto
-    with pytest.raises(RuntimeError, match="BN_mod_exp_mont failed"):
-        powmod(3, 5, 7)
+    size = paillier._MONTGOMERY_CACHE_SIZE
+    moduli = [_odd_modulus(256, 2 * raw) for raw in range(size + 2)]
+
+    def run(mods):
+        del calls[:]
+        for mod in mods:
+            assert powmod(5, mod >> 1, mod) == pow(5, mod >> 1, mod)
+        return calls.count("BN_MONT_CTX_set"), calls.count("BN_MONT_CTX_free"), calls.count(
+            "BN_free")
+
+    assert run(moduli) == (size + 2, 2, 2)  # the first two are evicted
+    assert run(moduli[2:][::-1]) == (0, 0, 0)  # the last `size` are all kept
+    assert run(moduli[:1]) == (1, 1, 1)  # evicts the least recently used, moduli[-1]
+    assert run(moduli[-1:]) == (1, 1, 1)  # which evicts moduli[-2] in turn
+    assert run(moduli[:1] + moduli[2:-2] + moduli[-1:]) == (0, 0, 0)
