@@ -44,6 +44,7 @@ import hashlib
 import math
 import random
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +55,30 @@ _LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
 # Moduli whose Montgomery context each thread keeps; a key uses three
 # (n^2, p^2 and q^2).
 _MONTGOMERY_CACHE_SIZE = 8
+
+
+class _Operand:
+    """One ciphertext that libcrypto holds as a ``BIGNUM``, in Montgomery
+    form of its batch's modulus (:func:`operands`)."""
+
+    __slots__ = ("batch", "ptr")
+
+    def __init__(self, batch: _Loaded, ptr: int):
+        self.batch, self.ptr = batch, ptr
+
+
+class _Loaded:
+    """A batch of :class:`_Operand` of one modulus ``mod``; :meth:`free`
+    releases every ``BIGNUM`` of it, after which ``live`` is false."""
+
+    def __init__(self, mod: int, bn_free):
+        self.mod, self.operands, self.live, self._bn_free = mod, [], True, bn_free
+
+    def free(self) -> None:
+        self.live = False
+        for operand in self.operands:
+            self._bn_free(operand.ptr)
+        self.operands = []
 
 
 def _load_powmod():
@@ -69,6 +94,16 @@ def _load_powmod():
     used; an evicted entry is freed, and the rest, a few kB, live as long
     as the process.  ``BN_mod_exp_mont`` is variable-time, as CPython's
     ``pow`` is.
+
+    The libcrypto function also carries what :func:`operands` and
+    :func:`aggregate` run on it: ``load(mod, cs)`` returns a
+    :class:`_Loaded` batch of the ints ``cs``, each converted once into
+    Montgomery form of ``mod``, and ``aggregate(mod, operands, runs,
+    width)`` folds such operands.  Its running product stays in plain form:
+    ``BN_mod_mul_montgomery`` of a plain factor and a Montgomery-form one is
+    their plain product, so each product is one call, each Horner step one
+    ``BN_mod_exp_mont`` with no conversion around it, and the result one
+    ``BN_bn2binpad``.
     """
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
     signatures = {
@@ -76,6 +111,7 @@ def _load_powmod():
         "BN_bin2bn": (ptr, [ptr, c_int, ptr]), "BN_bn2binpad": (c_int, [ptr, ptr, c_int]),
         "BN_MONT_CTX_new": (ptr, []), "BN_MONT_CTX_set": (c_int, [ptr] * 3),
         "BN_MONT_CTX_free": (None, [ptr]), "BN_mod_exp_mont": (c_int, [ptr] * 6),
+        "BN_to_montgomery": (c_int, [ptr] * 4), "BN_mod_mul_montgomery": (c_int, [ptr] * 5),
     }
     for soname in _LIBCRYPTO_SONAMES:
         try:
@@ -88,7 +124,8 @@ def _load_powmod():
         return pow
     for fn, (restype, argtypes) in zip(fns, signatures.values()):
         fn.restype, fn.argtypes = restype, argtypes
-    bn_new, bn_free, ctx_new, bin2bn, bn2binpad, mont_new, mont_set, mont_free, exp_mont = fns
+    (bn_new, bn_free, ctx_new, bin2bn, bn2binpad, mont_new, mont_set, mont_free, exp_mont,
+     to_mont, mul_mont) = fns
     scratch = threading.local()
 
     def checked(result, name: str):
@@ -99,6 +136,15 @@ def _load_powmod():
     def load(bn, value: int) -> None:
         data = value.to_bytes((value.bit_length() + 7) // 8, "big")
         checked(bin2bn(data, len(data), bn), "BN_bin2bn")
+
+    def thread_state():
+        """The thread's ``BN_CTX``, three scratch ``BIGNUM``s and Montgomery cache."""
+        try:
+            return scratch.state
+        except AttributeError:
+            scratch.state = (checked(ctx_new(), "BN_CTX_new"),
+                             *(checked(bn_new(), "BN_new") for _ in range(3)), {})
+            return scratch.state
 
     def montgomery(mod: int, ctx, cache: dict):
         """The thread's ``(BN_MONT_CTX, modulus, output buffer)`` of ``mod``,
@@ -122,22 +168,57 @@ def _load_powmod():
         cache[mod] = entry
         return entry
 
+    def result(bn, out) -> int:
+        checked(bn2binpad(bn, out, len(out)) == len(out), "BN_bn2binpad")
+        return int.from_bytes(out.raw, "big")
+
     def powmod(base: int, exp: int, mod: int) -> int:
         if exp < 0 or mod < 3 or not mod & 1:
             return pow(base, exp, mod)
-        try:
-            ctx, r, a, p, cache = scratch.state
-        except AttributeError:
-            ctx, r, a, p, cache = scratch.state = (
-                checked(ctx_new(), "BN_CTX_new"),
-                *(checked(bn_new(), "BN_new") for _ in range(3)), {})
+        ctx, r, a, p, cache = thread_state()
         mont, m, out = montgomery(mod, ctx, cache)
         load(a, base % mod)
         load(p, exp)
         checked(exp_mont(r, a, p, m, ctx, mont), "BN_mod_exp_mont")
-        checked(bn2binpad(r, out, len(out)) == len(out), "BN_bn2binpad")
-        return int.from_bytes(out.raw, "big")
+        return result(r, out)
 
+    def load_operands(mod: int, cs: list[int]) -> _Loaded:
+        ctx, *_, cache = thread_state()
+        mont = montgomery(mod, ctx, cache)[0]
+        batch = _Loaded(mod, bn_free)
+        try:
+            for c in cs:
+                data = c.to_bytes((c.bit_length() + 7) // 8, "big")
+                bn = checked(bin2bn(data, len(data), None), "BN_bin2bn")
+                batch.operands.append(_Operand(batch, bn))
+                checked(to_mont(bn, bn, mont, ctx), "BN_to_montgomery")
+        except BaseException:
+            batch.free()
+            raise
+        return batch
+
+    def aggregate(mod: int, cs: list[_Operand], runs: list[int], width: int | None) -> int:
+        if any(not batch.live or batch.mod != mod for batch in {c.batch for c in cs}):
+            raise ValueError("operands freed or loaded for another modulus")
+        ptrs = [c.ptr for c in cs]
+        ctx, acc, step, e, cache = thread_state()
+        mont, m, out = montgomery(mod, ctx, cache)
+        load(acc, 1)
+        if len(runs) > 1:
+            load(e, 1 << width)
+        stop, started = len(ptrs), False
+        for size in reversed(runs):
+            if started:
+                checked(exp_mont(step, acc, e, m, ctx, mont), "BN_mod_exp_mont")
+                acc, step = step, acc
+            for c in ptrs[stop - size:stop]:
+                if not mul_mont(acc, acc, c, mont, ctx):
+                    raise RuntimeError(f"{soname}: BN_mod_mul_montgomery failed")
+            started |= size > 0
+            stop -= size
+        return result(acc, out)
+
+    powmod.load, powmod.aggregate = load_operands, aggregate
     return powmod
 
 
@@ -499,7 +580,36 @@ def decrypt(sk: PrivateKey, pk: PublicKey, c: int, bound: int | None = None) -> 
     return mq + (mp - mq) * sk.q_inv % sk.p * sk.q
 
 
-def aggregate(pk: PublicKey, cs: list[int], runs: list[int] | None = None,
+def _check_ciphertexts(pk: PublicKey, cs: list[int]) -> None:
+    n_squared = pk.n_squared
+    for i, c in enumerate(cs):
+        if type(c) is not int or not 0 <= c < n_squared:
+            raise EncodingError(f"ciphertext {i} is not an int in [0, n^2)")
+
+
+@contextmanager
+def operands(pk: PublicKey, cs: list[int]):
+    """The ciphertexts ``cs`` as :func:`aggregate`'s operands, for the
+    ``with`` block: under libcrypto each is loaded once into a ``BIGNUM`` in
+    Montgomery form of ``n^2``, and all are freed when the block ends; under
+    ``pow`` they are the ints themselves.
+
+    A term that is not an int in ``[0, n^2)`` raises :class:`EncodingError`,
+    as in :func:`decrypt`.  Operands of one block may be aggregated by any
+    thread, but not after the block ends.
+    """
+    _check_ciphertexts(pk, cs)
+    if _powmod is pow:
+        yield list(cs)
+        return
+    batch = _powmod.load(pk.n_squared, cs)
+    try:
+        yield batch.operands
+    finally:
+        batch.free()
+
+
+def aggregate(pk: PublicKey, cs: list, runs: list[int] | None = None,
               width: int | None = None) -> int:
     """Homomorphically add: the product of ciphertexts decrypts to the plaintext sum.
 
@@ -511,12 +621,30 @@ def aggregate(pk: PublicKey, cs: list[int], runs: list[int] | None = None,
     from the last, ``c <- c**(2**width) * (product of the next run)``, one
     exponentiation per slot after the first (cipher compression,
     SecureBoost+).
+
+    ``cs`` holds ints in ``[0, n^2)`` or the operands of an open
+    :func:`operands` block.  Under libcrypto the products and powers run
+    there, and ints are loaded for this call alone; under ``pow`` they run
+    on Python ints.  Runs that are not non-negative ints adding up to
+    ``len(cs)``, or, with more than one run, a ``width`` that is not a
+    positive int, raise ``ValueError``; a term that is not an int in
+    ``[0, n^2)`` raises :class:`EncodingError`.
     """
-    n_squared = pk.n_squared
     if runs is None:
         runs = [len(cs)]
+    elif not all(type(size) is int and size >= 0 for size in runs):
+        raise ValueError(f"runs {runs!r} are not non-negative ints")
     elif sum(runs) != len(cs):
         raise ValueError(f"runs of {sum(runs)} ciphertexts for a list of {len(cs)}")
+    if len(runs) > 1 and (type(width) is not int or width < 1):
+        raise ValueError(f"width {width!r} is not a positive int")
+    if _powmod is not pow:
+        if all(type(c) is _Operand for c in cs):
+            return _powmod.aggregate(pk.n_squared, cs, runs, width)
+        with operands(pk, cs) as loaded:
+            return _powmod.aggregate(pk.n_squared, loaded, runs, width)
+    _check_ciphertexts(pk, cs)
+    n_squared = pk.n_squared
     acc, stop = 1, len(cs)
     for size in reversed(runs):
         if acc != 1:

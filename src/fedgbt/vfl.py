@@ -87,7 +87,7 @@ from .gbt import (
     sigmoid,
     tree_row_sample,
 )
-from .paillier import EncodingError, PublicKey, aggregate, decrypt, encrypt, keygen
+from .paillier import EncodingError, PublicKey, aggregate, decrypt, encrypt, keygen, operands
 from .seeding import derive_seed
 from .transport import MessageBus
 
@@ -216,13 +216,11 @@ class PassiveParty:
         unknown = [s for s in sample_ids if s not in self.pos_of_id]
         if unknown:
             raise ProtocolError(f"{self.party_id} received unknown sample ids {unknown[:3]}")
-        unsent = [s for s in sample_ids if s not in self.enc_g]
+        unsent = [s for s in sample_ids if s not in self.enc_g or s not in self.enc_h]
         if unsent:
             raise ProtocolError(f"{self.party_id} received sample ids {unsent[:3]} that this "
                                 "tree's GRADIENT_BROADCAST did not carry")
         F, B = self.dataset.n_features, self.n_bins
-        cg = [self.enc_g[s] for s in sample_ids]
-        ch = [self.enc_h[s] for s in sample_ids]
         positions = np.array([self.pos_of_id[s] for s in sample_ids], dtype=np.int64)
         counts = np.zeros((F, B), dtype=np.int64)
         order: list[int] = []  # sample-space indices, feature by feature, bin by bin
@@ -234,14 +232,22 @@ class PassiveParty:
         ends = [0, *accumulate(sizes)]
         groups = [order[a:b] for a, b in zip(ends, ends[1:])]  # each non-empty bin's samples
 
-        def fold(cts, per_run, width):
-            return [aggregate(self.pk, [cts[i] for group in groups[k:k + per_run] for i in group],
-                              sizes[k:k + per_run], width) for k in range(0, len(sizes), per_run)]
+        def fold(name, stream, per_run, width):
+            # each ciphertext is loaded once here, whatever the features it folds into
+            try:
+                with operands(self.pk, [stream[s] for s in sample_ids]) as cts:
+                    return [aggregate(self.pk, [cts[i] for group in groups[k:k + per_run]
+                                                for i in group], sizes[k:k + per_run], width)
+                            for k in range(0, len(sizes), per_run)]
+            except EncodingError as exc:
+                raise ProtocolError(f"{self.party_id} cannot aggregate the {name} ciphertexts of "
+                                    f"this tree's GRADIENT_BROADCAST: {exc}") from None
 
         # a slot's width follows from the node's sample count alone; the
         # slot counts are the key holder's, since only it knows p
         g_layout, h_layout = level_layouts(len(sample_ids).bit_length(), self.pk.n)
-        return fold(cg, slots, g_layout.width), fold(ch, h_slots, h_layout.width), counts
+        return (fold("g", self.enc_g, slots, g_layout.width),
+                fold("h", self.enc_h, h_slots, h_layout.width), counts)
 
     def store_record(self, record_id: int, feature_local: int, bin_index: int) -> SplitRecord:
         """Keep a split at an interior boundary of one of this party's

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -5,7 +6,9 @@ import math
 import random
 import sys
 import threading
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -602,7 +605,8 @@ def test_four_threads_share_the_backend():
 
 
 _LIBCRYPTO_SYMBOLS = ["BN_new", "BN_free", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad",
-                      "BN_MONT_CTX_new", "BN_MONT_CTX_set", "BN_MONT_CTX_free", "BN_mod_exp_mont"]
+                      "BN_MONT_CTX_new", "BN_MONT_CTX_set", "BN_MONT_CTX_free", "BN_mod_exp_mont",
+                      "BN_to_montgomery", "BN_mod_mul_montgomery"]
 
 
 class _LibraryWithout:
@@ -708,3 +712,214 @@ def test_the_montgomery_cache_keeps_the_last_moduli_and_frees_what_it_evicts(mon
     assert run(moduli[:1]) == (1, 1, 1)  # evicts the least recently used, moduli[-1]
     assert run(moduli[-1:]) == (1, 1, 1)  # which evicts moduli[-2] in turn
     assert run(moduli[:1] + moduli[2:-2] + moduli[-1:]) == (0, 0, 0)
+
+
+def _horner_oracle(n_squared, cs, runs, width):
+    """The fold by Horner's rule from the last run, computed here with ``pow``."""
+    acc, stop = 1, len(cs)
+    for size in reversed(runs):
+        acc = pow(acc, 2**width, n_squared) * math.prod(cs[stop - size:stop]) % n_squared
+        stop -= size
+    return acc
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([256, 512, 2048]), st.integers(0, 2**2048),
+       st.lists(st.integers(0, 5), max_size=7), st.integers(1, 64), st.data())
+@example(256, 0, [], 1, None)
+@example(2048, 2**2048, [0], 64, None)
+@example(512, 5, [0, 3, 0], 29, None)
+def test_native_aggregate_equals_the_python_loop(key_bits, raw_n, runs, width, data):
+    # a modulus of the key's size stands in for a key: aggregate needs n alone,
+    # and n^2 has 512, 1024 or 4096 bits
+    n = raw_n % 2**key_bits | 2**(key_bits - 1) | 1
+    pk = PublicKey(n, n + 1)
+    terms = st.sampled_from([0, 1, pk.n_squared - 1]) | st.integers(0, pk.n_squared - 1)
+    cs = [1] * sum(runs) if data is None else [data.draw(terms) for _ in range(sum(runs))]
+    expected = _horner_oracle(pk.n_squared, cs, runs, width)
+    results = [aggregate(pk, cs, runs, width)]
+    if len(runs) < 2:
+        results.append(aggregate(pk, cs))
+    if paillier._powmod is not pow:
+        with paillier.operands(pk, cs) as loaded:
+            results.append(aggregate(pk, loaded, runs, width))
+    with mock.patch.object(paillier, "_powmod", pow):
+        results.append(aggregate(pk, cs, runs, width))
+        with paillier.operands(pk, cs) as loaded:
+            assert loaded == cs
+            results.append(aggregate(pk, loaded, runs, width))
+    assert results == [expected] * len(results)
+
+
+@pytest.mark.parametrize("runs, width, match", [
+    ([3, -1], 8, r"runs \[3, -1\] are not non-negative ints"),
+    ([1, 1.0], 8, r"runs \[1, 1.0\] are not non-negative ints"),
+    ([True, 1], 8, r"runs \[True, 1\] are not non-negative ints"),
+    ([1, 2], 8, "runs of 3 ciphertexts for a list of 2"),
+    ([1, 1], None, "width None is not a positive int"),
+    ([1, 1], 0, "width 0 is not a positive int"),
+    ([1, 1], 2.0, "width 2.0 is not a positive int"),
+    ([0, 2], True, "width True is not a positive int"),
+])
+def test_aggregate_rejects_runs_and_widths_up_front(keypair_512, powmod_backend, runs, width,
+                                                    match):
+    pk, _ = keypair_512
+    with pytest.raises(ValueError, match=match):
+        aggregate(pk, [2, 3], runs, width)
+
+
+def test_aggregate_needs_no_width_for_one_run(keypair_512, powmod_backend):
+    pk, _ = keypair_512
+    assert aggregate(pk, [2, 3], [2]) == aggregate(pk, [2, 3], [2], None) == 6
+
+
+@pytest.mark.parametrize("term", ["n^2", "n^2 + 1", -1, "7", 7.0, True, None])
+def test_aggregate_and_operands_reject_a_term_outside_the_ciphertext_range(
+        keypair_512, powmod_backend, term):
+    pk, _ = keypair_512
+    term = {"n^2": pk.n_squared, "n^2 + 1": pk.n_squared + 1}.get(term, term)
+    with pytest.raises(EncodingError, match=r"^ciphertext 1 is not an int in \[0, n\^2\)$"):
+        aggregate(pk, [2, term, 3], [1, 2], 8)
+    with pytest.raises(EncodingError, match=r"^ciphertext 1 is not an int in \[0, n\^2\)$"):
+        with paillier.operands(pk, [2, term]):
+            pass
+
+
+@needs_libcrypto
+def test_operands_serve_only_their_own_block_and_modulus(keypair_512):
+    pk, _ = keypair_512
+    other = PublicKey(pk.n + 2, pk.n + 3)
+    with paillier.operands(pk, [2, 3]) as loaded:
+        assert aggregate(pk, loaded) == 6
+        with pytest.raises(ValueError, match="operands freed or loaded for another modulus"):
+            aggregate(other, loaded)
+        with pytest.raises(EncodingError, match="ciphertext 0 is not an int"):
+            aggregate(pk, [*loaded, 5])  # ints and operands do not mix
+    with pytest.raises(ValueError, match="operands freed or loaded for another modulus"):
+        aggregate(pk, loaded)
+
+
+@needs_libcrypto
+def test_operands_loaded_in_one_thread_are_aggregated_in_four():
+    # every thread folds the same loaded operands with its own context and
+    # scratch numbers, among powers modulo other moduli
+    rng = random.Random(4)
+    keys = [PublicKey(n, n + 1) for n in (_odd_modulus(bits, rng.getrandbits(bits))
+                                          for bits in (256, 512, 1024))]
+    cs = {pk: [rng.randrange(pk.n_squared) for _ in range(40)] for pk in keys}
+    runs = [7, 0, 13, 20]
+    start = threading.Barrier(4)
+    mismatches = []
+
+    def compare(seed, loaded):
+        pick = random.Random(seed)
+        start.wait()
+        for _ in range(60):
+            pk = pick.choice(keys)
+            width = pick.randrange(1, 65)
+            if aggregate(pk, loaded[pk], runs, width) != _horner_oracle(pk.n_squared, cs[pk],
+                                                                        runs, width):
+                mismatches.append((seed, pk.n, width))
+            base = pick.getrandbits(600)
+            if paillier._powmod(base, 65537, pk.n) != pow(base, 65537, pk.n):
+                mismatches.append((seed, pk.n, base))
+
+    with contextlib.ExitStack() as stack:
+        loaded = {pk: stack.enter_context(paillier.operands(pk, cs[pk])) for pk in keys}
+        threads = [threading.Thread(target=compare, args=(seed, loaded)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def _counting_libcrypto(monkeypatch, counted, replaced=None):
+    """Puts a fresh libcrypto backend in place of ``paillier._powmod`` whose
+    ``counted`` symbols append ``(symbol, args)`` to the list it returns,
+    and whose ``replaced`` ones are the given Python functions."""
+    real, calls = ctypes.CDLL, []
+
+    def counting(name):
+        lib = real(name)
+
+        def wrapped(symbol):
+            fn = getattr(lib, symbol)
+            fn.restype, fn.argtypes = counted[symbol]
+            return lambda *args: calls.append((symbol, args)) or fn(*args)
+
+        return _LibraryWithout(lib, replaced={**{s: wrapped(s) for s in counted},
+                                              **(replaced or {})})
+
+    monkeypatch.setattr(ctypes, "CDLL", counting)
+    monkeypatch.setattr(paillier, "_powmod", paillier._load_powmod())
+    return calls
+
+
+_PTR = ctypes.c_void_p
+_ALLOCATING = {"BN_new": (_PTR, []), "BN_bin2bn": (_PTR, [_PTR, ctypes.c_int, _PTR]),
+               "BN_free": (None, [_PTR]), "BN_to_montgomery": (ctypes.c_int, [_PTR] * 4),
+               "BN_mod_mul_montgomery": (ctypes.c_int, [_PTR] * 5)}
+
+
+def _balance(calls):
+    """(BIGNUMs allocated, BIGNUMs freed, conversions into Montgomery form, products)."""
+    names = [symbol for symbol, _ in calls]
+    allocated = names.count("BN_new") + sum(symbol == "BN_bin2bn" and args[2] is None
+                                            for symbol, args in calls)
+    return (allocated, names.count("BN_free"), names.count("BN_to_montgomery"),
+            names.count("BN_mod_mul_montgomery"))
+
+
+@needs_libcrypto
+def test_bin_aggregate_frees_every_bignum_it_loads(monkeypatch):
+    from fedgbt.data import PartyDataset
+    from fedgbt.vfl import PassiveParty
+
+    calls = _counting_libcrypto(monkeypatch, _ALLOCATING)
+    pk, _ = keygen(key_bits=256, rng_seed=9)
+    rng = np.random.default_rng(9)
+    ids = list(range(30))
+    passive = PassiveParty("p", PartyDataset("p", np.array(ids), rng.normal(size=(30, 3)),
+                                             ("x", "y", "z")), 4)
+    passive.pk = pk
+    draw = random.Random(9)
+    passive.receive_gradients({s: encrypt(pk, draw.randrange(100), rng=draw) for s in ids},
+                              {s: encrypt(pk, draw.randrange(100), rng=draw) for s in ids})
+    passive.bin_aggregate(ids, 2, 3)  # the thread's scratch numbers and n^2's context
+    backend = paillier._powmod
+    for space in (ids, ids[5:25]):
+        del calls[:]
+        eg, eh, counts = passive.bin_aggregate(space, 2, 3)
+        # each ciphertext is loaded once per stream, and one product per
+        # (sample, feature, stream) folds it
+        assert _balance(calls) == (2 * len(space), 2 * len(space), 2 * len(space),
+                                   2 * 3 * len(space))
+        monkeypatch.setattr(paillier, "_powmod", pow)
+        assert passive.bin_aggregate(space, 2, 3)[:2] == (eg, eh)
+        monkeypatch.setattr(paillier, "_powmod", backend)
+
+
+@needs_libcrypto
+@pytest.mark.parametrize("symbol", ["BN_mod_mul_montgomery", "BN_to_montgomery"])
+def test_a_failing_product_or_conversion_raises_and_frees_its_operands(monkeypatch, symbol):
+    def fail(*args):
+        calls.append((symbol, args))
+        return 0
+
+    calls = _counting_libcrypto(monkeypatch, {s: v for s, v in _ALLOCATING.items()
+                                              if s != symbol}, {symbol: fail})
+    pk, _ = keygen(key_bits=256, rng_seed=9)
+    aggregate(pk, [])  # the thread's scratch numbers and n^2's context
+    del calls[:]
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=f"{symbol} failed"):
+            aggregate(pk, [2, 3, 5], [1, 2], 8)
+    allocated, freed, _, _ = _balance(calls)
+    assert allocated == freed > 0

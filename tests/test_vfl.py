@@ -45,6 +45,7 @@ from fedgbt.vfl import (
     vfl_train,
 )
 from test_gbt import histogram_of
+from test_paillier import powmod_backend  # a fixture, which pytest finds by name
 
 
 def named_slots(active, n_samples):
@@ -631,6 +632,40 @@ def test_a_flipped_histogram_ciphertext_is_detected(h_stream):
     sender, tree, node = bus.tampered
     assert f"{sender}'s histogram for tree {tree}, node {node}" in str(raised.value)
     assert "decrypted value outside" in str(raised.value)
+
+
+class _EditGradients(MessageBus):
+    """Applies ``change(payload)`` to a copy of the first GRADIENT_BROADCAST
+    to ``recipient``."""
+
+    def __init__(self, recipient, change):
+        super().__init__()
+        self.recipient, self.change = recipient, change
+        self.tampered = False
+
+    def send(self, sender, recipient, msg_type, round_id, payload):
+        if msg_type == "GRADIENT_BROADCAST" and recipient == self.recipient and not self.tampered:
+            payload = copy.deepcopy(payload)
+            self.change(payload)
+            self.tampered = True
+        return super().send(sender, recipient, msg_type, round_id, payload)
+
+
+@pytest.mark.parametrize("stream", ["g", "h"])
+@pytest.mark.parametrize("value", [2**1024, 2**1024 + 1], ids=["2^1024", "2^1024+1"])
+def test_a_gradient_ciphertext_outside_the_range_is_rejected(powmod_backend, stream, value):
+    # at a 256-bit key both lie above n^2; reduced modulo n^2, as a Python
+    # product would, they would pass unseen
+    datasets, _, _ = vertical_fixture(30, 1, 2, seed=29)
+    first = int(datasets["active"].sample_ids[4])
+    bus = _EditGradients("passive0", lambda p: p[f"enc_{stream}"].update({first: value}))
+    with pytest.raises(ProtocolError, match=rf"^passive0 cannot aggregate the {stream} "
+                                            r"ciphertexts of this tree's GRADIENT_BROADCAST: "
+                                            r"ciphertext \d+ is not an int in \[0, n\^2\)$"):
+        vfl_train(make_vfl_roster("active", datasets), datasets, small_params(), seed=3,
+                  bus=bus, key_bits=256)
+    assert bus.tampered
+    assert not any(e.msg_type == "ENC_HISTOGRAM_SUBMIT" for e in bus.transcript)
 
 
 def test_sibling_subtraction_rejects_impossible_children():
