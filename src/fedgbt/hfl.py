@@ -95,7 +95,8 @@ from .gbt import (
     tree_leaf_weights_binned,  # likewise
     tree_row_sample,
 )
-from .paillier import PrivateKey, PublicKey, aggregate, decrypt, encrypt, keygen
+from .paillier import (PrivateKey, PublicKey, aggregate, decrypt, encrypt, keygen,
+                       received_public_key)
 from .seeding import derive_seed, derive_uniform_int, expand_mask_words, mask_word_bytes
 from .transport import MessageBus
 
@@ -583,15 +584,10 @@ def hfl_train(
             bus.send(sid, cid, "KEY_BROADCAST", round_id,
                      {"n": server.pk.n, "g": server.pk.g, "key_bits": key_bits})
         for cid, client in clients.items():
-            key = bus.recv(cid, "KEY_BROADCAST").payload
             try:
-                pk, bits = PublicKey(n=key["n"], g=key["g"]), key["key_bits"]
-                # keygen's n has key_bits or key_bits - 1 bits
-                if type(bits) is not int or bits - pk.key_bits not in (0, 1):
-                    raise ValueError(f"key_bits {bits!r} for an n of {pk.key_bits} bits")
+                client.pk = received_public_key(bus.recv(cid, "KEY_BROADCAST").payload)
             except ValueError as exc:
                 raise ProtocolError(f"KEY_BROADCAST to {cid}: {exc}") from None
-            client.pk = pk
 
     # --- setup: shared binning from merged ranges
     round_id += 1

@@ -412,6 +412,20 @@ class PublicKey:
         return self.fixed_base.power(a)
 
 
+def received_public_key(key: dict) -> PublicKey:
+    """The public key of a ``KEY_BROADCAST`` payload (``n``, ``g`` and
+    ``key_bits``), as each recipient builds its own.
+
+    A ``g`` other than ``n + 1``, or a ``key_bits`` that is not an int
+    :func:`keygen` could have been asked for to make this ``n`` (its bit
+    length or one more), raises ``ValueError``.
+    """
+    pk, bits = PublicKey(n=key["n"], g=key["g"]), key["key_bits"]
+    if type(bits) is not int or bits - pk.key_bits not in (0, 1):
+        raise ValueError(f"key_bits {bits!r} for an n of {pk.key_bits} bits")
+    return pk
+
+
 @dataclass(frozen=True)
 class PrivateKey:
     """Decryption key: Carmichael value ``lam`` and its companion ``mu``,

@@ -42,7 +42,10 @@ then only the smaller child of each split whose children may still split,
 and the grower derives the larger child as parent minus smaller, exactly,
 on every party's features at once.
 
-Wire protocol during training: ``GRADIENT_BROADCAST``; ``SAMPLE_SPACE``
+Wire protocol during training: ``KEY_BROADCAST`` (the active party's public
+key, from which each passive party builds its own key object and checks it
+as a horizontal client does, :func:`fedgbt.paillier.received_public_key`);
+``GRADIENT_BROADCAST``; ``SAMPLE_SPACE``
 (a node's sample ids, ``slots`` and ``h_slots``) and
 ``ENC_HISTOGRAM_SUBMIT``; ``SPLIT_NOTICE`` (a foreign split's record and its
 node's sample ids) and ``PARTITION_REPLY`` (the ids that go left);
@@ -87,7 +90,8 @@ from .gbt import (
     sigmoid,
     tree_row_sample,
 )
-from .paillier import EncodingError, PublicKey, aggregate, decrypt, encrypt, keygen, operands
+from .paillier import (EncodingError, PublicKey, aggregate, decrypt, encrypt, keygen, operands,
+                       received_public_key)
 from .seeding import derive_seed
 from .transport import MessageBus
 
@@ -446,7 +450,15 @@ def vfl_train(
         pid: PassiveParty(pid, datasets[pid], params.max_bin) for pid in roster.passive_ids
     }
     aid = roster.active_id
-    round_id = 0
+    round_id = 1  # the public key, sent over the bus as to HFL clients
+    for pid in roster.passive_ids:
+        bus.send(aid, pid, "KEY_BROADCAST", round_id,
+                 {"n": active.pk.n, "g": active.pk.g, "key_bits": key_bits})
+    for pid, passive in passives.items():
+        try:
+            passive.pk = received_public_key(bus.recv(pid, "KEY_BROADCAST").payload)
+        except ValueError as exc:
+            raise ProtocolError(f"KEY_BROADCAST to {pid}: {exc}") from None
     next_record = 0
     trees: list[Tree] = []
 
@@ -462,7 +474,6 @@ def vfl_train(
                      {"tree": t, "enc_g": enc_g, "enc_h": enc_h})
         for pid, passive in passives.items():
             got = bus.recv(pid, "GRADIENT_BROADCAST").payload
-            passive.pk = active.pk  # public key is public by definition
             passive.receive_gradients(got["enc_g"], got["enc_h"])
 
         node_positions: dict[int, np.ndarray] = {0: rows}

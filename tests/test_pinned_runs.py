@@ -89,8 +89,10 @@ def test_hfl_model_and_transcript_are_pinned(secagg, expected):
 
 
 def test_vfl_model_and_transcripts_are_pinned():
+    # the training transcript opens with the public key's KEY_BROADCAST to
+    # each passive party
     assert _vfl_digests() == (
         "00c61e0b4e98339f6c823cbfc2a111d34aa3e03016b5ede9611df3dc52ee4a64",
-        "0296dff3b18afa869c3072ab48500110ceee68ea721a30a13880c09d7777ad30",
+        "3be2f7f6ad48e62846334d349d253510a8f5615b480467129faa7b06eb0d2560",
         "da84f99d064c5906e723a3ea687b300b38d3f038ae9ab40b447f7951e8998b93",
         "ce17474520b718cb9dcc45e03269de77967f4a3264ac2ce3c6fe5e8a99011142")

@@ -31,6 +31,7 @@ from fedgbt.paillier import (
     aggregate,
     decrypt,
     encrypt,
+    int_to_hex,
     keygen,
     keypair_from_primes,
 )
@@ -498,12 +499,14 @@ def test_capacity_check_counts_the_actual_samples(monkeypatch, primes, fits):
     key = keypair_from_primes(*primes)
     monkeypatch.setattr(vfl, "keygen", lambda key_bits, rng_seed: key)
     bus = MessageBus()
+    # the KEY_BROADCAST names the size the stand-in key has
+    bits = key[0].key_bits
     if fits:
-        trained, _ = vfl_train(roster, datasets, params, seed=3, bus=bus)
+        trained, _ = vfl_train(roster, datasets, params, seed=3, bus=bus, key_bits=bits)
         assert model_to_json(trained.ensemble) == model_to_json(reference.ensemble)
     else:
         with pytest.raises(EncodingError, match="fits no 27-bit slot for nodes of 6-bit counts"):
-            vfl_train(roster, datasets, params, seed=3, bus=bus)
+            vfl_train(roster, datasets, params, seed=3, bus=bus, key_bits=bits)
         assert bus.transcript == []
 
 
@@ -634,17 +637,17 @@ def test_a_flipped_histogram_ciphertext_is_detected(h_stream):
     assert "decrypted value outside" in str(raised.value)
 
 
-class _EditGradients(MessageBus):
-    """Applies ``change(payload)`` to a copy of the first GRADIENT_BROADCAST
-    to ``recipient``."""
+class _EditFirstTo(MessageBus):
+    """Applies ``change(payload)`` to a copy of the first ``msg_type``
+    message to ``recipient``."""
 
-    def __init__(self, recipient, change):
+    def __init__(self, msg_type, recipient, change):
         super().__init__()
-        self.recipient, self.change = recipient, change
+        self.msg_type, self.recipient, self.change = msg_type, recipient, change
         self.tampered = False
 
     def send(self, sender, recipient, msg_type, round_id, payload):
-        if msg_type == "GRADIENT_BROADCAST" and recipient == self.recipient and not self.tampered:
+        if (msg_type, recipient) == (self.msg_type, self.recipient) and not self.tampered:
             payload = copy.deepcopy(payload)
             self.change(payload)
             self.tampered = True
@@ -658,7 +661,8 @@ def test_a_gradient_ciphertext_outside_the_range_is_rejected(powmod_backend, str
     # product would, they would pass unseen
     datasets, _, _ = vertical_fixture(30, 1, 2, seed=29)
     first = int(datasets["active"].sample_ids[4])
-    bus = _EditGradients("passive0", lambda p: p[f"enc_{stream}"].update({first: value}))
+    bus = _EditFirstTo("GRADIENT_BROADCAST", "passive0",
+                       lambda p: p[f"enc_{stream}"].update({first: value}))
     with pytest.raises(ProtocolError, match=rf"^passive0 cannot aggregate the {stream} "
                                             r"ciphertexts of this tree's GRADIENT_BROADCAST: "
                                             r"ciphertext \d+ is not an int in \[0, n\^2\)$"):
@@ -666,6 +670,37 @@ def test_a_gradient_ciphertext_outside_the_range_is_rejected(powmod_backend, str
                   bus=bus, key_bits=256)
     assert bus.tampered
     assert not any(e.msg_type == "ENC_HISTOGRAM_SUBMIT" for e in bus.transcript)
+
+
+def test_each_passive_party_builds_its_key_from_the_key_broadcast():
+    datasets, _, _ = vertical_fixture(30, 1, 2, seed=29, n_passives=2)
+    trained, bus = vfl_train(make_vfl_roster("active", datasets), datasets,
+                             small_params(n_estimators=1), seed=3, key_bits=256)
+    keys = [e for e in bus.transcript if e.msg_type == "KEY_BROADCAST"]
+    assert [(e.sender, e.recipient, e.round_id) for e in keys] == [
+        ("active", "passive0", 1), ("active", "passive1", 1)]
+    assert bus.transcript[:2] == keys
+    pk = trained.active.pk
+    assert all(e.payload == {"n": int_to_hex(pk.n), "g": int_to_hex(pk.g), "key_bits": 256}
+               for e in keys)
+    for passive in trained.passives.values():
+        assert passive.pk == pk and passive.pk is not pk
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda p: p.update(g=p["n"] + 2), r"the public key's g is not n \+ 1"),
+    (lambda p: p.update(key_bits=258), r"key_bits 258 for an n of 25[56] bits"),
+    (lambda p: p.update(key_bits="256"), r"key_bits '256' for an n of 25[56] bits"),
+    (lambda p: p.update(key_bits=True), r"key_bits True for an n of 25[56] bits"),
+], ids=["generator", "key-bits-above", "key-bits-str", "key-bits-bool"])
+def test_a_tampered_key_broadcast_is_rejected(change, match):
+    datasets, _, _ = vertical_fixture(30, 1, 2, seed=29, n_passives=2)
+    bus = _EditFirstTo("KEY_BROADCAST", "passive1", change)
+    with pytest.raises(ProtocolError, match=rf"^KEY_BROADCAST to passive1: {match}$"):
+        vfl_train(make_vfl_roster("active", datasets), datasets, small_params(), seed=3,
+                  bus=bus, key_bits=256)
+    assert bus.tampered
+    assert not any(e.msg_type == "GRADIENT_BROADCAST" for e in bus.transcript)
 
 
 def test_sibling_subtraction_rejects_impossible_children():
