@@ -31,8 +31,19 @@ then costs 9 squarings and 80 products modulo ``n^2``, about 10x less than
 one ``pow``, and the key holder's, modulo ``p^2`` and ``q^2``, 3 squarings
 and 32 products per prime.
 
-All structures are immutable and safe to share between concurrently running
-parties.  When ``rng`` / ``rng_seed`` arguments are supplied, key generation
+An aggregator's products and Horner folds (:func:`aggregate`) run in
+libcrypto as well, on operands: :func:`operands` loads a list of
+ciphertexts once, for a ``with`` block, as ``BIGNUM``s in Montgomery form
+of ``n^2``; each product is then one ``BN_mod_mul_montgomery`` and each
+fold step one ``BN_mod_exp_mont``, and the block's end frees them.  Ints
+handed to :func:`aggregate` directly are multiplied in Python.  At a 512-bit key a
+product of loaded operands takes {PRODUCT_512}, against {PYTHON_512} on
+Python ints, and at a 2048-bit key {PRODUCT_2048} against {PYTHON_2048}
+(``scripts/paillier_timings.py``).  Under ``pow`` the operands are the ints
+and the products Python's.
+
+All structures but a block's loaded operands are immutable, and all are
+safe to share between concurrently running parties.  When ``rng`` / ``rng_seed`` arguments are supplied, key generation
 and encryption randomness are fully deterministic, which the protocol tests
 rely on for reproducible transcripts.
 """
@@ -637,12 +648,12 @@ def aggregate(pk: PublicKey, cs: list, runs: list[int] | None = None,
     SecureBoost+).
 
     ``cs`` holds ints in ``[0, n^2)`` or the operands of an open
-    :func:`operands` block.  Under libcrypto the products and powers run
-    there, and ints are loaded for this call alone; under ``pow`` they run
-    on Python ints.  Runs that are not non-negative ints adding up to
-    ``len(cs)``, or, with more than one run, a ``width`` that is not a
-    positive int, raise ``ValueError``; a term that is not an int in
-    ``[0, n^2)`` raises :class:`EncodingError`.
+    :func:`operands` block, which under libcrypto are loaded ``BIGNUM``s.
+    Those are multiplied and folded in libcrypto; ints are multiplied in
+    Python, with their fold powers from ``_powmod``.  Runs that are not
+    non-negative ints adding up to ``len(cs)``, or, with more than one run,
+    a ``width`` that is not a positive int, raise ``ValueError``; a term
+    that is not an int in ``[0, n^2)`` raises :class:`EncodingError`.
     """
     if runs is None:
         runs = [len(cs)]
@@ -652,11 +663,8 @@ def aggregate(pk: PublicKey, cs: list, runs: list[int] | None = None,
         raise ValueError(f"runs of {sum(runs)} ciphertexts for a list of {len(cs)}")
     if len(runs) > 1 and (type(width) is not int or width < 1):
         raise ValueError(f"width {width!r} is not a positive int")
-    if _powmod is not pow:
-        if all(type(c) is _Operand for c in cs):
-            return _powmod.aggregate(pk.n_squared, cs, runs, width)
-        with operands(pk, cs) as loaded:
-            return _powmod.aggregate(pk.n_squared, loaded, runs, width)
+    if cs and all(type(c) is _Operand for c in cs):
+        return _powmod.aggregate(pk.n_squared, cs, runs, width)
     _check_ciphertexts(pk, cs)
     n_squared = pk.n_squared
     acc, stop = 1, len(cs)

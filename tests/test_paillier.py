@@ -916,10 +916,12 @@ def test_a_failing_product_or_conversion_raises_and_frees_its_operands(monkeypat
     calls = _counting_libcrypto(monkeypatch, {s: v for s, v in _ALLOCATING.items()
                                               if s != symbol}, {symbol: fail})
     pk, _ = keygen(key_bits=256, rng_seed=9)
-    aggregate(pk, [])  # the thread's scratch numbers and n^2's context
+    with paillier.operands(pk, []) as loaded:  # the thread's scratch numbers and n^2's context
+        aggregate(pk, loaded)
     del calls[:]
     for _ in range(2):
         with pytest.raises(RuntimeError, match=f"{symbol} failed"):
-            aggregate(pk, [2, 3, 5], [1, 2], 8)
+            with paillier.operands(pk, [2, 3, 5]) as loaded:
+                aggregate(pk, loaded, [1, 2], 8)
     allocated, freed, _, _ = _balance(calls)
     assert allocated == freed > 0
