@@ -4,14 +4,28 @@
     PYTHONPATH=src python3 scripts/paillier_timings.py
 
 Prints one table per backend of ``paillier._powmod``: first the system
-libcrypto's ``BN_mod_exp_mont`` (skipped where no libcrypto loads), then the
-builtin ``pow``, set in place of it.  Under libcrypto an encryption's
-obfuscator is one exponentiation; under ``pow`` it comes from a Lim-Lee comb.
-At 512, 1024 and 2048 bits each table gives in ms the median of 15 runs of:
-the first encryption on a fresh key object (which computes ``h_s`` and,
-under ``pow``, builds the comb), a public-key encryption, a key-holder
-encryption (``sk=``), a bounded single-prime decryption and a full CRT
-decryption.
+libcrypto (skipped where no libcrypto loads), then the builtin ``pow``, set
+in place of it.  Under libcrypto an encryption's obfuscator is one
+``BN_mod_exp_mont`` and ``aggregate`` multiplies and folds with
+``BN_mod_mul_montgomery`` and ``BN_mod_exp_mont``; under ``pow`` the
+obfuscator comes from a Lim-Lee comb and ``aggregate`` runs on Python ints.
+
+Each row is one operation, each column a key size (512, 1024 and 2048
+bits), and each cell the median in microseconds over 61 runs, with the
+interquartile range in brackets.  The operations are:
+
+- ``first_encrypt``: the first encryption on a fresh key object, which
+  computes ``h_s`` and, under ``pow``, builds the comb;
+- ``encrypt``, ``encrypt_sk``: a public-key and a key-holder (``sk=``)
+  encryption;
+- ``decrypt_bounded``, ``decrypt_full``: a bounded single-prime and a full
+  CRT decryption;
+- ``load``: one ciphertext loaded by ``paillier.operands`` and freed, per
+  ciphertext of a block of 64;
+- ``product``: one ciphertext product of loaded operands, per term of an
+  ``aggregate`` call over 64;
+- ``fold_step``: one Horner step of width 29, per step of an ``aggregate``
+  call over one ciphertext and 32 empty runs after it.
 """
 
 from __future__ import annotations
@@ -22,42 +36,71 @@ import statistics
 from time import perf_counter
 
 from fedgbt import paillier
-from fedgbt.paillier import PublicKey, decrypt, encrypt, keygen
+from fedgbt.paillier import PublicKey, aggregate, decrypt, encrypt, keygen, operands
 
-REPS = 15
+REPS = 61
+BATCH = 64
+FOLD_STEPS = 32
 
 
-def median_ms(fn) -> float:
+def quartiles_us(fn, per: int = 1) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of ``REPS`` runs of ``fn``,
+    each divided by ``per``, in microseconds."""
     times = []
     for _ in range(REPS):
         start = perf_counter()
         fn()
-        times.append(perf_counter() - start)
-    return 1e3 * statistics.median(times)
+        times.append(1e6 * (perf_counter() - start) / per)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return q1, median, q3
+
+
+def us(value: float) -> str:
+    """At least three significant digits, in fixed point."""
+    return f"{value:.3g}" if value < 100 else f"{value:.0f}"
+
+
+def load_and_free(pk: PublicKey, cs: list[int]) -> None:
+    with operands(pk, cs):
+        pass
+
+
+def measure(held_pk: PublicKey, held_sk, bits: int) -> dict[str, tuple[float, float, float]]:
+    # fresh key objects, so nothing one backend computed serves the other
+    pk, sk = PublicKey(held_pk.n, held_pk.g), dataclasses.replace(held_sk)
+    rng = random.Random(bits)
+    cells = {"first_encrypt": quartiles_us(lambda: encrypt(PublicKey(pk.n, pk.g), 12345,
+                                                           rng=rng))}
+    c = encrypt(pk, 12345, rng=rng)
+    encrypt(pk, 12345, rng=rng, sk=sk)  # sk's bases (and combs), outside the timings
+    cells["encrypt"] = quartiles_us(lambda: encrypt(pk, 12345, rng=rng))
+    cells["encrypt_sk"] = quartiles_us(lambda: encrypt(pk, 12345, rng=rng, sk=sk))
+    cells["decrypt_bounded"] = quartiles_us(lambda: decrypt(sk, pk, c, bound=2**40))
+    cells["decrypt_full"] = quartiles_us(lambda: decrypt(sk, pk, c))
+    cs = [encrypt(pk, rng.randrange(2**20), rng=rng, sk=sk) for _ in range(BATCH)]
+    cells["load"] = quartiles_us(lambda: load_and_free(pk, cs), BATCH)
+    with operands(pk, cs) as loaded:
+        cells["product"] = quartiles_us(lambda: aggregate(pk, loaded), BATCH)
+        runs = [0] * FOLD_STEPS + [1]  # the last run's product, then one step per empty run
+        cells["fold_step"] = quartiles_us(lambda: aggregate(pk, loaded[:1], runs, 29),
+                                          FOLD_STEPS)
+    return cells
 
 
 def main() -> None:
     keys = {bits: keygen(key_bits=bits, rng_seed=bits) for bits in (512, 1024, 2048)}
     backends = [("builtin pow", pow)]
     if paillier._powmod is not pow:
-        backends.insert(0, ("libcrypto BN_mod_exp_mont", paillier._powmod))
+        backends.insert(0, ("libcrypto", paillier._powmod))
     for name, powmod in backends:
         paillier._powmod = powmod
-        print(f"modular exponentiation: {name}")
-        print("key_bits  first_encrypt  encrypt  encrypt_sk  decrypt_bounded  decrypt_full")
-        for bits, (held_pk, held_sk) in keys.items():
-            # fresh key objects, so nothing one backend computed serves the other
-            pk, sk = PublicKey(held_pk.n, held_pk.g), dataclasses.replace(held_sk)
-            rng = random.Random(bits)
-            first = median_ms(lambda: encrypt(PublicKey(pk.n, pk.g), 12345, rng=rng))
-            c = encrypt(pk, 12345, rng=rng)
-            encrypt(pk, 12345, rng=rng, sk=sk)  # sk's bases (and combs), outside the timings
-            row = [first,
-                   median_ms(lambda: encrypt(pk, 12345, rng=rng)),
-                   median_ms(lambda: encrypt(pk, 12345, rng=rng, sk=sk)),
-                   median_ms(lambda: decrypt(sk, pk, c, bound=2**40)),
-                   median_ms(lambda: decrypt(sk, pk, c))]
-            print(f"{bits:8d}" + "".join(f"{v:{w}.3f}" for v, w in zip(row, (15, 9, 12, 17, 14))))
+        columns = {bits: measure(pk, sk, bits) for bits, (pk, sk) in keys.items()}
+        print(f"modular arithmetic: {name}; median us [interquartile range] of {REPS} runs")
+        print(f"{'':16}" + "".join(f"{bits:>30}" for bits in keys))
+        for op in columns[512]:
+            cells = (columns[bits][op] for bits in keys)
+            print(f"{op:16}" + "".join(f"{f'{us(m)} [{us(q1)}-{us(q3)}]':>30}"
+                                       for q1, m, q3 in cells))
 
 
 if __name__ == "__main__":

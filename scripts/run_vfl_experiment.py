@@ -7,7 +7,7 @@ comparison tables plus privacy-cost rows and communication accounting.
 
 The federation always runs real Paillier encryption under the active
 party's key; at 512-bit keys on a 2-core box its federated regime takes
-about 20 s with the system libcrypto and about 50 s without it (five
+about 17 s with the system libcrypto and about 50 s without it (five
 folds).  ``--trees`` and ``--folds`` shorten it.
 """
 

@@ -27,7 +27,12 @@ sample's quantized gradients (:func:`fedgbt.gbt.quantize`) with its private
 key's per-prime powers.  A passive party folds only the bins its counts say
 are non-empty, in flat (feature, bin) order, each run of them into one
 ciphertext by Horner's rule, ``c <- c**(2**w) * c_next`` (cipher
-compression, after SecureBoost+).  The slots are those of the horizontal
+compression, after SecureBoost+).  Per node and stream it loads each of the
+node's ciphertexts once (:func:`fedgbt.paillier.operands`), so under
+libcrypto every product and fold step of every feature runs there on
+operands already in Montgomery form, and frees them before it replies.
+A ciphertext outside ``[0, n^2)`` is rejected there, naming the
+``GRADIENT_BROADCAST``.  The slots are those of the horizontal
 federation (:func:`fedgbt.gbt.level_layouts`) for a node of ``n`` samples:
 g at an offset, h unsigned.  Only the active party knows ``p``, so it names
 each stream's slot count in each ``SAMPLE_SPACE``, the most whose fold stays
@@ -45,18 +50,19 @@ on every party's features at once.
 Wire protocol during training: ``KEY_BROADCAST`` (the active party's public
 key, from which each passive party builds its own key object and checks it
 as a horizontal client does, :func:`fedgbt.paillier.received_public_key`);
-``GRADIENT_BROADCAST``; ``SAMPLE_SPACE``
-(a node's sample ids, ``slots`` and ``h_slots``) and
-``ENC_HISTOGRAM_SUBMIT``; ``SPLIT_NOTICE`` (a foreign split's record and its
-node's sample ids) and ``PARTITION_REPLY`` (the ids that go left);
+``GRADIENT_BROADCAST``; ``SAMPLE_SPACE`` (a node's sample ids, ``slots``
+and ``h_slots``) and ``ENC_HISTOGRAM_SUBMIT``; ``SPLIT_NOTICE`` (a foreign
+split's record and its node's sample ids) and ``PARTITION_REPLY`` (the ids
+that go left);
 ``INFER_QUERY`` / ``INFER_REPLY`` for out-of-bag rows.  During prediction:
 ``INFER_QUERY`` / ``INFER_REPLY``.  Every payload's fields and wire form are
 those of :data:`fedgbt.transport.MESSAGES`: the parties hand the bus
 ciphertexts as ints and counts as lists, and read them back decoded.  A
-ciphertext is a plain int throughout, and a passive party keeps the
-``GRADIENT_BROADCAST`` maps of sample id to ciphertext as they arrive.  It
-rejects a ``SPLIT_NOTICE`` that reuses a record id, whose feature or bin is
-not an int in range, or that names a sample id it does not hold.
+ciphertext is a plain int on the wire and between calls, and a passive
+party keeps the ``GRADIENT_BROADCAST`` maps of sample id to ciphertext as
+they arrive.  It rejects a ``SPLIT_NOTICE`` that reuses a record id, whose
+feature or bin is not an int in range, or that names a sample id it does
+not hold.
 """
 
 from __future__ import annotations
