@@ -80,11 +80,13 @@ class _Operand:
 
 
 class _Loaded:
-    """A batch of :class:`_Operand` of one modulus ``mod``; :meth:`free`
-    releases every ``BIGNUM`` of it, after which ``live`` is false."""
+    """A batch of :class:`_Operand` of one modulus ``mod``, with ``fold``,
+    the libcrypto fold of the backend that loaded it; :meth:`free` releases
+    every ``BIGNUM`` of it, after which ``live`` is false."""
 
-    def __init__(self, mod: int, bn_free):
-        self.mod, self.operands, self.live, self._bn_free = mod, [], True, bn_free
+    def __init__(self, mod: int, bn_free, fold):
+        self.mod, self.operands, self.live = mod, [], True
+        self._bn_free, self.fold = bn_free, fold
 
     def free(self) -> None:
         self.live = False
@@ -107,11 +109,11 @@ def _load_powmod():
     as the process.  ``BN_mod_exp_mont`` is variable-time, as CPython's
     ``pow`` is.
 
-    The libcrypto function also carries what :func:`operands` and
-    :func:`aggregate` run on it: ``load(mod, cs)`` returns a
-    :class:`_Loaded` batch of the ints ``cs``, each converted once into
-    Montgomery form of ``mod``, and ``aggregate(mod, operands, runs,
-    width)`` folds such operands.  Its running product stays in plain form:
+    The libcrypto function also carries ``load(mod, cs)``, which
+    :func:`operands` runs: it returns a :class:`_Loaded` batch of the ints
+    ``cs``, each converted once into Montgomery form of ``mod``, whose
+    ``fold(mod, operands, runs, width)`` :func:`aggregate` runs on such
+    operands.  The fold's running product stays in plain form:
     ``BN_mod_mul_montgomery`` of a plain factor and a Montgomery-form one is
     their plain product, so each product is one call, each Horner step one
     ``BN_mod_exp_mont`` with no conversion around it, and the result one
@@ -197,7 +199,7 @@ def _load_powmod():
     def load_operands(mod: int, cs: list[int]) -> _Loaded:
         ctx, *_, cache = thread_state()
         mont = montgomery(mod, ctx, cache)[0]
-        batch = _Loaded(mod, bn_free)
+        batch = _Loaded(mod, bn_free, fold)
         try:
             for c in cs:
                 data = c.to_bytes((c.bit_length() + 7) // 8, "big")
@@ -209,7 +211,7 @@ def _load_powmod():
             raise
         return batch
 
-    def aggregate(mod: int, cs: list[_Operand], runs: list[int], width: int | None) -> int:
+    def fold(mod: int, cs: list[_Operand], runs: list[int], width: int | None) -> int:
         if any(not batch.live or batch.mod != mod for batch in {c.batch for c in cs}):
             raise ValueError("operands freed or loaded for another modulus")
         ptrs = [c.ptr for c in cs]
@@ -230,7 +232,7 @@ def _load_powmod():
             stop -= size
         return result(acc, out)
 
-    powmod.load, powmod.aggregate = load_operands, aggregate
+    powmod.load = load_operands
     return powmod
 
 
@@ -650,11 +652,12 @@ def aggregate(pk: PublicKey, cs: list, runs: list[int] | None = None,
 
     ``cs`` holds ints in ``[0, n^2)`` or the operands of an open
     :func:`operands` block, which under libcrypto are loaded ``BIGNUM``s.
-    Those are multiplied and folded in libcrypto; ints are multiplied in
-    Python, with their fold powers from ``_powmod``.  Runs that are not
-    non-negative ints adding up to ``len(cs)``, or, with more than one run,
-    a ``width`` that is not a positive int, raise ``ValueError``; a term
-    that is not an int in ``[0, n^2)`` raises :class:`EncodingError`.
+    Those are multiplied and folded by the libcrypto that loaded them,
+    whatever ``_powmod`` is now; ints are multiplied in Python, with their
+    fold powers from ``_powmod``.  Runs that are not non-negative ints
+    adding up to ``len(cs)``, or, with more than one run, a ``width`` that
+    is not a positive int, raise ``ValueError``; a term that is not an int
+    in ``[0, n^2)`` raises :class:`EncodingError`.
     """
     if runs is None:
         runs = [len(cs)]
@@ -665,7 +668,7 @@ def aggregate(pk: PublicKey, cs: list, runs: list[int] | None = None,
     if len(runs) > 1 and (type(width) is not int or width < 1):
         raise ValueError(f"width {width!r} is not a positive int")
     if cs and all(type(c) is _Operand for c in cs):
-        return _powmod.aggregate(pk.n_squared, cs, runs, width)
+        return cs[0].batch.fold(pk.n_squared, cs, runs, width)
     _check_ciphertexts(pk, cs)
     n_squared = pk.n_squared
     acc, stop = 1, len(cs)

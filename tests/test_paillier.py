@@ -622,6 +622,28 @@ class _LibraryWithout:
         return self._replaced.get(name) or getattr(self._lib, name)
 
 
+def _counting_libcrypto(monkeypatch, counted, replaced=None):
+    """Puts a fresh libcrypto backend in place of ``paillier._powmod`` whose
+    ``counted`` symbols append ``(symbol, args)`` to the list it returns,
+    and whose ``replaced`` ones are the given Python functions."""
+    real, calls = ctypes.CDLL, []
+
+    def counting(name):
+        lib = real(name)
+
+        def wrapped(symbol):
+            fn = getattr(lib, symbol)
+            fn.restype, fn.argtypes = counted[symbol]
+            return lambda *args: calls.append((symbol, args)) or fn(*args)
+
+        return _LibraryWithout(lib, replaced={**{s: wrapped(s) for s in counted},
+                                              **(replaced or {})})
+
+    monkeypatch.setattr(ctypes, "CDLL", counting)
+    monkeypatch.setattr(paillier, "_powmod", paillier._load_powmod())
+    return calls
+
+
 def test_a_library_that_does_not_load_leaves_pow(monkeypatch):
     asked = []
 
@@ -679,24 +701,11 @@ def test_a_failing_libcrypto_call_raises(monkeypatch):
 
 @needs_libcrypto
 def test_the_montgomery_cache_keeps_the_last_moduli_and_frees_what_it_evicts(monkeypatch):
-    real, calls = ctypes.CDLL, []
-
-    def counting(name):
-        lib = real(name)
-
-        def counted(symbol, restype, argtypes):
-            fn = getattr(lib, symbol)
-            fn.restype, fn.argtypes = restype, argtypes
-            return lambda *args: calls.append(symbol) or fn(*args)
-
-        ptr = ctypes.c_void_p
-        return _LibraryWithout(lib, replaced={
-            "BN_MONT_CTX_set": counted("BN_MONT_CTX_set", ctypes.c_int, [ptr] * 3),
-            "BN_MONT_CTX_free": counted("BN_MONT_CTX_free", None, [ptr]),
-            "BN_free": counted("BN_free", None, [ptr])})
-
-    monkeypatch.setattr(ctypes, "CDLL", counting)
-    powmod = paillier._load_powmod()
+    ptr = ctypes.c_void_p
+    calls = _counting_libcrypto(monkeypatch, {"BN_MONT_CTX_set": (ctypes.c_int, [ptr] * 3),
+                                              "BN_MONT_CTX_free": (None, [ptr]),
+                                              "BN_free": (None, [ptr])})
+    powmod = paillier._powmod
     size = paillier._MONTGOMERY_CACHE_SIZE
     moduli = [_odd_modulus(256, 2 * raw) for raw in range(size + 2)]
 
@@ -704,7 +713,8 @@ def test_the_montgomery_cache_keeps_the_last_moduli_and_frees_what_it_evicts(mon
         del calls[:]
         for mod in mods:
             assert powmod(5, mod >> 1, mod) == pow(5, mod >> 1, mod)
-        return calls.count("BN_MONT_CTX_set"), calls.count("BN_MONT_CTX_free"), calls.count(
+        names = [symbol for symbol, _ in calls]
+        return names.count("BN_MONT_CTX_set"), names.count("BN_MONT_CTX_free"), names.count(
             "BN_free")
 
     assert run(moduli) == (size + 2, 2, 2)  # the first two are evicted
@@ -786,11 +796,15 @@ def test_aggregate_and_operands_reject_a_term_outside_the_ciphertext_range(
 
 
 @needs_libcrypto
-def test_operands_serve_only_their_own_block_and_modulus(keypair_512):
+def test_operands_serve_only_their_own_block_and_modulus(keypair_512, monkeypatch):
     pk, _ = keypair_512
     other = PublicKey(pk.n + 2, pk.n + 3)
     with paillier.operands(pk, [2, 3]) as loaded:
         assert aggregate(pk, loaded) == 6
+        with monkeypatch.context() as patched:  # the backend that loaded them folds them
+            patched.setattr(paillier, "_powmod", pow)
+            n_squared = pk.n_squared
+            assert aggregate(pk, loaded, [1, 1], 8) == pow(3, 2**8, n_squared) * 2 % n_squared
         with pytest.raises(ValueError, match="operands freed or loaded for another modulus"):
             aggregate(other, loaded)
         with pytest.raises(EncodingError, match="ciphertext 0 is not an int"):
@@ -838,28 +852,6 @@ def test_operands_loaded_in_one_thread_are_aggregated_in_four():
             sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
-
-
-def _counting_libcrypto(monkeypatch, counted, replaced=None):
-    """Puts a fresh libcrypto backend in place of ``paillier._powmod`` whose
-    ``counted`` symbols append ``(symbol, args)`` to the list it returns,
-    and whose ``replaced`` ones are the given Python functions."""
-    real, calls = ctypes.CDLL, []
-
-    def counting(name):
-        lib = real(name)
-
-        def wrapped(symbol):
-            fn = getattr(lib, symbol)
-            fn.restype, fn.argtypes = counted[symbol]
-            return lambda *args: calls.append((symbol, args)) or fn(*args)
-
-        return _LibraryWithout(lib, replaced={**{s: wrapped(s) for s in counted},
-                                              **(replaced or {})})
-
-    monkeypatch.setattr(ctypes, "CDLL", counting)
-    monkeypatch.setattr(paillier, "_powmod", paillier._load_powmod())
-    return calls
 
 
 _PTR = ctypes.c_void_p
