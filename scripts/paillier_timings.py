@@ -8,14 +8,14 @@ libcrypto (skipped where no libcrypto loads), then the builtin ``pow``, set
 in place of it.  Under libcrypto an encryption's obfuscator is one
 ``BN_mod_exp_mont`` and ``aggregate`` multiplies and folds with
 ``BN_mod_mul_montgomery`` and ``BN_mod_exp_mont``; under ``pow`` the
-obfuscator comes from a Lim-Lee comb and ``aggregate`` runs on Python ints.
+obfuscator is one ``pow`` and ``aggregate`` runs on Python ints.
 
 Each row is one operation, each column a key size (512, 1024 and 2048
 bits), and each cell the median in microseconds over 61 runs, with the
 interquartile range in brackets.  The operations are:
 
 - ``first_encrypt``: the first encryption on a fresh key object, which
-  computes ``h_s`` and, under ``pow``, builds the comb;
+  computes ``h_s``;
 - ``encrypt``, ``encrypt_sk``: a public-key and a key-holder (``sk=``)
   encryption;
 - ``decrypt_bounded``, ``decrypt_full``: a bounded single-prime and a full
@@ -72,7 +72,7 @@ def measure(held_pk: PublicKey, held_sk, bits: int) -> dict[str, tuple[float, fl
     cells = {"first_encrypt": quartiles_us(lambda: encrypt(PublicKey(pk.n, pk.g), 12345,
                                                            rng=rng))}
     c = encrypt(pk, 12345, rng=rng)
-    encrypt(pk, 12345, rng=rng, sk=sk)  # sk's bases (and combs), outside the timings
+    encrypt(pk, 12345, rng=rng, sk=sk)  # sk's bases, outside the timings
     cells["encrypt"] = quartiles_us(lambda: encrypt(pk, 12345, rng=rng))
     cells["encrypt_sk"] = quartiles_us(lambda: encrypt(pk, 12345, rng=rng, sk=sk))
     cells["decrypt_bounded"] = quartiles_us(lambda: decrypt(sk, pk, c, bound=2**40))

@@ -16,20 +16,18 @@ refused.
 
 Encryption draws its obfuscator from a fixed public base, in the manner of
 Damgård, Jurik and Nielsen (2010): ``r^n`` becomes ``h_s^a`` with a
-full-length exponent ``a``, and each key object computes ``h_s`` once
-(:class:`FixedBase`).  Every modular exponentiation (these powers,
-decryption, the aggregator's folds and keygen's Miller-Rabin rounds) goes
-through ``_powmod``: OpenSSL's Montgomery exponentiation from the system
-``libcrypto``, loaded by soname through ``ctypes``, or the builtin ``pow``
-where that library does not load.  The two give the same integers, so
-keys, ciphertexts and transcripts do not depend on which one runs.  At a
-512-bit key libcrypto takes an aggregator's fold power about 4x faster,
-and a full decryption about 9x.  Under ``pow`` alone, ``h_s^a`` comes from
-a Lim-Lee comb (Lim and Lee, CRYPTO '94; :class:`FixedBaseComb`) of 8 rows
-of 256 powers, built once per key object: at a 512-bit key an encryption
-then costs 9 squarings and 80 products modulo ``n^2``, about 10x less than
-one ``pow``, and the key holder's, modulo ``p^2`` and ``q^2``, 3 squarings
-and 32 products per prime.
+full-length exponent ``a``, and each key object computes ``h_s`` once.
+Every modular exponentiation (these powers, decryption, the aggregator's
+folds and keygen's Miller-Rabin rounds) goes through ``_powmod``:
+OpenSSL's Montgomery exponentiation from the ``libcrypto`` that the
+interpreter's ``_hashlib`` links, or failing that one loaded by soname,
+through ``ctypes``; or the builtin ``pow`` where no libcrypto loads.  The
+two give the same integers, so keys, ciphertexts and transcripts do not
+depend on which one runs.  An obfuscator is one ``_powmod`` modulo
+``n^2``, or for the key holder one modulo each of ``p^2`` and ``q^2``.
+At a 512-bit key libcrypto takes an encryption about 10x faster than
+``pow``, an aggregator's fold step about 8x, and a full decryption about
+9x (``scripts/paillier_timings.py``).
 
 An aggregator's products and Horner folds (:func:`aggregate`) run in
 libcrypto as well, on operands: :func:`operands` loads a list of
@@ -59,8 +57,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 _LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
 
@@ -98,7 +94,9 @@ class _Loaded:
 def _load_powmod():
     """``pow(base, exp, mod)`` computed by OpenSSL's ``BN_mod_exp_mont``
     (Montgomery, Math. Comp. 1985), or the builtin ``pow`` when no
-    ``libcrypto`` with the symbols it needs loads.
+    ``libcrypto`` with the symbols it needs loads.  The library is looked
+    up first through the interpreter's ``_hashlib`` extension, whose
+    ``BN_*`` symbols resolve in the libcrypto it links, then by soname.
 
     Both give the same integer for every argument.  A negative exponent or
     a modulus that is even or below 3 goes to ``pow``, as Montgomery
@@ -127,9 +125,14 @@ def _load_powmod():
         "BN_MONT_CTX_free": (None, [ptr]), "BN_mod_exp_mont": (c_int, [ptr] * 6),
         "BN_to_montgomery": (c_int, [ptr] * 4), "BN_mod_mul_montgomery": (c_int, [ptr] * 5),
     }
-    for soname in _LIBCRYPTO_SONAMES:
+    try:
+        import _hashlib
+        libraries = (_hashlib.__file__, *_LIBCRYPTO_SONAMES)
+    except (ImportError, AttributeError):  # no _hashlib, or one built into the interpreter
+        libraries = _LIBCRYPTO_SONAMES
+    for library in libraries:
         try:
-            lib = ctypes.CDLL(soname)
+            lib = ctypes.CDLL(library)
             fns = [getattr(lib, name) for name in signatures]
             break
         except (OSError, AttributeError):
@@ -144,7 +147,7 @@ def _load_powmod():
 
     def checked(result, name: str):
         if not result:
-            raise RuntimeError(f"{soname}: {name} failed")
+            raise RuntimeError(f"{library}: {name} failed")
         return result
 
     def load(bn, value: int) -> None:
@@ -227,7 +230,7 @@ def _load_powmod():
                 acc, step = step, acc
             for c in ptrs[stop - size:stop]:
                 if not mul_mont(acc, acc, c, mont, ctx):
-                    raise RuntimeError(f"{soname}: BN_mod_mul_montgomery failed")
+                    raise RuntimeError(f"{library}: BN_mod_mul_montgomery failed")
             started |= size > 0
             stop -= size
         return result(acc, out)
@@ -287,6 +290,8 @@ class EncodingError(ValueError):
     """Value outside the admissible plaintext or fixed-point range."""
 
 
+_MIN_KEY_BITS = 16
+
 # The obfuscator exponent has n.bit_length() + 128 bits, so ``a`` reduced
 # modulo the order of h (below n) is within 2^-128 of uniform.
 OBFUSCATOR_SLACK_BITS = 128
@@ -311,81 +316,6 @@ def _obfuscator_base(n: int) -> int:
 def _check_exponent(a: int, bits: int) -> None:
     if not 0 <= a < 1 << bits:
         raise ValueError(f"exponent outside [0, 2^{bits})")
-
-
-@dataclass(frozen=True)
-class FixedBaseComb:
-    """Powers of one base from a Lim-Lee comb (Lim and Lee, CRYPTO '94).
-
-    An exponent of at most ``64 * steps`` bits is read as 8 teeth of 8
-    blocks of ``steps`` bits: bit ``(8i + j) * steps + k`` is step ``k`` of
-    block ``j`` of tooth ``i``.  ``rows[j][u]`` is the product of
-    ``base^(2^((8i + j) * steps))`` over the set bits ``i`` of the 8-bit
-    digit ``u``, so a power costs ``steps - 1`` squarings and one product
-    per block and step.
-    """
-
-    mod: int
-    steps: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, base: int, mod: int, bits: int) -> FixedBaseComb:
-        """The comb of ``base`` modulo ``mod`` for exponents of ``bits`` bits:
-        ``63 * steps`` squarings and 8 rows of 256 entries."""
-        steps = -(-bits // 64)
-        powers = [base % mod]  # powers[8i + j] = base^(2^((8i + j) * steps))
-        for _ in range(63):
-            x = powers[-1]
-            for _ in range(steps):
-                x = x * x % mod
-            powers.append(x)
-        rows = []
-        for j in range(8):
-            row = [1]
-            for i in range(8):
-                row += [x * powers[8 * i + j] % mod for x in row]
-            rows.append(tuple(row))
-        return cls(mod, steps, tuple(rows))
-
-    def power(self, a: int) -> int:
-        """``base^a mod mod`` for ``a >= 0`` of at most ``64 * steps`` bits."""
-        _check_exponent(a, 64 * self.steps)
-        # one bit transpose: digit (j, k) gathers step k of block j of every tooth
-        bits = np.unpackbits(np.frombuffer(a.to_bytes(8 * self.steps, "little"), np.uint8),
-                             bitorder="little").reshape(8, 8, self.steps)
-        digits = np.packbits(bits, axis=0, bitorder="little")[0]
-        acc, mod = 1, self.mod
-        for column in digits.T[::-1].tolist():
-            acc = acc * acc % mod
-            for row, digit in zip(self.rows, column):
-                acc = acc * row[digit] % mod
-        return acc
-
-
-@dataclass(frozen=True)
-class FixedBase:
-    """Powers ``base^a mod mod`` of one public base, ``0 <= a < 2^bits``.
-
-    Under libcrypto a power is one ``_powmod``.  Under the builtin ``pow``
-    it comes from a :class:`FixedBaseComb`, built on first use, which there
-    is about 10x faster than ``pow`` at a 512-bit key.  The choice is read
-    at each call, so a test that swaps ``_powmod`` runs either side.
-    """
-
-    base: int
-    mod: int
-    bits: int
-
-    @cached_property
-    def comb(self) -> FixedBaseComb:
-        return FixedBaseComb.build(self.base, self.mod, self.bits)
-
-    def power(self, a: int) -> int:
-        _check_exponent(a, self.bits)
-        if _powmod is pow:
-            return self.comb.power(a)
-        return _powmod(self.base, a, self.mod)
 
 
 @dataclass(frozen=True)
@@ -414,29 +344,35 @@ class PublicKey:
         return self.n.bit_length() + OBFUSCATOR_SLACK_BITS
 
     @cached_property
-    def fixed_base(self) -> FixedBase:
-        """``h_s = h^n mod n^2``, computed on first use, once per key object."""
-        h_s = _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
-        return FixedBase(h_s, self.n_squared, self.obfuscator_bits)
+    def h_s(self) -> int:
+        """``h^n mod n^2``, the obfuscators' base, computed on first use,
+        once per key object."""
+        return _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
 
     def obfuscator(self, a: int) -> int:
-        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``: one
-        exponentiation under libcrypto; under ``pow``, at a 512-bit key, 9
-        squarings and 80 products from a comb of 10 steps."""
-        return self.fixed_base.power(a)
+        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``."""
+        _check_exponent(a, self.obfuscator_bits)
+        return _powmod(self.h_s, a, self.n_squared)
 
 
 def received_public_key(key: dict) -> PublicKey:
     """The public key of a ``KEY_BROADCAST`` payload (``n``, ``g`` and
     ``key_bits``), as each recipient builds its own.
 
-    A ``g`` other than ``n + 1``, or a ``key_bits`` that is not an int
+    A ``g`` other than ``n + 1``, a ``key_bits`` that is not an int
     :func:`keygen` could have been asked for to make this ``n`` (its bit
-    length or one more), raises ``ValueError``.
+    length or one more, and at least 16), or an even ``n`` raises
+    ``ValueError``.  No :func:`keygen` key is refused, and under an ``n``
+    of 1, 2, 3, 4 or 6 :func:`_obfuscator_base` would find no unit and
+    never return.
     """
     pk, bits = PublicKey(n=key["n"], g=key["g"]), key["key_bits"]
     if type(bits) is not int or bits - pk.key_bits not in (0, 1):
         raise ValueError(f"key_bits {bits!r} for an n of {pk.key_bits} bits")
+    if bits < _MIN_KEY_BITS:
+        raise ValueError(f"key_bits {bits} below {_MIN_KEY_BITS}")
+    if not pk.n & 1:
+        raise ValueError("n is even")
     return pk
 
 
@@ -463,21 +399,18 @@ class PrivateKey:
     q_inv: int
 
     @cached_property
-    def fixed_bases(self) -> tuple[FixedBase, FixedBase]:
+    def h_s_halves(self) -> tuple[int, int]:
         """``h_s`` modulo ``p^2`` and modulo ``q^2``, computed on first use,
         once per key object.
 
         ``h_s = h^n`` is a ``p``-th power modulo ``p^2``, so its order there
         divides ``p - 1``: an exponent reduced modulo ``p - 1`` has
-        ``p.bit_length()`` bits only (a comb of 4 steps at a 512-bit key),
-        and each product is half as wide as one modulo ``n^2``.  Likewise
-        for ``q``.
+        ``p.bit_length()`` bits only, and each product is half as wide as
+        one modulo ``n^2``.  Likewise for ``q``.
         """
         n = self.p * self.q
         h = _obfuscator_base(n)
-        return tuple(FixedBase(_powmod(h, n, prime_squared), prime_squared, prime.bit_length())
-                     for prime, prime_squared in ((self.p, self.p_squared),
-                                                  (self.q, self.q_squared)))
+        return _powmod(h, n, self.p_squared), _powmod(h, n, self.q_squared)
 
     @cached_property
     def q_squared_inv(self) -> int:
@@ -490,9 +423,9 @@ class PrivateKey:
         and ``q^2`` of ``a mod (p - 1)`` and ``a mod (q - 1)``, joined by the
         Chinese remainder theorem."""
         _check_exponent(a, (self.p * self.q).bit_length() + OBFUSCATOR_SLACK_BITS)
-        base_p, base_q = self.fixed_bases
-        xp = base_p.power(a % (self.p - 1))
-        xq = base_q.power(a % (self.q - 1))
+        h_p, h_q = self.h_s_halves
+        xp = _powmod(h_p, a % (self.p - 1), self.p_squared)
+        xq = _powmod(h_q, a % (self.q - 1), self.q_squared)
         return xq + (xp - xq) * self.q_squared_inv % self.p_squared * self.q_squared
 
 
@@ -530,7 +463,7 @@ def keygen(key_bits: int = 2048, rng_seed: int | None = None) -> tuple[PublicKey
 
     A seed makes the whole procedure deterministic.
     """
-    if key_bits < 16:
+    if key_bits < _MIN_KEY_BITS:
         raise ValueError("key_bits too small to form a workable modulus")
     rng = random.Random(rng_seed) if rng_seed is not None else random.SystemRandom()
     half = key_bits // 2
@@ -547,20 +480,18 @@ def keygen(key_bits: int = 2048, rng_seed: int | None = None) -> tuple[PublicKey
     raise KeyGenerationError("failed to assemble a valid keypair")
 
 
-def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | None = None,
+def encrypt(pk: PublicKey, m: int, rng: random.Random | None = None,
             sk: PrivateKey | None = None) -> int:
     """Encrypt plaintext ``m`` in [0, n) as ``g^m * r^n mod n^2``, where
     ``g^m = (n + 1)^m = 1 + m * n``.
 
-    Without ``r``, the obfuscator is ``h_s^a = (h^a)^n`` with ``a`` drawn
-    from ``rng`` (the system CSPRNG when None), computed from the key's
-    fixed base (:meth:`PublicKey.obfuscator`); that is ``r = h^a mod n``.
-    Security rests on the decisional composite residuosity assumption, as
-    for textbook Paillier, with ``r`` statistically close to uniform over
-    the subgroup generated by ``h`` (Damgård-Jurik-Nielsen 2010).  The exponent is full length;
-    their short-exponent variant would add a further assumption and is not
-    used.  An explicit ``r``, a unit modulo ``n``, gives the textbook
-    ``r^n``.
+    The obfuscator is ``r^n = h_s^a = (h^a)^n`` with ``a`` drawn from ``rng``
+    (the system CSPRNG when None), that is ``r = h^a mod n``
+    (:meth:`PublicKey.obfuscator`).  Security rests on the decisional
+    composite residuosity assumption, as for textbook Paillier, with ``r``
+    statistically close to uniform over the subgroup generated by ``h``
+    (Damgård-Jurik-Nielsen 2010).  The exponent is full length; their
+    short-exponent variant would add a further assumption and is not used.
 
     The key holder may pass its own ``sk``: ``h_s^a`` then comes from
     powers modulo ``p^2`` and ``q^2`` (:meth:`PrivateKey.obfuscator`),
@@ -571,14 +502,8 @@ def encrypt(pk: PublicKey, m: int, r: int | None = None, rng: random.Random | No
         raise EncodingError(f"plaintext {m} outside [0, n)")
     if sk is not None and sk.p * sk.q != pk.n:
         raise ValueError("private key does not belong to the public key")
-    if r is None:
-        a = (rng if rng is not None else random.SystemRandom()).getrandbits(pk.obfuscator_bits)
-        r_n = (sk if sk is not None else pk).obfuscator(a)
-    elif 0 < r < pk.n and math.gcd(r, pk.n) == 1:
-        r_n = _powmod(r, pk.n, pk.n_squared)
-    else:
-        raise EncodingError("obfuscator r is not a unit modulo n")
-    return (1 + m * pk.n) * r_n % pk.n_squared
+    a = (rng if rng is not None else random.SystemRandom()).getrandbits(pk.obfuscator_bits)
+    return (1 + m * pk.n) * (sk if sk is not None else pk).obfuscator(a) % pk.n_squared
 
 
 def decrypt(sk: PrivateKey, pk: PublicKey, c: int, bound: int | None = None) -> int:

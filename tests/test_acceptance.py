@@ -206,8 +206,8 @@ def test_criterion_03_vfl_equals_centralized():
 
 
 def test_a_2048_bit_key_trains_the_pooled_models():
-    # the size a deployment needs; on a tiny shape, so that keygen and the
-    # comb builds dominate
+    # the size a deployment needs; on a tiny shape, so that the 128
+    # encryptions and the two keygens dominate, in that order
     params = GbtParams(n_estimators=1, max_depth=2, max_bin=8, learning_rate=0.3,
                        reg_lambda=1.0, min_child_weight=1.0)
     X, y = synth_classification(60, 4, seed=2048)

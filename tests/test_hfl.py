@@ -1184,6 +1184,22 @@ def test_a_key_broadcast_whose_key_bits_n_does_not_have_is_rejected(key_bits, sh
     assert not any(e.msg_type == "HISTOGRAM_SUBMIT" for e in bus.transcript)
 
 
+@pytest.mark.parametrize("change, match", [
+    (lambda p: p.update(n=4, g=5, key_bits=3), "key_bits 3 below 16"),
+    (lambda p: p.update(n=p["n"] + 1, g=p["n"] + 2), "n is even"),
+], ids=["tiny-n", "even-n"])
+def test_a_key_broadcast_of_an_n_no_keygen_makes_is_rejected(change, match):
+    # under an n of 4 the first encryption would never find its obfuscator base
+    X, y = synth_classification(40, 3, seed=40)
+    parties = random_split_parties(X, y, 2, seed=41)
+    roster = make_roster(list(parties), [p.n_samples for p in parties.values()],
+                         master_seed=6, secagg_mode=SECAGG_PAILLIER)
+    bus = _TamperOnce("KEY_BROADCAST", lambda to, p: to == "c1", change)
+    with pytest.raises(ProtocolError, match=rf"^KEY_BROADCAST to c1: {match}$"):
+        hfl_train(roster, parties, GbtParams(n_estimators=1), seed=6, bus=bus, key_bits=256)
+    assert not any(e.msg_type == "HISTOGRAM_SUBMIT" for e in bus.transcript)
+
+
 def test_a_key_broadcast_of_key_bits_one_above_n_is_accepted():
     # keygen's n may have one bit fewer than asked for; c0 gets the broadcast as sent
     n_bits = {seed: keygen(key_bits=256, rng_seed=derive_seed("hfl-key", seed))[0].key_bits

@@ -1,3 +1,4 @@
+import _hashlib
 import contextlib
 import ctypes
 import dataclasses
@@ -16,7 +17,6 @@ from fedgbt import paillier
 from fedgbt.gbt import GRAD_SCALE_BITS, quantize
 from fedgbt.paillier import (
     EncodingError,
-    FixedBaseComb,
     PublicKey,
     aggregate,
     decrypt,
@@ -64,24 +64,29 @@ def test_keygen_small_primes_matches_modular_arithmetic_oracle():
     assert sk.mu == pow(denom, -1, 15) == 4
 
 
+def _textbook_encrypt(pk, m, r):
+    """The textbook ciphertext ``(1 + m * n) * r^n mod n^2`` of ``m`` under a unit ``r``."""
+    return (1 + m * pk.n) * pow(r, pk.n, pk.n_squared) % pk.n_squared
+
+
 def test_encrypt_known_value_and_roundtrip():
     pk, sk = toy_keypair()
-    c = encrypt(pk, 7, r=2)
+    c = _textbook_encrypt(pk, 7, 2)
     assert c == pow(16, 7, 225) * pow(2, 15, 225) % 225 == 83
     assert decrypt(sk, pk, c) == 7
 
 
 def test_encrypt_zero_with_unit_randomness_is_one():
-    pk, _ = toy_keypair()
-    assert encrypt(pk, 0, r=1) == 1
+    pk, sk = toy_keypair()
+    assert _textbook_encrypt(pk, 0, 1) == 1
+    assert decrypt(sk, pk, encrypt(pk, 0, rng=random.Random(0))) == 0
 
 
 def test_encrypt_same_r_same_ciphertext_different_r_same_plaintext():
     pk, sk = toy_keypair()
-    c1 = encrypt(pk, 4, r=2)
-    c2 = encrypt(pk, 4, r=2)
-    c3 = encrypt(pk, 4, r=7)
-    assert c1 == c2
+    c1 = _textbook_encrypt(pk, 4, 2)
+    c3 = _textbook_encrypt(pk, 4, 7)
+    assert encrypt(pk, 4, rng=random.Random(2)) == encrypt(pk, 4, rng=random.Random(2))
     assert c3 != c1
     assert decrypt(sk, pk, c1) == decrypt(sk, pk, c3) == 4
 
@@ -174,16 +179,34 @@ def test_a_public_key_with_another_generator_is_refused():
 def test_encrypt_out_of_range_raises(keypair_512):
     pk, _ = keypair_512
     with pytest.raises(EncodingError):
-        encrypt(pk, pk.n, r=3)
+        encrypt(pk, pk.n, rng=random.Random(3))
     with pytest.raises(EncodingError):
-        encrypt(pk, -1, r=3)
+        encrypt(pk, -1, rng=random.Random(3))
 
 
-def test_encrypt_rejects_an_explicit_r_that_is_not_a_unit():
-    pk, _ = toy_keypair()
-    for r in (0, 3, 5, 15, 16, -2):
-        with pytest.raises(EncodingError):
-            encrypt(pk, 4, r=r)
+@pytest.mark.parametrize("key, match", [
+    ({"n": 4, "g": 5, "key_bits": 3}, "key_bits 3 below 16"),
+    ({"n": 1, "g": 2, "key_bits": 1}, "key_bits 1 below 16"),
+    ({"n": 2, "g": 3, "key_bits": 2}, "key_bits 2 below 16"),
+    ({"n": 3, "g": 4, "key_bits": 2}, "key_bits 2 below 16"),
+    ({"n": 6, "g": 7, "key_bits": 3}, "key_bits 3 below 16"),
+    ({"n": 15, "g": 16, "key_bits": 4}, "key_bits 4 below 16"),
+    ({"n": 2**15 - 1, "g": 2**15, "key_bits": 15}, "key_bits 15 below 16"),
+    ({"n": 2**15, "g": 2**15 + 1, "key_bits": 16}, "n is even"),
+    ({"n": 2**255 + 2, "g": 2**255 + 3, "key_bits": 256}, "n is even"),
+])
+def test_received_public_key_refuses_an_n_no_keygen_makes(key, match):
+    # under an n of 1, 2, 3, 4 or 6 the first encryption would never find its base
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        paillier.received_public_key(key)
+
+
+def test_received_public_key_accepts_every_16_bit_keygen_key():
+    for seed in range(50):
+        pk, sk = keygen(key_bits=16, rng_seed=seed)
+        received = paillier.received_public_key({"n": pk.n, "g": pk.g, "key_bits": 16})
+        assert received == pk
+        assert decrypt(sk, pk, encrypt(received, 5, rng=random.Random(seed))) == 5
 
 
 def _h_s(pk):
@@ -191,7 +214,7 @@ def _h_s(pk):
 
 
 @pytest.fixture(scope="session")
-def comb_keypairs():
+def obfuscator_keypairs():
     """Keypairs by size, each with its ``h_s``."""
     pairs = {bits: keygen(key_bits=bits, rng_seed=bits) for bits in (16, 128, 512, 2048)}
     return {bits: (pk, sk, _h_s(pk)) for bits, (pk, sk) in pairs.items()}
@@ -205,62 +228,26 @@ def comb_keypairs():
 @example(128, 2**2176, 2**2176 - 1)
 @example(512, 2**2176, 2**2176 - 1)
 @example(2048, 2**2176, 2**2176 - 1)
-def test_fixed_base_table_power_matches_pow(comb_keypairs, key_bits, length_share, raw):
-    pk, sk, h_s = comb_keypairs[key_bits]
-    # exponents of every length up to the full one, most not a multiple of 64
+def test_obfuscator_matches_pow_on_both_backends(obfuscator_keypairs, key_bits, length_share,
+                                                 raw):
+    pk, sk, h_s = obfuscator_keypairs[key_bits]
+    # exponents of every length up to the full one
     length = pk.obfuscator_bits * length_share // 2**2176
     a = raw % 2**length
-    assert pk.obfuscator(a) == sk.obfuscator(a) == pk.fixed_base.comb.power(a) == pow(
-        h_s, a, pk.n_squared)
-    for base, prime in zip(sk.fixed_bases, (sk.p, sk.q)):
-        reduced = a % (prime - 1)
-        assert base.power(reduced) == base.comb.power(reduced) == pow(h_s, reduced, prime * prime)
-
-
-def _check_every_comb_position(comb):
-    """Every single-bit exponent, at each (tooth, block, step), and every
-    full digit, at each (block, step), against repeated squaring."""
-    base, steps = comb.rows[0][1], comb.steps
-    assert len(comb.rows) == 8 and all(len(row) == 256 for row in comb.rows)
-    squares = [base]
-    for _ in range(64 * steps - 1):
-        squares.append(squares[-1] ** 2 % comb.mod)
-    for tooth in range(8):
-        for block in range(8):
-            for step in range(steps):
-                bit = (8 * tooth + block) * steps + step
-                assert comb.power(1 << bit) == squares[bit]
-    for block in range(8):
-        for step in range(steps):
-            bits = [(8 * tooth + block) * steps + step for tooth in range(8)]
-            assert comb.power(sum(1 << b for b in bits)) == math.prod(
-                squares[b] for b in bits) % comb.mod
-
-
-@pytest.mark.parametrize("key_bits", [16, 512])
-def test_fixed_base_table_power_at_every_comb_position(comb_keypairs, key_bits):
-    pk, sk, h_s = comb_keypairs[key_bits]
-    assert pk.fixed_base.comb.rows[0][1] == h_s
-    for base in (pk.fixed_base, *sk.fixed_bases):
-        _check_every_comb_position(base.comb)
-
-
-@pytest.mark.parametrize("bits", [1, 63, 64, 65, 100, 200])
-def test_an_exponent_at_or_above_the_combs_range_raises(keypair_512, bits):
-    pk, _ = keypair_512
-    comb = FixedBaseComb.build(3, pk.n_squared, bits)
-    capacity = 64 * comb.steps
-    assert capacity - 64 < bits <= capacity
-    assert comb.power(2**capacity - 1) == pow(3, 2**capacity - 1, pk.n_squared)
-    for a in (2**capacity, 2**capacity + 1, 2**(capacity + 64) - 1, -1):
-        with pytest.raises(ValueError):
-            comb.power(a)
+    expected = pow(h_s, a, pk.n_squared)
+    # one 2048-bit pow takes about 0.1 s, so the pow backend stops at 512 bits
+    backends = [paillier._powmod] + ([pow] if key_bits <= 512 else [])
+    for backend in dict.fromkeys(backends):
+        with mock.patch.object(paillier, "_powmod", backend):
+            # fresh key objects, so each backend computes its own h_s
+            fresh_pk, fresh_sk = PublicKey(pk.n, pk.g), dataclasses.replace(sk)
+            assert fresh_pk.obfuscator(a) == fresh_sk.obfuscator(a) == expected
 
 
 @pytest.mark.parametrize("key_bits, seed", [(512, 42), (200, 200)])
 def test_an_obfuscator_exponent_outside_the_drawn_range_raises(powmod_backend, key_bits, seed):
-    # at 200 bits (seed 200: a 199-bit n) the 327-bit drawn exponent falls short of the
-    # public comb's 384, and a negative exponent would be an inverse to pow
+    # seed 200 gives a 199-bit n, whose 327-bit exponent range ends off a byte
+    # boundary; a negative exponent would be an inverse to pow
     pk, sk = keygen(key_bits=key_bits, rng_seed=seed)
     bits = pk.obfuscator_bits
     top = 2**bits - 1
@@ -288,7 +275,7 @@ def test_encrypt_draws_a_full_length_exponent_for_r_in_the_base_subgroup(keypair
     assert rng.drawn == [pk.n.bit_length() + 128]
     a = random.Random(7).getrandbits(pk.n.bit_length() + 128)
     r = pow(paillier._obfuscator_base(pk.n), a, pk.n)
-    assert c == encrypt(pk, 41, r=r)
+    assert c == _textbook_encrypt(pk, 41, r)
     assert decrypt(sk, pk, c) == 41
 
 
@@ -299,8 +286,7 @@ def test_obfuscator_base_is_a_public_unit(key_bits):
     assert 1 < h < pk.n - 1
     assert math.gcd(h, pk.n) == 1
     assert paillier._obfuscator_base(pk.n) == h
-    assert pk.fixed_base.base == pk.fixed_base.comb.rows[0][1] == _h_s(pk)
-    assert pk.fixed_base.mod == pk.fixed_base.comb.mod == pk.n_squared
+    assert pk.h_s == _h_s(pk)
 
 
 def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
@@ -316,31 +302,7 @@ def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
     assert builds == [n]
     encrypt(second, 3, rng=rng)
     assert builds == [n, n]
-    assert first.fixed_base is not second.fixed_base
-    assert first.fixed_base == second.fixed_base
-    assert first.fixed_base.comb.steps == -(-(n.bit_length() + 128) // 64) == 10
-    assert [len(row) for row in first.fixed_base.comb.rows] == [256] * 8
-
-
-def test_encryption_builds_a_comb_only_under_pow(keypair_512, powmod_backend, monkeypatch):
-    pk, held = keypair_512
-    fresh_pk, fresh_sk = PublicKey(n=pk.n, g=pk.g), dataclasses.replace(held)
-    builds = []
-    real = FixedBaseComb.build
-
-    def build(base, mod, bits):
-        if powmod_backend == "libcrypto":
-            raise AssertionError("a comb was built under libcrypto")
-        builds.append(mod)
-        return real(base, mod, bits)
-
-    monkeypatch.setattr(FixedBaseComb, "build", build)
-    public = encrypt(fresh_pk, 7, rng=random.Random(5))
-    assert encrypt(fresh_pk, 7, rng=random.Random(5), sk=fresh_sk) == public
-    assert decrypt(held, pk, public) == 7
-    expected = [] if powmod_backend == "libcrypto" else [pk.n_squared, held.p_squared,
-                                                        held.q_squared]
-    assert builds == expected
+    assert first.h_s == second.h_s
 
 
 def test_system_randomness_roundtrips():
@@ -501,9 +463,7 @@ def test_private_key_obfuscator_equals_the_public_table(keypair_512, powmod_back
     for a in (0, 1, sk.p - 1, sk.q - 1, (sk.p - 1) * (sk.q - 1), 2**pk.obfuscator_bits - 1):
         assert sk.obfuscator(a) == pk.obfuscator(a)
     assert builds == [pk.n]  # both per-prime bases, once, on first use
-    assert [base.comb.steps for base in sk.fixed_bases] == [
-        -(-sk.p.bit_length() // 64), -(-sk.q.bit_length() // 64)] == [4, 4]
-    assert [base.mod for base in sk.fixed_bases] == [sk.p_squared, sk.q_squared]
+    assert sk.h_s_halves == (pk.h_s % sk.p_squared, pk.h_s % sk.q_squared)
 
 
 def test_key_holder_encryption_rejects_a_foreign_private_key(keypair_512):
@@ -653,7 +613,7 @@ def test_a_library_that_does_not_load_leaves_pow(monkeypatch):
 
     monkeypatch.setattr(ctypes, "CDLL", refuse)
     assert paillier._load_powmod() is pow
-    assert asked == ["libcrypto.so.3", "libcrypto.so.1.1"]
+    assert asked == [_hashlib.__file__, "libcrypto.so.3", "libcrypto.so.1.1"]
 
 
 @needs_libcrypto
@@ -680,8 +640,26 @@ def test_the_second_soname_serves_when_the_first_does_not_load(monkeypatch):
         raise OSError(name)
 
     monkeypatch.setattr(ctypes, "CDLL", second_only)
+    monkeypatch.setitem(sys.modules, "_hashlib", None)  # its import raises ImportError
     powmod = paillier._load_powmod()
     assert asked == ["libcrypto.so.3", "libcrypto.so.1.1"]
+    assert powmod is not pow
+    assert powmod(3, 2**100 + 1, 2**127 - 1) == pow(3, 2**100 + 1, 2**127 - 1)
+
+
+@needs_libcrypto
+def test_the_hashlib_library_serves_when_both_sonames_are_refused(monkeypatch):
+    real, asked = ctypes.CDLL, []
+
+    def hashlib_only(name):
+        asked.append(name)
+        if name in paillier._LIBCRYPTO_SONAMES:
+            raise OSError(name)
+        return real(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", hashlib_only)
+    powmod = paillier._load_powmod()
+    assert asked == [_hashlib.__file__]
     assert powmod is not pow
     assert powmod(3, 2**100 + 1, 2**127 - 1) == pow(3, 2**100 + 1, 2**127 - 1)
 

@@ -692,7 +692,9 @@ def test_each_passive_party_builds_its_key_from_the_key_broadcast():
     (lambda p: p.update(key_bits=258), r"key_bits 258 for an n of 25[56] bits"),
     (lambda p: p.update(key_bits="256"), r"key_bits '256' for an n of 25[56] bits"),
     (lambda p: p.update(key_bits=True), r"key_bits True for an n of 25[56] bits"),
-], ids=["generator", "key-bits-above", "key-bits-str", "key-bits-bool"])
+    (lambda p: p.update(n=4, g=5, key_bits=3), "key_bits 3 below 16"),
+    (lambda p: p.update(n=p["n"] + 1, g=p["n"] + 2), "n is even"),
+], ids=["generator", "key-bits-above", "key-bits-str", "key-bits-bool", "tiny-n", "even-n"])
 def test_a_tampered_key_broadcast_is_rejected(change, match):
     datasets, _, _ = vertical_fixture(30, 1, 2, seed=29, n_passives=2)
     bus = _EditFirstTo("KEY_BROADCAST", "passive1", change)
