@@ -5,17 +5,22 @@
 
 Prints one table per backend of ``paillier._powmod``: first the system
 libcrypto (skipped where no libcrypto loads), then the builtin ``pow``, set
-in place of it.  Under libcrypto an encryption's obfuscator is one
-``BN_mod_exp_mont`` and ``aggregate`` multiplies and folds with
-``BN_mod_mul_montgomery`` and ``BN_mod_exp_mont``; under ``pow`` the
-obfuscator is one ``pow`` and ``aggregate`` runs on Python ints.
+in place of it.  Under libcrypto a public-key encryption's obfuscator comes
+from the key object's Lim-Lee comb, in ``BN_mod_mul_montgomery`` products,
+a key-holder one is two ``BN_mod_exp_mont`` powers, and ``aggregate``
+multiplies and folds with ``BN_mod_mul_montgomery`` and
+``BN_mod_exp_mont``; under ``pow`` an obfuscator is one ``pow`` and
+``aggregate`` runs on Python ints.
 
 Each row is one operation, each column a key size (512, 1024 and 2048
 bits), and each cell the median in microseconds over 61 runs, with the
 interquartile range in brackets.  The operations are:
 
+- ``keygen``: one key pair, at seeds 0 to 60;
 - ``first_encrypt``: the first encryption on a fresh key object, which
-  computes ``h_s``;
+  computes ``h_s`` and, under libcrypto, builds the comb;
+- ``comb_build`` (libcrypto only): the comb's build alone, on a fresh key
+  object whose ``h_s`` is already computed;
 - ``encrypt``, ``encrypt_sk``: a public-key and a key-holder (``sk=``)
   encryption;
 - ``decrypt_bounded``, ``decrypt_full``: a bounded single-prime and a full
@@ -43,13 +48,15 @@ BATCH = 64
 FOLD_STEPS = 32
 
 
-def quartiles_us(fn, per: int = 1) -> tuple[float, float, float]:
+def quartiles_us(fn, per: int = 1, setup=None) -> tuple[float, float, float]:
     """(first quartile, median, third quartile) of ``REPS`` runs of ``fn``,
-    each divided by ``per``, in microseconds."""
+    each divided by ``per``, in microseconds.  With ``setup``, run ``r``
+    times ``fn(setup(r))``, and ``setup`` runs outside the timing."""
     times = []
-    for _ in range(REPS):
+    for rep in range(REPS):
+        args = () if setup is None else (setup(rep),)
         start = perf_counter()
-        fn()
+        fn(*args)
         times.append(1e6 * (perf_counter() - start) / per)
     q1, median, q3 = statistics.quantiles(times, n=4)
     return q1, median, q3
@@ -65,12 +72,24 @@ def load_and_free(pk: PublicKey, cs: list[int]) -> None:
         pass
 
 
+def with_h_s(pk: PublicKey) -> PublicKey:
+    """A fresh key object of ``pk``'s key, with ``h_s`` computed."""
+    fresh = PublicKey(pk.n, pk.g)
+    fresh.h_s
+    return fresh
+
+
 def measure(held_pk: PublicKey, held_sk, bits: int) -> dict[str, tuple[float, float, float]]:
     # fresh key objects, so nothing one backend computed serves the other
     pk, sk = PublicKey(held_pk.n, held_pk.g), dataclasses.replace(held_sk)
     rng = random.Random(bits)
-    cells = {"first_encrypt": quartiles_us(lambda: encrypt(PublicKey(pk.n, pk.g), 12345,
+    cells = {"keygen": quartiles_us(lambda seed: keygen(key_bits=bits, rng_seed=seed),
+                                    setup=lambda rep: rep),
+             "first_encrypt": quartiles_us(lambda: encrypt(PublicKey(pk.n, pk.g), 12345,
                                                            rng=rng))}
+    if paillier._powmod is not pow:
+        cells["comb_build"] = quartiles_us(lambda fresh: fresh._comb,
+                                           setup=lambda rep: with_h_s(pk))
     c = encrypt(pk, 12345, rng=rng)
     encrypt(pk, 12345, rng=rng, sk=sk)  # sk's bases, outside the timings
     cells["encrypt"] = quartiles_us(lambda: encrypt(pk, 12345, rng=rng))

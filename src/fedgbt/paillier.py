@@ -17,17 +17,20 @@ refused.
 Encryption draws its obfuscator from a fixed public base, in the manner of
 Damgård, Jurik and Nielsen (2010): ``r^n`` becomes ``h_s^a`` with a
 full-length exponent ``a``, and each key object computes ``h_s`` once.
-Every modular exponentiation (these powers, decryption, the aggregator's
-folds and keygen's Miller-Rabin rounds) goes through ``_powmod``:
-OpenSSL's Montgomery exponentiation from the ``libcrypto`` that the
-interpreter's ``_hashlib`` links, or failing that one loaded by soname,
-through ``ctypes``; or the builtin ``pow`` where no libcrypto loads.  The
-two give the same integers, so keys, ciphertexts and transcripts do not
-depend on which one runs.  An obfuscator is one ``_powmod`` modulo
-``n^2``, or for the key holder one modulo each of ``p^2`` and ``q^2``.
-At a 512-bit key libcrypto takes an encryption about 10x faster than
-``pow``, an aggregator's fold step about 8x, and a full decryption about
-9x (``scripts/paillier_timings.py``).
+Every modular exponentiation (the key holder's powers, decryption, the
+aggregator's folds and keygen's Miller-Rabin rounds) goes through
+``_powmod``: OpenSSL's Montgomery exponentiation from the ``libcrypto``
+that the interpreter's ``_hashlib`` links, or failing that one loaded by
+soname, through ``ctypes``; or the builtin ``pow`` where no libcrypto
+loads.  The two give the same integers, so keys, ciphertexts and
+transcripts do not depend on which one runs.  Under libcrypto a public
+key's obfuscator comes from a Lim-Lee comb of ``h_s`` (Lim and Lee,
+CRYPTO '94) that each key object builds in libcrypto on first use; under
+``pow`` it is one ``pow``.  For the key holder it is one ``_powmod``
+modulo each of ``p^2`` and ``q^2``.  At a 512-bit key libcrypto takes a
+public-key encryption about 27x faster than ``pow``, an aggregator's fold
+step about 10x, and a full decryption about 12x
+(``scripts/paillier_timings.py``).
 
 An aggregator's products and Horner folds (:func:`aggregate`) run in
 libcrypto as well, on operands: :func:`operands` loads a list of
@@ -54,6 +57,7 @@ import hashlib
 import math
 import random
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,6 +95,57 @@ class _Loaded:
         self.operands = []
 
 
+class _Comb:
+    """The Lim-Lee comb of one base modulo ``mod`` (Lim and Lee, CRYPTO
+    '94) that libcrypto holds, with ``power``, the power of the backend that
+    built it (:func:`_load_powmod`).
+
+    An exponent of at most ``64 * steps`` bits is read as 8 teeth of 8
+    blocks of ``steps`` bits: bit ``(8i + j) * steps + k`` is step ``k`` of
+    block ``j`` of tooth ``i``.  ``rows`` lists blocks ``j = 7, ..., 0``;
+    entry ``u`` of block ``j``'s row (``1 <= u < 256``) is the product of
+    ``base^(2^((8i + j) * steps))`` over the set bits ``i`` of ``u``, a
+    ``BIGNUM`` in Montgomery form under the comb's own ``BN_MONT_CTX``,
+    ``mont``.  ``free`` releases them all, once, at the latest when the comb
+    is collected.  A comb is neither copied nor pickled, so that each of
+    its ``BIGNUM``s has one owner.
+    """
+
+    def __init__(self, mod: int, steps: int, mont: int, power, release, bns: list):
+        self.mod, self.steps, self.mont, self.rows = mod, steps, mont, []
+        self._power = power
+        self.free = weakref.finalize(self, release, mont, bns)
+
+    def power(self, a: int) -> int:
+        """``base^a mod mod`` for an ``a >= 0`` of at most ``64 * steps`` bits."""
+        return self._power(self, a)
+
+    def __reduce__(self):
+        raise TypeError("a libcrypto comb is neither copied nor pickled")
+
+
+# byte b"0" to 0 and b"1" to 1, for the comb's digit transpose
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _comb_digits(a: int, steps: int) -> bytes:
+    """The :class:`_Comb` digits of an ``a >= 0`` of at most ``64 * steps``
+    bits, one per byte: bit ``i`` of the digit of block ``j`` at step ``k``
+    is bit ``(8i + j) * steps + k`` of ``a``, and that digit is byte ``(7 -
+    j) * steps + steps - 1 - k``, so ``[c::steps]`` is the column of step
+    ``steps - 1 - c`` in the order of the comb's rows.
+
+    ``a`` is written one byte per bit, most significant first; tooth ``i``'s
+    ``8 * steps`` bytes, read as one integer, then go onto bit ``i`` of
+    every digit."""
+    width = 8 * steps
+    bits = format(a, f"0{8 * width}b").encode().translate(_BIT_BYTES)
+    digits = 0
+    for i in range(8):
+        digits |= int.from_bytes(bits[(7 - i) * width:(8 - i) * width], "big") << i
+    return digits.to_bytes(width, "big")
+
+
 def _load_powmod():
     """``pow(base, exp, mod)`` computed by OpenSSL's ``BN_mod_exp_mont``
     (Montgomery, Math. Comp. 1985), or the builtin ``pow`` when no
@@ -116,6 +171,15 @@ def _load_powmod():
     their plain product, so each product is one call, each Horner step one
     ``BN_mod_exp_mont`` with no conversion around it, and the result one
     ``BN_bn2binpad``.
+
+    And it carries ``comb(base, mod, bits)``, which builds the
+    :class:`_Comb` of ``base`` modulo the odd ``mod`` for exponents below
+    ``2^bits``: ``63 * steps`` squarings and 1,976 products, all in
+    Montgomery form, for ``steps = ceil(bits / 64)``.  A power from it takes
+    ``steps - 1`` squarings and at most ``8 * steps`` products on the
+    calling thread's scratch accumulator, then one conversion out of
+    Montgomery form.  The comb reads its table at the exponent's digits, so
+    its time and memory accesses depend on them.
     """
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
     signatures = {
@@ -124,6 +188,7 @@ def _load_powmod():
         "BN_MONT_CTX_new": (ptr, []), "BN_MONT_CTX_set": (c_int, [ptr] * 3),
         "BN_MONT_CTX_free": (None, [ptr]), "BN_mod_exp_mont": (c_int, [ptr] * 6),
         "BN_to_montgomery": (c_int, [ptr] * 4), "BN_mod_mul_montgomery": (c_int, [ptr] * 5),
+        "BN_copy": (ptr, [ptr] * 2), "BN_from_montgomery": (c_int, [ptr] * 4),
     }
     try:
         import _hashlib
@@ -142,7 +207,7 @@ def _load_powmod():
     for fn, (restype, argtypes) in zip(fns, signatures.values()):
         fn.restype, fn.argtypes = restype, argtypes
     (bn_new, bn_free, ctx_new, bin2bn, bn2binpad, mont_new, mont_set, mont_free, exp_mont,
-     to_mont, mul_mont) = fns
+     to_mont, mul_mont, bn_copy, from_mont) = fns
     scratch = threading.local()
 
     def checked(result, name: str):
@@ -235,7 +300,77 @@ def _load_powmod():
             stop -= size
         return result(acc, out)
 
+    def release(mont: int, bns: list) -> None:
+        mont_free(mont)
+        for bn in bns:
+            bn_free(bn)
+
+    def comb(base: int, mod: int, bits: int) -> _Comb:
+        ctx, bns = thread_state()[0], []
+        mont = checked(mont_new(), "BN_MONT_CTX_new")
+        table = _Comb(mod, -(-bits // 64), mont, comb_power, release, bns)
+
+        def new() -> int:
+            bns.append(checked(bn_new(), "BN_new"))
+            return bns[-1]
+
+        def mul(r, a, b) -> None:
+            checked(mul_mont(r, a, b, mont, ctx), "BN_mod_mul_montgomery")
+
+        try:
+            m = new()
+            load(m, mod)
+            checked(mont_set(mont, m, ctx), "BN_MONT_CTX_set")
+            x = new()
+            load(x, base % mod)
+            checked(to_mont(x, x, mont, ctx), "BN_to_montgomery")
+            powers = [x]  # powers[8i + j] = base^(2^((8i + j) * steps))
+            for _ in range(63):
+                x = new()
+                mul(x, powers[-1], powers[-1])
+                for _ in range(table.steps - 1):
+                    mul(x, x, x)
+                powers.append(x)
+            for j in reversed(range(8)):
+                row = [None]
+                for u in range(1, 256):
+                    low = u & -u
+                    if u == low:
+                        row.append(powers[8 * (low.bit_length() - 1) + j])
+                    else:
+                        row.append(new())
+                        mul(row[u], row[u - low], row[low])
+                table.rows.append(row)
+        except BaseException:
+            table.free()
+            raise
+        return table
+
+    def comb_power(table: _Comb, a: int) -> int:
+        steps, mont = table.steps, table.mont
+        _check_exponent(a, 64 * steps)
+        digits = _comb_digits(a, steps)
+        ctx, acc, *_ = thread_state()
+        started = False
+        for c in range(steps):
+            if started and not mul_mont(acc, acc, acc, mont, ctx):
+                raise RuntimeError(f"{library}: BN_mod_mul_montgomery failed")
+            for row, digit in zip(table.rows, digits[c::steps]):
+                if not digit:
+                    continue
+                if started:
+                    if not mul_mont(acc, acc, row[digit], mont, ctx):
+                        raise RuntimeError(f"{library}: BN_mod_mul_montgomery failed")
+                else:
+                    checked(bn_copy(acc, row[digit]), "BN_copy")
+                    started = True
+        if not started:
+            return 1 % table.mod
+        checked(from_mont(acc, acc, mont, ctx), "BN_from_montgomery")
+        return result(acc, ctypes.create_string_buffer((table.mod.bit_length() + 7) // 8))
+
     powmod.load = load_operands
+    powmod.comb = comb
     return powmod
 
 
@@ -349,10 +484,25 @@ class PublicKey:
         once per key object."""
         return _powmod(_obfuscator_base(self.n), self.n, self.n_squared)
 
+    @cached_property
+    def _comb(self) -> _Comb:
+        """The libcrypto comb of ``h_s`` modulo ``n^2``, built on first use,
+        once per key object, and freed when the key object goes."""
+        return _powmod.comb(self.h_s, self.n_squared, self.obfuscator_bits)
+
     def obfuscator(self, a: int) -> int:
-        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``."""
+        """``h_s^a mod n^2`` for ``0 <= a < 2^obfuscator_bits``: from the
+        key object's comb under libcrypto, one ``pow`` under ``pow``, as
+        ``_powmod`` is at the call."""
         _check_exponent(a, self.obfuscator_bits)
-        return _powmod(self.h_s, a, self.n_squared)
+        if _powmod is pow:
+            return _powmod(self.h_s, a, self.n_squared)
+        return self._comb.power(a)
+
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled key builds its own comb: each of a comb's
+        # BIGNUMs has one owner, which frees it once
+        return {name: value for name, value in vars(self).items() if name != "_comb"}
 
 
 def received_public_key(key: dict) -> PublicKey:

@@ -1,9 +1,11 @@
 import _hashlib
 import contextlib
+import copy
 import ctypes
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import sys
 import threading
@@ -160,6 +162,16 @@ def test_keys_at_seeds_0_to_9_are_pinned(powmod_backend):
         "e44e92993a24807563a59d21a1e82ae149469b5a110fa8d0b7d6b80b919b38e1")
 
 
+@needs_libcrypto
+def test_2048_bit_keys_at_seeds_0_to_9_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(10):
+        pk, sk = keygen(key_bits=2048, rng_seed=seed)
+        digest.update(f"{sk.p},{sk.q},{pk.g};".encode())
+    assert digest.hexdigest() == (
+        "f1b8d1f7e05ccf365297f1a6deeedb225fdda66a516753fea8a518b47c0d665b")
+
+
 def test_keygen_prime_length_and_gcd_condition():
     pk, _ = keygen(key_bits=256, rng_seed=3)
     assert pk.n.bit_length() >= 255
@@ -303,6 +315,61 @@ def test_each_public_key_object_builds_its_own_table(keypair_512, monkeypatch):
     encrypt(second, 3, rng=rng)
     assert builds == [n, n]
     assert first.h_s == second.h_s
+
+
+_COMB_KEY_BITS = [16, 64, 512, 1024, 2048]
+
+
+@pytest.fixture(scope="session")
+def comb_keys():
+    """Public keys by size, each with its ``h_s`` from ``pow`` and, under
+    libcrypto, its comb already built."""
+    keys = {}
+    for bits in _COMB_KEY_BITS:
+        pk, _ = keygen(key_bits=bits, rng_seed=bits)
+        if paillier._powmod is not pow:
+            pk.obfuscator(1)
+        keys[bits] = pk, _h_s(pk)
+    return keys
+
+
+def _clear_column(a, steps, k):
+    """``a`` with step ``k`` of every block of every tooth cleared: the
+    comb's digit column ``k`` is all zero."""
+    return a & ~sum(1 << (block * steps + k) for block in range(64))
+
+
+@needs_libcrypto
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_COMB_KEY_BITS), st.sampled_from(["zero", "one", "top", "random"]),
+       st.integers(0, 2**2176 - 1), st.sampled_from([None, "first", "last", "any"]),
+       st.integers(0, 2**16))
+@example(16, "top", 0, "first", 0)
+@example(64, "top", 0, "last", 0)
+@example(512, "top", 0, "any", 3)
+@example(1024, "random", 2**2176 - 1, "first", 0)
+@example(2048, "top", 0, "any", 17)
+@example(2048, "one", 0, None, 0)
+def test_the_comb_obfuscator_equals_pow(comb_keys, key_bits, kind, raw, column, which):
+    pk, h_s = comb_keys[key_bits]
+    bits = pk.obfuscator_bits
+    steps = -(-bits // 64)
+    a = {"zero": 0, "one": 1, "top": 2**bits - 1, "random": raw % 2**bits}[kind]
+    if column is not None:
+        a = _clear_column(a, steps, {"first": steps - 1, "last": 0, "any": which % steps}[column])
+    assert pk.obfuscator(a) == pow(h_s, a, pk.n_squared)
+
+
+def test_a_built_comb_leaves_pow_its_plain_power(comb_keys, powmod_backend, monkeypatch):
+    pk, h_s = comb_keys[512]
+    assert "_comb" in vars(pk)
+    transposed = []
+    real = paillier._comb_digits
+    monkeypatch.setattr(paillier, "_comb_digits",
+                        lambda a, steps: transposed.append(a) or real(a, steps))
+    a = random.Random(5).getrandbits(pk.obfuscator_bits)
+    assert pk.obfuscator(a) == pow(h_s, a, pk.n_squared)
+    assert transposed == ([a] if powmod_backend == "libcrypto" else [])
 
 
 def test_system_randomness_roundtrips():
@@ -564,9 +631,56 @@ def test_four_threads_share_the_backend():
     assert mismatches == []
 
 
+@needs_libcrypto
+def test_four_threads_race_the_first_comb_build_of_one_key(monkeypatch):
+    # the comb is read-only and each thread's accumulator its own; should
+    # more than one thread build it (cached_property takes no lock from
+    # Python 3.12), the builds that lose are dropped and freed
+    calls = _counting_libcrypto(monkeypatch, _TABLE_ALLOCATING)
+    n = keygen(key_bits=512, rng_seed=42)[0].n
+    messages = [0, 1, 7, n - 1]
+    one_thread = PublicKey(n, n + 1)
+    expected = [[encrypt(one_thread, m, rng=rng) for m in messages]
+                for rng in map(random.Random, range(4))]
+    del one_thread
+    shared = PublicKey(n, n + 1)
+    shared.h_s  # so that the threads race the comb alone
+    warm, go = threading.Barrier(5), threading.Barrier(5)
+    results = [None] * 4
+
+    def encrypt_all(seed):
+        paillier._powmod(3, 5, 7)  # the thread's scratch numbers, before the count
+        warm.wait()
+        go.wait()
+        rng = random.Random(seed)
+        results[seed] = [encrypt(shared, m, rng=rng) for m in messages]
+
+    threads = [threading.Thread(target=encrypt_all, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        warm.wait()
+        del calls[:]
+        go.wait()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    allocated, freed, contexts, contexts_freed = _table_balance(calls)
+    assert contexts >= 1
+    assert (allocated - freed, contexts - contexts_freed) == (_COMB_BIGNUMS, 1)
+    del shared
+    assert _table_balance(calls)[1::2] == (allocated, contexts)
+
+
 _LIBCRYPTO_SYMBOLS = ["BN_new", "BN_free", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad",
                       "BN_MONT_CTX_new", "BN_MONT_CTX_set", "BN_MONT_CTX_free", "BN_mod_exp_mont",
-                      "BN_to_montgomery", "BN_mod_mul_montgomery"]
+                      "BN_to_montgomery", "BN_mod_mul_montgomery", "BN_copy",
+                      "BN_from_montgomery"]
 
 
 class _LibraryWithout:
@@ -838,6 +952,20 @@ _ALLOCATING = {"BN_new": (_PTR, []), "BN_bin2bn": (_PTR, [_PTR, ctypes.c_int, _P
                "BN_mod_mul_montgomery": (ctypes.c_int, [_PTR] * 5)}
 
 
+_TABLE_ALLOCATING = {**{s: _ALLOCATING[s] for s in ("BN_new", "BN_bin2bn", "BN_free")},
+                     "BN_MONT_CTX_new": (_PTR, []), "BN_MONT_CTX_free": (None, [_PTR])}
+
+# a comb holds its modulus and 8 rows of 255 entries
+_COMB_BIGNUMS = 1 + 8 * 255
+
+
+def _table_balance(calls):
+    """(BIGNUMs allocated, BIGNUMs freed, Montgomery contexts made, and freed)."""
+    names = [symbol for symbol, _ in calls]
+    return (*_balance(calls)[:2], names.count("BN_MONT_CTX_new"),
+            names.count("BN_MONT_CTX_free"))
+
+
 def _balance(calls):
     """(BIGNUMs allocated, BIGNUMs freed, conversions into Montgomery form, products)."""
     names = [symbol for symbol, _ in calls]
@@ -895,3 +1023,60 @@ def test_a_failing_product_or_conversion_raises_and_frees_its_operands(monkeypat
                 aggregate(pk, loaded, [1, 2], 8)
     allocated, freed, _, _ = _balance(calls)
     assert allocated == freed > 0
+
+
+@needs_libcrypto
+def test_each_key_object_frees_its_comb_once_and_copies_build_their_own(monkeypatch):
+    calls = _counting_libcrypto(monkeypatch, _TABLE_ALLOCATING)
+    pk, _ = keygen(key_bits=256, rng_seed=9)
+    pk.h_s  # with the thread's scratch numbers and n^2's context
+    del calls[:]
+    a = random.Random(9).getrandbits(pk.obfuscator_bits)
+    expected = pow(_h_s(pk), a, pk.n_squared)
+    assert pk.obfuscator(a) == expected
+    assert _table_balance(calls) == (_COMB_BIGNUMS, 0, 1, 0)
+    assert pk.obfuscator(a) == expected
+    assert _table_balance(calls) == (_COMB_BIGNUMS, 0, 1, 0)  # built once per key object
+    for share in (copy.copy, copy.deepcopy, pickle.dumps):
+        with pytest.raises(TypeError, match="neither copied nor pickled"):
+            share(pk._comb)
+    copies = [copy.copy(pk), copy.deepcopy(pk), pickle.loads(pickle.dumps(pk))]
+    for other in copies:
+        assert other == pk and "_comb" not in vars(other)
+        assert other.obfuscator(a) == expected
+    assert _table_balance(calls) == (4 * _COMB_BIGNUMS, 0, 4, 0)
+    del pk
+    assert _table_balance(calls) == (4 * _COMB_BIGNUMS, _COMB_BIGNUMS, 4, 1)
+    assert [other.obfuscator(a) for other in copies] == [expected] * 3
+    del copies, other
+    assert _table_balance(calls) == (4 * _COMB_BIGNUMS, 4 * _COMB_BIGNUMS, 4, 4)
+
+
+@needs_libcrypto
+@pytest.mark.parametrize("symbol, failing", [
+    ("BN_mod_mul_montgomery", 1), ("BN_mod_mul_montgomery", 700),
+    ("BN_mod_mul_montgomery", 2000), ("BN_to_montgomery", 1), ("BN_MONT_CTX_set", 1)])
+def test_a_failing_comb_build_raises_and_frees_what_it_allocated(monkeypatch, symbol, failing):
+    real = getattr(ctypes.CDLL(_hashlib.__file__), symbol)
+    real.restype, real.argtypes = ctypes.c_int, [_PTR] * {
+        "BN_mod_mul_montgomery": 5, "BN_to_montgomery": 4, "BN_MONT_CTX_set": 3}[symbol]
+    made = None
+
+    def fail_once(*args):
+        if made is not None:
+            made.append(args)
+            if len(made) == failing:
+                return 0
+        return real(*args)
+
+    calls = _counting_libcrypto(monkeypatch, _TABLE_ALLOCATING, {symbol: fail_once})
+    pk, _ = keygen(key_bits=256, rng_seed=9)
+    pk.h_s  # with the thread's scratch numbers and n^2's context
+    del calls[:]
+    made = []
+    with pytest.raises(RuntimeError, match=f"{symbol} failed"):
+        pk.obfuscator(5)
+    allocated, freed, contexts, contexts_freed = _table_balance(calls)
+    assert allocated == freed > 0 and contexts == contexts_freed == 1
+    assert "_comb" not in vars(pk)
+    assert pk.obfuscator(5) == pow(_h_s(pk), 5, pk.n_squared)  # the next use builds again
