@@ -103,12 +103,13 @@ class _Comb:
     An exponent of at most ``64 * steps`` bits is read as 8 teeth of 8
     blocks of ``steps`` bits: bit ``(8i + j) * steps + k`` is step ``k`` of
     block ``j`` of tooth ``i``.  ``rows`` lists blocks ``j = 7, ..., 0``;
-    entry ``u`` of block ``j``'s row (``1 <= u < 256``) is the product of
+    entry ``u`` of block ``j``'s row (``0 <= u < 256``) is the product of
     ``base^(2^((8i + j) * steps))`` over the set bits ``i`` of ``u``, a
     ``BIGNUM`` in Montgomery form under the comb's own ``BN_MONT_CTX``,
-    ``mont``.  ``free`` releases them all, once, at the latest when the comb
-    is collected.  A comb is neither copied nor pickled, so that each of
-    its ``BIGNUM``s has one owner.
+    ``mont``; entry 0, the one, is shared by all rows.  ``free`` releases
+    them all, once, at the latest when the comb is collected.  A comb is
+    neither copied nor pickled, so that each of its ``BIGNUM``s has one
+    owner.
     """
 
     def __init__(self, mod: int, steps: int, mont: int, power, release, bns: list):
@@ -117,7 +118,8 @@ class _Comb:
         self.free = weakref.finalize(self, release, mont, bns)
 
     def power(self, a: int) -> int:
-        """``base^a mod mod`` for an ``a >= 0`` of at most ``64 * steps`` bits."""
+        """``base^a mod mod`` for an ``a >= 0`` of at most ``64 * steps``
+        bits, which the caller checks."""
         return self._power(self, a)
 
     def __reduce__(self):
@@ -175,11 +177,12 @@ def _load_powmod():
     And it carries ``comb(base, mod, bits)``, which builds the
     :class:`_Comb` of ``base`` modulo the odd ``mod`` for exponents below
     ``2^bits``: ``63 * steps`` squarings and 1,976 products, all in
-    Montgomery form, for ``steps = ceil(bits / 64)``.  A power from it takes
-    ``steps - 1`` squarings and at most ``8 * steps`` products on the
-    calling thread's scratch accumulator, then one conversion out of
-    Montgomery form.  The comb reads its table at the exponent's digits, so
-    its time and memory accesses depend on them.
+    Montgomery form, for ``steps = ceil(bits / 64)``.  A power from it
+    copies the comb's one into the calling thread's scratch accumulator,
+    multiplies into it with ``steps - 1`` squarings and at most ``8 *
+    steps`` products, and converts it out of Montgomery form.  The comb
+    reads its table at the exponent's digits, so its time and memory
+    accesses depend on them.
     """
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
     signatures = {
@@ -318,12 +321,13 @@ def _load_powmod():
             checked(mul_mont(r, a, b, mont, ctx), "BN_mod_mul_montgomery")
 
         try:
-            m = new()
+            m, one, x = new(), new(), new()
             load(m, mod)
             checked(mont_set(mont, m, ctx), "BN_MONT_CTX_set")
-            x = new()
+            load(one, 1)
             load(x, base % mod)
-            checked(to_mont(x, x, mont, ctx), "BN_to_montgomery")
+            for y in (one, x):
+                checked(to_mont(y, y, mont, ctx), "BN_to_montgomery")
             powers = [x]  # powers[8i + j] = base^(2^((8i + j) * steps))
             for _ in range(63):
                 x = new()
@@ -332,7 +336,7 @@ def _load_powmod():
                     mul(x, x, x)
                 powers.append(x)
             for j in reversed(range(8)):
-                row = [None]
+                row = [one]
                 for u in range(1, 256):
                     low = u & -u
                     if u == low:
@@ -348,24 +352,15 @@ def _load_powmod():
 
     def comb_power(table: _Comb, a: int) -> int:
         steps, mont = table.steps, table.mont
-        _check_exponent(a, 64 * steps)
         digits = _comb_digits(a, steps)
         ctx, acc, *_ = thread_state()
-        started = False
+        checked(bn_copy(acc, table.rows[0][0]), "BN_copy")
         for c in range(steps):
-            if started and not mul_mont(acc, acc, acc, mont, ctx):
+            if c and not mul_mont(acc, acc, acc, mont, ctx):
                 raise RuntimeError(f"{library}: BN_mod_mul_montgomery failed")
             for row, digit in zip(table.rows, digits[c::steps]):
-                if not digit:
-                    continue
-                if started:
-                    if not mul_mont(acc, acc, row[digit], mont, ctx):
-                        raise RuntimeError(f"{library}: BN_mod_mul_montgomery failed")
-                else:
-                    checked(bn_copy(acc, row[digit]), "BN_copy")
-                    started = True
-        if not started:
-            return 1 % table.mod
+                if digit and not mul_mont(acc, acc, row[digit], mont, ctx):
+                    raise RuntimeError(f"{library}: BN_mod_mul_montgomery failed")
         checked(from_mont(acc, acc, mont, ctx), "BN_from_montgomery")
         return result(acc, ctypes.create_string_buffer((table.mod.bit_length() + 7) // 8))
 

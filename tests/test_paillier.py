@@ -638,7 +638,7 @@ def test_four_threads_race_the_first_comb_build_of_one_key(monkeypatch):
     # Python 3.12), the builds that lose are dropped and freed
     calls = _counting_libcrypto(monkeypatch, _TABLE_ALLOCATING)
     n = keygen(key_bits=512, rng_seed=42)[0].n
-    messages = [0, 1, 7, n - 1]
+    messages = [0, 1, 7, n - 1] * 8
     one_thread = PublicKey(n, n + 1)
     expected = [[encrypt(one_thread, m, rng=rng) for m in messages]
                 for rng in map(random.Random, range(4))]
@@ -955,8 +955,8 @@ _ALLOCATING = {"BN_new": (_PTR, []), "BN_bin2bn": (_PTR, [_PTR, ctypes.c_int, _P
 _TABLE_ALLOCATING = {**{s: _ALLOCATING[s] for s in ("BN_new", "BN_bin2bn", "BN_free")},
                      "BN_MONT_CTX_new": (_PTR, []), "BN_MONT_CTX_free": (None, [_PTR])}
 
-# a comb holds its modulus and 8 rows of 255 entries
-_COMB_BIGNUMS = 1 + 8 * 255
+# a comb holds its modulus, its one and 8 rows of 255 other entries
+_COMB_BIGNUMS = 2 + 8 * 255
 
 
 def _table_balance(calls):
@@ -1074,9 +1074,11 @@ def test_a_failing_comb_build_raises_and_frees_what_it_allocated(monkeypatch, sy
     pk.h_s  # with the thread's scratch numbers and n^2's context
     del calls[:]
     made = []
-    with pytest.raises(RuntimeError, match=f"{symbol} failed"):
+    with pytest.raises(RuntimeError, match=f"{symbol} failed") as caught:
         pk.obfuscator(5)
+    # freed at once, though the traceback still holds the build's frame
     allocated, freed, contexts, contexts_freed = _table_balance(calls)
     assert allocated == freed > 0 and contexts == contexts_freed == 1
+    del caught
     assert "_comb" not in vars(pk)
     assert pk.obfuscator(5) == pow(_h_s(pk), 5, pk.n_squared)  # the next use builds again
