@@ -259,3 +259,78 @@ def test_fold_plan_seed_stable(default_pair):
     for f1, f2 in zip(p1.folds, p2.folds):
         np.testing.assert_array_equal(f1.test_idx, f2.test_idx)
         np.testing.assert_array_equal(f1.valid_idx, f2.valid_idx)
+
+
+def _plan_labels(n, rate):
+    """0/1 labels with ``max(1, round(rate * n))`` ones at seeded positions."""
+    labels = np.zeros(n, dtype=np.int64)
+    labels[np.random.default_rng([n, 7]).permutation(n)[:max(1, round(rate * n))]] = 1
+    return labels
+
+
+def _labelled(labels):
+    n = len(labels)
+    return PartyDataset("p", np.arange(n), np.zeros((n, 1)), ("f0",), labels)
+
+
+def _plan_digest(labels, ks=(2, 5, 7), seeds=range(5)):
+    """sha256 over every plan of ``labels`` for each k and seed: each fold's
+    train, valid and test indices, dtype, shape and bytes, or the message of
+    the ``DataError`` raised in its place."""
+    h = hashlib.sha256()
+    dataset = _labelled(labels)
+    for k in ks:
+        for seed in seeds:
+            h.update(f"k={k} seed={seed}:".encode())
+            try:
+                plan = split_train_valid_test(dataset, k=k, seed=seed)
+            except DataError as exc:
+                h.update(f"DataError({exc})".encode())
+                continue
+            for fold in plan.folds:
+                for idx in (fold.train_idx, fold.valid_idx, fold.test_idx):
+                    h.update(f"{idx.dtype.str}{idx.shape}".encode())
+                    h.update(idx.tobytes())
+    return h.hexdigest()
+
+
+# each (n, positive rate) over k in {2, 5, 7} and seeds 0-4; at n = 5 every
+# plan raises
+_PLAN_SHA256 = {
+    (5, 0.5): "de79b5eec340d93c6e2306214de2beb5ed9fc181e8d7d7a8c4123b94f5db85dd",
+    (5, 0.1): "de79b5eec340d93c6e2306214de2beb5ed9fc181e8d7d7a8c4123b94f5db85dd",
+    (57, 0.5): "b75714f8bb1d9afedc5121f5fc8af46a3c0072e37755b93c8c93bad77b70c524",
+    (57, 0.1): "2bf67ca20880c2c19cbfa0af7cf8ff68855eecaa9b64d5fffac3295bbe0ddb8a",
+    (250, 0.5): "21f93d55e1d94b7a6ac8e1b00c03b298dc4640aea838316b1edc0be532081db7",
+    (250, 0.1): "3f352265da252ef5168e8ee3c443fabb79235bad4c6d4e5eb2c216578054d711",
+    (284, 0.5): "05877b642ec87f41d8c6a917146bf6393bc63f32a1244ad62198f52593ef8e4c",
+    (284, 0.1): "dc5eda1c6dd22d91c95c8e477e5986ba7c63311890af67a4721228f5bcbf4b14",
+    (2000, 0.5): "13fa567fe90ce0f12053c5f7daf3eb32c1ac3cb1d6e8defde6fba05cb35b1c05",
+    (2000, 0.1): "0d9d1514956cc177e7fa6b6e65de1fac2f5c271d5f1949a530dcccc618d09786",
+}
+
+
+@pytest.mark.parametrize("n, rate", sorted(_PLAN_SHA256))
+def test_fold_plans_are_pinned_to_the_byte(n, rate):
+    assert _plan_digest(_plan_labels(n, rate)) == _PLAN_SHA256[(n, rate)]
+
+
+@pytest.mark.parametrize("n, minority, size", [(n, c, s) for n in (57, 250) for c in (0, 1)
+                                                for s in (1, 2)])
+def test_a_class_of_one_or_two_rows_fails_all_attempts(n, minority, size):
+    labels = np.full(n, 1 - minority, dtype=np.int64)
+    labels[np.random.default_rng([n, 8]).permutation(n)[:size]] = minority
+    for k in (2, 5, 7):
+        with pytest.raises(DataError, match="could not build stratified folds"):
+            split_train_valid_test(_labelled(labels), k=k, seed=0)
+
+
+def test_fold_plan_errors_are_pinned():
+    with pytest.raises(DataError, match="could not build stratified folds"):
+        split_train_valid_test(_labelled(np.ones(40, dtype=np.int64)), k=2)
+    with pytest.raises(DataError, match="fewer samples than folds"):
+        split_train_valid_test(_labelled(np.array([0, 1, 0, 1])), k=5)
+    with pytest.raises(DataError, match="k must be at least 2"):
+        split_train_valid_test(_labelled(np.array([0, 1, 0, 1])), k=1)
+    with pytest.raises(DataError, match="needs labels"):
+        split_train_valid_test(PartyDataset("p", np.arange(4), np.zeros((4, 1)), ("f0",)), k=2)
