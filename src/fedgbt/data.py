@@ -552,16 +552,23 @@ class FoldPlan:
     seed: int
 
 
-def _stratified_groups(labels: np.ndarray, k: int, rng: np.random.Generator) -> list[np.ndarray]:
-    groups: list[list[int]] = [[] for _ in range(k)]
+def has_both_classes(labels: np.ndarray) -> bool:
+    """Whether 0/1 ``labels`` hold both classes; an empty set does not."""
+    return labels.size > 0 and bool(labels.min() != labels.max())
+
+
+def _stratified_groups(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row's group id in ``range(k)``, dealt class by class."""
+    group = np.empty(labels.size, dtype=np.int64)
+    sizes = np.zeros(k, dtype=np.int64)
     for cls in (0, 1):
         idx = rng.permutation(np.flatnonzero(labels == cls))
         # deal each class into the currently smallest groups so the
         # per-class remainders do not pile onto the same folds
-        order = sorted(range(k), key=lambda g: (len(groups[g]), g))
-        for j, sample in enumerate(idx):
-            groups[order[j % k]].append(int(sample))
-    return [np.sort(np.array(g, dtype=np.int64)) for g in groups]
+        for r, g in enumerate(np.argsort(sizes, kind="stable")):
+            group[idx[r::k]] = g
+            sizes[g] += idx[r::k].size
+    return group
 
 
 def split_train_valid_test(
@@ -572,6 +579,24 @@ def split_train_valid_test(
     Each rotation uses one group as the test set; a stratified
     ``valid_fraction`` of the remaining training rows is reserved for
     hyperparameter scoring, disjoint from the test rows.
+
+    The exact rule, which ``tests/test_data.py`` pins to the byte: attempt
+    ``a`` (0 to 19) draws from ``np.random.default_rng([seed, 53, a])``.
+
+    - Dealing: class 0, then class 1, is permuted once, and its ``j``-th
+      permuted row goes to the ``(j mod k)``-th group in order of current
+      size, then group index.  Group ``f`` is fold ``f``'s test rows.
+    - If a group lacks either class, the attempt fails.
+    - Validation: for each fold in order, the training pool is every other
+      group and ``n_valid = max(1, round(valid_fraction * |pool|))``.  Class
+      0, then class 1, gives the first ``share`` rows of one permutation of
+      its pool rows, where ``share = round(n_valid * |class| / |pool|)``
+      clamped to ``[1, max(|class| - 1, 1)]``.  The other pool rows train.
+      If they lack either class, the attempt fails.
+
+    Every index array is sorted int64.  ``DataError`` is raised without
+    labels, for ``k < 2``, for fewer rows than ``k``, and when all 20
+    attempts fail.
     """
     if dataset.labels is None:
         raise DataError("fold planning needs labels")
@@ -580,29 +605,28 @@ def split_train_valid_test(
     if dataset.n_samples < k:
         raise DataError("fewer samples than folds")
     labels = dataset.labels
+    is_class = (labels == 0, labels == 1)
     for attempt in range(20):
         rng = np.random.default_rng([seed, 53, attempt])
-        groups = _stratified_groups(labels, k, rng)
-        if any(len(g) == 0 or len(np.unique(labels[g])) < 2 for g in groups):
+        group = _stratified_groups(labels, k, rng)
+        tests = [np.flatnonzero(group == g) for g in range(k)]
+        if not all(has_both_classes(labels[t]) for t in tests):
             continue
         folds = []
-        ok = True
-        for fold_id in range(k):
-            test_idx = groups[fold_id]
-            train_pool = np.sort(
-                np.concatenate([groups[j] for j in range(k) if j != fold_id])
-            )
-            n_valid = max(1, int(round(valid_fraction * len(train_pool))))
+        for fold_id, test_idx in enumerate(tests):
+            in_pool = group != fold_id
+            n_pool = labels.size - test_idx.size
+            n_valid = max(1, int(round(valid_fraction * n_pool)))
             valid_parts = []
             for cls in (0, 1):
-                cls_idx = train_pool[labels[train_pool] == cls]
-                share = int(round(n_valid * len(cls_idx) / len(train_pool)))
+                cls_idx = np.flatnonzero(in_pool & is_class[cls])
+                share = int(round(n_valid * len(cls_idx) / n_pool))
                 share = min(max(share, 1), max(len(cls_idx) - 1, 1))
                 valid_parts.append(rng.permutation(cls_idx)[:share])
             valid_idx = np.sort(np.concatenate(valid_parts))
-            train_idx = np.setdiff1d(train_pool, valid_idx)
-            if len(np.unique(labels[train_idx])) < 2:
-                ok = False
+            in_pool[valid_idx] = False
+            train_idx = np.flatnonzero(in_pool)
+            if not has_both_classes(labels[train_idx]):
                 break
             folds.append(
                 Fold(
@@ -612,6 +636,6 @@ def split_train_valid_test(
                     test_idx=test_idx,
                 )
             )
-        if ok:
+        else:
             return FoldPlan(folds=tuple(folds), seed=seed)
     raise DataError("could not build stratified folds with both classes everywhere")

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
-from .data import DataError, PartyDataset, join_datasets, split_train_valid_test
+from .data import DataError, PartyDataset, has_both_classes, join_datasets, split_train_valid_test
 from .gbt import GbtParams, predict_proba, train_centralized
 from .metrics import auc_roc
 
@@ -315,7 +315,7 @@ def _train_valid_split(dataset: PartyDataset, seed: int):
         fold = plan.folds[0]
         train = dataset.subset(np.concatenate([fold.train_idx, fold.test_idx]))
         valid = dataset.subset(fold.valid_idx)
-        if len(np.unique(valid.labels)) == 2 and len(np.unique(train.labels)) == 2:
+        if has_both_classes(valid.labels) and has_both_classes(train.labels):
             return train, valid
     raise OptimError("could not carve a two-class validation split")
 

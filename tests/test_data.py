@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -334,3 +335,59 @@ def test_fold_plan_errors_are_pinned():
         split_train_valid_test(_labelled(np.array([0, 1, 0, 1])), k=1)
     with pytest.raises(DataError, match="needs labels"):
         split_train_valid_test(PartyDataset("p", np.arange(4), np.zeros((4, 1)), ("f0",)), k=2)
+
+
+def _plan_reference(labels, k, valid_fraction=0.10, seed=0):
+    """Row by row and by set difference: the fold plan that
+    ``split_train_valid_test`` computes in array operations, as
+    ``(train_idx, valid_idx, test_idx)`` per fold."""
+    if len(labels) < k:
+        raise DataError("fewer samples than folds")
+    for attempt in range(20):
+        rng = np.random.default_rng([seed, 53, attempt])
+        groups = [[] for _ in range(k)]
+        for cls in (0, 1):
+            idx = rng.permutation(np.flatnonzero(labels == cls))
+            order = sorted(range(k), key=lambda g: (len(groups[g]), g))
+            for j, sample in enumerate(idx):
+                groups[order[j % k]].append(int(sample))
+        groups = [np.sort(np.array(g, dtype=np.int64)) for g in groups]
+        if any(len(g) == 0 or len(np.unique(labels[g])) < 2 for g in groups):
+            continue
+        folds = []
+        for fold_id in range(k):
+            train_pool = np.sort(np.concatenate([groups[j] for j in range(k) if j != fold_id]))
+            n_valid = max(1, int(round(valid_fraction * len(train_pool))))
+            valid_parts = []
+            for cls in (0, 1):
+                cls_idx = train_pool[labels[train_pool] == cls]
+                share = int(round(n_valid * len(cls_idx) / len(train_pool)))
+                share = min(max(share, 1), max(len(cls_idx) - 1, 1))
+                valid_parts.append(rng.permutation(cls_idx)[:share])
+            valid_idx = np.sort(np.concatenate(valid_parts))
+            train_idx = np.setdiff1d(train_pool, valid_idx)
+            if len(np.unique(labels[train_idx])) < 2:
+                break
+            folds.append((train_idx, valid_idx, groups[fold_id]))
+        else:
+            return folds
+    raise DataError("could not build stratified folds with both classes everywhere")
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 3000), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fold_plan_equals_the_reference(n, k, seed, data):
+    rate = data.draw(st.floats(0.05, 0.95) | st.floats(0, 1))
+    labels = (np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n)
+              < rate).astype(np.int64)
+    try:
+        expect = _plan_reference(labels, k, seed=seed)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            split_train_valid_test(_labelled(labels), k=k, seed=seed)
+        return
+    plan = split_train_valid_test(_labelled(labels), k=k, seed=seed)
+    assert [f.fold_id for f in plan.folds] == list(range(k))
+    for fold, arrays in zip(plan.folds, expect, strict=True):
+        for got, want in zip((fold.train_idx, fold.valid_idx, fold.test_idx), arrays):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
