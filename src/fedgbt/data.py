@@ -557,20 +557,6 @@ def has_both_classes(labels: np.ndarray) -> bool:
     return labels.size > 0 and bool(labels.min() != labels.max())
 
 
-def _stratified_groups(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Each row's group id in ``range(k)``, dealt class by class."""
-    group = np.empty(labels.size, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
-    for cls in (0, 1):
-        idx = rng.permutation(np.flatnonzero(labels == cls))
-        # deal each class into the currently smallest groups so the
-        # per-class remainders do not pile onto the same folds
-        for r, g in enumerate(np.argsort(sizes, kind="stable")):
-            group[idx[r::k]] = g
-            sizes[g] += idx[r::k].size
-    return group
-
-
 def split_train_valid_test(
     dataset: PartyDataset, k: int = 5, valid_fraction: float = 0.10, seed: int = 0
 ) -> FoldPlan:
@@ -585,7 +571,10 @@ def split_train_valid_test(
 
     - Dealing: class 0, then class 1, is permuted once, and its ``j``-th
       permuted row goes to the ``(j mod k)``-th group in order of current
-      size, then group index.  Group ``f`` is fold ``f``'s test rows.
+      size, then group index.  As class 0 leaves the groups it reached last
+      one row short, this is the ``j``-th row of the two permutations
+      together going to group ``j mod k``.  Group ``f`` is fold ``f``'s
+      test rows.
     - If a group lacks either class, the attempt fails.
     - Validation: for each fold in order, the training pool is every other
       group and ``n_valid = max(1, round(valid_fraction * |pool|))``.  Class
@@ -608,7 +597,10 @@ def split_train_valid_test(
     is_class = (labels == 0, labels == 1)
     for attempt in range(20):
         rng = np.random.default_rng([seed, 53, attempt])
-        group = _stratified_groups(labels, k, rng)
+        # each row's group id
+        dealt = np.concatenate([rng.permutation(np.flatnonzero(is_class[cls])) for cls in (0, 1)])
+        group = np.empty(labels.size, dtype=np.int64)
+        group[dealt] = np.arange(labels.size) % k
         tests = [np.flatnonzero(group == g) for g in range(k)]
         if not all(has_both_classes(labels[t]) for t in tests):
             continue

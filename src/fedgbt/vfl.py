@@ -538,10 +538,9 @@ def vfl_train(
                         raise ProtocolError(f"{where}: the left side disagrees with the "
                                             "split's sums")
                 node_positions[node.left] = left
-                # both are sorted, and left is a subset of positions
-                go_right = np.ones(positions.size, dtype=bool)
-                go_right[np.searchsorted(positions, left)] = False
-                node_positions[node.right] = positions[go_right]
+                # a mask over positions: both are sorted, and left is a
+                # subset of positions
+                node_positions[node.right] = np.delete(positions, np.searchsorted(positions, left))
                 # each wanted child is exchanged right after its parent's partition
                 for c in (c for c in (node.left, node.right) if c in build):
                     hists[c], round_id = _exchange_histograms(bus, active, passives, t, c,
@@ -558,9 +557,7 @@ def vfl_train(
         weights = np.zeros(active.dataset.n_samples)
         for leaf_id, positions in node_positions.items():
             weights[positions] = tree.nodes[leaf_id].weight
-        out_of_bag = np.ones(active.dataset.n_samples, dtype=bool)
-        out_of_bag[rows] = False
-        rest = np.flatnonzero(out_of_bag)
+        rest = np.delete(np.arange(active.dataset.n_samples), rows)
         if rest.size:
             ids = active.dataset.sample_ids[rest]
             for passive in passives.values():
