@@ -329,6 +329,10 @@ def test_a_class_of_one_or_two_rows_fails_all_attempts(n, minority, size):
 def test_fold_plan_errors_are_pinned():
     with pytest.raises(DataError, match="could not build stratified folds"):
         split_train_valid_test(_labelled(np.ones(40, dtype=np.int64)), k=2)
+    # every group holds both classes, but each fold's validation rows take
+    # its whole pool and leave its training set empty
+    with pytest.raises(DataError, match="could not build stratified folds"):
+        split_train_valid_test(_labelled(np.array([0, 1, 1, 0])), k=2)
     with pytest.raises(DataError, match="fewer samples than folds"):
         split_train_valid_test(_labelled(np.array([0, 1, 0, 1])), k=5)
     with pytest.raises(DataError, match="k must be at least 2"):
@@ -375,18 +379,20 @@ def _plan_reference(labels, k, valid_fraction=0.10, seed=0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 3000), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+@given(n=st.integers(2, 60) | st.integers(2, 3000), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_fold_plan_equals_the_reference(n, k, seed, data):
     rate = data.draw(st.floats(0.05, 0.95) | st.floats(0, 1))
     labels = (np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n)
               < rate).astype(np.int64)
+    # wide fractions reach the clamp that keeps a class in training
+    valid_fraction = data.draw(st.sampled_from([0.10, 0.99]) | st.floats(0.01, 0.99))
     try:
-        expect = _plan_reference(labels, k, seed=seed)
+        expect = _plan_reference(labels, k, valid_fraction, seed)
     except DataError as exc:
         with pytest.raises(DataError, match=re.escape(str(exc))):
-            split_train_valid_test(_labelled(labels), k=k, seed=seed)
+            split_train_valid_test(_labelled(labels), k, valid_fraction, seed)
         return
-    plan = split_train_valid_test(_labelled(labels), k=k, seed=seed)
+    plan = split_train_valid_test(_labelled(labels), k, valid_fraction, seed)
     assert [f.fold_id for f in plan.folds] == list(range(k))
     for fold, arrays in zip(plan.folds, expect, strict=True):
         for got, want in zip((fold.train_idx, fold.valid_idx, fold.test_idx), arrays):
