@@ -597,7 +597,8 @@ def split_train_valid_test(
     is_class = (labels == 0, labels == 1)
     for attempt in range(20):
         rng = np.random.default_rng([seed, 53, attempt])
-        # each row's group id
+        # class 1 is dealt on from where class 0 stopped, so the per-class
+        # remainders do not pile onto the same folds
         dealt = np.concatenate([rng.permutation(np.flatnonzero(is_class[cls])) for cls in (0, 1)])
         group = np.empty(labels.size, dtype=np.int64)
         group[dealt] = np.arange(labels.size) % k

@@ -538,8 +538,7 @@ def vfl_train(
                         raise ProtocolError(f"{where}: the left side disagrees with the "
                                             "split's sums")
                 node_positions[node.left] = left
-                # a mask over positions: both are sorted, and left is a
-                # subset of positions
+                # left is a sorted subset of the sorted positions
                 node_positions[node.right] = np.delete(positions, np.searchsorted(positions, left))
                 # each wanted child is exchanged right after its parent's partition
                 for c in (c for c in (node.left, node.right) if c in build):

@@ -379,7 +379,8 @@ def _plan_reference(labels, k, valid_fraction=0.10, seed=0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 60) | st.integers(2, 3000), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+@given(n=st.integers(2, 60) | st.integers(2, 3000), k=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_fold_plan_equals_the_reference(n, k, seed, data):
     rate = data.draw(st.floats(0.05, 0.95) | st.floats(0, 1))
     labels = (np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n)
