@@ -329,16 +329,19 @@ def test_a_class_of_one_or_two_rows_fails_all_attempts(n, minority, size):
 def test_fold_plan_errors_are_pinned():
     with pytest.raises(DataError, match="could not build stratified folds"):
         split_train_valid_test(_labelled(np.ones(40, dtype=np.int64)), k=2)
-    # every group holds both classes, but each fold's validation rows take
-    # its whole pool and leave its training set empty
-    with pytest.raises(DataError, match="could not build stratified folds"):
-        split_train_valid_test(_labelled(np.array([0, 1, 1, 0])), k=2)
     with pytest.raises(DataError, match="fewer samples than folds"):
         split_train_valid_test(_labelled(np.array([0, 1, 0, 1])), k=5)
     with pytest.raises(DataError, match="k must be at least 2"):
         split_train_valid_test(_labelled(np.array([0, 1, 0, 1])), k=1)
     with pytest.raises(DataError, match="needs labels"):
         split_train_valid_test(PartyDataset("p", np.arange(4), np.zeros((4, 1)), ("f0",)), k=2)
+
+
+def test_an_empty_training_set_fails_all_attempts():
+    # every group holds both classes, but each fold's validation rows take
+    # its whole pool and leave its training set empty
+    with pytest.raises(DataError, match="could not build stratified folds"):
+        split_train_valid_test(_labelled(np.array([0, 1, 1, 0])), k=2)
 
 
 def _plan_reference(labels, k, valid_fraction=0.10, seed=0):
